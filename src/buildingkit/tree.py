@@ -15,12 +15,20 @@ materialized, which happens exactly when it was expanded.
 The marked subtree follows creation order: every marked vertex marks its
 first q_F children edges.  Each edge also records delta, its edge-to-edge
 gallery distance to the nearest marked edge.
+
+Cocycles are integer numerators over one common denominator, so the
+harmonicity, decay and period passes do integer arithmetic per edge and build
+a `Fraction` only for their results.  Automorphisms are id-indexed lists.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, islice
+from math import lcm
+from operator import gt, mul
 
 from .errors import BudgetError, ModelError
 from .linalg import nullspace
@@ -56,7 +64,6 @@ class TreePair:
         self.n_expanded = n_expanded
         self.n_edges = len(near)
         self.n_vertices = len(v_label)
-        self._edge_index = None
 
     # -- structure accessors -------------------------------------------------
 
@@ -71,10 +78,11 @@ class TreePair:
         return 0 if v <= 1 else v - 1
 
     def children(self, v):
+        """Ids of the materialized child edges of v (empty at the boundary)."""
         if v >= self.n_expanded:
             return range(0)
         start = 1 + v * self.q_E
-        return range(start, start + self.q_E)
+        return range(start, max(start, min(start + self.q_E, self.n_edges)))
 
     def incident_edges(self, v):
         yield self.parent_edge(v)
@@ -87,27 +95,23 @@ class TreePair:
         return range(self.n_edges)
 
     def edge_between(self, u, w):
-        """Edge id joining u and w, or None; the endpoint index is built lazily."""
-        if self._edge_index is None:
-            self._edge_index = {}
-            for e in range(self.n_edges):
-                a, b = self.near[e], e + 1
-                self._edge_index[(a, b) if a < b else (b, a)] = e
-        return self._edge_index.get((u, w) if u < w else (w, u))
+        """Edge id joining u and w, or None.
+
+        The larger id hangs below the edge just before it, so the only
+        candidate is that edge; ids outside the tree give None.
+        """
+        lo, hi = (u, w) if u < w else (w, u)
+        if not 0 <= lo < hi <= self.n_edges or self.near[hi - 1] != lo:
+            return None
+        return hi - 1
 
     # -- census ---------------------------------------------------------------
 
     def sphere_sizes(self, marked_only=False):
         """Edge counts per gallery distance from the root edge."""
-        counts = [0] * (self.depth + 1)
-        if marked_only:
-            for e in range(self.n_edges):
-                if self.e_in_F[e]:
-                    counts[self.e_level[e]] += 1
-        else:
-            for e in range(self.n_edges):
-                counts[self.e_level[e]] += 1
-        return counts
+        levels = islice(self.e_level, self.n_edges)
+        tally = Counter(compress(levels, self.e_in_F) if marked_only else levels)
+        return [tally[k] for k in range(self.depth + 1)]
 
     def to_json_dict(self):
         return {
@@ -189,41 +193,55 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
 # cocycles
 
 class EdgeCocycle:
-    """Exact rational value per edge, indexed by edge id over the whole tree."""
+    """Exact rational value per edge, indexed by edge id over the whole tree.
 
-    __slots__ = ("values",)
+    Stored as integer numerators `nums` over one positive denominator `den`;
+    indexing returns the value as a `Fraction`.
+    """
 
-    def __init__(self, values):
-        self.values = list(values)
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den=1):
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        self.nums = list(nums)
+        self.den = den
 
     def __getitem__(self, e):
-        return self.values[e]
+        return Fraction(self.nums[e], self.den)
 
     def __len__(self):
-        return len(self.values)
+        return len(self.nums)
 
     @classmethod
     def constant(cls, tree, value):
-        return cls([Fraction(value)] * tree.n_edges)
+        value = Fraction(value)
+        return cls([value.numerator] * tree.n_edges, value.denominator)
 
     @classmethod
     def indicator(cls, tree, edge):
-        vals = [Fraction(0)] * tree.n_edges
-        vals[edge] = Fraction(1)
-        return cls(vals)
+        nums = [0] * tree.n_edges
+        nums[edge] = 1
+        return cls(nums)
 
     @classmethod
     def from_deltas(cls, tree, profile):
-        """Cocycle constant on delta-classes; profile[delta] gives the value."""
-        return cls([profile[d] for d in tree.e_delta])
+        """Cocycle constant on delta-classes; profile[delta] gives the value.
+
+        The common denominator is the lcm of the class values' denominators.
+        """
+        values = [Fraction(profile[d]) for d in range(max(tree.e_delta) + 1)]
+        den = lcm(*(x.denominator for x in values))
+        class_nums = [x.numerator * (den // x.denominator) for x in values]
+        return cls(map(class_nums.__getitem__, tree.e_delta), den)
 
 
 def iwahori_cocycle(tree):
-    """The alternating geometric cocycle (-1/q_E)^(distance to the root edge)."""
-    powers = [Fraction(1)]
-    for _ in range(tree.depth):
-        powers.append(powers[-1] * Fraction(-1, tree.q_E))
-    return EdgeCocycle([powers[lvl] for lvl in tree.e_level])
+    """The alternating geometric cocycle (-1/q_E)^(distance to the root edge),
+    over the common denominator q_E^depth."""
+    q_E, depth = tree.q_E, tree.depth
+    level_nums = [(-1) ** k * q_E ** (depth - k) for k in range(depth + 1)]
+    return EdgeCocycle(map(level_nums.__getitem__, tree.e_level), q_E ** depth)
 
 
 @dataclass(frozen=True)
@@ -241,16 +259,15 @@ def verify_harmonic(tree, cocycle):
     """Check that the edge values around every interior vertex sum to zero.
 
     Boundary vertices have missing neighbors, so they are skipped and counted
-    rather than reported as violations.
+    rather than reported as violations.  The sums are taken over numerators,
+    which share one denominator.
     """
-    vals = cocycle.values
+    nums = cocycle.nums
     q_E = tree.q_E
     violations = []
-    zero = Fraction(0)
     for v in range(tree.n_expanded):
         start = 1 + v * q_E
-        total = sum(vals[start:start + q_E], vals[0 if v <= 1 else v - 1])
-        if total != zero:
+        if sum(nums[start:start + q_E], nums[0 if v <= 1 else v - 1]):
             violations.append(v)
     return HarmonicityReport(
         violations=tuple(violations),
@@ -260,16 +277,15 @@ def verify_harmonic(tree, cocycle):
 
 def tree_period(tree, cocycle):
     """Partial sums of the cocycle over marked edges, sphere by sphere."""
-    layer_sums = [Fraction(0)] * (tree.depth + 1)
-    vals = cocycle.values
-    for e in range(tree.n_edges):
-        if tree.e_in_F[e]:
-            layer_sums[tree.e_level[e]] += vals[e]
+    layer_sums = [0] * (tree.depth + 1)
+    nums, e_level = cocycle.nums, tree.e_level
+    for e in compress(range(tree.n_edges), tree.e_in_F):
+        layer_sums[e_level[e]] += nums[e]
     sums = []
-    acc = Fraction(0)
+    acc = 0
     for s in layer_sums:
         acc += s
-        sums.append(acc)
+        sums.append(Fraction(acc, cocycle.den))
     return sums
 
 
@@ -282,13 +298,11 @@ def distance_to_F(tree, edge):
 
 def decay_check(tree, cocycle):
     """Exact sup over edges of |value| * q_E^(distance to the root edge)."""
-    vals = cocycle.values
-    best = Fraction(0)
-    for e in range(tree.n_edges):
-        cur = abs(vals[e]) * tree.q_E ** tree.e_level[e]
-        if cur > best:
-            best = cur
-    return best
+    scale = [tree.q_E ** k for k in range(tree.depth + 1)]
+    best = max(map(mul, map(abs, cocycle.nums),
+                   map(scale.__getitem__, islice(tree.e_level, tree.n_edges))),
+               default=0)
+    return Fraction(best, cocycle.den)
 
 
 # ---------------------------------------------------------------------------
@@ -377,29 +391,48 @@ def reconstruct_layer(tree, values):
 class TreeAutomorphism:
     """Partial automorphism: a vertex bijection on a sub-ball of the tree.
 
-    The edge map is induced from the vertex map and validated edge by edge;
-    a pair of mapped endpoints that is not an edge again is rejected.  The
-    marked subtree does not need to be preserved.
+    `vertex_map` is given as a dict {vertex: image} or as a list indexed by
+    vertex id with None where undefined, and is stored as such a list.  The
+    edge map, a list indexed by edge id with None where an endpoint is
+    unmapped, is induced from it and validated edge by edge; a pair of mapped
+    endpoints that is not an edge again is rejected.  The marked subtree does
+    not need to be preserved.
     """
 
     def __init__(self, tree, vertex_map):
         self.tree = tree
-        self.vertex_map = dict(vertex_map)
-        if len(set(self.vertex_map.values())) != len(self.vertex_map):
-            raise ValueError("vertex map is not injective")
-        edge_map = {}
-        for e in range(tree.n_edges):
-            u, w = tree.near[e], e + 1
-            gu = self.vertex_map.get(u)
-            gw = self.vertex_map.get(w)
-            if gu is None or gw is None:
-                continue
-            img = tree.edge_between(gu, gw)
-            if img is None:
+        n = tree.n_vertices
+        if isinstance(vertex_map, dict):
+            vm = [None] * n
+            for v, image in vertex_map.items():
+                if not 0 <= v < n:
+                    raise ValueError(f"vertex id out of range: {v}")
+                vm[v] = image
+        else:
+            vm = list(vertex_map)
+            if len(vm) != n:
                 raise ValueError(
-                    f"vertex map breaks adjacency: edge {e} maps to non-edge "
-                    f"({gu},{gw})")
-            edge_map[e] = img
+                    f"vertex map has {len(vm)} entries for {n} vertices")
+        images = [x for x in vm if x is not None]
+        if images and not (0 <= min(images) and max(images) < n):
+            bad = next(x for x in images if not 0 <= x < n)
+            raise ValueError(f"vertex id out of range: {bad}")
+        if len(set(images)) != len(images):
+            raise ValueError("vertex map is not injective")
+        self.vertex_map = vm
+
+        # the edge joining images lo < hi can only be edge hi - 1; -1 marks
+        # a mapped pair that is not an edge
+        near = tree.near
+        edge_map = [None if a is None or b is None
+                    else (b - 1 if near[b - 1] == a else -1) if a < b
+                    else (a - 1 if near[a - 1] == b else -1)
+                    for a, b in zip(map(vm.__getitem__, near), islice(vm, 1, None))]
+        if -1 in edge_map:
+            e = edge_map.index(-1)
+            raise ValueError(
+                f"vertex map breaks adjacency: edge {e} maps to non-edge "
+                f"({vm[near[e]]},{vm[e + 1]})")
         self.edge_map = edge_map
 
 
@@ -411,34 +444,48 @@ def epsilon_tree(g):
     and raises ValueError.
     """
     tree = g.tree
-    sign = None
-    for e in g.edge_map:
-        u = tree.near[e]
-        s = 1 if tree.v_label[g.vertex_map[u]] == tree.v_label[u] else -1
-        if sign is None:
-            sign = s
-        elif sign != s:
-            raise ValueError("automorphism is not label-coherent")
-    if sign is None:
+    label, vm, em = tree.v_label, g.vertex_map, g.edge_map
+    swaps = set()
+    # the sign of a mapped edge is read at its near endpoint u, so one look
+    # per u at the edges hanging there: its children, and the root edge at 0
+    for u in range(tree.n_expanded):
+        if vm[u] is None:
+            continue
+        kids = tree.children(u)
+        first = 0 if u == 0 else kids.start
+        if em[first:kids.stop].count(None) < kids.stop - first:
+            swaps.add(label[vm[u]] != label[u])
+    if len(swaps) > 1:
+        raise ValueError("automorphism is not label-coherent")
+    if not swaps:
         raise ValueError("automorphism domain contains no edges")
-    return sign
+    return -1 if swaps.pop() else 1
 
 
 def identity_automorphism(tree):
-    return TreeAutomorphism(tree, {v: v for v in range(tree.n_vertices)})
+    return TreeAutomorphism(tree, range(tree.n_vertices))
+
+
+def _lift(tree, swap, shuffle=None):
+    """Vertex map that sends the root edge to itself (reversed when `swap`)
+    and the children of every expanded vertex to the children of its image,
+    in creation order or in the order `shuffle` leaves them."""
+    q_E = tree.q_E
+    vmap = [None] * tree.n_vertices
+    vmap[0], vmap[1] = (1, 0) if swap else (0, 1)
+    for v in range(tree.n_expanded):
+        first = 2 + vmap[v] * q_E
+        block = list(range(first, first + q_E))
+        if shuffle is not None:
+            shuffle(block)
+        vmap[2 + v * q_E:2 + (v + 1) * q_E] = block
+    return vmap
 
 
 def endpoint_swap(tree):
     """The involution exchanging the two root-edge endpoints, matched by
     creation order below them."""
-    vmap = {0: 1, 1: 0}
-    stack = [(0, 1), (1, 0)]
-    while stack:
-        u, w = stack.pop()
-        for eu, ew in zip(tree.children(u), tree.children(w)):
-            vmap[eu + 1] = ew + 1
-            stack.append((eu + 1, ew + 1))
-    return TreeAutomorphism(tree, vmap)
+    return TreeAutomorphism(tree, _lift(tree, swap=True))
 
 
 def random_automorphism(tree, rng, swap=None):
@@ -446,24 +493,14 @@ def random_automorphism(tree, rng, swap=None):
     permutation of the children at every expanded vertex."""
     if swap is None:
         swap = rng.random() < 0.5
-    vmap = {0: 1, 1: 0} if swap else {0: 0, 1: 1}
-    q_E = tree.q_E
-    for v in range(tree.n_expanded):
-        image = vmap[v]
-        perm = list(range(q_E))
-        rng.shuffle(perm)
-        base = 1 + v * q_E
-        ibase = 1 + image * q_E
-        for j, pj in enumerate(perm):
-            vmap[base + j + 1] = ibase + pj + 1
-    return TreeAutomorphism(tree, vmap)
+    return TreeAutomorphism(tree, _lift(tree, swap, rng.shuffle))
 
 
 def compose(g, h):
     """The automorphism x -> g(h(x)), on the domain where both are defined."""
-    vmap = {v: g.vertex_map[hv] for v, hv in h.vertex_map.items()
-            if hv in g.vertex_map}
-    return TreeAutomorphism(g.tree, vmap)
+    gv = g.vertex_map
+    return TreeAutomorphism(
+        g.tree, [None if x is None else gv[x] for x in h.vertex_map])
 
 
 def translation_automorphism(tree, steps):
@@ -486,7 +523,7 @@ def translation_automorphism(tree, steps):
 
     if abs(steps) >= len(axis):
         raise ValueError(f"shift {steps} exceeds the materialized axis")
-    vmap = {}
+    vmap = [None] * tree.n_vertices
     axis_set = set(axis)
     pairs = []
     for j, v in enumerate(axis):
@@ -528,32 +565,70 @@ class TreeAuditReport:
 def check_tree_invariants(tree):
     """Audit the structural invariants of a built tree pair.
 
-    Checks interior degrees, marked-subtree degrees and connectivity, label
-    alternation across every edge, sphere censuses, and the delta recursion
-    (each delta >= 2 edge has exactly one inner neighbor one class closer;
-    each delta = 1 edge hangs at a marked vertex carrying q_F + 1 marked
-    edges).
+    Checks interior degrees (counting only materialized edges), that every
+    child edge hangs at its vertex, marked-subtree degrees and connectivity,
+    label alternation across every edge, sphere censuses, and the delta
+    recursion (each delta >= 2 edge has exactly one inner neighbor one class
+    closer; each delta = 1 edge hangs at a marked vertex carrying q_F + 1
+    marked edges).  A malformed tree is reported, never raised on.
     """
-    problems = []
     q_F, q_E = tree.q_F, tree.q_E
+    near, e_in_F, e_delta = tree.near, tree.e_in_F, tree.e_delta
+    v_label, v_in_F = tree.v_label, tree.v_in_F
+    vertex_problems, near_problems, label_problems, delta_problems = [], [], [], []
 
-    for v in range(tree.n_vertices):
-        n_marked = sum(1 for e in tree.incident_edges(v) if tree.e_in_F[e])
-        if tree.is_interior(v):
-            degree = 1 + len(tree.children(v))
-            if degree != q_E + 1:
-                problems.append(f"interior vertex {v} has degree {degree}")
-            if tree.v_in_F[v] and n_marked != q_F + 1:
-                problems.append(f"marked interior vertex {v} has {n_marked} marked edges")
-        if not tree.v_in_F[v] and n_marked != 0:
-            problems.append(f"unmarked vertex {v} touches {n_marked} marked edges")
+    for v in range(tree.n_expanded):
+        kids = tree.children(v)
+        s, t = kids.start, kids.stop
+        p = 0 if v <= 1 else v - 1
+        degree = 1 + len(kids)
+        if degree != q_E + 1:
+            vertex_problems.append(f"interior vertex {v} has degree {degree}")
+        n_marked = e_in_F[p] + e_in_F[s:t].count(True)
+        if v_in_F[v]:
+            if n_marked != q_F + 1:
+                vertex_problems.append(
+                    f"marked interior vertex {v} has {n_marked} marked edges")
+        elif n_marked:
+            vertex_problems.append(
+                f"unmarked vertex {v} touches {n_marked} marked edges")
 
-    for e in range(tree.n_edges):
-        if tree.v_label[tree.near[e]] == tree.v_label[e + 1]:
-            problems.append(f"edge {e} joins equal labels")
+        # the edges hanging at v: its children, and the root edge at vertex 0
+        h = 0 if v == 0 else s
+        if near[h:t].count(v) != t - h:
+            near_problems.extend(f"edge {e} hangs at vertex {near[e]}, not {v}"
+                                 for e in range(h, t) if near[e] != v)
+        label = v_label[v]
+        if label in v_label[h + 1:t + 1]:
+            label_problems.extend(f"edge {e} joins equal labels"
+                                  for e in range(h, t) if v_label[e + 1] == label)
+        deltas = e_delta[h:t]
+        parent_delta = e_delta[p] if v else None  # vertex 0's parent edge hangs at it
+        closer = {}
+        for d in set(deltas):
+            n_closer = deltas.count(d - 1) + (parent_delta == d - 1)
+            if d and n_closer != (q_F + 1 if d == 1 else 1):
+                closer[d] = n_closer
+        if closer:
+            for e in range(h, t):
+                d = e_delta[e]
+                if d not in closer:
+                    continue
+                if d == 1:
+                    delta_problems.append(
+                        f"edge {e} at delta=1 sees {closer[d]} marked edges")
+                else:
+                    delta_problems.append(
+                        f"edge {e} at delta={d} has {closer[d]} inner neighbors")
+
+    # a boundary vertex touches only its parent edge, when that is materialized
+    lo, hi = tree.n_expanded, min(tree.n_vertices, tree.n_edges + 1)
+    vertex_problems.extend(
+        f"unmarked vertex {v} touches 1 marked edges"
+        for v in compress(range(lo, hi), map(gt, e_in_F[lo - 1:hi - 1], v_in_F[lo:hi])))
 
     # marked subtree connected: walk marked edges from the root edge
-    marked_edges = {e for e in range(tree.n_edges) if tree.e_in_F[e]}
+    marked_edges = set(compress(range(tree.n_edges), e_in_F))
     seen_vertices = {0, 1}
     seen_edges = {0}
     stack = [0, 1]
@@ -562,10 +637,11 @@ def check_tree_invariants(tree):
         for e in tree.incident_edges(v):
             if e in marked_edges and e not in seen_edges:
                 seen_edges.add(e)
-                other = tree.near[e] if tree.near[e] != v else e + 1
+                other = near[e] if near[e] != v else e + 1
                 if other not in seen_vertices:
                     seen_vertices.add(other)
                     stack.append(other)
+    problems = vertex_problems + near_problems + label_problems
     if seen_edges != marked_edges:
         problems.append("marked subtree is not connected to the root edge")
 
@@ -575,26 +651,13 @@ def check_tree_invariants(tree):
         problems.append("marked sphere census mismatch")
     if tree.sphere_sizes()[1:] != expected_e:
         problems.append("ambient sphere census mismatch")
-
-    for e in range(tree.n_edges):
-        delta = tree.e_delta[e]
-        if delta == 0:
-            continue
-        panel = tree.near[e]
-        closer = sum(1 for x in tree.incident_edges(panel)
-                     if tree.e_delta[x] == delta - 1)
-        if delta == 1:
-            if closer != q_F + 1:
-                problems.append(f"edge {e} at delta=1 sees {closer} marked edges")
-        elif closer != 1:
-            problems.append(f"edge {e} at delta={delta} has {closer} inner neighbors")
-
-    return TreeAuditReport(problems=tuple(problems))
+    return TreeAuditReport(problems=tuple(problems + delta_problems))
 
 
 def cocycle_to_csv(cocycle):
     """CSV dump with the fixed header edge_id,num,den."""
     lines = ["edge_id,num,den"]
-    for e, val in enumerate(cocycle.values):
+    for e in range(len(cocycle)):
+        val = cocycle[e]
         lines.append(f"{e},{val.numerator},{val.denominator}")
     return "\n".join(lines) + "\n"

@@ -5,6 +5,8 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buildingkit import period, tree
 from buildingkit.coxeter import build_affine_system, growth_coefficients
@@ -213,7 +215,7 @@ def test_random_automorphism_signs_and_determinism():
     g = tree.random_automorphism(t, rng, swap=False)
     assert tree.epsilon_tree(g) == 1
     assert len(g.vertex_map) == t.n_vertices
-    assert sorted(g.edge_map.values()) == list(t.edges())
+    assert sorted(g.edge_map) == list(t.edges())
     h = tree.random_automorphism(t, rng, swap=True)
     assert tree.epsilon_tree(h) == -1
     # same seed, same maps
@@ -242,8 +244,8 @@ def test_translation_along_axis():
         == tree.identity_automorphism(t).vertex_map
     # composing two unit shifts agrees with the double shift where both act
     comp = tree.compose(one, one)
-    for v, image in comp.vertex_map.items():
-        if v in two.vertex_map:
+    for v, image in enumerate(comp.vertex_map):
+        if image is not None and two.vertex_map[v] is not None:
             assert two.vertex_map[v] == image
     with pytest.raises(ValueError):
         tree.translation_automorphism(t, 99)
@@ -299,6 +301,143 @@ def test_edge_between_index():
         assert t.edge_between(u, w) == e
         assert t.edge_between(w, u) == e
     assert t.edge_between(2, 3) is None
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_edge_between_matches_endpoint_index(q):
+    t = tree.build_tree_pair(q, 2)
+    index = {frozenset(t.endpoints(e)): e for e in t.edges()}
+    ids = range(-1, t.n_vertices + 1)
+    for u in ids:
+        for w in ids:
+            assert t.edge_between(u, w) == index.get(frozenset((u, w))), (u, w)
+
+
+def test_out_of_range_vertex_ids():
+    t = tree.build_tree_pair(2, 2)
+    n = t.n_vertices
+    for u in (-1, n):
+        assert t.edge_between(u, 0) is None
+        assert t.edge_between(0, u) is None
+    assert t.edge_between(n - 1, n) is None
+    with pytest.raises(ValueError):  # keys
+        tree.TreeAutomorphism(t, {-1: 5, 0: 0, 99: 3})
+    with pytest.raises(ValueError):
+        tree.TreeAutomorphism(t, {n: 0})
+    with pytest.raises(ValueError):  # values
+        tree.TreeAutomorphism(t, {0: -1})
+    with pytest.raises(ValueError):
+        tree.TreeAutomorphism(t, {0: n})
+    with pytest.raises(ValueError):  # an id-indexed list of the wrong length
+        tree.TreeAutomorphism(t, list(range(n - 1)))
+
+
+def test_random_automorphism_golden_vertex_map():
+    # computed with the dict-based implementation; pins RNG consumption
+    g = tree.random_automorphism(tree.build_tree_pair(2, 2), random.Random(11))
+    assert g.vertex_map == [
+        1, 0, 8, 6, 7, 9, 2, 5, 4, 3, 36, 37, 34, 35, 27, 29, 26, 28, 33, 31,
+        32, 30, 39, 38, 40, 41, 11, 13, 12, 10, 23, 24, 25, 22, 21, 18, 20, 19,
+        14, 16, 15, 17]
+    assert g.edge_map == [0] + [image - 1 for image in g.vertex_map[2:]]
+
+
+# -- per-edge Fraction references for the integer passes ----------------------
+
+def reference_verify_harmonic(t, vals):
+    violations = []
+    for v in range(t.n_expanded):
+        start = 1 + v * t.q_E
+        total = sum(vals[start:start + t.q_E], vals[0 if v <= 1 else v - 1])
+        if total != 0:
+            violations.append(v)
+    return tuple(violations)
+
+
+def reference_decay(t, vals):
+    best = Fraction(0)
+    for e in range(t.n_edges):
+        best = max(best, abs(vals[e]) * t.q_E ** t.e_level[e])
+    return best
+
+
+def reference_tree_period(t, vals):
+    layer_sums = [Fraction(0)] * (t.depth + 1)
+    for e in range(t.n_edges):
+        if t.e_in_F[e]:
+            layer_sums[t.e_level[e]] += vals[e]
+    sums, acc = [], Fraction(0)
+    for s in layer_sums:
+        acc += s
+        sums.append(acc)
+    return sums
+
+
+def assert_matches_references(t, cocycle, vals):
+    assert [cocycle[e] for e in t.edges()] == vals
+    assert tree.verify_harmonic(t, cocycle).violations \
+        == reference_verify_harmonic(t, vals)
+    assert tree.decay_check(t, cocycle) == reference_decay(t, vals)
+    assert tree.tree_period(t, cocycle) == reference_tree_period(t, vals)
+
+
+TREES = {(q, depth): tree.build_tree_pair(q, depth)
+         for q in (2, 3) for depth in (1, 2, 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(sorted(TREES)),
+       profile=st.lists(st.fractions(), min_size=4, max_size=4))
+def test_integer_passes_match_fraction_references(shape, profile):
+    t = TREES[shape]
+    cocycle = tree.EdgeCocycle.from_deltas(t, profile)
+    assert_matches_references(t, cocycle, [profile[d] for d in t.e_delta])
+
+
+@pytest.mark.parametrize("q,depth", [(2, 3), (3, 3), (4, 2)])
+def test_harmonic_cocycles_match_fraction_references(q, depth):
+    t = tree.build_tree_pair(q, depth)
+    f = tree.iwahori_cocycle(t)
+    assert_matches_references(
+        t, f, [Fraction(-1, t.q_E) ** t.e_level[e] for e in t.edges()])
+    profile = tree.invariant_solver(t).profile
+    assert_matches_references(t, tree.EdgeCocycle.from_deltas(t, profile),
+                              [profile[d] for d in t.e_delta])
+
+
+# -- the audit reports damage instead of raising ------------------------------
+
+def damaged(t, **arrays):
+    fields = {name: list(getattr(t, name)) for name in
+              ("near", "e_in_F", "e_level", "e_delta", "v_label", "v_in_F")}
+    fields.update(arrays)
+    return tree.TreePair(t.q_F, t.depth, n_expanded=t.n_expanded, **fields)
+
+
+def test_audit_reports_damaged_trees():
+    t = tree.build_tree_pair(2, 2)
+
+    def problems(**arrays):
+        return tree.check_tree_invariants(damaged(t, **arrays)).problems
+
+    assert problems(near=t.near[:-1]) == ("interior vertex 9 has degree 4",
+                                          "ambient sphere census mismatch")
+    labels = list(t.v_label)
+    labels[20] ^= 1
+    assert problems(v_label=labels) == ("edge 19 joins equal labels",)
+    marked = list(t.e_in_F)
+    marked[1] = False
+    assert problems(e_in_F=marked) == (
+        "marked interior vertex 0 has 2 marked edges",
+        "marked interior vertex 2 has 2 marked edges",
+        "marked subtree is not connected to the root edge",
+        "marked sphere census mismatch")
+    deltas = list(t.e_delta)
+    deltas[17] += 1
+    assert problems(e_delta=deltas) == ("edge 17 at delta=3 has 3 inner neighbors",)
+    near = list(t.near)
+    near[7] = 3
+    assert problems(near=near) == ("edge 7 hangs at vertex 3, not 1",)
 
 
 def test_invariant_solver_raises_on_degenerate_model(monkeypatch):

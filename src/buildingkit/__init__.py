@@ -3,9 +3,11 @@
 The package computes, all in exact rational arithmetic:
 
 - sphere sizes of affine Coxeter groups by honest Cayley-graph enumeration,
-  with closed-form cross-checks through finite-part length polynomials;
+  and the exponents of their finite parts from the heights of the positive
+  roots (finite-group enumeration is kept only as a test oracle);
 - alternating period series sum_k a_k q_F^k (-1/q_E)^k with q_E = q_F^2,
-  their closed forms, geometric tail bounds, and exact value bounds;
+  their closed forms as products over the exponents, geometric tail bounds,
+  and exact value bounds;
 - a truncated (q_E+1)-regular tree containing a marked (q_F+1)-regular
   subtree, with harmonic-cocycle verification, a one-dimensional invariant
   solver, layer reconstruction, and a sign character on tree automorphisms;
@@ -19,8 +21,8 @@ from .coxeter import (DEFAULT_ELEMENT_BUDGET, INFINITE_ORDER, CoxeterSystem,
                       GrowthSeries, OmegaElement, build_affine_system,
                       epsilon_of_omega, exponents, growth_coefficients,
                       omega_group, poincare_finite)
-from .errors import (BudgetError, FactorizationError, InvalidTypeError,
-                     ModelError, ToolkitError)
+from .errors import (BudgetError, InvalidTypeError, ModelError,
+                     ToolkitError)
 from .orbits import (FiniteFieldPair, OrbitReport, affine_square_orbits,
                      build_fields, canonical_inversion_data,
                      exists_nonsquare_value, inversion_closure_orbits,

@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import orbits, period, tree
 from .cache import cached_growth, canonical_json_bytes, series_to_json_dict
 from .coxeter import DEFAULT_ELEMENT_BUDGET, FAMILIES
 from .errors import BudgetError, ToolkitError
+from .period import _rat
 from .suite import DEFAULT_SEED, run_suite
 
 EXIT_PASS = 0
@@ -40,10 +40,6 @@ class RunConfig:
     cache_dir: str = None
     budget: int = DEFAULT_ELEMENT_BUDGET
     seed: int = DEFAULT_SEED
-
-
-def _rat(x):
-    return {"num": x.numerator, "den": x.denominator}
 
 
 def _csv(rows):
@@ -145,8 +141,7 @@ def _cmd_tree_period(config):
     series = cached_growth("A", 1, config.depth, cache_dir=config.cache_dir,
                            budget=config.budget)
     engine_sums = period.period_series(series, config.q_F)
-    closed = period.period_closed_form("A", 1, config.q_F,
-                                       budget=config.budget)
+    closed = period.period_closed_form("A", 1, config.q_F)
     tail = period.tail_bound(series, config.q_F)
     matches = sums == engine_sums
     within_tail = abs(closed - sums[-1]) <= tail

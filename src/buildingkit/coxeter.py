@@ -10,6 +10,11 @@ translation vector, so equality, hashing and breadth-first enumeration are
 exact.  Lengths are always Cayley-graph BFS layer indices, never reduced-word
 bookkeeping.
 
+The finite Weyl data come from the root system itself: the exponents are read
+off the height partition of the positive roots (Kostant), so no finite group
+is enumerated on any main path.  `poincare_finite` still exhausts the finite
+group by BFS and serves as the oracle the closed forms are tested against.
+
 Numbering: node 0 is always the affine node, nodes 1..d carry the Bourbaki
 numbering of the finite diagram.  Coxeter matrices store the order of
 s_i s_j, with 0 encoding an infinite order (only family A at rank 1 has one).
@@ -21,11 +26,11 @@ across threads.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
-from .errors import BudgetError, FactorizationError, InvalidTypeError, ModelError
+from .errors import BudgetError, InvalidTypeError, ModelError
 from .linalg import solve
 
 INFINITE_ORDER = 0
@@ -168,11 +173,6 @@ class AffineMap:
         new_v = tuple(sum(m[i][k] * ov[k] for k in range(n)) + v[i] for i in range(n))
         return AffineMap(new_m, new_v)
 
-    def apply(self, x):
-        n = len(self.shift)
-        return tuple(sum(self.matrix[i][k] * x[k] for k in range(n)) + self.shift[i]
-                     for i in range(n))
-
     def is_identity(self):
         n = len(self.shift)
         return (all(v == 0 for v in self.shift)
@@ -213,6 +213,7 @@ class CoxeterSystem:
 
     coxeter_matrix is the (rank+1) square matrix of pair orders, index 0 the
     affine node, with 0 encoding infinity.  generators[i] realizes s_i.
+    exponents lists the exponents m_1 <= ... <= m_rank of the finite part.
     """
 
     family: str
@@ -220,6 +221,7 @@ class CoxeterSystem:
     coxeter_matrix: tuple
     generators: tuple
     n_positive_roots: int
+    exponents: tuple
 
     def to_json_dict(self):
         return {
@@ -315,17 +317,56 @@ def build_affine_system(family, rank):
     if len(seen) != d:
         raise ModelError("finite diagram is not connected")
 
+    # heights: the functional rho with rho . alpha_i = 1 for every simple root
+    # sums the simple-root coordinates of a root; exponent m occurs
+    # n_m - n_{m+1} times, n_h counting the roots of height h (Kostant)
+    x = solve([[_dot(a, b) for b in simple] for a in simple], [1] * d)
+    rho = [sum(xi * a[k] for xi, a in zip(x, simple)) for k in range(len(simple[0]))]
+    n_height = Counter(_as_int(_dot(rho, r)) for r in roots)
+    exps = tuple(m for m in range(1, max(n_height) + 1)
+                 for _ in range(n_height[m] - n_height[m + 1]))
+    if len(exps) != d or sum(exps) != len(roots) // 2:
+        raise ModelError(f"root heights of {family}{rank} give exponents {exps}")
+
     return CoxeterSystem(
         family=family,
         rank=rank,
         coxeter_matrix=tuple(tuple(row) for row in m),
         generators=tuple(gens),
         n_positive_roots=len(roots) // 2,
+        exponents=exps,
     )
 
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+def _sphere_sizes(gens, dim, max_length, budget, overflow):
+    """Sizes of the BFS layers 0..max_length of the Cayley graph of <gens>.
+
+    Stops early after the first empty layer, which is then the last entry.
+    Past `budget` elements raises BudgetError with `overflow` formatted with
+    the number of complete layers, carrying the sizes of those layers.
+    """
+    start = AffineMap.identity(dim)
+    seen = {start}
+    layer = [start]
+    coeffs = [1]
+    while layer and len(coeffs) <= max_length:
+        nxt = []
+        for w in layer:
+            for g in gens:
+                u = w * g
+                if u not in seen:
+                    if len(seen) >= budget:
+                        raise BudgetError(overflow.format(len(coeffs) - 1),
+                                          partial_coefficients=coeffs, budget=budget)
+                    seen.add(u)
+                    nxt.append(u)
+        coeffs.append(len(nxt))
+        layer = nxt
+    return coeffs
+
 
 def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
     """Sphere sizes a_0..a_K of the affine Cayley graph, by plain BFS.
@@ -336,26 +377,9 @@ def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
     """
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
-    gens = system.generators
-    start = AffineMap.identity(system.rank)
-    seen = {start}
-    layer = [start]
-    coeffs = [1]
-    for _ in range(truncation):
-        nxt = []
-        for w in layer:
-            for g in gens:
-                u = w * g
-                if u not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetError(
-                            f"enumeration budget {budget} exceeded after "
-                            f"{len(coeffs) - 1} complete layers",
-                            partial_coefficients=coeffs, budget=budget)
-                    seen.add(u)
-                    nxt.append(u)
-        coeffs.append(len(nxt))
-        layer = nxt
+    coeffs = _sphere_sizes(
+        system.generators, system.rank, truncation, budget,
+        f"enumeration budget {budget} exceeded after {{}} complete layers")
     return GrowthSeries(
         family=system.family, rank=system.rank, truncation=truncation,
         coefficients=tuple(coeffs), source="enumerated")
@@ -366,28 +390,14 @@ def poincare_finite(family, rank, budget=DEFAULT_ELEMENT_BUDGET):
 
     Returns the tuple of coefficients by degree; computed by exhausting the
     finite group with BFS, so large exceptional types hit the element budget.
+    This is the brute-force oracle for the exponents and the period closed
+    form; no other function calls it.
     """
     system = build_affine_system(family, rank)
-    gens = system.generators[1:]
-    start = AffineMap.identity(system.rank)
-    seen = {start}
-    layer = [start]
-    coeffs = [1]
-    while layer:
-        nxt = []
-        for w in layer:
-            for g in gens:
-                u = w * g
-                if u not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetError(
-                            f"finite group of {family}{rank} exceeds budget {budget}",
-                            partial_coefficients=coeffs, budget=budget)
-                    seen.add(u)
-                    nxt.append(u)
-        if nxt:
-            coeffs.append(len(nxt))
-        layer = nxt
+    # a group within the budget has fewer layers than elements, so only the
+    # empty layer after the longest element ends the search; drop it
+    coeffs = _sphere_sizes(system.generators[1:], rank, budget, budget,
+                           f"finite group of {family}{rank} exceeds budget {budget}")[:-1]
     if len(coeffs) - 1 != system.n_positive_roots:
         raise ModelError(
             f"top degree {len(coeffs) - 1} != positive root count "
@@ -395,59 +405,12 @@ def poincare_finite(family, rank, budget=DEFAULT_ELEMENT_BUDGET):
     return tuple(coeffs)
 
 
-# ---------------------------------------------------------------------------
-# exponents via exact factorization into geometric blocks
+def exponents(family, rank):
+    """Exponents m_1 <= ... <= m_d of the finite Weyl group, from root heights.
 
-def _poly_div_exact(num, den):
-    """Quotient of num by monic den in Z[t] if the division is exact, else None."""
-    if len(num) < len(den):
-        return None
-    work = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in reversed(range(len(q))):
-        coef = work[i + len(den) - 1]
-        q[i] = coef
-        if coef:
-            for j, dj in enumerate(den):
-                work[i + j] -= coef * dj
-    if any(work[: len(den) - 1]):
-        return None
-    return q
-
-
-def exponents(family, rank, budget=DEFAULT_ELEMENT_BUDGET):
-    """Exponents m_1..m_d, from factoring the finite length polynomial.
-
-    The polynomial must factor as prod_i (1 + t + ... + t^{m_i}); anything
-    else raises FactorizationError.  Largest blocks are peeled first, which is
-    forced: a geometric block of size n divides the polynomial only if some
-    factor's block size is a multiple of n.
+    The finite length polynomial is prod_i (1 + t + ... + t^{m_i}).
     """
-    poly = list(poincare_finite(family, rank, budget=budget))
-    order = sum(poly)
-    work = poly
-    exps = []
-    for _ in range(rank):
-        top = len(work)  # block size n has degree n-1
-        found = None
-        for n in range(top, 1, -1):
-            q = _poly_div_exact(work, [1] * n)
-            if q is not None:
-                found = n
-                work = q
-                break
-        if found is None:
-            raise FactorizationError(
-                f"length polynomial of {family}{rank} has no geometric factor left")
-        exps.append(found - 1)
-    if work != [1]:
-        raise FactorizationError(
-            f"length polynomial of {family}{rank} leaves a non-unit cofactor")
-    exps.sort()
-    if prod(m + 1 for m in exps) != order:
-        raise FactorizationError(
-            f"exponent product check failed for {family}{rank}")
-    return exps
+    return list(build_affine_system(family, rank).exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,5 @@ class BudgetError(ToolkitError, RuntimeError):
         self.smallest_failing_depth = smallest_failing_depth
 
 
-class FactorizationError(ToolkitError, RuntimeError):
-    """A length polynomial did not factor into geometric blocks as required."""
-
-
 class ModelError(ToolkitError, RuntimeError):
     """An internal consistency check failed; this signals a bug, not bad input."""

@@ -137,7 +137,8 @@ class FiniteFieldPair:
         return self._bneg[a]
 
     def base_inv(self, a):
-        assert a != 0
+        if a == 0:
+            raise ModelError("0 has no inverse in the base field")
         return self._binv[a]
 
     def is_square_base(self, a):
@@ -197,7 +198,8 @@ class FiniteFieldPair:
         return u + q * v
 
     def inv(self, z):
-        assert z != 0
+        if z == 0:
+            raise ModelError("0 has no inverse in the extension field")
         return self._einv[z]
 
     def power(self, z, k):
@@ -222,7 +224,9 @@ class FiniteFieldPair:
     def _check_frobenius(self):
         # the base field must be exactly the fixed points of z -> z^q
         for z in range(self.q_ext):
-            assert (self.frobenius(z) == z) == self.in_base(z), z
+            if (self.frobenius(z) == z) != self.in_base(z):
+                raise ModelError(
+                    f"Frobenius fixed points differ from the base field at {z}")
 
     def poly_str(self, coeffs, var):
         terms = []
@@ -266,8 +270,10 @@ class OrbitReport:
     representatives: tuple
 
     def __post_init__(self):
-        assert sum(self.orbit_sizes) == self.q * self.q - self.q
-        assert len(self.orbit_sizes) == self.orbit_count == len(self.representatives)
+        if sum(self.orbit_sizes) != self.q * self.q - self.q:
+            raise ModelError("orbit sizes do not add up to q^2 - q")
+        if not len(self.orbit_sizes) == self.orbit_count == len(self.representatives):
+            raise ModelError("orbit count, sizes and representatives disagree")
 
     def to_json_dict(self):
         return {
@@ -317,10 +323,12 @@ def _closure_partition(fields, include_inversion_c=None):
             seen = set()
             for z in domain:
                 w = fields.add(fields.mul(a2, z), b)
-                assert w in domain_set, "affine move left the complement"
+                if w not in domain_set:
+                    raise ModelError("affine move left the complement")
                 seen.add(w)
                 uf.union(z, w)
-            assert len(seen) == len(domain), "affine move not injective"
+            if len(seen) != len(domain):
+                raise ModelError("affine move not injective")
     if include_inversion_c is not None:
         c = include_inversion_c
         for a in fields.base_units():
@@ -335,8 +343,8 @@ def _closure_partition(fields, include_inversion_c=None):
                     if w not in domain_set:
                         continue
                     images[z] = w
-                assert len(set(images.values())) == len(images), \
-                    "inversion move not injective on its domain"
+                if len(set(images.values())) != len(images):
+                    raise ModelError("inversion move not injective on its domain")
                 for z, w in images.items():
                     uf.union(z, w)
     return uf.groups()
@@ -385,7 +393,7 @@ def inversion_closure_orbits(fields, check_choice_independence=True):
 
     In characteristic 2 the affine moves already act transitively and the
     affine report is returned unchanged.  By default the closure is re-run
-    with every valid x_0 and the partitions are asserted identical, so the
+    with every valid x_0 and the partitions are checked to be identical, so the
     canonical choice is demonstrably immaterial.
     """
     if fields.p == 2:
@@ -397,8 +405,8 @@ def inversion_closure_orbits(fields, check_choice_independence=True):
         for alt in square_root_candidates(fields):
             alt_c = fields.base_inv(fields.mul(alt, alt))
             alt_groups = _closure_partition(fields, include_inversion_c=alt_c)
-            assert {frozenset(g) for g in alt_groups} == reference, \
-                f"orbit partition depends on the choice x_0={alt}"
+            if {frozenset(g) for g in alt_groups} != reference:
+                raise ModelError(f"orbit partition depends on the choice x_0={alt}")
     return _report_from_groups(fields, groups, "affine-square + inversion")
 
 
@@ -445,7 +453,8 @@ def verify_fraction_identity(fields, samples=None):
     skipped = 0
     holds = True
     for x in (x0, fields.neg(x0)):
-        assert fields.mul(x, x) == fields.base_inv(c)
+        if fields.mul(x, x) != fields.base_inv(c):
+            raise ModelError("x_0^2 is not 1/c")
         for a in fields.base_units():
             a2 = fields.base_mul(a, a)
             a2c = fields.base_mul(a2, c)
@@ -482,7 +491,8 @@ def exists_nonsquare_value(fields, c):
     """
     if fields.p == 2:
         raise ValueError("nonsquare search needs odd characteristic")
-    assert c != 0 and not fields.is_square_base(fields.base_inv(c))
+    if c == 0 or fields.is_square_base(fields.base_inv(c)):
+        raise ModelError("c must be nonzero with 1/c a nonsquare of the base field")
     for a in fields.base_units():
         a2 = fields.base_mul(a, a)
         inv_a2c = fields.base_inv(fields.base_mul(a2, c))

@@ -27,6 +27,11 @@ def _require_prime_power(q):
     return q
 
 
+def _rat(x):
+    """JSON form {"num": ..., "den": ...} of an exact rational."""
+    return {"num": x.numerator, "den": x.denominator}
+
+
 def sphere_size(series, q, k):
     """Number of chambers at gallery distance k from the base chamber."""
     if not 0 <= k <= series.truncation:
@@ -77,24 +82,19 @@ def period_series(series, q_F, truncation=None):
     return sums
 
 
-def period_closed_form(family, rank, q_F, budget=coxeter.DEFAULT_ELEMENT_BUDGET):
+def period_closed_form(family, rank, q_F):
     """Exact value of the full alternating series.
 
-    The series sums the finite length polynomial at t = -1/q_F against the
-    geometric blocks of the exponents:
-        W(t) * prod_i 1 / (1 - t^(m_i)),  t = -1/q_F.
+    The series is Bott's W(t) / prod_i (1 - t^(m_i)) with Chevalley's finite
+    length polynomial W(t) = prod_i (1 + t + ... + t^(m_i)), so over the
+    exponents m_i of the root heights it is the product
+        prod_i (1 - t^(m_i + 1)) / ((1 - t) (1 - t^(m_i))),  t = -1/q_F.
     """
     _require_prime_power(q_F)
-    poly = coxeter.poincare_finite(family, rank, budget=budget)
-    exps = coxeter.exponents(family, rank, budget=budget)
     t = Fraction(-1, q_F)
-    value = Fraction(0)
-    power = Fraction(1)
-    for c in poly:
-        value += c * power
-        power *= t
-    for m in exps:
-        value /= 1 - t**m
+    value = Fraction(1)
+    for m in coxeter.exponents(family, rank):
+        value *= (1 - t ** (m + 1)) / ((1 - t) * (1 - t ** m))
     return value
 
 
@@ -130,17 +130,15 @@ class PeriodResult:
     tail: Fraction
 
     def to_json_dict(self):
-        def rat(x):
-            return {"num": x.numerator, "den": x.denominator}
         return {
             "schema_version": 1,
             "family": self.family,
             "rank": self.rank,
             "q_F": self.q_F,
             "q_E": self.q_E,
-            "closed_form": rat(self.closed_form),
-            "partial_sums": [rat(s) for s in self.partial_sums],
-            "tail_bound": rat(self.tail),
+            "closed_form": _rat(self.closed_form),
+            "partial_sums": [_rat(s) for s in self.partial_sums],
+            "tail_bound": _rat(self.tail),
         }
 
 
@@ -160,7 +158,7 @@ def evaluate_period(family, rank, q_F, truncation=12,
     sums = period_series(series, q_F)
     return PeriodResult(
         family=family, rank=rank, q_F=q_F, q_E=q_F * q_F,
-        closed_form=period_closed_form(family, rank, q_F, budget=budget),
+        closed_form=period_closed_form(family, rank, q_F),
         partial_sums=tuple(sums),
         tail=tail_bound(series, q_F))
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import coxeter, orbits, period, tree
 from .cache import cached_growth
 from .coxeter import DEFAULT_ELEMENT_BUDGET
+from .period import _rat
 
 GRID_TYPES = (("A", 1), ("A", 2), ("A", 3), ("C", 2), ("G", 2))
 GRID_QF = (2, 3, 4, 5)
@@ -29,10 +30,6 @@ SUITE_TRUNCATION = 12
 COUNTING_K = 8
 SAMPLED_PAIRS = 50
 DEFAULT_SEED = 1729
-
-
-def _rat(x):
-    return {"num": x.numerator, "den": x.denominator}
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ def run_suite(seed=DEFAULT_SEED, depth=6, cache_dir=None,
     # 1. rank-1 closed form
     rows = []
     for q in RANK1_QF:
-        value = period.period_closed_form("A", 1, q, budget=budget)
+        value = period.period_closed_form("A", 1, q)
         expected = Fraction(q - 1, q + 1)
         rows.append({"q_F": q, "value": _rat(value), "ok": value == expected})
     checks.append(CheckResult(

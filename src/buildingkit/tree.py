@@ -214,17 +214,6 @@ class EdgeCocycle:
         return len(self.nums)
 
     @classmethod
-    def constant(cls, tree, value):
-        value = Fraction(value)
-        return cls([value.numerator] * tree.n_edges, value.denominator)
-
-    @classmethod
-    def indicator(cls, tree, edge):
-        nums = [0] * tree.n_edges
-        nums[edge] = 1
-        return cls(nums)
-
-    @classmethod
     def from_deltas(cls, tree, profile):
         """Cocycle constant on delta-classes; profile[delta] gives the value.
 
@@ -570,7 +559,10 @@ def check_tree_invariants(tree):
     label alternation across every edge, sphere censuses, and the delta
     recursion (each delta >= 2 edge has exactly one inner neighbor one class
     closer; each delta = 1 edge hangs at a marked vertex carrying q_F + 1
-    marked edges).  A malformed tree is reported, never raised on.
+    marked edges; at every interior vertex each edge has the least delta m
+    there or m + 1, and m is carried by q_F + 1 edges when m = 0 and by
+    exactly one edge otherwise).  A malformed tree is reported, never raised
+    on.
     """
     q_F, q_E = tree.q_F, tree.q_E
     near, e_in_F, e_delta = tree.near, tree.e_in_F, tree.e_delta
@@ -603,23 +595,37 @@ def check_tree_invariants(tree):
             label_problems.extend(f"edge {e} joins equal labels"
                                   for e in range(h, t) if v_label[e + 1] == label)
         deltas = e_delta[h:t]
-        parent_delta = e_delta[p] if v else None  # vertex 0's parent edge hangs at it
+        # every edge at v; vertex 0's parent edge hangs at it
+        at_v = deltas + [e_delta[p]] if v else deltas
+        least = min(at_v)
+        n_least = at_v.count(least)
+        # sound: q_F + 1 marked edges at delta 0, or the parent edge alone at
+        # the least delta, and every other edge one class further out
+        if (n_least == (1 if least else q_F + 1) and (not least or e_delta[p] == least)
+                and n_least + at_v.count(least + 1) == len(at_v)):
+            continue
         closer = {}
         for d in set(deltas):
-            n_closer = deltas.count(d - 1) + (parent_delta == d - 1)
+            n_closer = at_v.count(d - 1)
             if d and n_closer != (q_F + 1 if d == 1 else 1):
                 closer[d] = n_closer
-        if closer:
-            for e in range(h, t):
-                d = e_delta[e]
-                if d not in closer:
-                    continue
+        for e in range(h, t):
+            d = e_delta[e]
+            if d in closer:
                 if d == 1:
                     delta_problems.append(
                         f"edge {e} at delta=1 sees {closer[d]} marked edges")
                 else:
                     delta_problems.append(
                         f"edge {e} at delta={d} has {closer[d]} inner neighbors")
+            elif d > least + 1:
+                delta_problems.append(
+                    f"edge {e} at delta={d} is more than one class past "
+                    f"delta={least} at vertex {v}")
+        # an edge one class past the least would already report a wrong count
+        if n_least != (1 if least else q_F + 1) and least + 1 not in closer:
+            delta_problems.append(
+                f"vertex {v} has {n_least} edges at its least delta={least}")
 
     # a boundary vertex touches only its parent edge, when that is materialized
     lo, hi = tree.n_expanded, min(tree.n_vertices, tree.n_edges + 1)

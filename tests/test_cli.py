@@ -74,6 +74,17 @@ def test_period_json_rationals(capsys):
     assert data["partial_sums"][0] == {"num": 1, "den": 1}
 
 
+def test_period_e8_closed_form(capsys):
+    # the closed form needs no enumeration of the 696,729,600-element finite group
+    code, out, _ = run_cli(capsys, ["period", "--family", "E", "--rank", "8",
+                                    "--K", "4", "--qF", "9", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["bounds"]["applicable"] is True
+    assert data["bounds"]["holds"] is True
+    assert data["within_tail"] is True
+
+
 @pytest.mark.parametrize("argv", [
     ["growth", "--family", "A", "--rank", "2", "--K", "6"],
     ["period", "--family", "A", "--rank", "1", "--qF", "2", "--K", "8"],

@@ -214,7 +214,7 @@ def test_build_fields_rejects_bad_parameters():
 
 
 def test_orbit_report_consistency_guard():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ModelError):
         orbits.OrbitReport(q=2, moves="affine-square", orbit_count=1,
                            orbit_sizes=(3,), representatives=(2,))
 

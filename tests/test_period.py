@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from buildingkit import period
-from buildingkit.coxeter import GrowthSeries, build_affine_system, growth_coefficients
+from buildingkit.coxeter import (GrowthSeries, build_affine_system,
+                                 exponents, growth_coefficients,
+                                 poincare_finite)
 from buildingkit.errors import InvalidTypeError
 
 # closed forms frozen from the classical finite length polynomials evaluated
@@ -41,6 +43,34 @@ def test_rank1_closed_form(q):
 def test_closed_form_grid(key):
     for q, expected in FROZEN_CLOSED[key].items():
         assert period.period_closed_form(*key, q) == expected
+
+
+# types whose finite group the BFS oracle exhausts in about a second or less
+ENUMERABLE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 3),
+              ("B", 4), ("B", 5), ("C", 2), ("C", 3), ("C", 4), ("C", 5),
+              ("D", 4), ("D", 5), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("key", ENUMERABLE)
+def test_closed_form_matches_enumerated_route(key):
+    # W(t) / prod_i (1 - t^(m_i)) with W enumerated by BFS
+    poly = poincare_finite(*key)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        t = Fraction(-1, q)
+        expected = sum(c * t**k for k, c in enumerate(poly))
+        for m in exponents(*key):
+            expected /= 1 - t**m
+        assert period.period_closed_form(*key, q) == expected
+
+
+def test_exceptional_closed_forms_satisfy_bounds():
+    # E6-E8 are out of reach of the BFS oracle; the bounds of the theorem
+    # still pin the value for every q_F > rank
+    for rank in (6, 7, 8):
+        for q in (7, 8, 9):
+            if q > rank:
+                value = period.period_closed_form("E", rank, q)
+                assert 1 > value > 1 - Fraction(rank + 1, q)
 
 
 def test_series_first_terms():

@@ -108,18 +108,18 @@ def test_iwahori_harmonic_and_decay():
 
 def test_non_harmonic_cocycles_flagged():
     t = tree.build_tree_pair(2, 3)
-    const = tree.EdgeCocycle.constant(t, 1)
+    const = tree.EdgeCocycle([1] * t.n_edges)
     report = tree.verify_harmonic(t, const)
     assert len(report.violations) == report.interior_checked
     assert tree.decay_check(t, const) == t.q_E ** t.depth
 
-    ind = tree.EdgeCocycle.indicator(t, 0)
+    ind = tree.EdgeCocycle([1] + [0] * (t.n_edges - 1))
     report = tree.verify_harmonic(t, ind)
     # only the two endpoints of the root edge see the lone nonzero value
     assert report.violations == (0, 1)
     assert tree.decay_check(t, ind) == 1
 
-    zero = tree.EdgeCocycle.constant(t, 0)
+    zero = tree.EdgeCocycle([0] * t.n_edges)
     assert tree.verify_harmonic(t, zero).ok
     assert tree.decay_check(t, zero) == 0
 
@@ -438,6 +438,18 @@ def test_audit_reports_damaged_trees():
     near = list(t.near)
     near[7] = 3
     assert problems(near=near) == ("edge 7 hangs at vertex 3, not 1",)
+    # edge 12 still has one delta-1 neighbor, but its panel's least delta is 0
+    deltas = list(t.e_delta)
+    deltas[12] = 2
+    assert problems(e_delta=deltas) == (
+        "edge 12 at delta=2 is more than one class past delta=0 at vertex 2",)
+    # every single-edge delta change is reported
+    for e in t.edges():
+        for d in range(t.depth + 2):
+            if d != t.e_delta[e]:
+                deltas = list(t.e_delta)
+                deltas[e] = d
+                assert problems(e_delta=deltas), (e, d)
 
 
 def test_invariant_solver_raises_on_degenerate_model(monkeypatch):

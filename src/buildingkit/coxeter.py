@@ -1,14 +1,16 @@
 """Irreducible affine Coxeter systems as exact integer affine transformations.
 
-A system of family X and rank d has d+1 generators acting on the span of the
-simple coroots, written in the simple-coroot basis.  The finite simple
-reflections come straight from the Cartan matrix; the extra affine generator
-reflects across the wall of the highest root shifted by one, which is the
-composite of the highest-root reflection with translation by its coroot.  In
-this basis every group element is an integer matrix plus an integer
-translation vector, so equality, hashing and breadth-first enumeration are
-exact.  Lengths are always Cayley-graph BFS layer indices, never reduced-word
-bookkeeping.
+A system of family X and rank d is built from the Cartan matrix of its Dynkin
+diagram, with integers only: the positive roots, the highest root and its
+coroot are integer vectors over the simple roots and coroots.  The d+1
+generators act on the span of the simple coroots, written in the
+simple-coroot basis.  The finite simple reflections come straight from the
+Cartan matrix; the extra affine generator reflects across the wall of the
+highest root shifted by one, which is the composite of the highest-root
+reflection with translation by its coroot.  In this basis every group element
+is an integer matrix plus an integer translation vector, so equality, hashing
+and breadth-first enumeration are exact.  Lengths are always Cayley-graph BFS
+layer indices, never reduced-word bookkeeping.
 
 The finite Weyl data come from the root system itself: the exponents are read
 off the height partition of the positive roots (Kostant), so no finite group
@@ -28,10 +30,8 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BudgetError, InvalidTypeError, ModelError
-from .linalg import solve
 
 INFINITE_ORDER = 0
 
@@ -62,86 +62,52 @@ def _check_type(family, rank):
 
 
 # ---------------------------------------------------------------------------
-# ambient root-system realizations (exact rational coordinates)
+# the finite root system, in integer coordinates over the simple roots
 
-def _basis_vector(i, n):
-    return tuple(Fraction(int(j == i)) for j in range(n))
+def _dynkin(family, d):
+    """Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> and squared root lengths.
 
-
-def _dot(x, y):
-    return sum(a * b for a, b in zip(x, y))
-
-
-def _simple_roots(family, d):
-    F = Fraction
-    if family == "A":
-        n = d + 1
-        return [tuple(F(int(j == i)) - F(int(j == i + 1)) for j in range(n)) for i in range(d)]
-    if family in ("B", "C", "D"):
-        roots = [tuple(F(int(j == i)) - F(int(j == i + 1)) for j in range(d)) for i in range(d - 1)]
-        if family == "B":
-            roots.append(_basis_vector(d - 1, d))
-        elif family == "C":
-            roots.append(tuple(2 * x for x in _basis_vector(d - 1, d)))
-        else:
-            roots.append(tuple(F(int(j == d - 2)) + F(int(j == d - 1)) for j in range(d)))
-        return roots
-    if family == "E":
-        half = F(1, 2)
-        alpha1 = (half, -half, -half, -half, -half, -half, -half, half)
-        alpha2 = tuple(F(int(j in (0, 1))) for j in range(8))
-        chain = [tuple(F(int(j == i)) - F(int(j == i - 1)) for j in range(8)) for i in range(1, 7)]
-        return ([alpha1, alpha2] + chain)[:d]
-    if family == "F":
-        half = F(1, 2)
-        return [
-            tuple(F(x) for x in (0, 1, -1, 0)),
-            tuple(F(x) for x in (0, 0, 1, -1)),
-            tuple(F(x) for x in (0, 0, 0, 1)),
-            (half, -half, -half, -half),
-        ]
-    # G2 in the plane x + y + z = 0
-    return [
-        tuple(Fraction(x) for x in (1, -1, 0)),
-        tuple(Fraction(x) for x in (-2, 1, 1)),
-    ]
+    Bourbaki numbering, 0-indexed: a chain 0-1-...-(d-1), except that in D the
+    last node hangs off node d-3 and in E the edges are 0-2, 1-3, 2-3, 3-4, ...
+    """
+    if family == "D":
+        edges = [(i, i + 1) for i in range(d - 2)] + [(d - 3, d - 1)]
+    elif family == "E":
+        edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, d - 1)]
+    else:
+        edges = [(i, i + 1) for i in range(d - 1)]
+    norms = {"B": [2] * (d - 1) + [1], "C": [1] * (d - 1) + [2],
+             "F": [2, 2, 1, 1], "G": [1, 3]}.get(family, [1] * d)
+    a = [[2 * int(i == j) for j in range(d)] for i in range(d)]
+    for i, j in edges:
+        top = max(norms[i], norms[j])
+        a[i][j] = -(top // norms[j])
+        a[j][i] = -(top // norms[i])
+    return a, norms
 
 
-def _reflect(beta, alpha, alpha_sq):
-    coef = 2 * _dot(beta, alpha) / alpha_sq
-    return tuple(b - coef * a for b, a in zip(beta, alpha))
+def _positive_roots(cartan):
+    """The set of positive roots, as coefficient vectors over the simple roots.
 
-
-def _all_roots(simple):
-    norms = [_dot(a, a) for a in simple]
+    The simple reflection s_i(b) = b - <b, alpha_i^vee> alpha_i permutes the
+    positive roots other than alpha_i, so closing the simple roots under the
+    s_i and keeping the images without a negative coefficient yields them all.
+    """
+    d = len(cartan)
+    simple = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     roots = set(simple)
-    frontier = list(simple)
+    frontier = simple
     while frontier:
         new = []
-        for beta in frontier:
-            for alpha, sq in zip(simple, norms):
-                img = _reflect(beta, alpha, sq)
-                if img not in roots:
+        for b in frontier:
+            for i in range(d):
+                pairing = sum(b[j] * cartan[j][i] for j in range(d))
+                img = b[:i] + (b[i] - pairing,) + b[i + 1:]
+                if min(img) >= 0 and img not in roots:
                     roots.add(img)
                     new.append(img)
         frontier = new
     return roots
-
-
-def _highest_root(simple, roots):
-    dominant = [r for r in roots if all(_dot(r, a) >= 0 for a in simple)]
-    top_sq = max(_dot(r, r) for r in dominant)
-    longs = [r for r in dominant if _dot(r, r) == top_sq]
-    if len(longs) != 1:
-        raise ModelError("highest root is not unique; root realization is broken")
-    return longs[0]
-
-
-def _as_int(x):
-    frac = Fraction(x)
-    if frac.denominator != 1:
-        raise ModelError(f"expected an integer, got {frac}")
-    return frac.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -253,25 +219,25 @@ def build_affine_system(family, rank):
     """
     _check_type(family, rank)
     d = rank
-    simple = _simple_roots(family, d)
-    roots = _all_roots(simple)
-    theta = _highest_root(simple, roots)
-    norms = [_dot(a, a) for a in simple]
-    theta_sq = _dot(theta, theta)
+    cartan, norms = _dynkin(family, d)
+    roots = _positive_roots(cartan)
+    top = max(map(sum, roots))
+    highest = [r for r in roots if sum(r) == top]
+    if len(highest) != 1:
+        raise ModelError(f"highest root of {family}{rank} is not unique")
+    theta = highest[0]
 
-    # Cartan matrix a[i][j] = <alpha_i, alpha_j_vee>
-    cartan = [[_as_int(2 * _dot(simple[i], simple[j]) / norms[j]) for j in range(d)]
-              for i in range(d)]
-    # pairings of the highest root against the simple coroots, and vice versa
-    t_row = [_as_int(2 * _dot(theta, simple[k]) / norms[k]) for k in range(d)]
-    theta_on_coroot = [_as_int(2 * _dot(simple[j], theta) / theta_sq) for j in range(d)]
-
-    # coordinates of the highest coroot in the simple-coroot basis
-    covee = [tuple(2 * x / sq for x in a) for a, sq in zip(simple, norms)]
-    theta_vee = tuple(2 * x / theta_sq for x in theta)
-    gram = [[_dot(covee[i], covee[j]) for j in range(d)] for i in range(d)]
-    rhs = [_dot(covee[i], theta_vee) for i in range(d)]
-    c = [_as_int(x) for x in solve(gram, rhs)]
+    # pairings of the highest root against the simple coroots, the coordinates
+    # of its coroot in the simple-coroot basis (theta is long, so its squared
+    # length is max(norms)), and the simple roots against that coroot
+    t_row = [sum(theta[j] * cartan[j][k] for j in range(d)) for k in range(d)]
+    c = []
+    for j in range(d):
+        coef, rem = divmod(theta[j] * norms[j], max(norms))
+        if rem:
+            raise ModelError(f"highest coroot of {family}{rank} is not integral")
+        c.append(coef)
+    theta_on_coroot = [sum(cartan[j][k] * c[k] for k in range(d)) for j in range(d)]
 
     gens = []
     m0 = [[(1 if j == k else 0) - c[j] * t_row[k] for k in range(d)] for j in range(d)]
@@ -317,15 +283,12 @@ def build_affine_system(family, rank):
     if len(seen) != d:
         raise ModelError("finite diagram is not connected")
 
-    # heights: the functional rho with rho . alpha_i = 1 for every simple root
-    # sums the simple-root coordinates of a root; exponent m occurs
-    # n_m - n_{m+1} times, n_h counting the roots of height h (Kostant)
-    x = solve([[_dot(a, b) for b in simple] for a in simple], [1] * d)
-    rho = [sum(xi * a[k] for xi, a in zip(x, simple)) for k in range(len(simple[0]))]
-    n_height = Counter(_as_int(_dot(rho, r)) for r in roots)
-    exps = tuple(m for m in range(1, max(n_height) + 1)
+    # exponent m occurs n_m - n_{m+1} times, n_h counting the positive roots
+    # of height h (Kostant)
+    n_height = Counter(map(sum, roots))
+    exps = tuple(m for m in range(1, top + 1)
                  for _ in range(n_height[m] - n_height[m + 1]))
-    if len(exps) != d or sum(exps) != len(roots) // 2:
+    if len(exps) != d or sum(exps) != len(roots):
         raise ModelError(f"root heights of {family}{rank} give exponents {exps}")
 
     return CoxeterSystem(
@@ -333,7 +296,7 @@ def build_affine_system(family, rank):
         rank=rank,
         coxeter_matrix=tuple(tuple(row) for row in m),
         generators=tuple(gens),
-        n_positive_roots=len(roots) // 2,
+        n_positive_roots=len(roots),
         exponents=exps,
     )
 

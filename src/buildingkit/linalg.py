@@ -1,7 +1,8 @@
-"""Small dense linear algebra over the rationals.
+"""Exact rational row reduction, serving only `nullspace`.
 
+`nullspace` is what the tree layer's invariant-cocycle solver needs.
 Everything here is exact Fraction arithmetic on lists of lists; the matrices
-involved are at most (rank+1) square, so no effort is spent on performance.
+involved are small, so no effort is spent on performance.
 """
 
 from __future__ import annotations
@@ -33,16 +34,6 @@ def rref(rows):
         if r == n_rows:
             break
     return m, pivots
-
-
-def solve(a_rows, b):
-    """Solve A x = b for square nonsingular A; raises ValueError otherwise."""
-    n = len(a_rows)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a_rows)]
-    m, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular or system inconsistent")
-    return [m[i][n] for i in range(n)]
 
 
 def nullspace(a_rows, n_cols):

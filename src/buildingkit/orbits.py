@@ -133,9 +133,6 @@ class FiniteFieldPair:
     def base_mul(self, a, b):
         return self._bmul[a][b]
 
-    def base_neg(self, a):
-        return self._bneg[a]
-
     def base_inv(self, a):
         if a == 0:
             raise ModelError("0 has no inverse in the base field")
@@ -388,25 +385,24 @@ def canonical_inversion_data(fields):
     return x0, fields.base_inv(inv_c)
 
 
-def inversion_closure_orbits(fields, check_choice_independence=True):
+def inversion_closure_orbits(fields):
     """Orbits once the inversion moves are adjoined; odd characteristic only.
 
     In characteristic 2 the affine moves already act transitively and the
-    affine report is returned unchanged.  By default the closure is re-run
-    with every valid x_0 and the partitions are checked to be identical, so the
-    canonical choice is demonstrably immaterial.
+    affine report is returned unchanged.  The closure is re-run with every
+    valid x_0 and the partitions are checked to be identical, so the canonical
+    choice is demonstrably immaterial.
     """
     if fields.p == 2:
         return affine_square_orbits(fields)
     x0, c = canonical_inversion_data(fields)
     groups = _closure_partition(fields, include_inversion_c=c)
-    if check_choice_independence:
-        reference = {frozenset(g) for g in groups}
-        for alt in square_root_candidates(fields):
-            alt_c = fields.base_inv(fields.mul(alt, alt))
-            alt_groups = _closure_partition(fields, include_inversion_c=alt_c)
-            if {frozenset(g) for g in alt_groups} != reference:
-                raise ModelError(f"orbit partition depends on the choice x_0={alt}")
+    reference = {frozenset(g) for g in groups}
+    for alt in square_root_candidates(fields):
+        alt_c = fields.base_inv(fields.mul(alt, alt))
+        alt_groups = _closure_partition(fields, include_inversion_c=alt_c)
+        if {frozenset(g) for g in alt_groups} != reference:
+            raise ModelError(f"orbit partition depends on the choice x_0={alt}")
     return _report_from_groups(fields, groups, "affine-square + inversion")
 
 

@@ -8,6 +8,7 @@ All arithmetic is Fraction-exact; floats never appear.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,7 +20,8 @@ def _require_prime_power(q):
     if not isinstance(q, int) or q < 2:
         raise InvalidTypeError(f"q_F must be an integer >= 2, got {q!r}")
     n = q
-    p = next(f for f in range(2, n + 1) if n % f == 0)
+    # the smallest factor is at most isqrt(n), or else n itself is prime
+    p = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
     while n % p == 0:
         n //= p
     if n != 1:

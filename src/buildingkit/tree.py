@@ -67,9 +67,6 @@ class TreePair:
 
     # -- structure accessors -------------------------------------------------
 
-    def far(self, e):
-        return e + 1
-
     def endpoints(self, e):
         return self.near[e], e + 1
 

@@ -46,6 +46,24 @@ GROWTH_K12 = {
     ("G", 2): (1, 3, 5, 7, 9, 12, 15, 17, 19, 21, 24, 27, 29),
 }
 
+# every supported type: A1-A9, B3-B9, C2-C9, D4-D9, E6-E8, F4, G2
+ALL_TYPES = ([("A", d) for d in range(1, 10)] + [("B", d) for d in range(3, 10)]
+             + [("C", d) for d in range(2, 10)] + [("D", d) for d in range(4, 10)]
+             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+# comarks (coroot coefficients of the highest coroot) from Kac's tables, and
+# the dual Coxeter number h^vee = 1 + sum of comarks
+KAC_COMARKS = {
+    ("E", 6): (1, 2, 2, 3, 2, 1), ("E", 7): (2, 2, 3, 4, 3, 2, 1),
+    ("E", 8): (2, 3, 4, 6, 5, 4, 3, 2), ("F", 4): (2, 3, 2, 1), ("G", 2): (1, 2),
+    **{("B", n): (1,) + (2,) * (n - 2) + (1,) for n in range(3, 10)},
+    **{("C", n): (1,) * n for n in range(2, 10)},
+}
+DUAL_COXETER = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1,
+                "C": lambda n: n + 1, "D": lambda n: 2 * n - 2,
+                "E": {6: 12, 7: 18, 8: 30}.get, "F": lambda n: 9,
+                "G": lambda n: 4}
+
 OMEGA_ORDERS = {
     ("A", 1): 2, ("A", 2): 3, ("A", 3): 4, ("A", 4): 5,
     ("B", 3): 2, ("C", 2): 2, ("C", 3): 2,
@@ -67,6 +85,24 @@ def test_construction_and_root_counts(family, rank):
         for j in range(rank + 1):
             assert m[i][j] == m[j][i]
     assert len(system.generators) == rank + 1
+
+
+@pytest.mark.parametrize("key", sorted(KAC_COMARKS))
+def test_comarks_match_kac_tables(key):
+    assert build_affine_system(*key).generators[0].shift == KAC_COMARKS[key]
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_dual_coxeter_number(family, rank):
+    comarks = build_affine_system(family, rank).generators[0].shift
+    assert 1 + sum(comarks) == DUAL_COXETER[family](rank)
+
+
+def test_affine_node_tells_b_from_c():
+    # the affine node of B3~ hangs off node 2; that of C3~ meets node 1 with
+    # order 4, so transposing the long/short convention would swap these rows
+    assert build_affine_system("B", 3).coxeter_matrix[0] == (1, 2, 3, 2)
+    assert build_affine_system("C", 3).coxeter_matrix[0] == (1, 4, 2, 2)
 
 
 def test_rank1_matrix_is_infinite_dihedral():

@@ -170,6 +170,15 @@ def test_non_prime_powers_rejected(q):
         period._require_prime_power(q)
 
 
+def test_large_prime_accepted_by_trial_division_to_isqrt():
+    # 2^31 - 1 is prime: a factor search that ran up to q itself took minutes
+    q = 2**31 - 1
+    assert period.period_closed_form("A", 1, q) == Fraction(q - 1, q + 1)
+    for composite in (2 * q, 12):
+        with pytest.raises(InvalidTypeError):
+            period._require_prime_power(composite)
+
+
 def test_result_json_uses_num_den():
     data = period.evaluate_period("A", 1, 3, truncation=2).to_json_dict()
     assert data["closed_form"] == {"num": 1, "den": 2}

@@ -16,3 +16,20 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_coxeter_layer_is_integer_only():
+    # the affine systems are built from the integer Cartan matrix; no
+    # rational arithmetic or linear solve belongs in the Coxeter layer
+    path = next(path for path in SOURCES if path.name == "coxeter.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level + (node.module or "")
+            imported.add(prefix)
+            if node.module is None:
+                imported.update(prefix + alias.name for alias in node.names)
+    assert "fractions" not in imported
+    assert ".linalg" not in imported

@@ -2,9 +2,9 @@
 
 The package computes, all in exact rational arithmetic:
 
-- sphere sizes of affine Coxeter groups by honest Cayley-graph enumeration,
-  and the exponents of their finite parts from the heights of the positive
-  roots (finite-group enumeration is kept only as a test oracle);
+- the exponents of the finite Weyl group from root heights, and affine sphere
+  sizes by expanding Bott's formula over them; Cayley-graph and finite-group
+  enumeration serve the `growth` command and the test oracles;
 - alternating period series sum_k a_k q_F^k (-1/q_E)^k with q_E = q_F^2,
   their closed forms as products over the exponents, geometric tail bounds,
   and exact value bounds;
@@ -13,14 +13,14 @@ The package computes, all in exact rational arithmetic:
   solver, layer reconstruction, and a sign character on tree automorphisms;
 - brute-force orbit closures of affine-square and inversion moves on the
   complement of a residue field inside its quadratic extension;
-- a disk cache, a consolidated check suite, and a CLI (`buildingkit`).
+- a `growth` disk cache, a consolidated check suite, and a CLI (`buildingkit`).
 """
 
 from .cache import cache_get, cache_path, cache_put, cached_growth
 from .coxeter import (DEFAULT_ELEMENT_BUDGET, INFINITE_ORDER, CoxeterSystem,
                       GrowthSeries, OmegaElement, build_affine_system,
                       epsilon_of_omega, exponents, growth_coefficients,
-                      omega_group, poincare_finite)
+                      growth_from_exponents, omega_group, poincare_finite)
 from .errors import (BudgetError, InvalidTypeError, ModelError,
                      ToolkitError)
 from .orbits import (FiniteFieldPair, OrbitReport, affine_square_orbits,
@@ -28,9 +28,8 @@ from .orbits import (FiniteFieldPair, OrbitReport, affine_square_orbits,
                      exists_nonsquare_value, inversion_closure_orbits,
                      verify_fraction_identity)
 from .period import (BoundsReport, PeriodResult, check_counting_bound,
-                     check_theorem_bounds, evaluate_period, l1_diagnostic,
-                     period_closed_form, period_series, sphere_size,
-                     tail_bound)
+                     check_theorem_bounds, evaluate_period, period_closed_form,
+                     period_series, tail_bound)
 from .suite import CheckResult, SuiteReport, run_suite
 from .tree import (EdgeCocycle, HarmonicityReport, InvariantSolution,
                    TreeAutomorphism, TreePair, build_tree_pair,

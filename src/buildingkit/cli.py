@@ -3,8 +3,9 @@
 Seven subcommands: growth, period, tree-verify, tree-period, invariant,
 orbit, suite.  Every command supports --format json|csv|text; JSON output is
 canonical (sorted keys, fixed indentation) so identical configurations print
-identical bytes.  Exit codes: 0 all checks passed, 1 a mathematical check
-failed, 2 invalid usage or arguments, 3 enumeration budget exceeded.
+identical bytes.  Only growth enumerates the group and takes --budget and
+--cache-dir.  Exit codes: 0 all checks passed, 1 a mathematical check failed,
+2 invalid usage or arguments, 3 enumeration budget exceeded (growth only).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 
-from . import orbits, period, tree
+from . import coxeter, orbits, period, tree
 from .cache import cached_growth, canonical_json_bytes, series_to_json_dict
 from .coxeter import DEFAULT_ELEMENT_BUDGET, FAMILIES
 from .errors import BudgetError, ToolkitError
@@ -59,10 +60,8 @@ def _cmd_growth(config):
 
 
 def _cmd_period(config):
-    series = cached_growth(config.family, config.rank, config.truncation,
-                           cache_dir=config.cache_dir, budget=config.budget)
     result = period.evaluate_period(config.family, config.rank, config.q_F,
-                                    budget=config.budget, series=series)
+                                    truncation=config.truncation)
     bounds = period.check_theorem_bounds(result)
     diff = abs(result.closed_form - result.partial_sums[-1])
     within_tail = diff <= result.tail
@@ -138,8 +137,8 @@ def _cmd_tree_verify(config):
 def _cmd_tree_period(config):
     pair = tree.build_tree_pair(config.q_F, config.depth)
     sums = tree.tree_period(pair, tree.iwahori_cocycle(pair))
-    series = cached_growth("A", 1, config.depth, cache_dir=config.cache_dir,
-                           budget=config.budget)
+    series = coxeter.growth_from_exponents(coxeter.build_affine_system("A", 1),
+                                           config.depth)
     engine_sums = period.period_series(series, config.q_F)
     closed = period.period_closed_form("A", 1, config.q_F)
     tail = period.tail_bound(series, config.q_F)
@@ -239,8 +238,7 @@ def _cmd_orbit(config):
 
 
 def _cmd_suite(config):
-    report = run_suite(seed=config.seed, depth=config.depth,
-                       cache_dir=config.cache_dir, budget=config.budget)
+    report = run_suite(seed=config.seed, depth=config.depth)
     payload = report.to_json_dict()
     payload["command"] = "suite"
     csv = [("check", "status")] + [(c.name, c.status) for c in report.checks]
@@ -278,10 +276,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"),
                         default="text", help="output format (default text)")
-    common.add_argument("--cache-dir", default=None,
-                        help="directory for the growth-series disk cache")
-    common.add_argument("--budget", type=int, default=DEFAULT_ELEMENT_BUDGET,
-                        help="element budget for group enumeration")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("growth", parents=[common],
@@ -289,6 +283,10 @@ def _build_parser():
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--K", type=int, default=12, help="truncation depth")
+    p.add_argument("--cache-dir", default=None,
+                   help="directory for the growth-series disk cache")
+    p.add_argument("--budget", type=int, default=DEFAULT_ELEMENT_BUDGET,
+                   help="element budget for group enumeration")
 
     p = sub.add_parser("period", parents=[common],
                        help="closed form and partial sums of the period")
@@ -325,11 +323,11 @@ def _build_parser():
 
 
 def _config_from_args(args):
-    config = RunConfig(command=args.command, fmt=args.format,
-                       cache_dir=args.cache_dir, budget=args.budget)
+    config = RunConfig(command=args.command, fmt=args.format)
     for src, dst in (("family", "family"), ("rank", "rank"), ("qF", "q_F"),
                      ("K", "truncation"), ("depth", "depth"), ("p", "p"),
-                     ("n", "n"), ("seed", "seed")):
+                     ("n", "n"), ("seed", "seed"), ("cache_dir", "cache_dir"),
+                     ("budget", "budget")):
         if hasattr(args, src):
             setattr(config, dst, getattr(args, src))
     return config

@@ -12,10 +12,9 @@ is an integer matrix plus an integer translation vector, so equality, hashing
 and breadth-first enumeration are exact.  Lengths are always Cayley-graph BFS
 layer indices, never reduced-word bookkeeping.
 
-The finite Weyl data come from the root system itself: the exponents are read
-off the height partition of the positive roots (Kostant), so no finite group
-is enumerated on any main path.  `poincare_finite` still exhausts the finite
-group by BFS and serves as the oracle the closed forms are tested against.
+The exponents come from the heights of the positive roots (Kostant) and the
+affine growth series from Bott's formula over them.  The BFS behind the
+`growth` command and `poincare_finite` are the oracles both are tested against.
 
 Numbering: node 0 is always the affine node, nodes 1..d carry the Bourbaki
 numbering of the finite diagram.  Coxeter matrices store the order of
@@ -346,6 +345,26 @@ def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
     return GrowthSeries(
         family=system.family, rank=system.rank, truncation=truncation,
         coefficients=tuple(coeffs), source="enumerated")
+
+
+def growth_from_exponents(system, truncation):
+    """Sphere sizes a_0..a_K from Bott's formula, expanded in integers.
+
+    Over the exponents it is prod_i (1 - t^(m_i+1)) / ((1 - t)(1 - t^(m_i))).
+    """
+    if truncation < 0:
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    coeffs = [1] + [0] * truncation
+    for m in system.exponents:
+        for k in range(truncation, m, -1):  # times 1 - t^(m+1)
+            coeffs[k] -= coeffs[k - m - 1]
+        for k in range(1, truncation + 1):  # over 1 - t
+            coeffs[k] += coeffs[k - 1]
+        for k in range(m, truncation + 1):  # over 1 - t^m
+            coeffs[k] += coeffs[k - m]
+    return GrowthSeries(
+        family=system.family, rank=system.rank, truncation=truncation,
+        coefficients=tuple(coeffs), source="closed-form")
 
 
 def poincare_finite(family, rank, budget=DEFAULT_ELEMENT_BUDGET):

@@ -8,23 +8,70 @@ All arithmetic is Fraction-exact; floats never appear.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coxeter
 from .errors import InvalidTypeError
 
+# Miller-Rabin with the prime bases up to 41 is deterministic below this bound
+# (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+# K * bit_length(q_F - 1) bounds the bits of q_F^K, the largest denominator
+# among the partial sums; past this cap the exact sums stop being desk scale
+MAX_PERIOD_BITS = 13_000
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for 2 <= n < _MR_LIMIT."""
+    if n in _MR_BASES:
+        return True
+    if any(n % a == 0 for a in _MR_BASES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(n, k):
+    """The largest r with r^k <= n, by bisection."""
+    lo, hi = 1, 1 << (n.bit_length() // k + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
 
 def _require_prime_power(q):
     if not isinstance(q, int) or q < 2:
         raise InvalidTypeError(f"q_F must be an integer >= 2, got {q!r}")
-    n = q
-    # the smallest factor is at most isqrt(n), or else n itself is prime
-    p = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
-    while n % p == 0:
-        n //= p
-    if n != 1:
+    # the root of the highest exact power is prime exactly when q is a prime
+    # power; roots grow as k falls, so the search stops at the test's limit
+    for k in range(q.bit_length(), 0, -1):
+        root = _integer_root(q, k)
+        if root**k == q or root >= _MR_LIMIT:
+            break
+    if root >= _MR_LIMIT:
+        raise InvalidTypeError(
+            f"q_F must be a power of a prime below {_MR_LIMIT}, the limit of "
+            f"the deterministic primality test, got {q}")
+    if not _is_prime(root):
         raise InvalidTypeError(f"q_F must be a prime power, got {q}")
     return q
 
@@ -32,13 +79,6 @@ def _require_prime_power(q):
 def _rat(x):
     """JSON form {"num": ..., "den": ...} of an exact rational."""
     return {"num": x.numerator, "den": x.denominator}
-
-
-def sphere_size(series, q, k):
-    """Number of chambers at gallery distance k from the base chamber."""
-    if not 0 <= k <= series.truncation:
-        raise ValueError(f"k must be in 0..{series.truncation}, got {k}")
-    return series.coefficients[k] * q**k
 
 
 @dataclass(frozen=True)
@@ -144,17 +184,21 @@ class PeriodResult:
         }
 
 
-def evaluate_period(family, rank, q_F, truncation=12,
-                    budget=coxeter.DEFAULT_ELEMENT_BUDGET, series=None):
-    """Assemble a PeriodResult: enumerate, sum, close, and bound the tail.
+def evaluate_period(family, rank, q_F, truncation=12, series=None):
+    """Assemble a PeriodResult: expand, sum, close, and bound the tail.
 
-    A precomputed growth series for the same type may be passed to skip the
-    enumeration; its truncation then overrides the argument.
+    A precomputed growth series for the same type may replace the expansion
+    over the exponents; its truncation then overrides the argument.
     """
     _require_prime_power(q_F)
+    K = truncation if series is None else series.truncation
+    bits = K * (q_F - 1).bit_length()
+    if bits > MAX_PERIOD_BITS:
+        raise ValueError(f"K * bit_length(q_F - 1) = {bits} exceeds the cap of "
+                         f"{MAX_PERIOD_BITS} bits")
     system = coxeter.build_affine_system(family, rank)
     if series is None:
-        series = coxeter.growth_coefficients(system, truncation, budget=budget)
+        series = coxeter.growth_from_exponents(system, truncation)
     elif (series.family, series.rank) != (family, rank):
         raise ValueError("precomputed series belongs to a different type")
     sums = period_series(series, q_F)
@@ -184,29 +228,3 @@ def check_theorem_bounds(result):
     holds = 1 > result.closed_form > lower
     return BoundsReport(applicable=True, holds=holds,
                         value=result.closed_form, lower=lower, upper=Fraction(1))
-
-
-@dataclass(frozen=True)
-class L1Report:
-    partial_sums: tuple
-    term_ratios: tuple
-    converges: bool
-
-
-def l1_diagnostic(series, q_F, truncation=None):
-    """Partial sums and term ratios of the absolute series sum_k a_k q_F^(-k)."""
-    if truncation is None:
-        truncation = series.truncation
-    if truncation > series.truncation:
-        raise ValueError("truncation exceeds the enumerated range")
-    terms = [Fraction(series.coefficients[k], q_F**k) for k in range(truncation + 1)]
-    sums = []
-    acc = Fraction(0)
-    for t in terms:
-        acc += t
-        sums.append(acc)
-    ratios = tuple(terms[k + 1] / terms[k] for k in range(len(terms) - 1)
-                   if terms[k] != 0)
-    tail = ratios[-3:]
-    converges = all(r < 1 for r in tail) if tail else True
-    return L1Report(partial_sums=tuple(sums), term_ratios=ratios, converges=converges)

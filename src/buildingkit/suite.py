@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import coxeter, orbits, period, tree
-from .cache import cached_growth
-from .coxeter import DEFAULT_ELEMENT_BUDGET
 from .period import _rat
 
 GRID_TYPES = (("A", 1), ("A", 2), ("A", 3), ("C", 2), ("G", 2))
@@ -77,8 +75,7 @@ def _type_name(family, rank):
     return f"{family}{rank}"
 
 
-def run_suite(seed=DEFAULT_SEED, depth=6, cache_dir=None,
-              budget=DEFAULT_ELEMENT_BUDGET):
+def run_suite(seed=DEFAULT_SEED, depth=6):
     """Run all named checks; returns a SuiteReport (never raises on failure).
 
     `depth` controls the deep trees for q_F in {2, 3} and must be at least 6
@@ -89,11 +86,10 @@ def run_suite(seed=DEFAULT_SEED, depth=6, cache_dir=None,
     checks = []
 
     # shared artifacts
-    series = {(f, r): cached_growth(f, r, SUITE_TRUNCATION,
-                                    cache_dir=cache_dir, budget=budget)
+    series = {(f, r): coxeter.growth_from_exponents(
+                  coxeter.build_affine_system(f, r), SUITE_TRUNCATION)
               for f, r in GRID_TYPES}
-    periods = {(f, r, q): period.evaluate_period(f, r, q, budget=budget,
-                                                 series=series[(f, r)])
+    periods = {(f, r, q): period.evaluate_period(f, r, q, series=series[(f, r)])
                for f, r in GRID_TYPES for q in GRID_QF}
     deep_trees = {q: tree.build_tree_pair(q, depth) for q in (2, 3)}
     small_trees = {q: tree.build_tree_pair(q, 4 if q <= 3 else 3)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from buildingkit import cache, cli
+from buildingkit import cache, cli, coxeter
 from buildingkit.coxeter import build_affine_system, growth_coefficients
 
 
@@ -83,6 +83,43 @@ def test_period_e8_closed_form(capsys):
     assert data["bounds"]["applicable"] is True
     assert data["bounds"]["holds"] is True
     assert data["within_tail"] is True
+
+
+def test_period_e8_runs_far_past_the_old_budget(capsys):
+    # K = 8 took 11.6 s of Cayley-graph enumeration, K = 12 over two minutes
+    code, out, _ = run_cli(capsys, ["period", "--family", "E", "--rank", "8",
+                                    "--K", "30", "--qF", "9", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["bounds"]["holds"] is True
+    assert len(data["partial_sums"]) == 31
+
+
+@pytest.mark.parametrize("K", ["0", "-1"])
+def test_period_without_a_first_layer_is_a_usage_error(capsys, K):
+    code, out, err = run_cli(capsys, ["period", "--family", "A", "--rank", "2",
+                                      "--qF", "3", "--K", K])
+    assert code == 2 and out == ""
+    assert "invalid arguments" in err
+
+
+def test_period_over_the_truncation_cap_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, ["period", "--family", "A", "--rank", "1",
+                                      "--qF", "9", "--K", "5000"])
+    assert code == 2 and out == ""
+    assert "exceeds the cap of 13000 bits" in err
+
+
+def test_period_commands_never_enumerate(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the period engine enumerated the group")
+
+    monkeypatch.setattr(coxeter, "growth_coefficients", refuse)
+    monkeypatch.setattr(cache, "growth_coefficients", refuse)
+    for argv in (["period", "--family", "A", "--rank", "2", "--qF", "3"],
+                 ["tree-period", "--qF", "2", "--depth", "4"]):
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0 and err == "", argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -246,6 +283,17 @@ def test_exit_budget(capsys):
                                     "--K", "12", "--budget", "100"])
     assert code == 3
     assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree-verify", "--qF", "2", "--budget", "5"],
+    ["period", "--family", "A", "--rank", "1", "--qF", "3", "--cache-dir", "d"],
+    ["suite", "--budget", "5"],
+])
+def test_enumeration_options_belong_to_growth_only(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_exit_check_failed(capsys, monkeypatch):

@@ -1,11 +1,16 @@
 """Affine system construction, growth enumeration, finite-part data, Omega."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buildingkit import coxeter
 from buildingkit.coxeter import (INFINITE_ORDER, AffineMap,
                                  build_affine_system, epsilon_of_omega,
-                                 exponents, growth_coefficients, omega_group,
+                                 exponents, growth_coefficients,
+                                 growth_from_exponents, omega_group,
                                  poincare_finite)
 from buildingkit.errors import BudgetError, InvalidTypeError
 
@@ -171,6 +176,37 @@ def test_growth_budget_error_carries_complete_layers():
 def test_growth_zero_truncation():
     series = growth_coefficients(build_affine_system("G", 2), 0)
     assert series.coefficients == (1,)
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_closed_form_growth_matches_enumeration(family, rank):
+    system = build_affine_system(family, rank)
+    K = 4 if rank >= 6 else 6
+    series = growth_from_exponents(system, K)
+    assert series.coefficients == growth_coefficients(system, K).coefficients
+    assert (series.family, series.rank, series.truncation) == (family, rank, K)
+    assert series.source == "closed-form"
+
+
+@functools.cache
+def _enumerated_k20(key):
+    return growth_coefficients(build_affine_system(*key), 20).coefficients
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from([key for key in ALL_TYPES if key[1] <= 3]),
+       truncation=st.integers(0, 20))
+def test_closed_form_growth_is_the_enumerated_prefix(key, truncation):
+    series = growth_from_exponents(build_affine_system(*key), truncation)
+    assert series.coefficients == _enumerated_k20(key)[:truncation + 1]
+
+
+def test_closed_form_growth_rejects_negative_truncation():
+    with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+        growth_from_exponents(build_affine_system("A", 2), -1)
+    with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+        growth_coefficients(build_affine_system("A", 2), -1)
+    assert growth_from_exponents(build_affine_system("G", 2), 0).coefficients == (1,)
 
 
 @pytest.mark.parametrize("family,rank", sorted(CLASSICAL_EXPONENTS))

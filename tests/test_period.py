@@ -141,24 +141,6 @@ def test_counting_bound_rows():
     assert all(r.slack == 0 for r in rows)
 
 
-def test_sphere_size():
-    series = _series("A", 2, 4)
-    assert period.sphere_size(series, 3, 0) == 1
-    assert period.sphere_size(series, 3, 2) == 54
-    with pytest.raises(ValueError):
-        period.sphere_size(series, 3, 5)
-
-
-def test_l1_diagnostic_converges_on_grid():
-    for key in sorted(FROZEN_CLOSED):
-        series = _series(*key, 8)
-        for q in (2, 3):
-            rep = period.l1_diagnostic(series, q)
-            assert rep.converges
-            sums = rep.partial_sums
-            assert all(b >= a for a, b in zip(sums, sums[1:]))
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
 def test_prime_powers_accepted(q):
     period._require_prime_power(q)
@@ -171,12 +153,78 @@ def test_non_prime_powers_rejected(q):
 
 
 def test_large_prime_accepted_by_trial_division_to_isqrt():
-    # 2^31 - 1 is prime: a factor search that ran up to q itself took minutes
+    # 2^31 - 1 is prime: a factor search that ran up to q itself took
+    # minutes; the check now certifies it by Miller-Rabin
     q = 2**31 - 1
     assert period.period_closed_form("A", 1, q) == Fraction(q - 1, q + 1)
     for composite in (2 * q, 12):
         with pytest.raises(InvalidTypeError):
             period._require_prime_power(composite)
+
+
+M61 = 2**61 - 1  # a Mersenne prime
+
+
+@pytest.mark.parametrize("q", [M61, M61**2, 2**100, 3**40])
+def test_large_prime_powers_accepted_at_once(q):
+    # trial division up to isqrt(2^61 - 1) did not finish in 10 s
+    assert period._require_prime_power(q) == q
+
+
+@pytest.mark.parametrize("q", [561, 41041, 25326001, 3215031751, 15 * M61])
+def test_carmichael_and_pseudoprime_composites_rejected(q):
+    # 561 and 41041 are Carmichael numbers; 25326001 and 3215031751 are the
+    # least strong pseudoprimes to the bases 2, 3, 5 and to 2, 3, 5, 7
+    with pytest.raises(InvalidTypeError, match="prime power"):
+        period._require_prime_power(q)
+
+
+@pytest.mark.parametrize("q", [M61 * (2**31 - 1), 2**89 - 1, 2**127 - 1])
+def test_bases_beyond_the_primality_limit_rejected(q):
+    # above 3.3e24 Miller-Rabin with the bases up to 41 proves nothing, so
+    # even the Mersenne primes 2^89 - 1 and 2^127 - 1 are refused by name
+    with pytest.raises(InvalidTypeError, match=str(period._MR_LIMIT)):
+        period._require_prime_power(q)
+
+
+def test_prime_power_check_agrees_with_trial_division():
+    def by_trial_division(n):
+        p = next(f for f in range(2, n + 1) if n % f == 0)
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    for q in range(2, 3000):
+        try:
+            period._require_prime_power(q)
+            accepted = True
+        except InvalidTypeError:
+            accepted = False
+        assert accepted == by_trial_division(q), q
+
+
+def test_truncation_cap_is_checked_before_any_series_work(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("series expanded past the cap")
+
+    monkeypatch.setattr(period.coxeter, "growth_from_exponents", no_series)
+    cap = period.MAX_PERIOD_BITS
+    for q, bits in ((2, 1), (9, 4), (M61, 61)):
+        with pytest.raises(ValueError, match=str(cap)):
+            period.evaluate_period("A", 1, q, truncation=cap // bits + 1)
+
+
+def test_truncation_at_the_cap_is_exact():
+    K = period.MAX_PERIOD_BITS // 4
+    res = period.evaluate_period("A", 2, 9, truncation=K)
+    assert len(res.partial_sums) == K + 1
+    assert abs(res.closed_form - res.partial_sums[-1]) <= res.tail
+
+
+def test_default_series_is_the_closed_form_expansion():
+    res = period.evaluate_period("A", 2, 3)
+    enumerated = period.evaluate_period("A", 2, 3, series=_series("A", 2, 12))
+    assert res == enumerated
 
 
 def test_result_json_uses_num_den():

@@ -33,3 +33,22 @@ def test_coxeter_layer_is_integer_only():
                 imported.update(prefix + alias.name for alias in node.names)
     assert "fractions" not in imported
     assert ".linalg" not in imported
+
+
+
+def test_period_path_never_enumerates_the_group():
+    # a_k on the period path comes from the exponents; the Cayley-graph BFS
+    # and its disk cache serve only the growth command and the tests
+    banned = {"growth_coefficients", "cache", "cached_growth"}
+    found = []
+    for path in SOURCES:
+        if path.name not in ("period.py", "suite.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module] + [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            found += [f"{path.name}:{node.lineno} {name}"
+                      for name in names if name in banned]
+    assert found == []

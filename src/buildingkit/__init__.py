@@ -11,8 +11,9 @@ The package computes, all in exact rational arithmetic:
 - a truncated (q_E+1)-regular tree containing a marked (q_F+1)-regular
   subtree, with harmonic-cocycle verification, a one-dimensional invariant
   solver, layer reconstruction, and a sign character on tree automorphisms;
-- brute-force orbit closures of affine-square and inversion moves on the
-  complement of a residue field inside its quadratic extension;
+- orbit closures of affine-square and inversion moves on the complement of
+  a residue field inside its quadratic extension, grown from a few
+  generating moves;
 - a `growth` disk cache, a consolidated check suite, and a CLI (`buildingkit`).
 """
 

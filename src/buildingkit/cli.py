@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from . import coxeter, orbits, period, tree
 from .cache import cached_growth, canonical_json_bytes, series_to_json_dict
@@ -27,41 +26,25 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: str = "A"
-    rank: int = 1
-    q_F: int = 3
-    truncation: int = 12
-    depth: int = 6
-    p: int = 3
-    n: int = 1
-    fmt: str = "text"
-    cache_dir: str = None
-    budget: int = DEFAULT_ELEMENT_BUDGET
-    seed: int = DEFAULT_SEED
-
-
 def _csv(rows):
     return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
 
 
-def _cmd_growth(config):
-    series = cached_growth(config.family, config.rank, config.truncation,
-                           cache_dir=config.cache_dir, budget=config.budget)
+def _cmd_growth(args):
+    series = cached_growth(args.family, args.rank, args.K,
+                           cache_dir=args.cache_dir, budget=args.budget)
     payload = series_to_json_dict(series)
     payload["command"] = "growth"
-    text = [f"growth {config.family}{config.rank} K={series.truncation} "
+    text = [f"growth {args.family}{args.rank} K={series.truncation} "
             f"({series.source}):",
             "  " + str(list(series.coefficients))]
     csv = [("k", "a_k")] + [(k, a) for k, a in enumerate(series.coefficients)]
     return True, payload, text, csv
 
 
-def _cmd_period(config):
-    result = period.evaluate_period(config.family, config.rank, config.q_F,
-                                    truncation=config.truncation)
+def _cmd_period(args):
+    result = period.evaluate_period(args.family, args.rank, args.qF,
+                                    truncation=args.K)
     bounds = period.check_theorem_bounds(result)
     diff = abs(result.closed_form - result.partial_sums[-1])
     within_tail = diff <= result.tail
@@ -75,7 +58,7 @@ def _cmd_period(config):
         "lower": _rat(bounds.lower) if bounds.applicable else None,
     }
     last = result.partial_sums[-1]
-    text = [f"period {config.family}{config.rank} q_F={config.q_F} "
+    text = [f"period {args.family}{args.rank} q_F={args.qF} "
             f"(q_E={result.q_E}):",
             f"  closed form   {result.closed_form}",
             f"  S_{len(result.partial_sums) - 1}          {last}",
@@ -91,8 +74,8 @@ def _cmd_period(config):
     return ok, payload, text, csv
 
 
-def _cmd_tree_verify(config):
-    pair = tree.build_tree_pair(config.q_F, config.depth)
+def _cmd_tree_verify(args):
+    pair = tree.build_tree_pair(args.qF, args.depth)
     audit = tree.check_tree_invariants(pair)
     cocycle = tree.iwahori_cocycle(pair)
     harm = tree.verify_harmonic(pair, cocycle)
@@ -134,14 +117,14 @@ def _cmd_tree_verify(config):
     return ok, payload, text, csv
 
 
-def _cmd_tree_period(config):
-    pair = tree.build_tree_pair(config.q_F, config.depth)
+def _cmd_tree_period(args):
+    pair = tree.build_tree_pair(args.qF, args.depth)
     sums = tree.tree_period(pair, tree.iwahori_cocycle(pair))
     series = coxeter.growth_from_exponents(coxeter.build_affine_system("A", 1),
-                                           config.depth)
-    engine_sums = period.period_series(series, config.q_F)
-    closed = period.period_closed_form("A", 1, config.q_F)
-    tail = period.tail_bound(series, config.q_F)
+                                           args.depth)
+    engine_sums = period.period_series(series, args.qF)
+    closed = period.period_closed_form("A", 1, args.qF)
+    tail = period.tail_bound(series, args.qF)
     matches = sums == engine_sums
     within_tail = abs(closed - sums[-1]) <= tail
     ok = matches and within_tail
@@ -169,8 +152,8 @@ def _cmd_tree_period(config):
     return ok, payload, text, csv
 
 
-def _cmd_invariant(config):
-    pair = tree.build_tree_pair(config.q_F, config.depth)
+def _cmd_invariant(args):
+    pair = tree.build_tree_pair(args.qF, args.depth)
     solution = tree.invariant_solver(pair)
     payload = {
         "schema_version": 1,
@@ -190,8 +173,8 @@ def _cmd_invariant(config):
     return True, payload, text, csv
 
 
-def _cmd_orbit(config):
-    fields = orbits.build_fields(config.p, config.n)
+def _cmd_orbit(args):
+    fields = orbits.build_fields(args.p, args.n)
     affine = orbits.affine_square_orbits(fields)
     closure = orbits.inversion_closure_orbits(fields)
     if fields.p == 2:
@@ -237,8 +220,8 @@ def _cmd_orbit(config):
     return ok, payload, text, csv
 
 
-def _cmd_suite(config):
-    report = run_suite(seed=config.seed, depth=config.depth)
+def _cmd_suite(args):
+    report = run_suite(seed=args.seed, depth=args.depth)
     payload = report.to_json_dict()
     payload["command"] = "suite"
     csv = [("check", "status")] + [(c.name, c.status) for c in report.checks]
@@ -256,12 +239,12 @@ _COMMANDS = {
 }
 
 
-def run(config):
-    """Execute one command; returns (exit_code, output string)."""
-    ok, payload, text, csv = _COMMANDS[config.command](config)
-    if config.fmt == "json":
+def run(args):
+    """Execute one parsed command line; returns (exit_code, output string)."""
+    ok, payload, text, csv = _COMMANDS[args.command](args)
+    if args.format == "json":
         out = canonical_json_bytes(payload).decode("ascii")
-    elif config.fmt == "csv":
+    elif args.format == "csv":
         out = _csv(csv)
     else:
         out = "\n".join(text) + "\n"
@@ -322,23 +305,11 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args):
-    config = RunConfig(command=args.command, fmt=args.format)
-    for src, dst in (("family", "family"), ("rank", "rank"), ("qF", "q_F"),
-                     ("K", "truncation"), ("depth", "depth"), ("p", "p"),
-                     ("n", "n"), ("seed", "seed"), ("cache_dir", "cache_dir"),
-                     ("budget", "budget")):
-        if hasattr(args, src):
-            setattr(config, dst, getattr(args, src))
-    return config
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
     try:
-        code, out = run(config)
+        code, out = run(args)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

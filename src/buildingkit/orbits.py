@@ -1,4 +1,4 @@
-"""Finite-field pair arithmetic and brute-force orbit closures on k_E minus k_F.
+"""Finite-field pair arithmetic and orbit closures on k_E minus k_F.
 
 The pair is k_F = F_p[x]/(m_base) with q = p^n elements inside its quadratic
 extension k_E = k_F[y]/(m_ext), so the extension has q^2 elements.  Base
@@ -14,8 +14,10 @@ The orbit checks act on the q^2 - q labels x in k_E minus k_F.  The first
 move family is x -> a^2 x + b with a, b in the base field, a nonzero.  The
 second, available in odd characteristic only, is x -> 1/(a^2 x c + b) where
 c is the inverse square of a fixed x_0 outside the base field with x_0^2
-inside it; an inversion move is applied only where the denominator is
-nonzero and the image stays outside the base field.
+inside it.  On the complement a^2 x c + b never lies in the base field, so
+every move permutes it, and the orbits are those of the group generated by
+x -> g^2 x (g generating the units of k_F), x -> x + p^i (i < n) and
+x -> 1/(c x); they are computed from these generators in one traversal.
 """
 
 from __future__ import annotations
@@ -283,80 +285,75 @@ class OrbitReport:
         }
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+def _orbits(fields, moves):
+    """Orbits of the group the moves generate on k_E minus k_F, least-first.
 
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
-
-    def groups(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return sorted(out.values(), key=min)
-
-
-def _closure_partition(fields, include_inversion_c=None):
-    """Orbit partition of k_E minus k_F under the move families.
-
-    Every move is applied to its whole domain; each application is checked
-    to land outside the base field, and each move is checked to be injective
-    on its domain.
+    Each move must permute the complement: its images are distinct and none
+    lies in the base field.  A permutation of a finite set has an inverse
+    among its powers, so growing each orbit forward from its least unseen
+    element reaches the whole group orbit.
     """
-    domain = list(fields.nonbase_elements())
-    domain_set = set(domain)
-    uf = _UnionFind(domain)
-    for a in fields.base_units():
-        a2 = fields.base_mul(a, a)
-        for b in fields.base_elements():
-            seen = set()
-            for z in domain:
-                w = fields.add(fields.mul(a2, z), b)
-                if w not in domain_set:
-                    raise ModelError("affine move left the complement")
-                seen.add(w)
-                uf.union(z, w)
-            if len(seen) != len(domain):
-                raise ModelError("affine move not injective")
-    if include_inversion_c is not None:
-        c = include_inversion_c
-        for a in fields.base_units():
-            a2c = fields.base_mul(fields.base_mul(a, a), c)
-            for b in fields.base_elements():
-                images = {}
-                for z in domain:
-                    den = fields.add(fields.mul(a2c, z), b)
-                    if den == 0:
-                        continue
-                    w = fields.inv(den)
-                    if w not in domain_set:
-                        continue
-                    images[z] = w
-                if len(set(images.values())) != len(images):
-                    raise ModelError("inversion move not injective on its domain")
-                for z, w in images.items():
-                    uf.union(z, w)
-    return uf.groups()
+    domain = fields.nonbase_elements()
+    tables = []
+    for move in moves:
+        table = {z: move(z) for z in domain}
+        images = set(table.values())
+        if len(images) != len(domain) or any(map(fields.in_base, images)):
+            raise ModelError("a generating move does not permute k_E minus k_F")
+        tables.append(table)
+    seen = set()
+    groups = []
+    for start in domain:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for z in orbit:
+            for table in tables:
+                w = table[z]
+                if w not in seen:
+                    seen.add(w)
+                    orbit.append(w)
+        groups.append(orbit)
+    return groups
+
+
+def _affine_moves(fields):
+    """Generators of the moves x -> a^2 x + b: x -> g^2 x and x -> x + p^i.
+
+    g generates the unit group of the base field, so g^2 generates its
+    squares, and the p^i for i < n encode the F_p-basis x^i of the base field.
+    """
+    def order(a):
+        k, power = 1, a
+        while power != 1:
+            k, power = k + 1, fields.base_mul(power, a)
+        return k
+
+    g = next((a for a in fields.base_units() if order(a) == fields.q - 1), None)
+    if g is None:
+        raise ModelError("the base field has no generator of its unit group")
+    g2 = fields.base_mul(g, g)
+    moves = [lambda z: fields.mul(g2, z)]
+    moves += [lambda z, b=fields.p ** i: fields.add(z, b) for i in range(fields.n)]
+    return moves
+
+
+def _inversion_move(fields, c):
+    """J_c: x -> 1/(c x); 1/(a^2 c x + b) is J_c after x -> a^2 x + b/c."""
+    return lambda z: fields.inv(fields.mul(c, z))
 
 
 def _report_from_groups(fields, groups, moves):
     sizes = tuple(sorted(len(g) for g in groups))
-    reps = tuple(min(g) for g in groups)
+    reps = tuple(g[0] for g in groups)
     return OrbitReport(q=fields.q, moves=moves, orbit_count=len(groups),
                        orbit_sizes=sizes, representatives=reps)
 
 
 def affine_square_orbits(fields):
     """Orbits of x -> a^2 x + b on the complement of the base field."""
-    groups = _closure_partition(fields)
+    groups = _orbits(fields, _affine_moves(fields))
     return _report_from_groups(fields, groups, "affine-square")
 
 
@@ -389,18 +386,19 @@ def inversion_closure_orbits(fields):
     """Orbits once the inversion moves are adjoined; odd characteristic only.
 
     In characteristic 2 the affine moves already act transitively and the
-    affine report is returned unchanged.  The closure is re-run with every
-    valid x_0 and the partitions are checked to be identical, so the canonical
-    choice is demonstrably immaterial.
+    affine report is returned unchanged.  The closure is re-run with the
+    inversion generator of every valid x_0 and the partitions are checked to
+    be identical, so the canonical choice is demonstrably immaterial.
     """
     if fields.p == 2:
         return affine_square_orbits(fields)
-    x0, c = canonical_inversion_data(fields)
-    groups = _closure_partition(fields, include_inversion_c=c)
+    _, c = canonical_inversion_data(fields)
+    affine = _affine_moves(fields)
+    groups = _orbits(fields, affine + [_inversion_move(fields, c)])
     reference = {frozenset(g) for g in groups}
     for alt in square_root_candidates(fields):
         alt_c = fields.base_inv(fields.mul(alt, alt))
-        alt_groups = _closure_partition(fields, include_inversion_c=alt_c)
+        alt_groups = _orbits(fields, affine + [_inversion_move(fields, alt_c)])
         if {frozenset(g) for g in alt_groups} != reference:
             raise ModelError(f"orbit partition depends on the choice x_0={alt}")
     return _report_from_groups(fields, groups, "affine-square + inversion")
@@ -430,7 +428,7 @@ class FractionIdentityReport:
         }
 
 
-def verify_fraction_identity(fields, samples=None):
+def verify_fraction_identity(fields):
     """Exhaustive check of the inversion rewriting, for both roots of 1/c.
 
     For every x with x^2 = 1/c and every a nonzero, b in the base field,
@@ -439,8 +437,7 @@ def verify_fraction_identity(fields, samples=None):
         1/(a^2 x c + b) = (a^2 x c - b)/(a^4 c - b^2)
                         = (x - b/(a^2 c))/(a^2 - b^2/(a^2 c))
 
-    skipping pairs where any denominator vanishes.  `samples` optionally
-    caps the number of checked pairs; default is all of them.
+    skipping pairs where any denominator vanishes.
     """
     if fields.p == 2:
         raise ValueError("identity check needs odd characteristic")
@@ -472,9 +469,6 @@ def verify_fraction_identity(fields, samples=None):
                 if not lhs == mid == rhs:
                     holds = False
                 checked += 1
-                if samples is not None and checked >= samples:
-                    return FractionIdentityReport(fields.q, x0, c,
-                                                  checked, skipped, holds)
     return FractionIdentityReport(fields.q, x0, c, checked, skipped, holds)
 
 

@@ -188,14 +188,18 @@ def evaluate_period(family, rank, q_F, truncation=12, series=None):
     """Assemble a PeriodResult: expand, sum, close, and bound the tail.
 
     A precomputed growth series for the same type may replace the expansion
-    over the exponents; its truncation then overrides the argument.
+    over the exponents; its truncation then overrides the argument.  The K
+    cap is checked first, and the closed form certifies q_F before any
+    series work.
     """
-    _require_prime_power(q_F)
+    if not isinstance(q_F, int):
+        raise InvalidTypeError(f"q_F must be an integer >= 2, got {q_F!r}")
     K = truncation if series is None else series.truncation
     bits = K * (q_F - 1).bit_length()
     if bits > MAX_PERIOD_BITS:
         raise ValueError(f"K * bit_length(q_F - 1) = {bits} exceeds the cap of "
                          f"{MAX_PERIOD_BITS} bits")
+    closed_form = period_closed_form(family, rank, q_F)
     system = coxeter.build_affine_system(family, rank)
     if series is None:
         series = coxeter.growth_from_exponents(system, truncation)
@@ -204,7 +208,7 @@ def evaluate_period(family, rank, q_F, truncation=12, series=None):
     sums = period_series(series, q_F)
     return PeriodResult(
         family=family, rank=rank, q_F=q_F, q_E=q_F * q_F,
-        closed_form=period_closed_form(family, rank, q_F),
+        closed_form=closed_form,
         partial_sums=tuple(sums),
         tail=tail_bound(series, q_F))
 

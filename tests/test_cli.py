@@ -328,8 +328,9 @@ def test_suite_command_formats(capsys, monkeypatch):
     assert "[FAIL] beta: second claim" in out
 
 
-def test_run_config_defaults():
-    code, out = cli.run(cli.RunConfig(command="growth"))
+def test_run_config_defaults(capsys):
+    # the defaults are argparse's: K = 12, text output
+    code, out, _ = run_cli(capsys, ["growth", "--family", "A", "--rank", "1"])
     assert code == 0
     assert out == "growth A1 K=12 (enumerated):\n  " \
         "[1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]\n"

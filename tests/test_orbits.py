@@ -1,12 +1,18 @@
 """Field-pair tables and the orbit closures on the complement of the base field."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from buildingkit import orbits
 from buildingkit.errors import ModelError
 
 CHAR2 = [(2, 1), (2, 2), (2, 3), (2, 4)]
 ODD = [(3, 1), (5, 1), (7, 1), (3, 2)]
+# every field pair that MAX_Q = 16 admits
+ALL_FIELDS = CHAR2 + ODD + [(11, 1), (13, 1)]
 
 # canonical moduli, coefficient tuples with the constant term first
 FROZEN_MODULI = {
@@ -101,6 +107,35 @@ def _closure_oracle(f, moves):
     return groups
 
 
+def _affine_images(f):
+    """All (q - 1) q moves x -> a^2 x + b."""
+    def images(z):
+        for a in f.base_units():
+            a2 = f.base_mul(a, a)
+            for b in f.base_elements():
+                yield f.add(f.mul(a2, z), b)
+    return images
+
+
+def _inversion_images(f, c):
+    """All moves x -> 1/(a^2 c x + b), where defined and outside k_F."""
+    def images(z):
+        for a in f.base_units():
+            a2c = f.base_mul(f.base_mul(a, a), c)
+            for b in f.base_elements():
+                den = f.add(f.mul(a2c, z), b)
+                if den != 0:
+                    w = f.inv(den)
+                    if not f.in_base(w):
+                        yield w
+    return images
+
+
+def _all_images(f, c):
+    affine, inversion = _affine_images(f), _inversion_images(f, c)
+    return lambda z: [*affine(z), *inversion(z)]
+
+
 @pytest.mark.parametrize("p,n", ODD)
 def test_odd_affine_orbits_are_squareness_classes(p, n):
     f = orbits.build_fields(p, n)
@@ -109,13 +144,7 @@ def test_odd_affine_orbits_are_squareness_classes(p, n):
     assert report.orbit_count == 2
     assert report.orbit_sizes == (half, half)
 
-    def affine_images(z):
-        for a in f.base_units():
-            a2 = f.base_mul(a, a)
-            for b in f.base_elements():
-                yield f.add(f.mul(a2, z), b)
-
-    groups = _closure_oracle(f, affine_images)
+    groups = _closure_oracle(f, _affine_images(f))
     # the move multiplies the y-coordinate by a square, so each orbit is one
     # squareness class of v in z = u + q*v
     expected = [{z for z in f.nonbase_elements() if f.is_square_base(z // f.q)},
@@ -138,19 +167,7 @@ def test_inversion_merges_to_one_orbit(p, n):
     assert report.representatives == (f.q,)
     assert report.moves == "affine-square + inversion"
 
-    def all_images(z):
-        for a in f.base_units():
-            a2 = f.base_mul(a, a)
-            a2c = f.base_mul(a2, c)
-            for b in f.base_elements():
-                yield f.add(f.mul(a2, z), b)
-                den = f.add(f.mul(a2c, z), b)
-                if den != 0:
-                    w = f.inv(den)
-                    if not f.in_base(w):
-                        yield w
-
-    assert len(_closure_oracle(f, all_images)) == 1
+    assert len(_closure_oracle(f, _all_images(f, c))) == 1
 
 
 def test_square_root_candidates_listing():
@@ -171,13 +188,6 @@ def test_fraction_identity_exhaustive(p, n):
     assert report.n_checked == 2 * f.q * (f.q - 1)
     assert report.n_skipped == 0
     assert (report.x0, report.c) == FROZEN_INVERSION[f.q]
-
-
-def test_fraction_identity_sampling_cap():
-    f = orbits.build_fields(3, 1)
-    report = orbits.verify_fraction_identity(f, samples=5)
-    assert report.n_checked == 5
-    assert report.holds
 
 
 @pytest.mark.parametrize("p,n", ODD)
@@ -241,3 +251,124 @@ def test_orbit_report_json_dict():
         "schema_version": 1, "q": 3, "moves": "affine-square",
         "orbit_count": 2, "orbit_sizes": [3, 3], "representatives": [3, 6],
     }
+
+
+# -- the generator traversal against brute force, on every admitted field ------
+
+@functools.cache
+def _fields(p, n):
+    return orbits.build_fields(p, n)
+
+
+def _summary(groups):
+    groups = sorted(groups, key=min)
+    return (len(groups), tuple(sorted(map(len, groups))),
+            tuple(min(g) for g in groups), {frozenset(g) for g in groups})
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_generator_orbits_equal_the_brute_force_closure(p, n):
+    f = _fields(p, n)
+    affine = _summary(_closure_oracle(f, _affine_images(f)))
+    report = orbits.affine_square_orbits(f)
+    assert (report.orbit_count, report.orbit_sizes, report.representatives) \
+        == affine[:3]
+    assert _summary(orbits._orbits(f, orbits._affine_moves(f))) == affine
+
+    full = orbits.inversion_closure_orbits(f)
+    if p == 2:
+        assert full == report
+        return
+    _, c = orbits.canonical_inversion_data(f)
+    closure = _summary(_closure_oracle(f, _all_images(f, c)))
+    assert (full.orbit_count, full.orbit_sizes, full.representatives) \
+        == closure[:3]
+    generators = orbits._affine_moves(f) + [orbits._inversion_move(f, c)]
+    assert _summary(orbits._orbits(f, generators)) == closure
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_every_move_permutes_the_complement(p, n):
+    f = _fields(p, n)
+    domain = set(f.nonbase_elements())
+    cs = set()
+    if p != 2:
+        cs = {f.base_inv(f.mul(x, x)) for x in orbits.square_root_candidates(f)}
+        assert len(cs) == (f.q - 1) // 2  # one c per nonsquare 1/c
+    for a in f.base_units():
+        a2 = f.base_mul(a, a)
+        for b in f.base_elements():
+            assert {f.add(f.mul(a2, z), b) for z in domain} == domain
+            for c in cs:
+                # the denominator never vanishes on the complement
+                a2c = f.base_mul(a2, c)
+                assert {f.inv(f.add(f.mul(a2c, z), b)) for z in domain} == domain
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (5, 1)])
+def test_a_generator_that_does_not_permute_is_refused(p, n, monkeypatch):
+    f = _fields(p, n)
+    affine = orbits._affine_moves
+    for bad in (lambda z: z % f.q,  # lands in the base field
+                lambda z: f.q):     # not injective
+        monkeypatch.setattr(orbits, "_affine_moves",
+                            lambda fields, bad=bad: affine(fields) + [bad])
+        with pytest.raises(ModelError, match="does not permute"):
+            orbits.affine_square_orbits(f)
+        with pytest.raises(ModelError, match="does not permute"):
+            orbits.inversion_closure_orbits(f)
+    monkeypatch.setattr(orbits, "_affine_moves", affine)
+    if p != 2:
+        # squaring sends x_0 into the base field
+        monkeypatch.setattr(orbits, "_inversion_move",
+                            lambda fields, c: lambda z: fields.mul(z, z))
+        with pytest.raises(ModelError, match="does not permute"):
+            orbits.inversion_closure_orbits(f)
+
+
+def test_missing_unit_generator_is_a_model_error(monkeypatch):
+    f = orbits.build_fields(5, 1)
+    monkeypatch.setattr(f, "base_units", lambda: [1, 4])  # neither has order 4
+    with pytest.raises(ModelError, match="generator"):
+        orbits.affine_square_orbits(f)
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_orbit_work_stays_polynomial_in_q(p, n, monkeypatch):
+    # brute force over all (q - 1) q moves of a family makes about q^4
+    # calls, and q^5 once it is rerun for each x_0
+    f = _fields(p, n)
+    calls = []
+    mul = orbits.FiniteFieldPair.mul
+    monkeypatch.setattr(orbits.FiniteFieldPair, "mul",
+                        lambda self, z1, z2: calls.append(1) or mul(self, z1, z2))
+    orbits.affine_square_orbits(f)
+    assert len(calls) <= 4 * f.q ** 2
+    calls.clear()
+    orbits.inversion_closure_orbits(f)
+    assert len(calls) <= 8 * f.q ** 3
+
+
+_element = st.integers(min_value=0, max_value=255)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_FIELDS), _element, _element, _element)
+def test_field_axioms_hold_on_every_admitted_field(pn, x, y, w):
+    f = _fields(*pn)
+    x, y, w = x % f.q_ext, y % f.q_ext, w % f.q_ext
+    assert f.add(x, y) == f.add(y, x) and f.mul(x, y) == f.mul(y, x)
+    assert f.add(f.add(x, y), w) == f.add(x, f.add(y, w))
+    assert f.mul(f.mul(x, y), w) == f.mul(x, f.mul(y, w))
+    assert f.mul(x, f.add(y, w)) == f.add(f.mul(x, y), f.mul(x, w))
+    assert f.add(x, 0) == x and f.mul(x, 1) == x and f.mul(x, 0) == 0
+    assert f.add(x, f.neg(x)) == 0 and f.sub(f.add(x, y), y) == x
+    if x:
+        assert f.mul(x, f.inv(x)) == 1
+    # the base field is a subfield and the Frobenius is a field map fixing it
+    a, b = x % f.q, y % f.q
+    assert f.add(a, b) == f.base_add(a, b) < f.q
+    assert f.mul(a, b) == f.base_mul(a, b) < f.q
+    assert f.frobenius(f.add(x, y)) == f.add(f.frobenius(x), f.frobenius(y))
+    assert f.frobenius(f.mul(x, y)) == f.mul(f.frobenius(x), f.frobenius(y))
+    assert f.frobenius(a) == a

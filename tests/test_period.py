@@ -214,6 +214,38 @@ def test_truncation_cap_is_checked_before_any_series_work(monkeypatch):
             period.evaluate_period("A", 1, q, truncation=cap // bits + 1)
 
 
+def test_truncation_cap_is_checked_before_the_prime_power_test(monkeypatch):
+    # certifying a 13,000-bit q_F takes seconds; the cap needs no certificate
+    def no_certificate(q):
+        raise AssertionError("q_F certified before the cap")
+
+    monkeypatch.setattr(period, "_require_prime_power", no_certificate)
+    with pytest.raises(ValueError, match=str(period.MAX_PERIOD_BITS)):
+        period.evaluate_period("A", 1, 2**13000 + 1, truncation=1)
+
+
+def test_q_F_is_certified_once_before_any_series_work(monkeypatch):
+    calls = []
+    certify = period._require_prime_power
+    monkeypatch.setattr(period, "_require_prime_power",
+                        lambda q: calls.append(q) or certify(q))
+    period.evaluate_period("A", 2, 3)
+    assert calls == [3]
+
+    def no_series(*args):
+        raise AssertionError("series expanded for an invalid q_F")
+
+    monkeypatch.setattr(period.coxeter, "growth_from_exponents", no_series)
+    with pytest.raises(InvalidTypeError, match="prime power"):
+        period.evaluate_period("A", 2, 6)
+
+
+@pytest.mark.parametrize("q", [3.0, "3", None])
+def test_non_integer_q_F_is_an_invalid_type(q):
+    with pytest.raises(InvalidTypeError, match="integer"):
+        period.evaluate_period("A", 1, q)
+
+
 def test_truncation_at_the_cap_is_exact():
     K = period.MAX_PERIOD_BITS // 4
     res = period.evaluate_period("A", 2, 9, truncation=K)

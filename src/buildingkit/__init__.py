@@ -6,8 +6,8 @@ The package computes, all in exact rational arithmetic:
   sizes by expanding Bott's formula over them; Cayley-graph and finite-group
   enumeration serve the `growth` command and the test oracles;
 - alternating period series sum_k a_k q_F^k (-1/q_E)^k with q_E = q_F^2,
-  their closed forms as products over the exponents, geometric tail bounds,
-  and exact value bounds;
+  their closed forms as products over the exponents, heuristic geometric
+  tail estimates (not majorants), and exact value bounds;
 - a truncated (q_E+1)-regular tree containing a marked (q_F+1)-regular
   subtree, with harmonic-cocycle verification, a one-dimensional invariant
   solver, layer reconstruction, and a sign character on tree automorphisms;
@@ -27,7 +27,7 @@ from .errors import (BudgetError, InvalidTypeError, ModelError,
 from .orbits import (FiniteFieldPair, OrbitReport, affine_square_orbits,
                      build_fields, canonical_inversion_data,
                      exists_nonsquare_value, inversion_closure_orbits,
-                     verify_fraction_identity)
+                     transitivity_holds, verify_fraction_identity)
 from .period import (BoundsReport, PeriodResult, check_counting_bound,
                      check_theorem_bounds, evaluate_period, period_closed_form,
                      period_series, tail_bound)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import coxeter, orbits, period, tree
+from . import orbits, period, tree
 from .cache import cached_growth, canonical_json_bytes, series_to_json_dict
 from .coxeter import DEFAULT_ELEMENT_BUDGET, FAMILIES
 from .errors import BudgetError, ToolkitError
@@ -74,6 +74,12 @@ def _cmd_period(args):
     return ok, payload, text, csv
 
 
+def _tree_header(command, pair):
+    """The JSON keys that every tree command's payload starts with."""
+    return {"schema_version": 1, "command": command, "q_F": pair.q_F,
+            "q_E": pair.q_E, "depth": pair.depth}
+
+
 def _cmd_tree_verify(args):
     pair = tree.build_tree_pair(args.qF, args.depth)
     audit = tree.check_tree_invariants(pair)
@@ -82,11 +88,7 @@ def _cmd_tree_verify(args):
     decay = tree.decay_check(pair, cocycle)
     ok = audit.ok and harm.ok and decay == 1
     payload = {
-        "schema_version": 1,
-        "command": "tree-verify",
-        "q_F": pair.q_F,
-        "q_E": pair.q_E,
-        "depth": pair.depth,
+        **_tree_header("tree-verify", pair),
         "n_edges": pair.n_edges,
         "n_vertices": pair.n_vertices,
         "marked_census": pair.sphere_sizes(marked_only=True),
@@ -120,24 +122,17 @@ def _cmd_tree_verify(args):
 def _cmd_tree_period(args):
     pair = tree.build_tree_pair(args.qF, args.depth)
     sums = tree.tree_period(pair, tree.iwahori_cocycle(pair))
-    series = coxeter.growth_from_exponents(coxeter.build_affine_system("A", 1),
-                                           args.depth)
-    engine_sums = period.period_series(series, args.qF)
-    closed = period.period_closed_form("A", 1, args.qF)
-    tail = period.tail_bound(series, args.qF)
-    matches = sums == engine_sums
-    within_tail = abs(closed - sums[-1]) <= tail
+    result = period.evaluate_period("A", 1, args.qF, truncation=args.depth)
+    closed = result.closed_form
+    matches = tuple(sums) == result.partial_sums
+    within_tail = abs(closed - sums[-1]) <= result.tail
     ok = matches and within_tail
     payload = {
-        "schema_version": 1,
-        "command": "tree-period",
-        "q_F": pair.q_F,
-        "q_E": pair.q_E,
-        "depth": pair.depth,
+        **_tree_header("tree-period", pair),
         "partial_sums": [_rat(s) for s in sums],
         "closed_form": _rat(closed),
         "matches_series_engine": matches,
-        "tail_bound": _rat(tail),
+        "tail_bound": _rat(result.tail),
         "within_tail": within_tail,
         "ok": ok,
     }
@@ -156,11 +151,7 @@ def _cmd_invariant(args):
     pair = tree.build_tree_pair(args.qF, args.depth)
     solution = tree.invariant_solver(pair)
     payload = {
-        "schema_version": 1,
-        "command": "invariant",
-        "q_F": pair.q_F,
-        "q_E": pair.q_E,
-        "depth": pair.depth,
+        **_tree_header("invariant", pair),
         "dimension": solution.dimension,
         "profile": [_rat(c) for c in solution.profile],
         "ok": True,
@@ -177,12 +168,7 @@ def _cmd_orbit(args):
     fields = orbits.build_fields(args.p, args.n)
     affine = orbits.affine_square_orbits(fields)
     closure = orbits.inversion_closure_orbits(fields)
-    if fields.p == 2:
-        ok = affine.orbit_count == 1
-    else:
-        half = (fields.q * fields.q - fields.q) // 2
-        ok = (affine.orbit_count == 2 and affine.orbit_sizes == (half, half)
-              and closure.orbit_count == 1)
+    ok = orbits.transitivity_holds(fields, affine, closure)
     payload = {
         "schema_version": 1,
         "command": "orbit",

@@ -407,9 +407,6 @@ class OmegaElement:
     def __mul__(self, other):
         return OmegaElement(tuple(self.perm[p] for p in other.perm))
 
-    def is_identity(self):
-        return all(p == i for i, p in enumerate(self.perm))
-
 
 def _perm_sign(perm):
     sign = 1

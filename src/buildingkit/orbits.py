@@ -386,9 +386,10 @@ def inversion_closure_orbits(fields):
     """Orbits once the inversion moves are adjoined; odd characteristic only.
 
     In characteristic 2 the affine moves already act transitively and the
-    affine report is returned unchanged.  The closure is re-run with the
-    inversion generator of every valid x_0 and the partitions are checked to
-    be identical, so the canonical choice is demonstrably immaterial.
+    affine report is returned unchanged.  The closure is re-run once for
+    every other constant c, at the least x_0 giving it (x_0 and -x_0 give
+    the same c), and the partitions are checked to be identical, so the
+    canonical choice is demonstrably immaterial.
     """
     if fields.p == 2:
         return affine_square_orbits(fields)
@@ -396,12 +397,30 @@ def inversion_closure_orbits(fields):
     affine = _affine_moves(fields)
     groups = _orbits(fields, affine + [_inversion_move(fields, c)])
     reference = {frozenset(g) for g in groups}
+    tried = {c}
     for alt in square_root_candidates(fields):
         alt_c = fields.base_inv(fields.mul(alt, alt))
+        if alt_c in tried:
+            continue
+        tried.add(alt_c)
         alt_groups = _orbits(fields, affine + [_inversion_move(fields, alt_c)])
         if {frozenset(g) for g in alt_groups} != reference:
             raise ModelError(f"orbit partition depends on the choice x_0={alt}")
     return _report_from_groups(fields, groups, "affine-square + inversion")
+
+
+def transitivity_holds(fields, affine, closure):
+    """The orbit claim for the affine and the inversion-closure reports.
+
+    In characteristic 2 the affine moves are transitive.  In odd
+    characteristic they leave two orbits of size (q^2 - q)/2 each, and the
+    inversion moves merge them into one.
+    """
+    if fields.p == 2:
+        return affine.orbit_count == 1
+    half = (fields.q * fields.q - fields.q) // 2
+    return (affine.orbit_count == 2 and affine.orbit_sizes == (half, half)
+            and closure.orbit_count == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -105,20 +105,16 @@ def check_counting_bound(series, d, truncation=None):
     return rows
 
 
-def period_series(series, q_F, truncation=None):
+def period_series(series, q_F):
     """Partial sums S_0..S_K of sum_k a_k q_F^k (-1/q_E)^k, exactly."""
     if q_F < 2:
         raise ValueError(f"q_F must be >= 2, got {q_F}")
-    if truncation is None:
-        truncation = series.truncation
-    if truncation > series.truncation:
-        raise ValueError("truncation exceeds the enumerated range")
     x = Fraction(-1, q_F)
     sums = []
     acc = Fraction(0)
     power = Fraction(1)
-    for k in range(truncation + 1):
-        acc += series.coefficients[k] * power
+    for a_k in series.coefficients:
+        acc += a_k * power
         sums.append(acc)
         power *= x
     return sums
@@ -141,11 +137,13 @@ def period_closed_form(family, rank, q_F):
 
 
 def tail_bound(series, q_F):
-    """Geometric tail majorant after the last enumerated term.
+    """Geometric tail estimate after the last enumerated term.
 
     Uses ratio r = max over the last three enumerated a_{k+1}/(a_k q_F); the
-    bound is a_K q_F^(-K) * r/(1-r).  Raises ValueError when r >= 1, i.e.
-    when the enumerated window gives no contracting ratio.
+    estimate is a_K q_F^(-K) * r/(1-r).  Raises ValueError when r >= 1, i.e.
+    when the enumerated window gives no contracting ratio.  This is a
+    heuristic, not a majorant: for G2 with q_F = 7 and K = 14 the true
+    absolute tail exceeds it by a factor of about 1.016.
     """
     coeffs = series.coefficients
     K = series.truncation

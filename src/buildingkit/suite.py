@@ -71,8 +71,10 @@ class SuiteReport:
         return lines
 
 
-def _type_name(family, rank):
-    return f"{family}{rank}"
+def _check(name, claim, rows):
+    """A named check that passes when every witness row is ok."""
+    status = "pass" if all(row["ok"] for row in rows) else "fail"
+    return CheckResult(name=name, claim=claim, status=status, witness=rows)
 
 
 def run_suite(seed=DEFAULT_SEED, depth=6):
@@ -91,6 +93,8 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
               for f, r in GRID_TYPES}
     periods = {(f, r, q): period.evaluate_period(f, r, q, series=series[(f, r)])
                for f, r in GRID_TYPES for q in GRID_QF}
+    field_pairs = {pn: orbits.build_fields(*pn)
+                   for pn in ORBIT_CHAR2 + ORBIT_ODD}
     deep_trees = {q: tree.build_tree_pair(q, depth) for q in (2, 3)}
     small_trees = {q: tree.build_tree_pair(q, 4 if q <= 3 else 3)
                    for q in GRID_QF}
@@ -101,41 +105,35 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
         value = period.period_closed_form("A", 1, q)
         expected = Fraction(q - 1, q + 1)
         rows.append({"q_F": q, "value": _rat(value), "ok": value == expected})
-    checks.append(CheckResult(
-        name="rank1-closed-form",
-        claim="in rank 1 the alternating period series sums to (q_F-1)/(q_F+1) exactly",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "rank1-closed-form",
+        "in rank 1 the alternating period series sums to (q_F-1)/(q_F+1) exactly", rows))
 
-    # 2. partial sums vs closed form within the exact tail bound
+    # 2. partial sums vs closed form within the tail estimate
     rows = []
     for f, r in GRID_TYPES:
         for q in GRID_QF:
             res = periods[(f, r, q)]
             diff = abs(res.closed_form - res.partial_sums[-1])
-            rows.append({"type": _type_name(f, r), "q_F": q,
+            rows.append({"type": f"{f}{r}", "q_F": q,
                          "difference": _rat(diff), "tail_bound": _rat(res.tail),
                          "ok": diff <= res.tail})
-    checks.append(CheckResult(
-        name="series-tail-agreement",
-        claim="truncated sums at K=12 match the closed form within the exact geometric tail bound",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "series-tail-agreement",
+        "truncated sums at K=12 match the closed form within the exact geometric tail bound", rows))
 
     # 3. exact bounds on the value when q_F exceeds the rank
     rows = []
     for f, r in GRID_TYPES:
         for q in GRID_QF:
             rep = period.check_theorem_bounds(periods[(f, r, q)])
-            rows.append({"type": _type_name(f, r), "q_F": q,
+            rows.append({"type": f"{f}{r}", "q_F": q,
                          "applicable": rep.applicable, "ok": rep.holds,
                          "value": _rat(rep.value),
                          "lower": _rat(rep.lower) if rep.applicable else None})
-    checks.append(CheckResult(
-        name="period-bounds",
-        claim="1 > value > 1 - (d+1)/q_F holds exactly whenever q_F > d",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "period-bounds",
+        "1 > value > 1 - (d+1)/q_F holds exactly whenever q_F > d", rows))
 
     # 4. counting bound on sphere sizes, equality in rank 1
     rows = []
@@ -143,17 +141,15 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
         bound_rows = period.check_counting_bound(series[(f, r)], r,
                                                  truncation=COUNTING_K)
         ok = all(row.ok for row in bound_rows)
-        entry = {"type": _type_name(f, r), "ok": ok,
+        entry = {"type": f"{f}{r}", "ok": ok,
                  "min_slack": min(row.slack for row in bound_rows)}
         if (f, r) == ("A", 1):
             entry["equality"] = all(row.slack == 0 for row in bound_rows)
             entry["ok"] = ok and entry["equality"]
         rows.append(entry)
-    checks.append(CheckResult(
-        name="counting-bound",
-        claim="sphere sizes satisfy a_k <= (d+1) d^(k-1) for k <= 8, with equality in rank 1",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "counting-bound",
+        "sphere sizes satisfy a_k <= (d+1) d^(k-1) for k <= 8, with equality in rank 1", rows))
 
     # 5. tree census and structural audit
     rows = []
@@ -167,11 +163,9 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
         rows.append({"q_F": q, "depth": t.depth, "census_ok": census_ok,
                      "audit_ok": audit.ok,
                      "ok": census_ok and audit.ok})
-    checks.append(CheckResult(
-        name="tree-census",
-        claim="marked and ambient edge spheres have sizes 2 q_F^k and 2 q_E^k, and all structural invariants hold",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "tree-census",
+        "marked and ambient edge spheres have sizes 2 q_F^k and 2 q_E^k, and all structural invariants hold", rows))
 
     # 6. harmonicity and decay of the alternating geometric cocycle
     rows = []
@@ -185,11 +179,9 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
                      "interior_checked": rep.interior_checked,
                      "decay": _rat(decay),
                      "ok": rep.ok and decay == 1})
-    checks.append(CheckResult(
-        name="iwahori-harmonicity",
-        claim="the alternating geometric cocycle is harmonic at every interior vertex with decay constant exactly 1",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "iwahori-harmonicity",
+        "the alternating geometric cocycle is harmonic at every interior vertex with decay constant exactly 1", rows))
 
     # 7. one-dimensional invariant space with the forced profile
     rows = []
@@ -215,64 +207,47 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
                      "profile": [_rat(c) for c in sol.profile],
                      "profile_ok": profile_ok, "reconstruction_ok": recon_ok,
                      "ok": sol.dimension == 1 and profile_ok and recon_ok})
-    checks.append(CheckResult(
-        name="invariant-multiplicity-one",
-        claim="distance-class harmonic cocycles form a one-dimensional space with c_1 = -(q_F+1)/(q_E-q_F) and c_{d+1} = -c_d/q_E, reproduced layer by layer",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "invariant-multiplicity-one",
+        "distance-class harmonic cocycles form a one-dimensional space with c_1 = -(q_F+1)/(q_E-q_F) and c_{d+1} = -c_d/q_E, reproduced layer by layer", rows))
 
     # 8. orbit transitivity in both characteristics
     rows = []
-    for p, n in ORBIT_CHAR2:
-        fields = orbits.build_fields(p, n)
-        rep = orbits.affine_square_orbits(fields)
-        rows.append({"q": fields.q, "characteristic": 2,
-                     "affine_orbits": rep.orbit_count,
-                     "sizes": list(rep.orbit_sizes),
-                     "ok": rep.orbit_count == 1})
-    for p, n in ORBIT_ODD:
-        fields = orbits.build_fields(p, n)
+    for fields in field_pairs.values():
         aff = orbits.affine_square_orbits(fields)
         full = orbits.inversion_closure_orbits(fields)
-        half = (fields.q * fields.q - fields.q) // 2
-        rows.append({"q": fields.q, "characteristic": p,
-                     "affine_orbits": aff.orbit_count,
-                     "sizes": list(aff.orbit_sizes),
-                     "closure_orbits": full.orbit_count,
-                     "ok": (aff.orbit_count == 2
-                            and aff.orbit_sizes == (half, half)
-                            and full.orbit_count == 1)})
-    checks.append(CheckResult(
-        name="orbit-transitivity",
-        claim="affine-square moves are transitive in characteristic 2; odd characteristic gives two half-size orbits merged by the inversion moves",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+        row = {"q": fields.q, "characteristic": fields.p,
+               "affine_orbits": aff.orbit_count,
+               "sizes": list(aff.orbit_sizes)}
+        if fields.p != 2:
+            row["closure_orbits"] = full.orbit_count
+        row["ok"] = orbits.transitivity_holds(fields, aff, full)
+        rows.append(row)
+    checks.append(_check(
+        "orbit-transitivity",
+        "affine-square moves are transitive in characteristic 2; odd characteristic gives two half-size orbits merged by the inversion moves", rows))
 
     # 9. inversion rewriting identity, exhaustively
     rows = []
-    for p, n in ORBIT_ODD:
-        fields = orbits.build_fields(p, n)
+    for pn in ORBIT_ODD:
+        fields = field_pairs[pn]
         rep = orbits.verify_fraction_identity(fields)
         rows.append({"q": fields.q, "checked": rep.n_checked,
                      "skipped": rep.n_skipped, "ok": rep.holds})
-    checks.append(CheckResult(
-        name="fraction-identity",
-        claim="1/(a^2 x c + b) rewrites to (a^2 x c - b)/(a^4 c - b^2) for every coefficient pair",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "fraction-identity",
+        "1/(a^2 x c + b) rewrites to (a^2 x c - b)/(a^4 c - b^2) for every coefficient pair", rows))
 
     # 10. nonsquare witness value exists
     rows = []
-    for p, n in ORBIT_ODD:
-        fields = orbits.build_fields(p, n)
+    for pn in ORBIT_ODD:
+        fields = field_pairs[pn]
         _, c = orbits.canonical_inversion_data(fields)
         a, b = orbits.exists_nonsquare_value(fields, c)
         rows.append({"q": fields.q, "a": a, "b": b, "ok": True})
-    checks.append(CheckResult(
-        name="nonsquare-witness",
-        claim="some a, b make a^2 - b^2/(a^2 c) a nonzero nonsquare of the base field",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "nonsquare-witness",
+        "some a, b make a^2 - b^2/(a^2 c) a nonzero nonsquare of the base field", rows))
 
     # 11. sign character multiplicative on the special diagram automorphisms
     rows = []
@@ -281,15 +256,13 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
         ok = all(coxeter.epsilon_of_omega(a * b)
                  == coxeter.epsilon_of_omega(a) * coxeter.epsilon_of_omega(b)
                  for a in omega for b in omega)
-        rows.append({"type": _type_name(f, r), "order": len(omega),
+        rows.append({"type": f"{f}{r}", "order": len(omega),
                      "signs": sorted({coxeter.epsilon_of_omega(a)
                                       for a in omega}),
                      "ok": ok})
-    checks.append(CheckResult(
-        name="omega-sign-homomorphism",
-        claim="the label sign is multiplicative on the whole special automorphism group of each type",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "omega-sign-homomorphism",
+        "the label sign is multiplicative on the whole special automorphism group of each type", rows))
 
     # 12. sign character on sampled tree automorphisms
     rows = []
@@ -303,10 +276,8 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
             ok = ok and (tree.epsilon_tree(tree.compose(g, h))
                          == tree.epsilon_tree(g) * tree.epsilon_tree(h))
         rows.append({"q_F": q, "pairs": SAMPLED_PAIRS, "ok": ok})
-    checks.append(CheckResult(
-        name="tree-sign-homomorphism",
-        claim="the label sign is multiplicative on sampled tree automorphisms and the root-edge endpoint swap has sign -1",
-        status="pass" if all(r["ok"] for r in rows) else "fail",
-        witness=rows))
+    checks.append(_check(
+        "tree-sign-homomorphism",
+        "the label sign is multiplicative on sampled tree automorphisms and the root-edge endpoint swap has sign -1", rows))
 
     return SuiteReport(seed=seed, depth=depth, checks=tuple(checks))

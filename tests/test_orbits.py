@@ -372,3 +372,55 @@ def test_field_axioms_hold_on_every_admitted_field(pn, x, y, w):
     assert f.frobenius(f.add(x, y)) == f.add(f.frobenius(x), f.frobenius(y))
     assert f.frobenius(f.mul(x, y)) == f.mul(f.frobenius(x), f.frobenius(y))
     assert f.frobenius(a) == a
+
+
+ALL_ODD = ODD + [(11, 1), (13, 1)]
+
+
+def _inversion_constant(f, x0):
+    return f.base_inv(f.mul(x0, x0))
+
+
+@pytest.mark.parametrize("p,n", ALL_ODD)
+def test_closure_is_rerun_once_per_distinct_c(p, n, monkeypatch):
+    # x_0 and -x_0 give the same c, so the q - 1 choices of x_0 give
+    # (q - 1)/2 constants, the canonical one among them
+    f = _fields(p, n)
+    calls = []
+    grow = orbits._orbits
+    monkeypatch.setattr(orbits, "_orbits",
+                        lambda fields, moves: calls.append(1) or grow(fields, moves))
+    orbits.inversion_closure_orbits(f)
+    assert len(calls) == (f.q - 1) // 2
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2)])
+def test_a_partition_that_depends_on_x0_is_a_model_error(p, n, monkeypatch):
+    f = _fields(p, n)
+    _, c = orbits.canonical_inversion_data(f)
+    first_other = min(x for x in orbits.square_root_candidates(f)
+                      if _inversion_constant(f, x) != c)
+    move = orbits._inversion_move
+    # the identity permutes the complement but merges nothing
+    monkeypatch.setattr(orbits, "_inversion_move",
+                        lambda fields, k: move(fields, k) if k == c else (lambda z: z))
+    with pytest.raises(ModelError,
+                       match=f"depends on the choice x_0={first_other}$"):
+        orbits.inversion_closure_orbits(f)
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_transitivity_verdict(p, n):
+    f = _fields(p, n)
+    affine = orbits.affine_square_orbits(f)
+    closure = orbits.inversion_closure_orbits(f)
+    assert orbits.transitivity_holds(f, affine, closure)
+    if p == 2:
+        split = orbits.OrbitReport(q=f.q, moves="split", orbit_count=2,
+                                   orbit_sizes=(1, f.q * f.q - f.q - 1),
+                                   representatives=(f.q, f.q + 1))
+        assert not orbits.transitivity_holds(f, split, split)
+    else:
+        # the affine orbits alone are not merged
+        assert not orbits.transitivity_holds(f, affine, affine)
+        assert not orbits.transitivity_holds(f, closure, closure)

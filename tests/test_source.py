@@ -1,6 +1,8 @@
 """Source-level rules for the package modules."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import buildingkit
@@ -35,7 +37,6 @@ def test_coxeter_layer_is_integer_only():
     assert ".linalg" not in imported
 
 
-
 def test_period_path_never_enumerates_the_group():
     # a_k on the period path comes from the exponents; the Cayley-graph BFS
     # and its disk cache serve only the growth command and the tests
@@ -52,3 +53,19 @@ def test_period_path_never_enumerates_the_group():
             found += [f"{path.name}:{node.lineno} {name}"
                       for name in names if name in banned]
     assert found == []
+
+
+def test_traced_functions_stay_public():
+    # the benchmark times these functions by name, so deleting or renaming
+    # one belongs with a change to the benchmark
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name in (*tracing.SELF_TIMES, *tracing.COUNTERS):
+        layer, function = name.split(".")
+        module = importlib.import_module(f"buildingkit.{layer}")
+        if function not in tracing.public_functions(module):
+            missing.append(name)
+    assert tracing.SELF_TIMES and missing == []

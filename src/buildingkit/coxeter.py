@@ -1,20 +1,26 @@
-"""Irreducible affine Coxeter systems as exact integer affine transformations.
+"""Irreducible affine Coxeter systems, built and enumerated in integers.
 
 A system of family X and rank d is built from the Cartan matrix of its Dynkin
 diagram, with integers only: the positive roots, the highest root and its
-coroot are integer vectors over the simple roots and coroots.  The d+1
-generators act on the span of the simple coroots, written in the
-simple-coroot basis.  The finite simple reflections come straight from the
-Cartan matrix; the extra affine generator reflects across the wall of the
-highest root shifted by one, which is the composite of the highest-root
-reflection with translation by its coroot.  In this basis every group element
-is an integer matrix plus an integer translation vector, so equality, hashing
-and breadth-first enumeration are exact.  Lengths are always Cayley-graph BFS
-layer indices, never reduced-word bookkeeping.
+coroot are integer vectors over the simple roots and coroots.  The affine
+Cartan matrix adds the node alpha_0 = delta - theta for the highest root
+theta.  The d+1 generators are also realized as integer affine maps of the
+span of the simple coroots: the finite simple reflections come straight from
+the Cartan matrix, and the affine generator reflects across the wall of the
+highest root shifted by one.  Those maps certify the Coxeter matrix at
+construction; enumeration never multiplies them.
 
 The exponents come from the heights of the positive roots (Kostant) and the
-affine growth series from Bott's formula over them.  The BFS behind the
-`growth` command and `poincare_finite` are the oracles both are tested against.
+affine growth series from Bott's formula over them.  The `growth` command and
+`poincare_finite` count the same groups by brute force, as the oracles both
+are tested against: the group acts simply transitively on alcoves, so the
+orbit of one point x0 inside the fundamental alcove lists it.  A point x is
+stored by its integer coordinates y_i = h * alpha_i(x) for i = 0..d, where
+alpha_0(x) = 1 - theta(x) and h = ht(theta) + 1, so that x0 = rho^vee / h
+sits at y = (1, ..., 1).  The generator s_i maps y to
+y - y_i * (column i of the affine Cartan matrix), and it lengthens the
+element exactly when y_i > 0 (the numbers game), so the k-th layer of the
+walk is the set of elements of length k.
 
 Numbering: node 0 is always the affine node, nodes 1..d carry the Bourbaki
 numbering of the finite diagram.  Coxeter matrices store the order of
@@ -121,11 +127,6 @@ class AffineMap:
         self.matrix = tuple(tuple(row) for row in matrix)
         self.shift = tuple(shift)
 
-    @classmethod
-    def identity(cls, dim):
-        return cls(tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim)),
-                   (0,) * dim)
-
     def __mul__(self, other):
         # composition: (self * other)(x) = self(other(x))
         m, v = self.matrix, self.shift
@@ -177,13 +178,16 @@ class CoxeterSystem:
     """An affine Coxeter system with exact generators.
 
     coxeter_matrix is the (rank+1) square matrix of pair orders, index 0 the
-    affine node, with 0 encoding infinity.  generators[i] realizes s_i.
-    exponents lists the exponents m_1 <= ... <= m_rank of the finite part.
+    affine node, with 0 encoding infinity.  cartan_matrix is the affine
+    Cartan matrix a[i][j] = <alpha_i, alpha_j^vee> in the same numbering.
+    generators[i] realizes s_i.  exponents lists the exponents
+    m_1 <= ... <= m_rank of the finite part.
     """
 
     family: str
     rank: int
     coxeter_matrix: tuple
+    cartan_matrix: tuple
     generators: tuple
     n_positive_roots: int
     exponents: tuple
@@ -237,6 +241,9 @@ def build_affine_system(family, rank):
             raise ModelError(f"highest coroot of {family}{rank} is not integral")
         c.append(coef)
     theta_on_coroot = [sum(cartan[j][k] * c[k] for k in range(d)) for j in range(d)]
+    # affine Cartan matrix: alpha_0 = delta - theta pairs as minus theta
+    affine = ([[2] + [-t for t in t_row]]
+              + [[-theta_on_coroot[j]] + cartan[j] for j in range(d)])
 
     gens = []
     m0 = [[(1 if j == k else 0) - c[j] * t_row[k] for k in range(d)] for j in range(d)]
@@ -248,17 +255,8 @@ def build_affine_system(family, rank):
 
     # Coxeter matrix from affine Cartan products, 0/1/2/3 -> 2/3/4/6, 4 -> infinite
     order_of_product = {0: 2, 1: 3, 2: 4, 3: 6, 4: INFINITE_ORDER}
-    m = [[1] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            if i == j:
-                continue
-            if i >= 1 and j >= 1:
-                n_ij = cartan[i - 1][j - 1] * cartan[j - 1][i - 1]
-            else:
-                k = (j if i == 0 else i) - 1
-                n_ij = t_row[k] * theta_on_coroot[k]
-            m[i][j] = order_of_product[n_ij]
+    m = [[1 if i == j else order_of_product[affine[i][j] * affine[j][i]]
+          for j in range(d + 1)] for i in range(d + 1)]
 
     for i in range(d + 1):
         g2 = gens[i] * gens[i]
@@ -294,6 +292,7 @@ def build_affine_system(family, rank):
         family=family,
         rank=rank,
         coxeter_matrix=tuple(tuple(row) for row in m),
+        cartan_matrix=tuple(tuple(row) for row in affine),
         generators=tuple(gens),
         n_positive_roots=len(roots),
         exponents=exps,
@@ -303,44 +302,52 @@ def build_affine_system(family, rank):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _sphere_sizes(gens, dim, max_length, budget, overflow):
-    """Sizes of the BFS layers 0..max_length of the Cayley graph of <gens>.
+def _sphere_sizes(cartan, nodes, max_length, budget, overflow):
+    """Sizes of the layers 0..max_length of the walk from y = (1, ..., 1).
 
+    `cartan` is a Cartan matrix and `nodes` the generators s_i that may move.
+    Layer k+1 is every point s_i(y) for y in layer k with y_i > 0, so each
+    layer holds the elements of one length and only the next one is kept.
     Stops early after the first empty layer, which is then the last entry.
     Past `budget` elements raises BudgetError with `overflow` formatted with
     the number of complete layers, carrying the sizes of those layers.
     """
-    start = AffineMap.identity(dim)
-    seen = {start}
-    layer = [start]
+    moves = [(i, [(j, row[i]) for j, row in enumerate(cartan) if j != i and row[i]])
+             for i in nodes]
+    layer = [(1,) * len(cartan)]
     coeffs = [1]
     while layer and len(coeffs) <= max_length:
-        nxt = []
-        for w in layer:
-            for g in gens:
-                u = w * g
-                if u not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetError(overflow.format(len(coeffs) - 1),
-                                          partial_coefficients=coeffs, budget=budget)
-                    seen.add(u)
-                    nxt.append(u)
+        nxt = set()
+        room = budget - sum(coeffs)
+        for y in layer:
+            for i, column in moves:
+                y_i = y[i]
+                if y_i > 0:
+                    z = list(y)
+                    z[i] = -y_i
+                    for j, a_ji in column:
+                        z[j] -= y_i * a_ji
+                    nxt.add(tuple(z))
+            if len(nxt) > room:
+                raise BudgetError(overflow.format(len(coeffs) - 1),
+                                  partial_coefficients=coeffs, budget=budget)
         coeffs.append(len(nxt))
         layer = nxt
     return coeffs
 
 
 def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
-    """Sphere sizes a_0..a_K of the affine Cayley graph, by plain BFS.
+    """Sphere sizes a_0..a_K of the affine Cayley graph, by the alcove walk.
 
-    Distances are BFS layer indices over exact affine transformations.  If the
-    enumeration would exceed `budget` elements, a BudgetError is raised that
-    carries the complete layers found so far.
+    a_k counts the alcoves w(A) with length(w) = k, walked in integer
+    coordinates from a point of the fundamental alcove A (see the module
+    docstring).  If the enumeration would exceed `budget` elements, a
+    BudgetError is raised that carries the complete layers found so far.
     """
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     coeffs = _sphere_sizes(
-        system.generators, system.rank, truncation, budget,
+        system.cartan_matrix, range(system.rank + 1), truncation, budget,
         f"enumeration budget {budget} exceeded after {{}} complete layers")
     return GrowthSeries(
         family=system.family, rank=system.rank, truncation=truncation,
@@ -371,14 +378,15 @@ def poincare_finite(family, rank, budget=DEFAULT_ELEMENT_BUDGET):
     """Length generating polynomial of the finite group <s_1..s_d>.
 
     Returns the tuple of coefficients by degree; computed by exhausting the
-    finite group with BFS, so large exceptional types hit the element budget.
-    This is the brute-force oracle for the exponents and the period closed
-    form; no other function calls it.
+    finite group with the walk of `growth_coefficients` without s_0, from a
+    point of the open fundamental chamber, so E7 and E8 hit the default
+    element budget.  This is the brute-force oracle for the exponents and the
+    period closed form; no other function calls it.
     """
     system = build_affine_system(family, rank)
     # a group within the budget has fewer layers than elements, so only the
     # empty layer after the longest element ends the search; drop it
-    coeffs = _sphere_sizes(system.generators[1:], rank, budget, budget,
+    coeffs = _sphere_sizes(system.cartan_matrix, range(1, rank + 1), budget, budget,
                            f"finite group of {family}{rank} exceeds budget {budget}")[:-1]
     if len(coeffs) - 1 != system.n_positive_roots:
         raise ModelError(

@@ -165,12 +165,17 @@ class FiniteFieldPair:
         c, b, _ = self.modulus_ext
         self._ext_neg_c = self._bneg[c]
         self._ext_neg_b = self._bneg[b]
+        # k_E^* is cyclic: find a generator g by its order, then inv(g^i) = g^-i
+        order = self.q_ext - 1
+        primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
+        g = next(z for z in range(2, self.q_ext)
+                 if all(self.power(z, order // r) != 1 for r in primes))
+        powers = [1]
+        for _ in range(order - 1):
+            powers.append(self.mul(powers[-1], g))
         inv = [None] * self.q_ext
-        for z in range(1, self.q_ext):
-            if inv[z] is None:
-                w = next(w for w in range(1, self.q_ext) if self.mul(z, w) == 1)
-                inv[z] = w
-                inv[w] = z
+        for i, z in enumerate(powers):
+            inv[z] = powers[-i]
         self._einv = inv
 
     def add(self, z1, z2):

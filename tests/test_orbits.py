@@ -60,6 +60,14 @@ def test_field_arithmetic_axioms_spot():
             assert f.mul(z1, f.add(z2, 1)) == f.add(f.mul(z1, z2), z1)
 
 
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_inverse_table_equals_the_linear_search(p, n):
+    f = orbits.build_fields(p, n)
+    units = range(1, f.q_ext)
+    assert [f.inv(z) for z in units] == [
+        next(w for w in units if f.mul(z, w) == 1) for z in units]
+
+
 def test_frobenius_fixes_exactly_the_base_field():
     f = orbits.build_fields(2, 2)
     fixed = [z for z in range(f.q_ext) if f.frobenius(z) == z]

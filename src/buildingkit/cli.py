@@ -11,6 +11,7 @@ identical bytes.  Only growth enumerates the group and takes --budget and
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import orbits, period, tree
@@ -237,6 +238,7 @@ def run(args):
     return (EXIT_PASS if ok else EXIT_CHECK_FAILED), out
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="buildingkit",

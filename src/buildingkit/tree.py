@@ -6,11 +6,16 @@ through the same root edge.  Chambers are edges, panels are vertices, and
 the gallery distance between edges is the number of panel crossings, i.e.
 the BFS level at which an edge is created.
 
-Storage is flat arrays with implicit ids: edge 0 is the root edge joining
+Storage is flat columns with implicit ids: edge 0 is the root edge joining
 vertices 0 and 1, edge e (e >= 1) creates vertex e + 1 as its far endpoint,
 and the children edges of vertex v occupy the contiguous range starting at
 1 + v * q_E.  A vertex is interior when all q_E + 1 of its neighbors are
-materialized, which happens exactly when it was expanded.
+materialized, which happens exactly when it was expanded.  The 0/1 flags
+`e_in_F` and `v_in_F`, the labels `v_label` and the small counts `e_level`
+and `e_delta` are bytearrays, one byte per entry instead of an 8-byte list
+slot; `near` stays a list, since vertex ids outgrow a byte and an `array`
+would box a new int on every read.  Every function also accepts plain int
+lists for these columns.
 
 The marked subtree follows creation order: every marked vertex marks its
 first q_F children edges.  Each edge also records delta, its edge-to-edge
@@ -23,7 +28,6 @@ a `Fraction` only for their results.  Automorphisms are id-indexed lists.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
@@ -106,9 +110,11 @@ class TreePair:
 
     def sphere_sizes(self, marked_only=False):
         """Edge counts per gallery distance from the root edge."""
-        levels = islice(self.e_level, self.n_edges)
-        tally = Counter(compress(levels, self.e_in_F) if marked_only else levels)
-        return [tally[k] for k in range(self.depth + 1)]
+        levels = self.e_level[:self.n_edges]
+        if marked_only:
+            # the same column type again: bytes stay bytes, lists stay lists
+            levels = type(levels)(compress(levels, self.e_in_F))
+        return [levels.count(k) for k in range(self.depth + 1)]
 
     def to_json_dict(self):
         return {
@@ -117,13 +123,13 @@ class TreePair:
             "q_E": self.q_E,
             "depth": self.depth,
             "vertices": [
-                {"id": v, "label": self.v_label[v], "in_F": self.v_in_F[v],
+                {"id": v, "label": self.v_label[v], "in_F": bool(self.v_in_F[v]),
                  "interior": self.is_interior(v)}
                 for v in range(self.n_vertices)
             ],
             "edges": [
                 {"id": e, "near": self.near[e], "far": e + 1,
-                 "in_F": self.e_in_F[e], "level": self.e_level[e],
+                 "in_F": bool(self.e_in_F[e]), "level": self.e_level[e],
                  "delta": self.e_delta[e]}
                 for e in range(self.n_edges)
             ],
@@ -150,18 +156,20 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
             f"depth {depth}, over budget {edge_budget}",
             budget=edge_budget, smallest_failing_depth=failing)
 
+    # one byte per entry; block[x] is q_E copies of x, and no level or delta
+    # exceeds depth
+    block = [bytes([x]) * q_E for x in range(depth + 1)]
     near = [0]
-    e_in_F = [True]
-    e_level = [0]
-    e_delta = [0]
-    v_label = [0, 1]
-    v_in_F = [True, True]
+    e_in_F = bytearray(b"\x01")
+    e_level = bytearray(1)
+    e_delta = bytearray(1)
+    v_label = bytearray(b"\x00\x01")
+    v_in_F = bytearray(b"\x01\x01")
 
     # per-vertex extension templates; children of a marked vertex start with
     # its q_F marked children, all others are unmarked
-    f_flags = [True] * q_F + [False] * (q_E - q_F)
-    f_deltas = [0] * q_F + [1] * (q_E - q_F)
-    e_flags = [False] * q_E
+    f_flags = block[1][:q_F] + block[0][q_F:]
+    f_deltas = block[0][:q_F] + block[1][q_F:]
 
     v = 0
     while True:
@@ -170,16 +178,16 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
         if child_level > depth:
             break
         near.extend([v] * q_E)
-        e_level.extend([child_level] * q_E)
-        v_label.extend([1 - v_label[v]] * q_E)
+        e_level += block[child_level]
+        v_label += block[1 - v_label[v]]
         if v_in_F[v]:
-            e_in_F.extend(f_flags)
-            e_delta.extend(f_deltas)
-            v_in_F.extend(f_flags)
+            e_in_F += f_flags
+            e_delta += f_deltas
+            v_in_F += f_flags
         else:
-            e_in_F.extend(e_flags)
-            e_delta.extend([e_delta[parent] + 1] * q_E)
-            v_in_F.extend(e_flags)
+            e_in_F += block[0]
+            e_delta += block[e_delta[parent] + 1]
+            v_in_F += block[0]
         v += 1
 
     return TreePair(q_F, depth, near, e_in_F, e_level, e_delta,
@@ -570,6 +578,9 @@ def check_tree_invariants(tree):
         kids = tree.children(v)
         s, t = kids.start, kids.stop
         p = 0 if v <= 1 else v - 1
+        if p >= tree.n_edges:
+            vertex_problems.append(f"interior vertex {v} lacks its parent edge {p}")
+            continue
         degree = 1 + len(kids)
         if degree != q_E + 1:
             vertex_problems.append(f"interior vertex {v} has degree {degree}")
@@ -592,8 +603,9 @@ def check_tree_invariants(tree):
             label_problems.extend(f"edge {e} joins equal labels"
                                   for e in range(h, t) if v_label[e + 1] == label)
         deltas = e_delta[h:t]
-        # every edge at v; vertex 0's parent edge hangs at it
-        at_v = deltas + [e_delta[p]] if v else deltas
+        # every edge at v (vertex 0's parent edge hangs at it), as a list:
+        # a bytearray's count refuses the d - 1 = -1 asked below
+        at_v = [*deltas, e_delta[p]] if v else [*deltas]
         least = min(at_v)
         n_least = at_v.count(least)
         # sound: q_F + 1 marked edges at delta 0, or the parent edge alone at

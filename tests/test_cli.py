@@ -278,6 +278,20 @@ def test_exit_usage_on_argparse_errors():
     assert exc.value.code == 2
 
 
+def test_cached_parser_survives_a_usage_error(capsys):
+    # the parser is built once per process; a failed parse must not leak
+    # into the next command, whose defaults (here --depth) still apply
+    valid = ["tree-verify", "--qF", "2", "--format", "json"]
+    cli._build_parser.cache_clear()
+    fresh = run_cli(capsys, valid)
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tree-verify", "--qF", "3", "--depth", "x", "--format", "csv"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, valid) == fresh
+
+
 def test_exit_budget(capsys):
     code, _, err = run_cli(capsys, ["growth", "--family", "A", "--rank", "2",
                                     "--K", "12", "--budget", "100"])

@@ -1,6 +1,7 @@
 """Tree pair structure, cocycles, the invariant solver, automorphisms."""
 
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -291,6 +292,9 @@ def test_tree_json_dict():
     assert len(data["edges"]) == 9
     assert data["edges"][0] == {"id": 0, "near": 0, "far": 1, "in_F": True,
                                 "level": 0, "delta": 0}
+    # JSON booleans, not the 0/1 bytes the columns store
+    assert data["edges"][0]["in_F"] is True and data["edges"][3]["in_F"] is False
+    assert data["vertices"][1]["in_F"] is True and data["vertices"][9]["in_F"] is False
     assert data["vertices"][0]["interior"] and not data["vertices"][5]["interior"]
 
 
@@ -450,6 +454,25 @@ def test_audit_reports_damaged_trees():
                 deltas = list(t.e_delta)
                 deltas[e] = d
                 assert problems(e_delta=deltas), (e, d)
+    # edge columns cut short, even before the parent edge of an expanded vertex
+    for q in (2, 3):
+        t = tree.build_tree_pair(q, 2)
+        for k in range(1, t.n_edges):
+            cut = {name: getattr(t, name)[:k]
+                   for name in ("near", "e_in_F", "e_level", "e_delta")}
+            assert tree.check_tree_invariants(damaged(t, **cut)).problems, (q, k)
+
+
+@pytest.mark.parametrize("q,depth", [(3, 5), (2, 8)])
+def test_tree_pair_keeps_few_bytes_per_edge(q, depth):
+    # one byte per flag, level, delta and label; `near` is the one list
+    tracemalloc.start()
+    try:
+        t = tree.build_tree_pair(q, depth)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 24 * t.n_edges, kept / t.n_edges
 
 
 def test_invariant_solver_raises_on_degenerate_model(monkeypatch):

@@ -5,7 +5,8 @@ orbit, suite.  Every command supports --format json|csv|text; JSON output is
 canonical (sorted keys, fixed indentation) so identical configurations print
 identical bytes.  Only growth enumerates the group and takes --budget and
 --cache-dir.  Exit codes: 0 all checks passed, 1 a mathematical check failed,
-2 invalid usage or arguments, 3 enumeration budget exceeded (growth only).
+2 invalid usage or arguments, 3 a budget exceeded: growth's element budget,
+or the tree edge budget of tree-verify, tree-period, invariant and suite.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ def _csv(rows):
 
 
 def _cmd_growth(args):
+    if args.budget < 1:
+        raise ValueError(
+            f"enumeration budget must be at least 1, got {args.budget}")
     series = cached_growth(args.family, args.rank, args.K,
                            cache_dir=args.cache_dir, budget=args.budget)
     payload = series_to_json_dict(series)
@@ -168,7 +172,8 @@ def _cmd_invariant(args):
 def _cmd_orbit(args):
     fields = orbits.build_fields(args.p, args.n)
     affine = orbits.affine_square_orbits(fields)
-    closure = orbits.inversion_closure_orbits(fields)
+    # in characteristic 2 the inversion closure is the affine report itself
+    closure = affine if fields.p == 2 else orbits.inversion_closure_orbits(fields)
     ok = orbits.transitivity_holds(fields, affine, closure)
     payload = {
         "schema_version": 1,

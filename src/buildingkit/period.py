@@ -90,14 +90,10 @@ class CountingBoundRow:
     slack: int
 
 
-def check_counting_bound(series, d, truncation=None):
+def check_counting_bound(series, d):
     """Per-k report of a_k <= (d+1) d^(k-1); slack 0 rows are equalities."""
-    if truncation is None:
-        truncation = series.truncation
-    if truncation > series.truncation:
-        raise ValueError("truncation exceeds the enumerated range")
     rows = []
-    for k in range(1, truncation + 1):
+    for k in range(1, series.truncation + 1):
         bound = (d + 1) * d ** (k - 1)
         a_k = series.coefficients[k]
         rows.append(CountingBoundRow(k=k, coefficient=a_k, bound=bound,
@@ -182,27 +178,21 @@ class PeriodResult:
         }
 
 
-def evaluate_period(family, rank, q_F, truncation=12, series=None):
+def evaluate_period(family, rank, q_F, truncation=12):
     """Assemble a PeriodResult: expand, sum, close, and bound the tail.
 
-    A precomputed growth series for the same type may replace the expansion
-    over the exponents; its truncation then overrides the argument.  The K
-    cap is checked first, and the closed form certifies q_F before any
-    series work.
+    The K cap is checked first, and the closed form certifies q_F before
+    any series work.
     """
     if not isinstance(q_F, int):
         raise InvalidTypeError(f"q_F must be an integer >= 2, got {q_F!r}")
-    K = truncation if series is None else series.truncation
-    bits = K * (q_F - 1).bit_length()
+    bits = truncation * (q_F - 1).bit_length()
     if bits > MAX_PERIOD_BITS:
         raise ValueError(f"K * bit_length(q_F - 1) = {bits} exceeds the cap of "
                          f"{MAX_PERIOD_BITS} bits")
     closed_form = period_closed_form(family, rank, q_F)
-    system = coxeter.build_affine_system(family, rank)
-    if series is None:
-        series = coxeter.growth_from_exponents(system, truncation)
-    elif (series.family, series.rank) != (family, rank):
-        raise ValueError("precomputed series belongs to a different type")
+    series = coxeter.growth_from_exponents(
+        coxeter.build_affine_system(family, rank), truncation)
     sums = period_series(series, q_F)
     return PeriodResult(
         family=family, rank=rank, q_F=q_F, q_E=q_F * q_F,

@@ -88,10 +88,8 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     checks = []
 
     # shared artifacts
-    series = {(f, r): coxeter.growth_from_exponents(
-                  coxeter.build_affine_system(f, r), SUITE_TRUNCATION)
-              for f, r in GRID_TYPES}
-    periods = {(f, r, q): period.evaluate_period(f, r, q, series=series[(f, r)])
+    periods = {(f, r, q): period.evaluate_period(f, r, q,
+                                                 truncation=SUITE_TRUNCATION)
                for f, r in GRID_TYPES for q in GRID_QF}
     field_pairs = {pn: orbits.build_fields(*pn)
                    for pn in ORBIT_CHAR2 + ORBIT_ODD}
@@ -138,8 +136,8 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     # 4. counting bound on sphere sizes, equality in rank 1
     rows = []
     for f, r in GRID_TYPES:
-        bound_rows = period.check_counting_bound(series[(f, r)], r,
-                                                 truncation=COUNTING_K)
+        bound_rows = period.check_counting_bound(coxeter.growth_from_exponents(
+            coxeter.build_affine_system(f, r), COUNTING_K), r)
         ok = all(row.ok for row in bound_rows)
         entry = {"type": f"{f}{r}", "ok": ok,
                  "min_slack": min(row.slack for row in bound_rows)}
@@ -215,7 +213,7 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     rows = []
     for fields in field_pairs.values():
         aff = orbits.affine_square_orbits(fields)
-        full = orbits.inversion_closure_orbits(fields)
+        full = aff if fields.p == 2 else orbits.inversion_closure_orbits(fields)
         row = {"q": fields.q, "characteristic": fields.p,
                "affine_orbits": aff.orbit_count,
                "sizes": list(aff.orbit_sizes)}

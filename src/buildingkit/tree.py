@@ -9,17 +9,18 @@ the BFS level at which an edge is created.
 Storage is flat columns with implicit ids: edge 0 is the root edge joining
 vertices 0 and 1, edge e (e >= 1) creates vertex e + 1 as its far endpoint,
 and the children edges of vertex v occupy the contiguous range starting at
-1 + v * q_E.  A vertex is interior when all q_E + 1 of its neighbors are
-materialized, which happens exactly when it was expanded.  The 0/1 flags
-`e_in_F` and `v_in_F`, the labels `v_label` and the small counts `e_level`
-and `e_delta` are bytearrays, one byte per entry instead of an 8-byte list
-slot; `near` stays a list, since vertex ids outgrow a byte and an `array`
-would box a new int on every read.  Every function also accepts plain int
-lists for these columns.
+1 + v * q_E, so edge e >= 1 hangs at vertex (e - 1) // q_E.  A vertex is
+interior when all q_E + 1 of its neighbors are materialized, which happens
+exactly when it was expanded; the first 2 (q_E^depth - 1) / (q_E - 1)
+vertices are.  The tree stores only the columns its construction decides,
+as bytearrays of one byte per entry: the 0/1 flags `e_in_F`, the labels
+`v_label` and the small counts `e_level` and `e_delta`.  Every function
+also accepts plain int lists for these columns.
 
 The marked subtree follows creation order: every marked vertex marks its
-first q_F children edges.  Each edge also records delta, its edge-to-edge
-gallery distance to the nearest marked edge.
+first q_F children edges, and a vertex is marked exactly when the edge that
+created it is.  Each edge also records delta, its edge-to-edge gallery
+distance to the nearest marked edge.
 
 Cocycles are integer numerators over one common denominator, so the
 harmonicity, decay and period passes do integer arithmetic per edge and build
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import chain, compress, islice, repeat
 from math import lcm
-from operator import gt, mul
+from operator import mul
 
 from .errors import BudgetError, ModelError
 from .linalg import nullspace
@@ -54,25 +55,22 @@ def _projected_edges(q_E, depth):
 class TreePair:
     """Truncated (q_E+1)-regular tree with a marked (q_F+1)-regular subtree."""
 
-    def __init__(self, q_F, depth, near, e_in_F, e_level, e_delta,
-                 v_label, v_in_F, n_expanded):
+    def __init__(self, q_F, depth, e_in_F, e_level, e_delta, v_label):
         self.q_F = q_F
         self.q_E = q_F * q_F
         self.depth = depth
-        self.near = near
         self.e_in_F = e_in_F
         self.e_level = e_level
         self.e_delta = e_delta
         self.v_label = v_label
-        self.v_in_F = v_in_F
-        self.n_expanded = n_expanded
-        self.n_edges = len(near)
-        self.n_vertices = len(v_label)
+        self.n_edges = _projected_edges(self.q_E, depth)
+        self.n_expanded = (self.n_edges - 1) // self.q_E
+        self.n_vertices = self.n_edges + 1
 
     # -- structure accessors -------------------------------------------------
 
     def endpoints(self, e):
-        return self.near[e], e + 1
+        return (e - 1) // self.q_E if e else 0, e + 1
 
     def parent_edge(self, v):
         # both endpoints of the root edge point back to it
@@ -83,7 +81,7 @@ class TreePair:
         if v >= self.n_expanded:
             return range(0)
         start = 1 + v * self.q_E
-        return range(start, max(start, min(start + self.q_E, self.n_edges)))
+        return range(start, start + self.q_E)
 
     def incident_edges(self, v):
         yield self.parent_edge(v)
@@ -102,7 +100,7 @@ class TreePair:
         candidate is that edge; ids outside the tree give None.
         """
         lo, hi = (u, w) if u < w else (w, u)
-        if not 0 <= lo < hi <= self.n_edges or self.near[hi - 1] != lo:
+        if not 0 <= lo < hi <= self.n_edges or self.endpoints(hi - 1)[0] != lo:
             return None
         return hi - 1
 
@@ -110,7 +108,7 @@ class TreePair:
 
     def sphere_sizes(self, marked_only=False):
         """Edge counts per gallery distance from the root edge."""
-        levels = self.e_level[:self.n_edges]
+        levels = self.e_level
         if marked_only:
             # the same column type again: bytes stay bytes, lists stay lists
             levels = type(levels)(compress(levels, self.e_in_F))
@@ -123,12 +121,13 @@ class TreePair:
             "q_E": self.q_E,
             "depth": self.depth,
             "vertices": [
-                {"id": v, "label": self.v_label[v], "in_F": bool(self.v_in_F[v]),
+                {"id": v, "label": self.v_label[v],
+                 "in_F": bool(self.e_in_F[self.parent_edge(v)]),
                  "interior": self.is_interior(v)}
                 for v in range(self.n_vertices)
             ],
             "edges": [
-                {"id": e, "near": self.near[e], "far": e + 1,
+                {"id": e, "near": self.endpoints(e)[0], "far": e + 1,
                  "in_F": bool(self.e_in_F[e]), "level": self.e_level[e],
                  "delta": self.e_delta[e]}
                 for e in range(self.n_edges)
@@ -148,50 +147,41 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     q_E = q_F * q_F
-    if _projected_edges(q_E, depth) > edge_budget:
+    n_edges = _projected_edges(q_E, depth)
+    if n_edges > edge_budget:
         failing = next(L for L in range(1, depth + 1)
                        if _projected_edges(q_E, L) > edge_budget)
         raise BudgetError(
-            f"tree with q_F={q_F} needs {_projected_edges(q_E, depth)} edges at "
+            f"tree with q_F={q_F} needs {n_edges} edges at "
             f"depth {depth}, over budget {edge_budget}",
             budget=edge_budget, smallest_failing_depth=failing)
 
     # one byte per entry; block[x] is q_E copies of x, and no level or delta
     # exceeds depth
     block = [bytes([x]) * q_E for x in range(depth + 1)]
-    near = [0]
     e_in_F = bytearray(b"\x01")
     e_level = bytearray(1)
     e_delta = bytearray(1)
     v_label = bytearray(b"\x00\x01")
-    v_in_F = bytearray(b"\x01\x01")
 
     # per-vertex extension templates; children of a marked vertex start with
     # its q_F marked children, all others are unmarked
     f_flags = block[1][:q_F] + block[0][q_F:]
     f_deltas = block[0][:q_F] + block[1][q_F:]
 
-    v = 0
-    while True:
+    # vertex v is marked exactly when its parent edge is
+    for v in range((n_edges - 1) // q_E):
         parent = 0 if v <= 1 else v - 1
-        child_level = e_level[parent] + 1
-        if child_level > depth:
-            break
-        near.extend([v] * q_E)
-        e_level += block[child_level]
+        e_level += block[e_level[parent] + 1]
         v_label += block[1 - v_label[v]]
-        if v_in_F[v]:
+        if e_in_F[parent]:
             e_in_F += f_flags
             e_delta += f_deltas
-            v_in_F += f_flags
         else:
             e_in_F += block[0]
             e_delta += block[e_delta[parent] + 1]
-            v_in_F += block[0]
-        v += 1
 
-    return TreePair(q_F, depth, near, e_in_F, e_level, e_delta,
-                    v_label, v_in_F, n_expanded=v)
+    return TreePair(q_F, depth, e_in_F, e_level, e_delta, v_label)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +284,7 @@ def decay_check(tree, cocycle):
     """Exact sup over edges of |value| * q_E^(distance to the root edge)."""
     scale = [tree.q_E ** k for k in range(tree.depth + 1)]
     best = max(map(mul, map(abs, cocycle.nums),
-                   map(scale.__getitem__, islice(tree.e_level, tree.n_edges))),
+                   map(scale.__getitem__, tree.e_level)),
                default=0)
     return Fraction(best, cocycle.den)
 
@@ -367,7 +357,7 @@ def reconstruct_layer(tree, values):
     panels = {}
     for e in range(tree.n_edges):
         if tree.e_delta[e] == delta + 1:
-            panels.setdefault(tree.near[e], []).append(e)
+            panels.setdefault(tree.endpoints(e)[0], []).append(e)
     for panel, outer in panels.items():
         if not tree.is_interior(panel):
             raise ModelError("outer edge hangs at a boundary panel")
@@ -415,18 +405,23 @@ class TreeAutomorphism:
             raise ValueError("vertex map is not injective")
         self.vertex_map = vm
 
-        # the edge joining images lo < hi can only be edge hi - 1; -1 marks
-        # a mapped pair that is not an edge
-        near = tree.near
+        # the images of the near endpoints: vm[0] for the root edge, then
+        # each expanded vertex's image once per child edge
+        q_E = tree.q_E
+        near_images = chain((vm[0],), chain.from_iterable(
+            map(repeat, vm[:tree.n_expanded], repeat(q_E))))
+        # the edge joining images lo < hi can only be edge hi - 1, which
+        # hangs at vertex 0 when hi == 1 and at (hi - 2) // q_E otherwise;
+        # -1 marks a mapped pair that is not an edge
         edge_map = [None if a is None or b is None
-                    else (b - 1 if near[b - 1] == a else -1) if a < b
-                    else (a - 1 if near[a - 1] == b else -1)
-                    for a, b in zip(map(vm.__getitem__, near), islice(vm, 1, None))]
+                    else (b - 1 if b == 1 or (b - 2) // q_E == a else -1) if a < b
+                    else (a - 1 if a == 1 or (a - 2) // q_E == b else -1)
+                    for a, b in zip(near_images, islice(vm, 1, None))]
         if -1 in edge_map:
             e = edge_map.index(-1)
             raise ValueError(
                 f"vertex map breaks adjacency: edge {e} maps to non-edge "
-                f"({vm[near[e]]},{vm[e + 1]})")
+                f"({vm[tree.endpoints(e)[0]]},{vm[e + 1]})")
         self.edge_map = edge_map
 
 
@@ -559,33 +554,36 @@ class TreeAuditReport:
 def check_tree_invariants(tree):
     """Audit the structural invariants of a built tree pair.
 
-    Checks interior degrees (counting only materialized edges), that every
-    child edge hangs at its vertex, marked-subtree degrees and connectivity,
-    label alternation across every edge, sphere censuses, and the delta
-    recursion (each delta >= 2 edge has exactly one inner neighbor one class
-    closer; each delta = 1 edge hangs at a marked vertex carrying q_F + 1
-    marked edges; at every interior vertex each edge has the least delta m
-    there or m + 1, and m is carried by q_F + 1 edges when m = 0 and by
-    exactly one edge otherwise).  A malformed tree is reported, never raised
-    on.
+    First checks that every column has one entry per edge or vertex, and on
+    a mismatch reports only that.  Then checks marked-subtree degrees and
+    connectivity, label alternation across every edge, sphere censuses, and
+    the delta recursion (each delta >= 2 edge has exactly one inner neighbor
+    one class closer; each delta = 1 edge hangs at a marked vertex carrying
+    q_F + 1 marked edges; at every interior vertex each edge has the least
+    delta m there or m + 1, and m is carried by q_F + 1 edges when m = 0 and
+    by exactly one edge otherwise).  Incidence is the id layout itself, so
+    degrees and endpoints need no check.  A malformed tree is reported,
+    never raised on.
     """
     q_F, q_E = tree.q_F, tree.q_E
-    near, e_in_F, e_delta = tree.near, tree.e_in_F, tree.e_delta
-    v_label, v_in_F = tree.v_label, tree.v_in_F
-    vertex_problems, near_problems, label_problems, delta_problems = [], [], [], []
+    e_in_F, e_delta, v_label = tree.e_in_F, tree.e_delta, tree.v_label
+    short = [f"column {name} has {len(column)} entries, expected {n}"
+             for name, column, n in (("e_in_F", e_in_F, tree.n_edges),
+                                     ("e_level", tree.e_level, tree.n_edges),
+                                     ("e_delta", e_delta, tree.n_edges),
+                                     ("v_label", v_label, tree.n_vertices))
+             if len(column) != n]
+    if short:
+        return TreeAuditReport(problems=tuple(short))
+    vertex_problems, label_problems, delta_problems = [], [], []
 
     for v in range(tree.n_expanded):
         kids = tree.children(v)
         s, t = kids.start, kids.stop
         p = 0 if v <= 1 else v - 1
-        if p >= tree.n_edges:
-            vertex_problems.append(f"interior vertex {v} lacks its parent edge {p}")
-            continue
-        degree = 1 + len(kids)
-        if degree != q_E + 1:
-            vertex_problems.append(f"interior vertex {v} has degree {degree}")
         n_marked = e_in_F[p] + e_in_F[s:t].count(True)
-        if v_in_F[v]:
+        # v is marked exactly when its parent edge is
+        if e_in_F[p]:
             if n_marked != q_F + 1:
                 vertex_problems.append(
                     f"marked interior vertex {v} has {n_marked} marked edges")
@@ -595,9 +593,6 @@ def check_tree_invariants(tree):
 
         # the edges hanging at v: its children, and the root edge at vertex 0
         h = 0 if v == 0 else s
-        if near[h:t].count(v) != t - h:
-            near_problems.extend(f"edge {e} hangs at vertex {near[e]}, not {v}"
-                                 for e in range(h, t) if near[e] != v)
         label = v_label[v]
         if label in v_label[h + 1:t + 1]:
             label_problems.extend(f"edge {e} joins equal labels"
@@ -636,12 +631,6 @@ def check_tree_invariants(tree):
             delta_problems.append(
                 f"vertex {v} has {n_least} edges at its least delta={least}")
 
-    # a boundary vertex touches only its parent edge, when that is materialized
-    lo, hi = tree.n_expanded, min(tree.n_vertices, tree.n_edges + 1)
-    vertex_problems.extend(
-        f"unmarked vertex {v} touches 1 marked edges"
-        for v in compress(range(lo, hi), map(gt, e_in_F[lo - 1:hi - 1], v_in_F[lo:hi])))
-
     # marked subtree connected: walk marked edges from the root edge
     marked_edges = set(compress(range(tree.n_edges), e_in_F))
     seen_vertices = {0, 1}
@@ -652,11 +641,13 @@ def check_tree_invariants(tree):
         for e in tree.incident_edges(v):
             if e in marked_edges and e not in seen_edges:
                 seen_edges.add(e)
-                other = near[e] if near[e] != v else e + 1
+                # a child edge leads to its far endpoint, the parent edge
+                # to its near one
+                other = e + 1 if e + 1 != v else (e - 1) // q_E if e else 0
                 if other not in seen_vertices:
                     seen_vertices.add(other)
                     stack.append(other)
-    problems = vertex_problems + near_problems + label_problems
+    problems = vertex_problems + label_problems
     if seen_edges != marked_edges:
         problems.append("marked subtree is not connected to the root edge")
 

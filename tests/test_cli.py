@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from buildingkit import cache, cli, coxeter
+from buildingkit import cache, cli, coxeter, orbits
 from buildingkit.coxeter import build_affine_system, growth_coefficients
 
 
@@ -297,6 +297,52 @@ def test_exit_budget(capsys):
                                     "--K", "12", "--budget", "100"])
     assert code == 3
     assert "budget exceeded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree-verify", "--qF", "9", "--depth", "5"],
+    ["tree-period", "--qF", "9", "--depth", "5"],
+    ["invariant", "--qF", "9", "--depth", "5"],
+    ["suite", "--depth", "7"],
+])
+def test_exit_budget_of_the_tree_commands(capsys, argv):
+    # the tree edge budget stops every command that builds a tree
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: tree with q_F=")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("use_cache", [False, True])
+def test_growth_budget_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                  budget, use_cache):
+    def never(*args, **kwargs):
+        raise AssertionError("looked up or enumerated a series")
+
+    monkeypatch.setattr(cli, "cached_growth", never)
+    argv = ["growth", "--family", "A", "--rank", "2", "--budget", budget]
+    if use_cache:
+        argv += ["--cache-dir", str(tmp_path)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == ("invalid arguments: enumeration budget must be at least 1, "
+                   f"got {budget}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_char2_builds_the_affine_orbits_once(capsys, monkeypatch, n):
+    calls = []
+    traverse = orbits._orbits
+
+    def counted(*args):
+        calls.append(args)
+        return traverse(*args)
+
+    monkeypatch.setattr(orbits, "_orbits", counted)
+    code, _, _ = run_cli(capsys, ["orbit", "--p", "2", "--n", str(n)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("argv", [

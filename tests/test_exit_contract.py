@@ -1,0 +1,142 @@
+"""The exit-code contract of the command line, drawn over small argv domains.
+
+Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
+never with a traceback; exits 2 and 3 print nothing on stdout and say why on
+stderr; the same argv prints the same bytes twice.  A fixed subset and the
+damaged-tree audit also run under `python -O`, which strips asserts.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from buildingkit import cli, tree
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process command line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def values(*xs):
+    return st.sampled_from([str(x) for x in xs])
+
+
+def option(name, strategy, required=False):
+    pair = strategy.map(lambda value: [name, value])
+    return pair if required else st.one_of(st.just([]), pair)
+
+
+def command(name, *options):
+    return st.tuples(st.just([name]), *options).map(
+        lambda parts: [arg for part in parts for arg in part])
+
+
+FAMILIES = values("A", "B", "C", "D", "E", "F", "G", "H")
+RANKS = values(0, 1, 2, 3, 4, 8, 99, "x")
+
+# tree sizes stay small: (3, 5) has 132k edges, and (5, 5) or (9, 5) exceed
+# the edge budget before anything is built
+COMMANDS = st.one_of(
+    command("growth", option("--family", FAMILIES), option("--rank", RANKS),
+            option("--K", values(-1, 0, 1, 4, "x"), required=True),
+            option("--budget", values(-5, 0, 1, 100, 2000000))),
+    command("period", option("--family", FAMILIES), option("--rank", RANKS),
+            option("--qF", values(0, 1, 2, 3, 4, 6, 9, "x")),
+            option("--K", values(-1, 0, 1, 4, 12, 20000))),
+    *(command(name, option("--qF", values(2, 3, 5, 6, 9, "x")),
+              option("--depth", values(-1, 0, 1, 2, 5), required=True))
+      for name in ("tree-verify", "tree-period", "invariant")),
+    command("orbit", option("--p", values(-3, 1, 2, 3, 4, 5, 7, 17, "x")),
+            option("--n", values(0, 1, 2, 3, 4, 5))),
+    # only invalid suite runs: a valid one takes seconds
+    command("suite", option("--depth", values(3, 5, 7, "x"), required=True),
+            option("--seed", values(1, 2))),
+    st.sampled_from([[], ["no-such-command"]]),
+)
+FORMATS = st.sampled_from([[], ["--format", "json"], ["--format", "csv"],
+                           ["--format", "text"], ["--format", "xml"]])
+EXTRAS = st.sampled_from([[], ["--budget", "5"], ["--seed", "3"], ["--bogus"]])
+
+
+@settings(max_examples=250, deadline=None)
+@given(parts=st.tuples(COMMANDS, FORMATS, EXTRAS))
+def test_exit_code_contract(parts):
+    argv = [arg for part in parts for arg in part]
+    first = run(argv)
+    code, out, err = first
+    assert code in (0, 1, 2, 3), first
+    assert "Traceback" not in err
+    if code in (2, 3):
+        assert out == "" and err
+    assert run(argv) == first
+
+
+# -- the same answers under python -O ------------------------------------------
+
+FIXED_ARGVS = [
+    ["growth", "--family", "A", "--rank", "2", "--K", "12", "--budget", "100"],
+    ["growth", "--family", "A", "--rank", "2", "--budget", "-5"],
+    ["growth", "--family", "G", "--rank", "2", "--K", "4", "--format", "json"],
+    ["period", "--family", "A", "--rank", "1", "--qF", "6"],
+    ["period", "--family", "C", "--rank", "2", "--qF", "3", "--format", "csv"],
+    ["tree-verify", "--qF", "2", "--depth", "3", "--format", "json"],
+    ["tree-period", "--qF", "9", "--depth", "5"],
+    ["invariant", "--qF", "3", "--depth", "1"],
+    ["orbit", "--p", "3", "--n", "2"],
+    ["suite", "--depth", "7"],
+    ["tree-verify", "--qF", "2", "--budget", "5"],
+]
+
+
+def damaged_audits():
+    """Audit problems of damaged (2, 2) trees: one entry of a label, mark or
+    delta flipped, or one column cut to 5 entries."""
+    t = tree.build_tree_pair(2, 2)
+    columns = ("e_in_F", "e_level", "e_delta", "v_label")
+    audits = []
+    for column, i in (("v_label", 20), ("e_in_F", 1), ("e_delta", 17)):
+        fields = {name: list(getattr(t, name)) for name in columns}
+        fields[column][i] ^= 1
+        audits.append(tree.check_tree_invariants(
+            tree.TreePair(t.q_F, t.depth, **fields)).problems)
+    for cut in columns:
+        fields = {name: getattr(t, name)[:5 if name == cut else None]
+                  for name in columns}
+        audits.append(tree.check_tree_invariants(
+            tree.TreePair(t.q_F, t.depth, **fields)).problems)
+    return [list(problems) for problems in audits]
+
+
+def observed():
+    return {"runs": [list(run(argv)) for argv in FIXED_ARGVS],
+            "audits": damaged_audits()}
+
+
+def test_optimized_run_answers_the_same():
+    here = Path(__file__).resolve().parent
+    src = here.parent / "src"
+    script = ("import json, sys; import test_exit_contract as t; "
+              "print(json.dumps([sys.flags.optimize, t.observed()]))")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    optimize, answers = json.loads(proc.stdout)
+    assert optimize == 1
+    expected = observed()
+    assert all(problems for problems in expected["audits"])
+    assert answers == expected

@@ -74,7 +74,7 @@ def test_delta_recursion_invariant_directly():
         delta = t.e_delta[e]
         if delta == 0:
             continue
-        closer = sum(1 for x in t.incident_edges(t.near[e])
+        closer = sum(1 for x in t.incident_edges(t.endpoints(e)[0])
                      if t.e_delta[x] == delta - 1)
         assert closer == (t.q_F + 1 if delta == 1 else 1), (e, delta)
 
@@ -411,11 +411,13 @@ def test_harmonic_cocycles_match_fraction_references(q, depth):
 
 # -- the audit reports damage instead of raising ------------------------------
 
+COLUMNS = ("e_in_F", "e_level", "e_delta", "v_label")
+
+
 def damaged(t, **arrays):
-    fields = {name: list(getattr(t, name)) for name in
-              ("near", "e_in_F", "e_level", "e_delta", "v_label", "v_in_F")}
+    fields = {name: list(getattr(t, name)) for name in COLUMNS}
     fields.update(arrays)
-    return tree.TreePair(t.q_F, t.depth, n_expanded=t.n_expanded, **fields)
+    return tree.TreePair(t.q_F, t.depth, **fields)
 
 
 def test_audit_reports_damaged_trees():
@@ -424,24 +426,20 @@ def test_audit_reports_damaged_trees():
     def problems(**arrays):
         return tree.check_tree_invariants(damaged(t, **arrays)).problems
 
-    assert problems(near=t.near[:-1]) == ("interior vertex 9 has degree 4",
-                                          "ambient sphere census mismatch")
     labels = list(t.v_label)
     labels[20] ^= 1
     assert problems(v_label=labels) == ("edge 19 joins equal labels",)
     marked = list(t.e_in_F)
     marked[1] = False
+    # vertex 2 is created by edge 1, so it is unmarked now
     assert problems(e_in_F=marked) == (
         "marked interior vertex 0 has 2 marked edges",
-        "marked interior vertex 2 has 2 marked edges",
+        "unmarked vertex 2 touches 2 marked edges",
         "marked subtree is not connected to the root edge",
         "marked sphere census mismatch")
     deltas = list(t.e_delta)
     deltas[17] += 1
     assert problems(e_delta=deltas) == ("edge 17 at delta=3 has 3 inner neighbors",)
-    near = list(t.near)
-    near[7] = 3
-    assert problems(near=near) == ("edge 7 hangs at vertex 3, not 1",)
     # edge 12 still has one delta-1 neighbor, but its panel's least delta is 0
     deltas = list(t.e_delta)
     deltas[12] = 2
@@ -454,25 +452,42 @@ def test_audit_reports_damaged_trees():
                 deltas = list(t.e_delta)
                 deltas[e] = d
                 assert problems(e_delta=deltas), (e, d)
-    # edge columns cut short, even before the parent edge of an expanded vertex
-    for q in (2, 3):
-        t = tree.build_tree_pair(q, 2)
-        for k in range(1, t.n_edges):
-            cut = {name: getattr(t, name)[:k]
-                   for name in ("near", "e_in_F", "e_level", "e_delta")}
-            assert tree.check_tree_invariants(damaged(t, **cut)).problems, (q, k)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_audit_reports_columns_of_the_wrong_length(q):
+    t = tree.build_tree_pair(q, 2)
+    sizes = {name: len(getattr(t, name)) for name in COLUMNS}
+    assert sizes == {"e_in_F": t.n_edges, "e_level": t.n_edges,
+                     "e_delta": t.n_edges, "v_label": t.n_vertices}
+
+    def problems(**arrays):
+        return tree.check_tree_invariants(damaged(t, **arrays)).problems
+
+    def wrong(name, k):
+        return f"column {name} has {k} entries, expected {sizes[name]}"
+
+    # each column alone, cut to every shorter length or one entry too long
+    for name, n in sizes.items():
+        for k in range(n):
+            assert problems(**{name: getattr(t, name)[:k]}) == (wrong(name, k),)
+        assert problems(**{name: [*getattr(t, name), 0]}) == (wrong(name, n + 1),)
+    # all four together, even before the parent edge of an expanded vertex
+    for k in range(t.n_edges):
+        cut = {name: getattr(t, name)[:k] for name in COLUMNS}
+        assert problems(**cut) == tuple(wrong(name, k) for name in COLUMNS)
 
 
 @pytest.mark.parametrize("q,depth", [(3, 5), (2, 8)])
 def test_tree_pair_keeps_few_bytes_per_edge(q, depth):
-    # one byte per flag, level, delta and label; `near` is the one list
+    # one byte per flag, level, delta and label, and nothing else per edge
     tracemalloc.start()
     try:
         t = tree.build_tree_pair(q, depth)
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept <= 24 * t.n_edges, kept / t.n_edges
+    assert kept <= 6 * t.n_edges, kept / t.n_edges
 
 
 def test_invariant_solver_raises_on_degenerate_model(monkeypatch):

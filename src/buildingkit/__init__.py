@@ -34,10 +34,9 @@ from .period import (BoundsReport, PeriodResult, check_counting_bound,
 from .suite import CheckResult, SuiteReport, run_suite
 from .tree import (EdgeCocycle, HarmonicityReport, InvariantSolution,
                    TreeAutomorphism, TreePair, build_tree_pair,
-                   check_tree_invariants, cocycle_to_csv, compose,
-                   decay_check, distance_to_F, endpoint_swap, epsilon_tree,
-                   identity_automorphism, invariant_solver, iwahori_cocycle,
-                   random_automorphism, reconstruct_layer,
+                   check_tree_invariants, compose, decay_check,
+                   endpoint_swap, epsilon_tree, invariant_solver,
+                   iwahori_cocycle, random_automorphism, reconstruct_layer,
                    translation_automorphism, tree_period, verify_harmonic)
 
 __version__ = "0.1.0"

@@ -104,10 +104,15 @@ def cache_get(cache_dir, family, rank, truncation):
 
 def cached_growth(family, rank, truncation, cache_dir=None,
                   budget=DEFAULT_ELEMENT_BUDGET):
-    """Growth series through the cache; enumeration fills it on a miss."""
+    """Growth series through the cache; enumeration fills it on a miss.
+
+    A hit is served only within the budget.  Past it the enumeration runs
+    and raises the BudgetError an uncached run raises, since the walk fails
+    exactly when the cumulative sphere sizes up to K exceed the budget.
+    """
     if cache_dir is not None:
         hit = cache_get(cache_dir, family, rank, truncation)
-        if hit is not None:
+        if hit is not None and sum(hit.coefficients) <= budget:
             return hit
     series = growth_coefficients(build_affine_system(family, rank),
                                  truncation, budget=budget)

@@ -16,8 +16,9 @@ second, available in odd characteristic only, is x -> 1/(a^2 x c + b) where
 c is the inverse square of a fixed x_0 outside the base field with x_0^2
 inside it.  On the complement a^2 x c + b never lies in the base field, so
 every move permutes it, and the orbits are those of the group generated by
-x -> g^2 x (g generating the units of k_F), x -> x + p^i (i < n) and
-x -> 1/(c x); they are computed from these generators in one traversal.
+x -> g^2 x, x -> x + p^i (i < n) and x -> 1/(c x), where g = G^(q+1), the
+norm of the generator G of k_E^* behind the inverse table, generates the
+units of k_F; they are computed from these generators in one traversal.
 """
 
 from __future__ import annotations
@@ -26,19 +27,9 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ModelError
+from .period import _is_prime
 
 MAX_Q = 16
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _poly_mul(f, g, p):
@@ -86,7 +77,8 @@ class FiniteFieldPair:
     """k_F of size q = p^n inside k_E of size q^2, with exact lookup tables."""
 
     def __init__(self, p, n):
-        if not _is_prime(p):
+        # the Miller-Rabin test needs p >= 2
+        if p < 2 or not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         if not 1 <= n <= 4:
             raise ValueError(f"n must be in 1..4, got {n}")
@@ -129,9 +121,6 @@ class FiniteFieldPair:
         self._binv = [None] + [mul[e].index(1) for e in range(1, q)]
         self._squares = {mul[e][e] for e in range(1, q)}
 
-    def base_add(self, a, b):
-        return self._badd[a][b]
-
     def base_mul(self, a, b):
         return self._bmul[a][b]
 
@@ -170,6 +159,7 @@ class FiniteFieldPair:
         primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
         g = next(z for z in range(2, self.q_ext)
                  if all(self.power(z, order // r) != 1 for r in primes))
+        self._ext_generator = g
         powers = [1]
         for _ in range(order - 1):
             powers.append(self.mul(powers[-1], g))
@@ -326,19 +316,12 @@ def _orbits(fields, moves):
 def _affine_moves(fields):
     """Generators of the moves x -> a^2 x + b: x -> g^2 x and x -> x + p^i.
 
-    g generates the unit group of the base field, so g^2 generates its
-    squares, and the p^i for i < n encode the F_p-basis x^i of the base field.
+    g = G^(q+1) is the norm of the generator G of k_E^*, of order
+    (q^2 - 1)/(q + 1) = q - 1, so it generates the unit group of the base
+    field and g^2 its squares; the p^i for i < n encode the F_p-basis x^i
+    of the base field.
     """
-    def order(a):
-        k, power = 1, a
-        while power != 1:
-            k, power = k + 1, fields.base_mul(power, a)
-        return k
-
-    g = next((a for a in fields.base_units() if order(a) == fields.q - 1), None)
-    if g is None:
-        raise ModelError("the base field has no generator of its unit group")
-    g2 = fields.base_mul(g, g)
+    g2 = fields.power(fields._ext_generator, 2 * (fields.q + 1))
     moves = [lambda z: fields.mul(g2, z)]
     moves += [lambda z, b=fields.p ** i: fields.add(z, b) for i in range(fields.n)]
     return moves

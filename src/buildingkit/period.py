@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 from . import coxeter
 from .errors import InvalidTypeError
@@ -62,11 +63,16 @@ def _require_prime_power(q):
     if not isinstance(q, int) or q < 2:
         raise InvalidTypeError(f"q_F must be an integer >= 2, got {q!r}")
     # the root of the highest exact power is prime exactly when q is a prime
-    # power; roots grow as k falls, so the search stops at the test's limit
-    for k in range(q.bit_length(), 0, -1):
-        root = _integer_root(q, k)
-        if root**k == q or root >= _MR_LIMIT:
-            break
+    # power; an exact k-th power is an exact p-th power for each prime p
+    # dividing k, so p-th roots are stripped for primes p in ascending order,
+    # trying p again after each hit, until p exceeds the root's bit length
+    root, p = q, 2
+    while p <= root.bit_length():
+        r = _integer_root(root, p)
+        if r**p == root:
+            root = r
+        else:
+            p = next(n for n in count(p + 1) if _is_prime(n))
     if root >= _MR_LIMIT:
         raise InvalidTypeError(
             f"q_F must be a power of a prime below {_MR_LIMIT}, the limit of "
@@ -207,7 +213,6 @@ class BoundsReport:
     holds: bool
     value: Fraction
     lower: Fraction | None
-    upper: Fraction | None
 
 
 def check_theorem_bounds(result):
@@ -215,8 +220,8 @@ def check_theorem_bounds(result):
     d, q = result.rank, result.q_F
     if q <= d:
         return BoundsReport(applicable=False, holds=True,
-                            value=result.closed_form, lower=None, upper=None)
+                            value=result.closed_form, lower=None)
     lower = 1 - Fraction(d + 1, q)
     holds = 1 > result.closed_form > lower
     return BoundsReport(applicable=True, holds=holds,
-                        value=result.closed_form, lower=lower, upper=Fraction(1))
+                        value=result.closed_form, lower=lower)

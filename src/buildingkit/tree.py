@@ -93,17 +93,6 @@ class TreePair:
     def edges(self):
         return range(self.n_edges)
 
-    def edge_between(self, u, w):
-        """Edge id joining u and w, or None.
-
-        The larger id hangs below the edge just before it, so the only
-        candidate is that edge; ids outside the tree give None.
-        """
-        lo, hi = (u, w) if u < w else (w, u)
-        if not 0 <= lo < hi <= self.n_edges or self.endpoints(hi - 1)[0] != lo:
-            return None
-        return hi - 1
-
     # -- census ---------------------------------------------------------------
 
     def sphere_sizes(self, marked_only=False):
@@ -273,13 +262,6 @@ def tree_period(tree, cocycle):
     return sums
 
 
-def distance_to_F(tree, edge):
-    """Gallery distance from an edge to the nearest marked edge."""
-    if not 0 <= edge < tree.n_edges:
-        raise ValueError(f"edge id out of range: {edge}")
-    return tree.e_delta[edge]
-
-
 def decay_check(tree, cocycle):
     """Exact sup over edges of |value| * q_E^(distance to the root edge)."""
     scale = [tree.q_E ** k for k in range(tree.depth + 1)]
@@ -375,28 +357,19 @@ def reconstruct_layer(tree, values):
 class TreeAutomorphism:
     """Partial automorphism: a vertex bijection on a sub-ball of the tree.
 
-    `vertex_map` is given as a dict {vertex: image} or as a list indexed by
-    vertex id with None where undefined, and is stored as such a list.  The
-    edge map, a list indexed by edge id with None where an endpoint is
-    unmapped, is induced from it and validated edge by edge; a pair of mapped
-    endpoints that is not an edge again is rejected.  The marked subtree does
-    not need to be preserved.
+    `vertex_map` is a sequence indexed by vertex id with None where
+    undefined, and is stored as a list.  The edge map, a list indexed by
+    edge id with None where an endpoint is unmapped, is induced from it and
+    validated edge by edge; a pair of mapped endpoints that is not an edge
+    again is rejected.  The marked subtree does not need to be preserved.
     """
 
     def __init__(self, tree, vertex_map):
         self.tree = tree
         n = tree.n_vertices
-        if isinstance(vertex_map, dict):
-            vm = [None] * n
-            for v, image in vertex_map.items():
-                if not 0 <= v < n:
-                    raise ValueError(f"vertex id out of range: {v}")
-                vm[v] = image
-        else:
-            vm = list(vertex_map)
-            if len(vm) != n:
-                raise ValueError(
-                    f"vertex map has {len(vm)} entries for {n} vertices")
+        vm = list(vertex_map)
+        if len(vm) != n:
+            raise ValueError(f"vertex map has {len(vm)} entries for {n} vertices")
         images = [x for x in vm if x is not None]
         if images and not (0 <= min(images) and max(images) < n):
             bad = next(x for x in images if not 0 <= x < n)
@@ -451,10 +424,6 @@ def epsilon_tree(g):
     return -1 if swaps.pop() else 1
 
 
-def identity_automorphism(tree):
-    return TreeAutomorphism(tree, range(tree.n_vertices))
-
-
 def _lift(tree, swap, shuffle=None):
     """Vertex map that sends the root edge to itself (reversed when `swap`)
     and the children of every expanded vertex to the children of its image,
@@ -501,7 +470,7 @@ def translation_automorphism(tree, steps):
     are materialized.  Odd shifts swap the two vertex labels.
     """
     if steps == 0:
-        return identity_automorphism(tree)
+        return TreeAutomorphism(tree, range(tree.n_vertices))
     axis = [0, 1]
     while tree.is_interior(axis[-1]):
         axis.append(tree.children(axis[-1])[0] + 1)
@@ -562,8 +531,11 @@ def check_tree_invariants(tree):
     q_F + 1 marked edges; at every interior vertex each edge has the least
     delta m there or m + 1, and m is carried by q_F + 1 edges when m = 0 and
     by exactly one edge otherwise).  Incidence is the id layout itself, so
-    degrees and endpoints need no check.  A malformed tree is reported,
-    never raised on.
+    degrees and endpoints need no check.  Connectivity is read off the
+    marks: once no unmarked vertex touches a marked edge, every marked edge
+    hangs below a marked parent edge, so the marked edges reach the root
+    edge exactly when the root edge is marked.  A malformed tree is
+    reported, never raised on.
     """
     q_F, q_E = tree.q_F, tree.q_E
     e_in_F, e_delta, v_label = tree.e_in_F, tree.e_delta, tree.v_label
@@ -631,24 +603,8 @@ def check_tree_invariants(tree):
             delta_problems.append(
                 f"vertex {v} has {n_least} edges at its least delta={least}")
 
-    # marked subtree connected: walk marked edges from the root edge
-    marked_edges = set(compress(range(tree.n_edges), e_in_F))
-    seen_vertices = {0, 1}
-    seen_edges = {0}
-    stack = [0, 1]
-    while stack:
-        v = stack.pop()
-        for e in tree.incident_edges(v):
-            if e in marked_edges and e not in seen_edges:
-                seen_edges.add(e)
-                # a child edge leads to its far endpoint, the parent edge
-                # to its near one
-                other = e + 1 if e + 1 != v else (e - 1) // q_E if e else 0
-                if other not in seen_vertices:
-                    seen_vertices.add(other)
-                    stack.append(other)
     problems = vertex_problems + label_problems
-    if seen_edges != marked_edges:
+    if not e_in_F[0]:
         problems.append("marked subtree is not connected to the root edge")
 
     expected_f = [2 * q_F**k for k in range(1, tree.depth + 1)]
@@ -658,12 +614,3 @@ def check_tree_invariants(tree):
     if tree.sphere_sizes()[1:] != expected_e:
         problems.append("ambient sphere census mismatch")
     return TreeAuditReport(problems=tuple(problems + delta_problems))
-
-
-def cocycle_to_csv(cocycle):
-    """CSV dump with the fixed header edge_id,num,den."""
-    lines = ["edge_id,num,den"]
-    for e in range(len(cocycle)):
-        val = cocycle[e]
-        lines.append(f"{e},{val.numerator},{val.denominator}")
-    return "\n".join(lines) + "\n"

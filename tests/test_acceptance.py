@@ -13,7 +13,7 @@ import pytest
 
 from buildingkit import coxeter, orbits, period, tree
 from buildingkit.suite import (GRID_QF, GRID_TYPES, OMEGA_GRID, ORBIT_CHAR2,
-                               ORBIT_ODD, RANK1_QF, SAMPLED_PAIRS, run_suite)
+                               ORBIT_ODD, RANK1_QF, SAMPLED_PAIRS)
 
 SEED = 1729
 
@@ -185,11 +185,3 @@ def test_criterion_8_sign_homomorphism(small_trees):
               f"automorphism group in {len(OMEGA_GRID)} types and on "
               f"{SAMPLED_PAIRS} sampled automorphism pairs per q_F, with the "
               f"endpoint swap of sign -1", ok)
-
-
-def test_suite_all_pass():
-    rep = run_suite()
-    failing = [c.name for c in rep.checks if c.status != "pass"]
-    print(f"[{'PASS' if rep.passed else 'FAIL'}] suite: "
-          f"{len(rep.checks)} checks, failing: {failing or 'none'}")
-    assert rep.passed, failing

@@ -211,6 +211,25 @@ def test_cache_roundtrip_and_hit_bytes(tmp_path, capsys):
     assert [p.name for p in (tmp_path / "cache").iterdir()] == ["growth-A2-K6.json"]
 
 
+def test_cache_hit_honours_the_budget(tmp_path, capsys, monkeypatch):
+    argv = ["growth", "--family", "A", "--rank", "2", "--K", "12"]
+    cached = argv + ["--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, cached)[0] == 0
+    # the cached series sums past 100, so the run fails as an uncached one does
+    uncached = run_cli(capsys, argv + ["--budget", "100"])
+    assert uncached[0] == 3 and uncached[1] == ""
+    assert "enumeration budget 100 exceeded after 7 complete layers" in uncached[2]
+    assert run_cli(capsys, cached + ["--budget", "100"]) == uncached
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hit within the budget was enumerated")
+
+    monkeypatch.setattr(cache, "growth_coefficients", refuse)
+    code, out, err = run_cli(capsys, cached + ["--budget", "10000"])
+    assert code == 0 and err == ""
+    assert out == run_cli(capsys, cached)[1]
+
+
 def test_cache_corrupt_file_warns_and_recomputes(tmp_path, capsys, caplog):
     cdir = tmp_path / "cache"
     cdir.mkdir()

@@ -60,7 +60,8 @@ COMMANDS = st.one_of(
     *(command(name, option("--qF", values(2, 3, 5, 6, 9, "x")),
               option("--depth", values(-1, 0, 1, 2, 5), required=True))
       for name in ("tree-verify", "tree-period", "invariant")),
-    command("orbit", option("--p", values(-3, 1, 2, 3, 4, 5, 7, 17, "x")),
+    command("orbit", option("--p", values(-7, -3, 0, 1, 2, 3, 4, 5, 7, 17, 18,
+                                          10**17 + 3, 2**61 - 1, "x")),
             option("--n", values(0, 1, 2, 3, 4, 5))),
     # only invalid suite runs: a valid one takes seconds
     command("suite", option("--depth", values(3, 5, 7, "x"), required=True),
@@ -140,3 +141,14 @@ def test_optimized_run_answers_the_same():
     expected = observed()
     assert all(problems for problems in expected["audits"])
     assert answers == expected
+
+
+def test_orbit_refuses_a_large_prime_at_once():
+    # a trial-division primality test ran for minutes on this p
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "buildingkit", "orbit", "--p", str(2**61 - 1)],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"q = p^n must be <= 16, got {2**61 - 1}" in proc.stderr

@@ -42,7 +42,7 @@ def test_frozen_moduli(p, n):
     c, b, one = ext
     assert one == 1
     for t in f.base_elements():
-        assert f.base_add(f.base_add(f.base_mul(t, t), f.base_mul(b, t)), c) != 0
+        assert f.add(f.add(f.base_mul(t, t), f.base_mul(b, t)), c) != 0
 
 
 def test_field_arithmetic_axioms_spot():
@@ -229,6 +229,19 @@ def test_build_fields_rejects_bad_parameters():
         orbits.build_fields(2, 5)
     with pytest.raises(ValueError):
         orbits.build_fields(2, 0)
+    for p in (1, 0, -7, 18, 2**61 - 3):
+        with pytest.raises(ValueError, match="p must be prime"):
+            orbits.build_fields(p, 1)
+    # a large prime is certified at once and refused by the size cap
+    with pytest.raises(ValueError, match="q = p\\^n must be <= 16"):
+        orbits.build_fields(2**61 - 1, 1)
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_norm_of_the_extension_generator_generates_the_base_units(p, n):
+    f = _fields(p, n)
+    g = f.power(f._ext_generator, f.q + 1)
+    assert {f.power(g, k) for k in range(f.q - 1)} == set(f.base_units())
 
 
 def test_orbit_report_consistency_guard():
@@ -334,13 +347,6 @@ def test_a_generator_that_does_not_permute_is_refused(p, n, monkeypatch):
             orbits.inversion_closure_orbits(f)
 
 
-def test_missing_unit_generator_is_a_model_error(monkeypatch):
-    f = orbits.build_fields(5, 1)
-    monkeypatch.setattr(f, "base_units", lambda: [1, 4])  # neither has order 4
-    with pytest.raises(ModelError, match="generator"):
-        orbits.affine_square_orbits(f)
-
-
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
 def test_orbit_work_stays_polynomial_in_q(p, n, monkeypatch):
     # brute force over all (q - 1) q moves of a family makes about q^4
@@ -375,7 +381,8 @@ def test_field_axioms_hold_on_every_admitted_field(pn, x, y, w):
         assert f.mul(x, f.inv(x)) == 1
     # the base field is a subfield and the Frobenius is a field map fixing it
     a, b = x % f.q, y % f.q
-    assert f.add(a, b) == f.base_add(a, b) < f.q
+    assert f.add(a, b) == f._undigits(
+        [(s + t) % f.p for s, t in zip(f._digits(a), f._digits(b))]) < f.q
     assert f.mul(a, b) == f.base_mul(a, b) < f.q
     assert f.frobenius(f.add(x, y)) == f.add(f.frobenius(x), f.frobenius(y))
     assert f.frobenius(f.mul(x, y)) == f.mul(f.frobenius(x), f.frobenius(y))

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from buildingkit import period
 from buildingkit.coxeter import (GrowthSeries, build_affine_system,
@@ -115,7 +117,6 @@ def test_theorem_bounds_applicability():
     rep = period.check_theorem_bounds(res)
     assert rep.applicable and rep.holds
     assert rep.lower == Fraction(1, 3)
-    assert rep.upper == 1
     assert 1 > rep.value > rep.lower
 
     # q_F <= d: out of the theorem's range, vacuously fine
@@ -201,6 +202,46 @@ def test_prime_power_check_agrees_with_trial_division():
         except InvalidTypeError:
             accepted = False
         assert accepted == by_trial_division(q), q
+
+
+def descending_prime_power_check(q):
+    """Oracle: the k-th root for every k from bit_length(q) down, stopping
+    at the first exact power or at a root past the primality test's limit."""
+    if not isinstance(q, int) or q < 2:
+        raise InvalidTypeError(f"q_F must be an integer >= 2, got {q!r}")
+    for k in range(q.bit_length(), 0, -1):
+        root = period._integer_root(q, k)
+        if root**k == q or root >= period._MR_LIMIT:
+            break
+    if root >= period._MR_LIMIT:
+        raise InvalidTypeError(
+            f"q_F must be a power of a prime below {period._MR_LIMIT}, the "
+            f"limit of the deterministic primality test, got {q}")
+    if not period._is_prime(root):
+        raise InvalidTypeError(f"q_F must be a prime power, got {q}")
+    return q
+
+
+def prime_power_verdict(check, q):
+    try:
+        return check(q)
+    except InvalidTypeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=-5, max_value=10**6),
+                 st.builds(pow, st.integers(min_value=2, max_value=10**9),
+                           st.integers(min_value=1, max_value=40)),
+                 st.integers(min_value=2, max_value=2**400)))
+@example(2**1024)
+@example(M61**3)
+@example(6**50)
+@example(3**8000)
+@example(2**12999 + 1)
+def test_prime_root_stripping_agrees_with_the_descending_search(q):
+    assert prime_power_verdict(period._require_prime_power, q) \
+        == prime_power_verdict(descending_prime_power_check, q)
 
 
 def test_truncation_cap_is_checked_before_any_series_work(monkeypatch):

@@ -50,15 +50,6 @@ def test_delta_and_level_against_bfs_oracle(q, depth):
 
     assert edge_bfs([e for e in t.edges() if t.e_in_F[e]]) == list(t.e_delta)
     assert edge_bfs([0]) == list(t.e_level)
-    assert [tree.distance_to_F(t, e) for e in t.edges()] == list(t.e_delta)
-
-
-def test_distance_to_F_range_check():
-    t = tree.build_tree_pair(2, 1)
-    with pytest.raises(ValueError):
-        tree.distance_to_F(t, 9)
-    with pytest.raises(ValueError):
-        tree.distance_to_F(t, -1)
 
 
 def test_structural_invariants_audit():
@@ -204,7 +195,7 @@ def test_endpoint_swap_and_identity_signs():
     assert len(swap.edge_map) == t.n_edges
     assert tree.epsilon_tree(swap) == -1
     assert swap.edge_map[0] == 0  # the root edge maps to itself, reversed
-    ident = tree.identity_automorphism(t)
+    ident = tree.TreeAutomorphism(t, range(t.n_vertices))
     assert tree.epsilon_tree(ident) == 1
     # swap is an involution
     assert tree.compose(swap, swap).vertex_map == ident.vertex_map
@@ -242,7 +233,7 @@ def test_translation_along_axis():
     assert tree.epsilon_tree(two) == 1
     assert one.vertex_map[0] == 1  # shifts the root edge along the axis
     assert tree.translation_automorphism(t, 0).vertex_map \
-        == tree.identity_automorphism(t).vertex_map
+        == list(range(t.n_vertices))
     # composing two unit shifts agrees with the double shift where both act
     comp = tree.compose(one, one)
     for v, image in enumerate(comp.vertex_map):
@@ -252,36 +243,35 @@ def test_translation_along_axis():
         tree.translation_automorphism(t, 99)
 
 
+def partial_map(t, images):
+    """Id-indexed vertex map with the given {vertex: image} and None elsewhere."""
+    vm = [None] * t.n_vertices
+    for v, image in images.items():
+        vm[v] = image
+    return vm
+
+
 def test_automorphism_must_preserve_adjacency():
     t = tree.build_tree_pair(2, 2)
     # vertices 2 and 3 are siblings, not neighbors
-    with pytest.raises(ValueError):
-        tree.TreeAutomorphism(t, {0: 2, 1: 3})
-    with pytest.raises(ValueError):  # not injective
-        tree.TreeAutomorphism(t, {0: 0, 1: 0})
+    with pytest.raises(ValueError, match="breaks adjacency"):
+        tree.TreeAutomorphism(t, partial_map(t, {0: 2, 1: 3}))
+    with pytest.raises(ValueError, match="not injective"):
+        tree.TreeAutomorphism(t, partial_map(t, {0: 0, 1: 0}))
 
 
 def test_epsilon_rejects_incoherent_and_empty_maps():
     t = tree.build_tree_pair(2, 2)
     # two disconnected mapped edges: (2,10) keeps labels, (3,14) swaps them
-    assert t.edge_between(2, 10) is not None and t.edge_between(3, 14) is not None
-    mixed = tree.TreeAutomorphism(t, {2: 2, 10: 11, 3: 14, 14: 3})
+    assert t.endpoints(9) == (2, 10) and t.endpoints(13) == (3, 14)
+    mixed = tree.TreeAutomorphism(
+        t, partial_map(t, {2: 2, 10: 11, 3: 14, 14: 3}))
     with pytest.raises(ValueError):
         tree.epsilon_tree(mixed)
     # a single mapped vertex spans no edge, so the sign is undefined
-    empty = tree.TreeAutomorphism(t, {0: 0})
+    empty = tree.TreeAutomorphism(t, partial_map(t, {0: 0}))
     with pytest.raises(ValueError):
         tree.epsilon_tree(empty)
-
-
-def test_cocycle_csv_golden():
-    t = tree.build_tree_pair(2, 1)
-    out = tree.cocycle_to_csv(tree.iwahori_cocycle(t))
-    lines = out.splitlines()
-    assert lines[0] == "edge_id,num,den"
-    assert lines[1] == "0,1,1"
-    assert lines[2:] == [f"{e},-1,4" for e in range(1, 9)]
-    assert out.endswith("\n")
 
 
 def test_tree_json_dict():
@@ -298,42 +288,35 @@ def test_tree_json_dict():
     assert data["vertices"][0]["interior"] and not data["vertices"][5]["interior"]
 
 
-def test_edge_between_index():
-    t = tree.build_tree_pair(2, 2)
-    for e in t.edges():
-        u, w = t.endpoints(e)
-        assert t.edge_between(u, w) == e
-        assert t.edge_between(w, u) == e
-    assert t.edge_between(2, 3) is None
-
-
 @pytest.mark.parametrize("q", [2, 3])
-def test_edge_between_matches_endpoint_index(q):
+def test_automorphism_edge_map_matches_endpoint_index(q):
+    # the root edge's endpoints sent to any pair u, w: an edge exactly when
+    # the endpoint index has it, and then the root edge maps to that edge
     t = tree.build_tree_pair(q, 2)
     index = {frozenset(t.endpoints(e)): e for e in t.edges()}
-    ids = range(-1, t.n_vertices + 1)
+    ids = range(t.n_vertices)
     for u in ids:
         for w in ids:
-            assert t.edge_between(u, w) == index.get(frozenset((u, w))), (u, w)
+            if u == w:
+                continue
+            edge = index.get(frozenset((u, w)))
+            vm = partial_map(t, {0: u, 1: w})
+            if edge is None:
+                with pytest.raises(ValueError, match="breaks adjacency"):
+                    tree.TreeAutomorphism(t, vm)
+            else:
+                assert tree.TreeAutomorphism(t, vm).edge_map[0] == edge, (u, w)
 
 
 def test_out_of_range_vertex_ids():
     t = tree.build_tree_pair(2, 2)
     n = t.n_vertices
-    for u in (-1, n):
-        assert t.edge_between(u, 0) is None
-        assert t.edge_between(0, u) is None
-    assert t.edge_between(n - 1, n) is None
-    with pytest.raises(ValueError):  # keys
-        tree.TreeAutomorphism(t, {-1: 5, 0: 0, 99: 3})
-    with pytest.raises(ValueError):
-        tree.TreeAutomorphism(t, {n: 0})
-    with pytest.raises(ValueError):  # values
-        tree.TreeAutomorphism(t, {0: -1})
-    with pytest.raises(ValueError):
-        tree.TreeAutomorphism(t, {0: n})
-    with pytest.raises(ValueError):  # an id-indexed list of the wrong length
-        tree.TreeAutomorphism(t, list(range(n - 1)))
+    for image in (-1, n):
+        with pytest.raises(ValueError, match="out of range"):
+            tree.TreeAutomorphism(t, partial_map(t, {0: image}))
+    for length in (n - 1, n + 1):  # an id-indexed list of the wrong length
+        with pytest.raises(ValueError, match="entries"):
+            tree.TreeAutomorphism(t, list(range(length)))
 
 
 def test_random_automorphism_golden_vertex_map():
@@ -435,7 +418,6 @@ def test_audit_reports_damaged_trees():
     assert problems(e_in_F=marked) == (
         "marked interior vertex 0 has 2 marked edges",
         "unmarked vertex 2 touches 2 marked edges",
-        "marked subtree is not connected to the root edge",
         "marked sphere census mismatch")
     deltas = list(t.e_delta)
     deltas[17] += 1
@@ -452,6 +434,43 @@ def test_audit_reports_damaged_trees():
                 deltas = list(t.e_delta)
                 deltas[e] = d
                 assert problems(e_delta=deltas), (e, d)
+
+
+def marked_walk_connects(t):
+    """Oracle: walk the marked edges out from the root edge through their
+    endpoints and check that the walk reaches every marked edge."""
+    marked = {e for e in t.edges() if t.e_in_F[e]}
+    seen_vertices, seen_edges, stack = {0, 1}, {0}, [0, 1]
+    while stack:
+        for e in t.incident_edges(stack.pop()):
+            if e in marked and e not in seen_edges:
+                seen_edges.add(e)
+                for w in t.endpoints(e):
+                    if w not in seen_vertices:
+                        seen_vertices.add(w)
+                        stack.append(w)
+    return seen_edges == marked
+
+
+AUDIT_TREES = [tree.build_tree_pair(q, depth)
+               for q in (2, 3, 4) for depth in (1, 2)] + [
+    tree.TreePair(2, 0, bytearray(b"\x01"), bytearray(1), bytearray(1),
+                  bytearray(b"\x00\x01"))]
+NOT_CONNECTED = "marked subtree is not connected to the root edge"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(AUDIT_TREES),
+       st.lists(st.integers(min_value=0), min_size=1, max_size=5))
+def test_audit_connectivity_agrees_with_the_marked_walk(t, flips):
+    marked = list(t.e_in_F)
+    for e in flips:
+        marked[e % t.n_edges] ^= 1
+    damaged_tree = damaged(t, e_in_F=marked)
+    audit = tree.check_tree_invariants(damaged_tree)
+    others = [p for p in audit.problems if p != NOT_CONNECTED]
+    assert audit.ok == (not others and marked_walk_connects(damaged_tree))
+    assert (NOT_CONNECTED in audit.problems) == (not marked[0])
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -288,8 +288,20 @@ def test_tree_json_dict():
     assert data["vertices"][0]["interior"] and not data["vertices"][5]["interior"]
 
 
+def test_edge_between_index():
+    # the edge between u and w is read off the automorphism edge map: the
+    # root edge's endpoints sent to u, w in either order land on it
+    t = tree.build_tree_pair(2, 2)
+    for e in t.edges():
+        u, w = t.endpoints(e)
+        assert tree.TreeAutomorphism(t, partial_map(t, {0: u, 1: w})).edge_map[0] == e
+        assert tree.TreeAutomorphism(t, partial_map(t, {0: w, 1: u})).edge_map[0] == e
+    with pytest.raises(ValueError, match="breaks adjacency"):
+        tree.TreeAutomorphism(t, partial_map(t, {0: 2, 1: 3}))
+
+
 @pytest.mark.parametrize("q", [2, 3])
-def test_automorphism_edge_map_matches_endpoint_index(q):
+def test_edge_between_matches_endpoint_index(q):
     # the root edge's endpoints sent to any pair u, w: an edge exactly when
     # the endpoint index has it, and then the root edge maps to that edge
     t = tree.build_tree_pair(q, 2)

@@ -192,14 +192,6 @@ class CoxeterSystem:
     n_positive_roots: int
     exponents: tuple
 
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "family": self.family,
-            "rank": self.rank,
-            "coxeter_matrix": [list(row) for row in self.coxeter_matrix],
-        }
-
 
 @dataclass(frozen=True)
 class GrowthSeries:
@@ -433,74 +425,59 @@ def _perm_sign(perm):
     return sign
 
 
-def _omega_perms(family, d):
+def _omega_generators(family, d):
+    """Generators of Omega, as permutations of the nodes 0..d."""
     n = d + 1
-    ident = tuple(range(n))
+    flip = tuple(d - i for i in range(n))
+    swap = (1, 0) + tuple(range(2, n))
     if family == "A":
-        if d == 1:
-            return [ident, (1, 0)]
-        rot = tuple((i + 1) % n for i in range(n))
-        out, p = [], ident
-        for _ in range(n):
-            out.append(p)
-            p = tuple(rot[x] for x in p)
-        return out
+        return [tuple((i + 1) % n for i in range(n))]
     if family == "B":
-        swap = list(range(n))
-        swap[0], swap[1] = 1, 0
-        return [ident, tuple(swap)]
+        return [swap]
     if family == "C":
-        return [ident, tuple(d - i for i in range(n))]
+        return [flip]
     if family == "D":
-        flip = tuple(d - i for i in range(n))
-        kappa = list(range(n))
-        kappa[0], kappa[1] = 1, 0
-        kappa[d - 1], kappa[d] = d, d - 1
-        kappa = tuple(kappa)
         if d % 2 == 0:
-            comp = tuple(kappa[flip[i]] for i in range(n))
-            return [ident, kappa, flip, comp]
+            return [swap[:d - 1] + (d, d - 1), flip]  # kappa swaps both ends
         sigma = [d - i for i in range(n)]  # middle nodes flip
         sigma[0], sigma[d - 1], sigma[1], sigma[d] = d - 1, 1, d, 0
-        sigma = tuple(sigma)
-        out, p = [], ident
-        for _ in range(4):
-            out.append(p)
-            p = tuple(sigma[x] for x in p)
-        return out
+        return [tuple(sigma)]
     if family == "E" and d == 6:
-        rho = (1, 6, 3, 5, 4, 2, 0)  # rotate the three arms around node 4
-        return [(0, 1, 2, 3, 4, 5, 6), rho, tuple(rho[x] for x in rho)]
+        return [(1, 6, 3, 5, 4, 2, 0)]  # rotate the three arms around node 4
     if family == "E" and d == 7:
-        return [ident, (7, 6, 2, 5, 4, 3, 1, 0)]
-    return [ident]
+        return [(7, 6, 2, 5, 4, 3, 1, 0)]
+    return []
 
 
 def omega_group(family, rank):
     """The abelian group of affine-diagram rotations, as node permutations.
 
-    Each permutation is checked to preserve the Coxeter matrix, and the list
-    is checked to be closed under composition and commutative.
+    Each generator is checked to be a permutation that preserves the Coxeter
+    matrix, so every product of them preserves it too.  The group is their
+    closure under composition, checked to be commutative.
     """
     system = build_affine_system(family, rank)
     m = system.coxeter_matrix
     n = rank + 1
-    elements = [OmegaElement(p) for p in _omega_perms(family, rank)]
-    for el in elements:
-        p = el.perm
+    gens = [OmegaElement(p) for p in _omega_generators(family, rank)]
+    for g in gens:
+        p = g.perm
         if sorted(p) != list(range(n)):
-            raise ModelError(f"tabulated Omega entry {p} is not a permutation")
-        for i in range(n):
-            for j in range(n):
-                if m[p[i]][p[j]] != m[i][j]:
-                    raise ModelError(
-                        f"Omega entry {p} does not preserve the Coxeter matrix "
-                        f"of {family}{rank}")
-    perms = {el.perm for el in elements}
+            raise ModelError(f"Omega generator {p} is not a permutation")
+        if any(m[p[i]][p[j]] != m[i][j] for i in range(n) for j in range(n)):
+            raise ModelError(
+                f"Omega generator {p} does not preserve the Coxeter matrix "
+                f"of {family}{rank}")
+    elements = [OmegaElement(tuple(range(n)))]
+    seen = {elements[0].perm}
+    for el in elements:  # the list grows while it is walked
+        for g in gens:
+            h = g * el
+            if h.perm not in seen:
+                seen.add(h.perm)
+                elements.append(h)
     for a in elements:
         for b in elements:
-            if (a * b).perm not in perms:
-                raise ModelError(f"Omega of {family}{rank} is not closed")
             if (a * b).perm != (b * a).perm:
                 raise ModelError(f"Omega of {family}{rank} is not abelian")
     return elements

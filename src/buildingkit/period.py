@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import log2
 
 from . import coxeter
 from .errors import InvalidTypeError
@@ -48,15 +49,22 @@ def _is_prime(n):
 
 
 def _integer_root(n, k):
-    """The largest r with r^k <= n, by bisection."""
-    lo, hi = 1, 1 << (n.bit_length() // k + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """The largest r with r^k <= n, for n >= 1, by Newton's iteration.
+
+    The start is 2^(log2(n)/k), with log2(n) read off the top 64 bits and a
+    margin past the float error, so it is never below the root: from there
+    the iteration falls onto the root, while from below it stops at once.
+    """
+    shift = max(n.bit_length() - 64, 0)
+    x = (log2(n >> shift) + shift) / k
+    x += x * 2**-40 + 2**-30
+    e = int(x)
+    r = ((int(2 ** (x - e) * 2**53) + 1) << e >> 53) + 1
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def _require_prime_power(q):

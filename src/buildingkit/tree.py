@@ -103,26 +103,6 @@ class TreePair:
             levels = type(levels)(compress(levels, self.e_in_F))
         return [levels.count(k) for k in range(self.depth + 1)]
 
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "q_F": self.q_F,
-            "q_E": self.q_E,
-            "depth": self.depth,
-            "vertices": [
-                {"id": v, "label": self.v_label[v],
-                 "in_F": bool(self.e_in_F[self.parent_edge(v)]),
-                 "interior": self.is_interior(v)}
-                for v in range(self.n_vertices)
-            ],
-            "edges": [
-                {"id": e, "near": self.endpoints(e)[0], "far": e + 1,
-                 "in_F": bool(self.e_in_F[e]), "level": self.e_level[e],
-                 "delta": self.e_delta[e]}
-                for e in range(self.n_edges)
-            ],
-        }
-
 
 def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
     """Build the truncated tree pair for a residue size q_F and a depth.
@@ -424,16 +404,29 @@ def epsilon_tree(g):
     return -1 if swaps.pop() else 1
 
 
-def _lift(tree, swap, shuffle=None):
-    """Vertex map that sends the root edge to itself (reversed when `swap`)
-    and the children of every expanded vertex to the children of its image,
-    in creation order or in the order `shuffle` leaves them."""
-    q_E = tree.q_E
+def _lift(tree, a, b, shuffle=None):
+    """Vertex map that sends the root edge (0, 1) to the edge (a, b).
+
+    Then, for each expanded vertex v in creation order whose image w is
+    expanded too, v's children go to w's neighbors other than the image of
+    v's parent side, in id order or in the order `shuffle` leaves them.  When
+    that image is a child of w, it leaves w's child block and w's parent side
+    goes first.  The map is partial where images run past the boundary.
+    """
+    q_E, n_expanded = tree.q_E, tree.n_expanded
     vmap = [None] * tree.n_vertices
-    vmap[0], vmap[1] = (1, 0) if swap else (0, 1)
-    for v in range(tree.n_expanded):
-        first = 2 + vmap[v] * q_E
+    vmap[0], vmap[1] = a, b
+    for v in range(n_expanded):
+        w = vmap[v]
+        if w is None or w >= n_expanded:
+            continue
+        first = 2 + w * q_E
         block = list(range(first, first + q_E))
+        # the image of v's parent side: w's parent side or a child of w
+        back = vmap[1 - v if v <= 1 else (v - 2) // q_E]
+        if back >= first:
+            block.remove(back)
+            block.insert(0, 1 - w if w <= 1 else (w - 2) // q_E)
         if shuffle is not None:
             shuffle(block)
         vmap[2 + v * q_E:2 + (v + 1) * q_E] = block
@@ -443,7 +436,7 @@ def _lift(tree, swap, shuffle=None):
 def endpoint_swap(tree):
     """The involution exchanging the two root-edge endpoints, matched by
     creation order below them."""
-    return TreeAutomorphism(tree, _lift(tree, swap=True))
+    return TreeAutomorphism(tree, _lift(tree, 1, 0))
 
 
 def random_automorphism(tree, rng, swap=None):
@@ -451,7 +444,8 @@ def random_automorphism(tree, rng, swap=None):
     permutation of the children at every expanded vertex."""
     if swap is None:
         swap = rng.random() < 0.5
-    return TreeAutomorphism(tree, _lift(tree, swap, rng.shuffle))
+    a, b = (1, 0) if swap else (0, 1)
+    return TreeAutomorphism(tree, _lift(tree, a, b, rng.shuffle))
 
 
 def compose(g, h):
@@ -464,48 +458,23 @@ def compose(g, h):
 def translation_automorphism(tree, steps):
     """Partial automorphism shifting the canonical axis through the root edge.
 
-    The axis follows first children on both sides of the root edge; a shift
-    by `steps` moves every axis vertex that many places toward the positive
-    end, and hanging subtrees follow by creation order as far as their images
-    are materialized.  Odd shifts swap the two vertex labels.
+    The axis follows first children on both sides of the root edge: place 0
+    is vertex 0, place 1 is vertex 1, place k > 1 lies k - 1 first children
+    below vertex 1 and place -k lies k first children below vertex 0.  A
+    shift by `steps` lifts the root edge to the places `steps` and
+    `steps + 1`, so every axis vertex moves that many places toward the
+    positive end, and hanging subtrees follow by creation order as far as
+    their images are materialized.  Odd shifts swap the two vertex labels.
     """
-    if steps == 0:
-        return TreeAutomorphism(tree, range(tree.n_vertices))
-    axis = [0, 1]
-    while tree.is_interior(axis[-1]):
-        axis.append(tree.children(axis[-1])[0] + 1)
-    back = [0]
-    while tree.is_interior(back[-1]):
-        back.append(tree.children(back[-1])[0] + 1)
-    axis = list(reversed(back[1:])) + axis  # negative end first
-
-    if abs(steps) >= len(axis):
+    if abs(steps) > tree.depth:
         raise ValueError(f"shift {steps} exceeds the materialized axis")
-    vmap = [None] * tree.n_vertices
-    axis_set = set(axis)
-    pairs = []
-    for j, v in enumerate(axis):
-        if 0 <= j + steps < len(axis):
-            vmap[v] = axis[j + steps]
-            pairs.append((v, axis[j + steps]))
-
-    # hang off-axis subtrees: children ranges minus the axis child, in order
-    def off_axis_children(v):
-        return [e for e in tree.children(v) if e + 1 not in axis_set]
-
-    stack = []
-    for v, img in pairs:
-        src = off_axis_children(v)
-        dst = off_axis_children(img)
-        if len(src) == len(dst):
-            for es, ed in zip(src, dst):
-                stack.append((es + 1, ed + 1))
-    while stack:
-        v, img = stack.pop()
-        vmap[v] = img
-        for es, ed in zip(tree.children(v), tree.children(img)):
-            stack.append((es + 1, ed + 1))
-    return TreeAutomorphism(tree, vmap)
+    ends = []
+    for k in (steps, steps + 1):
+        v = int(k > 0)
+        for _ in range(abs(k) - v):
+            v = 2 + v * tree.q_E
+        ends.append(v)
+    return TreeAutomorphism(tree, _lift(tree, *ends))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ computed exactly and compared exactly, with the wall-clock limits the only
 environment-dependent part.
 """
 
-import random
 import time
 from fractions import Fraction
 
@@ -13,9 +12,7 @@ import pytest
 
 from buildingkit import coxeter, orbits, period, tree
 from buildingkit.suite import (GRID_QF, GRID_TYPES, OMEGA_GRID, ORBIT_CHAR2,
-                               ORBIT_ODD, RANK1_QF, SAMPLED_PAIRS)
-
-SEED = 1729
+                               ORBIT_ODD, RANK1_QF)
 
 
 def report(num, claim, ok):
@@ -167,21 +164,16 @@ def test_criterion_7_orbit_structure():
 
 
 def test_criterion_8_sign_homomorphism(small_trees):
+    # the sampled automorphism pairs on these trees, seeded 1729 + q_F, are
+    # suite check 12, which test_refs[suite] replays with its "ok" pinned
     ok = True
     for f, r in OMEGA_GRID:
         omega = coxeter.omega_group(f, r)
         eps = coxeter.epsilon_of_omega
         ok = ok and all(eps(a * b) == eps(a) * eps(b)
                         for a in omega for b in omega)
-    for q, t in small_trees.items():
+    for t in small_trees.values():
         ok = ok and tree.epsilon_tree(tree.endpoint_swap(t)) == -1
-        rng = random.Random(SEED + q)
-        for _ in range(SAMPLED_PAIRS):
-            g = tree.random_automorphism(t, rng)
-            h = tree.random_automorphism(t, rng)
-            ok = ok and (tree.epsilon_tree(tree.compose(g, h))
-                         == tree.epsilon_tree(g) * tree.epsilon_tree(h))
     report(8, f"the label sign is multiplicative on every special "
-              f"automorphism group in {len(OMEGA_GRID)} types and on "
-              f"{SAMPLED_PAIRS} sampled automorphism pairs per q_F, with the "
-              f"endpoint swap of sign -1", ok)
+              f"automorphism group in {len(OMEGA_GRID)} types, and the "
+              f"endpoint swap has sign -1 on every small tree", ok)

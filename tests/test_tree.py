@@ -1,5 +1,6 @@
 """Tree pair structure, cocycles, the invariant solver, automorphisms."""
 
+import hashlib
 import random
 import tracemalloc
 from collections import deque
@@ -241,6 +242,33 @@ def test_translation_along_axis():
             assert two.vertex_map[v] == image
     with pytest.raises(ValueError):
         tree.translation_automorphism(t, 99)
+    # the root edge's image needs places steps and steps + 1 on the axis
+    for steps in (t.depth + 1, -t.depth - 1):
+        with pytest.raises(ValueError, match="exceeds the materialized axis"):
+            tree.translation_automorphism(t, steps)
+    for steps in range(-t.depth, t.depth + 1):
+        back_and_forth = tree.compose(tree.translation_automorphism(t, steps),
+                                      tree.translation_automorphism(t, -steps))
+        assert back_and_forth.vertex_map[:2] == [0, 1]
+        assert all(image in (None, v)
+                   for v, image in enumerate(back_and_forth.vertex_map))
+
+
+# sha256 of repr([vertex_map for steps in -depth..depth]), frozen from the
+# axis walk that the lift replaced
+TRANSLATION_MAPS_SHA256 = {
+    (2, 3): "9b7d8a1fd3e992672631486f34c828393e2864e4545cb44bd8f8adc672acc9f1",
+    (3, 2): "c61b8c4d2759a387224b53d07e70643aa8cace79aa87177395dcccd13b8a8fdc",
+}
+
+
+@pytest.mark.parametrize("q,depth", sorted(TRANSLATION_MAPS_SHA256))
+def test_translation_maps_are_frozen(q, depth):
+    t = tree.build_tree_pair(q, depth)
+    maps = [tree.translation_automorphism(t, steps).vertex_map
+            for steps in range(-depth, depth + 1)]
+    digest = hashlib.sha256(repr(maps).encode()).hexdigest()
+    assert digest == TRANSLATION_MAPS_SHA256[(q, depth)]
 
 
 def partial_map(t, images):
@@ -272,20 +300,6 @@ def test_epsilon_rejects_incoherent_and_empty_maps():
     empty = tree.TreeAutomorphism(t, partial_map(t, {0: 0}))
     with pytest.raises(ValueError):
         tree.epsilon_tree(empty)
-
-
-def test_tree_json_dict():
-    t = tree.build_tree_pair(2, 1)
-    data = t.to_json_dict()
-    assert data["schema_version"] == 1
-    assert (data["q_F"], data["q_E"], data["depth"]) == (2, 4, 1)
-    assert len(data["edges"]) == 9
-    assert data["edges"][0] == {"id": 0, "near": 0, "far": 1, "in_F": True,
-                                "level": 0, "delta": 0}
-    # JSON booleans, not the 0/1 bytes the columns store
-    assert data["edges"][0]["in_F"] is True and data["edges"][3]["in_F"] is False
-    assert data["vertices"][1]["in_F"] is True and data["vertices"][9]["in_F"] is False
-    assert data["vertices"][0]["interior"] and not data["vertices"][5]["interior"]
 
 
 def test_edge_between_index():

@@ -48,6 +48,8 @@ def _cmd_growth(args):
 
 
 def _cmd_period(args):
+    if args.format != "text":
+        period.require_listable(args.qF, args.K)
     result = period.evaluate_period(args.family, args.rank, args.qF,
                                     truncation=args.K)
     bounds = period.check_theorem_bounds(result)

@@ -25,6 +25,11 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 # among the partial sums; past this cap the exact sums stop being desk scale
 MAX_PERIOD_BITS = 13_000
 
+# b K (K + 1) / 2 with b = bit_length(q_F - 1) bounds the bits of all K + 1
+# partial-sum denominators together, which the JSON and CSV formats list;
+# past this cap the listing stops being desk scale (about 0.6 MB of digits)
+MAX_LISTED_BITS = 1_000_000
+
 
 def _is_prime(n):
     """Deterministic Miller-Rabin for 2 <= n < _MR_LIMIT."""
@@ -77,7 +82,8 @@ def _require_prime_power(q):
     root, p = q, 2
     while p <= root.bit_length():
         r = _integer_root(root, p)
-        if r**p == root:
+        # r^p == root needs r | root, which is cheaper to refute than r^p
+        if root % r == 0 and r**p == root:
             root = r
         else:
             p = next(n for n in count(p + 1) if _is_prime(n))
@@ -93,6 +99,17 @@ def _require_prime_power(q):
 def _rat(x):
     """JSON form {"num": ..., "den": ...} of an exact rational."""
     return {"num": x.numerator, "den": x.denominator}
+
+
+def require_listable(q_F, truncation):
+    """Refuse a truncation whose listed partial sums would exceed
+    MAX_LISTED_BITS, before any series work."""
+    bits = (q_F - 1).bit_length() * truncation * (truncation + 1) // 2
+    if bits > MAX_LISTED_BITS:
+        raise ValueError(
+            f"listing S_0..S_K takes bit_length(q_F - 1) * K (K + 1) / 2 = "
+            f"{bits} bits, over the cap of {MAX_LISTED_BITS} bits for the "
+            f"json and csv formats")
 
 
 @dataclass(frozen=True)

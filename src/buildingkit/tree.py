@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress, islice, repeat
 from math import lcm
-from operator import mul
+from operator import mul, ne
 
 from .errors import BudgetError, ModelError
 from .linalg import nullspace
@@ -89,6 +90,13 @@ class TreePair:
 
     def is_interior(self, v):
         return v < self.n_expanded
+
+    @cached_property
+    def parents(self):
+        """Vertex-indexed list of the vertex each one hangs at: None for
+        vertex 0, 0 for vertex 1, (v - 2) // q_E for every other v."""
+        return [None, 0, *chain.from_iterable(
+            map(repeat, range(self.n_expanded), repeat(self.q_E)))]
 
     def edges(self):
         return range(self.n_edges)
@@ -360,15 +368,15 @@ class TreeAutomorphism:
 
         # the images of the near endpoints: vm[0] for the root edge, then
         # each expanded vertex's image once per child edge
-        q_E = tree.q_E
         near_images = chain((vm[0],), chain.from_iterable(
-            map(repeat, vm[:tree.n_expanded], repeat(q_E))))
-        # the edge joining images lo < hi can only be edge hi - 1, which
-        # hangs at vertex 0 when hi == 1 and at (hi - 2) // q_E otherwise;
-        # -1 marks a mapped pair that is not an edge
+            map(repeat, vm[:tree.n_expanded], repeat(tree.q_E))))
+        # images a, b are joined by the edge that created b when a is b's
+        # parent, by the one that created a when b is a's, and by none
+        # otherwise; -1 marks a mapped pair that is not an edge
+        parent = tree.parents
         edge_map = [None if a is None or b is None
-                    else (b - 1 if b == 1 or (b - 2) // q_E == a else -1) if a < b
-                    else (a - 1 if a == 1 or (a - 2) // q_E == b else -1)
+                    else b - 1 if parent[b] == a
+                    else a - 1 if parent[a] == b else -1
                     for a, b in zip(near_images, islice(vm, 1, None))]
         if -1 in edge_map:
             e = edge_map.index(-1)
@@ -387,16 +395,21 @@ def epsilon_tree(g):
     """
     tree = g.tree
     label, vm, em = tree.v_label, g.vertex_map, g.edge_map
-    swaps = set()
-    # the sign of a mapped edge is read at its near endpoint u, so one look
-    # per u at the edges hanging there: its children, and the root edge at 0
-    for u in range(tree.n_expanded):
-        if vm[u] is None:
-            continue
-        kids = tree.children(u)
-        first = 0 if u == 0 else kids.start
-        if em[first:kids.stop].count(None) < kids.stop - first:
-            swaps.add(label[vm[u]] != label[u])
+    # the sign of a mapped edge is read at its near endpoint u; on a full map
+    # every expanded vertex is one, otherwise only those with a mapped edge
+    # hanging there: among their children, or the root edge at 0
+    us = range(tree.n_expanded)
+    if None in em:
+        mapped = []
+        for u in us:
+            kids = tree.children(u)
+            first = 0 if u == 0 else kids.start
+            if (vm[u] is not None
+                    and em[first:kids.stop].count(None) < kids.stop - first):
+                mapped.append(u)
+        us = mapped
+    swaps = set(map(ne, map(label.__getitem__, map(vm.__getitem__, us)),
+                    map(label.__getitem__, us)))
     if len(swaps) > 1:
         raise ValueError("automorphism is not label-coherent")
     if not swaps:
@@ -404,16 +417,24 @@ def epsilon_tree(g):
     return -1 if swaps.pop() else 1
 
 
-def _lift(tree, a, b, shuffle=None):
+def _lift(tree, a, b, rng=None):
     """Vertex map that sends the root edge (0, 1) to the edge (a, b).
 
     Then, for each expanded vertex v in creation order whose image w is
     expanded too, v's children go to w's neighbors other than the image of
-    v's parent side, in id order or in the order `shuffle` leaves them.  When
-    that image is a child of w, it leaves w's child block and w's parent side
-    goes first.  The map is partial where images run past the boundary.
+    v's parent side, in id order or permuted by `rng`.  When that image is
+    a child of w, it leaves w's child block and w's parent side goes first.
+    The map is partial where images run past the boundary.
+
+    The permutation is `rng.shuffle`'s Fisher-Yates pass written out: for
+    i from q_E - 1 down to 1, j is drawn from `rng.getrandbits` with the
+    bit length of i + 1, redrawn while j > i, and entries i and j swap.  It
+    draws what `rng.shuffle` draws, so the maps and the generator's state
+    afterwards are the same, without a call per draw.
     """
     q_E, n_expanded = tree.q_E, tree.n_expanded
+    draws = [(i, (i + 1).bit_length()) for i in range(q_E - 1, 0, -1)]
+    getrandbits = None if rng is None else rng.getrandbits
     vmap = [None] * tree.n_vertices
     vmap[0], vmap[1] = a, b
     for v in range(n_expanded):
@@ -427,8 +448,12 @@ def _lift(tree, a, b, shuffle=None):
         if back >= first:
             block.remove(back)
             block.insert(0, 1 - w if w <= 1 else (w - 2) // q_E)
-        if shuffle is not None:
-            shuffle(block)
+        if getrandbits is not None:
+            for i, bits in draws:
+                j = getrandbits(bits)
+                while j > i:
+                    j = getrandbits(bits)
+                block[i], block[j] = block[j], block[i]
         vmap[2 + v * q_E:2 + (v + 1) * q_E] = block
     return vmap
 
@@ -441,11 +466,14 @@ def endpoint_swap(tree):
 
 def random_automorphism(tree, rng, swap=None):
     """Random full automorphism: optional endpoint swap, then a uniform
-    permutation of the children at every expanded vertex."""
+    permutation of the children at every expanded vertex.
+
+    `rng` is a `random.Random`; the coin is `rng.random()` and each
+    permutation draws what `rng.shuffle` would (see `_lift`)."""
     if swap is None:
         swap = rng.random() < 0.5
     a, b = (1, 0) if swap else (0, 1)
-    return TreeAutomorphism(tree, _lift(tree, a, b, rng.shuffle))
+    return TreeAutomorphism(tree, _lift(tree, a, b, rng))
 
 
 def compose(g, h):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from buildingkit import cache, cli, coxeter, orbits
+from buildingkit import cache, cli, coxeter, orbits, period
 from buildingkit.coxeter import build_affine_system, growth_coefficients
 
 
@@ -108,6 +108,30 @@ def test_period_over_the_truncation_cap_is_a_usage_error(capsys):
                                       "--qF", "9", "--K", "5000"])
     assert code == 2 and out == ""
     assert "exceeds the cap of 13000 bits" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_period_listing_past_its_bit_cap_is_a_usage_error(capsys, monkeypatch, fmt):
+    # these formats list all K + 1 partial sums: 51 MB of JSON at this K
+    def no_series(*args):
+        raise AssertionError("series expanded past the listing cap")
+
+    monkeypatch.setattr(coxeter, "growth_from_exponents", no_series)
+    code, out, err = run_cli(capsys, ["period", "--family", "A", "--rank", "1",
+                                      "--qF", "2", "--K", "13000",
+                                      "--format", fmt])
+    assert code == 2 and out == ""
+    assert ("bit_length(q_F - 1) * K (K + 1) / 2 = 84506500 bits, over the "
+            "cap of 1000000 bits for the json and csv formats") in err
+
+
+def test_period_listing_cap_sits_at_a_million_bits():
+    period.require_listable(2, 1413)  # 998,991 bits
+    with pytest.raises(ValueError, match="1000405 bits"):
+        period.require_listable(2, 1414)
+    period.require_listable(9, 706)  # 998,284 bits
+    with pytest.raises(ValueError, match="over the cap"):
+        period.require_listable(9, 707)
 
 
 def test_period_commands_never_enumerate(capsys, monkeypatch):

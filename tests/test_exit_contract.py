@@ -127,20 +127,66 @@ def observed():
             "audits": damaged_audits()}
 
 
-def test_optimized_run_answers_the_same():
+def automorphism_errors():
+    """The message of each refused automorphism of the (2, 2) tree, in the
+    order of AUTOMORPHISM_ERRORS; a map that is not refused adds none."""
+    t = tree.build_tree_pair(2, 2)
+    n = t.n_vertices
+
+    def partial(images):
+        return [images.get(v) for v in range(n)]
+
+    messages = []
+    for vm, signed in [(partial({0: 2, 1: 3}), False),
+                       (partial({0: 0, 1: 0}), False),
+                       (partial({0: n}), False),
+                       (list(range(n - 1)), False),
+                       # (2,10) keeps the labels and (3,14) swaps them
+                       (partial({2: 2, 10: 11, 3: 14, 14: 3}), True),
+                       # a lone vertex spans no edge
+                       (partial({0: 0}), True)]:
+        try:
+            aut = tree.TreeAutomorphism(t, vm)
+            if signed:
+                tree.epsilon_tree(aut)
+        except ValueError as exc:
+            messages.append(str(exc))
+    return messages
+
+
+AUTOMORPHISM_ERRORS = ("breaks adjacency", "not injective", "out of range",
+                       "entries", "not label-coherent", "contains no edges")
+
+
+def run_optimized(name):
+    """[sys.flags.optimize, the JSON of this module's name()] from a
+    `python -O` process."""
     here = Path(__file__).resolve().parent
     src = here.parent / "src"
     script = ("import json, sys; import test_exit_contract as t; "
-              "print(json.dumps([sys.flags.optimize, t.observed()]))")
+              f"print(json.dumps([sys.flags.optimize, t.{name}()]))")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(src), str(here)]))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    optimize, answers = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_optimized_run_answers_the_same():
+    optimize, answers = run_optimized("observed")
     assert optimize == 1
     expected = observed()
     assert all(problems for problems in expected["audits"])
     assert answers == expected
+
+
+def test_automorphism_errors_raise_under_optimize():
+    optimize, messages = run_optimized("automorphism_errors")
+    assert optimize == 1
+    assert len(messages) == len(AUTOMORPHISM_ERRORS)
+    assert all(fragment in message
+               for fragment, message in zip(AUTOMORPHISM_ERRORS, messages))
+    assert messages == automorphism_errors()
 
 
 def test_orbit_refuses_a_large_prime_at_once():

@@ -355,6 +355,163 @@ def test_random_automorphism_golden_vertex_map():
     assert g.edge_map == [0] + [image - 1 for image in g.vertex_map[2:]]
 
 
+# -- the automorphism passes against the loops they replaced ------------------
+
+def shuffled_lift(t, a, b, rng):
+    """The lift of the root edge to (a, b), one of its two orientations, with
+    each expanded image's children put through `rng.shuffle` in creation
+    order."""
+    vm = [a, b] + [None] * (t.n_vertices - 2)
+    for v in range(t.n_expanded):
+        block = [e + 1 for e in t.children(vm[v])]
+        rng.shuffle(block)
+        vm[2 + v * t.q_E:2 + (v + 1) * t.q_E] = block
+    return vm
+
+
+def reference_edge_map(t, vm):
+    """Edge map by floor division: the edge joining images lo < hi can only
+    be edge hi - 1, which hangs at vertex 0 when hi == 1 and at
+    (hi - 2) // q_E otherwise; -1 marks a mapped pair that is not an edge."""
+    edge_map = []
+    for e in t.edges():
+        u, w = t.endpoints(e)
+        if vm[u] is None or vm[w] is None:
+            edge_map.append(None)
+            continue
+        lo, hi = sorted((vm[u], vm[w]))
+        edge_map.append(hi - 1 if hi == 1 or (hi - 2) // t.q_E == lo else -1)
+    return edge_map
+
+
+def reference_epsilon(g):
+    """The sign read vertex by vertex, at each expanded u with a mapped edge
+    hanging there."""
+    t = g.tree
+    label, vm, em = t.v_label, g.vertex_map, g.edge_map
+    swaps = set()
+    for u in range(t.n_expanded):
+        if vm[u] is None:
+            continue
+        kids = t.children(u)
+        first = 0 if u == 0 else kids.start
+        if em[first:kids.stop].count(None) < kids.stop - first:
+            swaps.add(label[vm[u]] != label[u])
+    if len(swaps) > 1:
+        raise ValueError("automorphism is not label-coherent")
+    if not swaps:
+        raise ValueError("automorphism domain contains no edges")
+    return -1 if swaps.pop() else 1
+
+
+def outcome(f, *args):
+    """f's value, or the message of the ValueError it raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def subtree(t, v):
+    """v and the vertices below it."""
+    below, stack = [], [v]
+    while stack:
+        below.append(stack.pop())
+        stack.extend(e + 1 for e in t.children(below[-1]))
+    return below
+
+
+# one depth-1 tree per q_E in {4, 9, 16, 25, 49, 64, 81}, and deeper ones
+DRAW_TREES = [tree.build_tree_pair(q, 1) for q in tree.ALLOWED_QF] + [
+    tree.build_tree_pair(2, 3), tree.build_tree_pair(3, 2)]
+AUT_TREES = [tree.build_tree_pair(q, depth)
+             for q, depth in ((2, 1), (2, 3), (3, 2), (4, 2), (5, 2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.sampled_from(DRAW_TREES), seed=st.integers(0, 2**64),
+       swap=st.booleans())
+def test_lift_draws_are_random_shuffles(t, seed, swap):
+    a, b = (1, 0) if swap else (0, 1)
+    rng, oracle = random.Random(seed), random.Random(seed)
+    assert tree._lift(t, a, b, rng) == shuffled_lift(t, a, b, oracle)
+    assert rng.getstate() == oracle.getstate()
+    rng, oracle = random.Random(seed), random.Random(seed)
+    g = tree.random_automorphism(t, rng)
+    assert g.vertex_map == shuffled_lift(t, *(
+        (1, 0) if oracle.random() < 0.5 else (0, 1)), oracle)
+    assert rng.getstate() == oracle.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.sampled_from(AUT_TREES), seed=st.integers(0, 2**32),
+       holes=st.lists(st.integers(min_value=0), max_size=40),
+       swaps=st.lists(st.tuples(st.integers(min_value=0),
+                                st.integers(min_value=0)), max_size=3))
+def test_edge_map_matches_floor_division(t, seed, holes, swaps):
+    # a random automorphism with holes punched and a few images exchanged,
+    # which mostly turns mapped edges into non-edges
+    vm = tree.random_automorphism(t, random.Random(seed)).vertex_map
+    n = t.n_vertices
+    for i in holes:
+        vm[i % n] = None
+    for i, j in swaps:
+        vm[i % n], vm[j % n] = vm[j % n], vm[i % n]
+    expected = reference_edge_map(t, vm)
+    if -1 in expected:
+        e = expected.index(-1)
+        u, w = t.endpoints(e)
+        with pytest.raises(ValueError) as info:
+            tree.TreeAutomorphism(t, vm)
+        assert str(info.value) == (f"vertex map breaks adjacency: edge {e} "
+                                   f"maps to non-edge ({vm[u]},{vm[w]})")
+    else:
+        assert tree.TreeAutomorphism(t, vm).edge_map == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.sampled_from(AUT_TREES), seed=st.integers(0, 2**32))
+def test_epsilon_matches_the_vertex_loop_on_full_maps(t, seed):
+    rng = random.Random(seed)
+    g = tree.random_automorphism(t, rng)
+    h = tree.random_automorphism(t, rng)
+    for aut in (g, h, tree.compose(g, h), tree.endpoint_swap(t)):
+        assert None not in aut.edge_map
+        assert tree.epsilon_tree(aut) == reference_epsilon(aut)
+
+
+@pytest.mark.parametrize("t", AUT_TREES)
+def test_epsilon_matches_the_vertex_loop_on_translations(t):
+    for steps in range(-t.depth, t.depth + 1):
+        aut = tree.translation_automorphism(t, steps)
+        assert outcome(tree.epsilon_tree, aut) == outcome(reference_epsilon, aut)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=st.sampled_from(AUT_TREES), seed=st.integers(0, 2**32),
+       glued=st.booleans(), keep=st.integers(0, 8))
+def test_epsilon_matches_the_vertex_loop_on_partial_maps(t, seed, glued, keep):
+    # a random automorphism with about keep/8 of its vertices kept, or two
+    # of them glued on the subtrees below the first children of vertices 0
+    # and 1, which is incoherent when exactly one of them swaps the ends
+    rng = random.Random(seed)
+    g = tree.random_automorphism(t, rng)
+    vm = list(g.vertex_map)
+    if glued:
+        h = tree.random_automorphism(t, rng)
+        vm = [None] * t.n_vertices
+        for source, root in ((g, 2), (h, 2 + t.q_E)):
+            for v in subtree(t, root):
+                vm[v] = source.vertex_map[v]
+    vm = [x if rng.randrange(8) < keep else None for x in vm]
+    try:
+        aut = tree.TreeAutomorphism(t, vm)
+    except ValueError as exc:  # both glued subtrees land on one image
+        assert glued and "not injective" in str(exc)
+        return
+    assert outcome(tree.epsilon_tree, aut) == outcome(reference_epsilon, aut)
+
+
 # -- per-edge Fraction references for the integer passes ----------------------
 
 def reference_verify_harmonic(t, vals):

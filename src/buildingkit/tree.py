@@ -88,9 +88,6 @@ class TreePair:
         yield self.parent_edge(v)
         yield from self.children(v)
 
-    def is_interior(self, v):
-        return v < self.n_expanded
-
     @cached_property
     def parents(self):
         """Vertex-indexed list of the vertex each one hangs at: None for
@@ -159,6 +156,102 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
             e_delta += block[e_delta[parent] + 1]
 
     return TreePair(q_F, depth, e_in_F, e_level, e_delta, v_label)
+
+
+# ---------------------------------------------------------------------------
+# whole columns: per-vertex identities on strided slices
+#
+# Expanded vertex v's j-th child edge is 1 + v * q_E + j, so the slice
+# column[1 + j::q_E] holds that entry for every expanded vertex, in id order.
+# A byte string read as one big-endian integer has a byte per vertex; sums of
+# 0/1 columns over the at most q_E + 1 <= 82 edges at a vertex never carry
+# from one byte into the next, so `+`, `&` and `==` on such integers act on
+# every vertex at once.
+
+def _as_bytes(column):
+    """A column as a bytes-like object; a list with an entry outside 0..255
+    raises ValueError, one with a non-integer entry TypeError."""
+    return column if isinstance(column, (bytes, bytearray)) else bytes(column)
+
+
+def _hits(value):
+    """Translation table sending the byte `value` to 1 and all others to 0."""
+    return bytes(map(value.__eq__, range(256)))
+
+
+def _at_parents(column, n):
+    """The parent-edge entry of each of the first n vertices: the root
+    edge's for vertices 0 and 1, edge v - 1's for every other v."""
+    return column[:1] + column[:n - 1] if n else column[:0]
+
+
+def _child_sums(column, q_E, n):
+    """Per expanded vertex, the sum of its child edges' entries, as one
+    integer with a byte per vertex (vertex 0 the most significant)."""
+    stop = 1 + n * q_E
+    return sum(int.from_bytes(column[1 + j:stop:q_E], "big")
+               for j in range(q_E))
+
+
+def _edge_sums(column, q_E, n):
+    """Per expanded vertex, the sum over all its edges, the parent edge
+    included, as in `_child_sums`."""
+    return (_child_sums(column, q_E, n)
+            + int.from_bytes(_at_parents(column, n), "big"))
+
+
+def _columns_sound(tree):
+    """Whether the degree, label and delta identities of
+    `check_tree_invariants` hold at every expanded vertex; False as well
+    when the columns cannot be read as bytes, when a delta is 255 and when
+    no vertex is expanded."""
+    q_F, q_E, n = tree.q_F, tree.q_E, tree.n_expanded
+    try:
+        marks, deltas, labels = map(
+            _as_bytes, (tree.e_in_F, tree.e_delta, tree.v_label))
+    except (TypeError, ValueError):
+        return False
+    if (not n or 255 in deltas
+            or marks.count(0) + marks.count(1) != len(marks)
+            or labels.count(0) + labels.count(1) != len(labels)
+            or (deltas[0] == 0) != (marks[0] == 1) or labels[0] == labels[1]):
+        return False
+    as_int = int.from_bytes
+    # a marked vertex has q_F marked children, an unmarked one none
+    if _child_sums(marks, q_E, n) != as_int(
+            _at_parents(marks, n).translate(bytes((0, q_F, *bytes(254)))),
+            "big"):
+        return False
+    # a child edge's delta is 0 when it is marked and its parent edge's + 1
+    # otherwise (255 is excluded, so + 1 does not wrap); its far endpoint's
+    # label is the flip of its near one's
+    plus_one = as_int(_at_parents(deltas, n).translate(
+        bytes((*range(1, 256), 0))), "big")
+    flipped = labels[:n].translate(bytes((1, 0, *bytes(254))))
+    unmarked = bytes((255, *bytes(255)))
+    stop = 1 + n * q_E
+    for j in range(q_E):
+        if (labels[2 + j:stop + 1:q_E] != flipped
+                or as_int(deltas[1 + j:stop:q_E], "big") != plus_one & as_int(
+                    marks[1 + j:stop:q_E].translate(unmarked), "big")):
+            return False
+    return True
+
+
+def _pattern_rows(tree):
+    """The distinct incidence patterns of the expanded vertices: how many of
+    a vertex's edges fall in each delta class 0..depth."""
+    q_E, n, n_classes = tree.q_E, tree.n_expanded, tree.depth + 1
+    deltas, stop = tree.e_delta, 1 + n * q_E
+    # the deltas at each expanded vertex, its parent edge's first; a sound
+    # tree has only a few distinct ones
+    at_vertex = set(zip(_at_parents(deltas, n),
+                        *(deltas[1 + j:stop:q_E] for j in range(q_E))))
+    rows = {tuple(map(at.count, range(n_classes))) for at in at_vertex}
+    if len(deltas) != tree.n_edges or any(sum(row) != q_E + 1 for row in rows):
+        raise ModelError(
+            f"e_delta is not {tree.n_edges} deltas in 0..{tree.depth}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +366,14 @@ def invariant_solver(tree):
 
     Builds one linear equation per distinct interior-vertex incidence pattern
     and computes the exact nullspace.  Any dimension other than 1 is a model
-    bug and raises ModelError.  The returned profile is normalized to value 1
+    bug and raises ModelError, as does a delta outside 0..depth.  The returned profile is normalized to value 1
     on the marked edges, and the corresponding global cocycle is re-verified
     vertex by vertex before returning.
     """
     if tree.depth < 2:
         raise ValueError("need depth >= 2 to constrain every delta class")
     n_classes = tree.depth + 1
-    rows = set()
-    for v in range(tree.n_expanded):
-        counts = [0] * n_classes
-        counts[tree.e_delta[tree.parent_edge(v)]] += 1
-        for e in tree.children(v):
-            counts[tree.e_delta[e]] += 1
-        rows.add(tuple(counts))
-    basis = nullspace(sorted(rows), n_classes)
+    basis = nullspace(sorted(_pattern_rows(tree)), n_classes)
     if len(basis) != 1:
         raise ModelError(
             f"invariant space has dimension {len(basis)}, expected 1")
@@ -309,33 +395,54 @@ def reconstruct_layer(tree, values):
     by harmonicity at its inner panel: the edges at the panel split into the
     known inner ones and the unknown outer ones, the outer ones all carry the
     same value, so that value is minus the inner sum over the outer count.
-    Returns the full next layer as a dict; empty when already at the rim.
+    Panels that split alike share one value object.  Returns the full next
+    layer as a dict; empty when already at the rim.
     """
     if not values:
         raise ValueError("empty input layer")
-    deltas = {tree.e_delta[e] for e in values}
-    if len(deltas) != 1:
-        raise ValueError(f"input edges span several delta classes: {sorted(deltas)}")
-    delta = deltas.pop()
-    expected = [e for e in range(tree.n_edges) if tree.e_delta[e] == delta]
-    if set(values) != set(expected):
+    deltas = _as_bytes(tree.e_delta)
+    classes = set(map(deltas.__getitem__, values))
+    if len(classes) != 1:
+        raise ValueError(
+            f"input edges span several delta classes: {sorted(classes)}")
+    delta = classes.pop()
+    known = deltas.translate(_hits(delta))
+    # a negative key aliases an edge counted from the end, and is no member
+    if values.keys() != set(compress(range(tree.n_edges), known)):
         raise ValueError(f"input must cover every edge at delta={delta}")
-    if len(set(values.values())) != 1:
+    layer = list(values.values())
+    value = layer[0]
+    # list.count tries identity before equality, so a layer sharing one value
+    # object is checked without a Fraction comparison per edge
+    if layer.count(value) != len(layer):
         raise ValueError("input layer is not constant")
 
-    out = {}
-    panels = {}
-    for e in range(tree.n_edges):
-        if tree.e_delta[e] == delta + 1:
-            panels.setdefault(tree.endpoints(e)[0], []).append(e)
-    for panel, outer in panels.items():
-        if not tree.is_interior(panel):
-            raise ModelError("outer edge hangs at a boundary panel")
-        inner = [e for e in tree.incident_edges(panel) if tree.e_delta[e] <= delta]
-        inner_sum = sum((values[e] for e in inner), Fraction(0))
-        val = -inner_sum / len(outer)
-        for e in outer:
-            out[e] = val
+    q_E, n = tree.q_E, tree.n_expanded
+    if not n:  # the root edge alone, and it is in the layer
+        return {}
+    # per panel: its edges at delta or closer, those at delta, and its outer
+    # edges, the ones hanging there at delta + 1 (the root edge at vertex 0)
+    inner = deltas.translate(bytes(map(delta.__ge__, range(256))))
+    outer = deltas.translate(_hits(delta + 1))
+    sums = (_edge_sums(inner, q_E, n), _edge_sums(known, q_E, n),
+            _child_sums(outer, q_E, n) + (outer[0] << 8 * (n - 1)))
+    panels = list(zip(*(x.to_bytes(n, "big") for x in sums)))
+    forced = {}
+    for split in dict.fromkeys(panels):  # in order of first panel
+        n_inner, n_known, n_outer = split
+        if not n_outer:
+            continue
+        if n_inner != n_known:
+            raise ModelError(f"panel {panels.index(split)} has an edge "
+                             f"closer than delta={delta}")
+        forced[split] = -sum(repeat(value, n_inner), Fraction(0)) / n_outer
+    # every child edge gets its panel's value; the outer ones are kept
+    spread = chain.from_iterable(map(repeat, map(forced.get, panels),
+                                     repeat(q_E)))
+    out = dict(compress(zip(range(1, tree.n_edges), spread),
+                        outer[1:tree.n_edges]))
+    if outer[0]:
+        out = {0: forced[panels[0]], **out}
     return out
 
 
@@ -350,6 +457,7 @@ class TreeAutomorphism:
     edge id with None where an endpoint is unmapped, is induced from it and
     validated edge by edge; a pair of mapped endpoints that is not an edge
     again is rejected.  The marked subtree does not need to be preserved.
+    `full` says whether every vertex, and so every edge, is mapped.
     """
 
     def __init__(self, tree, vertex_map):
@@ -365,6 +473,7 @@ class TreeAutomorphism:
         if len(set(images)) != len(images):
             raise ValueError("vertex map is not injective")
         self.vertex_map = vm
+        self.full = len(images) == n
 
         # the images of the near endpoints: vm[0] for the root edge, then
         # each expanded vertex's image once per child edge
@@ -399,7 +508,7 @@ def epsilon_tree(g):
     # every expanded vertex is one, otherwise only those with a mapped edge
     # hanging there: among their children, or the root edge at 0
     us = range(tree.n_expanded)
-    if None in em:
+    if not g.full:
         mapped = []
         for u in us:
             kids = tree.children(u)
@@ -533,6 +642,22 @@ def check_tree_invariants(tree):
     hangs below a marked parent edge, so the marked edges reach the root
     edge exactly when the root edge is marked.  A malformed tree is
     reported, never raised on.
+
+    The degrees, labels and deltas are decided on whole columns.  A tree
+    built by `build_tree_pair` satisfies these identities, and they imply
+    every per-vertex check above:
+
+    - marks and labels are 0 or 1;
+    - the root edge has delta 0 exactly when it is marked;
+    - each expanded vertex has q_F marked children when it is marked (when
+      its parent edge is), and none otherwise;
+    - each child edge has delta 0 when it is marked, and its parent edge's
+      delta + 1 otherwise;
+    - each vertex's label is the flip of the one it hangs at.
+
+    Only a tree that fails them, or that the column test cannot read (a list
+    column with an entry outside 0..255, a delta of 255, no expanded
+    vertex), goes through the per-vertex loop, which finds the problems.
     """
     q_F, q_E = tree.q_F, tree.q_E
     e_in_F, e_delta, v_label = tree.e_in_F, tree.e_delta, tree.v_label
@@ -544,8 +669,28 @@ def check_tree_invariants(tree):
              if len(column) != n]
     if short:
         return TreeAuditReport(problems=tuple(short))
-    vertex_problems, label_problems, delta_problems = [], [], []
+    vertex_problems, label_problems, delta_problems = (
+        ([], [], []) if _columns_sound(tree) else _vertex_problems(tree))
 
+    problems = vertex_problems + label_problems
+    if not e_in_F[0]:
+        problems.append("marked subtree is not connected to the root edge")
+
+    expected_f = [2 * q_F**k for k in range(1, tree.depth + 1)]
+    expected_e = [2 * q_E**k for k in range(1, tree.depth + 1)]
+    if tree.sphere_sizes(marked_only=True)[1:] != expected_f:
+        problems.append("marked sphere census mismatch")
+    if tree.sphere_sizes()[1:] != expected_e:
+        problems.append("ambient sphere census mismatch")
+    return TreeAuditReport(problems=tuple(problems + delta_problems))
+
+
+def _vertex_problems(tree):
+    """The degree, label and delta problems of an audited tree, found vertex
+    by vertex: three lists of messages."""
+    q_F = tree.q_F
+    e_in_F, e_delta, v_label = tree.e_in_F, tree.e_delta, tree.v_label
+    vertex_problems, label_problems, delta_problems = [], [], []
     for v in range(tree.n_expanded):
         kids = tree.children(v)
         s, t = kids.start, kids.stop
@@ -599,15 +744,4 @@ def check_tree_invariants(tree):
         if n_least != (1 if least else q_F + 1) and least + 1 not in closer:
             delta_problems.append(
                 f"vertex {v} has {n_least} edges at its least delta={least}")
-
-    problems = vertex_problems + label_problems
-    if not e_in_F[0]:
-        problems.append("marked subtree is not connected to the root edge")
-
-    expected_f = [2 * q_F**k for k in range(1, tree.depth + 1)]
-    expected_e = [2 * q_E**k for k in range(1, tree.depth + 1)]
-    if tree.sphere_sizes(marked_only=True)[1:] != expected_f:
-        problems.append("marked sphere census mismatch")
-    if tree.sphere_sizes()[1:] != expected_e:
-        problems.append("ambient sphere census mismatch")
-    return TreeAuditReport(problems=tuple(problems + delta_problems))
+    return vertex_problems, label_problems, delta_problems

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import buildingkit
@@ -69,3 +70,21 @@ def test_traced_functions_stay_public():
         if function not in tracing.public_functions(module):
             missing.append(name)
     assert tracing.SELF_TIMES and missing == []
+
+
+def test_package_imports_only_the_standard_library():
+    # the package has no runtime dependencies: every import is a standard
+    # library module or a module of the package itself
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []

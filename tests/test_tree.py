@@ -7,7 +7,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buildingkit import period, tree
@@ -187,6 +187,16 @@ def test_reconstruct_layer_input_validation():
         vals = {e: Fraction(1) for e in marked}
         vals[marked[-1]] = Fraction(2)
         tree.reconstruct_layer(t, vals)
+
+
+def test_reconstruct_layer_refuses_a_negative_alias():
+    # key e - n_edges indexes the same delta as edge e, but names no edge
+    t = tree.build_tree_pair(2, 3)
+    last = t.n_edges - 1
+    members = [e for e in t.edges() if t.e_delta[e] == t.e_delta[last]]
+    for keys in ([*members[:-1], last - t.n_edges], [*members, -1]):
+        with pytest.raises(ValueError, match="must cover every edge"):
+            tree.reconstruct_layer(t, dict.fromkeys(keys, Fraction(1)))
 
 
 def test_endpoint_swap_and_identity_signs():
@@ -707,3 +717,267 @@ def test_invariant_solver_raises_on_degenerate_model(monkeypatch):
                         lambda rows, n: [[Fraction(0)] + [Fraction(1)] * (n - 1)])
     with pytest.raises(ModelError):
         tree.invariant_solver(t)
+
+
+
+# -- the column passes against the vertex loops they replaced -----------------
+
+def reference_reconstruct_layer(t, values):
+    """The layer pushed outward edge by edge: each outer edge's panel sums
+    the input values of its edges at delta or closer."""
+    delta = t.e_delta[next(iter(values))]
+    out, panels = {}, {}
+    for e in t.edges():
+        if t.e_delta[e] == delta + 1:
+            panels.setdefault(t.endpoints(e)[0], []).append(e)
+    for panel, outer in panels.items():
+        inner = [e for e in t.incident_edges(panel) if t.e_delta[e] <= delta]
+        inner_sum = sum((values[e] for e in inner), Fraction(0))
+        for e in outer:
+            out[e] = -inner_sum / len(outer)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.sampled_from(sorted(TREES)),
+       edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 4)),
+                      max_size=3),
+       delta=st.integers(0, 4), value=st.fractions())
+@example(shape=(2, 2), edits=[(0, 1)], delta=0, value=Fraction(1))  # root out
+def test_reconstruct_layer_matches_the_edge_loop(shape, edits, delta, value):
+    # on damaged deltas too: a panel with an edge closer than the layer has
+    # no input value for it, and is refused
+    t = TREES[shape]
+    deltas = list(t.e_delta)
+    for e, d in edits:
+        deltas[e % t.n_edges] = d
+    t = damaged(t, e_delta=deltas)
+    values = dict.fromkeys((e for e in t.edges() if deltas[e] == delta), value)
+    if not values:
+        return
+    try:
+        expected = reference_reconstruct_layer(t, values)
+    except KeyError:
+        with pytest.raises(ModelError, match=f"closer than delta={delta}"):
+            tree.reconstruct_layer(t, values)
+        return
+    layer = tree.reconstruct_layer(t, values)
+    assert layer == expected and list(layer) == list(expected)
+
+
+def reference_audit(t):
+    """The audit's problems found vertex by vertex, as before the column test."""
+    q_F, q_E = t.q_F, t.q_E
+    e_in_F, e_delta, v_label = t.e_in_F, t.e_delta, t.v_label
+    short = [f"column {name} has {len(column)} entries, expected {n}"
+             for name, column, n in (("e_in_F", e_in_F, t.n_edges),
+                                     ("e_level", t.e_level, t.n_edges),
+                                     ("e_delta", e_delta, t.n_edges),
+                                     ("v_label", v_label, t.n_vertices))
+             if len(column) != n]
+    if short:
+        return tuple(short)
+    vertex_problems, label_problems, delta_problems = [], [], []
+    for v in range(t.n_expanded):
+        kids = t.children(v)
+        s, u = kids.start, kids.stop
+        p = 0 if v <= 1 else v - 1
+        n_marked = e_in_F[p] + e_in_F[s:u].count(True)
+        if e_in_F[p]:
+            if n_marked != q_F + 1:
+                vertex_problems.append(
+                    f"marked interior vertex {v} has {n_marked} marked edges")
+        elif n_marked:
+            vertex_problems.append(
+                f"unmarked vertex {v} touches {n_marked} marked edges")
+        h = 0 if v == 0 else s
+        label = v_label[v]
+        if label in v_label[h + 1:u + 1]:
+            label_problems.extend(f"edge {e} joins equal labels"
+                                  for e in range(h, u) if v_label[e + 1] == label)
+        deltas = e_delta[h:u]
+        at_v = [*deltas, e_delta[p]] if v else [*deltas]
+        least = min(at_v)
+        n_least = at_v.count(least)
+        if (n_least == (1 if least else q_F + 1)
+                and (not least or e_delta[p] == least)
+                and n_least + at_v.count(least + 1) == len(at_v)):
+            continue
+        closer = {}
+        for d in set(deltas):
+            n_closer = at_v.count(d - 1)
+            if d and n_closer != (q_F + 1 if d == 1 else 1):
+                closer[d] = n_closer
+        for e in range(h, u):
+            d = e_delta[e]
+            if d in closer:
+                if d == 1:
+                    delta_problems.append(
+                        f"edge {e} at delta=1 sees {closer[d]} marked edges")
+                else:
+                    delta_problems.append(
+                        f"edge {e} at delta={d} has {closer[d]} inner neighbors")
+            elif d > least + 1:
+                delta_problems.append(
+                    f"edge {e} at delta={d} is more than one class past "
+                    f"delta={least} at vertex {v}")
+        if n_least != (1 if least else q_F + 1) and least + 1 not in closer:
+            delta_problems.append(
+                f"vertex {v} has {n_least} edges at its least delta={least}")
+    problems = vertex_problems + label_problems
+    if not e_in_F[0]:
+        problems.append(NOT_CONNECTED)
+    if t.sphere_sizes(marked_only=True)[1:] != [
+            2 * q_F**k for k in range(1, t.depth + 1)]:
+        problems.append("marked sphere census mismatch")
+    if t.sphere_sizes()[1:] != [2 * q_E**k for k in range(1, t.depth + 1)]:
+        problems.append("ambient sphere census mismatch")
+    return tuple(problems + delta_problems)
+
+
+def reference_rows(t):
+    """The solver's rows collected vertex by vertex: per class, how many
+    edges at the vertex carry that delta."""
+    rows = set()
+    for v in range(t.n_expanded):
+        counts = [0] * (t.depth + 1)
+        for e in t.incident_edges(v):
+            counts[t.e_delta[e]] += 1
+        rows.add(tuple(counts))
+    return rows
+
+
+CENSUS_AND_CONNECTIVITY = {NOT_CONNECTED, "marked sphere census mismatch",
+                           "ambient sphere census mismatch"}
+ORACLE_TREES = AUDIT_TREES + [tree.build_tree_pair(2, 3),
+                              tree.build_tree_pair(3, 2)]
+EDITED = ("e_in_F", "e_delta", "v_label")
+
+
+def propagate(t, columns, names, edited):
+    """Recompute the named columns top-down by the construction's rules,
+    except at the edited (column, index) entries, whose values then carry
+    on below them as the rules dictate."""
+    q_F, q_E = t.q_F, t.q_E
+    marks, deltas, labels = (columns[name] for name in EDITED)
+    if "v_label" in names and ("v_label", 1) not in edited:
+        labels[1] = 1 - labels[0]
+    for e in range(1, t.n_edges):
+        v = (e - 1) // q_E
+        p = t.parent_edge(v)
+        if "e_in_F" in names and ("e_in_F", e) not in edited:
+            marks[e] = int(bool(marks[p]) and (e - 1) % q_E < q_F)
+        if "e_delta" in names and ("e_delta", e) not in edited:
+            deltas[e] = 0 if marks[e] else deltas[p] + 1
+        if "v_label" in names and ("v_label", e + 1) not in edited:
+            labels[e + 1] = 1 - labels[v]
+
+
+@settings(max_examples=600, deadline=None)
+@given(t=st.sampled_from(ORACLE_TREES),
+       edits=st.lists(st.tuples(st.sampled_from(EDITED),
+                                st.integers(min_value=0),
+                                st.sampled_from((0, 1, 2, 3, 255, 300))),
+                      min_size=1, max_size=5),
+       names=st.sets(st.sampled_from(EDITED)))
+def test_column_passes_match_the_vertex_loops(t, edits, names):
+    # cells edited, then the named columns rebuilt around the edits, so that
+    # damage can also be locally consistent: a wrong mark with the deltas
+    # and labels that follow from it
+    columns = {name: list(getattr(t, name)) for name in EDITED}
+    edited = set()
+    for name, i, value in edits:
+        i %= len(columns[name])
+        columns[name][i] = value
+        edited.add((name, i))
+    propagate(t, columns, names, edited)
+    t = damaged(t, **columns)
+    expected = reference_audit(t)
+    assert tree.check_tree_invariants(t).problems == expected
+    # the column test accepts no tree the vertex loop faults
+    if tree._columns_sound(t):
+        assert set(expected) <= CENSUS_AND_CONNECTIVITY
+    try:
+        rows = reference_rows(t)
+    except IndexError:  # a delta past the last class
+        with pytest.raises(ModelError, match="deltas in 0.."):
+            tree._pattern_rows(t)
+    else:
+        assert tree._pattern_rows(t) == rows
+
+
+@pytest.mark.parametrize("q,depth", [(2, 1), (2, 6), (3, 4), (4, 3), (9, 2)])
+def test_built_trees_take_the_column_test(q, depth):
+    assert tree._columns_sound(tree.build_tree_pair(q, depth))
+
+
+def test_column_test_guards():
+    # trees the strided comparisons alone would pass: a child of a delta-255
+    # edge at 255 + 1, which is 0 in a byte; marks 2, 0 that sum to q_F; and
+    # the root edge's far end labelled like its near end, with the labels
+    # below it following
+    t = tree.build_tree_pair(2, 1)
+    wrapped = damaged(t, e_in_F=[0] * t.n_edges,
+                      e_delta=[255] + [0] * (t.n_edges - 1))
+    columns = {name: list(getattr(t, name)) for name in EDITED}
+    columns["e_in_F"][1:5] = [2, 0, 0, 0]
+    propagate(t, columns, {"e_in_F", "e_delta"},
+              {("e_in_F", e) for e in range(1, 5)})
+    summed = damaged(t, **columns)
+    columns = {name: list(getattr(t, name)) for name in EDITED}
+    columns["v_label"][1] = columns["v_label"][0]
+    propagate(t, columns, {"v_label"}, {("v_label", 1)})
+    same_ends = damaged(t, **columns)
+    for bad in (wrapped, summed, same_ends):
+        assert not tree._columns_sound(bad)
+        problems = tree.check_tree_invariants(bad).problems
+        assert problems == reference_audit(bad)
+        assert not set(problems) <= CENSUS_AND_CONNECTIVITY
+
+
+@pytest.mark.parametrize("q", tree.ALLOWED_QF)
+def test_solver_rows_are_the_symbolic_patterns(q, monkeypatch):
+    # a marked vertex meets q_F + 1 edges at delta 0 and q_E - q_F at delta
+    # 1; an unmarked one meets its parent edge at some d >= 1 and q_E edges
+    # at d + 1, for every d the depth leaves room for
+    q_E = q * q
+    collected = []
+    solve = tree.nullspace
+    monkeypatch.setattr(tree, "nullspace",
+                        lambda rows, n: collected.append(rows) or solve(rows, n))
+    for depth in range(2, 5):
+        if tree._projected_edges(q_E, depth) > tree.DEFAULT_EDGE_BUDGET:
+            break
+        t = tree.build_tree_pair(q, depth)
+        tree.invariant_solver(t)
+
+        def row(*pairs):
+            counts = [0] * (depth + 1)
+            for d, n_edges in pairs:
+                counts[d] = n_edges
+            return tuple(counts)
+
+        expected = {row((0, q + 1), (1, q_E - q))} | {
+            row((d, 1), (d + 1, q_E)) for d in range(1, depth)}
+        assert set(collected.pop()) == expected
+        assert reference_rows(t) == expected
+    # depth 1, below what the solver takes, has the two marked root ends
+    assert tree._pattern_rows(tree.build_tree_pair(q, 1)) == {(q + 1, q_E - q)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.sampled_from(AUT_TREES), seed=st.integers(0, 2**32),
+       keep=st.integers(0, 8))
+def test_full_says_whether_every_vertex_is_mapped(t, seed, keep):
+    rng = random.Random(seed)
+    g = tree.random_automorphism(t, rng)
+    h = tree.random_automorphism(t, rng)
+    part = tree.TreeAutomorphism(
+        t, [x if rng.randrange(8) < keep else None for x in g.vertex_map])
+    shifts = [tree.translation_automorphism(t, steps)
+              for steps in range(-t.depth, t.depth + 1)]
+    for aut in (g, h, tree.compose(g, h), tree.endpoint_swap(t), part,
+                tree.compose(part, h), tree.compose(h, part), *shifts,
+                tree.compose(shifts[0], shifts[-1])):
+        assert aut.full == (None not in aut.vertex_map)
+        assert aut.full == (None not in aut.edge_map)

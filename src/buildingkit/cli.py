@@ -98,8 +98,8 @@ def _cmd_tree_verify(args):
         **_tree_header("tree-verify", pair),
         "n_edges": pair.n_edges,
         "n_vertices": pair.n_vertices,
-        "marked_census": pair.sphere_sizes(marked_only=True),
-        "ambient_census": pair.sphere_sizes(),
+        "marked_census": list(audit.marked_census),
+        "ambient_census": list(audit.ambient_census),
         "audit_ok": audit.ok,
         "audit_problems": list(audit.problems),
         "harmonic_violations": len(harm.violations),

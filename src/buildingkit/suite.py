@@ -152,12 +152,11 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     # 5. tree census and structural audit
     rows = []
     for q, t in sorted({**small_trees, **deep_trees}.items()):
-        f_census = t.sphere_sizes(marked_only=True)
-        e_census = t.sphere_sizes()
-        census_ok = (f_census == [1] + [2 * q**k for k in range(1, t.depth + 1)]
-                     and e_census == [1] + [2 * t.q_E**k
-                                            for k in range(1, t.depth + 1)])
         audit = tree.check_tree_invariants(t)
+        census_ok = (audit.marked_census
+                     == (1, *(2 * q**k for k in range(1, t.depth + 1)))
+                     and audit.ambient_census
+                     == (1, *(2 * t.q_E**k for k in range(1, t.depth + 1))))
         rows.append({"q_F": q, "depth": t.depth, "census_ok": census_ok,
                      "audit_ok": audit.ok,
                      "ok": census_ok and audit.ok})

@@ -22,17 +22,20 @@ first q_F children edges, and a vertex is marked exactly when the edge that
 created it is.  Each edge also records delta, its edge-to-edge gallery
 distance to the nearest marked edge.
 
-Cocycles are integer numerators over one common denominator, so the
-harmonicity, decay and period passes do integer arithmetic per edge and build
-a `Fraction` only for their results.  Automorphisms are id-indexed lists.
+A cocycle is constant on the classes of a column (the levels, or the
+deltas): one integer numerator per class over one common denominator.  So the
+harmonicity, decay and period passes do integer arithmetic once per distinct
+vertex pattern, (class, level) pair or level, and build a `Fraction` only for
+their results.  Automorphisms are id-indexed lists.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from math import lcm
 from operator import mul, ne
 
@@ -102,10 +105,16 @@ class TreePair:
 
     def sphere_sizes(self, marked_only=False):
         """Edge counts per gallery distance from the root edge."""
-        levels = self.e_level
-        if marked_only:
-            # the same column type again: bytes stay bytes, lists stay lists
-            levels = type(levels)(compress(levels, self.e_in_F))
+        levels, marks = self.e_level, self.e_in_F
+        if marked_only and {type(levels), type(marks)} <= {bytes, bytearray}:
+            # the levels or-ed with 255 (no level 0..depth) where the mark is
+            # 0, as integers, and the 255s deleted
+            n = min(len(levels), len(marks))
+            unmarked = marks[:n].translate(bytes((255, *bytes(255))))
+            levels = (int.from_bytes(levels[:n], "little") | int.from_bytes(
+                unmarked, "little")).to_bytes(n, "little").translate(None, b"\xff")
+        elif marked_only:
+            levels = list(compress(levels, marks))
         return [levels.count(k) for k in range(self.depth + 1)]
 
 
@@ -130,30 +139,31 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
             f"depth {depth}, over budget {edge_budget}",
             budget=edge_budget, smallest_failing_depth=failing)
 
-    # one byte per entry; block[x] is q_E copies of x, and no level or delta
-    # exceeds depth
-    block = [bytes([x]) * q_E for x in range(depth + 1)]
-    e_in_F = bytearray(b"\x01")
-    e_level = bytearray(1)
-    e_delta = bytearray(1)
-    v_label = bytearray(b"\x00\x01")
-
-    # per-vertex extension templates; children of a marked vertex start with
-    # its q_F marked children, all others are unmarked
-    f_flags = block[1][:q_F] + block[0][q_F:]
-    f_deltas = block[0][:q_F] + block[1][q_F:]
-
-    # vertex v is marked exactly when its parent edge is
-    for v in range((n_edges - 1) // q_E):
-        parent = 0 if v <= 1 else v - 1
-        e_level += block[e_level[parent] + 1]
-        v_label += block[1 - v_label[v]]
-        if e_in_F[parent]:
-            e_in_F += f_flags
-            e_delta += f_deltas
-        else:
-            e_in_F += block[0]
-            e_delta += block[e_delta[parent] + 1]
+    # level k is 2 q_E^k edges from `start` on; they hang at the far ends of
+    # level k - 1 (of the root edge, for k = 1), so the j-th children are
+    # the slice [start + j:stop:q_E], an entry per edge of level k - 1.
+    # Vertex 0's side is the first half of each level.
+    e_in_F, e_level, e_delta = (bytearray(n_edges) for _ in range(3))
+    v_label = bytearray(n_edges + 1)
+    e_in_F[0] = v_label[1] = 1
+    marks, deltas = b"\x01\x01", b"\x00\x00"
+    # the first q_F children of a marked edge are marked, at delta 0; every
+    # other child is one class past its parent edge (no delta exceeds depth)
+    to_first, to_rest = bytes((0, *range(2, 256), 0)), bytes((*range(1, 256), 0))
+    start = 1
+    for k in range(1, depth + 1):
+        size = len(marks) * q_E
+        stop, half = start + size, start + size // 2
+        e_level[start:stop] = bytes((k,)) * size
+        v_label[start + 1:half + 1] = bytes((k % 2,)) * (size // 2)
+        v_label[half + 1:stop + 1] = bytes((1 - k % 2,)) * (size // 2)
+        shifted = deltas.translate(to_first), deltas.translate(to_rest)
+        for j in range(q_E):
+            e_delta[start + j:stop:q_E] = shifted[j >= q_F]
+        for j in range(q_F):  # the other children stay unmarked
+            e_in_F[start + j:stop:q_E] = marks
+        marks, deltas = e_in_F[start:stop], e_delta[start:stop]
+        start = stop
 
     return TreePair(q_F, depth, e_in_F, e_level, e_delta, v_label)
 
@@ -238,16 +248,32 @@ def _columns_sound(tree):
     return True
 
 
+def _vertex_patterns(column, q_E, n):
+    """An edge column around each vertex 0..n-1: weights, and one tuple per
+    vertex in id order.  A tuple holds the vertex's parent-edge entry
+    (weight 1), then its entry in each distinct child slice
+    `column[1 + j::q_E]`, weighted by the number of j with an equal slice.
+    A sound tree has one or two distinct child slices and few tuples."""
+    stop = 1 + n * q_E
+    weights, kids = [1], []
+    for j in range(q_E):
+        kid = column[1 + j:stop:q_E]
+        if kid in kids:
+            weights[1 + kids.index(kid)] += 1
+        else:
+            weights.append(1)
+            kids.append(kid)
+    return weights, zip(_at_parents(column, n), *kids)
+
+
 def _pattern_rows(tree):
     """The distinct incidence patterns of the expanded vertices: how many of
     a vertex's edges fall in each delta class 0..depth."""
-    q_E, n, n_classes = tree.q_E, tree.n_expanded, tree.depth + 1
-    deltas, stop = tree.e_delta, 1 + n * q_E
-    # the deltas at each expanded vertex, its parent edge's first; a sound
-    # tree has only a few distinct ones
-    at_vertex = set(zip(_at_parents(deltas, n),
-                        *(deltas[1 + j:stop:q_E] for j in range(q_E))))
-    rows = {tuple(map(at.count, range(n_classes))) for at in at_vertex}
+    q_E, n_classes, deltas = tree.q_E, tree.depth + 1, tree.e_delta
+    weights, at_vertex = _vertex_patterns(deltas, q_E, tree.n_expanded)
+    rows = {tuple(sum(w for w, x in zip(weights, at) if x == d)
+                  for d in range(n_classes))
+            for at in set(at_vertex)}
     if len(deltas) != tree.n_edges or any(sum(row) != q_E + 1 for row in rows):
         raise ModelError(
             f"e_delta is not {tree.n_edges} deltas in 0..{tree.depth}")
@@ -258,25 +284,28 @@ def _pattern_rows(tree):
 # cocycles
 
 class EdgeCocycle:
-    """Exact rational value per edge, indexed by edge id over the whole tree.
+    """Exact rational edge values, constant on the classes of an edge
+    column such as `e_level` or `e_delta`.
 
-    Stored as integer numerators `nums` over one positive denominator `den`;
-    indexing returns the value as a `Fraction`.
+    Stores that column, one integer numerator per class, `nums`, and one
+    positive denominator `den`, and nothing per edge: edge e has the value
+    nums[column[e]] / den, which indexing returns as a `Fraction`.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("column", "nums", "den")
 
-    def __init__(self, nums, den=1):
+    def __init__(self, column, nums, den=1):
         if den < 1:
             raise ValueError(f"denominator must be positive, got {den}")
+        self.column = column
         self.nums = list(nums)
         self.den = den
 
     def __getitem__(self, e):
-        return Fraction(self.nums[e], self.den)
+        return Fraction(self.nums[self.column[e]], self.den)
 
     def __len__(self):
-        return len(self.nums)
+        return len(self.column)
 
     @classmethod
     def from_deltas(cls, tree, profile):
@@ -286,16 +315,17 @@ class EdgeCocycle:
         """
         values = [Fraction(profile[d]) for d in range(max(tree.e_delta) + 1)]
         den = lcm(*(x.denominator for x in values))
-        class_nums = [x.numerator * (den // x.denominator) for x in values]
-        return cls(map(class_nums.__getitem__, tree.e_delta), den)
+        return cls(tree.e_delta,
+                   [x.numerator * (den // x.denominator) for x in values], den)
 
 
 def iwahori_cocycle(tree):
     """The alternating geometric cocycle (-1/q_E)^(distance to the root edge),
-    over the common denominator q_E^depth."""
+    constant on levels, over the common denominator q_E^depth."""
     q_E, depth = tree.q_E, tree.depth
-    level_nums = [(-1) ** k * q_E ** (depth - k) for k in range(depth + 1)]
-    return EdgeCocycle(map(level_nums.__getitem__, tree.e_level), q_E ** depth)
+    return EdgeCocycle(
+        tree.e_level, [(-1) ** k * q_E ** (depth - k) for k in range(depth + 1)],
+        q_E ** depth)
 
 
 @dataclass(frozen=True)
@@ -313,43 +343,55 @@ def verify_harmonic(tree, cocycle):
     """Check that the edge values around every interior vertex sum to zero.
 
     Boundary vertices have missing neighbors, so they are skipped and counted
-    rather than reported as violations.  The sums are taken over numerators,
-    which share one denominator.
+    rather than reported as violations.  A vertex's sum depends only on the
+    classes of its edges, so it is taken once per distinct tuple of classes
+    (see `_vertex_patterns`), over numerators that share one denominator;
+    only when some tuple sums to nonzero are the vertices listed one by one.
     """
-    nums = cocycle.nums
-    q_E = tree.q_E
-    violations = []
-    for v in range(tree.n_expanded):
-        start = 1 + v * q_E
-        if sum(nums[start:start + q_E], nums[0 if v <= 1 else v - 1]):
-            violations.append(v)
-    return HarmonicityReport(
-        violations=tuple(violations),
-        interior_checked=tree.n_expanded,
-        boundary_skipped=tree.n_vertices - tree.n_expanded)
+    nums, n = cocycle.nums, tree.n_expanded
+    weights, at_vertex = _vertex_patterns(cocycle.column, tree.q_E, n)
+    bad = {at for at in set(at_vertex)
+           if sum(map(mul, weights, map(nums.__getitem__, at)))}
+    violations = ()
+    if bad:
+        at_vertex = _vertex_patterns(cocycle.column, tree.q_E, n)[1]
+        violations = tuple(v for v, at in enumerate(at_vertex) if at in bad)
+    return HarmonicityReport(violations=violations, interior_checked=n,
+                             boundary_skipped=tree.n_vertices - n)
 
 
 def tree_period(tree, cocycle):
-    """Partial sums of the cocycle over marked edges, sphere by sphere."""
-    layer_sums = [0] * (tree.depth + 1)
-    nums, e_level = cocycle.nums, tree.e_level
-    for e in compress(range(tree.n_edges), tree.e_in_F):
-        layer_sums[e_level[e]] += nums[e]
-    sums = []
-    acc = 0
-    for s in layer_sums:
-        acc += s
-        sums.append(Fraction(acc, cocycle.den))
-    return sums
+    """Partial sums of the cocycle over marked edges, sphere by sphere.
+
+    A sphere's sum is its marked edges counted per class, times the class
+    numerators.  When the classes are the levels, the counts are the marked
+    census; otherwise the (level, class) pairs of the marked edges are
+    counted.
+    """
+    nums = cocycle.nums
+    if cocycle.column is tree.e_level:
+        layer_sums = map(mul, tree.sphere_sizes(marked_only=True), nums)
+    else:
+        layer_sums = [0] * (tree.depth + 1)
+        pairs = Counter(compress(zip(tree.e_level, cocycle.column), tree.e_in_F))
+        for (k, c), n_edges in pairs.items():
+            layer_sums[k] += n_edges * nums[c]
+    return [Fraction(acc, cocycle.den) for acc in accumulate(layer_sums)]
 
 
 def decay_check(tree, cocycle):
-    """Exact sup over edges of |value| * q_E^(distance to the root edge)."""
-    scale = [tree.q_E ** k for k in range(tree.depth + 1)]
-    best = max(map(mul, map(abs, cocycle.nums),
-                   map(scale.__getitem__, tree.e_level)),
-               default=0)
-    return Fraction(best, cocycle.den)
+    """Exact sup over edges of |value| * q_E^(distance to the root edge).
+
+    Taken over the distinct (class, level) pairs that occur: when the
+    classes are the levels, over the levels present.
+    """
+    nums, levels = cocycle.nums, tree.e_level
+    if cocycle.column is levels:
+        pairs = [(k, k) for k in range(len(nums)) if k in levels]
+    else:
+        pairs = set(zip(cocycle.column, levels))
+    return Fraction(max((abs(nums[c]) * tree.q_E ** k for c, k in pairs),
+                        default=0), cocycle.den)
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +408,17 @@ def invariant_solver(tree):
 
     Builds one linear equation per distinct interior-vertex incidence pattern
     and computes the exact nullspace.  Any dimension other than 1 is a model
-    bug and raises ModelError, as does a delta outside 0..depth.  The returned profile is normalized to value 1
-    on the marked edges, and the corresponding global cocycle is re-verified
-    vertex by vertex before returning.
+    bug and raises ModelError, as does a delta outside 0..depth.  The
+    returned profile is normalized to value 1 on the marked edges.  Before
+    returning, the profile is checked against every pattern row: a vertex's
+    harmonic sum is its row times the profile, so with exact values this
+    decides harmonicity at every interior vertex.
     """
     if tree.depth < 2:
         raise ValueError("need depth >= 2 to constrain every delta class")
     n_classes = tree.depth + 1
-    basis = nullspace(sorted(_pattern_rows(tree)), n_classes)
+    rows = sorted(_pattern_rows(tree))
+    basis = nullspace(rows, n_classes)
     if len(basis) != 1:
         raise ModelError(
             f"invariant space has dimension {len(basis)}, expected 1")
@@ -381,8 +426,7 @@ def invariant_solver(tree):
     if vec[0] == 0:
         raise ModelError("invariant cocycle vanishes on the marked subtree")
     profile = tuple(x / vec[0] for x in vec)
-    report = verify_harmonic(tree, EdgeCocycle.from_deltas(tree, profile))
-    if not report.ok:
+    if any(sum(map(mul, row, profile)) for row in rows):
         raise ModelError("solved profile is not harmonic at some interior vertex")
     return InvariantSolution(dimension=1, profile=profile)
 
@@ -620,6 +664,10 @@ def translation_automorphism(tree, steps):
 @dataclass(frozen=True)
 class TreeAuditReport:
     problems: tuple
+    # per-level edge counts, marked and all; empty for a column of the wrong
+    # length
+    marked_census: tuple = ()
+    ambient_census: tuple = ()
 
     @property
     def ok(self):
@@ -676,13 +724,14 @@ def check_tree_invariants(tree):
     if not e_in_F[0]:
         problems.append("marked subtree is not connected to the root edge")
 
-    expected_f = [2 * q_F**k for k in range(1, tree.depth + 1)]
-    expected_e = [2 * q_E**k for k in range(1, tree.depth + 1)]
-    if tree.sphere_sizes(marked_only=True)[1:] != expected_f:
+    marked, ambient = tree.sphere_sizes(marked_only=True), tree.sphere_sizes()
+    if marked[1:] != [2 * q_F**k for k in range(1, tree.depth + 1)]:
         problems.append("marked sphere census mismatch")
-    if tree.sphere_sizes()[1:] != expected_e:
+    if ambient[1:] != [2 * q_E**k for k in range(1, tree.depth + 1)]:
         problems.append("ambient sphere census mismatch")
-    return TreeAuditReport(problems=tuple(problems + delta_problems))
+    return TreeAuditReport(problems=tuple(problems + delta_problems),
+                           marked_census=tuple(marked),
+                           ambient_census=tuple(ambient))
 
 
 def _vertex_problems(tree):

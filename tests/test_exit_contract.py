@@ -3,7 +3,8 @@
 Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
 never with a traceback; exits 2 and 3 print nothing on stdout and say why on
 stderr; the same argv prints the same bytes twice.  A fixed subset and the
-damaged-tree audit also run under `python -O`, which strips asserts.
+damaged-tree audit and the invariant solver's check of its profile also run
+under `python -O`, which strips asserts.
 """
 
 import contextlib
@@ -12,12 +13,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buildingkit import cli, tree
+from buildingkit.errors import ModelError
 
 
 def run(argv):
@@ -154,6 +157,20 @@ def automorphism_errors():
     return messages
 
 
+def solver_recheck_error():
+    """The message of the ModelError the invariant solver raises when the
+    nullspace hands it a vector that is not in the kernel."""
+    solve = tree.nullspace
+    tree.nullspace = lambda rows, n: [[Fraction(1)] * n]
+    try:
+        tree.invariant_solver(tree.build_tree_pair(2, 3))
+    except ModelError as exc:
+        return str(exc)
+    finally:
+        tree.nullspace = solve
+    return None
+
+
 AUTOMORPHISM_ERRORS = ("breaks adjacency", "not injective", "out of range",
                        "entries", "not label-coherent", "contains no edges")
 
@@ -187,6 +204,12 @@ def test_automorphism_errors_raise_under_optimize():
     assert all(fragment in message
                for fragment, message in zip(AUTOMORPHISM_ERRORS, messages))
     assert messages == automorphism_errors()
+
+
+def test_solver_recheck_fires_under_optimize():
+    message = "solved profile is not harmonic at some interior vertex"
+    assert solver_recheck_error() == message
+    assert run_optimized("solver_recheck_error") == [1, message]
 
 
 def test_orbit_refuses_a_large_prime_at_once():

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,46 @@ def test_sphere_sizes(q, depth):
     assert t.sphere_sizes() == [1] + [2 * (q * q)**k for k in range(1, depth + 1)]
     assert t.n_edges == sum(t.sphere_sizes())
     assert t.n_vertices == t.n_edges + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.sampled_from([tree.build_tree_pair(q, depth)
+                          for q, depth in ((2, 1), (2, 3), (3, 2))]),
+       edits=st.lists(st.tuples(st.sampled_from(("e_in_F", "e_level")),
+                                st.integers(min_value=0),
+                                st.integers(0, 255)), max_size=6),
+       as_lists=st.booleans(), cut=st.integers(0, 2))
+def test_marked_census_counts_the_marked_levels(t, edits, as_lists, cut):
+    # marks and levels edited to any byte, 255 included, and one column cut
+    # short; the census counts the levels 0..depth of the edges with a
+    # nonzero mark, up to the shorter column
+    columns = {name: bytearray(getattr(t, name))
+               for name in ("e_in_F", "e_level")}
+    for name, i, value in edits:
+        columns[name][i % t.n_edges] = value
+    if cut:
+        name = ("e_in_F", "e_level")[cut - 1]
+        del columns[name][t.n_edges // 2:]
+    if as_lists:
+        columns = {name: list(column) for name, column in columns.items()}
+    damaged_tree = tree.TreePair(t.q_F, t.depth, e_delta=t.e_delta,
+                                 v_label=t.v_label, **columns)
+    marked = [level for level, mark in zip(columns["e_level"],
+                                           columns["e_in_F"]) if mark]
+    assert damaged_tree.sphere_sizes(marked_only=True) == [
+        marked.count(k) for k in range(t.depth + 1)]
+
+
+@pytest.mark.parametrize("q,depth", [(2, 4), (3, 3), (7, 2)])
+def test_audit_returns_the_censuses(q, depth):
+    t = tree.build_tree_pair(q, depth)
+    audit = tree.check_tree_invariants(t)
+    assert audit.marked_census == tuple(t.sphere_sizes(marked_only=True))
+    assert audit.ambient_census == tuple(t.sphere_sizes())
+    assert tree.check_tree_invariants(damaged(t)) == audit
+    # a column of the wrong length is reported alone, with no census
+    short = tree.check_tree_invariants(damaged(t, e_level=[0]))
+    assert short.marked_census == short.ambient_census == ()
 
 
 @pytest.mark.parametrize("q,depth", [(2, 3), (3, 2), (5, 2)])
@@ -86,6 +127,43 @@ def test_budget_error_reports_smallest_failing_depth():
     assert exc.value.smallest_failing_depth == 3
 
 
+def reference_build(q_F, depth):
+    """The oracle for the level-by-level build: the four columns built
+    vertex by vertex, each expanded vertex appending its q_E children's
+    entries."""
+    q_E = q_F * q_F
+    block = [bytes([x]) * q_E for x in range(depth + 1)]
+    e_in_F, e_level, e_delta = bytearray(b"\x01"), bytearray(1), bytearray(1)
+    v_label = bytearray(b"\x00\x01")
+    f_flags = block[1][:q_F] + block[0][q_F:]
+    f_deltas = block[0][:q_F] + block[1][q_F:]
+    for v in range((tree._projected_edges(q_E, depth) - 1) // q_E):
+        parent = 0 if v <= 1 else v - 1
+        e_level += block[e_level[parent] + 1]
+        v_label += block[1 - v_label[v]]
+        if e_in_F[parent]:
+            e_in_F += f_flags
+            e_delta += f_deltas
+        else:
+            e_in_F += block[0]
+            e_delta += block[e_delta[parent] + 1]
+    return {"e_in_F": e_in_F, "e_level": e_level, "e_delta": e_delta,
+            "v_label": v_label}
+
+
+@pytest.mark.parametrize("q", tree.ALLOWED_QF)
+def test_build_matches_the_vertex_loop(q):
+    # every depth up to about 250k edges
+    depth = 1
+    while tree._projected_edges(q * q, depth) <= 250_000:
+        t = tree.build_tree_pair(q, depth)
+        for name, column in reference_build(q, depth).items():
+            assert type(getattr(t, name)) is bytearray
+            assert getattr(t, name) == column, (depth, name)
+        depth += 1
+    assert depth > 2
+
+
 def test_iwahori_harmonic_and_decay():
     for q in (2, 3):
         t = tree.build_tree_pair(q, 4)
@@ -100,19 +178,22 @@ def test_iwahori_harmonic_and_decay():
 
 
 def test_non_harmonic_cocycles_flagged():
+    # cocycles constant on levels: 1 everywhere, 1 on the root edge (level 0
+    # holds only it) and 0 elsewhere, and 0 everywhere
     t = tree.build_tree_pair(2, 3)
-    const = tree.EdgeCocycle([1] * t.n_edges)
+    const = tree.EdgeCocycle(t.e_level, [1] * (t.depth + 1))
     report = tree.verify_harmonic(t, const)
     assert len(report.violations) == report.interior_checked
     assert tree.decay_check(t, const) == t.q_E ** t.depth
 
-    ind = tree.EdgeCocycle([1] + [0] * (t.n_edges - 1))
+    ind = tree.EdgeCocycle(t.e_level, [1] + [0] * t.depth)
+    assert [ind[e] for e in t.edges()] == [1] + [0] * (t.n_edges - 1)
     report = tree.verify_harmonic(t, ind)
     # only the two endpoints of the root edge see the lone nonzero value
     assert report.violations == (0, 1)
     assert tree.decay_check(t, ind) == 1
 
-    zero = tree.EdgeCocycle([0] * t.n_edges)
+    zero = tree.EdgeCocycle(t.e_level, [0] * (t.depth + 1))
     assert tree.verify_harmonic(t, zero).ok
     assert tree.decay_check(t, zero) == 0
 
@@ -147,9 +228,10 @@ def test_invariant_solver_frozen_profiles(q):
     sol = tree.invariant_solver(t)
     assert sol.dimension == 1
     assert sol.profile == FROZEN_PROFILES[q]
-    # the solver's profile really is a global harmonic cocycle
-    cocycle = tree.EdgeCocycle.from_deltas(t, sol.profile)
-    assert tree.verify_harmonic(t, cocycle).ok
+    # the solver's profile really is a global harmonic cocycle, vertex by
+    # vertex
+    assert reference_verify_harmonic(
+        t, [sol.profile[d] for d in t.e_delta]) == ()
 
 
 def test_invariant_solver_needs_depth():
@@ -565,13 +647,44 @@ TREES = {(q, depth): tree.build_tree_pair(q, depth)
          for q in (2, 3) for depth in (1, 2, 3)}
 
 
-@settings(max_examples=60, deadline=None)
-@given(shape=st.sampled_from(sorted(TREES)),
+def class_cocycle(column, profile):
+    """The cocycle with value profile[c] on the edges of class c."""
+    values = [Fraction(x) for x in profile]
+    den = lcm(*(x.denominator for x in values))
+    return tree.EdgeCocycle(
+        column, [x.numerator * (den // x.denominator) for x in values], den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(sorted(TREES)), as_lists=st.booleans(),
+       key=st.sampled_from(("e_level", "e_delta")),
+       harmonic=st.booleans(), edits=st.lists(
+           st.tuples(st.integers(0, 3), st.fractions()), max_size=2),
        profile=st.lists(st.fractions(), min_size=4, max_size=4))
-def test_integer_passes_match_fraction_references(shape, profile):
+@example(shape=(2, 3), as_lists=False, key="e_delta", harmonic=True,
+         edits=[(3, Fraction(0))], profile=[Fraction(0)] * 4)
+def test_integer_passes_match_fraction_references(shape, as_lists, key,
+                                                  harmonic, edits, profile):
+    # random profiles on levels or deltas, over byte and list columns; a
+    # harmonic one (the alternating cocycle, the solved profile) with a few
+    # classes edited is non-harmonic at some vertices only
     t = TREES[shape]
-    cocycle = tree.EdgeCocycle.from_deltas(t, profile)
-    assert_matches_references(t, cocycle, [profile[d] for d in t.e_delta])
+    if as_lists:
+        t = damaged(t)
+    if harmonic and key == "e_level":
+        profile = [Fraction(-1, t.q_E) ** k for k in range(4)]
+    elif harmonic and t.depth >= 2:
+        profile = [*tree.invariant_solver(t).profile, Fraction(0)]
+    for c, value in edits:
+        profile[c] = value
+    column = getattr(t, key)
+    profile = profile[:t.depth + 1]
+    if key == "e_delta" and not edits and not harmonic:
+        cocycle = tree.EdgeCocycle.from_deltas(t, profile)
+    else:
+        cocycle = class_cocycle(column, profile)
+    assert cocycle.column is column and len(cocycle) == t.n_edges
+    assert_matches_references(t, cocycle, [profile[c] for c in column])
 
 
 @pytest.mark.parametrize("q,depth", [(2, 3), (3, 3), (4, 2)])
@@ -700,6 +813,17 @@ def test_tree_pair_keeps_few_bytes_per_edge(q, depth):
     finally:
         tracemalloc.stop()
     assert kept <= 6 * t.n_edges, kept / t.n_edges
+
+
+def test_solver_recheck_fires(monkeypatch):
+    # a nullspace vector that is no kernel vector, with a nonzero first
+    # entry, passes the dimension and normalisation checks; only the check
+    # against the pattern rows refuses it
+    t = tree.build_tree_pair(2, 3)
+    monkeypatch.setattr(tree, "nullspace", lambda rows, n: [[Fraction(1)] * n])
+    with pytest.raises(ModelError, match="^solved profile is not harmonic at "
+                                         "some interior vertex$"):
+        tree.invariant_solver(t)
 
 
 def test_invariant_solver_raises_on_degenerate_model(monkeypatch):

@@ -80,16 +80,17 @@ def cache_get(cache_dir, family, rank, truncation):
         return None
     try:
         data = json.loads(raw)
-        if data["schema_version"] != SCHEMA_VERSION:
+        # repr tells JSON true and false from the 1 and 0 they compare equal to
+        if repr(data["schema_version"]) != repr(SCHEMA_VERSION):
             raise ValueError(f"schema_version {data['schema_version']}")
-        if (data["family"], data["rank"], data["K"]) != (family, rank, truncation):
+        if repr((data["family"], data["rank"], data["K"])) != repr((family, rank, truncation)):
             raise ValueError("identity fields do not match the file name")
         system = build_affine_system(family, rank)
-        if data["coxeter_matrix"] != [list(r) for r in system.coxeter_matrix]:
+        if repr(data["coxeter_matrix"]) != repr([list(r) for r in system.coxeter_matrix]):
             raise ValueError("stored Coxeter matrix disagrees")
         coeffs = data["coefficients"]
         if (len(coeffs) != truncation + 1
-                or not all(isinstance(a, int) and a >= 0 for a in coeffs)
+                or not all(type(a) is int and a >= 0 for a in coeffs)
                 or coeffs[0] != 1):
             raise ValueError("malformed coefficient list")
         source = data["source"]

@@ -293,6 +293,30 @@ def test_cache_rejects_mismatched_contents(tmp_path, caplog):
     assert cache.cache_get(str(tmp_path), "A", 1, 9) is None  # plain miss
 
 
+def test_cache_refuses_bools(tmp_path, capsys, caplog):
+    # JSON true equals 1, so a file with true in place of 1 would be served
+    series = growth_coefficients(build_affine_system("A", 1), 3)
+    path = tmp_path / cache.cache_path("", "A", 1, 3)
+    for field, value in (("coefficients", [True, 2, 2, 2]), ("rank", True),
+                         ("coxeter_matrix", [[True, 0], [0, True]]),
+                         ("schema_version", True)):
+        data = cache.series_to_json_dict(series)
+        data[field] = value
+        path.write_bytes(cache.canonical_json_bytes(data))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="buildingkit.cache"):
+            assert cache.cache_get(str(tmp_path), "A", 1, 3) is None
+        assert any("corrupt cache file" in r.message for r in caplog.records)
+    argv = ["growth", "--family", "A", "--rank", "1", "--K", "3",
+            "--cache-dir", str(tmp_path), "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["coefficients"] == [1, 2, 2, 2]
+    # the recomputed series replaced the bad file
+    assert path.read_bytes() == cache.canonical_json_bytes(
+        cache.series_to_json_dict(series))
+    assert run_cli(capsys, argv) == (0, out, "")
+
+
 # -- exit codes ----------------------------------------------------------------
 
 def test_exit_usage_on_bad_values(capsys):

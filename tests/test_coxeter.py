@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from buildingkit import coxeter
-from buildingkit.coxeter import (INFINITE_ORDER, AffineMap,
+from buildingkit.coxeter import (FAMILIES, INFINITE_ORDER, MAX_RANK,
                                  build_affine_system, epsilon_of_omega,
                                  exponents, growth_coefficients,
                                  growth_from_exponents, omega_group,
                                  poincare_finite)
 from buildingkit.errors import BudgetError, InvalidTypeError, ModelError
+from coxeter_oracle import ALL_TYPES, certified_generators, comarks
 
 # classical data, frozen independently of the implementation
 N_POSITIVE_ROOTS = {
@@ -52,11 +53,6 @@ GROWTH_K12 = {
     ("G", 2): (1, 3, 5, 7, 9, 12, 15, 17, 19, 21, 24, 27, 29),
 }
 
-# every supported type: A1-A9, B3-B9, C2-C9, D4-D9, E6-E8, F4, G2
-ALL_TYPES = ([("A", d) for d in range(1, 10)] + [("B", d) for d in range(3, 10)]
-             + [("C", d) for d in range(2, 10)] + [("D", d) for d in range(4, 10)]
-             + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
-
 # comarks (coroot coefficients of the highest coroot) from Kac's tables, and
 # the dual Coxeter number h^vee = 1 + sum of comarks
 KAC_COMARKS = {
@@ -81,7 +77,7 @@ OMEGA_ORDERS = {
 
 @pytest.mark.parametrize("family,rank", sorted(N_POSITIVE_ROOTS))
 def test_construction_and_root_counts(family, rank):
-    # build_affine_system itself asserts involutions and all pair orders
+    # test_generators_certify_the_coxeter_matrix checks the pair orders
     system = build_affine_system(family, rank)
     assert system.n_positive_roots == N_POSITIVE_ROOTS[(family, rank)]
     m = system.coxeter_matrix
@@ -90,18 +86,35 @@ def test_construction_and_root_counts(family, rank):
         assert m[i][i] == 1
         for j in range(rank + 1):
             assert m[i][j] == m[j][i]
-    assert len(system.generators) == rank + 1
+
+
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
+def test_generators_certify_the_coxeter_matrix(family, rank):
+    # each generator is an involution and each pair product has the order
+    # of the Coxeter matrix, or certified_generators raises ModelError
+    assert len(certified_generators(family, rank)) == rank + 1
+
+
+def test_certified_types_are_every_accepted_type():
+    accepted = []
+    for family in FAMILIES:
+        for rank in range(1, MAX_RANK + 2):
+            try:
+                coxeter._check_type(family, rank)
+            except InvalidTypeError:
+                continue
+            accepted.append((family, rank))
+    assert sorted(ALL_TYPES) == accepted
 
 
 @pytest.mark.parametrize("key", sorted(KAC_COMARKS))
 def test_comarks_match_kac_tables(key):
-    assert build_affine_system(*key).generators[0].shift == KAC_COMARKS[key]
+    assert comarks(*key) == KAC_COMARKS[key]
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_dual_coxeter_number(family, rank):
-    comarks = build_affine_system(family, rank).generators[0].shift
-    assert 1 + sum(comarks) == DUAL_COXETER[family](rank)
+    assert 1 + sum(comarks(family, rank)) == DUAL_COXETER[family](rank)
 
 
 @pytest.mark.parametrize("family,rank", ALL_TYPES)
@@ -110,8 +123,8 @@ def test_affine_cartan_matrix_annihilates_the_comarks(family, rank):
     # with every simple root, alpha_0 included; the walk moves by these columns
     system = build_affine_system(family, rank)
     a = system.cartan_matrix
-    comarks = (1,) + system.generators[0].shift
-    assert [sum(x * c for x, c in zip(row, comarks)) for row in a] == [0] * (rank + 1)
+    central = (1,) + comarks(family, rank)
+    assert [sum(x * c for x, c in zip(row, central)) for row in a] == [0] * (rank + 1)
     assert all(a[i][i] == 2 for i in range(rank + 1))
 
 
@@ -138,14 +151,13 @@ def test_rank2_triangle_groups():
 
 def _word_oracle(family, rank, max_len):
     """Layer sizes by raw word products: length of w = first product reaching it."""
-    system = build_affine_system(family, rank)
-    s0 = system.generators[0]
-    table = {s0 * s0: 0}  # the identity map
+    generators = certified_generators(family, rank)
+    table = {generators[0] * generators[0]: 0}  # the identity map
     frontier = set(table)
     for length in range(1, max_len + 1):
         new = set()
         for w in frontier:
-            for g in system.generators:
+            for g in generators:
                 x = w * g
                 if x not in table:
                     table[x] = length
@@ -169,20 +181,6 @@ def test_growth_matches_word_oracle(family, rank, max_len):
     system = build_affine_system(family, rank)
     series = growth_coefficients(system, max_len)
     assert series.coefficients == _word_oracle(family, rank, max_len)
-
-
-def test_enumeration_never_multiplies_group_elements(monkeypatch):
-    systems = [build_affine_system(*key) for key in (("A", 1), ("G", 2), ("D", 4))]
-
-    def refuse(self, other):
-        raise AssertionError("AffineMap product during enumeration")
-
-    monkeypatch.setattr(AffineMap, "__mul__", refuse)
-    for system in systems:
-        assert growth_coefficients(system, 8).coefficients == (
-            growth_from_exponents(system, 8).coefficients)
-        assert len(poincare_finite(system.family, system.rank)) == (
-            system.n_positive_roots + 1)
 
 
 @pytest.mark.parametrize("key", sorted(GROWTH_K12))
@@ -359,6 +357,18 @@ def test_invalid_family_and_rank_kind():
         build_affine_system("H", 2)
     with pytest.raises(InvalidTypeError):
         build_affine_system("A", "2")
+
+
+def test_bool_rank_is_refused_and_leaves_the_cache_clean():
+    # True == 1 and both hash alike, so an untyped cache would serve the
+    # system of one rank for the other
+    build_affine_system.cache_clear()
+    for rank in (True, False):
+        with pytest.raises(InvalidTypeError, match=f"rank must be an int, got {rank}"):
+            build_affine_system("A", rank)
+    assert type(build_affine_system("A", 1).rank) is int
+    with pytest.raises(InvalidTypeError):
+        build_affine_system("A", True)
 
 
 def test_b2_hint_names_family_c():

@@ -3,8 +3,9 @@
 Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
 never with a traceback; exits 2 and 3 print nothing on stdout and say why on
 stderr; the same argv prints the same bytes twice.  A fixed subset and the
-damaged-tree audit and the invariant solver's check of its profile also run
-under `python -O`, which strips asserts.
+damaged-tree audit, the invariant solver's check of its profile and the
+checks of the affine system's construction also run under `python -O`, which
+strips asserts.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buildingkit import cli, tree
+from buildingkit import cli, coxeter, tree
 from buildingkit.errors import ModelError
 
 
@@ -171,6 +172,40 @@ def solver_recheck_error():
     return None
 
 
+def construction_errors():
+    """The ModelError message of each construction check of A2, each made to
+    fire by patching the root data that `build_affine_system` reads."""
+    dynkin, positive_roots = coxeter._dynkin, coxeter._positive_roots
+    roots = positive_roots(dynkin("A", 2)[0])
+    patches = [
+        {"_positive_roots": lambda cartan: roots | {(2, 0)}},
+        {"_dynkin": lambda family, d: (dynkin(family, d)[0], [1, 2])},
+        # the roots of A2 over the diagram of A1 x A1
+        {"_dynkin": lambda family, d: ([[2, 0], [0, 2]], [1, 1]),
+         "_positive_roots": lambda cartan: roots},
+        {"_positive_roots": lambda cartan: roots - {(1, 0)}},
+    ]
+    messages = []
+    for patch in patches:
+        for name, value in patch.items():
+            setattr(coxeter, name, value)
+        coxeter.build_affine_system.cache_clear()
+        try:
+            coxeter.build_affine_system("A", 2)
+        except ModelError as exc:
+            messages.append(str(exc))
+        finally:
+            coxeter._dynkin, coxeter._positive_roots = dynkin, positive_roots
+            coxeter.build_affine_system.cache_clear()
+    return messages
+
+
+CONSTRUCTION_ERRORS = ["highest root of A2 is not unique",
+                       "highest coroot of A2 is not integral",
+                       "finite diagram is not connected",
+                       "root heights of A2 give exponents (2,)"]
+
+
 AUTOMORPHISM_ERRORS = ("breaks adjacency", "not injective", "out of range",
                        "entries", "not label-coherent", "contains no edges")
 
@@ -210,6 +245,11 @@ def test_solver_recheck_fires_under_optimize():
     message = "solved profile is not harmonic at some interior vertex"
     assert solver_recheck_error() == message
     assert run_optimized("solver_recheck_error") == [1, message]
+
+
+def test_construction_checks_fire_under_optimize():
+    assert construction_errors() == CONSTRUCTION_ERRORS
+    assert run_optimized("construction_errors") == [1, CONSTRUCTION_ERRORS]
 
 
 def test_orbit_refuses_a_large_prime_at_once():

@@ -38,6 +38,19 @@ def test_coxeter_layer_is_integer_only():
     assert ".linalg" not in imported
 
 
+def test_no_group_element_class_but_omega():
+    # the Coxeter groups are walked in integer coordinates and never formed
+    # as products; the node permutations of Omega are the one group whose
+    # elements are multiplied
+    found = [f"{path.stem}.{node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ClassDef)
+             and any(isinstance(item, ast.FunctionDef) and item.name == "__mul__"
+                     for item in node.body)]
+    assert found == ["coxeter.OmegaElement"]
+
+
 def test_period_path_never_enumerates_the_group():
     # a_k on the period path comes from the exponents; the Cayley-graph BFS
     # and its disk cache serve only the growth command and the tests

@@ -196,6 +196,7 @@ def _cmd_orbit(args):
     else:
         x0, c = orbits.canonical_inversion_data(fields)
         identity = orbits.verify_fraction_identity(fields)
+        ok = ok and identity.holds
         witness = orbits.exists_nonsquare_value(fields, c)
         payload["identity"] = identity.to_json_dict()
         payload["nonsquare_witness"] = {"a": witness[0], "b": witness[1]}

@@ -17,8 +17,13 @@ c is the inverse square of a fixed x_0 outside the base field with x_0^2
 inside it.  On the complement a^2 x c + b never lies in the base field, so
 every move permutes it, and the orbits are those of the group generated by
 x -> g^2 x, x -> x + p^i (i < n) and x -> 1/(c x), where g = G^(q+1), the
-norm of the generator G of k_E^* behind the inverse table, generates the
-units of k_F; they are computed from these generators in one traversal.
+norm of the least generator G of k_E^*, generates the units of k_F; they
+are computed from these generators in one traversal.
+
+Both fields multiply by index (Zech-log) arithmetic on exp and log tables
+of one generator (G; the least primitive element of k_F), and the orbit
+generators are permutation lists: x -> g^2 x shifts log x, x -> x + p^i adds
+a base-add column per y-block, and x -> 1/(c x) negates log c + log x.
 """
 
 from __future__ import annotations
@@ -73,6 +78,22 @@ def _is_irreducible(m, p):
     return True
 
 
+def _exp_log(candidates, times, order, group):
+    """The least candidate g of order `order` under times(g): z -> z g, with
+    exp[k] = g^k for k < 2 order and log its inverse on the units."""
+    for g in candidates:
+        step, exp, z = times(g), [1], g
+        while z != 1 and len(exp) < order:
+            exp.append(z)
+            z = step(z)
+        if z == 1 and len(exp) == order:
+            log = [None] * (order + 1)
+            for k, z in enumerate(exp):
+                log[z] = k
+            return g, exp + exp, log
+    raise ModelError(f"no element of order {order} in {group}")
+
+
 class FiniteFieldPair:
     """k_F of size q = p^n inside k_E of size q^2, with exact lookup tables."""
 
@@ -89,8 +110,10 @@ class FiniteFieldPair:
         self.n = n
         self.q = q
         self.q_ext = q * q
-        self.modulus_base = next(m for m in _monic_polys(n, p)
-                                 if _is_irreducible(m, p))
+        self.modulus_base = next((m for m in _monic_polys(n, p)
+                                  if _is_irreducible(m, p)), None)
+        if self.modulus_base is None:
+            raise ModelError(f"no irreducible polynomial of degree {n} over F_{p}")
         self._init_base_tables()
         self.modulus_ext = self._find_ext_modulus()
         self._init_ext_tables()
@@ -106,28 +129,32 @@ class FiniteFieldPair:
 
     def _init_base_tables(self):
         p, q, m = self.p, self.q, self.modulus_base
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for e1 in range(q):
-            d1 = self._digits(e1)
-            for e2 in range(q):
-                d2 = self._digits(e2)
-                add[e1][e2] = self._undigits(
-                    tuple((a + b) % p for a, b in zip(d1, d2)))
-                mul[e1][e2] = self._undigits(_poly_rem(_poly_mul(d1, d2, p), m, p))
+        # row e is row e - t plus t, for t the largest p^i <= e: one digit, mod p
+        add = [list(range(q))]
+        for e in range(1, q):
+            top = p ** max(i for i in range(self.n) if p ** i <= e)
+            add.append([x - (p - 1) * top if x // top % p == p - 1 else x + top
+                        for x in add[e - top]])
         self._badd = add
-        self._bmul = mul
         self._bneg = [add[e].index(0) for e in range(q)]
-        self._binv = [None] + [mul[e].index(1) for e in range(1, q)]
-        self._squares = {mul[e][e] for e in range(1, q)}
+
+        def times(g):
+            dg = self._digits(g)
+            return lambda e: self._undigits(
+                _poly_rem(_poly_mul(self._digits(e), dg, p), m, p))
+        _, self._bexp, self._blog = _exp_log(range(1, q), times, q - 1,
+                                             "the units of the base field")
+        self._squares = {self.base_mul(e, e) for e in range(1, q)}
 
     def base_mul(self, a, b):
-        return self._bmul[a][b]
+        if a and b:
+            return self._bexp[self._blog[a] + self._blog[b]]
+        return 0
 
     def base_inv(self, a):
         if a == 0:
             raise ModelError("0 has no inverse in the base field")
-        return self._binv[a]
+        return self._bexp[self.q - 1 - self._blog[a]]
 
     def is_square_base(self, a):
         """True when a is a nonzero square in the base field."""
@@ -145,7 +172,7 @@ class FiniteFieldPair:
         # y^2 + b*y + c irreducible over k_F iff it has no base-field root
         for c in range(self.q):
             for b in range(self.q):
-                if all(self._badd[self._badd[self._bmul[t][t]][self._bmul[b][t]]][c]
+                if all(self._badd[self._badd[self.base_mul(t, t)][self.base_mul(b, t)]][c]
                        for t in range(self.q)):
                     return (c, b, 1)
         raise ModelError("no irreducible quadratic over the base field")
@@ -154,19 +181,18 @@ class FiniteFieldPair:
         c, b, _ = self.modulus_ext
         self._ext_neg_c = self._bneg[c]
         self._ext_neg_b = self._bneg[b]
-        # k_E^* is cyclic: find a generator g by its order, then inv(g^i) = g^-i
-        order = self.q_ext - 1
-        primes = [r for r in range(2, order + 1) if order % r == 0 and _is_prime(r)]
-        g = next(z for z in range(2, self.q_ext)
-                 if all(self.power(z, order // r) != 1 for r in primes))
-        self._ext_generator = g
-        powers = [1]
-        for _ in range(order - 1):
-            powers.append(self.mul(powers[-1], g))
-        inv = [None] * self.q_ext
-        for i, z in enumerate(powers):
-            inv[z] = powers[-i]
-        self._einv = inv
+        # no element of the base field generates k_E^*
+        self._ext_generator, self._exp, self._log = _exp_log(
+            range(self.q, self.q_ext), self._times, self.q_ext - 1,
+            "the units of the extension field")
+
+    def _times(self, g):
+        """z -> z g, k_F-linear: u + v y goes to u g + v (y g), y^2 = -b y - c."""
+        q, bm, ba = self.q, self.base_mul, self._badd
+        gu, gv = g % q, g // q
+        yu, yv = bm(gv, self._ext_neg_c), ba[gu][bm(gv, self._ext_neg_b)]
+        u_g, u_yg, v_g, v_yg = ([bm(t, k) for t in range(q)] for k in (gu, yu, gv, yv))
+        return lambda z: ba[u_g[z % q]][u_yg[z // q]] + q * ba[v_g[z % q]][v_yg[z // q]]
 
     def add(self, z1, z2):
         q = self.q
@@ -181,30 +207,19 @@ class FiniteFieldPair:
         return self.add(z1, self.neg(z2))
 
     def mul(self, z1, z2):
-        # y^2 reduces to -b*y - c
-        q = self.q
-        u1, v1 = z1 % q, z1 // q
-        u2, v2 = z2 % q, z2 // q
-        bm, ba = self._bmul, self._badd
-        vv = bm[v1][v2]
-        u = ba[bm[u1][u2]][bm[vv][self._ext_neg_c]]
-        v = ba[ba[bm[u1][v2]][bm[u2][v1]]][bm[vv][self._ext_neg_b]]
-        return u + q * v
+        if z1 and z2:
+            return self._exp[self._log[z1] + self._log[z2]]
+        return 0
 
     def inv(self, z):
         if z == 0:
             raise ModelError("0 has no inverse in the extension field")
-        return self._einv[z]
+        return self._exp[self.q_ext - 1 - self._log[z]]
 
     def power(self, z, k):
-        out = 1
-        base = z
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
+        if z:
+            return self._exp[self._log[z] * k % (self.q_ext - 1)]
+        return 0 if k else 1
 
     def in_base(self, z):
         return z < self.q
@@ -283,31 +298,27 @@ class OrbitReport:
 def _orbits(fields, moves):
     """Orbits of the group the moves generate on k_E minus k_F, least-first.
 
-    Each move must permute the complement: its images are distinct and none
-    lies in the base field.  A permutation of a finite set has an inverse
-    among its powers, so growing each orbit forward from its least unseen
-    element reaches the whole group orbit.
+    A move lists the images of q, q + 1, ..., and each must permute the
+    complement: distinct images, none in the base field.  A permutation of
+    a finite set has an inverse among its powers, so growing each orbit
+    forward from its least unseen element reaches the whole group orbit.
     """
-    domain = fields.nonbase_elements()
-    tables = []
+    q, domain = fields.q, fields.nonbase_elements()
     for move in moves:
-        table = {z: move(z) for z in domain}
-        images = set(table.values())
-        if len(images) != len(domain) or any(map(fields.in_base, images)):
+        if len(move) != len(domain) or set(move) != set(domain):
             raise ModelError("a generating move does not permute k_E minus k_F")
-        tables.append(table)
-    seen = set()
+    seen = bytearray(fields.q_ext)
     groups = []
     for start in domain:
-        if start in seen:
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = 1
         orbit = [start]
         for z in orbit:
-            for table in tables:
-                w = table[z]
-                if w not in seen:
-                    seen.add(w)
+            for move in moves:
+                w = move[z - q]
+                if not seen[w]:
+                    seen[w] = 1
                     orbit.append(w)
         groups.append(orbit)
     return groups
@@ -318,18 +329,21 @@ def _affine_moves(fields):
 
     g = G^(q+1) is the norm of the generator G of k_E^*, of order
     (q^2 - 1)/(q + 1) = q - 1, so it generates the unit group of the base
-    field and g^2 its squares; the p^i for i < n encode the F_p-basis x^i
-    of the base field.
+    field and g^2 its squares; x -> g^2 x adds 2(q + 1) to log x.  The p^i
+    for i < n encode the F_p-basis x^i of the base field, and adding one
+    moves u in x = u + q*v along the base-add column of p^i.
     """
-    g2 = fields.power(fields._ext_generator, 2 * (fields.q + 1))
-    moves = [lambda z: fields.mul(g2, z)]
-    moves += [lambda z, b=fields.p ** i: fields.add(z, b) for i in range(fields.n)]
-    return moves
+    q, exp, shift = fields.q, fields._exp, 2 * (fields.q + 1) % (fields.q_ext - 1)
+    columns = [[row[fields.p ** i] for row in fields._badd] for i in range(fields.n)]
+    return [[exp[k + shift] for k in fields._log[q:]]] + [
+        [v + u for v in range(q, fields.q_ext, q) for u in column] for column in columns]
 
 
 def _inversion_move(fields, c):
-    """J_c: x -> 1/(c x); 1/(a^2 c x + b) is J_c after x -> a^2 x + b/c."""
-    return lambda z: fields.inv(fields.mul(c, z))
+    """J_c: x -> 1/(c x), so log J_c(x) = -(log c + log x); 1/(a^2 c x + b)
+    is J_c after x -> a^2 x + b/c."""
+    exp, top = fields._exp, -fields._log[c] % (fields.q_ext - 1) + fields.q_ext - 1
+    return [exp[top - k] for k in fields._log[fields.q:]]
 
 
 def _report_from_groups(fields, groups, moves):
@@ -346,9 +360,10 @@ def affine_square_orbits(fields):
 
 
 def square_root_candidates(fields):
-    """Elements outside the base field whose square lies inside it, ascending."""
-    return [z for z in fields.nonbase_elements()
-            if fields.in_base(fields.mul(z, z))]
+    """Elements outside the base field whose square lies inside it, ascending:
+    k_F^* is log z = 0 mod q + 1, so for odd q these have log z = (q + 1)/2."""
+    step = fields.q + 1
+    return [] if fields.p == 2 else sorted(fields._exp[step // 2:fields.q_ext - 1:step])
 
 
 def canonical_inversion_data(fields):
@@ -449,29 +464,32 @@ def verify_fraction_identity(fields):
     if fields.p == 2:
         raise ValueError("identity check needs odd characteristic")
     x0, c = canonical_inversion_data(fields)
+    q, add, neg = fields.q, fields._badd, fields._bneg
     checked = 0
     skipped = 0
     holds = True
     for x in (x0, fields.neg(x0)):
         if fields.mul(x, x) != fields.base_inv(c):
             raise ModelError("x_0^2 is not 1/c")
+        x_v, x_u = divmod(x, q)
         for a in fields.base_units():
             a2 = fields.base_mul(a, a)
             a2c = fields.base_mul(a2, c)
             inv_a2c = fields.base_inv(a2c)
+            a4c = fields.base_mul(fields.base_mul(a2, a2), c)
+            # adding a base element to u + q*v moves u along a row of add
+            s_v, s_u = divmod(fields.mul(a2c, x), q)
             for b in fields.base_elements():
-                den1 = fields.add(fields.mul(a2c, x), b)
-                den2 = fields.sub(fields.base_mul(fields.base_mul(a2, a2), c),
-                                  fields.base_mul(b, b))
-                den3 = fields.sub(a2, fields.base_mul(fields.base_mul(b, b),
-                                                      inv_a2c))
+                b2 = fields.base_mul(b, b)
+                den1 = add[s_u][b] + q * s_v
+                den2 = add[a4c][neg[b2]]
+                den3 = add[a2][neg[fields.base_mul(b2, inv_a2c)]]
                 if den1 == 0 or den2 == 0 or den3 == 0:
                     skipped += 1
                     continue
                 lhs = fields.inv(den1)
-                mid = fields.mul(fields.sub(fields.mul(a2c, x), b),
-                                 fields.inv(den2))
-                rhs = fields.mul(fields.sub(x, fields.base_mul(b, inv_a2c)),
+                mid = fields.mul(add[s_u][neg[b]] + q * s_v, fields.inv(den2))
+                rhs = fields.mul(add[x_u][neg[fields.base_mul(b, inv_a2c)]] + q * x_v,
                                  fields.inv(den3))
                 if not lhs == mid == rhs:
                     holds = False

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, and the disk cache."""
 
+import dataclasses
 import json
 import logging
 from fractions import Fraction
@@ -189,6 +190,17 @@ def test_orbit_text_summary(capsys):
     assert "  identity       holds=True (12 pairs)" in lines
     assert "  witness        a=1 b=1" in lines
     assert lines[-1] == "  verdict        pass"
+
+
+def test_orbit_verdict_fails_when_the_identity_fails(capsys, monkeypatch):
+    verify = orbits.verify_fraction_identity
+    monkeypatch.setattr(orbits, "verify_fraction_identity",
+                        lambda fields: dataclasses.replace(verify(fields), holds=False))
+    code, out, _ = run_cli(capsys, ["orbit", "--p", "3"])
+    assert code == 1
+    lines = out.splitlines()
+    assert "  identity       holds=False (12 pairs)" in lines
+    assert lines[-1] == "  verdict        FAIL"
 
 
 def test_orbit_char2_text(capsys):

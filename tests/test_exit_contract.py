@@ -4,8 +4,8 @@ Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
 never with a traceback; exits 2 and 3 print nothing on stdout and say why on
 stderr; the same argv prints the same bytes twice.  A fixed subset and the
 damaged-tree audit, the invariant solver's check of its profile and the
-checks of the affine system's construction also run under `python -O`, which
-strips asserts.
+checks of the affine system's and the residue fields' construction also run
+under `python -O`, which strips asserts.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buildingkit import cli, coxeter, tree
+from buildingkit import cli, coxeter, orbits, tree
 from buildingkit.errors import ModelError
 
 
@@ -200,6 +200,29 @@ def construction_errors():
     return messages
 
 
+def field_construction_errors():
+    """The run of `orbit --p 3 --n 2` with no irreducible base modulus, then
+    with the reducible extension modulus y^2, whose ring has no unit of
+    order q^2 - 1."""
+    patches = [(orbits, "_is_irreducible", lambda m, p: False),
+               (orbits.FiniteFieldPair, "_find_ext_modulus", lambda self: (0, 0, 1))]
+    runs = []
+    for owner, name, value in patches:
+        saved = getattr(owner, name)
+        setattr(owner, name, value)
+        try:
+            runs.append(list(run(["orbit", "--p", "3", "--n", "2"])))
+        finally:
+            setattr(owner, name, saved)
+    return runs
+
+
+FIELD_CONSTRUCTION_ERRORS = [
+    [1, "", "check failed: no irreducible polynomial of degree 2 over F_3\n"],
+    [1, "", "check failed: no element of order 80 in the units of the "
+            "extension field\n"]]
+
+
 CONSTRUCTION_ERRORS = ["highest root of A2 is not unique",
                        "highest coroot of A2 is not integral",
                        "finite diagram is not connected",
@@ -250,6 +273,12 @@ def test_solver_recheck_fires_under_optimize():
 def test_construction_checks_fire_under_optimize():
     assert construction_errors() == CONSTRUCTION_ERRORS
     assert run_optimized("construction_errors") == [1, CONSTRUCTION_ERRORS]
+
+
+def test_field_construction_failures_are_failed_checks():
+    assert field_construction_errors() == FIELD_CONSTRUCTION_ERRORS
+    assert run_optimized("field_construction_errors") == [
+        1, FIELD_CONSTRUCTION_ERRORS]
 
 
 def test_orbit_refuses_a_large_prime_at_once():

@@ -178,6 +178,14 @@ def test_inversion_merges_to_one_orbit(p, n):
     assert len(_closure_oracle(f, _all_images(f, c))) == 1
 
 
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_square_root_candidates_equal_the_brute_force_listing(p, n):
+    f = _fields(p, n)
+    product = _reference(p, n)[2]
+    assert orbits.square_root_candidates(f) == [
+        z for z in f.nonbase_elements() if f.in_base(product(z, z))]
+
+
 def test_square_root_candidates_listing():
     f = orbits.build_fields(3, 1)
     assert orbits.square_root_candidates(f) == [3, 6]
@@ -329,9 +337,10 @@ def test_every_move_permutes_the_complement(p, n):
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (5, 1)])
 def test_a_generator_that_does_not_permute_is_refused(p, n, monkeypatch):
     f = _fields(p, n)
+    domain = f.nonbase_elements()
     affine = orbits._affine_moves
-    for bad in (lambda z: z % f.q,  # lands in the base field
-                lambda z: f.q):     # not injective
+    for bad in ([z % f.q for z in domain],  # lands in the base field
+                [f.q] * len(domain)):       # not injective
         monkeypatch.setattr(orbits, "_affine_moves",
                             lambda fields, bad=bad: affine(fields) + [bad])
         with pytest.raises(ModelError, match="does not permute"):
@@ -342,7 +351,7 @@ def test_a_generator_that_does_not_permute_is_refused(p, n, monkeypatch):
     if p != 2:
         # squaring sends x_0 into the base field
         monkeypatch.setattr(orbits, "_inversion_move",
-                            lambda fields, c: lambda z: fields.mul(z, z))
+                            lambda fields, c: [fields.mul(z, z) for z in domain])
         with pytest.raises(ModelError, match="does not permute"):
             orbits.inversion_closure_orbits(f)
 
@@ -361,6 +370,18 @@ def test_orbit_work_stays_polynomial_in_q(p, n, monkeypatch):
     calls.clear()
     orbits.inversion_closure_orbits(f)
     assert len(calls) <= 8 * f.q ** 3
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_field_build_makes_linearly_many_polynomial_products(p, n, monkeypatch):
+    # one product per step of the walks to the least primitive element of
+    # k_F, where a table of every pair makes q^2
+    calls = []
+    poly_mul = orbits._poly_mul
+    monkeypatch.setattr(orbits, "_poly_mul",
+                        lambda f, g, p: calls.append(1) or poly_mul(f, g, p))
+    f = orbits.build_fields(p, n)
+    assert len(calls) <= 2 * f.q
 
 
 _element = st.integers(min_value=0, max_value=255)
@@ -418,7 +439,8 @@ def test_a_partition_that_depends_on_x0_is_a_model_error(p, n, monkeypatch):
     move = orbits._inversion_move
     # the identity permutes the complement but merges nothing
     monkeypatch.setattr(orbits, "_inversion_move",
-                        lambda fields, k: move(fields, k) if k == c else (lambda z: z))
+                        lambda fields, k: move(fields, k) if k == c
+                        else list(fields.nonbase_elements()))
     with pytest.raises(ModelError,
                        match=f"depends on the choice x_0={first_other}$"):
         orbits.inversion_closure_orbits(f)
@@ -439,3 +461,112 @@ def test_transitivity_verdict(p, n):
         # the affine orbits alone are not merged
         assert not orbits.transitivity_holds(f, affine, affine)
         assert not orbits.transitivity_holds(f, closure, closure)
+
+
+# -- the table arithmetic the exp/log tables replaced, as their oracle ---------
+
+@functools.cache
+def _reference(p, n):
+    """k_F's add and mul tables from one polynomial product per pair, and the
+    product of k_E on them with y^2 reduced to -b*y - c."""
+    f = _fields(p, n)
+    q, m = f.q, f.modulus_base
+    digits = [f._digits(e) for e in range(q)]
+    add = [[f._undigits([(s + t) % p for s, t in zip(d1, d2)]) for d2 in digits]
+           for d1 in digits]
+    mul = [[f._undigits(orbits._poly_rem(orbits._poly_mul(d1, d2, p), m, p))
+            for d2 in digits] for d1 in digits]
+    neg = [row.index(0) for row in add]
+    c, b, _ = f.modulus_ext
+
+    def product(z1, z2):
+        u1, v1 = z1 % q, z1 // q
+        u2, v2 = z2 % q, z2 // q
+        vv = mul[v1][v2]
+        u = add[mul[u1][u2]][mul[vv][neg[c]]]
+        v = add[add[mul[u1][v2]][mul[u2][v1]]][mul[vv][neg[b]]]
+        return u + q * v
+    return add, mul, product
+
+
+def _reference_power(product, z, k):
+    """z^k by square-and-multiply."""
+    out = 1
+    while k:
+        if k & 1:
+            out = product(out, z)
+        z = product(z, z)
+        k >>= 1
+    return out
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_base_field_equals_the_polynomial_tables(p, n):
+    f = _fields(p, n)
+    add, mul, _ = _reference(p, n)
+    base = f.base_elements()
+    assert f._badd == add
+    assert [[f.base_mul(a, b) for b in base] for a in base] == mul
+    assert [f.base_inv(a) for a in f.base_units()] == [
+        mul[a].index(1) for a in f.base_units()]
+    assert [a for a in base if f.is_square_base(a)] == sorted(
+        {mul[a][a] for a in f.base_units()})
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_products_equal_the_table_product(p, n):
+    f = _fields(p, n)
+    product = _reference(p, n)[2]
+    els = range(f.q_ext)
+    assert all(f.mul(z1, z2) == product(z1, z2) for z1 in els for z2 in els)
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_powers_equal_square_and_multiply(p, n):
+    f = _fields(p, n)
+    product = _reference(p, n)[2]
+    els = range(f.q_ext)
+    assert all(f.power(z, k) == _reference_power(product, z, k)
+               for z in els for k in els)
+    assert [f.frobenius(z) for z in els] == [
+        _reference_power(product, z, f.q) for z in els]
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_exp_and_log_are_inverse_bijections(p, n):
+    f = _fields(p, n)
+    for exp, log, size in ((f._bexp, f._blog, f.q), (f._exp, f._log, f.q_ext)):
+        units, order = range(1, size), size - 1
+        assert exp == exp[:order] * 2 and len(log) == size and log[0] is None
+        assert sorted(exp[:order]) == list(units)
+        assert [log[exp[k]] for k in range(order)] == list(range(order))
+        assert [exp[log[z]] for z in units] == list(units)
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_generators_are_the_least_of_full_order(p, n):
+    f = _fields(p, n)
+    _, mul, product = _reference(p, n)
+
+    def order(z, times):
+        w, k = z, 1
+        while w != 1:
+            w, k = times(w, z), k + 1
+        return k
+    assert f._bexp[1] == min(a for a in f.base_units()
+                             if order(a, lambda s, t: mul[s][t]) == f.q - 1)
+    assert f._exp[1] == f._ext_generator == min(
+        z for z in range(1, f.q_ext) if order(z, product) == f.q_ext - 1)
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_move_lists_are_the_generating_maps(p, n):
+    f = _fields(p, n)
+    product = _reference(p, n)[2]
+    domain = f.nonbase_elements()
+    g2 = _reference_power(product, f._ext_generator, 2 * (f.q + 1))
+    assert orbits._affine_moves(f) == [[product(g2, z) for z in domain]] + [
+        [f.add(z, f.p ** i) for z in domain] for i in range(f.n)]
+    for x in orbits.square_root_candidates(f):
+        c = f.base_inv(product(x, x))
+        assert orbits._inversion_move(f, c) == [f.inv(product(c, z)) for z in domain]

@@ -3,8 +3,9 @@
 The package computes, all in exact rational arithmetic:
 
 - the exponents of the finite Weyl group from root heights, and affine sphere
-  sizes by expanding Bott's formula over them; Cayley-graph and finite-group
-  enumeration serve the `growth` command and the test oracles;
+  sizes by expanding Bott's formula over them; products of coset walks
+  count the Cayley-graph spheres and the finite group for the `growth`
+  command and the test oracles;
 - alternating period series sum_k a_k q_F^k (-1/q_E)^k with q_E = q_F^2,
   their closed forms as products over the exponents, heuristic geometric
   tail estimates (not majorants), and exact value bounds;

@@ -3,10 +3,11 @@
 Seven subcommands: growth, period, tree-verify, tree-period, invariant,
 orbit, suite.  Every command supports --format json|csv|text; JSON output is
 canonical (sorted keys, fixed indentation) so identical configurations print
-identical bytes.  Only growth enumerates the group and takes --budget and
---cache-dir.  Exit codes: 0 all checks passed, 1 a mathematical check failed,
-2 invalid usage or arguments, 3 a budget exceeded: growth's element budget,
-or the tree edge budget of tree-verify, tree-period, invariant and suite.
+identical bytes.  Only growth counts the group, by walking cosets, and takes
+--budget, a number of group elements, and --cache-dir.  Exit codes: 0 all
+checks passed, 1 a mathematical check failed, 2 invalid usage or arguments,
+3 a budget exceeded: growth's element budget, or the tree edge budget of
+tree-verify, tree-period, invariant and suite.
 """
 
 from __future__ import annotations

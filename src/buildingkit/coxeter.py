@@ -12,15 +12,23 @@ affine maps and check every pair order against that matrix.
 
 The exponents come from the heights of the positive roots (Kostant) and the
 affine growth series from Bott's formula over them.  The `growth` command and
-`poincare_finite` count the same groups by brute force, as the oracles both
-are tested against: the group acts simply transitively on alcoves, so the
-orbit of one point x0 inside the fundamental alcove lists it.  A point x is
-stored by its integer coordinates y_i = h * alpha_i(x) for i = 0..d, where
-alpha_0(x) = 1 - theta(x) and h = ht(theta) + 1, so that x0 = rho^vee / h
-sits at y = (1, ..., 1).  The generator s_i maps y to
+`poincare_finite` count the same groups by walking orbits, as the oracles
+both are tested against.  A point x is stored by its integer coordinates
+y_i = h * alpha_i(x) for i = 0..d, where alpha_0(x) = 1 - theta(x) and
+h = ht(theta) + 1.  The generator s_i maps y to
 y - y_i * (column i of the affine Cartan matrix), and it lengthens the
-element exactly when y_i > 0 (the numbers game), so the k-th layer of the
-walk is the set of elements of length k.
+element exactly when y_i > 0 (the numbers game).  Walked from a point whose
+zero coordinates are the nodes J, the k-th layer holds the cosets w W_J whose
+minimal representative w has length k (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, ch. 4), and W(t) = W_J(t) W^J(t) (Humphreys, Reflection
+Groups and Coxeter Groups, 1.10-1.11).  So the finite group's series is the
+product of the walks of the chain W_{1} < W_{1,2} < ... < W, and the affine
+series that product times the walk from the special vertex x = 0, at
+y = e_0, whose stabilizer is the finite group: E8 walks 356 points for its
+finite group and 3,382 for the affine series at K = 60.  From x0 =
+rho^vee / h inside the fundamental alcove, at y = (1, ..., 1), the walk lists
+the group itself, one element per point; the tests keep it as the oracle.
+The element budgets still count group elements, not points walked.
 
 Numbering: node 0 is always the affine node, nodes 1..d carry the Bourbaki
 numbering of the finite diagram.  Coxeter matrices store the order of
@@ -33,6 +41,8 @@ across threads.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -218,23 +228,24 @@ def build_affine_system(family, rank):
 # ---------------------------------------------------------------------------
 # enumeration
 
-def _sphere_sizes(cartan, nodes, max_length, budget, overflow):
-    """Sizes of the layers 0..max_length of the walk from y = (1, ..., 1).
+def _sphere_sizes(cartan, nodes, start):
+    """Yield the sizes of the layers 0, 1, 2, ... of the walk from `start`.
 
-    `cartan` is a Cartan matrix and `nodes` the generators s_i that may move.
-    Layer k+1 is every point s_i(y) for y in layer k with y_i > 0, so each
-    layer holds the elements of one length and only the next one is kept.
-    Stops early after the first empty layer, which is then the last entry.
-    Past `budget` elements raises BudgetError with `overflow` formatted with
-    the number of complete layers, carrying the sizes of those layers.
+    `cartan` is a Cartan matrix, `nodes` the generators s_i that may move and
+    `start` a point with y_i >= 0 at every moving node.  Layer k+1 is every
+    point s_i(y) for y in layer k with y_i > 0 (the numbers game), so the
+    walk lists each coset w W_J of the stabilizer W_J of `start`, J the
+    moving nodes where it is 0, once: in the layer of the length of its
+    minimal representative w.  Each layer is walked only when its size is
+    asked for, only the current one is kept, and the walk ends after the last
+    nonempty layer.
     """
     moves = [(i, [(j, row[i]) for j, row in enumerate(cartan) if j != i and row[i]])
              for i in nodes]
-    layer = [(1,) * len(cartan)]
-    coeffs = [1]
-    while layer and len(coeffs) <= max_length:
+    layer = {tuple(start)}
+    while layer:
+        yield len(layer)
         nxt = set()
-        room = budget - sum(coeffs)
         for y in layer:
             for i, column in moves:
                 y_i = y[i]
@@ -244,27 +255,81 @@ def _sphere_sizes(cartan, nodes, max_length, budget, overflow):
                     for j, a_ji in column:
                         z[j] -= y_i * a_ji
                     nxt.add(tuple(z))
-            if len(nxt) > room:
-                raise BudgetError(overflow.format(len(coeffs) - 1),
-                                  partial_coefficients=coeffs, budget=budget)
-        coeffs.append(len(nxt))
         layer = nxt
+
+
+def _times(poly, sizes):
+    """Yield the coefficients of poly times the series `sizes`, one for each
+    size, each as soon as that size is known."""
+    seen = []
+    for size in sizes:
+        seen.append(size)
+        yield sum(map(operator.mul, poly, reversed(seen)))
+
+
+def _within_budget(coefficients, budget, overflow):
+    """The list of `coefficients`, read one at a time.
+
+    Once the running sum of a_0..a_k, k >= 1, exceeds `budget`, raises
+    BudgetError with `overflow` formatted with k - 1, the number of complete
+    layers, carrying a_0..a_(k-1); nothing past a_k is read.
+    """
+    coeffs = []
+    total = 0
+    for k, a in enumerate(coefficients):
+        total += a
+        if k and total > budget:
+            raise BudgetError(overflow.format(k - 1),
+                              partial_coefficients=coeffs, budget=budget)
+        coeffs.append(a)
     return coeffs
 
 
-def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
-    """Sphere sizes a_0..a_K of the affine Cayley graph, by the alcove walk.
+def _basis_point(system, node):
+    return tuple(int(i == node) for i in range(system.rank + 1))
 
-    a_k counts the alcoves w(A) with length(w) = k, walked in integer
-    coordinates from a point of the fundamental alcove A (see the module
-    docstring).  If the enumeration would exceed `budget` elements, a
-    BudgetError is raised that carries the complete layers found so far.
+
+def _finite_series(system):
+    """Length polynomial of the finite group W = <s_1..s_d>, unbudgeted.
+
+    It is the product over m = 1..d of the coset walks of
+    W_{1..m-1} < W_{1..m}: step m walks the nodes 1..m from the point e_m
+    whose only nonzero coordinate is node m, whose stabilizer among them is
+    W_{1..m-1}.  Raises ModelError unless its degree, the length of the
+    longest element, is the number of positive roots.
+    """
+    poly = [1]
+    for m in range(1, system.rank + 1):
+        walk = _sphere_sizes(system.cartan_matrix, range(1, m + 1),
+                             _basis_point(system, m))
+        # padded with zeros so that the product keeps its full degree
+        poly = list(_times(poly, itertools.chain(walk, [0] * (len(poly) - 1))))
+    if len(poly) - 1 != system.n_positive_roots:
+        raise ModelError(
+            f"top degree {len(poly) - 1} != positive root count "
+            f"{system.n_positive_roots} for {system.family}{system.rank}")
+    return poly
+
+
+def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
+    """Sphere sizes a_0..a_K of the affine Cayley graph, by coset walks.
+
+    W(t) = W_0(t) C(t): W_0 is the finite group, whose length polynomial
+    comes from the coset walks of `_finite_series`, and C(t) counts the
+    cosets w W_0 by the length of their minimal representative, walked from
+    the special vertex e_0 over all d + 1 nodes and truncated at K (see the
+    module docstring).  The budget counts group elements, the running sum
+    of the a_k, not points walked: the affine walk stops at the first layer
+    k that takes it past `budget`, and a BudgetError is raised that carries
+    a_0..a_(k-1).
     """
     if truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
-    coeffs = _sphere_sizes(
-        system.cartan_matrix, range(system.rank + 1), truncation, budget,
-        f"enumeration budget {budget} exceeded after {{}} complete layers")
+    walk = _sphere_sizes(system.cartan_matrix, range(system.rank + 1),
+                         _basis_point(system, 0))
+    coeffs = _within_budget(
+        _times(_finite_series(system), itertools.islice(walk, truncation + 1)),
+        budget, f"enumeration budget {budget} exceeded after {{}} complete layers")
     return GrowthSeries(
         family=system.family, rank=system.rank, truncation=truncation,
         coefficients=tuple(coeffs), source="enumerated")
@@ -293,22 +358,16 @@ def growth_from_exponents(system, truncation):
 def poincare_finite(family, rank, budget=DEFAULT_ELEMENT_BUDGET):
     """Length generating polynomial of the finite group <s_1..s_d>.
 
-    Returns the tuple of coefficients by degree; computed by exhausting the
-    finite group with the walk of `growth_coefficients` without s_0, from a
-    point of the open fundamental chamber, so E7 and E8 hit the default
-    element budget.  This is the brute-force oracle for the exponents and the
-    period closed form; no other function calls it.
+    Returns the tuple of coefficients by degree, the product of the coset
+    walks of `_finite_series` (E8 walks 356 points for its 696,729,600
+    elements).  The budget still counts group elements: if the running sum
+    of the coefficients exceeds it, a BudgetError is raised that carries the
+    degrees below the one that went over.  This is the oracle for the
+    exponents and the period closed form; no other function calls it.
     """
-    system = build_affine_system(family, rank)
-    # a group within the budget has fewer layers than elements, so only the
-    # empty layer after the longest element ends the search; drop it
-    coeffs = _sphere_sizes(system.cartan_matrix, range(1, rank + 1), budget, budget,
-                           f"finite group of {family}{rank} exceeds budget {budget}")[:-1]
-    if len(coeffs) - 1 != system.n_positive_roots:
-        raise ModelError(
-            f"top degree {len(coeffs) - 1} != positive root count "
-            f"{system.n_positive_roots} for {family}{rank}")
-    return tuple(coeffs)
+    poly = _finite_series(build_affine_system(family, rank))
+    return tuple(_within_budget(
+        poly, budget, f"finite group of {family}{rank} exceeds budget {budget}"))
 
 
 def exponents(family, rank):

@@ -127,16 +127,26 @@ class FiniteFieldPair:
     def _undigits(self, digits):
         return sum(d * self.p ** i for i, d in enumerate(digits))
 
-    def _init_base_tables(self):
-        p, q, m = self.p, self.q, self.modulus_base
+    def _base_add_table(self):
+        """add[e][x] = e + x in the base field, digit by digit mod p."""
+        p, q = self.p, self.q
         # row e is row e - t plus t, for t the largest p^i <= e: one digit, mod p
         add = [list(range(q))]
         for e in range(1, q):
             top = p ** max(i for i in range(self.n) if p ** i <= e)
             add.append([x - (p - 1) * top if x // top % p == p - 1 else x + top
                         for x in add[e - top]])
-        self._badd = add
-        self._bneg = [add[e].index(0) for e in range(q)]
+        return add
+
+    def _init_base_tables(self):
+        p, q, m = self.p, self.q, self.modulus_base
+        add = self._badd = self._base_add_table()
+        try:
+            self._bneg = [add[e].index(0) for e in range(q)]
+        except ValueError:
+            e = next(e for e in range(q) if 0 not in add[e])
+            raise ModelError(f"{e} has no negative in the addition table "
+                             f"of F_{q}") from None
 
         def times(g):
             dg = self._digits(g)

@@ -378,6 +378,16 @@ def test_exit_budget(capsys):
     assert "budget exceeded" in err
 
 
+@pytest.mark.parametrize("K", ["20", "1000000"])
+def test_exit_budget_of_e8_growth_is_pinned(capsys, K):
+    # the same bytes at any K: the walk stops at the layer that goes over
+    code, out, err = run_cli(capsys, ["growth", "--family", "E", "--rank", "8",
+                                      "--K", K])
+    assert (code, out) == (3, "")
+    assert err == ("budget exceeded: enumeration budget 2000000 exceeded "
+                   "after 17 complete layers\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["tree-verify", "--qF", "9", "--depth", "5"],
     ["tree-period", "--qF", "9", "--depth", "5"],

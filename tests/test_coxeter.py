@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,9 @@ from buildingkit.coxeter import (FAMILIES, INFINITE_ORDER, MAX_RANK,
 from buildingkit.errors import BudgetError, InvalidTypeError, ModelError
 from coxeter_oracle import ALL_TYPES, certified_generators, comarks
 
-# classical data, frozen independently of the implementation
+# classical data, frozen independently of the implementation; the
+# classical families of rank 6..9 follow the tables' closed forms
+# (Humphreys, Reflection Groups and Coxeter Groups, 3.7 and 3.18)
 N_POSITIVE_ROOTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10, ("A", 5): 15,
     ("B", 3): 9, ("B", 4): 16, ("B", 5): 25,
@@ -24,6 +27,9 @@ N_POSITIVE_ROOTS = {
     ("D", 4): 12, ("D", 5): 20,
     ("E", 6): 36, ("E", 7): 63, ("E", 8): 120,
     ("F", 4): 24, ("G", 2): 6,
+    **{("A", n): n * (n + 1) // 2 for n in range(6, 10)},
+    **{(f, n): n * n for f in "BC" for n in range(6, 10)},
+    **{("D", n): n * (n - 1) for n in range(6, 10)},
 }
 
 CLASSICAL_EXPONENTS = {
@@ -36,11 +42,17 @@ CLASSICAL_EXPONENTS = {
     ("E", 6): (1, 4, 5, 7, 8, 11), ("E", 7): (1, 5, 7, 9, 11, 13, 17),
     ("E", 8): (1, 7, 11, 13, 17, 19, 23, 29),
     ("F", 4): (1, 5, 7, 11), ("G", 2): (1, 5),
+    **{("A", n): tuple(range(1, n + 1)) for n in range(6, 10)},
+    **{(f, n): tuple(range(1, 2 * n, 2)) for f in "BC" for n in range(6, 10)},
+    **{("D", n): tuple(sorted((*range(1, 2 * n - 2, 2), n - 1)))
+       for n in range(6, 10)},
 }
 
-# types whose finite group the walk exhausts quickly: E6 (51,840 elements)
-# takes about 0.2 s, while E7 and E8 exceed the default element budget
-ENUMERABLE = sorted(key for key in CLASSICAL_EXPONENTS if key not in (("E", 7), ("E", 8)))
+# the coset walks reach every finite group: E8 (696,729,600 elements) walks
+# 356 points, though A9, B8, B9, C8, C9, D8, D9, E7 and E8 exceed the
+# default element budget, which still counts elements
+ENUMERABLE = sorted(ALL_TYPES)
+assert ENUMERABLE == sorted(CLASSICAL_EXPONENTS)
 
 # sphere sizes through K = 12, frozen from two independent oracles that agree:
 # expansion of the classical finite length polynomial times the geometric
@@ -183,6 +195,122 @@ def test_growth_matches_word_oracle(family, rank, max_len):
     assert series.coefficients == _word_oracle(family, rank, max_len)
 
 
+def element_walk(cartan, nodes, max_length, budget, overflow):
+    """Layer sizes of the walk from y = (1, ..., 1), one point per element.
+
+    The walk that `growth` and `poincare_finite` made before they walked
+    cosets, with its budget rule: past `budget` elements it raises
+    BudgetError with `overflow` formatted with the number of complete
+    layers, carrying their sizes.  It stops after the first empty layer.
+    """
+    moves = [(i, [(j, row[i]) for j, row in enumerate(cartan) if j != i and row[i]])
+             for i in nodes]
+    layer = [(1,) * len(cartan)]
+    coeffs = [1]
+    while layer and len(coeffs) <= max_length:
+        nxt = set()
+        room = budget - sum(coeffs)
+        for y in layer:
+            for i, column in moves:
+                if y[i] > 0:
+                    z = list(y)
+                    z[i] = -y[i]
+                    for j, a_ji in column:
+                        z[j] -= y[i] * a_ji
+                    nxt.add(tuple(z))
+            if len(nxt) > room:
+                raise BudgetError(overflow.format(len(coeffs) - 1),
+                                  partial_coefficients=coeffs, budget=budget)
+        coeffs.append(len(nxt))
+        layer = nxt
+    return coeffs
+
+
+def outcome(compute):
+    """The series `compute()` returns, or the content of its BudgetError."""
+    try:
+        return tuple(compute())
+    except BudgetError as exc:
+        return str(exc), exc.budget, exc.partial_coefficients
+
+
+def budgets(sums):
+    """Element budgets from 1 to 5,000, and the running sums s of the series
+    (and s - 1) in that range, where `>` and `>=` would part."""
+    edges = [s + o for s in sums for o in (-1, 0) if 1 <= s + o <= 5000]
+    return st.one_of(st.integers(1, 5000), st.sampled_from(edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(ALL_TYPES), truncation=st.integers(0, 30), data=st.data())
+def test_growth_budget_matches_the_element_walk(key, truncation, data):
+    # the old walk stops within its budget, so it stays cheap at any K
+    system = build_affine_system(*key)
+    sums = itertools.accumulate(growth_from_exponents(system, truncation).coefficients)
+    # a budget of 0 overflows at layer 1, not 0, as it always did
+    budget = data.draw(st.one_of(st.just(0), budgets(sums)))
+    overflow = f"enumeration budget {budget} exceeded after {{}} complete layers"
+    expected = outcome(lambda: element_walk(
+        system.cartan_matrix, range(key[1] + 1), truncation, budget, overflow))
+    got = outcome(lambda: growth_coefficients(system, truncation, budget).coefficients)
+    assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(ALL_TYPES), data=st.data())
+def test_poincare_budget_matches_the_element_walk(key, data):
+    family, rank = key
+    sums = itertools.accumulate(geometric_blocks(CLASSICAL_EXPONENTS[key]))
+    budget = data.draw(budgets(sums))
+    overflow = f"finite group of {family}{rank} exceeds budget {budget}"
+    cartan = build_affine_system(*key).cartan_matrix
+    # the walk ends with its first empty layer; the polynomial drops it
+    expected = outcome(lambda: element_walk(
+        cartan, range(1, rank + 1), budget, budget, overflow)[:-1])
+    assert outcome(lambda: poincare_finite(family, rank, budget)) == expected
+
+
+@functools.cache
+def _free_orbit(key, truncation):
+    """a_0..a_K by the walk from (1, ..., 1): one point per group element."""
+    start = (1,) * (key[1] + 1)
+    walk = coxeter._sphere_sizes(build_affine_system(*key).cartan_matrix,
+                                 range(key[1] + 1), start)
+    return tuple(itertools.islice(walk, truncation + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(ALL_TYPES), data=st.data())
+def test_growth_is_the_free_orbit_walk(key, data):
+    reach = 12 if key[1] <= 5 else 4
+    truncation = data.draw(st.integers(0, reach))
+    series = growth_coefficients(build_affine_system(*key), truncation)
+    assert series.coefficients == _free_orbit(key, reach)[:truncation + 1]
+
+
+@pytest.mark.parametrize("family,rank,truncation", [
+    ("E", 6, 60), ("E", 7, 60), ("E", 8, 60),
+    ("A", 9, 30), ("B", 9, 30), ("C", 9, 30), ("D", 9, 30)])
+def test_coset_walks_reach_the_closed_form_far_out(family, rank, truncation):
+    # E8 at K = 60 counts about 1.6e10 elements from 3,382 affine points
+    system = build_affine_system(family, rank)
+    series = growth_coefficients(system, truncation, budget=10**15)
+    assert series.coefficients == growth_from_exponents(system, truncation).coefficients
+
+
+def test_e8_growth_stops_at_the_budget_whatever_k():
+    # layer 18 takes the running sum past the default budget; a walk that
+    # went on to K would not end
+    system = build_affine_system("E", 8)
+    for truncation in (18, 20, 10**6):
+        with pytest.raises(BudgetError) as exc:
+            growth_coefficients(system, truncation)
+        assert str(exc.value) == ("enumeration budget 2000000 exceeded after "
+                                  "17 complete layers")
+        assert exc.value.partial_coefficients == (
+            growth_from_exponents(system, 17).coefficients)
+
+
 @pytest.mark.parametrize("key", sorted(GROWTH_K12))
 def test_growth_frozen_vectors(key):
     series = growth_coefficients(build_affine_system(*key), 12)
@@ -270,8 +398,9 @@ def geometric_blocks(exps):
 
 @pytest.mark.parametrize("family,rank", ENUMERABLE)
 def test_poincare_is_product_of_geometric_blocks(family, rank):
-    # the enumerated polynomial must equal prod_i (1 + t + ... + t^{m_i})
-    poly = poincare_finite(family, rank)
+    # the enumerated polynomial must equal prod_i (1 + t + ... + t^{m_i}),
+    # so the exponents of E7 and E8 are checked against their Cartan matrix
+    poly = poincare_finite(family, rank, budget=10**9)
     assert list(poly) == geometric_blocks(CLASSICAL_EXPONENTS[(family, rank)])
     # and so do the exponents read off the root heights
     assert list(poly) == geometric_blocks(exponents(family, rank))

@@ -3,12 +3,14 @@
 Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
 never with a traceback; exits 2 and 3 print nothing on stdout and say why on
 stderr; the same argv prints the same bytes twice.  A fixed subset and the
-damaged-tree audit, the invariant solver's check of its profile and the
-checks of the affine system's and the residue fields' construction also run
-under `python -O`, which strips asserts.
+damaged-tree audit, the invariant solver's check of its profile, the
+checks of the affine system's and the residue fields' construction and the
+degree check of the finite length polynomial also run under `python -O`,
+which strips asserts.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -200,18 +202,28 @@ def construction_errors():
     return messages
 
 
+def _no_negative_of_one(self, table=orbits.FiniteFieldPair._base_add_table):
+    add = table(self)
+    add[1][1] = add[1][0]  # in F_2 this removes the 0 of row 1
+    return add
+
+
 def field_construction_errors():
     """The run of `orbit --p 3 --n 2` with no irreducible base modulus, then
     with the reducible extension modulus y^2, whose ring has no unit of
-    order q^2 - 1."""
-    patches = [(orbits, "_is_irreducible", lambda m, p: False),
-               (orbits.FiniteFieldPair, "_find_ext_modulus", lambda self: (0, 0, 1))]
+    order q^2 - 1, then that of `orbit --p 2` with an addition row of F_2
+    that holds no 0."""
+    p3n2 = ["orbit", "--p", "3", "--n", "2"]
+    patches = [(orbits, "_is_irreducible", lambda m, p: False, p3n2),
+               (orbits.FiniteFieldPair, "_find_ext_modulus", lambda self: (0, 0, 1), p3n2),
+               (orbits.FiniteFieldPair, "_base_add_table", _no_negative_of_one,
+                ["orbit", "--p", "2"])]
     runs = []
-    for owner, name, value in patches:
+    for owner, name, value, argv in patches:
         saved = getattr(owner, name)
         setattr(owner, name, value)
         try:
-            runs.append(list(run(["orbit", "--p", "3", "--n", "2"])))
+            runs.append(list(run(argv)))
         finally:
             setattr(owner, name, saved)
     return runs
@@ -220,7 +232,28 @@ def field_construction_errors():
 FIELD_CONSTRUCTION_ERRORS = [
     [1, "", "check failed: no irreducible polynomial of degree 2 over F_3\n"],
     [1, "", "check failed: no element of order 80 in the units of the "
-            "extension field\n"]]
+            "extension field\n"],
+    [1, "", "check failed: 1 has no negative in the addition table of F_2\n"]]
+
+
+def top_degree_errors():
+    """The ModelError messages of `poincare_finite` and `growth_coefficients`
+    when the system of A2 claims four positive roots, one more than the
+    degree of its finite length polynomial."""
+    build = coxeter.build_affine_system
+    wrong = dataclasses.replace(build("A", 2), n_positive_roots=4)
+    messages = []
+    coxeter.build_affine_system = lambda family, rank: wrong
+    try:
+        for compute in (lambda: coxeter.poincare_finite("A", 2),
+                        lambda: coxeter.growth_coefficients(wrong, 3)):
+            try:
+                compute()
+            except ModelError as exc:
+                messages.append(str(exc))
+    finally:
+        coxeter.build_affine_system = build
+    return messages
 
 
 CONSTRUCTION_ERRORS = ["highest root of A2 is not unique",
@@ -273,6 +306,12 @@ def test_solver_recheck_fires_under_optimize():
 def test_construction_checks_fire_under_optimize():
     assert construction_errors() == CONSTRUCTION_ERRORS
     assert run_optimized("construction_errors") == [1, CONSTRUCTION_ERRORS]
+
+
+def test_top_degree_check_fires_under_optimize():
+    message = "top degree 3 != positive root count 4 for A2"
+    assert top_degree_errors() == [message, message]
+    assert run_optimized("top_degree_errors") == [1, [message, message]]
 
 
 def test_field_construction_failures_are_failed_checks():

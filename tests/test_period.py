@@ -11,6 +11,7 @@ from buildingkit.coxeter import (GrowthSeries, build_affine_system,
                                  exponents, growth_coefficients,
                                  poincare_finite)
 from buildingkit.errors import InvalidTypeError
+from coxeter_oracle import ALL_TYPES
 
 # closed forms frozen from the classical finite length polynomials evaluated
 # at t = -1/q_F with the geometric exponent factors, independently of the
@@ -47,16 +48,17 @@ def test_closed_form_grid(key):
         assert period.period_closed_form(*key, q) == expected
 
 
-# types whose finite group the BFS oracle exhausts in about a second or less
+# every type: the coset walks reach E8's finite group with 356 points
 ENUMERABLE = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 3),
               ("B", 4), ("B", 5), ("C", 2), ("C", 3), ("C", 4), ("C", 5),
               ("D", 4), ("D", 5), ("F", 4), ("G", 2)]
+ENUMERABLE += [key for key in ALL_TYPES if key not in ENUMERABLE]
 
 
 @pytest.mark.parametrize("key", ENUMERABLE)
 def test_closed_form_matches_enumerated_route(key):
-    # W(t) / prod_i (1 - t^(m_i)) with W enumerated by BFS
-    poly = poincare_finite(*key)
+    # W(t) / prod_i (1 - t^(m_i)) with W enumerated by coset walks
+    poly = poincare_finite(*key, budget=10**9)
     for q in (2, 3, 4, 5, 7, 8, 9):
         t = Fraction(-1, q)
         expected = sum(c * t**k for k, c in enumerate(poly))
@@ -66,8 +68,7 @@ def test_closed_form_matches_enumerated_route(key):
 
 
 def test_exceptional_closed_forms_satisfy_bounds():
-    # E6-E8 are out of reach of the BFS oracle; the bounds of the theorem
-    # still pin the value for every q_F > rank
+    # the bounds of the theorem pin the value for every q_F > rank
     for rank in (6, 7, 8):
         for q in (7, 8, 9):
             if q > rank:

@@ -497,11 +497,22 @@ class TreeAutomorphism:
     """Partial automorphism: a vertex bijection on a sub-ball of the tree.
 
     `vertex_map` is a sequence indexed by vertex id with None where
-    undefined, and is stored as a list.  The edge map, a list indexed by
-    edge id with None where an endpoint is unmapped, is induced from it and
-    validated edge by edge; a pair of mapped endpoints that is not an edge
-    again is rejected.  The marked subtree does not need to be preserved.
-    `full` says whether every vertex, and so every edge, is mapped.
+    undefined, and is stored as a list.  Its length, the range of its images
+    and their injectivity are checked in that order.  `full` says whether
+    every vertex, and so every edge, is mapped.  The marked subtree does not
+    need to be preserved.
+
+    A full map keeps adjacency exactly when it sends the root edge onto
+    itself and each other vertex to a child of its parent's image: one that
+    keeps adjacency is an automorphism of the finite ball, so it fixes the
+    ball's central edge and keeps every vertex's distance from it.  That
+    rule is checked with whole-list passes.  A partial map, or a full one
+    that breaks the rule, is checked edge by edge, so a refusal names the
+    lowest edge whose mapped endpoints are not an edge again.
+
+    `edge_map`, a list indexed by edge id with None where an endpoint is
+    unmapped, is induced from the vertex map.  A partial map builds it while
+    it is checked; a full map builds it on first access.
     """
 
     def __init__(self, tree, vertex_map):
@@ -510,23 +521,33 @@ class TreeAutomorphism:
         vm = list(vertex_map)
         if len(vm) != n:
             raise ValueError(f"vertex map has {len(vm)} entries for {n} vertices")
-        images = [x for x in vm if x is not None]
+        distinct = set(vm)
+        self.full = None not in distinct
+        images = vm if self.full else [x for x in vm if x is not None]
         if images and not (0 <= min(images) and max(images) < n):
             bad = next(x for x in images if not 0 <= x < n)
             raise ValueError(f"vertex id out of range: {bad}")
-        if len(set(images)) != len(images):
+        # a partial map's None counts once among the distinct entries
+        if len(distinct) - (not self.full) != len(images):
             raise ValueError("vertex map is not injective")
         self.vertex_map = vm
-        self.full = len(images) == n
+
+        q_E, n_expanded, parent = tree.q_E, tree.n_expanded, tree.parents
+        if self.full and vm[0] + vm[1] == 1:
+            # the parent of each image, read in q_E slots: slot j holds the
+            # j-th children of the expanded vertices in id order
+            above = list(map(parent.__getitem__, islice(vm, 2, None)))
+            head = vm[:n_expanded]
+            if all(above[j::q_E] == head for j in range(q_E)):
+                return
 
         # the images of the near endpoints: vm[0] for the root edge, then
         # each expanded vertex's image once per child edge
         near_images = chain((vm[0],), chain.from_iterable(
-            map(repeat, vm[:tree.n_expanded], repeat(tree.q_E))))
+            map(repeat, vm[:n_expanded], repeat(q_E))))
         # images a, b are joined by the edge that created b when a is b's
         # parent, by the one that created a when b is a's, and by none
         # otherwise; -1 marks a mapped pair that is not an edge
-        parent = tree.parents
         edge_map = [None if a is None or b is None
                     else b - 1 if parent[b] == a
                     else a - 1 if parent[a] == b else -1
@@ -538,6 +559,13 @@ class TreeAutomorphism:
                 f"({vm[tree.endpoints(e)[0]]},{vm[e + 1]})")
         self.edge_map = edge_map
 
+    @cached_property
+    def edge_map(self):
+        # reached only for a full map that kept the root edge and sent every
+        # other vertex v to a child of its parent's image, which the edge
+        # v - 1 created
+        return [0, *map((-1).__add__, islice(self.vertex_map, 2, None))]
+
 
 def epsilon_tree(g):
     """Sign of the induced permutation of the two vertex types.
@@ -547,12 +575,13 @@ def epsilon_tree(g):
     and raises ValueError.
     """
     tree = g.tree
-    label, vm, em = tree.v_label, g.vertex_map, g.edge_map
+    label, vm = tree.v_label, g.vertex_map
     # the sign of a mapped edge is read at its near endpoint u; on a full map
     # every expanded vertex is one, otherwise only those with a mapped edge
     # hanging there: among their children, or the root edge at 0
     us = range(tree.n_expanded)
     if not g.full:
+        em = g.edge_map
         mapped = []
         for u in us:
             kids = tree.children(u)
@@ -631,9 +660,9 @@ def random_automorphism(tree, rng, swap=None):
 
 def compose(g, h):
     """The automorphism x -> g(h(x)), on the domain where both are defined."""
-    gv = g.vertex_map
-    return TreeAutomorphism(
-        g.tree, [None if x is None else gv[x] for x in h.vertex_map])
+    gv, hv = g.vertex_map, h.vertex_map
+    return TreeAutomorphism(g.tree, map(gv.__getitem__, hv) if h.full
+                            else [None if x is None else gv[x] for x in hv])
 
 
 def translation_automorphism(tree, steps):

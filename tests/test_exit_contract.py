@@ -142,8 +142,14 @@ def automorphism_errors():
     def partial(images):
         return [images.get(v) for v in range(n)]
 
+    # a full map with the images of vertex 6, below vertex 1, and vertex 10,
+    # below vertex 2, exchanged
+    exchanged = list(range(n))
+    exchanged[6], exchanged[10] = 10, 6
+
     messages = []
     for vm, signed in [(partial({0: 2, 1: 3}), False),
+                       (exchanged, False),
                        (partial({0: 0, 1: 0}), False),
                        (partial({0: n}), False),
                        (list(range(n - 1)), False),
@@ -262,8 +268,9 @@ CONSTRUCTION_ERRORS = ["highest root of A2 is not unique",
                        "root heights of A2 give exponents (2,)"]
 
 
-AUTOMORPHISM_ERRORS = ("breaks adjacency", "not injective", "out of range",
-                       "entries", "not label-coherent", "contains no edges")
+AUTOMORPHISM_ERRORS = ("breaks adjacency", "edge 5 maps to non-edge (1,10)",
+                       "not injective", "out of range", "entries",
+                       "not label-coherent", "contains no edges")
 
 
 def run_optimized(name):

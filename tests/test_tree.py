@@ -604,6 +604,65 @@ def test_epsilon_matches_the_vertex_loop_on_partial_maps(t, seed, glued, keep):
     assert outcome(tree.epsilon_tree, aut) == outcome(reference_epsilon, aut)
 
 
+def exchanged(vm, i, j):
+    vm = list(vm)
+    vm[i], vm[j] = vm[j], vm[i]
+    return vm
+
+
+@pytest.mark.parametrize("t", [t for t in AUT_TREES if t.depth > 1])
+def test_full_map_refusals_keep_their_messages(t):
+    n, q_E = t.n_vertices, t.q_E
+    vm = tree.random_automorphism(t, random.Random(5)).vertex_map
+    # -1 would read parents[-1] if the range were not checked first
+    with pytest.raises(ValueError, match=r"^vertex id out of range: -1$"):
+        tree.TreeAutomorphism(t, vm[:-1] + [-1])
+    with pytest.raises(ValueError, match=r"^vertex map is not injective$"):
+        tree.TreeAutomorphism(t, vm[:-1] + [vm[0]])
+    # the last child of vertex 2 against the first child of vertex 3, and
+    # the root edge sent to the edge (0, 2)
+    last_of_2, first_of_3 = 1 + 3 * q_E, 2 + 3 * q_E
+    for bad in (exchanged(vm, last_of_2, first_of_3),
+                exchanged(range(n), 1, 2)):
+        expected = reference_edge_map(t, bad)
+        e = expected.index(-1)
+        u, w = t.endpoints(e)
+        with pytest.raises(ValueError) as info:
+            tree.TreeAutomorphism(t, bad)
+        assert str(info.value) == (f"vertex map breaks adjacency: edge {e} "
+                                   f"maps to non-edge ({bad[u]},{bad[w]})")
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.sampled_from(AUT_TREES), seed=st.integers(0, 2**32))
+def test_full_maps_build_their_edge_map_on_request(t, seed):
+    rng = random.Random(seed)
+    g = tree.TreeAutomorphism(t, tree._lift(t, 0, 1, rng))
+    h = tree.TreeAutomorphism(t, tree._lift(t, 1, 0, rng))
+    for aut in (g, h, tree.compose(g, h), tree.compose(h, g),
+                tree.endpoint_swap(t),
+                tree.TreeAutomorphism(t, range(t.n_vertices))):
+        assert aut.full and "edge_map" not in vars(aut)
+        assert aut.edge_map == reference_edge_map(t, aut.vertex_map)
+        assert aut.edge_map is aut.edge_map
+        assert aut.full == (None not in aut.edge_map)
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.sampled_from(AUT_TREES), seed=st.integers(0, 2**32),
+       keep_g=st.integers(0, 8), keep_h=st.integers(0, 8))
+def test_compose_is_the_per_vertex_gather(t, seed, keep_g, keep_h):
+    # keep = 8 leaves a map full, so both of compose's gathers are drawn
+    rng = random.Random(seed)
+    g, h = (tree.TreeAutomorphism(t, [
+        x if rng.randrange(8) < keep else None
+        for x in tree.random_automorphism(t, rng).vertex_map])
+        for keep in (keep_g, keep_h))
+    gv = g.vertex_map
+    assert tree.compose(g, h).vertex_map == [None if x is None else gv[x]
+                                             for x in h.vertex_map]
+
+
 # -- per-edge Fraction references for the integer passes ----------------------
 
 def reference_verify_harmonic(t, vals):

@@ -15,10 +15,11 @@ The package computes, all in exact rational arithmetic:
 - orbit closures of affine-square and inversion moves on the complement of
   a residue field inside its quadratic extension, grown from a few
   generating moves;
-- a `growth` disk cache, a consolidated check suite, and a CLI (`buildingkit`).
+- a consolidated check suite and a CLI (`buildingkit`); the package reads
+  and writes no files.
 """
 
-from .cache import cache_get, cache_path, cache_put, cached_growth
+from .cache import cached_growth
 from .coxeter import (DEFAULT_ELEMENT_BUDGET, INFINITE_ORDER, CoxeterSystem,
                       GrowthSeries, OmegaElement, build_affine_system,
                       epsilon_of_omega, exponents, growth_coefficients,

@@ -4,10 +4,11 @@ Seven subcommands: growth, period, tree-verify, tree-period, invariant,
 orbit, suite.  Every command supports --format json|csv|text; JSON output is
 canonical (sorted keys, fixed indentation) so identical configurations print
 identical bytes.  Only growth counts the group, by walking cosets, and takes
---budget, a number of group elements, and --cache-dir.  Exit codes: 0 all
-checks passed, 1 a mathematical check failed, 2 invalid usage or arguments,
-3 a budget exceeded: growth's element budget, or the tree edge budget of
-tree-verify, tree-period, invariant and suite.
+--budget, a number of group elements.  The program reads no files and writes
+only to stdout and stderr.  Exit codes: 0 all checks passed, 1 a mathematical
+check failed, 2 invalid usage or arguments, 3 a budget exceeded: growth's
+element budget, or the tree edge budget of tree-verify, tree-period,
+invariant and suite.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ def _cmd_growth(args):
     if args.budget < 1:
         raise ValueError(
             f"enumeration budget must be at least 1, got {args.budget}")
-    series = cached_growth(args.family, args.rank, args.K,
-                           cache_dir=args.cache_dir, budget=args.budget)
+    series = cached_growth(args.family, args.rank, args.K, budget=args.budget)
     payload = series_to_json_dict(series)
     payload["command"] = "growth"
     text = [f"growth {args.family}{args.rank} K={series.truncation} "
@@ -263,8 +263,6 @@ def _build_parser():
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--K", type=int, default=12, help="truncation depth")
-    p.add_argument("--cache-dir", default=None,
-                   help="directory for the growth-series disk cache")
     p.add_argument("--budget", type=int, default=DEFAULT_ELEMENT_BUDGET,
                    help="element budget for group enumeration")
 

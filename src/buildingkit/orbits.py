@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ModelError
-from .period import _is_prime
+from .period import _MR_LIMIT, _is_prime
 
 MAX_Q = 16
 
@@ -98,10 +98,14 @@ class FiniteFieldPair:
     """k_F of size q = p^n inside k_E of size q^2, with exact lookup tables."""
 
     def __init__(self, p, n):
+        if p >= _MR_LIMIT:
+            raise ValueError(
+                f"p must be a prime below {_MR_LIMIT}, the limit of the "
+                f"deterministic primality test, got {p}")
         # the Miller-Rabin test needs p >= 2
         if p < 2 or not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        if not 1 <= n <= 4:
+        if isinstance(n, bool) or not 1 <= n <= 4:
             raise ValueError(f"n must be in 1..4, got {n}")
         q = p ** n
         if q > MAX_Q:

@@ -127,7 +127,7 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
     """
     if q_F not in ALLOWED_QF:
         raise ValueError(f"q_F must be one of {ALLOWED_QF}, got {q_F}")
-    if depth < 1:
+    if isinstance(depth, bool) or depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     q_E = q_F * q_F
     n_edges = _projected_edges(q_E, depth)

@@ -1,14 +1,12 @@
-"""Command-line interface: outputs, formats, exit codes, and the disk cache."""
+"""Command-line interface: outputs, formats and exit codes."""
 
 import dataclasses
 import json
-import logging
 from fractions import Fraction
 
 import pytest
 
 from buildingkit import cache, cli, coxeter, orbits, period
-from buildingkit.coxeter import build_affine_system, growth_coefficients
 
 
 def run_cli(capsys, argv):
@@ -228,107 +226,6 @@ def test_invariant_csv_values(capsys):
                                 "3,-2,243", "4,2,2187"]
 
 
-# -- cache behavior ----------------------------------------------------------
-
-def test_cache_roundtrip_and_hit_bytes(tmp_path, capsys):
-    cdir = str(tmp_path / "cache")
-    argv = ["growth", "--family", "A", "--rank", "2", "--K", "6",
-            "--cache-dir", cdir, "--format", "json"]
-    code1, fresh, _ = run_cli(capsys, argv)
-    assert code1 == 0
-    path = tmp_path / "cache" / "growth-A2-K6.json"
-    assert path.exists()
-    expected = cache.canonical_json_bytes(cache.series_to_json_dict(
-        growth_coefficients(build_affine_system("A", 2), 6)))
-    assert path.read_bytes() == expected
-    code2, hit, _ = run_cli(capsys, argv)
-    assert code2 == 0
-    assert hit == fresh
-    assert [p.name for p in (tmp_path / "cache").iterdir()] == ["growth-A2-K6.json"]
-
-
-def test_cache_hit_honours_the_budget(tmp_path, capsys, monkeypatch):
-    argv = ["growth", "--family", "A", "--rank", "2", "--K", "12"]
-    cached = argv + ["--cache-dir", str(tmp_path)]
-    assert run_cli(capsys, cached)[0] == 0
-    # the cached series sums past 100, so the run fails as an uncached one does
-    uncached = run_cli(capsys, argv + ["--budget", "100"])
-    assert uncached[0] == 3 and uncached[1] == ""
-    assert "enumeration budget 100 exceeded after 7 complete layers" in uncached[2]
-    assert run_cli(capsys, cached + ["--budget", "100"]) == uncached
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a hit within the budget was enumerated")
-
-    monkeypatch.setattr(cache, "growth_coefficients", refuse)
-    code, out, err = run_cli(capsys, cached + ["--budget", "10000"])
-    assert code == 0 and err == ""
-    assert out == run_cli(capsys, cached)[1]
-
-
-def test_cache_corrupt_file_warns_and_recomputes(tmp_path, capsys, caplog):
-    cdir = tmp_path / "cache"
-    cdir.mkdir()
-    path = cdir / "growth-A1-K4.json"
-    path.write_text("{ not json")
-    argv = ["growth", "--family", "A", "--rank", "1", "--K", "4",
-            "--cache-dir", str(cdir)]
-    with caplog.at_level(logging.WARNING, logger="buildingkit.cache"):
-        code, out, _ = run_cli(capsys, argv)
-    assert code == 0
-    assert "[1, 2, 2, 2, 2]" in out
-    assert any("corrupt cache file" in r.message for r in caplog.records)
-    # the bad file was replaced by a valid one
-    assert json.loads(path.read_bytes())["coefficients"] == [1, 2, 2, 2, 2]
-
-
-def test_cache_rejects_mismatched_contents(tmp_path, caplog):
-    series = growth_coefficients(build_affine_system("A", 1), 4)
-    cache.cache_put(str(tmp_path), series)
-    good = cache.cache_get(str(tmp_path), "A", 1, 4)
-    assert good == series
-
-    data = cache.series_to_json_dict(series)
-    data["coefficients"] = [1, 2, 2, 2, 999]
-    p = tmp_path / cache.cache_path("", "A", 1, 4)
-    p.write_bytes(cache.canonical_json_bytes(data))
-    hit = cache.cache_get(str(tmp_path), "A", 1, 4)
-    assert hit is not None  # coefficient values are the enumerator's business
-    data["coxeter_matrix"] = [[1, 9], [9, 1]]
-    p.write_bytes(cache.canonical_json_bytes(data))
-    with caplog.at_level(logging.WARNING, logger="buildingkit.cache"):
-        assert cache.cache_get(str(tmp_path), "A", 1, 4) is None
-    data = cache.series_to_json_dict(series)
-    data["schema_version"] = 99
-    p.write_bytes(cache.canonical_json_bytes(data))
-    assert cache.cache_get(str(tmp_path), "A", 1, 4) is None
-    assert cache.cache_get(str(tmp_path), "A", 1, 9) is None  # plain miss
-
-
-def test_cache_refuses_bools(tmp_path, capsys, caplog):
-    # JSON true equals 1, so a file with true in place of 1 would be served
-    series = growth_coefficients(build_affine_system("A", 1), 3)
-    path = tmp_path / cache.cache_path("", "A", 1, 3)
-    for field, value in (("coefficients", [True, 2, 2, 2]), ("rank", True),
-                         ("coxeter_matrix", [[True, 0], [0, True]]),
-                         ("schema_version", True)):
-        data = cache.series_to_json_dict(series)
-        data[field] = value
-        path.write_bytes(cache.canonical_json_bytes(data))
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="buildingkit.cache"):
-            assert cache.cache_get(str(tmp_path), "A", 1, 3) is None
-        assert any("corrupt cache file" in r.message for r in caplog.records)
-    argv = ["growth", "--family", "A", "--rank", "1", "--K", "3",
-            "--cache-dir", str(tmp_path), "--format", "json"]
-    code, out, _ = run_cli(capsys, argv)
-    assert code == 0 and json.loads(out)["coefficients"] == [1, 2, 2, 2]
-    # the recomputed series replaced the bad file
-    assert path.read_bytes() == cache.canonical_json_bytes(
-        cache.series_to_json_dict(series))
-    assert run_cli(capsys, argv) == (0, out, "")
-
-
 # -- exit codes ----------------------------------------------------------------
 
 def test_exit_usage_on_bad_values(capsys):
@@ -402,21 +299,16 @@ def test_exit_budget_of_the_tree_commands(capsys, argv):
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
-@pytest.mark.parametrize("use_cache", [False, True])
-def test_growth_budget_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch,
-                                                  budget, use_cache):
+def test_growth_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
     def never(*args, **kwargs):
-        raise AssertionError("looked up or enumerated a series")
+        raise AssertionError("computed a series")
 
     monkeypatch.setattr(cli, "cached_growth", never)
     argv = ["growth", "--family", "A", "--rank", "2", "--budget", budget]
-    if use_cache:
-        argv += ["--cache-dir", str(tmp_path)]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     assert err == ("invalid arguments: enumeration budget must be at least 1, "
                    f"got {budget}\n")
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -438,11 +330,20 @@ def test_orbit_char2_builds_the_affine_orbits_once(capsys, monkeypatch, n):
     ["tree-verify", "--qF", "2", "--budget", "5"],
     ["period", "--family", "A", "--rank", "1", "--qF", "3", "--cache-dir", "d"],
     ["suite", "--budget", "5"],
+    ["growth", "--family", "A", "--rank", "1", "--cache-dir", "d"],
 ])
-def test_enumeration_options_belong_to_growth_only(argv):
+def test_enumeration_options_belong_to_growth_only(argv, capsys, tmp_path,
+                                                   monkeypatch):
+    # growth has no disk cache, so --cache-dir is unknown to every command
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: buildingkit")
+    assert "unrecognized arguments: " in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_check_failed(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buildingkit import cli, coxeter, orbits, tree
+from buildingkit import cli, coxeter, orbits, period, tree
 from buildingkit.errors import ModelError
 
 
@@ -336,3 +336,17 @@ def test_orbit_refuses_a_large_prime_at_once():
         env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
     assert f"q = p^n must be <= 16, got {2**61 - 1}" in proc.stderr
+
+
+def test_orbit_refuses_a_prime_past_the_primality_limit_at_once():
+    # Miller-Rabin spent close to a minute on this p before the size cap
+    p = 2**11213 - 1
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "buildingkit", "orbit", "--p", str(p)],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"invalid arguments: p must be a prime below {period._MR_LIMIT}, the "
+        f"limit of the deterministic primality test, got {p}\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buildingkit import orbits
+from buildingkit import orbits, period
 from buildingkit.errors import ModelError
 
 CHAR2 = [(2, 1), (2, 2), (2, 3), (2, 4)]
@@ -243,6 +243,17 @@ def test_build_fields_rejects_bad_parameters():
     # a large prime is certified at once and refused by the size cap
     with pytest.raises(ValueError, match="q = p\\^n must be <= 16"):
         orbits.build_fields(2**61 - 1, 1)
+    # past the deterministic primality test, p is refused before any test
+    with pytest.raises(ValueError, match="p must be a prime below 3317"):
+        orbits.build_fields(period._MR_LIMIT, 1)
+
+
+def test_bool_degree_is_refused():
+    # True == 1, so an unchecked bool would build F_3 with "n": true
+    with pytest.raises(ValueError, match="n must be in 1..4, got True"):
+        orbits.build_fields(3, True)
+    with pytest.raises(ValueError, match="n must be in 1..4, got False"):
+        orbits.build_fields(3, False)
 
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)

@@ -52,8 +52,8 @@ def test_no_group_element_class_but_omega():
 
 
 def test_period_path_never_enumerates_the_group():
-    # a_k on the period path comes from the exponents; the Cayley-graph BFS
-    # and its disk cache serve only the growth command and the tests
+    # a_k on the period path comes from the exponents; the coset walks serve
+    # only the growth command and the tests
     banned = {"growth_coefficients", "cache", "cached_growth"}
     found = []
     for path in SOURCES:
@@ -66,6 +66,27 @@ def test_period_path_never_enumerates_the_group():
                 names = [getattr(node, "id", None), getattr(node, "attr", None)]
             found += [f"{path.name}:{node.lineno} {name}"
                       for name in names if name in banned]
+    assert found == []
+
+
+def test_package_touches_no_files():
+    # stdout and stderr are the program's only outputs: no module imports a
+    # file or logging module or calls the builtin open
+    banned = {"os", "tempfile", "logging", "shutil", "pathlib", "open()"}
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module.partition(".")[0]]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = [f"{node.func.id}()"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in banned]
     assert found == []
 
 

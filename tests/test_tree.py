@@ -119,6 +119,15 @@ def test_bad_build_arguments():
         tree.build_tree_pair(2, 0)
 
 
+def test_bool_depth_is_refused():
+    # True == 1, so an unchecked bool would build a depth-1 tree whose
+    # depth reads True
+    with pytest.raises(ValueError, match="depth must be >= 1, got True"):
+        tree.build_tree_pair(2, True)
+    with pytest.raises(ValueError, match="depth must be >= 1, got False"):
+        tree.build_tree_pair(2, False)
+
+
 def test_budget_error_reports_smallest_failing_depth():
     with pytest.raises(BudgetError) as exc:
         tree.build_tree_pair(3, 12, edge_budget=1000)

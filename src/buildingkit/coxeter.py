@@ -323,7 +323,7 @@ def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
     k that takes it past `budget`, and a BudgetError is raised that carries
     a_0..a_(k-1).
     """
-    if truncation < 0:
+    if isinstance(truncation, bool) or truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     walk = _sphere_sizes(system.cartan_matrix, range(system.rank + 1),
                          _basis_point(system, 0))
@@ -340,7 +340,7 @@ def growth_from_exponents(system, truncation):
 
     Over the exponents it is prod_i (1 - t^(m_i+1)) / ((1 - t)(1 - t^(m_i))).
     """
-    if truncation < 0:
+    if isinstance(truncation, bool) or truncation < 0:
         raise ValueError(f"truncation must be >= 0, got {truncation}")
     coeffs = [1] + [0] * truncation
     for m in system.exponents:

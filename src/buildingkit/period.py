@@ -3,7 +3,9 @@
 For a thickness-q_F chamber complex whose Weyl growth series is a_k, the
 k-sphere holds a_k * q_F^k chambers and the cocycle contributes (-1/q_E)^k
 per chamber with q_E = q_F^2, so each term collapses to a_k * (-1/q_F)^k.
-All arithmetic is Fraction-exact; floats never appear.
+All results are Fraction-exact.  The one float is the start of Newton's
+iteration in `_integer_root`, which the integer iteration corrects to the
+exact root.
 """
 
 from __future__ import annotations

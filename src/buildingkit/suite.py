@@ -85,6 +85,8 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     """
     if depth < 6:
         raise ValueError(f"suite depth must be >= 6, got {depth}")
+    if isinstance(seed, bool):
+        raise ValueError(f"suite seed must be an integer, got {seed}")
     checks = []
 
     # shared artifacts

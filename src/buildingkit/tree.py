@@ -210,42 +210,71 @@ def _edge_sums(column, q_E, n):
             + int.from_bytes(_at_parents(column, n), "big"))
 
 
-def _columns_sound(tree):
-    """Whether the degree, label and delta identities of
-    `check_tree_invariants` hold at every expanded vertex; False as well
-    when the columns cannot be read as bytes, when a delta is 255 and when
-    no vertex is expanded."""
-    q_F, q_E, n = tree.q_F, tree.q_E, tree.n_expanded
+def _outside(column, top):
+    """(id, entry) for each entry outside 0..top, a list entry that is no
+    byte among them; one pass over the bytes clears a column in range."""
+    past = bytes(map(top.__lt__, range(256)))
     try:
-        marks, deltas, labels = map(
-            _as_bytes, (tree.e_in_F, tree.e_delta, tree.v_label))
+        if 1 not in _as_bytes(column).translate(past):
+            return []
     except (TypeError, ValueError):
-        return False
-    if (not n or 255 in deltas
-            or marks.count(0) + marks.count(1) != len(marks)
-            or labels.count(0) + labels.count(1) != len(labels)
-            or (deltas[0] == 0) != (marks[0] == 1) or labels[0] == labels[1]):
-        return False
+        pass
+    return [(i, x) for i, x in enumerate(column)
+            if not (isinstance(x, int) and 0 <= x <= top)]
+
+
+def _column_problems(tree):
+    """The degree, label and delta problems of a tree whose columns have
+    their lengths: three lists of messages, each in id order.
+
+    Each identity of `check_tree_invariants` is one comparison of whole
+    columns, read entry by entry only when it fails: slot j of expanded
+    vertex v is edge 1 + v * q_E + j.  The comparisons assume bytes in
+    range, so an entry outside its range is reported in their place.
+    """
+    q_F, q_E, n, depth = tree.q_F, tree.q_E, tree.n_expanded, tree.depth
+    degree = [f"edge {e} has mark {x!r}, expected 0 or 1"
+              for e, x in _outside(tree.e_in_F, 1)]
+    label = [f"vertex {v} has label {x!r}, expected 0 or 1"
+             for v, x in _outside(tree.v_label, 1)]
+    delta = [f"edge {e} at delta={x!r}, expected delta in 0..{depth}"
+             for e, x in _outside(tree.e_delta, depth)]
+    if degree or label or delta:
+        return degree, label, delta
+    marks, deltas, labels = map(
+        _as_bytes, (tree.e_in_F, tree.e_delta, tree.v_label))
     as_int = int.from_bytes
-    # a marked vertex has q_F marked children, an unmarked one none
-    if _child_sums(marks, q_E, n) != as_int(
-            _at_parents(marks, n).translate(bytes((0, q_F, *bytes(254)))),
-            "big"):
-        return False
-    # a child edge's delta is 0 when it is marked and its parent edge's + 1
-    # otherwise (255 is excluded, so + 1 does not wrap); its far endpoint's
-    # label is the flip of its near one's
+    # p * q_F marked children at a vertex whose parent edge has mark p
+    above, kids = _at_parents(marks, n), _child_sums(marks, q_E, n)
+    if kids != as_int(above.translate(bytes((0, q_F, *bytes(254)))), "big"):
+        degree = [f"marked interior vertex {v} has {1 + s} marked edges" if p
+                  else f"unmarked vertex {v} touches {s} marked edges"
+                  for v, (p, s) in enumerate(zip(above, kids.to_bytes(n, "big")))
+                  if s != p * q_F]
+    # the edges joining equal labels, and (edge, delta, expected) triples;
+    # no delta exceeds depth < 255, so + 1 does not wrap
+    same = [0] if labels[0] == labels[1] else []
+    off = ([(0, deltas[0], "=0" if marks[0] else ">0")]
+           if (deltas[0] == 0) != marks[0] else [])
+    flipped = labels[:n].translate(bytes((1, 0, *bytes(254))))
     plus_one = as_int(_at_parents(deltas, n).translate(
         bytes((*range(1, 256), 0))), "big")
-    flipped = labels[:n].translate(bytes((1, 0, *bytes(254))))
     unmarked = bytes((255, *bytes(255)))
     stop = 1 + n * q_E
     for j in range(q_E):
-        if (labels[2 + j:stop + 1:q_E] != flipped
-                or as_int(deltas[1 + j:stop:q_E], "big") != plus_one & as_int(
-                    marks[1 + j:stop:q_E].translate(unmarked), "big")):
-            return False
-    return True
+        far, have = labels[2 + j:stop + 1:q_E], deltas[1 + j:stop:q_E]
+        if far != flipped:
+            same += [1 + v * q_E + j for v, (a, b) in enumerate(zip(labels, far))
+                     if a == b]
+        want = plus_one & as_int(marks[1 + j:stop:q_E].translate(unmarked), "big")
+        if as_int(have, "big") != want:
+            off += [(1 + v * q_E + j, d, f"={x}")
+                    for v, (d, x) in enumerate(zip(have, want.to_bytes(n, "big")))
+                    if d != x]
+    label = [f"edge {e} joins equal labels" for e in sorted(same)]
+    delta = [f"edge {e} at delta={d}, expected delta{x}"
+             for e, d, x in sorted(off)]
+    return degree, label, delta
 
 
 def _vertex_patterns(column, q_E, n):
@@ -707,50 +736,41 @@ def check_tree_invariants(tree):
     """Audit the structural invariants of a built tree pair.
 
     First checks that every column has one entry per edge or vertex, and on
-    a mismatch reports only that.  Then checks marked-subtree degrees and
-    connectivity, label alternation across every edge, sphere censuses, and
-    the delta recursion (each delta >= 2 edge has exactly one inner neighbor
-    one class closer; each delta = 1 edge hangs at a marked vertex carrying
-    q_F + 1 marked edges; at every interior vertex each edge has the least
-    delta m there or m + 1, and m is carried by q_F + 1 edges when m = 0 and
-    by exactly one edge otherwise).  Incidence is the id layout itself, so
-    degrees and endpoints need no check.  Connectivity is read off the
-    marks: once no unmarked vertex touches a marked edge, every marked edge
-    hangs below a marked parent edge, so the marked edges reach the root
-    edge exactly when the root edge is marked.  A malformed tree is
-    reported, never raised on.
+    a mismatch reports only that.  Then checks that every mark and label is
+    0 or 1 and every delta in 0..depth, and reports each entry outside its
+    range.  When all are in range, it checks these identities, each as one
+    comparison of whole columns (see `_column_problems`):
 
-    The degrees, labels and deltas are decided on whole columns.  A tree
-    built by `build_tree_pair` satisfies these identities, and they imply
-    every per-vertex check above:
-
-    - marks and labels are 0 or 1;
-    - the root edge has delta 0 exactly when it is marked;
+    - the root edge joins two labels that differ, and has delta 0 exactly
+      when it is marked;
     - each expanded vertex has q_F marked children when it is marked (when
       its parent edge is), and none otherwise;
+    - each child edge's far endpoint has the flip of its near one's label;
     - each child edge has delta 0 when it is marked, and its parent edge's
-      delta + 1 otherwise;
-    - each vertex's label is the flip of the one it hangs at.
+      delta + 1 otherwise.
 
-    Only a tree that fails them, or that the column test cannot read (a list
-    column with an entry outside 0..255, a delta of 255, no expanded
-    vertex), goes through the per-vertex loop, which finds the problems.
+    Then it checks connectivity and the sphere censuses.  Incidence is the
+    id layout itself, so degrees and endpoints need no check.  Connectivity
+    is read off the marks: once no unmarked vertex has a marked child, every
+    marked edge hangs below a marked parent edge, so the marked edges reach
+    the root edge exactly when the root edge is marked.  Then the deltas are
+    the gallery distances to the marked subtree, since an unmarked vertex's
+    nearest marked edge lies past its parent edge.  Problems are listed as
+    degree, label, connectivity, census and delta problems, each group in
+    id order.  A malformed tree is reported, never raised on.
     """
     q_F, q_E = tree.q_F, tree.q_E
-    e_in_F, e_delta, v_label = tree.e_in_F, tree.e_delta, tree.v_label
     short = [f"column {name} has {len(column)} entries, expected {n}"
-             for name, column, n in (("e_in_F", e_in_F, tree.n_edges),
+             for name, column, n in (("e_in_F", tree.e_in_F, tree.n_edges),
                                      ("e_level", tree.e_level, tree.n_edges),
-                                     ("e_delta", e_delta, tree.n_edges),
-                                     ("v_label", v_label, tree.n_vertices))
+                                     ("e_delta", tree.e_delta, tree.n_edges),
+                                     ("v_label", tree.v_label, tree.n_vertices))
              if len(column) != n]
     if short:
         return TreeAuditReport(problems=tuple(short))
-    vertex_problems, label_problems, delta_problems = (
-        ([], [], []) if _columns_sound(tree) else _vertex_problems(tree))
-
-    problems = vertex_problems + label_problems
-    if not e_in_F[0]:
+    degree, labels, deltas = _column_problems(tree)
+    problems = degree + labels
+    if not tree.e_in_F[0]:
         problems.append("marked subtree is not connected to the root edge")
 
     marked, ambient = tree.sphere_sizes(marked_only=True), tree.sphere_sizes()
@@ -758,68 +778,7 @@ def check_tree_invariants(tree):
         problems.append("marked sphere census mismatch")
     if ambient[1:] != [2 * q_E**k for k in range(1, tree.depth + 1)]:
         problems.append("ambient sphere census mismatch")
-    return TreeAuditReport(problems=tuple(problems + delta_problems),
+    return TreeAuditReport(problems=tuple(problems + deltas),
                            marked_census=tuple(marked),
                            ambient_census=tuple(ambient))
 
-
-def _vertex_problems(tree):
-    """The degree, label and delta problems of an audited tree, found vertex
-    by vertex: three lists of messages."""
-    q_F = tree.q_F
-    e_in_F, e_delta, v_label = tree.e_in_F, tree.e_delta, tree.v_label
-    vertex_problems, label_problems, delta_problems = [], [], []
-    for v in range(tree.n_expanded):
-        kids = tree.children(v)
-        s, t = kids.start, kids.stop
-        p = 0 if v <= 1 else v - 1
-        n_marked = e_in_F[p] + e_in_F[s:t].count(True)
-        # v is marked exactly when its parent edge is
-        if e_in_F[p]:
-            if n_marked != q_F + 1:
-                vertex_problems.append(
-                    f"marked interior vertex {v} has {n_marked} marked edges")
-        elif n_marked:
-            vertex_problems.append(
-                f"unmarked vertex {v} touches {n_marked} marked edges")
-
-        # the edges hanging at v: its children, and the root edge at vertex 0
-        h = 0 if v == 0 else s
-        label = v_label[v]
-        if label in v_label[h + 1:t + 1]:
-            label_problems.extend(f"edge {e} joins equal labels"
-                                  for e in range(h, t) if v_label[e + 1] == label)
-        deltas = e_delta[h:t]
-        # every edge at v (vertex 0's parent edge hangs at it), as a list:
-        # a bytearray's count refuses the d - 1 = -1 asked below
-        at_v = [*deltas, e_delta[p]] if v else [*deltas]
-        least = min(at_v)
-        n_least = at_v.count(least)
-        # sound: q_F + 1 marked edges at delta 0, or the parent edge alone at
-        # the least delta, and every other edge one class further out
-        if (n_least == (1 if least else q_F + 1) and (not least or e_delta[p] == least)
-                and n_least + at_v.count(least + 1) == len(at_v)):
-            continue
-        closer = {}
-        for d in set(deltas):
-            n_closer = at_v.count(d - 1)
-            if d and n_closer != (q_F + 1 if d == 1 else 1):
-                closer[d] = n_closer
-        for e in range(h, t):
-            d = e_delta[e]
-            if d in closer:
-                if d == 1:
-                    delta_problems.append(
-                        f"edge {e} at delta=1 sees {closer[d]} marked edges")
-                else:
-                    delta_problems.append(
-                        f"edge {e} at delta={d} has {closer[d]} inner neighbors")
-            elif d > least + 1:
-                delta_problems.append(
-                    f"edge {e} at delta={d} is more than one class past "
-                    f"delta={least} at vertex {v}")
-        # an edge one class past the least would already report a wrong count
-        if n_least != (1 if least else q_F + 1) and least + 1 not in closer:
-            delta_problems.append(
-                f"vertex {v} has {n_least} edges at its least delta={least}")
-    return vertex_problems, label_problems, delta_problems

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from buildingkit import cache, cli, coxeter, orbits, period
+from buildingkit.suite import run_suite
 
 
 def run_cli(capsys, argv):
@@ -376,6 +377,14 @@ def test_suite_command_formats(capsys, monkeypatch):
     assert code == 1
     assert "[PASS] alpha: first claim" in out
     assert "[FAIL] beta: second claim" in out
+
+
+def test_bool_suite_seed_is_refused():
+    # True == 1, so an unchecked bool would run seed 1 and report "seed": true
+    for seed in (True, False):
+        with pytest.raises(ValueError,
+                           match=f"suite seed must be an integer, got {seed}"):
+            run_suite(seed=seed)
 
 
 def test_run_config_defaults(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buildingkit import coxeter
+from buildingkit import cache, coxeter, period
 from buildingkit.coxeter import (FAMILIES, INFINITE_ORDER, MAX_RANK,
                                  build_affine_system, epsilon_of_omega,
                                  exponents, growth_coefficients,
@@ -377,6 +377,26 @@ def test_closed_form_growth_rejects_negative_truncation():
     with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
         growth_coefficients(build_affine_system("A", 2), -1)
     assert growth_from_exponents(build_affine_system("G", 2), 0).coefficients == (1,)
+
+
+def test_bool_truncation_is_refused_by_the_coset_walks():
+    # True == 1, so an unchecked bool would count a_0, a_1 with "K": true
+    for truncation in (True, False):
+        message = f"truncation must be >= 0, got {truncation}"
+        with pytest.raises(ValueError, match=message):
+            growth_coefficients(build_affine_system("A", 2), truncation)
+        with pytest.raises(ValueError, match=message):
+            cache.cached_growth("A", 2, truncation)
+
+
+def test_bool_truncation_is_refused_by_the_closed_form():
+    # True == 1, so an unchecked bool would sum the period's first two terms
+    for truncation in (True, False):
+        message = f"truncation must be >= 0, got {truncation}"
+        with pytest.raises(ValueError, match=message):
+            growth_from_exponents(build_affine_system("A", 2), truncation)
+        with pytest.raises(ValueError, match=message):
+            period.evaluate_period("A", 1, 3, truncation=truncation)
 
 
 @pytest.mark.parametrize("family,rank", sorted(CLASSICAL_EXPONENTS))

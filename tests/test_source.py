@@ -51,6 +51,31 @@ def test_no_group_element_class_but_omega():
     assert found == ["coxeter.OmegaElement"]
 
 
+def test_floats_stay_in_two_functions():
+    # every result is exact: a float literal or log2 appears only in Newton's
+    # start in period._integer_root, which the integer iteration corrects to
+    # the exact root, and in the endpoint-swap coin of
+    # tree.random_automorphism, rng.random() < 0.5, which picks a sample and
+    # computes no value (an integer draw would change the sampled maps)
+    allowed = {"period._integer_root", "tree.random_automorphism"}
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        module = ast.parse(path.read_text(), str(path))
+        exempt = {id(node)
+                  for func in ast.walk(module)
+                  if isinstance(func, ast.FunctionDef)
+                  and f"{path.stem}.{func.name}" in allowed
+                  for node in ast.walk(func)}
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(module) if id(node) not in exempt
+                  and (isinstance(node, ast.Constant)
+                       and isinstance(node.value, (float, complex))
+                       or "log2" in (getattr(node, "id", None),
+                                     getattr(node, "attr", None)))]
+    assert found == []
+
+
 def test_period_path_never_enumerates_the_group():
     # a_k on the period path comes from the exponents; the coset walks serve
     # only the growth command and the tests

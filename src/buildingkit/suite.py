@@ -192,19 +192,16 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
         while len(expected) < len(sol.profile):
             expected.append(expected[-1] / -q_E)
         profile_ok = list(sol.profile) == expected
-        layer = {e: sol.profile[0] for e in t.edges() if t.e_delta[e] == 0}
-        recon_ok = True
-        delta = 0
-        while True:
-            layer = tree.reconstruct_layer(t, layer)
-            if not layer:
-                break
+        # each step starts from the value the step before returned
+        value, delta, recon_ok = sol.profile[0], 0, True
+        while layer := tree.reconstruct_layer(t, delta, value):
             delta += 1
             # alike panels share one value object, and list.count tries
             # identity first: each distinct value is compared once
             values = list(layer.values())
-            recon_ok = (recon_ok and values[0] == sol.profile[delta]
-                        and values.count(values[0]) == len(values))
+            value = values[0]
+            recon_ok = (recon_ok and value == sol.profile[delta]
+                        and values.count(value) == len(values))
         rows.append({"q_F": q, "dimension": sol.dimension,
                      "profile": [_rat(c) for c in sol.profile],
                      "profile_ok": profile_ok, "reconstruction_ok": recon_ok,

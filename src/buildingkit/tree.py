@@ -14,29 +14,28 @@ interior when all q_E + 1 of its neighbors are materialized, which happens
 exactly when it was expanded; the first 2 (q_E^depth - 1) / (q_E - 1)
 vertices are.  The tree stores only the columns its construction decides,
 as bytearrays of one byte per entry: the 0/1 flags `e_in_F`, the labels
-`v_label` and the small counts `e_level` and `e_delta`.  Every function
-also accepts plain int lists for these columns.
+`v_label` and the small counts `e_level` and `e_delta`; `TreePair` refuses
+a column of any other type.
 
 The marked subtree follows creation order: every marked vertex marks its
 first q_F children edges, and a vertex is marked exactly when the edge that
 created it is.  Each edge also records delta, its edge-to-edge gallery
 distance to the nearest marked edge.
 
-A cocycle is constant on the classes of a column (the levels, or the
-deltas): one integer numerator per class over one common denominator.  So the
-harmonicity, decay and period passes do integer arithmetic once per distinct
-vertex pattern, (class, level) pair or level, and build a `Fraction` only for
-their results.  Automorphisms are id-indexed lists.
+A cocycle is constant on the levels: one integer numerator per level over
+one common denominator.  So the harmonicity, decay and period passes do
+integer arithmetic once per distinct vertex pattern or level, and build a
+`Fraction` only for their results.  The invariant cocycle is constant on the
+deltas instead; it is solved and rebuilt class by class.  Automorphisms are
+id-indexed lists.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, compress, islice, repeat
-from math import lcm
 from operator import mul, ne
 
 from .errors import BudgetError, ModelError
@@ -57,9 +56,17 @@ def _projected_edges(q_E, depth):
 
 
 class TreePair:
-    """Truncated (q_E+1)-regular tree with a marked (q_F+1)-regular subtree."""
+    """Truncated (q_E+1)-regular tree with a marked (q_F+1)-regular subtree.
+
+    Each column is bytes or a bytearray; any other type is refused with a
+    ValueError that names the column."""
 
     def __init__(self, q_F, depth, e_in_F, e_level, e_delta, v_label):
+        for name, column in (("e_in_F", e_in_F), ("e_level", e_level),
+                             ("e_delta", e_delta), ("v_label", v_label)):
+            if not isinstance(column, (bytes, bytearray)):
+                raise ValueError(f"column {name} is a {type(column).__name__}, "
+                                 f"expected bytes or a bytearray")
         self.q_F = q_F
         self.q_E = q_F * q_F
         self.depth = depth
@@ -76,20 +83,12 @@ class TreePair:
     def endpoints(self, e):
         return (e - 1) // self.q_E if e else 0, e + 1
 
-    def parent_edge(self, v):
-        # both endpoints of the root edge point back to it
-        return 0 if v <= 1 else v - 1
-
     def children(self, v):
         """Ids of the materialized child edges of v (empty at the boundary)."""
         if v >= self.n_expanded:
             return range(0)
         start = 1 + v * self.q_E
         return range(start, start + self.q_E)
-
-    def incident_edges(self, v):
-        yield self.parent_edge(v)
-        yield from self.children(v)
 
     @cached_property
     def parents(self):
@@ -106,15 +105,13 @@ class TreePair:
     def sphere_sizes(self, marked_only=False):
         """Edge counts per gallery distance from the root edge."""
         levels, marks = self.e_level, self.e_in_F
-        if marked_only and {type(levels), type(marks)} <= {bytes, bytearray}:
+        if marked_only:
             # the levels or-ed with 255 (no level 0..depth) where the mark is
             # 0, as integers, and the 255s deleted
             n = min(len(levels), len(marks))
             unmarked = marks[:n].translate(bytes((255, *bytes(255))))
             levels = (int.from_bytes(levels[:n], "little") | int.from_bytes(
                 unmarked, "little")).to_bytes(n, "little").translate(None, b"\xff")
-        elif marked_only:
-            levels = list(compress(levels, marks))
         return [levels.count(k) for k in range(self.depth + 1)]
 
 
@@ -178,12 +175,6 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
 # from one byte into the next, so `+`, `&` and `==` on such integers act on
 # every vertex at once.
 
-def _as_bytes(column):
-    """A column as a bytes-like object; a list with an entry outside 0..255
-    raises ValueError, one with a non-integer entry TypeError."""
-    return column if isinstance(column, (bytes, bytearray)) else bytes(column)
-
-
 def _hits(value):
     """Translation table sending the byte `value` to 1 and all others to 0."""
     return bytes(map(value.__eq__, range(256)))
@@ -211,38 +202,40 @@ def _edge_sums(column, q_E, n):
 
 
 def _outside(column, top):
-    """(id, entry) for each entry outside 0..top, a list entry that is no
-    byte among them; one pass over the bytes clears a column in range."""
-    past = bytes(map(top.__lt__, range(256)))
-    try:
-        if 1 not in _as_bytes(column).translate(past):
-            return []
-    except (TypeError, ValueError):
-        pass
-    return [(i, x) for i, x in enumerate(column)
-            if not (isinstance(x, int) and 0 <= x <= top)]
+    """(id, entry) for each entry above top; one pass over the bytes clears
+    a column in range."""
+    if 1 not in column.translate(bytes(map(top.__lt__, range(256)))):
+        return []
+    return [(i, x) for i, x in enumerate(column) if x > top]
 
 
 def _column_problems(tree):
-    """The degree, label and delta problems of a tree whose columns have
-    their lengths: three lists of messages, each in id order.
+    """The degree, label, delta and level problems of a tree whose columns
+    have their lengths: four lists of messages, each in id order.
 
     Each identity of `check_tree_invariants` is one comparison of whole
     columns, read entry by entry only when it fails: slot j of expanded
     vertex v is edge 1 + v * q_E + j.  The comparisons assume bytes in
-    range, so an entry outside its range is reported in their place.
+    range, so an entry outside its range is reported in their place.  The
+    levels are compared with the id layout, which every column shares: the
+    root edge at level 0, then each level k as the next 2 q_E^k edges, one
+    level past the edges they hang at.
     """
     q_F, q_E, n, depth = tree.q_F, tree.q_E, tree.n_expanded, tree.depth
-    degree = [f"edge {e} has mark {x!r}, expected 0 or 1"
+    layout = b"".join(bytes((k,)) * (2 * q_E**k if k else 1)
+                      for k in range(depth + 1))
+    level = [] if tree.e_level == layout else [
+        f"edge {e} at level={x}, expected level={k}"
+        for e, (x, k) in enumerate(zip(tree.e_level, layout)) if x != k]
+    degree = [f"edge {e} has mark {x}, expected 0 or 1"
               for e, x in _outside(tree.e_in_F, 1)]
-    label = [f"vertex {v} has label {x!r}, expected 0 or 1"
+    label = [f"vertex {v} has label {x}, expected 0 or 1"
              for v, x in _outside(tree.v_label, 1)]
-    delta = [f"edge {e} at delta={x!r}, expected delta in 0..{depth}"
+    delta = [f"edge {e} at delta={x}, expected delta in 0..{depth}"
              for e, x in _outside(tree.e_delta, depth)]
     if degree or label or delta:
-        return degree, label, delta
-    marks, deltas, labels = map(
-        _as_bytes, (tree.e_in_F, tree.e_delta, tree.v_label))
+        return degree, label, delta, level
+    marks, deltas, labels = tree.e_in_F, tree.e_delta, tree.v_label
     as_int = int.from_bytes
     # p * q_F marked children at a vertex whose parent edge has mark p
     above, kids = _at_parents(marks, n), _child_sums(marks, q_E, n)
@@ -274,7 +267,7 @@ def _column_problems(tree):
     label = [f"edge {e} joins equal labels" for e in sorted(same)]
     delta = [f"edge {e} at delta={d}, expected delta{x}"
              for e, d, x in sorted(off)]
-    return degree, label, delta
+    return degree, label, delta, level
 
 
 def _vertex_patterns(column, q_E, n):
@@ -313,48 +306,29 @@ def _pattern_rows(tree):
 # cocycles
 
 class EdgeCocycle:
-    """Exact rational edge values, constant on the classes of an edge
-    column such as `e_level` or `e_delta`.
+    """Exact rational edge values that depend only on the level, the
+    distance to the root edge.
 
-    Stores that column, one integer numerator per class, `nums`, and one
-    positive denominator `den`, and nothing per edge: edge e has the value
-    nums[column[e]] / den, which indexing returns as a `Fraction`.
+    Stores one integer numerator per level, `nums`, and one positive
+    denominator `den`, and nothing per edge: edge e has the value
+    nums[tree.e_level[e]] / den on the tree it is read against.
     """
 
-    __slots__ = ("column", "nums", "den")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, column, nums, den=1):
+    def __init__(self, nums, den=1):
         if den < 1:
             raise ValueError(f"denominator must be positive, got {den}")
-        self.column = column
         self.nums = list(nums)
         self.den = den
-
-    def __getitem__(self, e):
-        return Fraction(self.nums[self.column[e]], self.den)
-
-    def __len__(self):
-        return len(self.column)
-
-    @classmethod
-    def from_deltas(cls, tree, profile):
-        """Cocycle constant on delta-classes; profile[delta] gives the value.
-
-        The common denominator is the lcm of the class values' denominators.
-        """
-        values = [Fraction(profile[d]) for d in range(max(tree.e_delta) + 1)]
-        den = lcm(*(x.denominator for x in values))
-        return cls(tree.e_delta,
-                   [x.numerator * (den // x.denominator) for x in values], den)
 
 
 def iwahori_cocycle(tree):
     """The alternating geometric cocycle (-1/q_E)^(distance to the root edge),
     constant on levels, over the common denominator q_E^depth."""
     q_E, depth = tree.q_E, tree.depth
-    return EdgeCocycle(
-        tree.e_level, [(-1) ** k * q_E ** (depth - k) for k in range(depth + 1)],
-        q_E ** depth)
+    return EdgeCocycle([(-1) ** k * q_E ** (depth - k) for k in range(depth + 1)],
+                       q_E ** depth)
 
 
 @dataclass(frozen=True)
@@ -378,49 +352,30 @@ def verify_harmonic(tree, cocycle):
     only when some tuple sums to nonzero are the vertices listed one by one.
     """
     nums, n = cocycle.nums, tree.n_expanded
-    weights, at_vertex = _vertex_patterns(cocycle.column, tree.q_E, n)
+    weights, at_vertex = _vertex_patterns(tree.e_level, tree.q_E, n)
     bad = {at for at in set(at_vertex)
            if sum(map(mul, weights, map(nums.__getitem__, at)))}
     violations = ()
     if bad:
-        at_vertex = _vertex_patterns(cocycle.column, tree.q_E, n)[1]
+        at_vertex = _vertex_patterns(tree.e_level, tree.q_E, n)[1]
         violations = tuple(v for v, at in enumerate(at_vertex) if at in bad)
     return HarmonicityReport(violations=violations, interior_checked=n,
                              boundary_skipped=tree.n_vertices - n)
 
 
 def tree_period(tree, cocycle):
-    """Partial sums of the cocycle over marked edges, sphere by sphere.
-
-    A sphere's sum is its marked edges counted per class, times the class
-    numerators.  When the classes are the levels, the counts are the marked
-    census; otherwise the (level, class) pairs of the marked edges are
-    counted.
-    """
-    nums = cocycle.nums
-    if cocycle.column is tree.e_level:
-        layer_sums = map(mul, tree.sphere_sizes(marked_only=True), nums)
-    else:
-        layer_sums = [0] * (tree.depth + 1)
-        pairs = Counter(compress(zip(tree.e_level, cocycle.column), tree.e_in_F))
-        for (k, c), n_edges in pairs.items():
-            layer_sums[k] += n_edges * nums[c]
+    """Partial sums of the cocycle over marked edges, sphere by sphere: a
+    sphere's sum is its marked census times its level's numerator."""
+    layer_sums = map(mul, tree.sphere_sizes(marked_only=True), cocycle.nums)
     return [Fraction(acc, cocycle.den) for acc in accumulate(layer_sums)]
 
 
 def decay_check(tree, cocycle):
-    """Exact sup over edges of |value| * q_E^(distance to the root edge).
-
-    Taken over the distinct (class, level) pairs that occur: when the
-    classes are the levels, over the levels present.
-    """
-    nums, levels = cocycle.nums, tree.e_level
-    if cocycle.column is levels:
-        pairs = [(k, k) for k in range(len(nums)) if k in levels]
-    else:
-        pairs = set(zip(cocycle.column, levels))
-    return Fraction(max((abs(nums[c]) * tree.q_E ** k for c, k in pairs),
-                        default=0), cocycle.den)
+    """Exact sup over edges of |value| * q_E^(distance to the root edge),
+    taken over the levels present."""
+    levels = tree.e_level
+    return Fraction(max((abs(x) * tree.q_E ** k for k, x in enumerate(cocycle.nums)
+                         if k in levels), default=0), cocycle.den)
 
 
 # ---------------------------------------------------------------------------
@@ -460,38 +415,24 @@ def invariant_solver(tree):
     return InvariantSolution(dimension=1, profile=profile)
 
 
-def reconstruct_layer(tree, values):
+def reconstruct_layer(tree, delta, value):
     """Push a constant layer of values one delta-step outward.
 
-    `values` must cover exactly the edges of one delta-class, with a single
-    common value.  For each edge one class further out, the value is forced
-    by harmonicity at its inner panel: the edges at the panel split into the
-    known inner ones and the unknown outer ones, the outer ones all carry the
-    same value, so that value is minus the inner sum over the outer count.
-    Panels that split alike share one value object.  Returns the full next
-    layer as a dict; empty when already at the rim.
+    Every edge of the class `delta`, read off `e_delta`, carries `value`; a
+    delta outside 0..depth is refused with a ValueError.  For each edge one
+    class further out, the value is forced by harmonicity at its inner
+    panel: the edges at the panel split into the known inner ones and the
+    unknown outer ones, the outer ones all carry the same value, so that
+    value is minus the inner sum over the outer count.  Panels that split
+    alike share one value object.  Returns the next layer as a dict from
+    edge id to value; empty when already at the rim.
     """
-    if not values:
-        raise ValueError("empty input layer")
-    deltas = _as_bytes(tree.e_delta)
-    classes = set(map(deltas.__getitem__, values))
-    if len(classes) != 1:
-        raise ValueError(
-            f"input edges span several delta classes: {sorted(classes)}")
-    delta = classes.pop()
+    if not 0 <= delta <= tree.depth:
+        raise ValueError(f"delta must be in 0..{tree.depth}, got {delta}")
+    deltas = tree.e_delta
     known = deltas.translate(_hits(delta))
-    # a negative key aliases an edge counted from the end, and is no member
-    if values.keys() != set(compress(range(tree.n_edges), known)):
-        raise ValueError(f"input must cover every edge at delta={delta}")
-    layer = list(values.values())
-    value = layer[0]
-    # list.count tries identity before equality, so a layer sharing one value
-    # object is checked without a Fraction comparison per edge
-    if layer.count(value) != len(layer):
-        raise ValueError("input layer is not constant")
-
     q_E, n = tree.q_E, tree.n_expanded
-    if not n:  # the root edge alone, and it is in the layer
+    if not n:  # a depth-0 tree: no panel is expanded, no class lies past
         return {}
     # per panel: its edges at delta or closer, those at delta, and its outer
     # edges, the ones hanging there at delta + 1 (the root edge at vertex 0)
@@ -749,6 +690,8 @@ def check_tree_invariants(tree):
     - each child edge has delta 0 when it is marked, and its parent edge's
       delta + 1 otherwise.
 
+    In range or not, it compares the levels with the id layout: the root
+    edge at level 0, and each child edge one level past its parent edge.
     Then it checks connectivity and the sphere censuses.  Incidence is the
     id layout itself, so degrees and endpoints need no check.  Connectivity
     is read off the marks: once no unmarked vertex has a marked child, every
@@ -756,8 +699,8 @@ def check_tree_invariants(tree):
     the root edge exactly when the root edge is marked.  Then the deltas are
     the gallery distances to the marked subtree, since an unmarked vertex's
     nearest marked edge lies past its parent edge.  Problems are listed as
-    degree, label, connectivity, census and delta problems, each group in
-    id order.  A malformed tree is reported, never raised on.
+    degree, label, connectivity, census, delta and level problems, each
+    group in id order.  A malformed tree is reported, never raised on.
     """
     q_F, q_E = tree.q_F, tree.q_E
     short = [f"column {name} has {len(column)} entries, expected {n}"
@@ -768,7 +711,7 @@ def check_tree_invariants(tree):
              if len(column) != n]
     if short:
         return TreeAuditReport(problems=tuple(short))
-    degree, labels, deltas = _column_problems(tree)
+    degree, labels, deltas, levels = _column_problems(tree)
     problems = degree + labels
     if not tree.e_in_F[0]:
         problems.append("marked subtree is not connected to the root edge")
@@ -778,7 +721,7 @@ def check_tree_invariants(tree):
         problems.append("marked sphere census mismatch")
     if ambient[1:] != [2 * q_E**k for k in range(1, tree.depth + 1)]:
         problems.append("ambient sphere census mismatch")
-    return TreeAuditReport(problems=tuple(problems + deltas),
+    return TreeAuditReport(problems=tuple(problems + deltas + levels),
                            marked_census=tuple(marked),
                            ambient_census=tuple(ambient))
 

@@ -120,13 +120,10 @@ def test_criterion_6_invariant_solver():
         while len(expected) < len(sol.profile):
             expected.append(expected[-1] / -q_E)
         ok = ok and sol.dimension == 1 and list(sol.profile) == expected
-        layer = {e: sol.profile[0] for e in t.edges() if t.e_delta[e] == 0}
-        delta = 0
-        while True:
-            layer = tree.reconstruct_layer(t, layer)
-            if not layer:
-                break
+        value, delta = sol.profile[0], 0
+        while layer := tree.reconstruct_layer(t, delta, value):
             delta += 1
+            value = layer[min(layer)]
             ok = ok and set(layer.values()) == {sol.profile[delta]}
         ok = ok and delta == max(t.e_delta)
     elapsed = time.perf_counter() - start

@@ -12,9 +12,10 @@ and the children edges of vertex v occupy the contiguous range starting at
 1 + v * q_E, so edge e >= 1 hangs at vertex (e - 1) // q_E.  A vertex is
 interior when all q_E + 1 of its neighbors are materialized, which happens
 exactly when it was expanded; the first 2 (q_E^depth - 1) / (q_E - 1)
-vertices are.  The tree stores only the columns its construction decides,
-as bytearrays of one byte per entry: the 0/1 flags `e_in_F`, the labels
-`v_label` and the small counts `e_level` and `e_delta`; `TreePair` refuses
+vertices are.  Levels are id ranges too: level 0 is the root edge, and
+level k is the next 2 q_E^k ids.  The tree stores only the columns its
+construction decides, as bytearrays of one byte per entry: the 0/1 flags
+`e_in_F`, the labels `v_label` and the deltas `e_delta`; `TreePair` refuses
 a column of any other type.
 
 The marked subtree follows creation order: every marked vertex marks its
@@ -24,10 +25,9 @@ distance to the nearest marked edge.
 
 A cocycle is constant on the levels: one integer numerator per level over
 one common denominator.  So the harmonicity, decay and period passes do
-integer arithmetic once per distinct vertex pattern or level, and build a
-`Fraction` only for their results.  The invariant cocycle is constant on the
-deltas instead; it is solved and rebuilt class by class.  Automorphisms are
-id-indexed lists.
+integer arithmetic once per level, and build a `Fraction` only for their
+results.  The invariant cocycle is constant on the deltas instead; it is
+solved and rebuilt class by class.  Automorphisms are id-indexed lists.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class TreePair:
     Each column is bytes or a bytearray; any other type is refused with a
     ValueError that names the column."""
 
-    def __init__(self, q_F, depth, e_in_F, e_level, e_delta, v_label):
-        for name, column in (("e_in_F", e_in_F), ("e_level", e_level),
-                             ("e_delta", e_delta), ("v_label", v_label)):
+    def __init__(self, q_F, depth, e_in_F, e_delta, v_label):
+        for name, column in (("e_in_F", e_in_F), ("e_delta", e_delta),
+                             ("v_label", v_label)):
             if not isinstance(column, (bytes, bytearray)):
                 raise ValueError(f"column {name} is a {type(column).__name__}, "
                                  f"expected bytes or a bytearray")
@@ -71,7 +71,6 @@ class TreePair:
         self.q_E = q_F * q_F
         self.depth = depth
         self.e_in_F = e_in_F
-        self.e_level = e_level
         self.e_delta = e_delta
         self.v_label = v_label
         self.n_edges = _projected_edges(self.q_E, depth)
@@ -100,19 +99,23 @@ class TreePair:
     def edges(self):
         return range(self.n_edges)
 
+    def level(self, k):
+        """Ids of the edges at gallery distance k from the root edge: edge 0
+        for k = 0, the next 2 q_E^k ids for each k >= 1."""
+        return range(_projected_edges(self.q_E, k - 1) if k else 0,
+                     _projected_edges(self.q_E, k))
+
     # -- census ---------------------------------------------------------------
 
     def sphere_sizes(self, marked_only=False):
-        """Edge counts per gallery distance from the root edge."""
-        levels, marks = self.e_level, self.e_in_F
+        """Edge counts per gallery distance from the root edge: the length
+        of each level's slice of `e_in_F`, or its nonzero marks."""
+        marks, ids = self.e_in_F, range(len(self.e_in_F))
+        slices = [ids[r.start:r.stop]
+                  for r in map(self.level, range(self.depth + 1))]
         if marked_only:
-            # the levels or-ed with 255 (no level 0..depth) where the mark is
-            # 0, as integers, and the 255s deleted
-            n = min(len(levels), len(marks))
-            unmarked = marks[:n].translate(bytes((255, *bytes(255))))
-            levels = (int.from_bytes(levels[:n], "little") | int.from_bytes(
-                unmarked, "little")).to_bytes(n, "little").translate(None, b"\xff")
-        return [levels.count(k) for k in range(self.depth + 1)]
+            return [len(s) - marks.count(0, s.start, s.stop) for s in slices]
+        return list(map(len, slices))
 
 
 def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
@@ -140,7 +143,7 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
     # level k - 1 (of the root edge, for k = 1), so the j-th children are
     # the slice [start + j:stop:q_E], an entry per edge of level k - 1.
     # Vertex 0's side is the first half of each level.
-    e_in_F, e_level, e_delta = (bytearray(n_edges) for _ in range(3))
+    e_in_F, e_delta = bytearray(n_edges), bytearray(n_edges)
     v_label = bytearray(n_edges + 1)
     e_in_F[0] = v_label[1] = 1
     marks, deltas = b"\x01\x01", b"\x00\x00"
@@ -151,7 +154,6 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
     for k in range(1, depth + 1):
         size = len(marks) * q_E
         stop, half = start + size, start + size // 2
-        e_level[start:stop] = bytes((k,)) * size
         v_label[start + 1:half + 1] = bytes((k % 2,)) * (size // 2)
         v_label[half + 1:stop + 1] = bytes((1 - k % 2,)) * (size // 2)
         shifted = deltas.translate(to_first), deltas.translate(to_rest)
@@ -162,7 +164,7 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
         marks, deltas = e_in_F[start:stop], e_delta[start:stop]
         start = stop
 
-    return TreePair(q_F, depth, e_in_F, e_level, e_delta, v_label)
+    return TreePair(q_F, depth, e_in_F, e_delta, v_label)
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +212,15 @@ def _outside(column, top):
 
 
 def _column_problems(tree):
-    """The degree, label, delta and level problems of a tree whose columns
-    have their lengths: four lists of messages, each in id order.
+    """The degree, label and delta problems of a tree whose columns have
+    their lengths: three lists of messages, each in id order.
 
     Each identity of `check_tree_invariants` is one comparison of whole
     columns, read entry by entry only when it fails: slot j of expanded
     vertex v is edge 1 + v * q_E + j.  The comparisons assume bytes in
-    range, so an entry outside its range is reported in their place.  The
-    levels are compared with the id layout, which every column shares: the
-    root edge at level 0, then each level k as the next 2 q_E^k edges, one
-    level past the edges they hang at.
+    range, so an entry outside its range is reported in their place.
     """
     q_F, q_E, n, depth = tree.q_F, tree.q_E, tree.n_expanded, tree.depth
-    layout = b"".join(bytes((k,)) * (2 * q_E**k if k else 1)
-                      for k in range(depth + 1))
-    level = [] if tree.e_level == layout else [
-        f"edge {e} at level={x}, expected level={k}"
-        for e, (x, k) in enumerate(zip(tree.e_level, layout)) if x != k]
     degree = [f"edge {e} has mark {x}, expected 0 or 1"
               for e, x in _outside(tree.e_in_F, 1)]
     label = [f"vertex {v} has label {x}, expected 0 or 1"
@@ -234,7 +228,7 @@ def _column_problems(tree):
     delta = [f"edge {e} at delta={x}, expected delta in 0..{depth}"
              for e, x in _outside(tree.e_delta, depth)]
     if degree or label or delta:
-        return degree, label, delta, level
+        return degree, label, delta
     marks, deltas, labels = tree.e_in_F, tree.e_delta, tree.v_label
     as_int = int.from_bytes
     # p * q_F marked children at a vertex whose parent edge has mark p
@@ -267,35 +261,30 @@ def _column_problems(tree):
     label = [f"edge {e} joins equal labels" for e in sorted(same)]
     delta = [f"edge {e} at delta={d}, expected delta{x}"
              for e, d, x in sorted(off)]
-    return degree, label, delta, level
+    return degree, label, delta
 
 
-def _vertex_patterns(column, q_E, n):
-    """An edge column around each vertex 0..n-1: weights, and one tuple per
-    vertex in id order.  A tuple holds the vertex's parent-edge entry
-    (weight 1), then its entry in each distinct child slice
-    `column[1 + j::q_E]`, weighted by the number of j with an equal slice.
-    A sound tree has one or two distinct child slices and few tuples."""
-    stop = 1 + n * q_E
+def _pattern_rows(tree):
+    """The distinct incidence patterns of the expanded vertices: how many of
+    a vertex's edges fall in each delta class 0..depth.
+
+    A vertex's deltas are its parent edge's (weight 1) and its entry in each
+    distinct child slice `e_delta[1 + j::q_E]`, weighted by the number of j
+    with an equal slice.  A sound tree has one or two distinct child slices
+    and few such tuples."""
+    q_E, n, deltas = tree.q_E, tree.n_expanded, tree.e_delta
+    n_classes, stop = tree.depth + 1, 1 + n * q_E
     weights, kids = [1], []
     for j in range(q_E):
-        kid = column[1 + j:stop:q_E]
+        kid = deltas[1 + j:stop:q_E]
         if kid in kids:
             weights[1 + kids.index(kid)] += 1
         else:
             weights.append(1)
             kids.append(kid)
-    return weights, zip(_at_parents(column, n), *kids)
-
-
-def _pattern_rows(tree):
-    """The distinct incidence patterns of the expanded vertices: how many of
-    a vertex's edges fall in each delta class 0..depth."""
-    q_E, n_classes, deltas = tree.q_E, tree.depth + 1, tree.e_delta
-    weights, at_vertex = _vertex_patterns(deltas, q_E, tree.n_expanded)
     rows = {tuple(sum(w for w, x in zip(weights, at) if x == d)
                   for d in range(n_classes))
-            for at in set(at_vertex)}
+            for at in set(zip(_at_parents(deltas, n), *kids))}
     if len(deltas) != tree.n_edges or any(sum(row) != q_E + 1 for row in rows):
         raise ModelError(
             f"e_delta is not {tree.n_edges} deltas in 0..{tree.depth}")
@@ -310,8 +299,10 @@ class EdgeCocycle:
     distance to the root edge.
 
     Stores one integer numerator per level, `nums`, and one positive
-    denominator `den`, and nothing per edge: edge e has the value
-    nums[tree.e_level[e]] / den on the tree it is read against.
+    denominator `den`, and nothing per edge: each edge e in `tree.level(k)`
+    has the value nums[k] / den on the tree it is read against.  The
+    cocycle passes raise ValueError unless the tree has one level per
+    numerator.
     """
 
     __slots__ = ("nums", "den")
@@ -342,23 +333,30 @@ class HarmonicityReport:
         return not self.violations
 
 
+def _level_nums(tree, cocycle):
+    """The cocycle's numerators, refused unless there is one per level."""
+    nums = cocycle.nums
+    if len(nums) != tree.depth + 1:
+        raise ValueError(f"cocycle has {len(nums)} numerators for "
+                         f"{tree.depth + 1} levels")
+    return nums
+
+
 def verify_harmonic(tree, cocycle):
     """Check that the edge values around every interior vertex sum to zero.
 
     Boundary vertices have missing neighbors, so they are skipped and counted
-    rather than reported as violations.  A vertex's sum depends only on the
-    classes of its edges, so it is taken once per distinct tuple of classes
-    (see `_vertex_patterns`), over numerators that share one denominator;
-    only when some tuple sums to nonzero are the vertices listed one by one.
+    rather than reported as violations.  Every interior vertex at level
+    k < depth, vertices 0 and 1 for k = 0 and the far ends of level k's
+    edges after that, touches one edge of level k and q_E of level k + 1.
+    So the sum nums[k] + q_E * nums[k + 1] is taken once per level, and a
+    level where it is nonzero lists its vertices as one id range.
     """
-    nums, n = cocycle.nums, tree.n_expanded
-    weights, at_vertex = _vertex_patterns(tree.e_level, tree.q_E, n)
-    bad = {at for at in set(at_vertex)
-           if sum(map(mul, weights, map(nums.__getitem__, at)))}
-    violations = ()
-    if bad:
-        at_vertex = _vertex_patterns(tree.e_level, tree.q_E, n)[1]
-        violations = tuple(v for v, at in enumerate(at_vertex) if at in bad)
+    nums, n, q_E = _level_nums(tree, cocycle), tree.n_expanded, tree.q_E
+    violations = tuple(chain.from_iterable(
+        range(r.start + 1 if k else 0, r.stop + 1)
+        for k, r in enumerate(map(tree.level, range(tree.depth)))
+        if nums[k] + q_E * nums[k + 1]))
     return HarmonicityReport(violations=violations, interior_checked=n,
                              boundary_skipped=tree.n_vertices - n)
 
@@ -366,16 +364,16 @@ def verify_harmonic(tree, cocycle):
 def tree_period(tree, cocycle):
     """Partial sums of the cocycle over marked edges, sphere by sphere: a
     sphere's sum is its marked census times its level's numerator."""
-    layer_sums = map(mul, tree.sphere_sizes(marked_only=True), cocycle.nums)
+    layer_sums = map(mul, tree.sphere_sizes(marked_only=True),
+                     _level_nums(tree, cocycle))
     return [Fraction(acc, cocycle.den) for acc in accumulate(layer_sums)]
 
 
 def decay_check(tree, cocycle):
     """Exact sup over edges of |value| * q_E^(distance to the root edge),
-    taken over the levels present."""
-    levels = tree.e_level
-    return Fraction(max((abs(x) * tree.q_E ** k for k, x in enumerate(cocycle.nums)
-                         if k in levels), default=0), cocycle.den)
+    taken over the levels 0..depth, each of which holds an edge."""
+    return Fraction(max(abs(x) * tree.q_E ** k for k, x in
+                        enumerate(_level_nums(tree, cocycle))), cocycle.den)
 
 
 # ---------------------------------------------------------------------------
@@ -690,28 +688,27 @@ def check_tree_invariants(tree):
     - each child edge has delta 0 when it is marked, and its parent edge's
       delta + 1 otherwise.
 
-    In range or not, it compares the levels with the id layout: the root
-    edge at level 0, and each child edge one level past its parent edge.
     Then it checks connectivity and the sphere censuses.  Incidence is the
     id layout itself, so degrees and endpoints need no check.  Connectivity
     is read off the marks: once no unmarked vertex has a marked child, every
     marked edge hangs below a marked parent edge, so the marked edges reach
     the root edge exactly when the root edge is marked.  Then the deltas are
     the gallery distances to the marked subtree, since an unmarked vertex's
-    nearest marked edge lies past its parent edge.  Problems are listed as
-    degree, label, connectivity, census, delta and level problems, each
-    group in id order.  A malformed tree is reported, never raised on.
+    nearest marked edge lies past its parent edge.  The levels are the id
+    layout itself (`TreePair.level`), so they need no check either.
+    Problems are listed as degree, label, connectivity, census and delta
+    problems, each group in id order.  A malformed tree is reported, never
+    raised on.
     """
     q_F, q_E = tree.q_F, tree.q_E
     short = [f"column {name} has {len(column)} entries, expected {n}"
              for name, column, n in (("e_in_F", tree.e_in_F, tree.n_edges),
-                                     ("e_level", tree.e_level, tree.n_edges),
                                      ("e_delta", tree.e_delta, tree.n_edges),
                                      ("v_label", tree.v_label, tree.n_vertices))
              if len(column) != n]
     if short:
         return TreeAuditReport(problems=tuple(short))
-    degree, labels, deltas, levels = _column_problems(tree)
+    degree, labels, deltas = _column_problems(tree)
     problems = degree + labels
     if not tree.e_in_F[0]:
         problems.append("marked subtree is not connected to the root edge")
@@ -721,7 +718,7 @@ def check_tree_invariants(tree):
         problems.append("marked sphere census mismatch")
     if ambient[1:] != [2 * q_E**k for k in range(1, tree.depth + 1)]:
         problems.append("ambient sphere census mismatch")
-    return TreeAuditReport(problems=tuple(problems + deltas + levels),
+    return TreeAuditReport(problems=tuple(problems + deltas),
                            marked_census=tuple(marked),
                            ambient_census=tuple(ambient))
 

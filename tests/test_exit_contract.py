@@ -111,22 +111,21 @@ FIXED_ARGVS = [
 
 def damaged_audits():
     """Audit problems of damaged (2, 2) trees: one entry of a label, mark or
-    delta flipped, the deltas of edges 9 and 11 or the levels of edges 3
-    and 11 swapped, or one column cut to 5 entries."""
+    delta flipped, the deltas of edges 9 and 11 swapped, or one column cut
+    to 5 entries."""
     t = tree.build_tree_pair(2, 2)
-    columns = ("e_in_F", "e_level", "e_delta", "v_label")
+    columns = ("e_in_F", "e_delta", "v_label")
     audits = []
     for column, i in (("v_label", 20), ("e_in_F", 1), ("e_delta", 17)):
         fields = {name: bytearray(getattr(t, name)) for name in columns}
         fields[column][i] ^= 1
         audits.append(tree.check_tree_invariants(
             tree.TreePair(t.q_F, t.depth, **fields)).problems)
-    for column, i, j in (("e_delta", 9, 11), ("e_level", 3, 11)):
-        fields = {name: bytearray(getattr(t, name)) for name in columns}
-        swapped = fields[column]
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        audits.append(tree.check_tree_invariants(
-            tree.TreePair(t.q_F, t.depth, **fields)).problems)
+    fields = {name: bytearray(getattr(t, name)) for name in columns}
+    deltas = fields["e_delta"]
+    deltas[9], deltas[11] = deltas[11], deltas[9]
+    audits.append(tree.check_tree_invariants(
+        tree.TreePair(t.q_F, t.depth, **fields)).problems)
     for cut in columns:
         fields = {name: getattr(t, name)[:5 if name == cut else None]
                   for name in columns}

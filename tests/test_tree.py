@@ -26,9 +26,25 @@ def incident_edges(t, v):
     return [parent_edge(v), *t.children(v)]
 
 
+def edge_bfs(t, sources):
+    """Each edge's gallery distance from the source edges, in id order, by a
+    breadth-first search through shared endpoints."""
+    dist = {e: 0 for e in sources}
+    queue = deque(sources)
+    while queue:
+        e = queue.popleft()
+        for v in t.endpoints(e):
+            for e2 in incident_edges(t, v):
+                if e2 not in dist:
+                    dist[e2] = dist[e] + 1
+                    queue.append(e2)
+    return [dist[e] for e in t.edges()]
+
+
 def edge_values(t, cocycle):
-    """The cocycle's value on each edge, in id order."""
-    return [Fraction(cocycle.nums[k], cocycle.den) for k in t.e_level]
+    """The cocycle's value on each edge, in id order, read at the edge's
+    BFS distance from the root edge."""
+    return [Fraction(cocycle.nums[k], cocycle.den) for k in edge_bfs(t, [0])]
 
 
 def test_smallest_trees_census():
@@ -52,25 +68,20 @@ def test_sphere_sizes(q, depth):
 @settings(max_examples=150, deadline=None)
 @given(t=st.sampled_from([tree.build_tree_pair(q, depth)
                           for q, depth in ((2, 1), (2, 3), (3, 2))]),
-       edits=st.lists(st.tuples(st.sampled_from(("e_in_F", "e_level")),
-                                st.integers(min_value=0),
+       edits=st.lists(st.tuples(st.integers(min_value=0),
                                 st.integers(0, 255)), max_size=6),
-       cut=st.integers(0, 2))
+       cut=st.booleans())
 def test_marked_census_counts_the_marked_levels(t, edits, cut):
-    # marks and levels edited to any byte, 255 included, and one column cut
-    # short; the census counts the levels 0..depth of the edges with a
-    # nonzero mark, up to the shorter column
-    columns = {name: bytearray(getattr(t, name))
-               for name in ("e_in_F", "e_level")}
-    for name, i, value in edits:
-        columns[name][i % t.n_edges] = value
+    # marks edited to any byte, 255 included, and the column maybe cut
+    # short; the census counts the BFS levels 0..depth of the edges with a
+    # nonzero mark, up to the end of the column
+    marks = bytearray(t.e_in_F)
+    for i, value in edits:
+        marks[i % t.n_edges] = value
     if cut:
-        name = ("e_in_F", "e_level")[cut - 1]
-        del columns[name][t.n_edges // 2:]
-    damaged_tree = tree.TreePair(t.q_F, t.depth, e_delta=t.e_delta,
-                                 v_label=t.v_label, **columns)
-    marked = [level for level, mark in zip(columns["e_level"],
-                                           columns["e_in_F"]) if mark]
+        del marks[t.n_edges // 2:]
+    damaged_tree = damaged(t, e_in_F=marks)
+    marked = [level for level, mark in zip(edge_bfs(t, [0]), marks) if mark]
     assert damaged_tree.sphere_sizes(marked_only=True) == [
         marked.count(k) for k in range(t.depth + 1)]
 
@@ -83,28 +94,20 @@ def test_audit_returns_the_censuses(q, depth):
     assert audit.ambient_census == tuple(t.sphere_sizes())
     assert tree.check_tree_invariants(damaged(t)) == audit
     # a column of the wrong length is reported alone, with no census
-    short = tree.check_tree_invariants(damaged(t, e_level=bytearray(1)))
+    short = tree.check_tree_invariants(damaged(t, e_delta=bytearray(1)))
     assert short.marked_census == short.ambient_census == ()
 
 
-@pytest.mark.parametrize("q,depth", [(2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("q,depth", [(2, 3), (2, 4), (3, 3)] + [
+    (q, depth) for q in tree.ALLOWED_QF for depth in (1, 2)])
 def test_delta_and_level_against_bfs_oracle(q, depth):
     t = tree.build_tree_pair(q, depth)
-
-    def edge_bfs(sources):
-        dist = {e: 0 for e in sources}
-        queue = deque(sources)
-        while queue:
-            e = queue.popleft()
-            for v in t.endpoints(e):
-                for e2 in incident_edges(t, v):
-                    if e2 not in dist:
-                        dist[e2] = dist[e] + 1
-                        queue.append(e2)
-        return [dist[e] for e in t.edges()]
-
-    assert edge_bfs([e for e in t.edges() if t.e_in_F[e]]) == list(t.e_delta)
-    assert edge_bfs([0]) == list(t.e_level)
+    assert edge_bfs(t, [e for e in t.edges() if t.e_in_F[e]]) == list(t.e_delta)
+    # level k is exactly the edges at BFS distance k from the root edge
+    levels = edge_bfs(t, [0])
+    assert max(levels) == t.depth
+    for k in range(t.depth + 1):
+        assert list(t.level(k)) == [e for e in t.edges() if levels[e] == k]
 
 
 def test_structural_invariants_audit():
@@ -150,18 +153,17 @@ def test_budget_error_reports_smallest_failing_depth():
 
 
 def reference_build(q_F, depth):
-    """The oracle for the level-by-level build: the four columns built
+    """The oracle for the level-by-level build: the three columns built
     vertex by vertex, each expanded vertex appending its q_E children's
     entries."""
     q_E = q_F * q_F
     block = [bytes([x]) * q_E for x in range(depth + 1)]
-    e_in_F, e_level, e_delta = bytearray(b"\x01"), bytearray(1), bytearray(1)
+    e_in_F, e_delta = bytearray(b"\x01"), bytearray(1)
     v_label = bytearray(b"\x00\x01")
     f_flags = block[1][:q_F] + block[0][q_F:]
     f_deltas = block[0][:q_F] + block[1][q_F:]
     for v in range((tree._projected_edges(q_E, depth) - 1) // q_E):
         parent = 0 if v <= 1 else v - 1
-        e_level += block[e_level[parent] + 1]
         v_label += block[1 - v_label[v]]
         if e_in_F[parent]:
             e_in_F += f_flags
@@ -169,8 +171,7 @@ def reference_build(q_F, depth):
         else:
             e_in_F += block[0]
             e_delta += block[e_delta[parent] + 1]
-    return {"e_in_F": e_in_F, "e_level": e_level, "e_delta": e_delta,
-            "v_label": v_label}
+    return {"e_in_F": e_in_F, "e_delta": e_delta, "v_label": v_label}
 
 
 @pytest.mark.parametrize("q", tree.ALLOWED_QF)
@@ -190,7 +191,8 @@ def test_iwahori_harmonic_and_decay():
     for q in (2, 3):
         t = tree.build_tree_pair(q, 4)
         f = tree.iwahori_cocycle(t)
-        assert edge_values(t, f) == [Fraction(-1, t.q_E) ** k for k in t.e_level]
+        assert edge_values(t, f) == [Fraction(-1, t.q_E) ** k
+                                     for k in edge_bfs(t, [0])]
         report = tree.verify_harmonic(t, f)
         assert report.ok
         assert report.violations == ()
@@ -217,6 +219,18 @@ def test_non_harmonic_cocycles_flagged():
     zero = tree.EdgeCocycle([0] * (t.depth + 1))
     assert tree.verify_harmonic(t, zero).ok
     assert tree.decay_check(t, zero) == 0
+
+
+@pytest.mark.parametrize("nums", [[1, -1], [1, 0, 0, 0, 0]])
+@pytest.mark.parametrize("check", [tree.verify_harmonic, tree.tree_period,
+                                   tree.decay_check])
+def test_cocycle_passes_refuse_a_numerator_count_off_the_levels(check, nums):
+    # four levels on the (2, 3) tree: a shorter or longer profile is refused
+    # alike by every pass, not cut short or indexed past its end
+    t = tree.build_tree_pair(2, 3)
+    with pytest.raises(ValueError, match=rf"^cocycle has {len(nums)} "
+                                         r"numerators for 4 levels$"):
+        check(t, tree.EdgeCocycle(nums))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -707,18 +721,18 @@ def reference_verify_harmonic(t, vals):
     return tuple(violations)
 
 
-def reference_decay(t, vals):
+def reference_decay(t, vals, levels):
     best = Fraction(0)
     for e in range(t.n_edges):
-        best = max(best, abs(vals[e]) * t.q_E ** t.e_level[e])
+        best = max(best, abs(vals[e]) * t.q_E ** levels[e])
     return best
 
 
-def reference_tree_period(t, vals):
+def reference_tree_period(t, vals, levels):
     layer_sums = [Fraction(0)] * (t.depth + 1)
     for e in range(t.n_edges):
         if t.e_in_F[e]:
-            layer_sums[t.e_level[e]] += vals[e]
+            layer_sums[levels[e]] += vals[e]
     sums, acc = [], Fraction(0)
     for s in layer_sums:
         acc += s
@@ -726,16 +740,19 @@ def reference_tree_period(t, vals):
     return sums
 
 
-def assert_matches_references(t, cocycle, vals):
+def assert_matches_references(t, cocycle, vals, levels):
+    """The cocycle passes against per-edge references, with each edge's
+    level given by a BFS from the root edge."""
     assert edge_values(t, cocycle) == vals
     assert tree.verify_harmonic(t, cocycle).violations \
         == reference_verify_harmonic(t, vals)
-    assert tree.decay_check(t, cocycle) == reference_decay(t, vals)
-    assert tree.tree_period(t, cocycle) == reference_tree_period(t, vals)
+    assert tree.decay_check(t, cocycle) == reference_decay(t, vals, levels)
+    assert tree.tree_period(t, cocycle) == reference_tree_period(t, vals, levels)
 
 
 TREES = {(q, depth): tree.build_tree_pair(q, depth)
          for q in (2, 3) for depth in (1, 2, 3)}
+TREE_LEVELS = {shape: edge_bfs(t, [0]) for shape, t in TREES.items()}
 
 
 def level_cocycle(profile):
@@ -748,7 +765,7 @@ def level_cocycle(profile):
 
 @settings(max_examples=150, deadline=None)
 @given(shape=st.sampled_from(sorted(TREES)),
-       key=st.sampled_from(("e_level", "e_delta")),
+       key=st.sampled_from(("levels", "e_delta")),
        harmonic=st.booleans(), edits=st.lists(
            st.tuples(st.integers(0, 3), st.fractions()), max_size=2),
        profile=st.lists(st.fractions(), min_size=4, max_size=4))
@@ -761,17 +778,17 @@ def test_integer_passes_match_fraction_references(shape, key, harmonic,
     # non-harmonic at some vertices only.  A level profile goes through
     # every cocycle pass; a delta profile is harmonic exactly when the
     # solver's pattern rows all annihilate it
-    t = TREES[shape]
-    if harmonic and key == "e_level":
+    t, levels = TREES[shape], TREE_LEVELS[shape]
+    if harmonic and key == "levels":
         profile = [Fraction(-1, t.q_E) ** k for k in range(4)]
     elif harmonic and t.depth >= 2:
         profile = [*tree.invariant_solver(t).profile, Fraction(0)]
     for c, value in edits:
         profile[c] = value
     profile = profile[:t.depth + 1]
-    vals = [profile[c] for c in getattr(t, key)]
-    if key == "e_level":
-        assert_matches_references(t, level_cocycle(profile), vals)
+    vals = [profile[c] for c in (levels if key == "levels" else t.e_delta)]
+    if key == "levels":
+        assert_matches_references(t, level_cocycle(profile), vals, levels)
     else:
         rows = tree._pattern_rows(t)
         assert (not reference_verify_harmonic(t, vals)) == (
@@ -782,8 +799,9 @@ def test_integer_passes_match_fraction_references(shape, key, harmonic,
 def test_harmonic_cocycles_match_fraction_references(q, depth):
     t = tree.build_tree_pair(q, depth)
     f = tree.iwahori_cocycle(t)
+    levels = edge_bfs(t, [0])
     assert_matches_references(
-        t, f, [Fraction(-1, t.q_E) ** t.e_level[e] for e in t.edges()])
+        t, f, [Fraction(-1, t.q_E) ** k for k in levels], levels)
     # the solved profile is harmonic vertex by vertex
     profile = tree.invariant_solver(t).profile
     assert reference_verify_harmonic(t, [profile[d] for d in t.e_delta]) == ()
@@ -791,7 +809,7 @@ def test_harmonic_cocycles_match_fraction_references(q, depth):
 
 # -- the audit reports damage instead of raising ------------------------------
 
-COLUMNS = ("e_in_F", "e_level", "e_delta", "v_label")
+COLUMNS = ("e_in_F", "e_delta", "v_label")
 
 
 def damaged(t, **arrays):
@@ -860,30 +878,8 @@ def test_audit_refuses_swapped_deltas_the_solver_accepts():
         "edge 11 at delta=0, expected delta=1")
 
 
-def test_audit_refuses_swapped_levels_the_cocycle_passes_read():
-    # edges 3 and 11 are unmarked edges of levels 1 and 2: with their levels
-    # swapped, the censuses and every other identity still hold, but the
-    # alternating cocycle is no longer harmonic
-    t = tree.build_tree_pair(2, 2)
-    levels = bytearray(t.e_level)
-    levels[3], levels[11] = levels[11], levels[3]
-    swapped = damaged(t, e_level=levels)
-    assert not tree.verify_harmonic(swapped, tree.iwahori_cocycle(swapped)).ok
-    assert tree.check_tree_invariants(swapped).problems == (
-        "edge 3 at level=2, expected level=1",
-        "edge 11 at level=1, expected level=2")
-    # levels are compared whatever the other columns hold, after the deltas
-    deltas = bytearray(t.e_delta)
-    deltas[17] = 255
-    assert tree.check_tree_invariants(
-        damaged(t, e_level=levels, e_delta=deltas)).problems == (
-        "edge 17 at delta=255, expected delta in 0..2",
-        "edge 3 at level=2, expected level=1",
-        "edge 11 at level=1, expected level=2")
-
-
 def test_audit_checks_the_root_edge_of_a_depth_0_tree():
-    t = tree.TreePair(2, 0, bytearray(b"\x01"), bytearray(1), bytearray(1),
+    t = tree.TreePair(2, 0, bytearray(b"\x01"), bytearray(1),
                       bytearray(b"\x01\x01"))
     assert tree.check_tree_invariants(t).problems == (
         "edge 0 joins equal labels",)
@@ -916,7 +912,7 @@ def marked_walk_connects(t):
 
 AUDIT_TREES = [tree.build_tree_pair(q, depth)
                for q in (2, 3, 4) for depth in (1, 2)] + [
-    tree.TreePair(2, 0, bytearray(b"\x01"), bytearray(1), bytearray(1),
+    tree.TreePair(2, 0, bytearray(b"\x01"), bytearray(1),
                   bytearray(b"\x00\x01"))]
 NOT_CONNECTED = "marked subtree is not connected to the root edge"
 
@@ -939,8 +935,8 @@ def test_audit_connectivity_agrees_with_the_marked_walk(t, flips):
 def test_audit_reports_columns_of_the_wrong_length(q):
     t = tree.build_tree_pair(q, 2)
     sizes = {name: len(getattr(t, name)) for name in COLUMNS}
-    assert sizes == {"e_in_F": t.n_edges, "e_level": t.n_edges,
-                     "e_delta": t.n_edges, "v_label": t.n_vertices}
+    assert sizes == {"e_in_F": t.n_edges, "e_delta": t.n_edges,
+                     "v_label": t.n_vertices}
 
     def problems(**arrays):
         return tree.check_tree_invariants(damaged(t, **arrays)).problems
@@ -953,7 +949,7 @@ def test_audit_reports_columns_of_the_wrong_length(q):
         for k in range(n):
             assert problems(**{name: getattr(t, name)[:k]}) == (wrong(name, k),)
         assert problems(**{name: getattr(t, name) + b"\0"}) == (wrong(name, n + 1),)
-    # all four together, even before the parent edge of an expanded vertex
+    # all three together, even before the parent edge of an expanded vertex
     for k in range(t.n_edges):
         cut = {name: getattr(t, name)[:k] for name in COLUMNS}
         assert problems(**cut) == tuple(wrong(name, k) for name in COLUMNS)
@@ -961,14 +957,14 @@ def test_audit_reports_columns_of_the_wrong_length(q):
 
 @pytest.mark.parametrize("q,depth", [(3, 5), (2, 8)])
 def test_tree_pair_keeps_few_bytes_per_edge(q, depth):
-    # one byte per flag, level, delta and label, and nothing else per edge
+    # one byte per flag, delta and label, and nothing else per edge
     tracemalloc.start()
     try:
         t = tree.build_tree_pair(q, depth)
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept <= 6 * t.n_edges, kept / t.n_edges
+    assert kept <= 4 * t.n_edges, kept / t.n_edges
 
 
 def test_solver_recheck_fires(monkeypatch):
@@ -1053,7 +1049,6 @@ def reference_audit(t):
     e_in_F, e_delta, v_label = t.e_in_F, t.e_delta, t.v_label
     short = [f"column {name} has {len(column)} entries, expected {n}"
              for name, column, n in (("e_in_F", e_in_F, t.n_edges),
-                                     ("e_level", t.e_level, t.n_edges),
                                      ("e_delta", e_delta, t.n_edges),
                                      ("v_label", v_label, t.n_vertices))
              if len(column) != n]
@@ -1224,7 +1219,7 @@ def test_column_passes_match_the_vertex_loops(t, edits, names):
 @pytest.mark.parametrize("q,depth", [(2, 1), (2, 6), (3, 4), (4, 3), (9, 2)])
 def test_built_trees_take_the_column_test(q, depth):
     assert tree._column_problems(tree.build_tree_pair(q, depth)) == (
-        [], [], [], [])
+        [], [], [])
 
 
 def test_column_test_guards():

@@ -391,23 +391,6 @@ class OmegaElement:
         return OmegaElement(tuple(self.perm[p] for p in other.perm))
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def _omega_generators(family, d):
     """Generators of Omega, as permutations of the nodes 0..d."""
     n = d + 1
@@ -467,5 +450,7 @@ def omega_group(family, rank):
 
 
 def epsilon_of_omega(omega):
-    """Sign character: the signature of the node permutation."""
-    return _perm_sign(omega.perm)
+    """Sign character: the signature of the node permutation, (-1) to the
+    number of its inversions (pairs of nodes it puts out of order), since
+    each transposition of adjacent entries changes that number by one."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(omega.perm, 2))

@@ -245,11 +245,20 @@ class FiniteFieldPair:
         return range(self.q, self.q_ext)
 
     def _check_frobenius(self):
-        # the base field must be exactly the fixed points of z -> z^q
-        for z in range(self.q_ext):
-            if (self.frobenius(z) == z) != self.in_base(z):
-                raise ModelError(
-                    f"Frobenius fixed points differ from the base field at {z}")
+        """The base field must be exactly the fixed points of z -> z^q.
+
+        0 is fixed, and a unit G^k is fixed exactly when (q - 1) k is a
+        multiple of q^2 - 1, that is when q + 1 divides k: the q - 1 exp
+        entries at those k, which must be 1..q - 1.  This needs exp to list
+        each unit once, as `_exp_log` ensures: its walk z -> z G first
+        returns to 1 after exactly q^2 - 1 steps, and an earlier repeat
+        would have trapped it in a cycle without 1.
+        """
+        fixed = set(self._exp[:self.q_ext - 1:self.q + 1])
+        wrong = fixed.symmetric_difference(self.base_units())
+        if wrong:
+            raise ModelError(
+                f"Frobenius fixed points differ from the base field at {min(wrong)}")
 
     def poly_str(self, coeffs, var):
         terms = []
@@ -383,18 +392,17 @@ def square_root_candidates(fields):
 def canonical_inversion_data(fields):
     """The least valid x_0 and the constant c = x_0^(-2) for inversion moves.
 
-    In odd characteristic a valid x_0 always exists and 1/c = x_0^2 is
-    automatically a nonsquare of the base field; failure of either fact
+    In odd characteristic q + 1 is even and the candidates are the q - 1
+    exp entries at (q + 1)/2 + j (q + 1), so a least x_0 always exists, and
+    x_0^2 is a unit.  It is a nonsquare of the base field, since s^2 = x_0^2
+    for an s in k_F would put x_0 = +-s in k_F; so a square 1/c = x_0^2
     signals broken field arithmetic, not bad input.
     """
     if fields.p == 2:
         raise ValueError("inversion data needs odd characteristic")
-    candidates = square_root_candidates(fields)
-    if not candidates:
-        raise ModelError("no x_0 with x_0^2 in the base field; arithmetic bug")
-    x0 = candidates[0]
+    x0 = square_root_candidates(fields)[0]
     inv_c = fields.mul(x0, x0)
-    if inv_c == 0 or fields.is_square_base(inv_c):
+    if fields.is_square_base(inv_c):
         raise ModelError("x_0^2 must be a nonsquare of the base field")
     return x0, fields.base_inv(inv_c)
 
@@ -473,14 +481,17 @@ def verify_fraction_identity(fields):
         1/(a^2 x c + b) = (a^2 x c - b)/(a^4 c - b^2)
                         = (x - b/(a^2 c))/(a^2 - b^2/(a^2 c))
 
-    skipping pairs where any denominator vanishes.
+    No denominator vanishes, so no pair is skipped and `n_skipped` is 0:
+    with c a nonsquare, a^4 c - b^2 is nonzero, the third denominator is it
+    over a^2 c, and the first, a^2 x c + b, lies outside k_F.  A vanishing
+    one would mean broken field arithmetic, and `inv` refuses it: a failed
+    check, not a skipped pair.
     """
     if fields.p == 2:
         raise ValueError("identity check needs odd characteristic")
     x0, c = canonical_inversion_data(fields)
     q, add, neg = fields.q, fields._badd, fields._bneg
     checked = 0
-    skipped = 0
     holds = True
     for x in (x0, fields.neg(x0)):
         if fields.mul(x, x) != fields.base_inv(c):
@@ -495,20 +506,15 @@ def verify_fraction_identity(fields):
             s_v, s_u = divmod(fields.mul(a2c, x), q)
             for b in fields.base_elements():
                 b2 = fields.base_mul(b, b)
-                den1 = add[s_u][b] + q * s_v
-                den2 = add[a4c][neg[b2]]
-                den3 = add[a2][neg[fields.base_mul(b2, inv_a2c)]]
-                if den1 == 0 or den2 == 0 or den3 == 0:
-                    skipped += 1
-                    continue
-                lhs = fields.inv(den1)
-                mid = fields.mul(add[s_u][neg[b]] + q * s_v, fields.inv(den2))
+                lhs = fields.inv(add[s_u][b] + q * s_v)
+                mid = fields.mul(add[s_u][neg[b]] + q * s_v,
+                                 fields.inv(add[a4c][neg[b2]]))
                 rhs = fields.mul(add[x_u][neg[fields.base_mul(b, inv_a2c)]] + q * x_v,
-                                 fields.inv(den3))
+                                 fields.inv(add[a2][neg[fields.base_mul(b2, inv_a2c)]]))
                 if not lhs == mid == rhs:
                     holds = False
                 checked += 1
-    return FractionIdentityReport(fields.q, x0, c, checked, skipped, holds)
+    return FractionIdentityReport(fields.q, x0, c, checked, 0, holds)
 
 
 def exists_nonsquare_value(fields, c):

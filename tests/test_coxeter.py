@@ -15,6 +15,7 @@ from buildingkit.coxeter import (FAMILIES, INFINITE_ORDER, MAX_RANK,
                                  growth_from_exponents, omega_group,
                                  poincare_finite)
 from buildingkit.errors import BudgetError, InvalidTypeError, ModelError
+from buildingkit.suite import OMEGA_GRID
 from coxeter_oracle import ALL_TYPES, certified_generators, comarks
 
 # classical data, frozen independently of the implementation; the
@@ -471,6 +472,39 @@ def test_omega_generators_are_checked(monkeypatch):
     monkeypatch.setattr(coxeter, "_omega_generators", lambda f, d: [(1, 0, 2, 3)])
     with pytest.raises(ModelError, match="does not preserve the Coxeter matrix"):
         omega_group("A", 3)
+    # the square's rotation and a reflection generate its dihedral group
+    monkeypatch.setattr(coxeter, "_omega_generators",
+                        lambda f, d: [(1, 2, 3, 0), (0, 3, 2, 1)])
+    with pytest.raises(ModelError, match="^Omega of A3 is not abelian$"):
+        omega_group("A", 3)
+
+
+def cycle_sign(perm):
+    """The signature of a permutation by its cycles: each cycle of even
+    length flips it."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_inversion_parity_is_the_cycle_sign():
+    for n in range(1, 9):
+        for perm in itertools.permutations(range(n)):
+            assert epsilon_of_omega(coxeter.OmegaElement(perm)) == cycle_sign(perm)
+    for f, r in OMEGA_GRID:
+        for el in omega_group(f, r):
+            assert epsilon_of_omega(el) == cycle_sign(el.perm)
 
 
 def test_omega_frozen_signs():

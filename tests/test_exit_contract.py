@@ -4,9 +4,10 @@ Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
 never with a traceback; exits 2 and 3 print nothing on stdout and say why on
 stderr; the same argv prints the same bytes twice.  A fixed subset and the
 damaged-tree audit, the invariant solver's check of its profile, the
-checks of the affine system's and the residue fields' construction and the
-degree check of the finite length polynomial also run under `python -O`,
-which strips asserts.
+checks of the affine system's and the residue fields' construction, the
+degree check of the finite length polynomial, and the orbit layer's and
+Omega's model checks, each made to fire by one broken table or helper,
+also run under `python -O`, which strips asserts.
 """
 
 import contextlib
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from buildingkit import cli, coxeter, orbits, period, tree
 from buildingkit.errors import ModelError
+from test_orbits import swap_exp
 
 
 def run(argv):
@@ -214,6 +216,20 @@ def construction_errors():
     return messages
 
 
+def patched_runs(patches):
+    """The run of each (owner, name, value, argv): argv with the attribute
+    owner.name set to value for that run only."""
+    runs = []
+    for owner, name, value, argv in patches:
+        saved = getattr(owner, name)
+        setattr(owner, name, value)
+        try:
+            runs.append(list(run(argv)))
+        finally:
+            setattr(owner, name, saved)
+    return runs
+
+
 def _no_negative_of_one(self, table=orbits.FiniteFieldPair._base_add_table):
     add = table(self)
     add[1][1] = add[1][0]  # in F_2 this removes the 0 of row 1
@@ -226,19 +242,11 @@ def field_construction_errors():
     order q^2 - 1, then that of `orbit --p 2` with an addition row of F_2
     that holds no 0."""
     p3n2 = ["orbit", "--p", "3", "--n", "2"]
-    patches = [(orbits, "_is_irreducible", lambda m, p: False, p3n2),
-               (orbits.FiniteFieldPair, "_find_ext_modulus", lambda self: (0, 0, 1), p3n2),
-               (orbits.FiniteFieldPair, "_base_add_table", _no_negative_of_one,
-                ["orbit", "--p", "2"])]
-    runs = []
-    for owner, name, value, argv in patches:
-        saved = getattr(owner, name)
-        setattr(owner, name, value)
-        try:
-            runs.append(list(run(argv)))
-        finally:
-            setattr(owner, name, saved)
-    return runs
+    return patched_runs([
+        (orbits, "_is_irreducible", lambda m, p: False, p3n2),
+        (orbits.FiniteFieldPair, "_find_ext_modulus", lambda self: (0, 0, 1), p3n2),
+        (orbits.FiniteFieldPair, "_base_add_table", _no_negative_of_one,
+         ["orbit", "--p", "2"])])
 
 
 FIELD_CONSTRUCTION_ERRORS = [
@@ -246,6 +254,86 @@ FIELD_CONSTRUCTION_ERRORS = [
     [1, "", "check failed: no element of order 80 in the units of the "
             "extension field\n"],
     [1, "", "check failed: 1 has no negative in the addition table of F_2\n"]]
+
+
+def _frobenius_moved(self, init=orbits.FiniteFieldPair._init_ext_tables):
+    # G and its norm G^(q + 1) exchanged in exp
+    init(self)
+    swapped = swap_exp(self, 1, self.q + 1)
+    self._exp, self._log = swapped._exp, swapped._log
+
+
+def _products_of_one_read_zero(p, n, build=orbits.build_fields):
+    fields = build(p, n)
+    fields._bexp[fields.q - 1] = 0  # so a * (1/a) reads 0, and 1/1 = 0
+    return fields
+
+
+def _extra_orbit(fields, moves, grow=orbits._orbits):
+    return grow(fields, moves) + [[fields.q]]
+
+
+def _representative_lost(fields, groups, moves, report=orbits._report_from_groups):
+    full = report(fields, groups, moves)
+    return dataclasses.replace(full, representatives=full.representatives[1:])
+
+
+def orbit_check_errors():
+    """The run of `orbit --p 3` with one table or helper broken each time,
+    so that each model check of the orbit layer fires, then that of `suite`
+    with a reflection added to the rotation that generates Omega of each
+    type A; and the messages of the one check that only a library call
+    reaches, since the command line takes c from the inversion data."""
+    build, canonical = orbits.build_fields, orbits.canonical_inversion_data
+    pair = orbits.FiniteFieldPair
+    p3 = ["orbit", "--p", "3"]
+    generators = coxeter._omega_generators
+
+    def dihedral(f, d):
+        reflection = tuple(-i % (d + 1) for i in range(d + 1))
+        return generators(f, d) + ([reflection] if f == "A" else [])
+    patches = [
+        # every t is a root of every quadratic when every sum reads 0
+        (pair, "_base_add_table", lambda self: [[0] * self.q] * self.q, p3),
+        (pair, "_init_ext_tables", _frobenius_moved, p3),
+        (orbits, "_orbits", _extra_orbit, p3),
+        (orbits, "_report_from_groups", _representative_lost, p3),
+        (pair, "is_square_base", lambda self, a: a != 0, p3),
+        (orbits, "canonical_inversion_data",
+         lambda fields: (canonical(fields)[0], 1), p3),
+        # x_0 = 1 lies in the base field, so a^2 x c + b vanishes at b = -a^2
+        (orbits, "canonical_inversion_data", lambda fields: (1, 1), p3),
+        (orbits, "build_fields", _products_of_one_read_zero, p3),
+        (pair, "sub", lambda self, z1, z2: 0, p3),
+        (coxeter, "_omega_generators", dihedral, ["suite"]),
+    ]
+    runs = patched_runs(patches)
+    messages = []
+    for c in (1, 0):
+        try:
+            orbits.exists_nonsquare_value(build(3, 1), c)
+        except ModelError as exc:
+            messages.append(str(exc))
+    return {"runs": runs, "messages": messages}
+
+
+def _failed(message):
+    return [1, "", f"check failed: {message}\n"]
+
+
+ORBIT_CHECK_ERRORS = {
+    "runs": [_failed(message) for message in (
+        "no irreducible quadratic over the base field",
+        "Frobenius fixed points differ from the base field at 2",
+        "orbit sizes do not add up to q^2 - q",
+        "orbit count, sizes and representatives disagree",
+        "x_0^2 must be a nonsquare of the base field",
+        "x_0^2 is not 1/c",
+        "0 has no inverse in the extension field",
+        "0 has no inverse in the base field",
+        "no (a, b) with a^2 - b^2/(a^2 c) a nonsquare exists for q=3",
+        "Omega of A2 is not abelian")],
+    "messages": ["c must be nonzero with 1/c a nonsquare of the base field"] * 2}
 
 
 def top_degree_errors():
@@ -331,6 +419,11 @@ def test_field_construction_failures_are_failed_checks():
     assert field_construction_errors() == FIELD_CONSTRUCTION_ERRORS
     assert run_optimized("field_construction_errors") == [
         1, FIELD_CONSTRUCTION_ERRORS]
+
+
+def test_orbit_checks_fire_under_optimize():
+    assert orbit_check_errors() == ORBIT_CHECK_ERRORS
+    assert run_optimized("orbit_check_errors") == [1, ORBIT_CHECK_ERRORS]
 
 
 def test_orbit_refuses_a_large_prime_at_once():

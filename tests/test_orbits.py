@@ -1,6 +1,8 @@
 """Field-pair tables and the orbit closures on the complement of the base field."""
 
+import copy
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,59 @@ def test_inverse_table_equals_the_linear_search(p, n):
     units = range(1, f.q_ext)
     assert [f.inv(z) for z in units] == [
         next(w for w in units if f.mul(z, w) == 1) for z in units]
+
+
+def swap_exp(fields, i, j):
+    """A copy of the field pair with the extension's exp entries i and j
+    exchanged, in both halves of the table, and log rebuilt as its inverse."""
+    swapped = copy.copy(fields)
+    exp = fields._exp[:fields.q_ext - 1]
+    exp[i], exp[j] = exp[j], exp[i]
+    swapped._exp, swapped._log = exp + exp, [None] * fields.q_ext
+    for k, z in enumerate(exp):
+        swapped._log[z] = k
+    return swapped
+
+
+def frobenius_refusals(fields):
+    """The message of the Frobenius check and of the per-element loop it
+    replaced, which compares z^q = z with z < q for every z; None where a
+    check passes."""
+    try:
+        fields._check_frobenius()
+        message = None
+    except ModelError as exc:
+        message = str(exc)
+    z = next((z for z in range(fields.q_ext)
+              if (fields.frobenius(z) == z) != fields.in_base(z)), None)
+    expected = None if z is None else (
+        f"Frobenius fixed points differ from the base field at {z}")
+    return message, expected
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])
+def test_frobenius_check_is_the_per_element_loop_on_swapped_tables(p, n):
+    f = _fields(p, n)
+    assert frobenius_refusals(f) == (None, None)
+    verdicts = []
+    for i, j in itertools.combinations(range(f.q_ext - 1), 2):
+        message, expected = frobenius_refusals(swap_exp(f, i, j))
+        assert message == expected
+        # a swap moves the fixed set exactly when one of i, j is a multiple
+        # of q + 1
+        assert (message is None) == ((i % (f.q + 1) == 0) == (j % (f.q + 1) == 0))
+        verdicts.append(message is None)
+    assert any(verdicts) and not all(verdicts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_FIELDS), st.integers(min_value=0),
+       st.integers(min_value=0))
+def test_frobenius_check_agrees_with_the_loop_on_every_field(pn, i, j):
+    f = _fields(*pn)
+    i, j = i % (f.q_ext - 1), j % (f.q_ext - 1)
+    message, expected = frobenius_refusals(swap_exp(f, i, j))
+    assert message == expected
 
 
 def test_frobenius_fixes_exactly_the_base_field():

@@ -195,13 +195,12 @@ def _cmd_orbit(args):
     if fields.p == 2:
         text.append("  inversion      not needed in characteristic 2")
     else:
-        x0, c = orbits.canonical_inversion_data(fields)
         identity = orbits.verify_fraction_identity(fields)
         ok = ok and identity.holds
-        witness = orbits.exists_nonsquare_value(fields, c)
+        witness = orbits.exists_nonsquare_value(fields, identity.c)
         payload["identity"] = identity.to_json_dict()
         payload["nonsquare_witness"] = {"a": witness[0], "b": witness[1]}
-        text.append(f"  inversion      x0={x0} c={c} -> "
+        text.append(f"  inversion      x0={identity.x0} c={identity.c} -> "
                     f"{closure.orbit_count} orbit(s) of sizes "
                     f"{list(closure.orbit_sizes)}")
         text.append(f"  identity       holds={identity.holds} "

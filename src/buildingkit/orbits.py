@@ -18,7 +18,9 @@ inside it.  On the complement a^2 x c + b never lies in the base field, so
 every move permutes it, and the orbits are those of the group generated by
 x -> g^2 x, x -> x + p^i (i < n) and x -> 1/(c x), where g = G^(q+1), the
 norm of the least generator G of k_E^*, generates the units of k_F; they
-are computed from these generators in one traversal.
+are computed from these generators in one traversal.  Every admissible c
+generates the same group (see `inversion_closure_orbits`), so the closure
+runs once, at the canonical c.
 
 Both fields multiply by index (Zech-log) arithmetic on exp and log tables
 of one generator (G; the least primitive element of k_F), and the orbit
@@ -382,25 +384,21 @@ def affine_square_orbits(fields):
     return _report_from_groups(fields, groups, "affine-square")
 
 
-def square_root_candidates(fields):
-    """Elements outside the base field whose square lies inside it, ascending:
-    k_F^* is log z = 0 mod q + 1, so for odd q these have log z = (q + 1)/2."""
-    step = fields.q + 1
-    return [] if fields.p == 2 else sorted(fields._exp[step // 2:fields.q_ext - 1:step])
-
-
 def canonical_inversion_data(fields):
     """The least valid x_0 and the constant c = x_0^(-2) for inversion moves.
 
-    In odd characteristic q + 1 is even and the candidates are the q - 1
-    exp entries at (q + 1)/2 + j (q + 1), so a least x_0 always exists, and
-    x_0^2 is a unit.  It is a nonsquare of the base field, since s^2 = x_0^2
-    for an s in k_F would put x_0 = +-s in k_F; so a square 1/c = x_0^2
-    signals broken field arithmetic, not bad input.
+    k_F^* is log z = 0 mod q + 1, so x_0 outside k_F has x_0^2 in k_F^*
+    exactly when log x_0 = (q + 1)/2 mod q + 1.  In odd characteristic q + 1
+    is even and these are the q - 1 exp entries at (q + 1)/2 + j (q + 1),
+    so a least x_0 always exists, and x_0^2 is a unit.  It is a nonsquare
+    of the base field, since s^2 = x_0^2 for an s in k_F would put
+    x_0 = +-s in k_F; so a square 1/c = x_0^2 signals broken field
+    arithmetic, not bad input.
     """
     if fields.p == 2:
         raise ValueError("inversion data needs odd characteristic")
-    x0 = square_root_candidates(fields)[0]
+    step = fields.q + 1
+    x0 = min(fields._exp[step // 2:fields.q_ext - 1:step])
     inv_c = fields.mul(x0, x0)
     if fields.is_square_base(inv_c):
         raise ModelError("x_0^2 must be a nonsquare of the base field")
@@ -411,26 +409,17 @@ def inversion_closure_orbits(fields):
     """Orbits once the inversion moves are adjoined; odd characteristic only.
 
     In characteristic 2 the affine moves already act transitively and the
-    affine report is returned unchanged.  The closure is re-run once for
-    every other constant c, at the least x_0 giving it (x_0 and -x_0 give
-    the same c), and the partitions are checked to be identical, so the
-    canonical choice is demonstrably immaterial.
+    affine report is returned unchanged.  Otherwise the closure runs once,
+    at the canonical c, and no other c can change it: every admissible c
+    is a nonsquare of k_F, an odd power of g, so the ratio c'/c of two is
+    a square s = g^(2j).  Then J_c'(x) = 1/(c' x) = J_c(s x), so
+    J_c' = J_c o M^j with M: x -> g^2 x one of the affine generators, and
+    the affine moves with J_c or with J_c' generate the same group.
     """
     if fields.p == 2:
         return affine_square_orbits(fields)
     _, c = canonical_inversion_data(fields)
-    affine = _affine_moves(fields)
-    groups = _orbits(fields, affine + [_inversion_move(fields, c)])
-    reference = {frozenset(g) for g in groups}
-    tried = {c}
-    for alt in square_root_candidates(fields):
-        alt_c = fields.base_inv(fields.mul(alt, alt))
-        if alt_c in tried:
-            continue
-        tried.add(alt_c)
-        alt_groups = _orbits(fields, affine + [_inversion_move(fields, alt_c)])
-        if {frozenset(g) for g in alt_groups} != reference:
-            raise ModelError(f"orbit partition depends on the choice x_0={alt}")
+    groups = _orbits(fields, _affine_moves(fields) + [_inversion_move(fields, c)])
     return _report_from_groups(fields, groups, "affine-square + inversion")
 
 
@@ -521,13 +510,14 @@ def exists_nonsquare_value(fields, c):
     """First (a, b) with a^2 - b^2/(a^2 c) a nonzero nonsquare of the base field.
 
     Searched in ascending (a, b) order over a nonzero, b arbitrary.  The value
-    must exist whenever 1/c is a nonsquare; exhausting the search without a
+    must exist whenever 1/c is a nonsquare, so a c that is 0 or has 1/c a
+    square is bad input (ValueError), while exhausting the search without a
     witness is reported as a hard model error.
     """
     if fields.p == 2:
         raise ValueError("nonsquare search needs odd characteristic")
     if c == 0 or fields.is_square_base(fields.base_inv(c)):
-        raise ModelError("c must be nonzero with 1/c a nonsquare of the base field")
+        raise ValueError("c must be nonzero with 1/c a nonsquare of the base field")
     for a in fields.base_units():
         a2 = fields.base_mul(a, a)
         inv_a2c = fields.base_inv(fields.base_mul(a2, c))

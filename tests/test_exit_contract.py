@@ -7,19 +7,23 @@ damaged-tree audit, the invariant solver's check of its profile, the
 checks of the affine system's and the residue fields' construction, the
 degree check of the finite length polynomial, and the orbit layer's and
 Omega's model checks, each made to fire by one broken table or helper,
-also run under `python -O`, which strips asserts.
+also run under `python -O`, which strips asserts, in one process whose
+answers each test reads for itself.
 """
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -282,8 +286,8 @@ def orbit_check_errors():
     """The run of `orbit --p 3` with one table or helper broken each time,
     so that each model check of the orbit layer fires, then that of `suite`
     with a reflection added to the rotation that generates Omega of each
-    type A; and the messages of the one check that only a library call
-    reaches, since the command line takes c from the inversion data."""
+    type A; and the messages of the one argument check that only a library
+    call reaches, since the command line takes c from the inversion data."""
     build, canonical = orbits.build_fields, orbits.canonical_inversion_data
     pair = orbits.FiniteFieldPair
     p3 = ["orbit", "--p", "3"]
@@ -312,7 +316,7 @@ def orbit_check_errors():
     for c in (1, 0):
         try:
             orbits.exists_nonsquare_value(build(3, 1), c)
-        except ModelError as exc:
+        except ValueError as exc:
             messages.append(str(exc))
     return {"runs": runs, "messages": messages}
 
@@ -367,18 +371,45 @@ AUTOMORPHISM_ERRORS = ("breaks adjacency", "edge 5 maps to non-edge (1,10)",
                        "not label-coherent", "contains no edges")
 
 
-def run_optimized(name):
-    """[sys.flags.optimize, the JSON of this module's name()] from a
-    `python -O` process."""
+OPTIMIZED = ("observed", "automorphism_errors", "solver_recheck_error",
+             "construction_errors", "top_degree_errors",
+             "field_construction_errors", "orbit_check_errors")
+
+
+def optimized_answers():
+    """{name: {"answer": name()} or {"error": its traceback}} for each name
+    in OPTIMIZED, in order, so one name's failure leaves the others'."""
+    answers = {}
+    for name in OPTIMIZED:
+        try:
+            answers[name] = {"answer": globals()[name]()}
+        except Exception:
+            answers[name] = {"error": traceback.format_exc()}
+    return answers
+
+
+@functools.cache
+def optimized_process():
+    """[sys.flags.optimize, optimized_answers()] from one `python -O`
+    process, started once per pytest run."""
     here = Path(__file__).resolve().parent
     src = here.parent / "src"
     script = ("import json, sys; import test_exit_contract as t; "
-              f"print(json.dumps([sys.flags.optimize, t.{name}()]))")
+              "print(json.dumps([sys.flags.optimize, t.optimized_answers()]))")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([str(src), str(here)]))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
+
+
+def run_optimized(name):
+    """[sys.flags.optimize, the JSON of this module's name()] under
+    `python -O`; a name() that raised there fails the calling test alone."""
+    optimize, answers = optimized_process()
+    if "error" in answers[name]:
+        pytest.fail(f"{name}() raised under python -O:\n{answers[name]['error']}")
+    return [optimize, answers[name]["answer"]]
 
 
 def test_optimized_run_answers_the_same():

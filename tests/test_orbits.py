@@ -233,22 +233,40 @@ def test_inversion_merges_to_one_orbit(p, n):
     assert len(_closure_oracle(f, _all_images(f, c))) == 1
 
 
+def _square_root_candidates(f):
+    """x outside k_F with x^2 in k_F, ascending, by the reference product."""
+    product = _reference(f.p, f.n)[2]
+    return [z for z in f.nonbase_elements() if f.in_base(product(z, z))]
+
+
+def _inversion_constants(f):
+    """The distinct c = x^(-2) over the square-root candidates x."""
+    product = _reference(f.p, f.n)[2]
+    return sorted({f.base_inv(product(x, x)) for x in _square_root_candidates(f)})
+
+
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
 def test_square_root_candidates_equal_the_brute_force_listing(p, n):
+    # the exp slice `canonical_inversion_data` takes its least x_0 from; in
+    # characteristic 2 squaring is a bijection of k_E mapping k_F onto
+    # itself, so no candidate exists
     f = _fields(p, n)
-    product = _reference(p, n)[2]
-    assert orbits.square_root_candidates(f) == [
-        z for z in f.nonbase_elements() if f.in_base(product(z, z))]
+    cands = _square_root_candidates(f)
+    if p == 2:
+        assert cands == []
+        return
+    step = f.q + 1
+    assert cands == sorted(f._exp[step // 2:f.q_ext - 1:step])
+    assert orbits.canonical_inversion_data(f)[0] == cands[0]
 
 
 def test_square_root_candidates_listing():
     f = orbits.build_fields(3, 1)
-    assert orbits.square_root_candidates(f) == [3, 6]
+    assert _square_root_candidates(f) == [3, 6]
     f = orbits.build_fields(3, 2)
-    cands = orbits.square_root_candidates(f)
+    cands = _square_root_candidates(f)
     assert len(cands) == f.q - 1  # one pair +-x0 per nonsquare of the base
-    assert all(f.in_base(f.mul(z, z)) for z in cands)
-    assert cands == sorted(cands)
+    assert orbits.canonical_inversion_data(f)[0] == min(cands)
 
 
 @pytest.mark.parametrize("p,n", ODD)
@@ -388,7 +406,7 @@ def test_every_move_permutes_the_complement(p, n):
     domain = set(f.nonbase_elements())
     cs = set()
     if p != 2:
-        cs = {f.base_inv(f.mul(x, x)) for x in orbits.square_root_candidates(f)}
+        cs = _inversion_constants(f)
         assert len(cs) == (f.q - 1) // 2  # one c per nonsquare 1/c
     for a in f.base_units():
         a2 = f.base_mul(a, a)
@@ -479,37 +497,46 @@ def test_field_axioms_hold_on_every_admitted_field(pn, x, y, w):
 ALL_ODD = ODD + [(11, 1), (13, 1)]
 
 
-def _inversion_constant(f, x0):
-    return f.base_inv(f.mul(x0, x0))
+@pytest.mark.parametrize("p,n", ALL_ODD)
+def test_every_c_gives_the_canonical_partition(p, n):
+    # the oracle for the single closure: rerun it for each distinct c
+    f = _fields(p, n)
+    closure = orbits.inversion_closure_orbits(f)
+    affine = orbits._affine_moves(f)
+    _, c0 = orbits.canonical_inversion_data(f)
+    canonical = orbits._orbits(f, affine + [orbits._inversion_move(f, c0)])
+    cs = _inversion_constants(f)
+    assert c0 in cs and len(cs) == (f.q - 1) // 2
+    for c in cs:
+        groups = orbits._orbits(f, affine + [orbits._inversion_move(f, c)])
+        assert {frozenset(g) for g in groups} == {frozenset(g) for g in canonical}
+        assert orbits._report_from_groups(f, groups, closure.moves) == closure
 
 
 @pytest.mark.parametrize("p,n", ALL_ODD)
-def test_closure_is_rerun_once_per_distinct_c(p, n, monkeypatch):
-    # x_0 and -x_0 give the same c, so the q - 1 choices of x_0 give
-    # (q - 1)/2 constants, the canonical one among them
+def test_ratios_of_inversion_constants_are_squares(p, n):
+    # the premise of the proof: c'/c = s is a nonzero square of k_F, and
+    # J_c'(x) = J_c(s x)
+    f = _fields(p, n)
+    mul = _reference(p, n)[1]
+    squares = {mul[t][t] for t in f.base_units()}
+    cs = _inversion_constants(f)
+    for c, c2 in itertools.product(cs, repeat=2):
+        s = f.base_mul(c2, f.base_inv(c))
+        assert s in squares
+        move, move2 = orbits._inversion_move(f, c), orbits._inversion_move(f, c2)
+        assert move2 == [move[f.mul(s, z) - f.q] for z in f.nonbase_elements()]
+
+
+@pytest.mark.parametrize("p,n", ALL_ODD)
+def test_closure_runs_once(p, n, monkeypatch):
     f = _fields(p, n)
     calls = []
     grow = orbits._orbits
     monkeypatch.setattr(orbits, "_orbits",
                         lambda fields, moves: calls.append(1) or grow(fields, moves))
     orbits.inversion_closure_orbits(f)
-    assert len(calls) == (f.q - 1) // 2
-
-
-@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (3, 2)])
-def test_a_partition_that_depends_on_x0_is_a_model_error(p, n, monkeypatch):
-    f = _fields(p, n)
-    _, c = orbits.canonical_inversion_data(f)
-    first_other = min(x for x in orbits.square_root_candidates(f)
-                      if _inversion_constant(f, x) != c)
-    move = orbits._inversion_move
-    # the identity permutes the complement but merges nothing
-    monkeypatch.setattr(orbits, "_inversion_move",
-                        lambda fields, k: move(fields, k) if k == c
-                        else list(fields.nonbase_elements()))
-    with pytest.raises(ModelError,
-                       match=f"depends on the choice x_0={first_other}$"):
-        orbits.inversion_closure_orbits(f)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
@@ -633,6 +660,5 @@ def test_move_lists_are_the_generating_maps(p, n):
     g2 = _reference_power(product, f._ext_generator, 2 * (f.q + 1))
     assert orbits._affine_moves(f) == [[product(g2, z) for z in domain]] + [
         [f.add(z, f.p ** i) for z in domain] for i in range(f.n)]
-    for x in orbits.square_root_candidates(f):
-        c = f.base_inv(product(x, x))
+    for c in _inversion_constants(f):
         assert orbits._inversion_move(f, c) == [f.inv(product(c, z)) for z in domain]

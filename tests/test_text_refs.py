@@ -2,7 +2,9 @@
 
 `perfbench/refs.json` pins only `--format json`.  These references were
 recorded before the integer alcove walk replaced the matrix BFS behind
-`growth`, so they also show that the walk prints the same bytes.
+`growth`, so they also show that the walk prints the same bytes.  The orbit
+entries cover every odd prime field the command admits, recorded while the
+inversion closure was still rerun for each constant c.
 """
 
 import hashlib
@@ -72,6 +74,22 @@ TEXT_AND_CSV_REFS = {
         (0, "2d60b9218cfb96541024e39026e66aebe3923c7c7cc79ca10b77ec31dd93c54c"),
     "orbit --p 3 --n 2 --format csv":
         (0, "d8778aeb4ff09fb97be0807d06f61de9fbc51e7649ef48176dabb0e1e304edf6"),
+    "orbit --p 3 --n 1 --format text":
+        (0, "ee46bd6cb6925bf651453fd0e26c8dbc10a923ba3cc18e4fcf0ba417c0cf6b0e"),
+    "orbit --p 3 --n 1 --format csv":
+        (0, "11c82b2e20fb648e737c232ff0328ea994fb6984df1e996fc54c9544df690316"),
+    "orbit --p 7 --n 1 --format text":
+        (0, "195621544fcabdb1a27443788e3bcc8d98638aa9dc1dec812f37c3b363da2da7"),
+    "orbit --p 7 --n 1 --format csv":
+        (0, "901a881ec95b682e5d826c9f00864691b190e3fb18bbeacaa82dc0f487da1d10"),
+    "orbit --p 11 --n 1 --format text":
+        (0, "9b07f526042b70fea10b1450e55404247ea798c993fd08c99f6ee9f708e86bcb"),
+    "orbit --p 11 --n 1 --format csv":
+        (0, "4e5276a2e152f07ac72e8db9f09b1d04347a5aa0fc8a265caf41ae2c5f9b3060"),
+    "orbit --p 13 --n 1 --format text":
+        (0, "2bd0dec29b2ea04af56ab5415511b8472c2ba3dd44dfa9c5932f2dfae2e51aa0"),
+    "orbit --p 13 --n 1 --format csv":
+        (0, "ca07b79c961edae838c30180fc886ad1ea03a0e330e147ba6c330c4e6f4a2ffa"),
 }
 
 

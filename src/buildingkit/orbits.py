@@ -232,17 +232,6 @@ class FiniteFieldPair:
             raise ModelError("0 has no inverse in the extension field")
         return self._exp[self.q_ext - 1 - self._log[z]]
 
-    def power(self, z, k):
-        if z:
-            return self._exp[self._log[z] * k % (self.q_ext - 1)]
-        return 0 if k else 1
-
-    def in_base(self, z):
-        return z < self.q
-
-    def frobenius(self, z):
-        return self.power(z, self.q)
-
     def nonbase_elements(self):
         return range(self.q, self.q_ext)
 
@@ -408,16 +397,15 @@ def canonical_inversion_data(fields):
 def inversion_closure_orbits(fields):
     """Orbits once the inversion moves are adjoined; odd characteristic only.
 
-    In characteristic 2 the affine moves already act transitively and the
-    affine report is returned unchanged.  Otherwise the closure runs once,
-    at the canonical c, and no other c can change it: every admissible c
-    is a nonsquare of k_F, an odd power of g, so the ratio c'/c of two is
-    a square s = g^(2j).  Then J_c'(x) = 1/(c' x) = J_c(s x), so
-    J_c' = J_c o M^j with M: x -> g^2 x one of the affine generators, and
-    the affine moves with J_c or with J_c' generate the same group.
+    The closure runs once, at the canonical c, and no other c can change
+    it: every admissible c is a nonsquare of k_F, an odd power of g, so the
+    ratio c'/c of two is a square s = g^(2j).  Then J_c'(x) = 1/(c' x) =
+    J_c(s x), so J_c' = J_c o M^j with M: x -> g^2 x one of the affine
+    generators, and the affine moves with J_c or with J_c' generate the
+    same group.
     """
     if fields.p == 2:
-        return affine_square_orbits(fields)
+        raise ValueError("inversion closure needs odd characteristic")
     _, c = canonical_inversion_data(fields)
     groups = _orbits(fields, _affine_moves(fields) + [_inversion_move(fields, c)])
     return _report_from_groups(fields, groups, "affine-square + inversion")

@@ -228,22 +228,20 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
 
     # 9. inversion rewriting identity, exhaustively
     rows = []
-    for pn in ORBIT_ODD:
-        fields = field_pairs[pn]
-        rep = orbits.verify_fraction_identity(fields)
-        rows.append({"q": fields.q, "checked": rep.n_checked,
+    identities = {pn: orbits.verify_fraction_identity(field_pairs[pn])
+                  for pn in ORBIT_ODD}
+    for rep in identities.values():
+        rows.append({"q": rep.q, "checked": rep.n_checked,
                      "skipped": rep.n_skipped, "ok": rep.holds})
     checks.append(_check(
         "fraction-identity",
         "1/(a^2 x c + b) rewrites to (a^2 x c - b)/(a^4 c - b^2) for every coefficient pair", rows))
 
-    # 10. nonsquare witness value exists
+    # 10. nonsquare witness value exists, at the c check 9 derived
     rows = []
-    for pn in ORBIT_ODD:
-        fields = field_pairs[pn]
-        _, c = orbits.canonical_inversion_data(fields)
-        a, b = orbits.exists_nonsquare_value(fields, c)
-        rows.append({"q": fields.q, "a": a, "b": b, "ok": True})
+    for pn, rep in identities.items():
+        a, b = orbits.exists_nonsquare_value(field_pairs[pn], rep.c)
+        rows.append({"q": rep.q, "a": a, "b": b, "ok": True})
     checks.append(_check(
         "nonsquare-witness",
         "some a, b make a^2 - b^2/(a^2 c) a nonzero nonsquare of the base field", rows))

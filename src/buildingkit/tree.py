@@ -82,22 +82,12 @@ class TreePair:
     def endpoints(self, e):
         return (e - 1) // self.q_E if e else 0, e + 1
 
-    def children(self, v):
-        """Ids of the materialized child edges of v (empty at the boundary)."""
-        if v >= self.n_expanded:
-            return range(0)
-        start = 1 + v * self.q_E
-        return range(start, start + self.q_E)
-
     @cached_property
     def parents(self):
         """Vertex-indexed list of the vertex each one hangs at: None for
         vertex 0, 0 for vertex 1, (v - 2) // q_E for every other v."""
         return [None, 0, *chain.from_iterable(
             map(repeat, range(self.n_expanded), repeat(self.q_E)))]
-
-    def edges(self):
-        return range(self.n_edges)
 
     def level(self, k):
         """Ids of the edges at gallery distance k from the root edge: edge 0
@@ -545,19 +535,11 @@ def epsilon_tree(g):
     tree = g.tree
     label, vm = tree.v_label, g.vertex_map
     # the sign of a mapped edge is read at its near endpoint u; on a full map
-    # every expanded vertex is one, otherwise only those with a mapped edge
-    # hanging there: among their children, or the root edge at 0
-    us = range(tree.n_expanded)
-    if not g.full:
-        em = g.edge_map
-        mapped = []
-        for u in us:
-            kids = tree.children(u)
-            first = 0 if u == 0 else kids.start
-            if (vm[u] is not None
-                    and em[first:kids.stop].count(None) < kids.stop - first):
-                mapped.append(u)
-        us = mapped
+    # every expanded vertex is one, otherwise the near endpoints of the
+    # mapped edges, which are mapped vertices
+    us = range(tree.n_expanded) if g.full else {
+        tree.endpoints(e)[0] for e, image in enumerate(g.edge_map)
+        if image is not None}
     swaps = set(map(ne, map(label.__getitem__, map(vm.__getitem__, us)),
                     map(label.__getitem__, us)))
     if len(swaps) > 1:
@@ -614,15 +596,13 @@ def endpoint_swap(tree):
     return TreeAutomorphism(tree, _lift(tree, 1, 0))
 
 
-def random_automorphism(tree, rng, swap=None):
-    """Random full automorphism: optional endpoint swap, then a uniform
-    permutation of the children at every expanded vertex.
+def random_automorphism(tree, rng):
+    """Random full automorphism: the endpoint swap on a fair coin, then a
+    uniform permutation of the children at every expanded vertex.
 
-    `rng` is a `random.Random`; the coin is `rng.random()` and each
+    `rng` is a `random.Random`; the coin is `rng.random() < 0.5` and each
     permutation draws what `rng.shuffle` would (see `_lift`)."""
-    if swap is None:
-        swap = rng.random() < 0.5
-    a, b = (1, 0) if swap else (0, 1)
+    a, b = (1, 0) if rng.random() < 0.5 else (0, 1)
     return TreeAutomorphism(tree, _lift(tree, a, b, rng))
 
 

@@ -17,13 +17,28 @@ from buildingkit.coxeter import build_affine_system, growth_coefficients
 from buildingkit.errors import BudgetError, ModelError
 
 
+# incidence read off the id layout of the tree module's docstring, never off
+# the TreePair methods the tests check
+
 def parent_edge(v):
     """The edge vertex v hangs at; both ends of the root edge hang at it."""
     return 0 if v <= 1 else v - 1
 
 
+def endpoints(t, e):
+    """The root edge joins vertices 0 and 1; edge e >= 1 hangs at vertex
+    (e - 1) // q_E and creates vertex e + 1."""
+    return (e - 1) // t.q_E if e else 0, e + 1
+
+
+def children(t, v):
+    """The q_E ids from 1 + v * q_E, when they are edges of the tree."""
+    start = 1 + v * t.q_E
+    return range(start, start + t.q_E) if start < t.n_edges else range(0)
+
+
 def incident_edges(t, v):
-    return [parent_edge(v), *t.children(v)]
+    return [parent_edge(v), *children(t, v)]
 
 
 def edge_bfs(t, sources):
@@ -33,12 +48,12 @@ def edge_bfs(t, sources):
     queue = deque(sources)
     while queue:
         e = queue.popleft()
-        for v in t.endpoints(e):
+        for v in endpoints(t, e):
             for e2 in incident_edges(t, v):
                 if e2 not in dist:
                     dist[e2] = dist[e] + 1
                     queue.append(e2)
-    return [dist[e] for e in t.edges()]
+    return [dist[e] for e in range(t.n_edges)]
 
 
 def edge_values(t, cocycle):
@@ -102,12 +117,13 @@ def test_audit_returns_the_censuses(q, depth):
     (q, depth) for q in tree.ALLOWED_QF for depth in (1, 2)])
 def test_delta_and_level_against_bfs_oracle(q, depth):
     t = tree.build_tree_pair(q, depth)
-    assert edge_bfs(t, [e for e in t.edges() if t.e_in_F[e]]) == list(t.e_delta)
+    edges = range(t.n_edges)
+    assert edge_bfs(t, [e for e in edges if t.e_in_F[e]]) == list(t.e_delta)
     # level k is exactly the edges at BFS distance k from the root edge
     levels = edge_bfs(t, [0])
     assert max(levels) == t.depth
     for k in range(t.depth + 1):
-        assert list(t.level(k)) == [e for e in t.edges() if levels[e] == k]
+        assert list(t.level(k)) == [e for e in edges if levels[e] == k]
 
 
 def test_structural_invariants_audit():
@@ -119,11 +135,11 @@ def test_delta_recursion_invariant_directly():
     # delta >= 2: exactly one incident edge at the closer panel is one class
     # nearer; delta = 1: the closer panel is marked and carries q_F + 1 marked edges
     t = tree.build_tree_pair(3, 3)
-    for e in t.edges():
+    for e in range(t.n_edges):
         delta = t.e_delta[e]
         if delta == 0:
             continue
-        closer = sum(1 for x in incident_edges(t, t.endpoints(e)[0])
+        closer = sum(1 for x in incident_edges(t, endpoints(t, e)[0])
                      if t.e_delta[x] == delta - 1)
         assert closer == (t.q_F + 1 if delta == 1 else 1), (e, delta)
 
@@ -281,7 +297,7 @@ def test_reconstruct_layer_reproduces_profile(q):
     value, delta = sol.profile[0], 0
     while layer := tree.reconstruct_layer(t, delta, value):
         delta += 1
-        assert set(layer) == {e for e in t.edges() if t.e_delta[e] == delta}
+        assert set(layer) == {e for e in range(t.n_edges) if t.e_delta[e] == delta}
         assert set(layer.values()) == {sol.profile[delta]}
         value = layer[min(layer)]
     assert delta == max(t.e_delta) == t.depth
@@ -343,14 +359,14 @@ def test_endpoint_swap_and_identity_signs():
 def test_random_automorphism_signs_and_determinism():
     t = tree.build_tree_pair(3, 3)
     rng = random.Random(11)
-    g = tree.random_automorphism(t, rng, swap=False)
+    g = tree.TreeAutomorphism(t, tree._lift(t, 0, 1, rng))
     assert tree.epsilon_tree(g) == 1
     assert len(g.vertex_map) == t.n_vertices
-    assert sorted(g.edge_map) == list(t.edges())
-    h = tree.random_automorphism(t, rng, swap=True)
+    assert sorted(g.edge_map) == list(range(t.n_edges))
+    h = tree.TreeAutomorphism(t, tree._lift(t, 1, 0, rng))
     assert tree.epsilon_tree(h) == -1
     # same seed, same maps
-    g2 = tree.random_automorphism(t, random.Random(11), swap=False)
+    g2 = tree.TreeAutomorphism(t, tree._lift(t, 0, 1, random.Random(11)))
     assert g2.vertex_map == g.vertex_map
 
 
@@ -440,12 +456,23 @@ def test_epsilon_rejects_incoherent_and_empty_maps():
         tree.epsilon_tree(empty)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_epsilon_of_a_map_defined_on_the_root_edge_alone(q):
+    # the root edge is the only mapped edge, and hangs at no child range
+    t = tree.build_tree_pair(q, 2)
+    for e in range(t.n_edges):
+        for u, w in (endpoints(t, e), endpoints(t, e)[::-1]):
+            aut = tree.TreeAutomorphism(t, partial_map(t, {0: u, 1: w}))
+            expected = 1 if t.v_label[u] == t.v_label[0] else -1
+            assert tree.epsilon_tree(aut) == reference_epsilon(aut) == expected
+
+
 def test_edge_between_index():
     # the edge between u and w is read off the automorphism edge map: the
     # root edge's endpoints sent to u, w in either order land on it
     t = tree.build_tree_pair(2, 2)
-    for e in t.edges():
-        u, w = t.endpoints(e)
+    for e in range(t.n_edges):
+        u, w = endpoints(t, e)
         assert tree.TreeAutomorphism(t, partial_map(t, {0: u, 1: w})).edge_map[0] == e
         assert tree.TreeAutomorphism(t, partial_map(t, {0: w, 1: u})).edge_map[0] == e
     with pytest.raises(ValueError, match="breaks adjacency"):
@@ -457,7 +484,7 @@ def test_edge_between_matches_endpoint_index(q):
     # the root edge's endpoints sent to any pair u, w: an edge exactly when
     # the endpoint index has it, and then the root edge maps to that edge
     t = tree.build_tree_pair(q, 2)
-    index = {frozenset(t.endpoints(e)): e for e in t.edges()}
+    index = {frozenset(endpoints(t, e)): e for e in range(t.n_edges)}
     ids = range(t.n_vertices)
     for u in ids:
         for w in ids:
@@ -501,7 +528,7 @@ def shuffled_lift(t, a, b, rng):
     order."""
     vm = [a, b] + [None] * (t.n_vertices - 2)
     for v in range(t.n_expanded):
-        block = [e + 1 for e in t.children(vm[v])]
+        block = [e + 1 for e in children(t, vm[v])]
         rng.shuffle(block)
         vm[2 + v * t.q_E:2 + (v + 1) * t.q_E] = block
     return vm
@@ -512,8 +539,8 @@ def reference_edge_map(t, vm):
     be edge hi - 1, which hangs at vertex 0 when hi == 1 and at
     (hi - 2) // q_E otherwise; -1 marks a mapped pair that is not an edge."""
     edge_map = []
-    for e in t.edges():
-        u, w = t.endpoints(e)
+    for e in range(t.n_edges):
+        u, w = endpoints(t, e)
         if vm[u] is None or vm[w] is None:
             edge_map.append(None)
             continue
@@ -531,7 +558,7 @@ def reference_epsilon(g):
     for u in range(t.n_expanded):
         if vm[u] is None:
             continue
-        kids = t.children(u)
+        kids = children(t, u)
         first = 0 if u == 0 else kids.start
         if em[first:kids.stop].count(None) < kids.stop - first:
             swaps.add(label[vm[u]] != label[u])
@@ -555,7 +582,7 @@ def subtree(t, v):
     below, stack = [], [v]
     while stack:
         below.append(stack.pop())
-        stack.extend(e + 1 for e in t.children(below[-1]))
+        stack.extend(e + 1 for e in children(t, below[-1]))
     return below
 
 
@@ -598,7 +625,7 @@ def test_edge_map_matches_floor_division(t, seed, holes, swaps):
     expected = reference_edge_map(t, vm)
     if -1 in expected:
         e = expected.index(-1)
-        u, w = t.endpoints(e)
+        u, w = endpoints(t, e)
         with pytest.raises(ValueError) as info:
             tree.TreeAutomorphism(t, vm)
         assert str(info.value) == (f"vertex map breaks adjacency: edge {e} "
@@ -672,7 +699,7 @@ def test_full_map_refusals_keep_their_messages(t):
                 exchanged(range(n), 1, 2)):
         expected = reference_edge_map(t, bad)
         e = expected.index(-1)
-        u, w = t.endpoints(e)
+        u, w = endpoints(t, e)
         with pytest.raises(ValueError) as info:
             tree.TreeAutomorphism(t, bad)
         assert str(info.value) == (f"vertex map breaks adjacency: edge {e} "
@@ -856,7 +883,7 @@ def test_audit_reports_damaged_trees():
     deltas[12] = 2
     assert problems(e_delta=deltas) == ("edge 12 at delta=2, expected delta=1",)
     # every single-edge delta change is reported
-    for e in t.edges():
+    for e in range(t.n_edges):
         for d in range(t.depth + 2):
             if d != t.e_delta[e]:
                 deltas = bytearray(t.e_delta)
@@ -897,13 +924,13 @@ def test_audit_refuses_a_label_out_of_range_at_the_boundary():
 def marked_walk_connects(t):
     """Oracle: walk the marked edges out from the root edge through their
     endpoints and check that the walk reaches every marked edge."""
-    marked = {e for e in t.edges() if t.e_in_F[e]}
+    marked = {e for e in range(t.n_edges) if t.e_in_F[e]}
     seen_vertices, seen_edges, stack = {0, 1}, {0}, [0, 1]
     while stack:
         for e in incident_edges(t, stack.pop()):
             if e in marked and e not in seen_edges:
                 seen_edges.add(e)
-                for w in t.endpoints(e):
+                for w in endpoints(t, e):
                     if w not in seen_vertices:
                         seen_vertices.add(w)
                         stack.append(w)
@@ -1002,9 +1029,9 @@ def reference_reconstruct_layer(t, delta, values):
     """The layer pushed outward edge by edge: each outer edge's panel sums
     the input values of its edges at delta or closer."""
     out, panels = {}, {}
-    for e in t.edges():
+    for e in range(t.n_edges):
         if t.e_delta[e] == delta + 1:
-            panels.setdefault(t.endpoints(e)[0], []).append(e)
+            panels.setdefault(endpoints(t, e)[0], []).append(e)
     for panel, outer in panels.items():
         inner = [e for e in incident_edges(t, panel) if t.e_delta[e] <= delta]
         inner_sum = sum((values[e] for e in inner), Fraction(0))
@@ -1031,7 +1058,8 @@ def test_reconstruct_layer_matches_the_edge_loop(shape, edits, delta, value):
         with pytest.raises(ValueError, match=f"got {delta}$"):
             tree.reconstruct_layer(t, delta, value)
         return
-    values = dict.fromkeys((e for e in t.edges() if deltas[e] == delta), value)
+    values = dict.fromkeys((e for e in range(t.n_edges) if deltas[e] == delta),
+                           value)
     try:
         expected = reference_reconstruct_layer(t, delta, values)
     except KeyError:
@@ -1056,7 +1084,7 @@ def reference_audit(t):
         return tuple(short)
     vertex_problems, label_problems, delta_problems = [], [], []
     for v in range(t.n_expanded):
-        kids = t.children(v)
+        kids = children(t, v)
         s, u = kids.start, kids.stop
         p = 0 if v <= 1 else v - 1
         n_marked = e_in_F[p] + e_in_F[s:u].count(True)
@@ -1165,7 +1193,7 @@ def reference_deltas(t):
         found.append(f"edge 0 at delta={deltas[0]}, "
                      f"expected delta{'=0' if marks[0] else '>0'}")
     for e in range(1, t.n_edges):
-        parent = parent_edge(t.endpoints(e)[0])
+        parent = parent_edge(endpoints(t, e)[0])
         want = 0 if marks[e] else deltas[parent] + 1
         if deltas[e] != want:
             found.append(f"edge {e} at delta={deltas[e]}, expected delta={want}")

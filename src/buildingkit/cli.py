@@ -294,8 +294,14 @@ def _build_parser():
 
     p = sub.add_parser("suite", parents=[common],
                        help="run every verification check")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--depth", type=int, default=6,
+                   help="depth of the q_F = 2 and 3 trees (default "
+                        "%(default)s); at least 6, and the tree edge budget "
+                        f"of {tree.DEFAULT_EDGE_BUDGET:,} makes 6 the only "
+                        "depth that runs")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the tree automorphism sampling "
+                        "(default %(default)s)")
     return parser
 
 

@@ -95,7 +95,6 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
                for f, r in GRID_TYPES for q in GRID_QF}
     field_pairs = {pn: orbits.build_fields(*pn)
                    for pn in ORBIT_CHAR2 + ORBIT_ODD}
-    deep_trees = {q: tree.build_tree_pair(q, depth) for q in (2, 3)}
     small_trees = {q: tree.build_tree_pair(q, 4 if q <= 3 else 3)
                    for q in GRID_QF}
 
@@ -151,7 +150,9 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
         "counting-bound",
         "sphere sizes satisfy a_k <= (d+1) d^(k-1) for k <= 8, with equality in rank 1", rows))
 
-    # 5. tree census and structural audit
+    # 5. tree census and structural audit; the deep trees live through
+    # checks 5 and 6 only, so check 12's sampler reuses their memory
+    deep_trees = {q: tree.build_tree_pair(q, depth) for q in (2, 3)}
     rows = []
     for q, t in sorted({**small_trees, **deep_trees}.items()):
         audit = tree.check_tree_invariants(t)
@@ -181,6 +182,7 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     checks.append(_check(
         "iwahori-harmonicity",
         "the alternating geometric cocycle is harmonic at every interior vertex with decay constant exactly 1", rows))
+    del deep_trees, t  # t is still the q_F = 3 deep tree
 
     # 7. one-dimensional invariant space with the forced profile
     rows = []

@@ -144,14 +144,16 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
     for k in range(1, depth + 1):
         size = len(marks) * q_E
         stop, half = start + size, start + size // 2
-        v_label[start + 1:half + 1] = bytes((k % 2,)) * (size // 2)
-        v_label[half + 1:stop + 1] = bytes((1 - k % 2,)) * (size // 2)
+        # slice assignment copies a bytes source first, not a bytearray one
+        v_label[start + 1:half + 1] = bytearray((k % 2,)) * (size // 2)
+        v_label[half + 1:stop + 1] = bytearray((1 - k % 2,)) * (size // 2)
         shifted = deltas.translate(to_first), deltas.translate(to_rest)
         for j in range(q_E):
             e_delta[start + j:stop:q_E] = shifted[j >= q_F]
         for j in range(q_F):  # the other children stay unmarked
             e_in_F[start + j:stop:q_E] = marks
-        marks, deltas = e_in_F[start:stop], e_delta[start:stop]
+        if k < depth:  # the last level's copies would have no reader
+            marks, deltas = e_in_F[start:stop], e_delta[start:stop]
         start = stop
 
     return TreePair(q_F, depth, e_in_F, e_delta, v_label)
@@ -169,7 +171,7 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
 
 def _hits(value):
     """Translation table sending the byte `value` to 1 and all others to 0."""
-    return bytes(map(value.__eq__, range(256)))
+    return bytes(value) + b"\1" + bytes(255 - value)
 
 
 def _at_parents(column, n):
@@ -194,9 +196,10 @@ def _edge_sums(column, q_E, n):
 
 
 def _outside(column, top):
-    """(id, entry) for each entry above top; one pass over the bytes clears
-    a column in range."""
-    if 1 not in column.translate(bytes(map(top.__lt__, range(256)))):
+    """(id, entry) for each entry above top.  Deleting the bytes 0..top
+    keeps only the entries out of range, so one pass clears a column in
+    range without copying it."""
+    if not column.translate(None, bytes(range(top + 1))):
         return []
     return [(i, x) for i, x in enumerate(column) if x > top]
 
@@ -424,7 +427,7 @@ def reconstruct_layer(tree, delta, value):
         return {}
     # per panel: its edges at delta or closer, those at delta, and its outer
     # edges, the ones hanging there at delta + 1 (the root edge at vertex 0)
-    inner = deltas.translate(bytes(map(delta.__ge__, range(256))))
+    inner = deltas.translate(b"\1" * (delta + 1) + bytes(255 - delta))
     outer = deltas.translate(_hits(delta + 1))
     sums = (_edge_sums(inner, q_E, n), _edge_sums(known, q_E, n),
             _child_sums(outer, q_E, n) + (outer[0] << 8 * (n - 1)))

@@ -3,6 +3,7 @@
 import hashlib
 import random
 import tracemalloc
+import weakref
 from collections import deque
 from fractions import Fraction
 from math import lcm
@@ -982,16 +983,44 @@ def test_audit_reports_columns_of_the_wrong_length(q):
         assert problems(**cut) == tuple(wrong(name, k) for name in COLUMNS)
 
 
-@pytest.mark.parametrize("q,depth", [(3, 5), (2, 8)])
+@pytest.mark.parametrize("q,depth", [(3, 5), (2, 8), (7, 3)])
 def test_tree_pair_keeps_few_bytes_per_edge(q, depth):
-    # one byte per flag, delta and label, and nothing else per edge
+    # one byte per flag, delta and label, and nothing else per edge; while
+    # building, the copies of a level and the label fills stay under one
+    # more byte per edge
     tracemalloc.start()
     try:
         t = tree.build_tree_pair(q, depth)
-        kept, _ = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert kept <= 4 * t.n_edges, kept / t.n_edges
+    assert peak <= 4 * t.n_edges, peak / t.n_edges
+
+
+def test_suite_frees_the_deep_trees_before_the_sampler(monkeypatch):
+    # only checks 5 and 6 read the depth-6 trees; check 12's sampler, which
+    # sets the suite's peak memory, must not run on top of their columns
+    built, live_shapes = [], []
+    build, swap = tree.build_tree_pair, tree.endpoint_swap
+
+    def tracked_build(*args, **kwargs):
+        t = build(*args, **kwargs)
+        built.append(((t.q_F, t.depth), weakref.ref(t)))
+        return t
+
+    def tracked_swap(t):
+        if not live_shapes:
+            live_shapes.append(sorted(shape for shape, ref in built
+                                      if ref() is not None))
+        return swap(t)
+
+    monkeypatch.setattr(tree, "build_tree_pair", tracked_build)
+    monkeypatch.setattr(tree, "endpoint_swap", tracked_swap)
+    monkeypatch.setattr(suite, "SAMPLED_PAIRS", 1)
+    assert suite.run_suite().passed
+    assert {(2, 6), (3, 6)} <= {shape for shape, _ in built}
+    assert live_shapes == [[(2, 4), (3, 4), (4, 3), (5, 3)]]
 
 
 def test_solver_recheck_fires(monkeypatch):

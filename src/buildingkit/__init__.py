@@ -13,8 +13,8 @@ The package computes, all in exact rational arithmetic:
   subtree, with harmonic-cocycle verification, a one-dimensional invariant
   solver, layer reconstruction, and a sign character on tree automorphisms;
 - orbit closures of affine-square and inversion moves on the complement of
-  a residue field inside its quadratic extension, grown from a few
-  generating moves;
+  a residue field inside its quadratic extension, read off square classes
+  and one inversion crossing;
 - a consolidated check suite and a CLI (`buildingkit`); the package reads
   and writes no files.
 """

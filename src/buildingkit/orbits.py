@@ -11,21 +11,16 @@ with the constant coefficient compared first, element picks and orbit
 representatives by the integer encoding.
 
 The orbit checks act on the q^2 - q labels x in k_E minus k_F.  The first
-move family is x -> a^2 x + b with a, b in the base field, a nonzero.  The
-second, available in odd characteristic only, is x -> 1/(a^2 x c + b) where
-c is the inverse square of a fixed x_0 outside the base field with x_0^2
-inside it.  On the complement a^2 x c + b never lies in the base field, so
-every move permutes it, and the orbits are those of the group generated by
-x -> g^2 x, x -> x + p^i (i < n) and x -> 1/(c x), where g = G^(q+1), the
-norm of the least generator G of k_E^*, generates the units of k_F; they
-are computed from these generators in one traversal.  Every admissible c
-generates the same group (see `inversion_closure_orbits`), so the closure
-runs once, at the canonical c.
+move family is x -> a^2 x + b with a, b in the base field, a nonzero; its
+orbits are the square classes of v in x = u + q*v, read off `is_square_base`.
+The second, available in odd characteristic only, is x -> 1/(a^2 x c + b)
+where c is the inverse square of a fixed x_0 outside the base field with
+x_0^2 inside it; it is x -> 1/(c x) after an affine move, so its closure
+merges the two classes once 1/(c x) is seen to cross between them, as the
+norm proves it must for every c (see `inversion_closure_orbits`).
 
 Both fields multiply by index (Zech-log) arithmetic on exp and log tables
-of one generator (G; the least primitive element of k_F), and the orbit
-generators are permutation lists: x -> g^2 x shifts log x, x -> x + p^i adds
-a base-add column per y-block, and x -> 1/(c x) negates log c + log x.
+of one generator (G; the least primitive element of k_F).
 """
 
 from __future__ import annotations
@@ -309,55 +304,19 @@ class OrbitReport:
         }
 
 
-def _orbits(fields, moves):
-    """Orbits of the group the moves generate on k_E minus k_F, least-first.
+def _square_classes(fields):
+    """k_E minus k_F split by whether v in x = u + q*v is a square of k_F.
 
-    A move lists the images of q, q + 1, ..., and each must permute the
-    complement: distinct images, none in the base field.  A permutation of
-    a finite set has an inverse among its powers, so growing each orbit
-    forward from its least unseen element reaches the whole group orbit.
+    These are the orbits of x -> a^2 x + b: the move sends (u, v) to
+    (a^2 u + b, a^2 v), so it keeps v's square class, and a^2 = v'/v with
+    b = u' - a^2 u reaches any (u', v') of that class.  Each class is listed
+    in increasing order, the squares' (holding q) first; in characteristic 2
+    every unit is a square and there is one class.
     """
-    q, domain = fields.q, fields.nonbase_elements()
-    for move in moves:
-        if len(move) != len(domain) or set(move) != set(domain):
-            raise ModelError("a generating move does not permute k_E minus k_F")
-    seen = bytearray(fields.q_ext)
-    groups = []
-    for start in domain:
-        if seen[start]:
-            continue
-        seen[start] = 1
-        orbit = [start]
-        for z in orbit:
-            for move in moves:
-                w = move[z - q]
-                if not seen[w]:
-                    seen[w] = 1
-                    orbit.append(w)
-        groups.append(orbit)
-    return groups
-
-
-def _affine_moves(fields):
-    """Generators of the moves x -> a^2 x + b: x -> g^2 x and x -> x + p^i.
-
-    g = G^(q+1) is the norm of the generator G of k_E^*, of order
-    (q^2 - 1)/(q + 1) = q - 1, so it generates the unit group of the base
-    field and g^2 its squares; x -> g^2 x adds 2(q + 1) to log x.  The p^i
-    for i < n encode the F_p-basis x^i of the base field, and adding one
-    moves u in x = u + q*v along the base-add column of p^i.
-    """
-    q, exp, shift = fields.q, fields._exp, 2 * (fields.q + 1) % (fields.q_ext - 1)
-    columns = [[row[fields.p ** i] for row in fields._badd] for i in range(fields.n)]
-    return [[exp[k + shift] for k in fields._log[q:]]] + [
-        [v + u for v in range(q, fields.q_ext, q) for u in column] for column in columns]
-
-
-def _inversion_move(fields, c):
-    """J_c: x -> 1/(c x), so log J_c(x) = -(log c + log x); 1/(a^2 c x + b)
-    is J_c after x -> a^2 x + b/c."""
-    exp, top = fields._exp, -fields._log[c] % (fields.q_ext - 1) + fields.q_ext - 1
-    return [exp[top - k] for k in fields._log[fields.q:]]
+    classes = ([], [])
+    for x in fields.nonbase_elements():
+        classes[not fields.is_square_base(x // fields.q)].append(x)
+    return [c for c in classes if c]
 
 
 def _report_from_groups(fields, groups, moves):
@@ -369,8 +328,7 @@ def _report_from_groups(fields, groups, moves):
 
 def affine_square_orbits(fields):
     """Orbits of x -> a^2 x + b on the complement of the base field."""
-    groups = _orbits(fields, _affine_moves(fields))
-    return _report_from_groups(fields, groups, "affine-square")
+    return _report_from_groups(fields, _square_classes(fields), "affine-square")
 
 
 def canonical_inversion_data(fields):
@@ -397,17 +355,27 @@ def canonical_inversion_data(fields):
 def inversion_closure_orbits(fields):
     """Orbits once the inversion moves are adjoined; odd characteristic only.
 
-    The closure runs once, at the canonical c, and no other c can change
-    it: every admissible c is a nonsquare of k_F, an odd power of g, so the
-    ratio c'/c of two is a square s = g^(2j).  Then J_c'(x) = 1/(c' x) =
-    J_c(s x), so J_c' = J_c o M^j with M: x -> g^2 x one of the affine
-    generators, and the affine moves with J_c or with J_c' generate the
-    same group.
+    1/(a^2 x c + b) is J_c: x -> 1/(c x) after x -> a^2 x + b/c, so the
+    orbits are the square classes joined wherever J_c crosses between them.
+    J_c(u + v y) = x^q/(c N(x)), with N(x) = x^(q+1) the norm, has
+    y-coordinate -v/(c N(x)).  N maps k_E^* onto k_F^* with fibres of q + 1
+    and k_F^* onto its squares 2 to 1, so outside k_F it still takes every
+    value, and for every nonzero c some x crosses: one orbit is left, and
+    the canonical c stands for all.  The crossing is still computed, so
+    arithmetic that keeps each class leaves two orbits, which
+    `transitivity_holds` refuses.
     """
     if fields.p == 2:
         raise ValueError("inversion closure needs odd characteristic")
     _, c = canonical_inversion_data(fields)
-    groups = _orbits(fields, _affine_moves(fields) + [_inversion_move(fields, c)])
+    domain, q = fields.nonbase_elements(), fields.q
+    images = [fields.inv(fields.mul(c, x)) for x in domain]
+    if sorted(images) != list(domain):
+        raise ModelError("a generating move does not permute k_E minus k_F")
+    groups = _square_classes(fields)
+    if any(fields.is_square_base(x // q) != fields.is_square_base(w // q)
+           for x, w in zip(domain, images)):
+        groups = [list(domain)]
     return _report_from_groups(fields, groups, "affine-square + inversion")
 
 

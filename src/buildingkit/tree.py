@@ -112,22 +112,22 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
     """Build the truncated tree pair for a residue size q_F and a depth.
 
     Raises BudgetError before allocating anything when the edge count would
-    exceed the budget; the error reports the smallest depth that already
-    fails.
+    exceed the budget; the count is walked level by level only as far as
+    the smallest depth that already fails, which the error names.
     """
     if q_F not in ALLOWED_QF:
         raise ValueError(f"q_F must be one of {ALLOWED_QF}, got {q_F}")
     if isinstance(depth, bool) or depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     q_E = q_F * q_F
-    n_edges = _projected_edges(q_E, depth)
-    if n_edges > edge_budget:
-        failing = next(L for L in range(1, depth + 1)
-                       if _projected_edges(q_E, L) > edge_budget)
-        raise BudgetError(
-            f"tree with q_F={q_F} needs {n_edges} edges at "
-            f"depth {depth}, over budget {edge_budget}",
-            budget=edge_budget, smallest_failing_depth=failing)
+    n_edges = 1
+    for k in range(1, depth + 1):
+        n_edges += 2 * q_E ** k
+        if n_edges > edge_budget:
+            raise BudgetError(
+                f"tree with q_F={q_F} needs {n_edges} edges at "
+                f"depth {k}, over budget {edge_budget}",
+                budget=edge_budget, smallest_failing_depth=k)
 
     # level k is 2 q_E^k edges from `start` on; they hang at the far ends of
     # level k - 1 (of the root edge, for k = 1), so the j-th children are

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,26 @@ def test_exit_budget_of_the_tree_commands(capsys, argv):
     assert err.startswith("budget exceeded: tree with q_F=")
 
 
+@pytest.mark.parametrize("argv,q_F", [
+    ("tree-verify --qF 2 --depth 7150", 2),
+    ("tree-verify --qF 2 --depth 100000", 2),
+    ("invariant --qF 3 --depth 4600", 3),
+    # suite's q_F = 2 tree fits at depth 7, its q_F = 3 tree does not
+    ("suite --depth 7200", 2),
+    ("suite --depth 7", 3)])
+def test_exit_budget_names_the_smallest_failing_depth(capsys, argv, q_F):
+    # the edge count is walked only to the first depth over the budget, so
+    # a deep request is refused at once and its count never grows past the
+    # digits a Python int may print
+    depth, edges = {2: (11, 11184809), 3: (7, 10761679)}[q_F]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv.split())
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (3, "")
+    assert err == (f"budget exceeded: tree with q_F={q_F} needs {edges} edges "
+                   f"at depth {depth}, over budget 4000000\n")
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_growth_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
     def never(*args, **kwargs):
@@ -315,16 +336,38 @@ def test_growth_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_char2_builds_the_affine_orbits_once(capsys, monkeypatch, n):
     calls = []
-    traverse = orbits._orbits
+    split = orbits._square_classes
 
     def counted(*args):
         calls.append(args)
-        return traverse(*args)
+        return split(*args)
 
-    monkeypatch.setattr(orbits, "_orbits", counted)
+    monkeypatch.setattr(orbits, "_square_classes", counted)
     code, _, _ = run_cli(capsys, ["orbit", "--p", "2", "--n", str(n)])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_orbit_fails_when_the_inversion_keeps_each_class(capsys, monkeypatch):
+    # J_c made the identity inside the closure: 1/(c x) reads x, so no x
+    # crosses between the square classes and two closure orbits are left
+    closure = orbits.inversion_closure_orbits
+
+    def identity_inversion(fields):
+        _, c = orbits.canonical_inversion_data(fields)
+        with monkeypatch.context() as m:
+            m.setattr(orbits.FiniteFieldPair, "inv",
+                      lambda self, z: self.mul(self.base_inv(c), z))
+            return closure(fields)
+
+    monkeypatch.setattr(orbits, "inversion_closure_orbits", identity_inversion)
+    code, out, err = run_cli(capsys, ["orbit", "--p", "3", "--format", "json"])
+    data = json.loads(out)
+    assert (code, err, data["ok"]) == (1, "", False)
+    assert data["closure"]["orbit_count"] == 2
+    assert data["closure"]["orbit_sizes"] == data["affine"]["orbit_sizes"] == [3, 3]
+    # the identity check runs with the true inverse and still holds
+    assert data["identity"]["holds"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -273,8 +273,8 @@ def _products_of_one_read_zero(p, n, build=orbits.build_fields):
     return fields
 
 
-def _extra_orbit(fields, moves, grow=orbits._orbits):
-    return grow(fields, moves) + [[fields.q]]
+def _extra_orbit(fields, split=orbits._square_classes):
+    return split(fields) + [[fields.q]]
 
 
 def _representative_lost(fields, groups, moves, report=orbits._report_from_groups):
@@ -300,8 +300,10 @@ def orbit_check_errors():
         # every t is a root of every quadratic when every sum reads 0
         (pair, "_base_add_table", lambda self: [[0] * self.q] * self.q, p3),
         (pair, "_init_ext_tables", _frobenius_moved, p3),
-        (orbits, "_orbits", _extra_orbit, p3),
+        (orbits, "_square_classes", _extra_orbit, p3),
         (orbits, "_report_from_groups", _representative_lost, p3),
+        # every 1/(c x) reads q, so J_c is not injective
+        (pair, "inv", lambda self, z: self.q, p3),
         (pair, "is_square_base", lambda self, a: a != 0, p3),
         (orbits, "canonical_inversion_data",
          lambda fields: (canonical(fields)[0], 1), p3),
@@ -331,6 +333,7 @@ ORBIT_CHECK_ERRORS = {
         "Frobenius fixed points differ from the base field at 2",
         "orbit sizes do not add up to q^2 - q",
         "orbit count, sizes and representatives disagree",
+        "a generating move does not permute k_E minus k_F",
         "x_0^2 must be a nonsquare of the base field",
         "x_0^2 is not 1/c",
         "0 has no inverse in the extension field",

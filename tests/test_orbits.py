@@ -380,7 +380,7 @@ def test_orbit_report_json_dict():
     }
 
 
-# -- the generator traversal against brute force, on every admitted field ------
+# -- the square classes and the inversion crossing against brute force ---------
 
 @functools.cache
 def _fields(p, n):
@@ -400,17 +400,18 @@ def test_generator_orbits_equal_the_brute_force_closure(p, n):
     report = orbits.affine_square_orbits(f)
     assert (report.orbit_count, report.orbit_sizes, report.representatives) \
         == affine[:3]
-    assert _summary(orbits._orbits(f, orbits._affine_moves(f))) == affine
+    classes = orbits._square_classes(f)
+    assert _summary(classes) == affine
+    # each class ascending, the one holding q first
+    assert classes == sorted(map(sorted, classes)) and classes[0][0] == f.q
     if p == 2:  # the affine moves alone are transitive there
         return
 
     full = orbits.inversion_closure_orbits(f)
     _, c = orbits.canonical_inversion_data(f)
     closure = _summary(_closure_oracle(f, _all_images(f, c)))
-    assert (full.orbit_count, full.orbit_sizes, full.representatives) \
-        == closure[:3]
-    generators = orbits._affine_moves(f) + [orbits._inversion_move(f, c)]
-    assert _summary(orbits._orbits(f, generators)) == closure
+    assert (full.orbit_count, full.orbit_sizes, full.representatives,
+            {frozenset(f.nonbase_elements())}) == closure
 
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
@@ -431,27 +432,20 @@ def test_every_move_permutes_the_complement(p, n):
                 assert {f.inv(f.add(f.mul(a2c, z), b)) for z in domain} == domain
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (3, 1), (5, 1)])
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1)])
 def test_a_generator_that_does_not_permute_is_refused(p, n, monkeypatch):
     f = _fields(p, n)
-    domain = f.nonbase_elements()
-    affine = orbits._affine_moves
-    for bad in ([z % f.q for z in domain],  # lands in the base field
-                [f.q] * len(domain)):       # not injective
-        monkeypatch.setattr(orbits, "_affine_moves",
-                            lambda fields, bad=bad: affine(fields) + [bad])
-        with pytest.raises(ModelError, match="does not permute"):
-            orbits.affine_square_orbits(f)
-        if p != 2:
-            with pytest.raises(ModelError, match="does not permute"):
+    mul = orbits.FiniteFieldPair.mul
+    for name, bad in (
+            ("inv", lambda self, z: z % self.q),  # lands in the base field
+            ("inv", lambda self, z: self.q),      # not injective
+            # c x squared: x_0 lands in the base field
+            ("mul", lambda self, z1, z2: mul(self, z2, z2))):
+        with monkeypatch.context() as m:
+            m.setattr(orbits.FiniteFieldPair, name, bad)
+            with pytest.raises(ModelError, match="^a generating move does not "
+                                                 "permute k_E minus k_F$"):
                 orbits.inversion_closure_orbits(f)
-    monkeypatch.setattr(orbits, "_affine_moves", affine)
-    if p != 2:
-        # squaring sends x_0 into the base field
-        monkeypatch.setattr(orbits, "_inversion_move",
-                            lambda fields, c: [fields.mul(z, z) for z in domain])
-        with pytest.raises(ModelError, match="does not permute"):
-            orbits.inversion_closure_orbits(f)
 
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
@@ -517,25 +511,61 @@ ALL_ODD = ODD + [(11, 1), (13, 1)]
 
 
 @pytest.mark.parametrize("p,n", ALL_ODD)
-def test_every_c_gives_the_canonical_partition(p, n):
-    # the oracle for the single closure: rerun it for each distinct c
+def test_every_c_gives_the_canonical_partition(p, n, monkeypatch):
+    # the oracle for the single closure: the brute-force closure at each
+    # distinct c, which the report computed at that c also equals
     f = _fields(p, n)
     closure = orbits.inversion_closure_orbits(f)
-    affine = orbits._affine_moves(f)
     _, c0 = orbits.canonical_inversion_data(f)
-    canonical = orbits._orbits(f, affine + [orbits._inversion_move(f, c0)])
     cs = _inversion_constants(f)
     assert c0 in cs and len(cs) == (f.q - 1) // 2
     for c in cs:
-        groups = orbits._orbits(f, affine + [orbits._inversion_move(f, c)])
-        assert {frozenset(g) for g in groups} == {frozenset(g) for g in canonical}
-        assert orbits._report_from_groups(f, groups, closure.moves) == closure
+        assert _summary(_closure_oracle(f, _all_images(f, c))) == (
+            closure.orbit_count, closure.orbit_sizes, closure.representatives,
+            {frozenset(f.nonbase_elements())})
+        monkeypatch.setattr(orbits, "canonical_inversion_data",
+                            lambda fields, c=c: (None, c))
+        assert orbits.inversion_closure_orbits(f) == closure
+
+
+@pytest.mark.parametrize("p,n", ALL_ODD)
+def test_the_norm_proves_the_inversion_crossing(p, n):
+    # the proof in `inversion_closure_orbits`: J_c(u + v y) has y-coordinate
+    # -v/(c N(x)) for N(x) = x^(q+1), N takes every unit of k_F outside k_F,
+    # so every nonzero c sends some x into the other square class
+    f = _fields(p, n)
+    product = _reference(p, n)[2]
+    norms = {x: _reference_power(product, x, f.q + 1) for x in f.nonbase_elements()}
+    assert set(norms.values()) == set(f.base_units())
+    for c in f.base_units():
+        crossed = False
+        for x, norm in norms.items():
+            v, w = x // f.q, f.inv(f.mul(c, x)) // f.q
+            assert w == f.base_mul(f.neg(v), f.base_inv(f.base_mul(c, norm)))
+            crossed |= f.is_square_base(v) != f.is_square_base(w)
+        assert crossed
+
+
+@pytest.mark.parametrize("p,n", ALL_ODD)
+def test_closure_runs_once(p, n, monkeypatch):
+    # one pass: J_c is taken once for each x, at the canonical c only, and
+    # the square classes are read once
+    f = _fields(p, n)
+    _, c = orbits.canonical_inversion_data(f)
+    inverted, split = [], []
+    inv, classes = orbits.FiniteFieldPair.inv, orbits._square_classes
+    monkeypatch.setattr(orbits.FiniteFieldPair, "inv",
+                        lambda self, z: inverted.append(z) or inv(self, z))
+    monkeypatch.setattr(orbits, "_square_classes",
+                        lambda fields: split.append(1) or classes(fields))
+    orbits.inversion_closure_orbits(f)
+    assert sorted(inverted) == sorted(f.mul(c, x) for x in f.nonbase_elements())
+    assert len(split) == 1
 
 
 @pytest.mark.parametrize("p,n", ALL_ODD)
 def test_ratios_of_inversion_constants_are_squares(p, n):
-    # the premise of the proof: c'/c = s is a nonzero square of k_F, and
-    # J_c'(x) = J_c(s x)
+    # the admissible c differ by squares s of k_F, and J_c'(x) = J_c(s x)
     f = _fields(p, n)
     mul = _reference(p, n)[1]
     squares = {mul[t][t] for t in f.base_units()}
@@ -543,19 +573,8 @@ def test_ratios_of_inversion_constants_are_squares(p, n):
     for c, c2 in itertools.product(cs, repeat=2):
         s = f.base_mul(c2, f.base_inv(c))
         assert s in squares
-        move, move2 = orbits._inversion_move(f, c), orbits._inversion_move(f, c2)
-        assert move2 == [move[f.mul(s, z) - f.q] for z in f.nonbase_elements()]
-
-
-@pytest.mark.parametrize("p,n", ALL_ODD)
-def test_closure_runs_once(p, n, monkeypatch):
-    f = _fields(p, n)
-    calls = []
-    grow = orbits._orbits
-    monkeypatch.setattr(orbits, "_orbits",
-                        lambda fields, moves: calls.append(1) or grow(fields, moves))
-    orbits.inversion_closure_orbits(f)
-    assert len(calls) == 1
+        assert all(f.inv(f.mul(c2, z)) == f.inv(f.mul(c, f.mul(s, z)))
+                   for z in f.nonbase_elements())
 
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
@@ -659,15 +678,3 @@ def test_generators_are_the_least_of_full_order(p, n):
                              if order(a, lambda s, t: mul[s][t]) == f.q - 1)
     assert f._exp[1] == f._ext_generator == min(
         z for z in range(1, f.q_ext) if order(z, product) == f.q_ext - 1)
-
-
-@pytest.mark.parametrize("p,n", ALL_FIELDS)
-def test_move_lists_are_the_generating_maps(p, n):
-    f = _fields(p, n)
-    product = _reference(p, n)[2]
-    domain = f.nonbase_elements()
-    g2 = _reference_power(product, f._ext_generator, 2 * (f.q + 1))
-    assert orbits._affine_moves(f) == [[product(g2, z) for z in domain]] + [
-        [f.add(z, f.p ** i) for z in domain] for i in range(f.n)]
-    for c in _inversion_constants(f):
-        assert orbits._inversion_move(f, c) == [f.inv(product(c, z)) for z in domain]

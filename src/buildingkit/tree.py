@@ -27,7 +27,8 @@ A cocycle is constant on the levels: one integer numerator per level over
 one common denominator.  So the harmonicity, decay and period passes do
 integer arithmetic once per level, and build a `Fraction` only for their
 results.  The invariant cocycle is constant on the deltas instead; it is
-solved and rebuilt class by class.  Automorphisms are id-indexed lists.
+solved by forward substitution on its triangular rows, and rebuilt class by
+class.  Automorphisms are id-indexed lists.
 """
 
 from __future__ import annotations
@@ -381,29 +382,21 @@ class InvariantSolution:
 def invariant_solver(tree):
     """Solve for cocycles constant on delta-classes, harmonic at interior vertices.
 
-    Builds one linear equation per distinct interior-vertex incidence pattern
-    and computes the exact nullspace.  Any dimension other than 1 is a model
-    bug and raises ModelError, as does a delta outside 0..depth.  The
-    returned profile is normalized to value 1 on the marked edges.  Before
-    returning, the profile is checked against every pattern row: a vertex's
-    harmonic sum is its row times the profile, so with exact values this
-    decides harmonicity at every interior vertex.
+    Builds one linear equation per distinct interior-vertex incidence
+    pattern, a vertex's harmonic sum being its row times the profile.  A
+    sound tree's rows end at distinct classes 1..depth (a marked vertex's at
+    1, an unmarked one's at d + 1 for its parent edge's d), so `nullspace`
+    solves them by forward substitution: the kernel is the returned profile,
+    1 on the marked edges, or 0.  A kernel of 0, a class no row ends at and
+    a delta outside 0..depth are model bugs and raise ModelError.
     """
     if tree.depth < 2:
         raise ValueError("need depth >= 2 to constrain every delta class")
-    n_classes = tree.depth + 1
-    rows = sorted(_pattern_rows(tree))
-    basis = nullspace(rows, n_classes)
+    basis = nullspace(_pattern_rows(tree), tree.depth + 1)
     if len(basis) != 1:
         raise ModelError(
             f"invariant space has dimension {len(basis)}, expected 1")
-    vec = basis[0]
-    if vec[0] == 0:
-        raise ModelError("invariant cocycle vanishes on the marked subtree")
-    profile = tuple(x / vec[0] for x in vec)
-    if any(sum(map(mul, row, profile)) for row in rows):
-        raise ModelError("solved profile is not harmonic at some interior vertex")
-    return InvariantSolution(dimension=1, profile=profile)
+    return InvariantSolution(dimension=1, profile=tuple(basis[0]))
 
 
 def reconstruct_layer(tree, delta, value):

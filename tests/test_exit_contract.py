@@ -3,11 +3,11 @@
 Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
 never with a traceback; exits 2 and 3 print nothing on stdout and say why on
 stderr; the same argv prints the same bytes twice.  A fixed subset and the
-damaged-tree audit, the invariant solver's check of its profile, the
+damaged-tree audit, the invariant solver's checks of its pattern rows, the
 checks of the affine system's and the residue fields' construction, the
 degree check of the finite length polynomial, and the orbit layer's and
-Omega's model checks, each made to fire by one broken table or helper,
-also run under `python -O`, which strips asserts, in one process whose
+Omega's model checks, each made to fire by one broken table, row set or
+helper, also run under `python -O`, which strips asserts, in one process whose
 answers each test reads for itself.
 """
 
@@ -20,7 +20,6 @@ import os
 import subprocess
 import sys
 import traceback
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -178,18 +177,22 @@ def automorphism_errors():
     return messages
 
 
-def solver_recheck_error():
-    """The message of the ModelError the invariant solver raises when the
-    nullspace hands it a vector that is not in the kernel."""
-    solve = tree.nullspace
-    tree.nullspace = lambda rows, n: [[Fraction(1)] * n]
-    try:
-        tree.invariant_solver(tree.build_tree_pair(2, 3))
-    except ModelError as exc:
-        return str(exc)
-    finally:
-        tree.nullspace = solve
-    return None
+def solver_errors():
+    """The ModelError messages of the invariant solver on pattern rows with
+    one inconsistent row added, and with the row ending at the last class
+    dropped."""
+    rows, t = tree._pattern_rows, tree.build_tree_pair(2, 3)
+    messages = []
+    for damage in (lambda found: found | {(1, 0, 0, 0)},
+                   lambda found: {row for row in found if not row[t.depth]}):
+        tree._pattern_rows = lambda pair: damage(rows(pair))
+        try:
+            tree.invariant_solver(t)
+        except ModelError as exc:
+            messages.append(str(exc))
+        finally:
+            tree._pattern_rows = rows
+    return messages
 
 
 def construction_errors():
@@ -374,7 +377,7 @@ AUTOMORPHISM_ERRORS = ("breaks adjacency", "edge 5 maps to non-edge (1,10)",
                        "not label-coherent", "contains no edges")
 
 
-OPTIMIZED = ("observed", "automorphism_errors", "solver_recheck_error",
+OPTIMIZED = ("observed", "automorphism_errors", "solver_errors",
              "construction_errors", "top_degree_errors",
              "field_construction_errors", "orbit_check_errors")
 
@@ -432,10 +435,13 @@ def test_automorphism_errors_raise_under_optimize():
     assert messages == automorphism_errors()
 
 
+SOLVER_ERRORS = ["invariant space has dimension 0, expected 1",
+                 "no row ends at column 3"]
+
+
 def test_solver_recheck_fires_under_optimize():
-    message = "solved profile is not harmonic at some interior vertex"
-    assert solver_recheck_error() == message
-    assert run_optimized("solver_recheck_error") == [1, message]
+    assert solver_errors() == SOLVER_ERRORS
+    assert run_optimized("solver_errors") == [1, SOLVER_ERRORS]
 
 
 def test_construction_checks_fire_under_optimize():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from buildingkit import period, suite, tree
 from buildingkit.coxeter import build_affine_system, growth_coefficients
 from buildingkit.errors import BudgetError, ModelError
+from linalg_oracle import normalized_kernel
 
 
 # incidence read off the id layout of the tree module's docstring, never off
@@ -1024,32 +1025,25 @@ def test_suite_frees_the_deep_trees_before_the_sampler(monkeypatch):
 
 
 def test_solver_recheck_fires(monkeypatch):
-    # a nullspace vector that is no kernel vector, with a nonzero first
-    # entry, passes the dimension and normalisation checks; only the check
-    # against the pattern rows refuses it
+    # a row (1, 0, 0, 0) ends at class 0, so the substitution never solves
+    # from it; only the recheck of every row refuses the profile
     t = tree.build_tree_pair(2, 3)
-    monkeypatch.setattr(tree, "nullspace", lambda rows, n: [[Fraction(1)] * n])
-    with pytest.raises(ModelError, match="^solved profile is not harmonic at "
-                                         "some interior vertex$"):
+    rows = tree._pattern_rows
+    monkeypatch.setattr(tree, "_pattern_rows",
+                        lambda t: rows(t) | {(1, 0, 0, 0)})
+    with pytest.raises(ModelError, match="^invariant space has dimension 0, "
+                                         "expected 1$"):
         tree.invariant_solver(t)
 
 
 def test_invariant_solver_raises_on_degenerate_model(monkeypatch):
-    # if the nullspace ever came back with the wrong dimension the solver
-    # must refuse rather than normalize something arbitrary
-    t = tree.build_tree_pair(2, 2)
-    monkeypatch.setattr(tree, "nullspace", lambda rows, n: [])
-    with pytest.raises(ModelError):
+    # without the row that ends at the last class, no row solves for it
+    t = tree.build_tree_pair(2, 3)
+    rows = tree._pattern_rows
+    monkeypatch.setattr(tree, "_pattern_rows",
+                        lambda t: {row for row in rows(t) if not row[t.depth]})
+    with pytest.raises(ModelError, match="^no row ends at column 3$"):
         tree.invariant_solver(t)
-    monkeypatch.setattr(tree, "nullspace",
-                        lambda rows, n: [[Fraction(1)] * n, [Fraction(2)] * n])
-    with pytest.raises(ModelError):
-        tree.invariant_solver(t)
-    monkeypatch.setattr(tree, "nullspace",
-                        lambda rows, n: [[Fraction(0)] + [Fraction(1)] * (n - 1)])
-    with pytest.raises(ModelError):
-        tree.invariant_solver(t)
-
 
 
 # -- the column passes against the vertex loops they replaced -----------------
@@ -1274,6 +1268,15 @@ def test_column_passes_match_the_vertex_loops(t, edits, names):
             tree._pattern_rows(t)
     else:
         assert tree._pattern_rows(t) == rows
+        if t.depth >= 2:
+            # a profile, or a kernel of 0, is the row reduction's; the
+            # substitution alone refuses a class no row ends at
+            try:
+                solved = [list(tree.invariant_solver(t).profile)]
+            except ModelError as exc:
+                solved = [] if "dimension 0" in str(exc) else None
+            if solved is not None:
+                assert solved == normalized_kernel(rows, t.depth + 1)
 
 
 @pytest.mark.parametrize("q,depth", [(2, 1), (2, 6), (3, 4), (4, 3), (9, 2)])

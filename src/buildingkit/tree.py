@@ -14,14 +14,15 @@ interior when all q_E + 1 of its neighbors are materialized, which happens
 exactly when it was expanded; the first 2 (q_E^depth - 1) / (q_E - 1)
 vertices are.  Levels are id ranges too: level 0 is the root edge, and
 level k is the next 2 q_E^k ids.  The tree stores only the columns its
-construction decides, as bytearrays of one byte per entry: the 0/1 flags
-`e_in_F`, the labels `v_label` and the deltas `e_delta`; `TreePair` refuses
-a column of any other type.
+construction decides, as bytearrays of one byte per entry: the deltas
+`e_delta` and the labels `v_label`; `TreePair` refuses a column of any
+other type.
 
-The marked subtree follows creation order: every marked vertex marks its
-first q_F children edges, and a vertex is marked exactly when the edge that
-created it is.  Each edge also records delta, its edge-to-edge gallery
-distance to the nearest marked edge.
+Each edge's delta is its edge-to-edge gallery distance to the marked
+subtree, so the marked edges are exactly the edges at delta 0.  The marked
+subtree follows creation order: every marked vertex marks its first q_F
+children edges, and a vertex is marked exactly when the edge that created
+it is.
 
 A cocycle is constant on the levels: one integer numerator per level over
 one common denominator.  So the harmonicity, decay and period passes do
@@ -62,16 +63,14 @@ class TreePair:
     Each column is bytes or a bytearray; any other type is refused with a
     ValueError that names the column."""
 
-    def __init__(self, q_F, depth, e_in_F, e_delta, v_label):
-        for name, column in (("e_in_F", e_in_F), ("e_delta", e_delta),
-                             ("v_label", v_label)):
+    def __init__(self, q_F, depth, e_delta, v_label):
+        for name, column in (("e_delta", e_delta), ("v_label", v_label)):
             if not isinstance(column, (bytes, bytearray)):
                 raise ValueError(f"column {name} is a {type(column).__name__}, "
                                  f"expected bytes or a bytearray")
         self.q_F = q_F
         self.q_E = q_F * q_F
         self.depth = depth
-        self.e_in_F = e_in_F
         self.e_delta = e_delta
         self.v_label = v_label
         self.n_edges = _projected_edges(self.q_E, depth)
@@ -100,21 +99,21 @@ class TreePair:
 
     def sphere_sizes(self, marked_only=False):
         """Edge counts per gallery distance from the root edge: the length
-        of each level's slice of `e_in_F`, or its nonzero marks."""
-        marks, ids = self.e_in_F, range(len(self.e_in_F))
+        of each level's slice of `e_delta`, or its zero deltas."""
+        deltas, ids = self.e_delta, range(len(self.e_delta))
         slices = [ids[r.start:r.stop]
                   for r in map(self.level, range(self.depth + 1))]
         if marked_only:
-            return [len(s) - marks.count(0, s.start, s.stop) for s in slices]
+            return [deltas.count(0, s.start, s.stop) for s in slices]
         return list(map(len, slices))
 
 
-def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
+def build_tree_pair(q_F, depth):
     """Build the truncated tree pair for a residue size q_F and a depth.
 
     Raises BudgetError before allocating anything when the edge count would
-    exceed the budget; the count is walked level by level only as far as
-    the smallest depth that already fails, which the error names.
+    exceed DEFAULT_EDGE_BUDGET; the count is walked level by level only as
+    far as the smallest depth that already fails, which the error names.
     """
     if q_F not in ALLOWED_QF:
         raise ValueError(f"q_F must be one of {ALLOWED_QF}, got {q_F}")
@@ -124,26 +123,25 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
     n_edges = 1
     for k in range(1, depth + 1):
         n_edges += 2 * q_E ** k
-        if n_edges > edge_budget:
+        if n_edges > DEFAULT_EDGE_BUDGET:
             raise BudgetError(
                 f"tree with q_F={q_F} needs {n_edges} edges at "
-                f"depth {k}, over budget {edge_budget}",
-                budget=edge_budget, smallest_failing_depth=k)
+                f"depth {k}, over budget {DEFAULT_EDGE_BUDGET}",
+                budget=DEFAULT_EDGE_BUDGET, smallest_failing_depth=k)
 
     # level k is 2 q_E^k edges from `start` on; they hang at the far ends of
     # level k - 1 (of the root edge, for k = 1), so the j-th children are
     # the slice [start + j:stop:q_E], an entry per edge of level k - 1.
     # Vertex 0's side is the first half of each level.
-    e_in_F, e_delta = bytearray(n_edges), bytearray(n_edges)
-    v_label = bytearray(n_edges + 1)
-    e_in_F[0] = v_label[1] = 1
-    marks, deltas = b"\x01\x01", b"\x00\x00"
+    e_delta, v_label = bytearray(n_edges), bytearray(n_edges + 1)
+    v_label[1] = 1
+    deltas = b"\x00\x00"
     # the first q_F children of a marked edge are marked, at delta 0; every
     # other child is one class past its parent edge (no delta exceeds depth)
     to_first, to_rest = bytes((0, *range(2, 256), 0)), bytes((*range(1, 256), 0))
     start = 1
     for k in range(1, depth + 1):
-        size = len(marks) * q_E
+        size = len(deltas) * q_E
         stop, half = start + size, start + size // 2
         # slice assignment copies a bytes source first, not a bytearray one
         v_label[start + 1:half + 1] = bytearray((k % 2,)) * (size // 2)
@@ -151,13 +149,11 @@ def build_tree_pair(q_F, depth, edge_budget=DEFAULT_EDGE_BUDGET):
         shifted = deltas.translate(to_first), deltas.translate(to_rest)
         for j in range(q_E):
             e_delta[start + j:stop:q_E] = shifted[j >= q_F]
-        for j in range(q_F):  # the other children stay unmarked
-            e_in_F[start + j:stop:q_E] = marks
-        if k < depth:  # the last level's copies would have no reader
-            marks, deltas = e_in_F[start:stop], e_delta[start:stop]
+        if k < depth:  # the last level's copy would have no reader
+            deltas = e_delta[start:stop]
         start = stop
 
-    return TreePair(q_F, depth, e_in_F, e_delta, v_label)
+    return TreePair(q_F, depth, e_delta, v_label)
 
 
 # ---------------------------------------------------------------------------
@@ -215,45 +211,44 @@ def _column_problems(tree):
     range, so an entry outside its range is reported in their place.
     """
     q_F, q_E, n, depth = tree.q_F, tree.q_E, tree.n_expanded, tree.depth
-    degree = [f"edge {e} has mark {x}, expected 0 or 1"
-              for e, x in _outside(tree.e_in_F, 1)]
     label = [f"vertex {v} has label {x}, expected 0 or 1"
              for v, x in _outside(tree.v_label, 1)]
     delta = [f"edge {e} at delta={x}, expected delta in 0..{depth}"
              for e, x in _outside(tree.e_delta, depth)]
-    if degree or label or delta:
-        return degree, label, delta
-    marks, deltas, labels = tree.e_in_F, tree.e_delta, tree.v_label
+    if label or delta:
+        return [], label, delta
+    deltas, labels = tree.e_delta, tree.v_label
     as_int = int.from_bytes
-    # p * q_F marked children at a vertex whose parent edge has mark p
-    above, kids = _at_parents(marks, n), _child_sums(marks, q_E, n)
-    if kids != as_int(above.translate(bytes((0, q_F, *bytes(254)))), "big"):
-        degree = [f"marked interior vertex {v} has {1 + s} marked edges" if p
-                  else f"unmarked vertex {v} touches {s} marked edges"
-                  for v, (p, s) in enumerate(zip(above, kids.to_bytes(n, "big")))
-                  if s != p * q_F]
-    # the edges joining equal labels, and (edge, delta, expected) triples;
-    # no delta exceeds depth < 255, so + 1 does not wrap
+    # the edges joining equal labels, (edge, delta, expected) triples, and
+    # the marked children of each vertex; no delta exceeds depth < 255, so
+    # + 1 does not wrap
     same = [0] if labels[0] == labels[1] else []
-    off = ([(0, deltas[0], "=0" if marks[0] else ">0")]
-           if (deltas[0] == 0) != marks[0] else [])
+    off, kids = [], 0
     flipped = labels[:n].translate(bytes((1, 0, *bytes(254))))
-    plus_one = as_int(_at_parents(deltas, n).translate(
-        bytes((*range(1, 256), 0))), "big")
-    unmarked = bytes((255, *bytes(255)))
+    above = _at_parents(deltas, n)
+    plus_one = as_int(above.translate(bytes((*range(1, 256), 0))), "big")
+    marked, unmarked = _hits(0), bytes((0, *b"\xff" * 255))
     stop = 1 + n * q_E
     for j in range(q_E):
         far, have = labels[2 + j:stop + 1:q_E], deltas[1 + j:stop:q_E]
         if far != flipped:
             same += [1 + v * q_E + j for v, (a, b) in enumerate(zip(labels, far))
                      if a == b]
-        want = plus_one & as_int(marks[1 + j:stop:q_E].translate(unmarked), "big")
+        kids += as_int(have.translate(marked), "big")
+        want = plus_one & as_int(have.translate(unmarked), "big")
         if as_int(have, "big") != want:
-            off += [(1 + v * q_E + j, d, f"={x}")
+            off += [(1 + v * q_E + j, d, x)
                     for v, (d, x) in enumerate(zip(have, want.to_bytes(n, "big")))
                     if d != x]
+    # q_F marked children at a vertex whose parent edge is marked, else none
+    degree = []
+    if kids != as_int(above.translate(bytes((q_F, *bytes(255)))), "big"):
+        degree = [f"unmarked vertex {v} touches {s} marked edges" if p
+                  else f"marked interior vertex {v} has {1 + s} marked edges"
+                  for v, (p, s) in enumerate(zip(above, kids.to_bytes(n, "big")))
+                  if s != (0 if p else q_F)]
     label = [f"edge {e} joins equal labels" for e in sorted(same)]
-    delta = [f"edge {e} at delta={d}, expected delta{x}"
+    delta = [f"edge {e} at delta={d}, expected delta={x}"
              for e, d, x in sorted(off)]
     return degree, label, delta
 
@@ -650,27 +645,26 @@ class TreeAuditReport:
 def check_tree_invariants(tree):
     """Audit the structural invariants of a built tree pair.
 
-    First checks that every column has one entry per edge or vertex, and on
-    a mismatch reports only that.  Then checks that every mark and label is
-    0 or 1 and every delta in 0..depth, and reports each entry outside its
-    range.  When all are in range, it checks these identities, each as one
-    comparison of whole columns (see `_column_problems`):
+    An edge is marked when its delta is 0.  First checks that every column
+    has one entry per edge or vertex, and on a mismatch reports only that.
+    Then checks that every label is 0 or 1 and every delta in 0..depth, and
+    reports each entry outside its range.  When all are in range, it checks
+    these identities, each as one comparison of whole columns (see
+    `_column_problems`):
 
-    - the root edge joins two labels that differ, and has delta 0 exactly
-      when it is marked;
+    - the root edge joins two labels that differ;
     - each expanded vertex has q_F marked children when it is marked (when
       its parent edge is), and none otherwise;
     - each child edge's far endpoint has the flip of its near one's label;
-    - each child edge has delta 0 when it is marked, and its parent edge's
-      delta + 1 otherwise.
+    - each child edge has delta 0 or its parent edge's delta + 1.
 
     Then it checks connectivity and the marked sphere census.  Incidence is
     the id layout itself, so degrees and endpoints need no check.
-    Connectivity is read off the marks: once no unmarked vertex has a marked
-    child, every marked edge hangs below a marked parent edge, so the marked
-    edges reach the root edge exactly when the root edge is marked.  Then
-    the deltas are the gallery distances to the marked subtree, since an
-    unmarked vertex's nearest marked edge lies past its parent edge.  The
+    Connectivity is read off the root edge: once no unmarked vertex has a
+    marked child, every marked edge hangs below a marked parent edge, so the
+    marked edges reach the root edge exactly when the root edge is marked.
+    Then the deltas are the gallery distances to the marked subtree, since
+    an unmarked vertex's nearest marked edge lies past its parent edge.  The
     levels are the id layout itself (`TreePair.level`), so they need no
     check either; the ambient census is each level's id-range length,
     2 q_E^k, once the column lengths are right, so it is reported, not
@@ -679,15 +673,14 @@ def check_tree_invariants(tree):
     reported, never raised on.
     """
     short = [f"column {name} has {len(column)} entries, expected {n}"
-             for name, column, n in (("e_in_F", tree.e_in_F, tree.n_edges),
-                                     ("e_delta", tree.e_delta, tree.n_edges),
+             for name, column, n in (("e_delta", tree.e_delta, tree.n_edges),
                                      ("v_label", tree.v_label, tree.n_vertices))
              if len(column) != n]
     if short:
         return TreeAuditReport(problems=tuple(short))
     degree, labels, deltas = _column_problems(tree)
     problems = degree + labels
-    if not tree.e_in_F[0]:
+    if tree.e_delta[0]:
         problems.append("marked subtree is not connected to the root edge")
 
     marked = tree.sphere_sizes(marked_only=True)

@@ -115,15 +115,17 @@ FIXED_ARGVS = [
 
 
 def damaged_audits():
-    """Audit problems of damaged (2, 2) trees: one entry of a label, mark or
-    delta flipped, the deltas of edges 9 and 11 swapped, or one column cut
-    to 5 entries."""
+    """Audit problems of damaged (2, 2) trees: one label flipped, edge 1
+    unmarked (its delta set to 1), the root edge unmarked, one delta set
+    past the depth, the deltas of edges 9 and 11 swapped (a sound tree), or
+    one column cut to 5 entries."""
     t = tree.build_tree_pair(2, 2)
-    columns = ("e_in_F", "e_delta", "v_label")
+    columns = ("e_delta", "v_label")
     audits = []
-    for column, i in (("v_label", 20), ("e_in_F", 1), ("e_delta", 17)):
+    for column, i, value in (("v_label", 20, 1), ("e_delta", 1, 1),
+                             ("e_delta", 0, 1), ("e_delta", 17, 3)):
         fields = {name: bytearray(getattr(t, name)) for name in columns}
-        fields[column][i] ^= 1
+        fields[column][i] = value
         audits.append(tree.check_tree_invariants(
             tree.TreePair(t.q_F, t.depth, **fields)).problems)
     fields = {name: bytearray(getattr(t, name)) for name in columns}
@@ -422,7 +424,16 @@ def test_optimized_run_answers_the_same():
     optimize, answers = run_optimized("observed")
     assert optimize == 1
     expected = observed()
-    assert all(problems for problems in expected["audits"])
+    # every damaged tree is refused but the one with swapped deltas, and
+    # each group of audit messages fires
+    audits = expected["audits"]
+    assert [bool(problems) for problems in audits] == [
+        True, True, True, True, False, True, True]
+    found = " | ".join(p for problems in audits for p in problems)
+    for fragment in ("marked interior vertex", "joins equal labels",
+                     "not connected", "census mismatch", "expected delta=",
+                     "expected delta in", "column e_delta has"):
+        assert fragment in found, fragment
     assert answers == expected
 
 

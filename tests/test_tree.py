@@ -66,10 +66,10 @@ def edge_values(t, cocycle):
 
 def test_smallest_trees_census():
     t = tree.build_tree_pair(2, 1)
-    assert (t.n_edges, sum(t.e_in_F)) == (9, 5)
+    assert (t.n_edges, t.e_delta.count(0)) == (9, 5)
     assert t.n_vertices == 10
     t = tree.build_tree_pair(3, 1)
-    assert (t.n_edges, sum(t.e_in_F)) == (19, 7)
+    assert (t.n_edges, t.e_delta.count(0)) == (19, 7)
 
 
 @pytest.mark.parametrize("q,depth", [(2, 4), (3, 3), (4, 2), (5, 2)])
@@ -89,16 +89,16 @@ def test_sphere_sizes(q, depth):
                                 st.integers(0, 255)), max_size=6),
        cut=st.booleans())
 def test_marked_census_counts_the_marked_levels(t, edits, cut):
-    # marks edited to any byte, 255 included, and the column maybe cut
-    # short; the census counts the BFS levels 0..depth of the edges with a
-    # nonzero mark, up to the end of the column
-    marks = bytearray(t.e_in_F)
+    # deltas edited to any byte, 255 included, and the column maybe cut
+    # short; the census counts the BFS levels 0..depth of the edges at
+    # delta 0, up to the end of the column
+    deltas = bytearray(t.e_delta)
     for i, value in edits:
-        marks[i % t.n_edges] = value
+        deltas[i % t.n_edges] = value
     if cut:
-        del marks[t.n_edges // 2:]
-    damaged_tree = damaged(t, e_in_F=marks)
-    marked = [level for level, mark in zip(edge_bfs(t, [0]), marks) if mark]
+        del deltas[t.n_edges // 2:]
+    damaged_tree = damaged(t, e_delta=deltas)
+    marked = [level for level, d in zip(edge_bfs(t, [0]), deltas) if not d]
     assert damaged_tree.sphere_sizes(marked_only=True) == [
         marked.count(k) for k in range(t.depth + 1)]
 
@@ -118,9 +118,11 @@ def test_audit_returns_the_censuses(q, depth):
 @pytest.mark.parametrize("q,depth", [(2, 3), (2, 4), (3, 3)] + [
     (q, depth) for q in tree.ALLOWED_QF for depth in (1, 2)])
 def test_delta_and_level_against_bfs_oracle(q, depth):
+    # the deltas are the distances to the edges at delta 0
     t = tree.build_tree_pair(q, depth)
     edges = range(t.n_edges)
-    assert edge_bfs(t, [e for e in edges if t.e_in_F[e]]) == list(t.e_delta)
+    marked = [e for e in edges if not t.e_delta[e]]
+    assert edge_bfs(t, marked) == list(t.e_delta)
     # level k is exactly the edges at BFS distance k from the root edge
     levels = edge_bfs(t, [0])
     assert max(levels) == t.depth
@@ -163,17 +165,28 @@ def test_bool_depth_is_refused():
 
 
 def test_budget_error_reports_smallest_failing_depth():
-    with pytest.raises(BudgetError) as exc:
-        tree.build_tree_pair(3, 12, edge_budget=1000)
-    assert exc.value.budget == 1000
-    # 1 + 2*(9 + 81) = 181 fits, adding 2*729 does not
-    assert exc.value.smallest_failing_depth == 3
+    # the default budget of 4,000,000 edges; the count stops at the first
+    # depth over it, and nothing the size of a tree is allocated
+    for q, depth, edges in ((3, 7, 10_761_679), (2, 11, 11_184_809)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as exc:
+                tree.build_tree_pair(q, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (f"tree with q_F={q} needs {edges} edges "
+                                  f"at depth {depth}, over budget 4000000")
+        assert exc.value.budget == tree.DEFAULT_EDGE_BUDGET == 4_000_000
+        assert exc.value.smallest_failing_depth == depth
+        assert peak < 100_000, peak
 
 
 def reference_build(q_F, depth):
-    """The oracle for the level-by-level build: the three columns built
-    vertex by vertex, each expanded vertex appending its q_E children's
-    entries."""
+    """The oracle for the level-by-level build: the marks, deltas and labels
+    built vertex by vertex, each expanded vertex appending its q_E
+    children's entries.  The marks are the edges at delta 0, so only the
+    deltas and labels are returned."""
     q_E = q_F * q_F
     block = [bytes([x]) * q_E for x in range(depth + 1)]
     e_in_F, e_delta = bytearray(b"\x01"), bytearray(1)
@@ -189,7 +202,8 @@ def reference_build(q_F, depth):
         else:
             e_in_F += block[0]
             e_delta += block[e_delta[parent] + 1]
-    return {"e_in_F": e_in_F, "e_delta": e_delta, "v_label": v_label}
+    assert e_in_F == bytearray(d == 0 for d in e_delta)
+    return {"e_delta": e_delta, "v_label": v_label}
 
 
 @pytest.mark.parametrize("q", tree.ALLOWED_QF)
@@ -760,7 +774,7 @@ def reference_decay(t, vals, levels):
 def reference_tree_period(t, vals, levels):
     layer_sums = [Fraction(0)] * (t.depth + 1)
     for e in range(t.n_edges):
-        if t.e_in_F[e]:
+        if not t.e_delta[e]:
             layer_sums[levels[e]] += vals[e]
     sums, acc = [], Fraction(0)
     for s in layer_sums:
@@ -838,7 +852,7 @@ def test_harmonic_cocycles_match_fraction_references(q, depth):
 
 # -- the audit reports damage instead of raising ------------------------------
 
-COLUMNS = ("e_in_F", "e_delta", "v_label")
+COLUMNS = ("e_delta", "v_label")
 
 
 def damaged(t, **arrays):
@@ -867,15 +881,16 @@ def test_audit_reports_damaged_trees():
     labels = bytearray(t.v_label)
     labels[20] ^= 1
     assert problems(v_label=labels) == ("edge 19 joins equal labels",)
-    marked = bytearray(t.e_in_F)
-    marked[1] = 0
-    # vertex 2 is created by edge 1, so it is unmarked now, and edge 1 is
-    # one class past the marked root edge
-    assert problems(e_in_F=marked) == (
+    deltas = bytearray(t.e_delta)
+    deltas[1] = 1
+    # vertex 2 is created by edge 1, so it is unmarked now, and its
+    # unmarked children 11 and 12 are one class past edge 1
+    assert problems(e_delta=deltas) == (
         "marked interior vertex 0 has 2 marked edges",
         "unmarked vertex 2 touches 2 marked edges",
         "marked sphere census mismatch",
-        "edge 1 at delta=0, expected delta=1")
+        "edge 11 at delta=1, expected delta=2",
+        "edge 12 at delta=1, expected delta=2")
     deltas = bytearray(t.e_delta)
     deltas[17] += 1
     assert problems(e_delta=deltas) == (
@@ -893,23 +908,24 @@ def test_audit_reports_damaged_trees():
                 assert problems(e_delta=deltas), (e, d)
 
 
-def test_audit_refuses_swapped_deltas_the_solver_accepts():
+def test_swapped_deltas_mark_another_sound_subtree():
     # edges 9 and 11 hang at the marked vertex 2: with their deltas swapped,
-    # every vertex still sees one class past its least delta, and the
-    # solver still finds one invariant cocycle
+    # the delta-0 edges there are 10 and 11 instead of 9 and 10, which is
+    # another q_F of the vertex's children; the audit sees a sound tree with
+    # the built tree's censuses and invariant profile
     t = tree.build_tree_pair(2, 2)
     deltas = bytearray(t.e_delta)
     deltas[9], deltas[11] = deltas[11], deltas[9]
     swapped = damaged(t, e_delta=deltas)
-    assert tree.invariant_solver(swapped).dimension == 1
-    assert tree.check_tree_invariants(swapped).problems == (
-        "edge 9 at delta=1, expected delta=0",
-        "edge 11 at delta=0, expected delta=1")
+    assert [e for e in range(9, 13) if not deltas[e]] == [10, 11]
+    assert tree.check_tree_invariants(swapped) == tree.check_tree_invariants(t)
+    assert tree.check_tree_invariants(swapped) == tree.TreeAuditReport(
+        problems=(), marked_census=(1, 4, 8), ambient_census=(1, 8, 32))
+    assert tree.invariant_solver(swapped) == tree.invariant_solver(t)
 
 
 def test_audit_checks_the_root_edge_of_a_depth_0_tree():
-    t = tree.TreePair(2, 0, bytearray(b"\x01"), bytearray(1),
-                      bytearray(b"\x01\x01"))
+    t = tree.TreePair(2, 0, bytearray(1), bytearray(b"\x01\x01"))
     assert tree.check_tree_invariants(t).problems == (
         "edge 0 joins equal labels",)
 
@@ -924,9 +940,10 @@ def test_audit_refuses_a_label_out_of_range_at_the_boundary():
 
 
 def marked_walk_connects(t):
-    """Oracle: walk the marked edges out from the root edge through their
-    endpoints and check that the walk reaches every marked edge."""
-    marked = {e for e in range(t.n_edges) if t.e_in_F[e]}
+    """Oracle: walk the marked edges, those at delta 0, out from the root
+    edge through their endpoints and check that the walk reaches every
+    marked edge."""
+    marked = {e for e in range(t.n_edges) if not t.e_delta[e]}
     seen_vertices, seen_edges, stack = {0, 1}, {0}, [0, 1]
     while stack:
         for e in incident_edges(t, stack.pop()):
@@ -941,31 +958,32 @@ def marked_walk_connects(t):
 
 AUDIT_TREES = [tree.build_tree_pair(q, depth)
                for q in (2, 3, 4) for depth in (1, 2)] + [
-    tree.TreePair(2, 0, bytearray(b"\x01"), bytearray(1),
-                  bytearray(b"\x00\x01"))]
+    tree.TreePair(2, 0, bytearray(1), bytearray(b"\x00\x01"))]
 NOT_CONNECTED = "marked subtree is not connected to the root edge"
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(AUDIT_TREES),
-       st.lists(st.integers(min_value=0), min_size=1, max_size=5))
+       st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 3)),
+                min_size=1, max_size=5))
 def test_audit_connectivity_agrees_with_the_marked_walk(t, flips):
-    marked = bytearray(t.e_in_F)
-    for e in flips:
-        marked[e % t.n_edges] ^= 1
-    damaged_tree = damaged(t, e_in_F=marked)
+    # each flip marks an unmarked edge (delta 0) or unmarks a marked one
+    deltas = bytearray(t.e_delta)
+    for e, d in flips:
+        e %= t.n_edges
+        deltas[e] = 0 if deltas[e] else d
+    damaged_tree = damaged(t, e_delta=deltas)
     audit = tree.check_tree_invariants(damaged_tree)
     others = [p for p in audit.problems if p != NOT_CONNECTED]
     assert audit.ok == (not others and marked_walk_connects(damaged_tree))
-    assert (NOT_CONNECTED in audit.problems) == (not marked[0])
+    assert (NOT_CONNECTED in audit.problems) == bool(deltas[0])
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_audit_reports_columns_of_the_wrong_length(q):
     t = tree.build_tree_pair(q, 2)
     sizes = {name: len(getattr(t, name)) for name in COLUMNS}
-    assert sizes == {"e_in_F": t.n_edges, "e_delta": t.n_edges,
-                     "v_label": t.n_vertices}
+    assert sizes == {"e_delta": t.n_edges, "v_label": t.n_vertices}
 
     def problems(**arrays):
         return tree.check_tree_invariants(damaged(t, **arrays)).problems
@@ -978,7 +996,7 @@ def test_audit_reports_columns_of_the_wrong_length(q):
         for k in range(n):
             assert problems(**{name: getattr(t, name)[:k]}) == (wrong(name, k),)
         assert problems(**{name: getattr(t, name) + b"\0"}) == (wrong(name, n + 1),)
-    # all three together, even before the parent edge of an expanded vertex
+    # both together, even before the parent edge of an expanded vertex
     for k in range(t.n_edges):
         cut = {name: getattr(t, name)[:k] for name in COLUMNS}
         assert problems(**cut) == tuple(wrong(name, k) for name in COLUMNS)
@@ -986,7 +1004,7 @@ def test_audit_reports_columns_of_the_wrong_length(q):
 
 @pytest.mark.parametrize("q,depth", [(3, 5), (2, 8), (7, 3)])
 def test_tree_pair_keeps_few_bytes_per_edge(q, depth):
-    # one byte per flag, delta and label, and nothing else per edge; while
+    # one byte per delta and label, and nothing else per edge; while
     # building, the copies of a level and the label fills stay under one
     # more byte per edge
     tracemalloc.start()
@@ -995,8 +1013,8 @@ def test_tree_pair_keeps_few_bytes_per_edge(q, depth):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept <= 4 * t.n_edges, kept / t.n_edges
-    assert peak <= 4 * t.n_edges, peak / t.n_edges
+    assert kept <= 3 * t.n_edges, kept / t.n_edges
+    assert peak <= 3 * t.n_edges, peak / t.n_edges
 
 
 def test_suite_frees_the_deep_trees_before_the_sampler(monkeypatch):
@@ -1094,13 +1112,14 @@ def test_reconstruct_layer_matches_the_edge_loop(shape, edits, delta, value):
 
 
 def reference_audit(t):
-    """The audit's problems found vertex by vertex, with the delta messages
-    it gave before its column identities reported their own failures."""
+    """The audit's problems found vertex by vertex on three columns, the
+    marks being the edges at delta 0, with the delta messages it gave
+    before its column identities reported their own failures."""
     q_F, q_E = t.q_F, t.q_E
-    e_in_F, e_delta, v_label = t.e_in_F, t.e_delta, t.v_label
+    e_delta, v_label = t.e_delta, t.v_label
+    e_in_F = bytearray(d == 0 for d in e_delta)
     short = [f"column {name} has {len(column)} entries, expected {n}"
-             for name, column, n in (("e_in_F", e_in_F, t.n_edges),
-                                     ("e_delta", e_delta, t.n_edges),
+             for name, column, n in (("e_delta", e_delta, t.n_edges),
                                      ("v_label", v_label, t.n_vertices))
              if len(column) != n]
     if short:
@@ -1182,15 +1201,17 @@ def reference_rows(t):
 CENSUS_AND_CONNECTIVITY = {NOT_CONNECTED, "marked sphere census mismatch"}
 ORACLE_TREES = AUDIT_TREES + [tree.build_tree_pair(2, 3),
                               tree.build_tree_pair(3, 2)]
-EDITED = ("e_in_F", "e_delta", "v_label")
+EDITED = COLUMNS
 
 
 def propagate(t, columns, names, edited):
     """Recompute the named columns top-down by the construction's rules,
     except at the edited (column, index) entries, whose values then carry
-    on below them as the rules dictate."""
+    on below them as the rules dictate: an edge is at delta 0 when its
+    parent edge is and it is one of its vertex's first q_F children, and
+    one class past its parent edge otherwise."""
     q_F, q_E = t.q_F, t.q_E
-    marks, deltas, labels = (columns[name] for name in EDITED)
+    deltas, labels = (columns[name] for name in EDITED)
     # a delta + 1 and a flipped label stay bytes: 255 + 1 wraps to 0, as in
     # the build's byte table, and a label past 1 flips its low bit
     if "v_label" in names and ("v_label", 1) not in edited:
@@ -1198,23 +1219,20 @@ def propagate(t, columns, names, edited):
     for e in range(1, t.n_edges):
         v = (e - 1) // q_E
         p = parent_edge(v)
-        if "e_in_F" in names and ("e_in_F", e) not in edited:
-            marks[e] = int(bool(marks[p]) and (e - 1) % q_E < q_F)
         if "e_delta" in names and ("e_delta", e) not in edited:
-            deltas[e] = 0 if marks[e] else (deltas[p] + 1) % 256
+            marked = not deltas[p] and (e - 1) % q_E < q_F
+            deltas[e] = 0 if marked else (deltas[p] + 1) % 256
         if "v_label" in names and ("v_label", e + 1) not in edited:
             labels[e + 1] = labels[v] ^ 1
 
 
 def reference_deltas(t):
-    """The audit's delta messages found edge by edge: the root edge has
-    delta 0 exactly when it is marked, and every other edge delta 0 when it
-    is marked and its parent edge's + 1 otherwise."""
-    marks, deltas = t.e_in_F, t.e_delta
+    """The audit's delta messages found edge by edge on three columns, the
+    marks being the edges at delta 0: every edge but the root edge has
+    delta 0 when it is marked and its parent edge's + 1 otherwise."""
+    deltas = t.e_delta
+    marks = [d == 0 for d in deltas]
     found = []
-    if (deltas[0] == 0) != (marks[0] == 1):
-        found.append(f"edge 0 at delta={deltas[0]}, "
-                     f"expected delta{'=0' if marks[0] else '>0'}")
     for e in range(1, t.n_edges):
         parent = parent_edge(endpoints(t, e)[0])
         want = 0 if marks[e] else deltas[parent] + 1
@@ -1224,9 +1242,77 @@ def reference_deltas(t):
 
 
 def in_range(t):
-    """Whether every mark and label is 0 or 1 and every delta in 0..depth."""
-    return (set(t.e_in_F) | set(t.v_label) <= {0, 1}
+    """Whether every label is 0 or 1 and every delta in 0..depth."""
+    return (set(t.v_label) <= {0, 1}
             and set(t.e_delta) <= set(range(t.depth + 1)))
+
+
+def reference_report(t):
+    """The audit's report found entry by entry on three columns, the marks
+    being the edges at delta 0: its problems, in its groups and words, and
+    the marked and ambient censuses by BFS level."""
+    deltas, labels = t.e_delta, t.v_label
+    marks = [d == 0 for d in deltas]
+    short = [f"column {name} has {len(column)} entries, expected {n}"
+             for name, column, n in (("e_delta", deltas, t.n_edges),
+                                     ("v_label", labels, t.n_vertices))
+             if len(column) != n]
+    if short:
+        return tuple(short), (), ()
+    degree = []
+    label = [f"vertex {v} has label {x}, expected 0 or 1"
+             for v, x in enumerate(labels) if x > 1]
+    delta = [f"edge {e} at delta={d}, expected delta in 0..{t.depth}"
+             for e, d in enumerate(deltas) if d > t.depth]
+    if not label and not delta:
+        for v in range(t.n_expanded):
+            above = marks[parent_edge(v)]
+            below = sum(marks[e] for e in children(t, v))
+            if above and below != t.q_F:
+                degree.append(
+                    f"marked interior vertex {v} has {1 + below} marked edges")
+            elif not above and below:
+                degree.append(
+                    f"unmarked vertex {v} touches {below} marked edges")
+        label = [f"edge {e} joins equal labels" for e in range(t.n_edges)
+                 if labels[e + 1] == labels[endpoints(t, e)[0]]]
+        delta = reference_deltas(t)
+    connected = [] if marks[0] else [NOT_CONNECTED]
+    levels = edge_bfs(t, [0])
+    marked, ambient = [0] * (t.depth + 1), [0] * (t.depth + 1)
+    for k, mark in zip(levels, marks):
+        marked[k] += mark
+        ambient[k] += 1
+    census = ([] if marked[1:] == [2 * t.q_F**k for k in range(1, t.depth + 1)]
+              else ["marked sphere census mismatch"])
+    return (tuple(degree + label + connected + census + delta),
+            tuple(marked), tuple(ambient))
+
+
+@settings(max_examples=600, deadline=None)
+@given(t=st.sampled_from(AUDIT_TREES),
+       edits=st.lists(st.tuples(st.sampled_from(COLUMNS),
+                                st.integers(min_value=0),
+                                st.sampled_from((0, 1, 2, 3, 255))),
+                      min_size=1, max_size=5),
+       names=st.sets(st.sampled_from(COLUMNS)))
+@example(t=AUDIT_TREES[1], edits=[("e_delta", 0, 0)], names=set())  # sound
+def test_audit_is_the_three_column_reference(t, edits, names):
+    # 1-5 entries edited, to 0-3 (which hold depth + 1 <= 3) or 255, then
+    # the named columns maybe rebuilt around the edits; the report, the
+    # censuses included, is that of the entry-by-entry audit whose marks
+    # are the edges at delta 0
+    columns = {name: bytearray(getattr(t, name)) for name in COLUMNS}
+    edited = set()
+    for name, i, value in edits:
+        i %= len(columns[name])
+        columns[name][i] = value
+        edited.add((name, i))
+    propagate(t, columns, names, edited)
+    t = damaged(t, **columns)
+    audit = tree.check_tree_invariants(t)
+    assert (audit.problems, audit.marked_census,
+            audit.ambient_census) == reference_report(t)
 
 
 @settings(max_examples=600, deadline=None)
@@ -1238,8 +1324,8 @@ def in_range(t):
        names=st.sets(st.sampled_from(EDITED)))
 def test_column_passes_match_the_vertex_loops(t, edits, names):
     # cells edited, then the named columns rebuilt around the edits, so that
-    # damage can also be locally consistent: a wrong mark with the deltas
-    # and labels that follow from it
+    # damage can also be locally consistent: a wrong delta with the deltas
+    # and labels below it that follow from it
     columns = {name: bytearray(getattr(t, name)) for name in EDITED}
     edited = set()
     for name, i, value in edits:
@@ -1286,23 +1372,20 @@ def test_built_trees_take_the_column_test(q, depth):
 
 
 def test_column_test_guards():
-    # trees the strided comparisons alone would pass: a child of a delta-255
-    # edge at 255 + 1, which is 0 in a byte; marks 2, 0 that sum to q_F; and
-    # the root edge's far end labelled like its near end, with the labels
-    # below it following
+    # trees the strided comparisons alone would pass: deltas past the depth
+    # that follow the child rule; a vertex labelled 2, whose children the
+    # flip table expects at label 0; and the root edge's far end labelled
+    # like its near end, with the labels below it following
     t = tree.build_tree_pair(2, 1)
-    wrapped = damaged(t, e_in_F=bytearray(t.n_edges),
-                      e_delta=bytearray(b"\xff") + bytes(t.n_edges - 1))
-    columns = {name: bytearray(getattr(t, name)) for name in EDITED}
-    columns["e_in_F"][1:5] = [2, 0, 0, 0]
-    propagate(t, columns, {"e_in_F", "e_delta"},
-              {("e_in_F", e) for e in range(1, 5)})
-    summed = damaged(t, **columns)
+    past = damaged(t, e_delta=bytearray(b"\x02") + b"\x03" * (t.n_edges - 1))
+    labels = bytearray(t.v_label)
+    labels[1] = 2
+    two = damaged(t, v_label=labels)
     columns = {name: bytearray(getattr(t, name)) for name in EDITED}
     columns["v_label"][1] = columns["v_label"][0]
     propagate(t, columns, {"v_label"}, {("v_label", 1)})
     same_ends = damaged(t, **columns)
-    for bad in (wrapped, summed, same_ends):
+    for bad in (past, two, same_ends):
         assert any(tree._column_problems(bad))
         problems = tree.check_tree_invariants(bad).problems
         assert not set(problems) <= CENSUS_AND_CONNECTIVITY

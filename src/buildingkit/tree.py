@@ -13,10 +13,10 @@ and the children edges of vertex v occupy the contiguous range starting at
 interior when all q_E + 1 of its neighbors are materialized, which happens
 exactly when it was expanded; the first 2 (q_E^depth - 1) / (q_E - 1)
 vertices are.  Levels are id ranges too: level 0 is the root edge, and
-level k is the next 2 q_E^k ids.  The tree stores only the columns its
-construction decides, as bytearrays of one byte per entry: the deltas
-`e_delta` and the labels `v_label`; `TreePair` refuses a column of any
-other type.
+level k is the next 2 q_E^k ids.  The tree stores one column, the deltas
+`e_delta`, one byte per edge; `TreePair` refuses a column that is not
+bytes or a bytearray.  A vertex's label is its distance from vertex 0 mod
+2, which the layout decides: `v_label` reads it off the levels.
 
 Each edge's delta is its edge-to-edge gallery distance to the marked
 subtree, so the marked edges are exactly the edges at delta 0.  The marked
@@ -60,19 +60,17 @@ def _projected_edges(q_E, depth):
 class TreePair:
     """Truncated (q_E+1)-regular tree with a marked (q_F+1)-regular subtree.
 
-    Each column is bytes or a bytearray; any other type is refused with a
-    ValueError that names the column."""
+    The column `e_delta` is bytes or a bytearray; any other type is refused
+    with a ValueError that names the column."""
 
-    def __init__(self, q_F, depth, e_delta, v_label):
-        for name, column in (("e_delta", e_delta), ("v_label", v_label)):
-            if not isinstance(column, (bytes, bytearray)):
-                raise ValueError(f"column {name} is a {type(column).__name__}, "
-                                 f"expected bytes or a bytearray")
+    def __init__(self, q_F, depth, e_delta):
+        if not isinstance(e_delta, (bytes, bytearray)):
+            raise ValueError(f"column e_delta is a {type(e_delta).__name__}, "
+                             f"expected bytes or a bytearray")
         self.q_F = q_F
         self.q_E = q_F * q_F
         self.depth = depth
         self.e_delta = e_delta
-        self.v_label = v_label
         self.n_edges = _projected_edges(self.q_E, depth)
         self.n_expanded = (self.n_edges - 1) // self.q_E
         self.n_vertices = self.n_edges + 1
@@ -88,6 +86,18 @@ class TreePair:
         vertex 0, 0 for vertex 1, (v - 2) // q_E for every other v."""
         return [None, 0, *chain.from_iterable(
             map(repeat, range(self.n_expanded), repeat(self.q_E)))]
+
+    @cached_property
+    def v_label(self):
+        """Vertex-indexed labels, each vertex's distance from vertex 0 mod 2:
+        0 for vertex 0, 1 for vertex 1, and for the vertices that level
+        k >= 1 creates, k mod 2 on vertex 0's side (the level's first half)
+        and 1 - k mod 2 on vertex 1's side."""
+        labels = [b"\0\1"]
+        for k in range(1, self.depth + 1):
+            half = len(self.level(k)) // 2
+            labels += bytes((k % 2,)) * half, bytes((1 - k % 2,)) * half
+        return b"".join(labels)
 
     def level(self, k):
         """Ids of the edges at gallery distance k from the root edge: edge 0
@@ -132,9 +142,7 @@ def build_tree_pair(q_F, depth):
     # level k is 2 q_E^k edges from `start` on; they hang at the far ends of
     # level k - 1 (of the root edge, for k = 1), so the j-th children are
     # the slice [start + j:stop:q_E], an entry per edge of level k - 1.
-    # Vertex 0's side is the first half of each level.
-    e_delta, v_label = bytearray(n_edges), bytearray(n_edges + 1)
-    v_label[1] = 1
+    e_delta = bytearray(n_edges)
     deltas = b"\x00\x00"
     # the first q_F children of a marked edge are marked, at delta 0; every
     # other child is one class past its parent edge (no delta exceeds depth)
@@ -142,10 +150,7 @@ def build_tree_pair(q_F, depth):
     start = 1
     for k in range(1, depth + 1):
         size = len(deltas) * q_E
-        stop, half = start + size, start + size // 2
-        # slice assignment copies a bytes source first, not a bytearray one
-        v_label[start + 1:half + 1] = bytearray((k % 2,)) * (size // 2)
-        v_label[half + 1:stop + 1] = bytearray((1 - k % 2,)) * (size // 2)
+        stop = start + size
         shifted = deltas.translate(to_first), deltas.translate(to_rest)
         for j in range(q_E):
             e_delta[start + j:stop:q_E] = shifted[j >= q_F]
@@ -153,7 +158,7 @@ def build_tree_pair(q_F, depth):
             deltas = e_delta[start:stop]
         start = stop
 
-    return TreePair(q_F, depth, e_delta, v_label)
+    return TreePair(q_F, depth, e_delta)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +207,8 @@ def _outside(column, top):
 
 
 def _column_problems(tree):
-    """The degree, label and delta problems of a tree whose columns have
-    their lengths: three lists of messages, each in id order.
+    """The degree and delta problems of a tree whose deltas column has its
+    length: two lists of messages, each in id order.
 
     Each identity of `check_tree_invariants` is one comparison of whole
     columns, read entry by entry only when it fails: slot j of expanded
@@ -211,29 +216,21 @@ def _column_problems(tree):
     range, so an entry outside its range is reported in their place.
     """
     q_F, q_E, n, depth = tree.q_F, tree.q_E, tree.n_expanded, tree.depth
-    label = [f"vertex {v} has label {x}, expected 0 or 1"
-             for v, x in _outside(tree.v_label, 1)]
     delta = [f"edge {e} at delta={x}, expected delta in 0..{depth}"
              for e, x in _outside(tree.e_delta, depth)]
-    if label or delta:
-        return [], label, delta
-    deltas, labels = tree.e_delta, tree.v_label
+    if delta:
+        return [], delta
+    deltas = tree.e_delta
     as_int = int.from_bytes
-    # the edges joining equal labels, (edge, delta, expected) triples, and
-    # the marked children of each vertex; no delta exceeds depth < 255, so
-    # + 1 does not wrap
-    same = [0] if labels[0] == labels[1] else []
+    # (edge, delta, expected) triples, and the marked children of each
+    # vertex; no delta exceeds depth < 255, so + 1 does not wrap
     off, kids = [], 0
-    flipped = labels[:n].translate(bytes((1, 0, *bytes(254))))
     above = _at_parents(deltas, n)
     plus_one = as_int(above.translate(bytes((*range(1, 256), 0))), "big")
     marked, unmarked = _hits(0), bytes((0, *b"\xff" * 255))
     stop = 1 + n * q_E
     for j in range(q_E):
-        far, have = labels[2 + j:stop + 1:q_E], deltas[1 + j:stop:q_E]
-        if far != flipped:
-            same += [1 + v * q_E + j for v, (a, b) in enumerate(zip(labels, far))
-                     if a == b]
+        have = deltas[1 + j:stop:q_E]
         kids += as_int(have.translate(marked), "big")
         want = plus_one & as_int(have.translate(unmarked), "big")
         if as_int(have, "big") != want:
@@ -247,10 +244,9 @@ def _column_problems(tree):
                   else f"marked interior vertex {v} has {1 + s} marked edges"
                   for v, (p, s) in enumerate(zip(above, kids.to_bytes(n, "big")))
                   if s != (0 if p else q_F)]
-    label = [f"edge {e} joins equal labels" for e in sorted(same)]
     delta = [f"edge {e} at delta={d}, expected delta={x}"
              for e, d, x in sorted(off)]
-    return degree, label, delta
+    return degree, delta
 
 
 def _pattern_rows(tree):
@@ -645,17 +641,14 @@ class TreeAuditReport:
 def check_tree_invariants(tree):
     """Audit the structural invariants of a built tree pair.
 
-    An edge is marked when its delta is 0.  First checks that every column
-    has one entry per edge or vertex, and on a mismatch reports only that.
-    Then checks that every label is 0 or 1 and every delta in 0..depth, and
-    reports each entry outside its range.  When all are in range, it checks
-    these identities, each as one comparison of whole columns (see
-    `_column_problems`):
+    An edge is marked when its delta is 0.  First checks that `e_delta`
+    has one entry per edge, and on a mismatch reports only that.  Then
+    checks that every delta is in 0..depth, and reports each one outside.
+    When all are in range, it checks these identities, each as one
+    comparison of whole columns (see `_column_problems`):
 
-    - the root edge joins two labels that differ;
     - each expanded vertex has q_F marked children when it is marked (when
       its parent edge is), and none otherwise;
-    - each child edge's far endpoint has the flip of its near one's label;
     - each child edge has delta 0 or its parent edge's delta + 1.
 
     Then it checks connectivity and the marked sphere census.  Incidence is
@@ -667,19 +660,17 @@ def check_tree_invariants(tree):
     an unmarked vertex's nearest marked edge lies past its parent edge.  The
     levels are the id layout itself (`TreePair.level`), so they need no
     check either; the ambient census is each level's id-range length,
-    2 q_E^k, once the column lengths are right, so it is reported, not
-    compared.  Problems are listed as degree, label, connectivity, census
-    and delta problems, each group in id order.  A malformed tree is
-    reported, never raised on.
+    2 q_E^k, once the column length is right, so it is reported, not
+    compared.  Nor do the labels: `v_label` is the layout's distance parity,
+    so it is 0 or 1 and flips across every edge by construction.  Problems
+    are listed as degree, connectivity, census and delta problems, each
+    group in id order.  A malformed tree is reported, never raised on.
     """
-    short = [f"column {name} has {len(column)} entries, expected {n}"
-             for name, column, n in (("e_delta", tree.e_delta, tree.n_edges),
-                                     ("v_label", tree.v_label, tree.n_vertices))
-             if len(column) != n]
-    if short:
-        return TreeAuditReport(problems=tuple(short))
-    degree, labels, deltas = _column_problems(tree)
-    problems = degree + labels
+    if len(tree.e_delta) != tree.n_edges:
+        return TreeAuditReport(problems=(
+            f"column e_delta has {len(tree.e_delta)} entries, "
+            f"expected {tree.n_edges}",))
+    problems, deltas = _column_problems(tree)
     if tree.e_delta[0]:
         problems.append("marked subtree is not connected to the root edge")
 

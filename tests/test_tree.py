@@ -6,6 +6,7 @@ import tracemalloc
 import weakref
 from collections import deque
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import mul
 
@@ -186,9 +187,11 @@ def reference_build(q_F, depth):
     """The oracle for the level-by-level build: the marks, deltas and labels
     built vertex by vertex, each expanded vertex appending its q_E
     children's entries.  The marks are the edges at delta 0, so only the
-    deltas and labels are returned."""
+    deltas and labels are returned; the labels are the oracle for the
+    distance parity that `TreePair.v_label` reads off the levels."""
     q_E = q_F * q_F
-    block = [bytes([x]) * q_E for x in range(depth + 1)]
+    # entries 0 and 1 for the marked children, at every depth, 0 included
+    block = [bytes([x]) * q_E for x in range(max(depth + 1, 2))]
     e_in_F, e_delta = bytearray(b"\x01"), bytearray(1)
     v_label = bytearray(b"\x00\x01")
     f_flags = block[1][:q_F] + block[0][q_F:]
@@ -208,15 +211,31 @@ def reference_build(q_F, depth):
 
 @pytest.mark.parametrize("q", tree.ALLOWED_QF)
 def test_build_matches_the_vertex_loop(q):
-    # every depth up to about 250k edges
+    # every depth up to about 250k edges; the build fills the deltas alone
     depth = 1
     while tree._projected_edges(q * q, depth) <= 250_000:
         t = tree.build_tree_pair(q, depth)
-        for name, column in reference_build(q, depth).items():
-            assert type(getattr(t, name)) is bytearray
-            assert getattr(t, name) == column, (depth, name)
+        assert "v_label" not in vars(t)  # derived on first read only
+        assert type(t.e_delta) is bytearray
+        assert t.e_delta == reference_build(q, depth)["e_delta"], depth
         depth += 1
     assert depth > 2
+
+
+@pytest.mark.parametrize("q", tree.ALLOWED_QF)
+def test_labels_are_the_vertex_loop_fill(q):
+    # every depth up to about 250k edges, and the depth-0 pair of the root
+    # edge alone: the labels, derived on first read, are bytes, equal the
+    # vertex loop's fill and differ at the two endpoints of every edge
+    depth = 0
+    while tree._projected_edges(q * q, depth) <= 250_000:
+        reference = reference_build(q, depth)
+        t = tree.TreePair(q, depth, reference["e_delta"])
+        labels = t.v_label
+        assert type(labels) is bytes and labels == reference["v_label"], depth
+        assert all(labels[u] != labels[w]
+                   for u, w in map(endpoints, repeat(t), range(t.n_edges)))
+        depth += 1
 
 
 def test_iwahori_harmonic_and_decay():
@@ -481,6 +500,28 @@ def test_epsilon_of_a_map_defined_on_the_root_edge_alone(q):
             aut = tree.TreeAutomorphism(t, partial_map(t, {0: u, 1: w}))
             expected = 1 if t.v_label[u] == t.v_label[0] else -1
             assert tree.epsilon_tree(aut) == reference_epsilon(aut) == expected
+
+
+LABELLED_TREES = [(tree.build_tree_pair(q, depth), reference_build(q, depth))
+                  for q, depth in ((2, 1), (2, 3), (3, 1), (3, 2))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=st.sampled_from(LABELLED_TREES), seed=st.integers(0, 2**32))
+def test_epsilon_is_the_label_parity_of_the_first_mapped_vertex(pair, seed):
+    # the labels flip across every edge, so a map that keeps adjacency on a
+    # connected domain moves every label alike, and its sign is read at any
+    # one mapped vertex; the labels are the vertex-loop fill
+    t, reference = pair
+    label = reference["v_label"]
+    rng = random.Random(seed)
+    g, h = tree.random_automorphism(t, rng), tree.random_automorphism(t, rng)
+    shifts = [tree.translation_automorphism(t, steps)
+              for steps in range(-t.depth, t.depth + 1)]
+    for aut in (g, h, tree.compose(g, h), tree.endpoint_swap(t), *shifts):
+        vm = aut.vertex_map
+        u = next(v for v, image in enumerate(vm) if image is not None)
+        assert tree.epsilon_tree(aut) == (-1 if label[vm[u]] != label[u] else 1)
 
 
 def test_edge_between_index():
@@ -852,12 +893,12 @@ def test_harmonic_cocycles_match_fraction_references(q, depth):
 
 # -- the audit reports damage instead of raising ------------------------------
 
-COLUMNS = ("e_delta", "v_label")
+COLUMNS = ("e_delta",)
 
 
 def damaged(t, **arrays):
-    """A tree on bytearray copies of t's columns, with the given ones in
-    their place."""
+    """A tree on a bytearray copy of t's deltas, or the given ones in their
+    place."""
     fields = {name: bytearray(getattr(t, name)) for name in COLUMNS}
     fields.update(arrays)
     return tree.TreePair(t.q_F, t.depth, **fields)
@@ -878,9 +919,6 @@ def test_audit_reports_damaged_trees():
     def problems(**arrays):
         return tree.check_tree_invariants(damaged(t, **arrays)).problems
 
-    labels = bytearray(t.v_label)
-    labels[20] ^= 1
-    assert problems(v_label=labels) == ("edge 19 joins equal labels",)
     deltas = bytearray(t.e_delta)
     deltas[1] = 1
     # vertex 2 is created by edge 1, so it is unmarked now, and its
@@ -924,21 +962,6 @@ def test_swapped_deltas_mark_another_sound_subtree():
     assert tree.invariant_solver(swapped) == tree.invariant_solver(t)
 
 
-def test_audit_checks_the_root_edge_of_a_depth_0_tree():
-    t = tree.TreePair(2, 0, bytearray(1), bytearray(b"\x01\x01"))
-    assert tree.check_tree_invariants(t).problems == (
-        "edge 0 joins equal labels",)
-
-
-def test_audit_refuses_a_label_out_of_range_at_the_boundary():
-    t = tree.build_tree_pair(2, 2)
-    labels = bytearray(t.v_label)
-    labels[20] = 2
-    assert 20 >= t.n_expanded
-    assert tree.check_tree_invariants(damaged(t, v_label=labels)).problems == (
-        "vertex 20 has label 2, expected 0 or 1",)
-
-
 def marked_walk_connects(t):
     """Oracle: walk the marked edges, those at delta 0, out from the root
     edge through their endpoints and check that the walk reaches every
@@ -958,7 +981,7 @@ def marked_walk_connects(t):
 
 AUDIT_TREES = [tree.build_tree_pair(q, depth)
                for q in (2, 3, 4) for depth in (1, 2)] + [
-    tree.TreePair(2, 0, bytearray(1), bytearray(b"\x00\x01"))]
+    tree.TreePair(2, 0, bytearray(1))]
 NOT_CONNECTED = "marked subtree is not connected to the root edge"
 
 
@@ -981,40 +1004,28 @@ def test_audit_connectivity_agrees_with_the_marked_walk(t, flips):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_audit_reports_columns_of_the_wrong_length(q):
+    # the deltas cut to every shorter length, even before the parent edge
+    # of an expanded vertex, or one entry too long
     t = tree.build_tree_pair(q, 2)
-    sizes = {name: len(getattr(t, name)) for name in COLUMNS}
-    assert sizes == {"e_delta": t.n_edges, "v_label": t.n_vertices}
-
-    def problems(**arrays):
-        return tree.check_tree_invariants(damaged(t, **arrays)).problems
-
-    def wrong(name, k):
-        return f"column {name} has {k} entries, expected {sizes[name]}"
-
-    # each column alone, cut to every shorter length or one entry too long
-    for name, n in sizes.items():
-        for k in range(n):
-            assert problems(**{name: getattr(t, name)[:k]}) == (wrong(name, k),)
-        assert problems(**{name: getattr(t, name) + b"\0"}) == (wrong(name, n + 1),)
-    # both together, even before the parent edge of an expanded vertex
-    for k in range(t.n_edges):
-        cut = {name: getattr(t, name)[:k] for name in COLUMNS}
-        assert problems(**cut) == tuple(wrong(name, k) for name in COLUMNS)
+    n = len(t.e_delta)
+    assert n == t.n_edges
+    for deltas in [t.e_delta[:k] for k in range(n)] + [t.e_delta + b"\0"]:
+        assert tree.check_tree_invariants(damaged(t, e_delta=deltas)).problems == (
+            f"column e_delta has {len(deltas)} entries, expected {n}",)
 
 
 @pytest.mark.parametrize("q,depth", [(3, 5), (2, 8), (7, 3)])
 def test_tree_pair_keeps_few_bytes_per_edge(q, depth):
-    # one byte per delta and label, and nothing else per edge; while
-    # building, the copies of a level and the label fills stay under one
-    # more byte per edge
+    # one byte per delta, and nothing else per edge; while building, the
+    # copies of a level stay under one more byte per edge
     tracemalloc.start()
     try:
         t = tree.build_tree_pair(q, depth)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kept <= 3 * t.n_edges, kept / t.n_edges
-    assert peak <= 3 * t.n_edges, peak / t.n_edges
+    assert kept <= 2 * t.n_edges, kept / t.n_edges
+    assert peak <= 2 * t.n_edges, peak / t.n_edges
 
 
 def test_suite_frees_the_deep_trees_before_the_sampler(monkeypatch):
@@ -1118,12 +1129,9 @@ def reference_audit(t):
     q_F, q_E = t.q_F, t.q_E
     e_delta, v_label = t.e_delta, t.v_label
     e_in_F = bytearray(d == 0 for d in e_delta)
-    short = [f"column {name} has {len(column)} entries, expected {n}"
-             for name, column, n in (("e_delta", e_delta, t.n_edges),
-                                     ("v_label", v_label, t.n_vertices))
-             if len(column) != n]
-    if short:
-        return tuple(short)
+    if len(e_delta) != t.n_edges:
+        return (f"column e_delta has {len(e_delta)} entries, "
+                f"expected {t.n_edges}",)
     vertex_problems, label_problems, delta_problems = [], [], []
     for v in range(t.n_expanded):
         kids = children(t, v)
@@ -1201,29 +1209,21 @@ def reference_rows(t):
 CENSUS_AND_CONNECTIVITY = {NOT_CONNECTED, "marked sphere census mismatch"}
 ORACLE_TREES = AUDIT_TREES + [tree.build_tree_pair(2, 3),
                               tree.build_tree_pair(3, 2)]
-EDITED = COLUMNS
 
 
-def propagate(t, columns, names, edited):
-    """Recompute the named columns top-down by the construction's rules,
-    except at the edited (column, index) entries, whose values then carry
-    on below them as the rules dictate: an edge is at delta 0 when its
-    parent edge is and it is one of its vertex's first q_F children, and
-    one class past its parent edge otherwise."""
+def propagate(t, deltas, edited):
+    """Recompute the deltas top-down by the construction's rules, except at
+    the edited indices, whose values then carry on below them as the rules
+    dictate: an edge is at delta 0 when its parent edge is and it is one of
+    its vertex's first q_F children, and one class past its parent edge
+    otherwise.  A delta + 1 stays a byte: 255 + 1 wraps to 0, as in the
+    build's byte table."""
     q_F, q_E = t.q_F, t.q_E
-    deltas, labels = (columns[name] for name in EDITED)
-    # a delta + 1 and a flipped label stay bytes: 255 + 1 wraps to 0, as in
-    # the build's byte table, and a label past 1 flips its low bit
-    if "v_label" in names and ("v_label", 1) not in edited:
-        labels[1] = labels[0] ^ 1
     for e in range(1, t.n_edges):
-        v = (e - 1) // q_E
-        p = parent_edge(v)
-        if "e_delta" in names and ("e_delta", e) not in edited:
+        if e not in edited:
+            p = parent_edge((e - 1) // q_E)
             marked = not deltas[p] and (e - 1) % q_E < q_F
             deltas[e] = 0 if marked else (deltas[p] + 1) % 256
-        if "v_label" in names and ("v_label", e + 1) not in edited:
-            labels[e + 1] = labels[v] ^ 1
 
 
 def reference_deltas(t):
@@ -1242,9 +1242,8 @@ def reference_deltas(t):
 
 
 def in_range(t):
-    """Whether every label is 0 or 1 and every delta in 0..depth."""
-    return (set(t.v_label) <= {0, 1}
-            and set(t.e_delta) <= set(range(t.depth + 1)))
+    """Whether every delta is in 0..depth."""
+    return set(t.e_delta) <= set(range(t.depth + 1))
 
 
 def reference_report(t):
@@ -1253,12 +1252,9 @@ def reference_report(t):
     the marked and ambient censuses by BFS level."""
     deltas, labels = t.e_delta, t.v_label
     marks = [d == 0 for d in deltas]
-    short = [f"column {name} has {len(column)} entries, expected {n}"
-             for name, column, n in (("e_delta", deltas, t.n_edges),
-                                     ("v_label", labels, t.n_vertices))
-             if len(column) != n]
-    if short:
-        return tuple(short), (), ()
+    if len(deltas) != t.n_edges:
+        return (f"column e_delta has {len(deltas)} entries, "
+                f"expected {t.n_edges}",), (), ()
     degree = []
     label = [f"vertex {v} has label {x}, expected 0 or 1"
              for v, x in enumerate(labels) if x > 1]
@@ -1289,64 +1285,58 @@ def reference_report(t):
             tuple(marked), tuple(ambient))
 
 
-@settings(max_examples=600, deadline=None)
-@given(t=st.sampled_from(AUDIT_TREES),
-       edits=st.lists(st.tuples(st.sampled_from(COLUMNS),
-                                st.integers(min_value=0),
-                                st.sampled_from((0, 1, 2, 3, 255))),
-                      min_size=1, max_size=5),
-       names=st.sets(st.sampled_from(COLUMNS)))
-@example(t=AUDIT_TREES[1], edits=[("e_delta", 0, 0)], names=set())  # sound
-def test_audit_is_the_three_column_reference(t, edits, names):
-    # 1-5 entries edited, to 0-3 (which hold depth + 1 <= 3) or 255, then
-    # the named columns maybe rebuilt around the edits; the report, the
-    # censuses included, is that of the entry-by-entry audit whose marks
-    # are the edges at delta 0
-    columns = {name: bytearray(getattr(t, name)) for name in COLUMNS}
+def edited_deltas(t, edits, rebuild):
+    """A tree on t's deltas with the (index, value) edits made, the deltas
+    below them maybe rebuilt around the edits."""
+    deltas = bytearray(t.e_delta)
     edited = set()
-    for name, i, value in edits:
-        i %= len(columns[name])
-        columns[name][i] = value
-        edited.add((name, i))
-    propagate(t, columns, names, edited)
-    t = damaged(t, **columns)
+    for i, value in edits:
+        i %= len(deltas)
+        deltas[i] = value
+        edited.add(i)
+    if rebuild:
+        propagate(t, deltas, edited)
+    return damaged(t, e_delta=deltas)
+
+
+EDITS = st.lists(st.tuples(st.integers(min_value=0),
+                           st.sampled_from((0, 1, 2, 3, 255))),
+                 min_size=1, max_size=5)
+
+
+@settings(max_examples=600, deadline=None)
+@given(t=st.sampled_from(AUDIT_TREES), edits=EDITS, rebuild=st.booleans())
+@example(t=AUDIT_TREES[1], edits=[(0, 0)], rebuild=False)  # sound
+def test_audit_is_the_three_column_reference(t, edits, rebuild):
+    # 1-5 deltas edited, to 0-3 (which hold depth + 1 <= 3) or 255, then
+    # maybe the deltas rebuilt around the edits; the report, the censuses
+    # included, is that of the entry-by-entry audit whose marks are the
+    # edges at delta 0 and which also reads the derived labels
+    t = edited_deltas(t, edits, rebuild)
     audit = tree.check_tree_invariants(t)
     assert (audit.problems, audit.marked_census,
             audit.ambient_census) == reference_report(t)
 
 
 @settings(max_examples=600, deadline=None)
-@given(t=st.sampled_from(ORACLE_TREES),
-       edits=st.lists(st.tuples(st.sampled_from(EDITED),
-                                st.integers(min_value=0),
-                                st.sampled_from((0, 1, 2, 3, 255))),
-                      min_size=1, max_size=5),
-       names=st.sets(st.sampled_from(EDITED)))
-def test_column_passes_match_the_vertex_loops(t, edits, names):
-    # cells edited, then the named columns rebuilt around the edits, so that
-    # damage can also be locally consistent: a wrong delta with the deltas
-    # and labels below it that follow from it
-    columns = {name: bytearray(getattr(t, name)) for name in EDITED}
-    edited = set()
-    for name, i, value in edits:
-        i %= len(columns[name])
-        columns[name][i] = value
-        edited.add((name, i))
-    propagate(t, columns, names, edited)
-    t = damaged(t, **columns)
+@given(t=st.sampled_from(ORACLE_TREES), edits=EDITS, rebuild=st.booleans())
+def test_column_passes_match_the_vertex_loops(t, edits, rebuild):
+    # deltas edited, then maybe rebuilt around the edits, so that damage can
+    # also be locally consistent: a wrong delta with the deltas below it
+    # that follow from it
+    t = edited_deltas(t, edits, rebuild)
     expected = reference_audit(t)
     problems = tree.check_tree_invariants(t).problems
     # the column identities pass no tree the vertex loop faults
     assert problems or not expected
     if not any(tree._column_problems(t)):
         assert set(expected) <= CENSUS_AND_CONNECTIVITY
-    # with every entry in range, the two agree on all but the deltas, whose
-    # messages differ; a depth-0 tree's root edge is no edge of the loop
+    # with every delta in range, the two agree on all but the deltas, whose
+    # messages differ
     if in_range(t):
         assert [p for p in problems if "delta=" in p] == reference_deltas(t)
-        if t.depth >= 1:
-            assert ([p for p in problems if "delta=" not in p]
-                    == [p for p in expected if "delta=" not in p])
+        assert ([p for p in problems if "delta=" not in p]
+                == [p for p in expected if "delta=" not in p])
     try:
         rows = reference_rows(t)
     except IndexError:  # a delta past the last class
@@ -1367,28 +1357,17 @@ def test_column_passes_match_the_vertex_loops(t, edits, names):
 
 @pytest.mark.parametrize("q,depth", [(2, 1), (2, 6), (3, 4), (4, 3), (9, 2)])
 def test_built_trees_take_the_column_test(q, depth):
-    assert tree._column_problems(tree.build_tree_pair(q, depth)) == (
-        [], [], [])
+    assert tree._column_problems(tree.build_tree_pair(q, depth)) == ([], [])
 
 
 def test_column_test_guards():
-    # trees the strided comparisons alone would pass: deltas past the depth
-    # that follow the child rule; a vertex labelled 2, whose children the
-    # flip table expects at label 0; and the root edge's far end labelled
-    # like its near end, with the labels below it following
+    # a tree the strided comparisons alone would pass: deltas past the depth
+    # that follow the child rule
     t = tree.build_tree_pair(2, 1)
     past = damaged(t, e_delta=bytearray(b"\x02") + b"\x03" * (t.n_edges - 1))
-    labels = bytearray(t.v_label)
-    labels[1] = 2
-    two = damaged(t, v_label=labels)
-    columns = {name: bytearray(getattr(t, name)) for name in EDITED}
-    columns["v_label"][1] = columns["v_label"][0]
-    propagate(t, columns, {"v_label"}, {("v_label", 1)})
-    same_ends = damaged(t, **columns)
-    for bad in (past, two, same_ends):
-        assert any(tree._column_problems(bad))
-        problems = tree.check_tree_invariants(bad).problems
-        assert not set(problems) <= CENSUS_AND_CONNECTIVITY
+    assert any(tree._column_problems(past))
+    problems = tree.check_tree_invariants(past).problems
+    assert not set(problems) <= CENSUS_AND_CONNECTIVITY
 
 
 @pytest.mark.parametrize("q", tree.ALLOWED_QF)

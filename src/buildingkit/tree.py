@@ -6,30 +6,32 @@ through the same root edge.  Chambers are edges, panels are vertices, and
 the gallery distance between edges is the number of panel crossings, i.e.
 the BFS level at which an edge is created.
 
-Storage is flat columns with implicit ids: edge 0 is the root edge joining
-vertices 0 and 1, edge e (e >= 1) creates vertex e + 1 as its far endpoint,
-and the children edges of vertex v occupy the contiguous range starting at
-1 + v * q_E, so edge e >= 1 hangs at vertex (e - 1) // q_E.  A vertex is
-interior when all q_E + 1 of its neighbors are materialized, which happens
-exactly when it was expanded; the first 2 (q_E^depth - 1) / (q_E - 1)
-vertices are.  Levels are id ranges too: level 0 is the root edge, and
-level k is the next 2 q_E^k ids.  The tree stores one column, the deltas
-`e_delta`, one byte per edge; `TreePair` refuses a column that is not
-bytes or a bytearray.  A vertex's label is its distance from vertex 0 mod
-2, which the layout decides: `v_label` reads it off the levels.
+Ids are implicit: edge 0 is the root edge joining vertices 0 and 1, edge
+e (e >= 1) creates vertex e + 1 as its far endpoint, and the children
+edges of vertex v occupy the contiguous range starting at 1 + v * q_E, so
+edge e >= 1 hangs at vertex (e - 1) // q_E.  A vertex is interior when all
+q_E + 1 of its neighbors are materialized, which happens exactly when it
+was expanded; the first 2 (q_E^depth - 1) / (q_E - 1) vertices are.
+Levels are id ranges too: level 0 is the root edge, and level k is the
+next 2 q_E^k ids.  A vertex's label is its distance from vertex 0 mod 2,
+which the layout decides: `v_label` reads it off the levels.
 
-Each edge's delta is its edge-to-edge gallery distance to the marked
-subtree, so the marked edges are exactly the edges at delta 0.  The marked
-subtree follows creation order: every marked vertex marks its first q_F
-children edges, and a vertex is marked exactly when the edge that created
-it is.
+The tree stores nothing per edge.  An edge's delta is its gallery
+distance to the marked subtree, so the marked edges are the edges at
+delta 0, and an edge's children depend on its delta alone: the far end of
+a marked edge has q_F marked children and q_E - q_F at delta 1, and the
+far end of an edge at delta d >= 1 has q_E children at delta d + 1.  So
+the number of edges of each level at each delta, `_census`, is the finite
+quotient whose universal cover is the tree, and it answers every question
+about deltas: the marked sphere sizes, the solver's rows, the audit and
+each reconstruction step.
 
 A cocycle is constant on the levels: one integer numerator per level over
 one common denominator.  So the harmonicity, decay and period passes do
 integer arithmetic once per level, and build a `Fraction` only for their
 results.  The invariant cocycle is constant on the deltas instead; it is
-solved by forward substitution on its triangular rows, and rebuilt class by
-class.  Automorphisms are id-indexed lists.
+solved by forward substitution on its triangular rows, and rebuilt one
+value per class.  Automorphisms are id-indexed lists.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import mul, ne
 
 from .errors import BudgetError, ModelError
@@ -58,19 +60,13 @@ def _projected_edges(q_E, depth):
 
 
 class TreePair:
-    """Truncated (q_E+1)-regular tree with a marked (q_F+1)-regular subtree.
+    """Truncated (q_E+1)-regular tree with a marked (q_F+1)-regular subtree:
+    q_F, the depth and the counts they decide, and nothing per edge."""
 
-    The column `e_delta` is bytes or a bytearray; any other type is refused
-    with a ValueError that names the column."""
-
-    def __init__(self, q_F, depth, e_delta):
-        if not isinstance(e_delta, (bytes, bytearray)):
-            raise ValueError(f"column e_delta is a {type(e_delta).__name__}, "
-                             f"expected bytes or a bytearray")
+    def __init__(self, q_F, depth):
         self.q_F = q_F
         self.q_E = q_F * q_F
         self.depth = depth
-        self.e_delta = e_delta
         self.n_edges = _projected_edges(self.q_E, depth)
         self.n_expanded = (self.n_edges - 1) // self.q_E
         self.n_vertices = self.n_edges + 1
@@ -108,22 +104,19 @@ class TreePair:
     # -- census ---------------------------------------------------------------
 
     def sphere_sizes(self, marked_only=False):
-        """Edge counts per gallery distance from the root edge: the length
-        of each level's slice of `e_delta`, or its zero deltas."""
-        deltas, ids = self.e_delta, range(len(self.e_delta))
-        slices = [ids[r.start:r.stop]
-                  for r in map(self.level, range(self.depth + 1))]
-        if marked_only:
-            return [deltas.count(0, s.start, s.stop) for s in slices]
-        return list(map(len, slices))
+        """Edge counts per gallery distance from the root edge, read off
+        the census: each level's edges, or only those at delta 0."""
+        return [level[0] if marked_only else sum(level)
+                for level in _census(self)]
 
 
 def build_tree_pair(q_F, depth):
     """Build the truncated tree pair for a residue size q_F and a depth.
 
-    Raises BudgetError before allocating anything when the edge count would
-    exceed DEFAULT_EDGE_BUDGET; the count is walked level by level only as
-    far as the smallest depth that already fails, which the error names.
+    Raises BudgetError when the edge count would exceed
+    DEFAULT_EDGE_BUDGET; the count is walked level by level only as far as
+    the smallest depth that already fails, which the error names.  The pair
+    stores nothing per edge.
     """
     if q_F not in ALLOWED_QF:
         raise ValueError(f"q_F must be one of {ALLOWED_QF}, got {q_F}")
@@ -138,141 +131,51 @@ def build_tree_pair(q_F, depth):
                 f"tree with q_F={q_F} needs {n_edges} edges at "
                 f"depth {k}, over budget {DEFAULT_EDGE_BUDGET}",
                 budget=DEFAULT_EDGE_BUDGET, smallest_failing_depth=k)
-
-    # level k is 2 q_E^k edges from `start` on; they hang at the far ends of
-    # level k - 1 (of the root edge, for k = 1), so the j-th children are
-    # the slice [start + j:stop:q_E], an entry per edge of level k - 1.
-    e_delta = bytearray(n_edges)
-    deltas = b"\x00\x00"
-    # the first q_F children of a marked edge are marked, at delta 0; every
-    # other child is one class past its parent edge (no delta exceeds depth)
-    to_first, to_rest = bytes((0, *range(2, 256), 0)), bytes((*range(1, 256), 0))
-    start = 1
-    for k in range(1, depth + 1):
-        size = len(deltas) * q_E
-        stop = start + size
-        shifted = deltas.translate(to_first), deltas.translate(to_rest)
-        for j in range(q_E):
-            e_delta[start + j:stop:q_E] = shifted[j >= q_F]
-        if k < depth:  # the last level's copy would have no reader
-            deltas = e_delta[start:stop]
-        start = stop
-
-    return TreePair(q_F, depth, e_delta)
+    return TreePair(q_F, depth)
 
 
 # ---------------------------------------------------------------------------
-# whole columns: per-vertex identities on strided slices
-#
-# Expanded vertex v's j-th child edge is 1 + v * q_E + j, so the slice
-# column[1 + j::q_E] holds that entry for every expanded vertex, in id order.
-# A byte string read as one big-endian integer has a byte per vertex; sums of
-# 0/1 columns over the at most q_E + 1 <= 82 edges at a vertex never carry
-# from one byte into the next, so `+`, `&` and `==` on such integers act on
-# every vertex at once.
+# the delta quotient
 
-def _hits(value):
-    """Translation table sending the byte `value` to 1 and all others to 0."""
-    return bytes(value) + b"\1" + bytes(255 - value)
+def _census(tree):
+    """Per level k = 0..depth, the number of its edges at each delta
+    0..depth: the tree's finite quotient by the child rule.
 
-
-def _at_parents(column, n):
-    """The parent-edge entry of each of the first n vertices: the root
-    edge's for vertices 0 and 1, edge v - 1's for every other v."""
-    return column[:1] + column[:n - 1] if n else column[:0]
-
-
-def _child_sums(column, q_E, n):
-    """Per expanded vertex, the sum of its child edges' entries, as one
-    integer with a byte per vertex (vertex 0 the most significant)."""
-    stop = 1 + n * q_E
-    return sum(int.from_bytes(column[1 + j:stop:q_E], "big")
-               for j in range(q_E))
-
-
-def _edge_sums(column, q_E, n):
-    """Per expanded vertex, the sum over all its edges, the parent edge
-    included, as in `_child_sums`."""
-    return (_child_sums(column, q_E, n)
-            + int.from_bytes(_at_parents(column, n), "big"))
-
-
-def _outside(column, top):
-    """(id, entry) for each entry above top.  Deleting the bytes 0..top
-    keeps only the entries out of range, so one pass clears a column in
-    range without copying it."""
-    if not column.translate(None, bytes(range(top + 1))):
-        return []
-    return [(i, x) for i, x in enumerate(column) if x > top]
-
-
-def _column_problems(tree):
-    """The degree and delta problems of a tree whose deltas column has its
-    length: two lists of messages, each in id order.
-
-    Each identity of `check_tree_invariants` is one comparison of whole
-    columns, read entry by entry only when it fails: slot j of expanded
-    vertex v is edge 1 + v * q_E + j.  The comparisons assume bytes in
-    range, so an entry outside its range is reported in their place.
+    The far end of a marked edge has q_F marked children and q_E - q_F at
+    delta 1; the far end of an edge at delta d >= 1 has q_E children at
+    delta d + 1.  Level 0 is the marked root edge, whose two ends both
+    carry children; every later edge has one far end.  No delta exceeds
+    its level, so the classes past depth stay empty.
     """
-    q_F, q_E, n, depth = tree.q_F, tree.q_E, tree.n_expanded, tree.depth
-    delta = [f"edge {e} at delta={x}, expected delta in 0..{depth}"
-             for e, x in _outside(tree.e_delta, depth)]
-    if delta:
-        return [], delta
-    deltas = tree.e_delta
-    as_int = int.from_bytes
-    # (edge, delta, expected) triples, and the marked children of each
-    # vertex; no delta exceeds depth < 255, so + 1 does not wrap
-    off, kids = [], 0
-    above = _at_parents(deltas, n)
-    plus_one = as_int(above.translate(bytes((*range(1, 256), 0))), "big")
-    marked, unmarked = _hits(0), bytes((0, *b"\xff" * 255))
-    stop = 1 + n * q_E
-    for j in range(q_E):
-        have = deltas[1 + j:stop:q_E]
-        kids += as_int(have.translate(marked), "big")
-        want = plus_one & as_int(have.translate(unmarked), "big")
-        if as_int(have, "big") != want:
-            off += [(1 + v * q_E + j, d, x)
-                    for v, (d, x) in enumerate(zip(have, want.to_bytes(n, "big")))
-                    if d != x]
-    # q_F marked children at a vertex whose parent edge is marked, else none
-    degree = []
-    if kids != as_int(above.translate(bytes((q_F, *bytes(255)))), "big"):
-        degree = [f"unmarked vertex {v} touches {s} marked edges" if p
-                  else f"marked interior vertex {v} has {1 + s} marked edges"
-                  for v, (p, s) in enumerate(zip(above, kids.to_bytes(n, "big")))
-                  if s != (0 if p else q_F)]
-    delta = [f"edge {e} at delta={d}, expected delta={x}"
-             for e, d, x in sorted(off)]
-    return degree, delta
+    q_F, q_E, depth = tree.q_F, tree.q_E, tree.depth
+    census = [[1] + [0] * depth]
+    ends = [2] + [0] * depth  # the two ends of the root edge
+    for _ in range(depth):
+        ends = [q_F * ends[0], (q_E - q_F) * ends[0],
+                *(q_E * x for x in ends[1:depth])]
+        census.append(ends)
+    return census
 
 
 def _pattern_rows(tree):
-    """The distinct incidence patterns of the expanded vertices: how many of
-    a vertex's edges fall in each delta class 0..depth.
+    """Row d, for d = 0..depth - 1, is the incidence pattern of a vertex
+    hung at an edge of delta d: how many of its edges, the parent edge
+    included, fall in each delta class 0..depth.
 
-    A vertex's deltas are its parent edge's (weight 1) and its entry in each
-    distinct child slice `e_delta[1 + j::q_E]`, weighted by the number of j
-    with an equal slice.  A sound tree has one or two distinct child slices
-    and few such tuples."""
-    q_E, n, deltas = tree.q_E, tree.n_expanded, tree.e_delta
-    n_classes, stop = tree.depth + 1, 1 + n * q_E
-    weights, kids = [1], []
-    for j in range(q_E):
-        kid = deltas[1 + j:stop:q_E]
-        if kid in kids:
-            weights[1 + kids.index(kid)] += 1
-        else:
-            weights.append(1)
-            kids.append(kid)
-    rows = {tuple(sum(w for w, x in zip(weights, at) if x == d)
-                  for d in range(n_classes))
-            for at in set(zip(_at_parents(deltas, n), *kids))}
-    if len(deltas) != tree.n_edges or any(sum(row) != q_E + 1 for row in rows):
-        raise ModelError(
-            f"e_delta is not {tree.n_edges} deltas in 0..{tree.depth}")
+    The rows are read off the census, so the child rule is written down
+    once.  The two ends of the root edge, both marked, carry level 1
+    between them.  An edge at delta d + 1 >= 2 hangs at the far end of an
+    edge at delta d, and no delta exceeds its level, so the edges at delta
+    d of level d carry all those of delta d + 1 on level d + 1.
+    """
+    if not tree.depth:  # the root edge alone: no vertex is expanded
+        return []
+    census = _census(tree)
+    rows = [(census[1][0] // 2 + 1, *(x // 2 for x in census[1][1:]))]
+    for d in range(1, tree.depth):
+        row = [0] * (tree.depth + 1)
+        row[d], row[d + 1] = 1, census[d + 1][d + 1] // census[d][d]
+        rows.append(tuple(row))
     return rows
 
 
@@ -373,13 +276,13 @@ class InvariantSolution:
 def invariant_solver(tree):
     """Solve for cocycles constant on delta-classes, harmonic at interior vertices.
 
-    Builds one linear equation per distinct interior-vertex incidence
-    pattern, a vertex's harmonic sum being its row times the profile.  A
-    sound tree's rows end at distinct classes 1..depth (a marked vertex's at
-    1, an unmarked one's at d + 1 for its parent edge's d), so `nullspace`
-    solves them by forward substitution: the kernel is the returned profile,
-    1 on the marked edges, or 0.  A kernel of 0, a class no row ends at and
-    a delta outside 0..depth are model bugs and raise ModelError.
+    Builds one linear equation per interior-vertex incidence pattern, a
+    vertex's harmonic sum being its row times the profile.  The rows end at
+    distinct classes 1..depth (a marked vertex's at 1, an unmarked one's at
+    d + 1 for its parent edge's d), so `nullspace` solves them by forward
+    substitution: the kernel is the returned profile, 1 on the marked
+    edges, or 0.  A kernel of 0 and a class no row ends at are model bugs
+    and raise ModelError.
     """
     if tree.depth < 2:
         raise ValueError("need depth >= 2 to constrain every delta class")
@@ -391,48 +294,23 @@ def invariant_solver(tree):
 
 
 def reconstruct_layer(tree, delta, value):
-    """Push a constant layer of values one delta-step outward.
+    """Push a constant class value one delta-step outward.
 
-    Every edge of the class `delta`, read off `e_delta`, carries `value`; a
-    delta outside 0..depth is refused with a ValueError.  For each edge one
-    class further out, the value is forced by harmonicity at its inner
-    panel: the edges at the panel split into the known inner ones and the
-    unknown outer ones, the outer ones all carry the same value, so that
-    value is minus the inner sum over the outer count.  Panels that split
-    alike share one value object.  Returns the next layer as a dict from
-    edge id to value; empty when already at the rim.
+    Every edge of the class `delta` carries `value`; a delta outside
+    0..depth is refused with a ValueError.  The edges one class further out
+    hang at the far ends of those edges (at the marked vertices, for
+    delta 0), vertices whose pattern row is `_pattern_rows(tree)[delta]`.
+    There the inner edges carry `value` and the outer edges all carry the
+    same value, so harmonicity forces it to minus the inner sum over the
+    outer count.  Returns that value as a Fraction, or None at the rim,
+    where no class lies further out.
     """
     if not 0 <= delta <= tree.depth:
         raise ValueError(f"delta must be in 0..{tree.depth}, got {delta}")
-    deltas = tree.e_delta
-    known = deltas.translate(_hits(delta))
-    q_E, n = tree.q_E, tree.n_expanded
-    if not n:  # a depth-0 tree: no panel is expanded, no class lies past
-        return {}
-    # per panel: its edges at delta or closer, those at delta, and its outer
-    # edges, the ones hanging there at delta + 1 (the root edge at vertex 0)
-    inner = deltas.translate(b"\1" * (delta + 1) + bytes(255 - delta))
-    outer = deltas.translate(_hits(delta + 1))
-    sums = (_edge_sums(inner, q_E, n), _edge_sums(known, q_E, n),
-            _child_sums(outer, q_E, n) + (outer[0] << 8 * (n - 1)))
-    panels = list(zip(*(x.to_bytes(n, "big") for x in sums)))
-    forced = {}
-    for split in dict.fromkeys(panels):  # in order of first panel
-        n_inner, n_known, n_outer = split
-        if not n_outer:
-            continue
-        if n_inner != n_known:
-            raise ModelError(f"panel {panels.index(split)} has an edge "
-                             f"closer than delta={delta}")
-        forced[split] = -sum(repeat(value, n_inner), Fraction(0)) / n_outer
-    # every child edge gets its panel's value; the outer ones are kept
-    spread = chain.from_iterable(map(repeat, map(forced.get, panels),
-                                     repeat(q_E)))
-    out = dict(compress(zip(range(1, tree.n_edges), spread),
-                        outer[1:tree.n_edges]))
-    if outer[0]:
-        out = {0: forced[panels[0]], **out}
-    return out
+    if delta == tree.depth:
+        return None
+    row = _pattern_rows(tree)[delta]
+    return Fraction(-row[delta] * value, row[delta + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +506,9 @@ def translation_automorphism(tree, steps):
 @dataclass(frozen=True)
 class TreeAuditReport:
     problems: tuple
-    # per-level edge counts, marked and all; empty for a column of the wrong
-    # length
-    marked_census: tuple = ()
-    ambient_census: tuple = ()
+    # per-level edge counts, marked and all, read off the census
+    marked_census: tuple
+    ambient_census: tuple
 
     @property
     def ok(self):
@@ -639,45 +516,37 @@ class TreeAuditReport:
 
 
 def check_tree_invariants(tree):
-    """Audit the structural invariants of a built tree pair.
+    """Audit the census and the pattern rows read off it against identities
+    that do not reuse the child rule.
 
-    An edge is marked when its delta is 0.  First checks that `e_delta`
-    has one entry per edge, and on a mismatch reports only that.  Then
-    checks that every delta is in 0..depth, and reports each one outside.
-    When all are in range, it checks these identities, each as one
-    comparison of whole columns (see `_column_problems`):
+    - a vertex meets q_E + 1 edges, whichever row it has, and a marked one,
+      hung at an edge at delta 0, meets q_F + 1 marked edges (the degree
+      problems);
+    - the root edge is at delta 0, so the marked edges, each of which hangs
+      below a marked edge, reach it (the connectivity problem);
+    - level k >= 1 has 2 q_F^k edges at delta 0 and 2 q_E^k in all, and
+      level 0 the root edge alone (the census problems).
 
-    - each expanded vertex has q_F marked children when it is marked (when
-      its parent edge is), and none otherwise;
-    - each child edge has delta 0 or its parent edge's delta + 1.
-
-    Then it checks connectivity and the marked sphere census.  Incidence is
-    the id layout itself, so degrees and endpoints need no check.
-    Connectivity is read off the root edge: once no unmarked vertex has a
-    marked child, every marked edge hangs below a marked parent edge, so the
-    marked edges reach the root edge exactly when the root edge is marked.
-    Then the deltas are the gallery distances to the marked subtree, since
-    an unmarked vertex's nearest marked edge lies past its parent edge.  The
-    levels are the id layout itself (`TreePair.level`), so they need no
-    check either; the ambient census is each level's id-range length,
-    2 q_E^k, once the column length is right, so it is reported, not
-    compared.  Nor do the labels: `v_label` is the layout's distance parity,
-    so it is 0 or 1 and flips across every edge by construction.  Problems
-    are listed as degree, connectivity, census and delta problems, each
-    group in id order.  A malformed tree is reported, never raised on.
+    Problems are listed in that order.  Incidence and the levels are the id
+    layout itself, and the labels its distance parity (`v_label`), so they
+    need no check.
     """
-    if len(tree.e_delta) != tree.n_edges:
-        return TreeAuditReport(problems=(
-            f"column e_delta has {len(tree.e_delta)} entries, "
-            f"expected {tree.n_edges}",))
-    problems, deltas = _column_problems(tree)
-    if tree.e_delta[0]:
+    q_F, q_E, depth = tree.q_F, tree.q_E, tree.depth
+    rows = _pattern_rows(tree)
+    marked = tuple(tree.sphere_sizes(marked_only=True))
+    ambient = tuple(tree.sphere_sizes())
+    problems = []
+    if rows and rows[0][0] != q_F + 1:
+        problems.append(f"a marked interior vertex has {rows[0][0]} marked "
+                        f"edges, expected {q_F + 1}")
+    problems += [f"an interior vertex hung at delta {d} has {sum(row)} "
+                 f"edges, expected {q_E + 1}"
+                 for d, row in enumerate(rows) if sum(row) != q_E + 1]
+    if not marked[0]:
         problems.append("marked subtree is not connected to the root edge")
-
-    marked = tree.sphere_sizes(marked_only=True)
-    if marked[1:] != [2 * tree.q_F**k for k in range(1, tree.depth + 1)]:
+    if marked[1:] != tuple(2 * q_F**k for k in range(1, depth + 1)):
         problems.append("marked sphere census mismatch")
-    return TreeAuditReport(problems=tuple(problems + deltas),
-                           marked_census=tuple(marked),
-                           ambient_census=tuple(tree.sphere_sizes()))
-
+    if ambient != (1, *(2 * q_E**k for k in range(1, depth + 1))):
+        problems.append("ambient sphere census mismatch")
+    return TreeAuditReport(problems=tuple(problems), marked_census=marked,
+                           ambient_census=ambient)

@@ -121,11 +121,10 @@ def test_criterion_6_invariant_solver():
             expected.append(expected[-1] / -q_E)
         ok = ok and sol.dimension == 1 and list(sol.profile) == expected
         value, delta = sol.profile[0], 0
-        while layer := tree.reconstruct_layer(t, delta, value):
+        while (value := tree.reconstruct_layer(t, delta, value)) is not None:
             delta += 1
-            value = layer[min(layer)]
-            ok = ok and set(layer.values()) == {sol.profile[delta]}
-        ok = ok and delta == max(t.e_delta)
+            ok = ok and value == sol.profile[delta]
+        ok = ok and delta == t.depth
     elapsed = time.perf_counter() - start
     report(6, f"the invariant space is one-dimensional for q_F in {GRID_QF} "
               f"with the forced profile, rebuilt layer by layer "

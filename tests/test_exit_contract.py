@@ -3,7 +3,7 @@
 Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
 never with a traceback; exits 2 and 3 print nothing on stdout and say why on
 stderr; the same argv prints the same bytes twice.  A fixed subset and the
-damaged-tree audit, the invariant solver's checks of its pattern rows, the
+damaged-census audit, the invariant solver's checks of its pattern rows, the
 checks of the affine system's and the residue fields' construction, the
 degree check of the finite length polynomial, and the orbit layer's and
 Omega's model checks, each made to fire by one broken table, row set or
@@ -115,22 +115,24 @@ FIXED_ARGVS = [
 
 
 def damaged_audits():
-    """Audit problems of damaged (2, 2) trees: edge 1 unmarked (its delta
-    set to 1), the root edge unmarked, one delta set past the depth, the
-    deltas of edges 9 and 11 swapped (a sound tree), or the deltas cut to 5
-    entries."""
+    """Audit problems of the (2, 2) tree on damaged censuses, each with the
+    given {(level, delta): count} entries set: one marked child at each end
+    of the root edge, the root edge unmarked, three children at delta 2 for
+    each edge at delta 1 of level 1, level 2 one edge short, and none."""
     t = tree.build_tree_pair(2, 2)
-    damaged = []
-    for i, value in ((1, 1), (0, 1), (17, 3)):
-        deltas = bytearray(t.e_delta)
-        deltas[i] = value
-        damaged.append(deltas)
-    deltas = bytearray(t.e_delta)
-    deltas[9], deltas[11] = deltas[11], deltas[9]
-    damaged += [deltas, t.e_delta[:5]]
-    return [list(tree.check_tree_invariants(
-                tree.TreePair(t.q_F, t.depth, deltas)).problems)
-            for deltas in damaged]
+    census = tree._census
+    audits = []
+    for edits in ({(1, 0): 2, (1, 1): 6}, {(0, 0): 0, (0, 1): 1},
+                  {(2, 1): 12, (2, 2): 12}, {(2, 1): 7}, {}):
+        damaged = census(t)
+        for (k, d), count in edits.items():
+            damaged[k][d] = count
+        tree._census = lambda pair: damaged
+        try:
+            audits.append(list(tree.check_tree_invariants(t).problems))
+        finally:
+            tree._census = census
+    return audits
 
 
 def observed():
@@ -177,8 +179,8 @@ def solver_errors():
     dropped."""
     rows, t = tree._pattern_rows, tree.build_tree_pair(2, 3)
     messages = []
-    for damage in (lambda found: found | {(1, 0, 0, 0)},
-                   lambda found: {row for row in found if not row[t.depth]}):
+    for damage in (lambda found: found + [(1, 0, 0, 0)],
+                   lambda found: [row for row in found if not row[t.depth]]):
         tree._pattern_rows = lambda pair: damage(rows(pair))
         try:
             tree.invariant_solver(t)
@@ -416,14 +418,15 @@ def test_optimized_run_answers_the_same():
     optimize, answers = run_optimized("observed")
     assert optimize == 1
     expected = observed()
-    # every damaged tree is refused but the one with swapped deltas, and
-    # each group of audit messages fires
+    # every damaged census is refused and the sound one is not, and each
+    # group of audit messages fires
     audits = expected["audits"]
     assert [bool(problems) for problems in audits] == [
-        True, True, True, False, True]
+        True, True, True, True, False]
     found = " | ".join(p for problems in audits for p in problems)
-    for fragment in ("marked interior vertex", "not connected", "census mismatch", "expected delta=",
-                     "expected delta in", "column e_delta has"):
+    for fragment in ("marked interior vertex", "interior vertex hung at",
+                     "not connected", "marked sphere census mismatch",
+                     "ambient sphere census mismatch"):
         assert fragment in found, fragment
     assert answers == expected
 

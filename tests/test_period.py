@@ -84,6 +84,12 @@ def test_series_first_terms():
         Fraction(1), Fraction(0), Fraction(2, 3)]
 
 
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_series_refuses_a_q_F_below_2(q):
+    with pytest.raises(ValueError, match=rf"^q_F must be >= 2, got {q}$"):
+        period.period_series(_series("A", 1, 3), q)
+
+
 def test_partial_sums_and_tail_frozen():
     res = period.evaluate_period("A", 2, 3)
     assert res.q_E == 9

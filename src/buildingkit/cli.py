@@ -6,9 +6,8 @@ canonical (sorted keys, fixed indentation) so identical configurations print
 identical bytes.  Only growth counts the group, by walking cosets, and takes
 --budget, a number of group elements.  The program reads no files and writes
 only to stdout and stderr.  Exit codes: 0 all checks passed, 1 a mathematical
-check failed, 2 invalid usage or arguments, 3 a budget exceeded: growth's
-element budget, or the tree edge budget of tree-verify, tree-period,
-invariant and suite.
+check failed, 2 invalid usage or arguments, 3 growth's element budget
+exceeded.
 """
 
 from __future__ import annotations
@@ -272,20 +271,13 @@ def _build_parser():
     p.add_argument("--qF", required=True, type=int)
     p.add_argument("--K", type=int, default=12)
 
-    p = sub.add_parser("tree-verify", parents=[common],
-                       help="build a tree pair and check all its invariants")
-    p.add_argument("--qF", required=True, type=int)
-    p.add_argument("--depth", type=int, default=6)
-
-    p = sub.add_parser("tree-period", parents=[common],
-                       help="sum the alternating cocycle over marked edges")
-    p.add_argument("--qF", required=True, type=int)
-    p.add_argument("--depth", type=int, default=6)
-
-    p = sub.add_parser("invariant", parents=[common],
-                       help="solve for the distance-class harmonic cocycle")
-    p.add_argument("--qF", required=True, type=int)
-    p.add_argument("--depth", type=int, default=4)
+    for name, summary, depth in (
+            ("tree-verify", "build a tree pair and check all its invariants", 6),
+            ("tree-period", "sum the alternating cocycle over marked edges", 6),
+            ("invariant", "solve for the distance-class harmonic cocycle", 4)):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.add_argument("--qF", required=True, type=int)
+        p.add_argument("--depth", type=int, default=depth)
 
     p = sub.add_parser("orbit", parents=[common],
                        help="residue-field orbit closures and identities")
@@ -296,9 +288,7 @@ def _build_parser():
                        help="run every verification check")
     p.add_argument("--depth", type=int, default=6,
                    help="depth of the q_F = 2 and 3 trees (default "
-                        "%(default)s); at least 6, and the tree edge budget "
-                        f"of {tree.DEFAULT_EDGE_BUDGET:,} makes 6 the only "
-                        "depth that runs")
+                        "%(default)s), from 6 to 706, the q_F = 3 tree's cap")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help="seed of the tree automorphism sampling "
                         "(default %(default)s)")

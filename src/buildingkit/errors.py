@@ -10,20 +10,15 @@ class InvalidTypeError(ToolkitError, ValueError):
 
 
 class BudgetError(ToolkitError, RuntimeError):
-    """An enumeration exceeded its element budget.
+    """An enumeration exceeded its budget of group elements or tree edges.
 
-    Carries whatever complete partial result was available when the budget
-    was hit: for group enumerations the sphere sizes of the complete layers,
-    for tree builds the smallest depth whose edge count already exceeds the
-    budget.
+    Carries the budget and, for group enumerations, the complete layers' sizes.
     """
 
-    def __init__(self, message, partial_coefficients=(), budget=None,
-                 smallest_failing_depth=None):
+    def __init__(self, message, partial_coefficients=(), budget=None):
         super().__init__(message)
         self.partial_coefficients = tuple(partial_coefficients)
         self.budget = budget
-        self.smallest_failing_depth = smallest_failing_depth
 
 
 class ModelError(ToolkitError, RuntimeError):

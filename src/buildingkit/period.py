@@ -37,7 +37,7 @@ def _is_prime(n):
     """Deterministic Miller-Rabin for 2 <= n < _MR_LIMIT."""
     if n in _MR_BASES:
         return True
-    if any(n % a == 0 for a in _MR_BASES):
+    if not all(map(n.__mod__, _MR_BASES)):
         return False
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -88,7 +88,7 @@ def _require_prime_power(q):
         if root % r == 0 and r**p == root:
             root = r
         else:
-            p = next(n for n in count(p + 1) if _is_prime(n))
+            p = next(filter(_is_prime, count(p + 1)))
     if root >= _MR_LIMIT:
         raise InvalidTypeError(
             f"q_F must be a power of a prime below {_MR_LIMIT}, the limit of "

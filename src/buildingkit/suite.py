@@ -95,6 +95,12 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
                for f, r in GRID_TYPES for q in GRID_QF}
     field_pairs = {pn: orbits.build_fields(*pn)
                    for pn in ORBIT_CHAR2 + ORBIT_ODD}
+    # by q: each field pair, its affine orbits and the merged ones (affine in char 2)
+    orbit_reports = {}
+    for fields in field_pairs.values():
+        aff = orbits.affine_square_orbits(fields)
+        full = aff if fields.p == 2 else orbits.inversion_closure_orbits(fields)
+        orbit_reports[fields.q] = fields, aff, full
     small_trees = {q: tree.build_tree_pair(q, 4 if q <= 3 else 3)
                    for q in GRID_QF}
     deep_trees = {q: tree.build_tree_pair(q, depth) for q in (2, 3)}
@@ -183,15 +189,16 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
         "iwahori-harmonicity",
         "the alternating geometric cocycle is harmonic at every interior vertex with decay constant exactly 1", rows))
 
-    # 7. one-dimensional invariant space with the forced profile
+    # 7. one-dimensional invariant space with the profile the field pair forces:
+    # c_1 = -|P^1(k_F)| / |merged orbit| = -(q + 1)/(q_E - q), c_{d+1} = -c_d/|k_E|
     rows = []
     for q in GRID_QF:
         t = small_trees[q]
         sol = tree.invariant_solver(t)
-        q_E = q * q
-        expected = [Fraction(1), Fraction(-(q + 1), q_E - q)]
+        fields, _, merged = orbit_reports[q]
+        expected = [Fraction(1), Fraction(-(fields.q + 1), merged.orbit_sizes[0])]
         while len(expected) < len(sol.profile):
-            expected.append(expected[-1] / -q_E)
+            expected.append(expected[-1] / -fields.q_ext)
         profile_ok = list(sol.profile) == expected
         # each step starts from the value the step before returned, and
         # the steps end at the rim
@@ -210,9 +217,7 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
 
     # 8. orbit transitivity in both characteristics
     rows = []
-    for fields in field_pairs.values():
-        aff = orbits.affine_square_orbits(fields)
-        full = aff if fields.p == 2 else orbits.inversion_closure_orbits(fields)
+    for fields, aff, full in orbit_reports.values():
         row = {"q": fields.q, "characteristic": fields.p,
                "affine_orbits": aff.orbit_count,
                "sizes": list(aff.orbit_sizes)}

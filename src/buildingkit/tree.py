@@ -26,6 +26,14 @@ quotient whose universal cover is the tree, and it answers every question
 about deltas: the marked sphere sizes, the solver's rows, the audit and
 each reconstruction step.
 
+So a pair is refused (ValueError) only for a negative depth and for what its
+counts could not print: a q_F that is no prime power (`period`'s test), a
+largest count of depth * bit_length(q_E - 1) bits over MAX_PERIOD_BITS, or
+all levels' counts, bit_length(q_E - 1) depth (depth + 1) / 2 bits, over
+MAX_LISTED_BITS.  Only the id listings count edges, against
+DEFAULT_EDGE_BUDGET: the parents, the labels, the automorphisms' lifts and a
+failing harmonicity pass's violations.
+
 A cocycle is constant on the levels: one integer numerator per level over
 one common denominator.  So the harmonicity, decay and period passes do
 integer arithmetic once per level, and build a `Fraction` only for their
@@ -44,19 +52,14 @@ from operator import mul, ne
 
 from .errors import BudgetError, ModelError
 from .linalg import nullspace
-
-ALLOWED_QF = (2, 3, 4, 5, 7, 8, 9)
+from .period import MAX_LISTED_BITS, MAX_PERIOD_BITS, _require_prime_power
 
 DEFAULT_EDGE_BUDGET = 4_000_000
 
 
 def _projected_edges(q_E, depth):
-    total = 1
-    power = 1
-    for _ in range(depth):
-        power *= q_E
-        total += 2 * power
-    return total
+    """1 + 2 (q_E + q_E^2 + ... + q_E^depth), the edges down to `depth`."""
+    return 1 + 2 * q_E * (q_E**depth - 1) // (q_E - 1)
 
 
 class TreePair:
@@ -64,6 +67,16 @@ class TreePair:
     q_F, the depth and the counts they decide, and nothing per edge."""
 
     def __init__(self, q_F, depth):
+        _require_prime_power(q_F)
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
+        bits = (q_F * q_F - 1).bit_length()
+        if depth * bits > MAX_PERIOD_BITS:
+            raise ValueError(f"depth * bit_length(q_E - 1) = {depth * bits} "
+                             f"exceeds the cap of {MAX_PERIOD_BITS} bits")
+        if (listed := bits * depth * (depth + 1) // 2) > MAX_LISTED_BITS:
+            raise ValueError(f"listing the levels takes bit_length(q_E - 1) * depth (depth + 1)"
+                             f" / 2 = {listed} bits, over the cap of {MAX_LISTED_BITS} bits")
         self.q_F = q_F
         self.q_E = q_F * q_F
         self.depth = depth
@@ -80,6 +93,7 @@ class TreePair:
     def parents(self):
         """Vertex-indexed list of the vertex each one hangs at: None for
         vertex 0, 0 for vertex 1, (v - 2) // q_E for every other v."""
+        _require_listable_ids(self)
         return [None, 0, *chain.from_iterable(
             map(repeat, range(self.n_expanded), repeat(self.q_E)))]
 
@@ -89,6 +103,7 @@ class TreePair:
         0 for vertex 0, 1 for vertex 1, and for the vertices that level
         k >= 1 creates, k mod 2 on vertex 0's side (the level's first half)
         and 1 - k mod 2 on vertex 1's side."""
+        _require_listable_ids(self)
         labels = [b"\0\1"]
         for k in range(1, self.depth + 1):
             half = len(self.level(k)) // 2
@@ -111,27 +126,19 @@ class TreePair:
 
 
 def build_tree_pair(q_F, depth):
-    """Build the truncated tree pair for a residue size q_F and a depth.
-
-    Raises BudgetError when the edge count would exceed
-    DEFAULT_EDGE_BUDGET; the count is walked level by level only as far as
-    the smallest depth that already fails, which the error names.  The pair
-    stores nothing per edge.
-    """
-    if q_F not in ALLOWED_QF:
-        raise ValueError(f"q_F must be one of {ALLOWED_QF}, got {q_F}")
+    """Build the truncated tree pair for a prime power q_F and a depth >= 1;
+    it stores nothing per edge, so no edge budget applies."""
     if isinstance(depth, bool) or depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    q_E = q_F * q_F
-    n_edges = 1
-    for k in range(1, depth + 1):
-        n_edges += 2 * q_E ** k
-        if n_edges > DEFAULT_EDGE_BUDGET:
-            raise BudgetError(
-                f"tree with q_F={q_F} needs {n_edges} edges at "
-                f"depth {k}, over budget {DEFAULT_EDGE_BUDGET}",
-                budget=DEFAULT_EDGE_BUDGET, smallest_failing_depth=k)
     return TreePair(q_F, depth)
+
+
+def _require_listable_ids(tree):
+    """Refuse to list ids on a tree of more than DEFAULT_EDGE_BUDGET edges."""
+    if tree.n_edges > DEFAULT_EDGE_BUDGET:
+        raise BudgetError(f"listing the ids of the tree with q_F={tree.q_F} at depth {tree.depth} "
+                          f"takes {tree.n_edges} edges, over budget {DEFAULT_EDGE_BUDGET}",
+                          budget=DEFAULT_EDGE_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -241,10 +248,12 @@ def verify_harmonic(tree, cocycle):
     level where it is nonzero lists its vertices as one id range.
     """
     nums, n, q_E = _level_nums(tree, cocycle), tree.n_expanded, tree.q_E
+    failing = [k for k in range(tree.depth) if nums[k] + q_E * nums[k + 1]]
+    if failing:
+        _require_listable_ids(tree)
     violations = tuple(chain.from_iterable(
         range(r.start + 1 if k else 0, r.stop + 1)
-        for k, r in enumerate(map(tree.level, range(tree.depth)))
-        if nums[k] + q_E * nums[k + 1]))
+        for k, r in zip(failing, map(tree.level, failing))))
     return HarmonicityReport(violations=violations, interior_checked=n,
                              boundary_skipped=tree.n_vertices - n)
 
@@ -429,6 +438,7 @@ def _lift(tree, a, b, rng=None):
     draws what `rng.shuffle` draws, so the maps and the generator's state
     afterwards are the same, without a call per draw.
     """
+    _require_listable_ids(tree)
     q_E, n_expanded = tree.q_E, tree.n_expanded
     draws = [(i, (i + 1).bit_length()) for i in range(q_E - 1, 0, -1)]
     getrandbits = None if rng is None else rng.getrandbits

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -287,6 +288,39 @@ def test_exit_budget_of_e8_growth_is_pinned(capsys, K):
                    "after 17 complete layers\n")
 
 
+def q9_depth5_answers():
+    """The text of each tree command at q_F = 9 and depth 5, from closed
+    forms: 2 * 81^k edges on level k, the partial sums of
+    1 + 2 sum_j (-1/9)^j, and the
+    profile c_1 = -10/72 with c_(d+1) = -c_d/81."""
+    edges = 1 + sum(2 * 81**k for k in range(1, 6))
+    interior = (edges - 1) // 81
+    sums = [str(1 + sum(Fraction(2 * (-1)**j, 9**j) for j in range(1, k + 1)))
+            for k in range(6)]
+    profile = [Fraction(1), Fraction(-10, 72)]
+    while len(profile) < 6:
+        profile.append(profile[-1] / -81)
+    return {
+        "tree-verify": [
+            f"tree-verify q_F=9 depth=5: {edges} edges, {edges + 1} vertices",
+            "  structural audit      ok",
+            f"  harmonicity           0 violations ({interior} interior, "
+            f"{edges + 1 - interior} boundary skipped)",
+            "  decay constant        1",
+            "  verdict               pass"],
+        "tree-period": [
+            "tree-period q_F=9 depth=5:",
+            f"  marked-edge sums      {sums}",
+            "  closed form           4/5",
+            "  matches rank-1 series True",
+            "  within tail bound     True",
+            "  verdict               pass"],
+        "invariant": [
+            "invariant q_F=9 depth=5:",
+            "  dimension  1",
+            f"  profile    {[str(c) for c in profile]}"]}
+
+
 @pytest.mark.parametrize("argv", [
     ["tree-verify", "--qF", "9", "--depth", "5"],
     ["tree-period", "--qF", "9", "--depth", "5"],
@@ -294,30 +328,47 @@ def test_exit_budget_of_e8_growth_is_pinned(capsys, K):
     ["suite", "--depth", "7"],
 ])
 def test_exit_budget_of_the_tree_commands(capsys, argv):
-    # the tree edge budget stops every command that builds a tree
+    # these once exceeded the tree edge budget, which counted edges that
+    # no command builds; the quotient answers them
     code, out, err = run_cli(capsys, argv)
-    assert (code, out) == (3, "")
-    assert err.startswith("budget exceeded: tree with q_F=")
+    assert (code, err) == (0, "")
+    if argv[0] == "suite":
+        assert out.splitlines()[-1] == "suite: all checks passed (12 checks)"
+    else:
+        assert out.splitlines() == q9_depth5_answers()[argv[0]]
 
 
 @pytest.mark.parametrize("argv,q_F", [
     ("tree-verify --qF 2 --depth 7150", 2),
     ("tree-verify --qF 2 --depth 100000", 2),
     ("invariant --qF 3 --depth 4600", 3),
-    # suite's q_F = 2 tree fits at depth 7, its q_F = 3 tree does not
+    # suite's q_F = 2 tree is within both caps at depth 7200 or 707 too
     ("suite --depth 7200", 2),
-    ("suite --depth 7", 3)])
+    ("suite --depth 707", 3)])
 def test_exit_budget_names_the_smallest_failing_depth(capsys, argv, q_F):
-    # the edge count is walked only to the first depth over the budget, so
-    # a deep request is refused at once and its count never grows past the
-    # digits a Python int may print
-    depth, edges = {2: (11, 11184809), 3: (7, 10761679)}[q_F]
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, argv.split())
-    assert time.perf_counter() - start < 0.5
-    assert (code, out) == (3, "")
-    assert err == (f"budget exceeded: tree with q_F={q_F} needs {edges} edges "
-                   f"at depth {depth}, over budget 4000000\n")
+    # these once exceeded the tree edge budget; now a bit cap refuses them
+    # at once, with the bits of the largest count, depth * bit_length(q_E -
+    # 1), or of all levels' counts, that times (depth + 1) / 2, and nothing
+    # is allocated per edge
+    depth, bits = int(argv.split()[-1]), (q_F**2 - 1).bit_length()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv.split())
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seconds < 0.5 and peak < 1_000_000, (seconds, peak)
+    assert (code, out) == (2, "")
+    if depth * bits > period.MAX_PERIOD_BITS:
+        assert err == (f"invalid arguments: depth * bit_length(q_E - 1) = "
+                       f"{depth * bits} exceeds the cap of 13000 bits\n")
+    else:
+        assert err == ("invalid arguments: listing the levels takes "
+                       "bit_length(q_E - 1) * depth (depth + 1) / 2 = "
+                       f"{bits * depth * (depth + 1) // 2} bits, over the cap "
+                       "of 1000000 bits\n")
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

@@ -59,8 +59,8 @@ def command(name, *options):
 FAMILIES = values("A", "B", "C", "D", "E", "F", "G", "H")
 RANKS = values(0, 1, 2, 3, 4, 8, 99, "x")
 
-# tree sizes stay small: (3, 5) has 132k edges, and (5, 5) or (9, 5) exceed
-# the edge budget before anything is built
+# every tree command answers off the quotient, from (2, 1) to the 7e9 edges of
+# (9, 5), in milliseconds
 COMMANDS = st.one_of(
     command("growth", option("--family", FAMILIES), option("--rank", RANKS),
             option("--K", values(-1, 0, 1, 4, "x"), required=True),
@@ -74,8 +74,9 @@ COMMANDS = st.one_of(
     command("orbit", option("--p", values(-7, -3, 0, 1, 2, 3, 4, 5, 7, 17, 18,
                                           10**17 + 3, 2**61 - 1, "x")),
             option("--n", values(0, 1, 2, 3, 4, 5))),
-    # only invalid suite runs: a valid one takes seconds
-    command("suite", option("--depth", values(3, 5, 7, "x"), required=True),
+    # only invalid suite runs: a valid one takes seconds, and at depth 707 the
+    # q_F = 3 tree's listed bits pass their cap
+    command("suite", option("--depth", values(3, 5, 707, "x"), required=True),
             option("--seed", values(1, 2))),
     st.sampled_from([[], ["no-such-command"]]),
 )
@@ -109,8 +110,12 @@ FIXED_ARGVS = [
     ["tree-period", "--qF", "9", "--depth", "5"],
     ["invariant", "--qF", "3", "--depth", "1"],
     ["orbit", "--p", "3", "--n", "2"],
-    ["suite", "--depth", "7"],
+    ["suite", "--depth", "707"],
     ["tree-verify", "--qF", "2", "--budget", "5"],
+    # the deepest tree the largest count's cap allows at q_F = 2^61 - 1, and
+    # the first one past it
+    ["invariant", "--qF", str(2**61 - 1), "--depth", "106"],
+    ["invariant", "--qF", str(2**61 - 1), "--depth", "107"],
 ]
 
 
@@ -428,6 +433,19 @@ def test_optimized_run_answers_the_same():
                      "not connected", "marked sphere census mismatch",
                      "ambient sphere census mismatch"):
         assert fragment in found, fragment
+    # the bit caps refuse a deep tree with their own message, never with
+    # Python's limit on the digits of a printed int
+    runs = dict(zip(map(" ".join, FIXED_ARGVS), expected["runs"]))
+    deepest = runs[f"invariant --qF {2**61 - 1} --depth 106"]
+    assert deepest[0] == 0 and deepest[1].startswith(
+        f"invariant q_F={2**61 - 1} depth=106:\n  dimension  1\n")
+    assert runs[f"invariant --qF {2**61 - 1} --depth 107"] == [
+        2, "", "invalid arguments: depth * bit_length(q_E - 1) = 13054 "
+               "exceeds the cap of 13000 bits\n"]
+    assert runs["suite --depth 707"] == [
+        2, "", "invalid arguments: listing the levels takes bit_length(q_E - 1)"
+               " * depth (depth + 1) / 2 = 1001112 bits, over the cap of "
+               "1000000 bits\n"]
     assert answers == expected
 
 

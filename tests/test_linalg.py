@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from buildingkit import linalg, tree
 from buildingkit.errors import ModelError
 from linalg_oracle import normalized_kernel
-from test_tree import reference_build, reference_rows
+from test_tree import EDGE_BOUND, OLD_QF, reference_build, reference_rows
 
 ENTRIES = st.integers(-4, 4)
 
@@ -62,10 +62,11 @@ def test_an_uncovered_column_is_refused(drawn, data):
 
 
 def buildable_shapes():
-    """Every (q_F, depth) with depth >= 2 whose tree fits the edge budget."""
-    for q in tree.ALLOWED_QF:
+    """Every (q_F, depth) of the old q_F with depth >= 2 whose tree fits the
+    old edge bound."""
+    for q in OLD_QF:
         depth = 2
-        while tree._projected_edges(q * q, depth) <= tree.DEFAULT_EDGE_BUDGET:
+        while tree._projected_edges(q * q, depth) <= EDGE_BOUND:
             yield q, depth
             depth += 1
 

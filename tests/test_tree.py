@@ -15,8 +15,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buildingkit import period, suite, tree
-from buildingkit.coxeter import build_affine_system, growth_coefficients
+from buildingkit.coxeter import (build_affine_system, growth_coefficients,
+                                 growth_from_exponents)
 from buildingkit.errors import BudgetError, ModelError
+
+# the q_F the tree once took, and the edge bound it once built under: the
+# per-vertex oracles below run on every (q_F, depth) of these whose tree has
+# at most EDGE_BOUND edges, the 34 shapes they were written for
+OLD_QF = (2, 3, 4, 5, 7, 8, 9)
+EDGE_BOUND = 4_000_000
 
 
 # incidence read off the id layout of the tree module's docstring, never off
@@ -103,7 +110,7 @@ def test_audit_returns_the_censuses(q, depth):
 
 
 @pytest.mark.parametrize("q,depth", [(2, 3), (2, 4), (3, 3)] + [
-    (q, depth) for q in tree.ALLOWED_QF for depth in (1, 2)])
+    (q, depth) for q in OLD_QF for depth in (1, 2)])
 def test_delta_and_level_against_bfs_oracle(q, depth):
     # the vertex loop's deltas are the distances to its edges at delta 0
     t = tree.build_tree_pair(q, depth)
@@ -152,6 +159,28 @@ def test_bad_build_arguments():
         tree.build_tree_pair(6, 2)
     with pytest.raises(ValueError):
         tree.build_tree_pair(2, 0)
+    # the pair alone takes depth 0, the root edge, but no negative depth
+    with pytest.raises(ValueError, match="^depth must be >= 0, got -1$"):
+        tree.TreePair(2, -1)
+
+
+@pytest.mark.parametrize("q,message", [
+    (1, "q_F must be an integer >= 2, got 1"),
+    (6, "q_F must be a prime power, got 6")])
+def test_a_q_F_that_is_no_prime_power_is_refused_before_any_count(
+        monkeypatch, q, message):
+    # at q_F = 1 the census's diagonal is 0, and the audit, the solver and
+    # the reconstruction divided by it; the pair itself is refused now, so
+    # none of them, nor the census they read, is ever reached
+    def unreachable(*args):
+        raise AssertionError("a count was read off a refused pair")
+
+    for name in ("_census", "_pattern_rows"):
+        monkeypatch.setattr(tree, name, unreachable)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tree.TreePair(q, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tree.build_tree_pair(q, 2)
 
 
 def test_bool_depth_is_refused():
@@ -163,22 +192,35 @@ def test_bool_depth_is_refused():
         tree.build_tree_pair(2, False)
 
 
-def test_budget_error_reports_smallest_failing_depth():
-    # the default budget of 4,000,000 edges; the count stops at the first
-    # depth over it, and nothing the size of a tree is allocated
-    for q, depth, edges in ((3, 7, 10_761_679), (2, 11, 11_184_809)):
+def test_id_listings_stop_at_the_edge_budget():
+    # the (3, 7) pair has 10,761,679 edges: every path that lists per-vertex
+    # or per-edge ids refuses it before it allocates anything per edge,
+    # while the answers read off the quotient still come
+    t = tree.build_tree_pair(3, 7)
+    assert t.n_edges == 10_761_679 > EDGE_BOUND == tree.DEFAULT_EDGE_BUDGET
+    listings = [lambda: t.parents, lambda: t.v_label,
+                lambda: tree._lift(t, 0, 1), lambda: tree.endpoint_swap(t),
+                lambda: tree.random_automorphism(t, random.Random(1)),
+                lambda: tree.translation_automorphism(t, 1),
+                # a constant cocycle fails at every level
+                lambda: tree.verify_harmonic(t, tree.EdgeCocycle([1] * 8))]
+    for listing in listings:
         tracemalloc.start()
         try:
             with pytest.raises(BudgetError) as exc:
-                tree.build_tree_pair(q, 12)
+                listing()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert str(exc.value) == (f"tree with q_F={q} needs {edges} edges "
-                                  f"at depth {depth}, over budget 4000000")
-        assert exc.value.budget == tree.DEFAULT_EDGE_BUDGET == 4_000_000
-        assert exc.value.smallest_failing_depth == depth
+        assert str(exc.value) == ("listing the ids of the tree with q_F=3 at "
+                                  "depth 7 takes 10761679 edges, over budget "
+                                  "4000000")
+        assert exc.value.budget == EDGE_BOUND
         assert peak < 100_000, peak
+    assert vars(t).keys() == {"q_F", "q_E", "depth", "n_edges",
+                              "n_expanded", "n_vertices"}
+    assert tree.verify_harmonic(t, tree.iwahori_cocycle(t)).violations == ()
+    assert tree.check_tree_invariants(t).ok
 
 
 def reference_build(q_F, depth):
@@ -231,13 +273,13 @@ def reference_rows(q_F, depth, deltas):
             for parent, kids in patterns}
 
 
-@pytest.mark.parametrize("q", tree.ALLOWED_QF)
+@pytest.mark.parametrize("q", OLD_QF)
 def test_build_matches_the_vertex_loop(q):
-    # every depth the edge budget allows: the census counts the vertex
+    # every depth within the edge bound: the census counts the vertex
     # loop's deltas level by level, the pattern rows are its rows, and the
     # pair keeps nothing per edge
     depth = 1
-    while tree._projected_edges(q * q, depth) <= tree.DEFAULT_EDGE_BUDGET:
+    while tree._projected_edges(q * q, depth) <= EDGE_BOUND:
         t = tree.build_tree_pair(q, depth)
         assert vars(t).keys() == {"q_F", "q_E", "depth", "n_edges",
                                   "n_expanded", "n_vertices"}
@@ -248,7 +290,7 @@ def test_build_matches_the_vertex_loop(q):
     assert depth > 2
 
 
-@pytest.mark.parametrize("q", tree.ALLOWED_QF)
+@pytest.mark.parametrize("q", OLD_QF)
 def test_labels_are_the_vertex_loop_fill(q):
     # every depth up to about 250k edges, and the depth-0 pair of the root
     # edge alone: the labels, derived on first read, are bytes, equal the
@@ -406,6 +448,35 @@ def test_suite_check_7_chains_the_returned_layers(monkeypatch, damage):
         else:
             del profile[2:]
         assert given == profile
+
+
+def test_suite_check_7_reads_c_1_off_the_merged_orbit(monkeypatch):
+    # every one-orbit report comes back split in two: check 7 then expects
+    # c_1 = -(q + 1) over half of q^2 - q, and fails on the profile alone,
+    # while check 8, which reads the same reports, fails on transitivity
+    def split(report):
+        def halves(fields):
+            rep = report(fields)
+            if rep.orbit_count != 1:
+                return rep
+            size = rep.orbit_sizes[0]
+            return dataclasses.replace(
+                rep, orbit_count=2, orbit_sizes=(size // 2, size - size // 2),
+                representatives=rep.representatives * 2)
+        return halves
+
+    for name in ("affine_square_orbits", "inversion_closure_orbits"):
+        monkeypatch.setattr(suite.orbits, name,
+                            split(getattr(suite.orbits, name)))
+    monkeypatch.setattr(suite, "SAMPLED_PAIRS", 0)
+    checks = suite.run_suite().checks
+    assert checks[6].name == "invariant-multiplicity-one"
+    assert checks[6].status == "fail"
+    assert [(row["q_F"], row["profile_ok"], row["reconstruction_ok"])
+            for row in checks[6].witness] == [
+        (q, False, True) for q in suite.GRID_QF]
+    assert checks[7].name == "orbit-transitivity"
+    assert checks[7].status == "fail"
 
 
 def test_endpoint_swap_and_identity_signs():
@@ -708,7 +779,7 @@ def subtree(t, v):
 
 
 # one depth-1 tree per q_E in {4, 9, 16, 25, 49, 64, 81}, and deeper ones
-DRAW_TREES = [tree.build_tree_pair(q, 1) for q in tree.ALLOWED_QF] + [
+DRAW_TREES = [tree.build_tree_pair(q, 1) for q in OLD_QF] + [
     tree.build_tree_pair(2, 3), tree.build_tree_pair(3, 2)]
 AUT_TREES = [tree.build_tree_pair(q, depth)
              for q, depth in ((2, 1), (2, 3), (3, 2), (4, 2), (5, 2))]
@@ -1152,7 +1223,61 @@ def test_audit_is_the_three_column_reference():
             ambient_census=tuple(ambient))
 
 
-@pytest.mark.parametrize("q", tree.ALLOWED_QF)
+@pytest.mark.parametrize("q,depth", [(q, depth) for q in (11, 13, 16)
+                                     for depth in (1, 2)])
+def test_prime_powers_past_the_old_list_match_the_vertex_loop(q, depth):
+    # q_F the tree once refused, up to the 131,585 edges of (16, 2): the
+    # census, the rows and the audit are those of the per-vertex build
+    t = tree.build_tree_pair(q, depth)
+    deltas = reference_build(q, depth)["deltas"]
+    census = reference_census(q, depth, deltas)
+    assert tree._census(t) == census
+    assert set(tree._pattern_rows(t)) == reference_rows(q, depth, deltas)
+    assert reference_audit(t, deltas) == ()
+    assert tree.check_tree_invariants(t) == tree.TreeAuditReport(
+        problems=(), marked_census=tuple(level[0] for level in census),
+        ambient_census=tuple(map(sum, census)))
+
+
+def deepest_tree(q):
+    """The largest depth both bit caps allow at q_F = q, found by walking
+    down from the first cap."""
+    bits = (q * q - 1).bit_length()
+    depth = period.MAX_PERIOD_BITS // bits
+    while bits * depth * (depth + 1) // 2 > period.MAX_LISTED_BITS:
+        depth -= 1
+    return depth
+
+
+PRIME_POWERS = sorted({p**k for p in (2, 3, 5, 7, 11, 13, 31, 127)
+                       for k in range(1, 6)} | {2**61 - 1, (2**61 - 1)**2})
+
+
+@settings(max_examples=10, deadline=None)
+@given(shape=st.sampled_from(PRIME_POWERS).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(1, deepest_tree(q)))))
+@example(shape=(3**5, deepest_tree(3**5)))
+@example(shape=(2**61 - 1, deepest_tree(2**61 - 1)))
+def test_every_prime_power_answers_off_the_quotient(shape):
+    # the marked sums are period A1's S_0..S_depth, the profile is
+    # c_1 = -(q + 1)/(q^2 - q) with c_(d+1) = -c_d/q^2, the audit passes,
+    # and one level deeper a cap refuses the pair
+    q, depth = shape
+    t = tree.build_tree_pair(q, depth)
+    sums = tree.tree_period(t, tree.iwahori_cocycle(t))
+    assert sums == period.period_series(growth_from_exponents(
+        build_affine_system("A", 1), depth), q)
+    if depth >= 2:
+        profile = [Fraction(1), Fraction(-(q + 1), q * q - q)]
+        while len(profile) <= depth:
+            profile.append(profile[-1] / -(q * q))
+        assert tree.invariant_solver(t).profile == tuple(profile)
+    assert tree.check_tree_invariants(t).ok
+    with pytest.raises(ValueError, match="over the cap|exceeds the cap"):
+        tree.TreePair(q, deepest_tree(q) + 1)
+
+
+@pytest.mark.parametrize("q", OLD_QF)
 def test_solver_rows_are_the_symbolic_patterns(q, monkeypatch):
     # a marked vertex meets q_F + 1 edges at delta 0 and q_E - q_F at delta
     # 1; an unmarked one meets its parent edge at some d >= 1 and q_E edges
@@ -1163,7 +1288,7 @@ def test_solver_rows_are_the_symbolic_patterns(q, monkeypatch):
     monkeypatch.setattr(tree, "nullspace",
                         lambda rows, n: collected.append(rows) or solve(rows, n))
     for depth in range(2, 5):
-        if tree._projected_edges(q_E, depth) > tree.DEFAULT_EDGE_BUDGET:
+        if tree._projected_edges(q_E, depth) > EDGE_BOUND:
             break
         t = tree.build_tree_pair(q, depth)
         tree.invariant_solver(t)

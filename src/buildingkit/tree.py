@@ -18,21 +18,20 @@ which the layout decides: `v_label` reads it off the levels.
 
 The tree stores nothing per edge.  An edge's delta is its gallery
 distance to the marked subtree, so the marked edges are the edges at
-delta 0, and an edge's children depend on its delta alone: the far end of
-a marked edge has q_F marked children and q_E - q_F at delta 1, and the
-far end of an edge at delta d >= 1 has q_E children at delta d + 1.  So
-the number of edges of each level at each delta, `_census`, is the finite
-quotient whose universal cover is the tree, and it answers every question
-about deltas: the marked sphere sizes, the solver's rows, the audit and
-each reconstruction step.
+delta 0, and an edge's children depend on its delta alone.  That child
+rule is written once, as the pattern rows (`_pattern_row`): they are the
+finite quotient whose universal cover is the tree, and they answer every
+question about deltas.  The solver solves them, each reconstruction step
+reads one, and the census of each level's edges by delta is pushed out of
+them one level at a time for the marked sphere sizes and the audit.
 
-So a pair is refused (ValueError) only for a negative depth and for what its
-counts could not print: a q_F that is no prime power (`period`'s test), a
-largest count of depth * bit_length(q_E - 1) bits over MAX_PERIOD_BITS, or
-all levels' counts, bit_length(q_E - 1) depth (depth + 1) / 2 bits, over
-MAX_LISTED_BITS.  Only the id listings count edges, against
-DEFAULT_EDGE_BUDGET: the parents, the labels, the automorphisms' lifts and a
-failing harmonicity pass's violations.
+So a pair is refused (ValueError) only for a depth that is no integer >= 0
+and for what its counts could not print: a q_F that is no prime power
+(`period`'s test), a largest count of depth * bit_length(q_E - 1) bits over
+MAX_PERIOD_BITS, or all levels' counts, bit_length(q_E - 1) depth
+(depth + 1) / 2 bits, over MAX_LISTED_BITS.  Only the id listings count
+edges, against DEFAULT_EDGE_BUDGET: the parents, the labels, the
+automorphisms' lifts and a failing harmonicity pass's violations.
 
 A cocycle is constant on the levels: one integer numerator per level over
 one common denominator.  So the harmonicity, decay and period passes do
@@ -68,6 +67,8 @@ class TreePair:
 
     def __init__(self, q_F, depth):
         _require_prime_power(q_F)
+        if isinstance(depth, bool) or not isinstance(depth, int):
+            raise ValueError(f"depth must be an integer, got {depth!r}")
         if depth < 0:
             raise ValueError(f"depth must be >= 0, got {depth}")
         bits = (q_F * q_F - 1).bit_length()
@@ -121,7 +122,7 @@ class TreePair:
     def sphere_sizes(self, marked_only=False):
         """Edge counts per gallery distance from the root edge, read off
         the census: each level's edges, or only those at delta 0."""
-        return [level[0] if marked_only else sum(level)
+        return [level.get(0, 0) if marked_only else sum(level.values())
                 for level in _census(self)]
 
 
@@ -144,46 +145,41 @@ def _require_listable_ids(tree):
 # ---------------------------------------------------------------------------
 # the delta quotient
 
-def _census(tree):
-    """Per level k = 0..depth, the number of its edges at each delta
-    0..depth: the tree's finite quotient by the child rule.
-
-    The far end of a marked edge has q_F marked children and q_E - q_F at
-    delta 1; the far end of an edge at delta d >= 1 has q_E children at
-    delta d + 1.  Level 0 is the marked root edge, whose two ends both
-    carry children; every later edge has one far end.  No delta exceeds
-    its level, so the classes past depth stay empty.
-    """
-    q_F, q_E, depth = tree.q_F, tree.q_E, tree.depth
-    census = [[1] + [0] * depth]
-    ends = [2] + [0] * depth  # the two ends of the root edge
-    for _ in range(depth):
-        ends = [q_F * ends[0], (q_E - q_F) * ends[0],
-                *(q_E * x for x in ends[1:depth])]
-        census.append(ends)
-    return census
+def _pattern_row(tree, d):
+    """The child rule, as the incidence pattern of a vertex hung at an edge
+    of delta d: {delta: how many of its edges, the parent edge included,
+    are at that delta}.  A marked vertex meets q_F + 1 marked edges and
+    q_E - q_F at delta 1; one hung at delta d >= 1 meets q_E at d + 1."""
+    q_F, q_E = tree.q_F, tree.q_E
+    return {d: 1, d + 1: q_E} if d else {0: q_F + 1, 1: q_E - q_F}
 
 
 def _pattern_rows(tree):
-    """Row d, for d = 0..depth - 1, is the incidence pattern of a vertex
-    hung at an edge of delta d: how many of its edges, the parent edge
-    included, fall in each delta class 0..depth.
+    """Row d is `_pattern_row(tree, d)`, for each delta d = 0..depth - 1
+    that an expanded vertex's parent edge takes."""
+    return [_pattern_row(tree, d) for d in range(tree.depth)]
 
-    The rows are read off the census, so the child rule is written down
-    once.  The two ends of the root edge, both marked, carry level 1
-    between them.  An edge at delta d + 1 >= 2 hangs at the far end of an
-    edge at delta d, and no delta exceeds its level, so the edges at delta
-    d of level d carry all those of delta d + 1 on level d + 1.
+
+def _census(tree):
+    """Yield, per level k = 0..depth, {delta: number of level k's edges at
+    that delta}, nonzero entries only: the tree's finite quotient, pushed
+    out one level at a time by the pattern rows.
+
+    Level 0 is the marked root edge, whose two ends both carry children;
+    every later edge has one far end.  A vertex hung at an edge of delta d
+    has the edges of its row as children, less its parent edge.
     """
-    if not tree.depth:  # the root edge alone: no vertex is expanded
-        return []
-    census = _census(tree)
-    rows = [(census[1][0] // 2 + 1, *(x // 2 for x in census[1][1:]))]
-    for d in range(1, tree.depth):
-        row = [0] * (tree.depth + 1)
-        row[d], row[d + 1] = 1, census[d + 1][d + 1] // census[d][d]
-        rows.append(tuple(row))
-    return rows
+    kids = [[(c, a - (c == d)) for c, a in row.items() if a - (c == d)]
+            for d, row in enumerate(_pattern_rows(tree))]
+    yield {0: 1}
+    ends = {0: 2}  # the two ends of the root edge
+    for _ in range(tree.depth):
+        level = {}
+        for d, n in ends.items():
+            for c, a in kids[d]:
+                level[c] = level[c] + n * a if c in level else n * a
+        yield level
+        ends = level
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +304,7 @@ def reconstruct_layer(tree, delta, value):
     Every edge of the class `delta` carries `value`; a delta outside
     0..depth is refused with a ValueError.  The edges one class further out
     hang at the far ends of those edges (at the marked vertices, for
-    delta 0), vertices whose pattern row is `_pattern_rows(tree)[delta]`.
+    delta 0), vertices whose pattern row is `_pattern_row(tree, delta)`.
     There the inner edges carry `value` and the outer edges all carry the
     same value, so harmonicity forces it to minus the inner sum over the
     outer count.  Returns that value as a Fraction, or None at the rim,
@@ -318,7 +314,7 @@ def reconstruct_layer(tree, delta, value):
         raise ValueError(f"delta must be in 0..{tree.depth}, got {delta}")
     if delta == tree.depth:
         return None
-    row = _pattern_rows(tree)[delta]
+    row = _pattern_row(tree, delta)
     return Fraction(-row[delta] * value, row[delta + 1])
 
 
@@ -526,8 +522,8 @@ class TreeAuditReport:
 
 
 def check_tree_invariants(tree):
-    """Audit the census and the pattern rows read off it against identities
-    that do not reuse the child rule.
+    """Audit the pattern rows and the census pushed out of them, taken in
+    one pass, against identities that do not reuse the child rule.
 
     - a vertex meets q_E + 1 edges, whichever row it has, and a marked one,
       hung at an edge at delta 0, meets q_F + 1 marked edges (the degree
@@ -543,15 +539,16 @@ def check_tree_invariants(tree):
     """
     q_F, q_E, depth = tree.q_F, tree.q_E, tree.depth
     rows = _pattern_rows(tree)
-    marked = tuple(tree.sphere_sizes(marked_only=True))
-    ambient = tuple(tree.sphere_sizes())
+    marked, ambient = zip(*((level.get(0, 0), sum(level.values()))
+                            for level in _census(tree)))
     problems = []
-    if rows and rows[0][0] != q_F + 1:
-        problems.append(f"a marked interior vertex has {rows[0][0]} marked "
+    if rows and (n := rows[0].get(0, 0)) != q_F + 1:
+        problems.append(f"a marked interior vertex has {n} marked "
                         f"edges, expected {q_F + 1}")
-    problems += [f"an interior vertex hung at delta {d} has {sum(row)} "
+    problems += [f"an interior vertex hung at delta {d} has {n} "
                  f"edges, expected {q_E + 1}"
-                 for d, row in enumerate(rows) if sum(row) != q_E + 1]
+                 for d, n in enumerate(sum(row.values()) for row in rows)
+                 if n != q_E + 1]
     if not marked[0]:
         problems.append("marked subtree is not connected to the root edge")
     if marked[1:] != tuple(2 * q_F**k for k in range(1, depth + 1)):

@@ -371,6 +371,26 @@ def test_exit_budget_names_the_smallest_failing_depth(capsys, argv, q_F):
                        "of 1000000 bits\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", ["tree-verify", "tree-period", "invariant"])
+def test_deep_tree_commands_stay_small(capsys, command, fmt):
+    # at (2, 999) the census is pushed out one level at a time and the
+    # solver reads the rows' nonzero entries: a stored (depth + 1)^2 table
+    # built three times peaked at 99 MB, and dense rows took the solve 7.7 s
+    argv = [command, "--qF", "2", "--depth", "999", "--format", fmt]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "") and peak < 8_000_000, (code, err, peak)
+    if command == "invariant":
+        start = time.perf_counter()
+        assert run_cli(capsys, argv) == (code, out, err)
+        assert time.perf_counter() - start < 2
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_growth_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
     def never(*args, **kwargs):

@@ -2,13 +2,13 @@
 
 Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
 never with a traceback; exits 2 and 3 print nothing on stdout and say why on
-stderr; the same argv prints the same bytes twice.  A fixed subset and the
-damaged-census audit, the invariant solver's checks of its pattern rows, the
-checks of the affine system's and the residue fields' construction, the
-degree check of the finite length polynomial, and the orbit layer's and
-Omega's model checks, each made to fire by one broken table, row set or
-helper, also run under `python -O`, which strips asserts, in one process whose
-answers each test reads for itself.
+stderr; the same argv prints the same bytes twice.  A fixed subset, the
+damaged-row and damaged-census audits, the invariant solver's checks of its
+pattern rows, the checks of the affine system's and the residue fields'
+construction, the degree check of the finite length polynomial, and the
+orbit layer's and Omega's model checks, each made to fire by one broken
+table, row set or helper, also run under `python -O`, which strips asserts,
+in one process whose answers each test reads for itself.
 """
 
 import contextlib
@@ -120,23 +120,29 @@ FIXED_ARGVS = [
 
 
 def damaged_audits():
-    """Audit problems of the (2, 2) tree on damaged censuses, each with the
-    given {(level, delta): count} entries set: one marked child at each end
-    of the root edge, the root edge unmarked, three children at delta 2 for
-    each edge at delta 1 of level 1, level 2 one edge short, and none."""
+    """Audit problems of the (2, 2) tree, whose rows are {0: 3, 1: 2} and
+    {1: 1, 2: 4} and whose census is [{0: 1}, {0: 4, 1: 4}, {0: 8, 1: 8,
+    2: 16}], with the given entries of one of them set: a marked row with
+    one marked edge too few and an unmarked one with one edge too few, each
+    pushing out its census, then a census with the root edge unmarked, one
+    with levels 1 and 2 short of marked edges and of edges, and none."""
     t = tree.build_tree_pair(2, 2)
-    census = tree._census
+    sound = {"_pattern_rows": tree._pattern_rows(t),
+             "_census": list(tree._census(t))}
     audits = []
-    for edits in ({(1, 0): 2, (1, 1): 6}, {(0, 0): 0, (0, 1): 1},
-                  {(2, 1): 12, (2, 2): 12}, {(2, 1): 7}, {}):
-        damaged = census(t)
-        for (k, d), count in edits.items():
-            damaged[k][d] = count
-        tree._census = lambda pair: damaged
+    for name, edits in (("_pattern_rows", {0: {0: 2, 1: 3}}),
+                        ("_pattern_rows", {1: {2: 3}}),
+                        ("_census", {0: {0: 0, 1: 1}}),
+                        ("_census", {1: {0: 3}, 2: {1: 7}}),
+                        ("_census", {})):
+        damaged = [{**entry, **edits.get(i, {})}
+                   for i, entry in enumerate(sound[name])]
+        saved = getattr(tree, name)
+        setattr(tree, name, lambda pair: damaged)
         try:
             audits.append(list(tree.check_tree_invariants(t).problems))
         finally:
-            tree._census = census
+            setattr(tree, name, saved)
     return audits
 
 
@@ -180,12 +186,12 @@ def automorphism_errors():
 
 def solver_errors():
     """The ModelError messages of the invariant solver on pattern rows with
-    one inconsistent row added, and with the row ending at the last class
-    dropped."""
+    one inconsistent row {0: 1} added, and with the row ending at the last
+    class dropped."""
     rows, t = tree._pattern_rows, tree.build_tree_pair(2, 3)
     messages = []
-    for damage in (lambda found: found + [(1, 0, 0, 0)],
-                   lambda found: [row for row in found if not row[t.depth]]):
+    for damage in (lambda found: found + [{0: 1}],
+                   lambda found: [row for row in found if t.depth not in row]):
         tree._pattern_rows = lambda pair: damage(rows(pair))
         try:
             tree.invariant_solver(t)
@@ -423,8 +429,8 @@ def test_optimized_run_answers_the_same():
     optimize, answers = run_optimized("observed")
     assert optimize == 1
     expected = observed()
-    # every damaged census is refused and the sound one is not, and each
-    # group of audit messages fires
+    # every damaged row set and census is refused and the sound census is
+    # not, and each group of audit messages fires
     audits = expected["audits"]
     assert [bool(problems) for problems in audits] == [
         True, True, True, True, False]

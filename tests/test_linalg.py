@@ -18,11 +18,18 @@ def last_column(row):
     return max((c for c, a in enumerate(row) if a), default=0)
 
 
+def sparse(rows):
+    """Dense rows as the mappings {column: nonzero coefficient} that
+    `nullspace` takes."""
+    return [{c: a for c, a in enumerate(row) if a} for row in rows]
+
+
 @st.composite
 def covered_rows(draw):
-    """(n, rows): integer rows of length n, one ending at each column
+    """(n, rows): dense integer rows of length n, one ending at each column
     1..n - 1, with extra rows that are integer combinations of those, and
-    so consistent with them, or random, in a drawn order."""
+    so consistent with them, or random, in a drawn order.  The solver takes
+    them `sparse`, the oracle dense."""
     n = draw(st.integers(2, 7))
     rows = [draw(st.lists(ENTRIES, min_size=k, max_size=k))
             + [draw(ENTRIES.filter(bool))] + [0] * (n - 1 - k)
@@ -45,7 +52,7 @@ def test_substitution_is_the_row_reduction_kernel(drawn):
     # the kernel is the line with first entry 1, or 0; never a second
     # vector, never one vanishing at column 0
     n, rows = drawn
-    basis = linalg.nullspace(rows, n)
+    basis = linalg.nullspace(sparse(rows), n)
     assert basis == normalized_kernel(rows, n)
     assert all(type(x) is Fraction for v in basis for x in v)
 
@@ -58,7 +65,7 @@ def test_an_uncovered_column_is_refused(drawn, data):
     rows = [row for row in rows if last_column(row) != dropped]
     first = min(set(range(1, n)) - set(map(last_column, rows)))
     with pytest.raises(ModelError, match=f"^no row ends at column {first}$"):
-        linalg.nullspace(rows, n)
+        linalg.nullspace(sparse(rows), n)
 
 
 def buildable_shapes():

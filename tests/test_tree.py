@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import re
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -120,11 +121,11 @@ def test_delta_and_level_against_bfs_oracle(q, depth):
     assert edge_bfs(t, marked) == list(deltas)
     # level k is exactly the edges at BFS distance k from the root edge,
     # and the census counts their BFS distances to the marked edges
-    levels = edge_bfs(t, [0])
+    levels, census = edge_bfs(t, [0]), dense_census(t)
     assert max(levels) == t.depth
     for k in range(t.depth + 1):
         assert list(t.level(k)) == [e for e in edges if levels[e] == k]
-        assert tree._census(t)[k] == [
+        assert census[k] == [
             sum(levels[e] == k for e in edges if deltas[e] == d)
             for d in range(t.depth + 1)]
 
@@ -149,7 +150,7 @@ def test_delta_recursion_invariant_directly():
         closer = sum(1 for x in incident_edges(t, endpoints(t, e)[0])
                      if deltas[x] == delta - 1)
         assert closer == (t.q_F + 1 if delta == 1 else 1), (e, delta)
-    for d, row in enumerate(tree._pattern_rows(t)):
+    for d, row in enumerate(dense_rows(t)):
         assert row[d] == (t.q_F + 1 if d == 0 else 1)
         assert row[d] + row[d + 1] == sum(row) == t.q_E + 1
 
@@ -190,6 +191,18 @@ def test_bool_depth_is_refused():
         tree.build_tree_pair(2, True)
     with pytest.raises(ValueError, match="depth must be >= 1, got False"):
         tree.build_tree_pair(2, False)
+
+
+@pytest.mark.parametrize("depth", [True, False, 2.0, "2", None])
+def test_tree_pair_refuses_a_depth_that_is_no_int(depth):
+    # the pair checks its own depth: a bool once built a tree whose depth
+    # read True, and 2.0 failed on a list product with a TypeError
+    message = f"^depth must be an integer, got {re.escape(repr(depth))}$"
+    with pytest.raises(ValueError, match=message):
+        tree.TreePair(2, depth)
+    if isinstance(depth, float):
+        with pytest.raises(ValueError, match=message):
+            tree.build_tree_pair(2, depth)
 
 
 def test_id_listings_stop_at_the_edge_budget():
@@ -273,19 +286,37 @@ def reference_rows(q_F, depth, deltas):
             for parent, kids in patterns}
 
 
+def dense(counts, depth):
+    """A {delta: count} mapping, a census level or a pattern row, as a list
+    over the classes 0..depth."""
+    return [counts.get(d, 0) for d in range(depth + 1)]
+
+
+def dense_census(t):
+    """The census as the list of its levels, each dense over 0..depth."""
+    return [dense(level, t.depth) for level in tree._census(t)]
+
+
+def dense_rows(t):
+    """The pattern rows, each a tuple over the classes 0..depth."""
+    return [tuple(dense(row, t.depth)) for row in tree._pattern_rows(t)]
+
+
 @pytest.mark.parametrize("q", OLD_QF)
 def test_build_matches_the_vertex_loop(q):
     # every depth within the edge bound: the census counts the vertex
-    # loop's deltas level by level, the pattern rows are its rows, and the
-    # pair keeps nothing per edge
+    # loop's deltas level by level, the pattern rows are its rows, both
+    # hold nonzero entries only, and the pair keeps nothing per edge
     depth = 1
     while tree._projected_edges(q * q, depth) <= EDGE_BOUND:
         t = tree.build_tree_pair(q, depth)
         assert vars(t).keys() == {"q_F", "q_E", "depth", "n_edges",
                                   "n_expanded", "n_vertices"}
         deltas = reference_build(q, depth)["deltas"]
-        assert tree._census(t) == reference_census(q, depth, deltas), depth
-        assert set(tree._pattern_rows(t)) == reference_rows(q, depth, deltas)
+        assert dense_census(t) == reference_census(q, depth, deltas), depth
+        assert set(dense_rows(t)) == reference_rows(q, depth, deltas)
+        assert all(all(counts.values()) for counts in
+                   [*tree._census(t), *tree._pattern_rows(t)])
         depth += 1
     assert depth > 2
 
@@ -1012,7 +1043,7 @@ def test_integer_passes_match_fraction_references(shape, key, harmonic,
     if key == "levels":
         assert_matches_references(t, level_cocycle(profile), vals, levels)
     else:
-        rows = tree._pattern_rows(t)
+        rows = dense_rows(t)
         assert (not reference_verify_harmonic(t, vals)) == (
             not any(sum(map(mul, row, profile)) for row in rows))
 
@@ -1036,35 +1067,54 @@ NOT_CONNECTED = "marked subtree is not connected to the root edge"
 
 
 def test_audit_reports_damaged_trees(monkeypatch):
-    # the (2, 2) census is [[1, 0, 0], [4, 4, 0], [8, 8, 16]], and the rows
-    # read off it are (3, 2, 0) and (0, 1, 4); each census with the given
-    # {(level, delta): count} entries set feeds the rows and the audit alike
+    # the (2, 2) rows are {0: 3, 1: 2} and {1: 1, 2: 4}, and the census they
+    # push out is [[1, 0, 0], [4, 4, 0], [8, 8, 16]].  Rows with the given
+    # {row: {delta: count}} entries set feed the census and the audit
+    # alike; a census with the given {(level, delta): count} entries set
+    # feeds the audit alone
     t = tree.build_tree_pair(2, 2)
-    census = tree._census(t)
+    rows, census = tree._pattern_rows(t), dense_census(t)
 
-    def problems(edits):
-        damaged = [list(level) for level in census]
+    def audit(name, damaged):
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, name, lambda pair: damaged)
+            return tree.check_tree_invariants(t).problems
+
+    def row_problems(edits):
+        return audit("_pattern_rows", [{**row, **edits.get(d, {})}
+                                       for d, row in enumerate(rows)])
+
+    def census_problems(edits):
+        damaged = [dict(enumerate(level)) for level in census]
         for (k, d), count in edits.items():
             damaged[k][d] = count
-        monkeypatch.setattr(tree, "_census", lambda pair: damaged)
-        return tree.check_tree_invariants(t).problems
+        return audit("_census", damaged)
 
-    # one marked child at each end of the root edge: the marked row has one
-    # marked edge too few, and the six edges at delta 1 of level 1 share
-    # the 16 of level 2, two each
-    assert problems({(1, 0): 2, (1, 1): 6}) == (
+    # one marked child at each marked vertex: its row has one marked edge
+    # too few, and level k >= 1 has 2 marked edges
+    assert row_problems({0: {0: 2, 1: 3}}) == (
         "a marked interior vertex has 2 marked edges, expected 3",
-        "an interior vertex hung at delta 1 has 3 edges, expected 5",
         "marked sphere census mismatch")
-    assert problems({(0, 0): 0, (0, 1): 1}) == (NOT_CONNECTED,)
-    # the edges at delta 1 of level 1 carry three children at delta 2 each
-    assert problems({(2, 1): 12, (2, 2): 12}) == (
-        "an interior vertex hung at delta 1 has 4 edges, expected 5",)
+    assert row_problems({0: {0: 2, 1: 2}}) == (
+        "a marked interior vertex has 2 marked edges, expected 3",
+        "an interior vertex hung at delta 0 has 4 edges, expected 5",
+        "marked sphere census mismatch", "ambient sphere census mismatch")
+    # the edges at delta 1 carry three children at delta 2 each
+    assert row_problems({1: {2: 3}}) == (
+        "an interior vertex hung at delta 1 has 4 edges, expected 5",
+        "ambient sphere census mismatch")
+    assert census_problems({(0, 0): 0, (0, 1): 1}) == (NOT_CONNECTED,)
+    assert census_problems({(1, 0): 2, (1, 1): 6}) == (
+        "marked sphere census mismatch",)
+    assert census_problems({(2, 1): 7}) == ("ambient sphere census mismatch",)
     # every single-entry change is reported
+    for d, row in enumerate(rows):
+        for c, count in row.items():
+            assert row_problems({d: {c: count + 1}}), (d, c)
     for k, level in enumerate(census):
         for d, count in enumerate(level):
             for changed in (count + 1, 2 * count + 1):
-                assert problems({(k, d): changed}), (k, d, changed)
+                assert census_problems({(k, d): changed}), (k, d, changed)
 
 
 def test_swapped_deltas_mark_another_sound_subtree():
@@ -1078,8 +1128,8 @@ def test_swapped_deltas_mark_another_sound_subtree():
     deltas[9], deltas[11] = deltas[11], deltas[9]
     assert [e for e in range(9, 13) if not deltas[e]] == [10, 11]
     assert reference_audit(t, deltas) == ()
-    assert reference_census(2, 2, deltas) == tree._census(t)
-    assert reference_rows(2, 2, deltas) == set(tree._pattern_rows(t))
+    assert reference_census(2, 2, deltas) == dense_census(t)
+    assert reference_rows(2, 2, deltas) == set(dense_rows(t))
     assert tree.check_tree_invariants(t) == tree.TreeAuditReport(
         problems=(), marked_census=(1, 4, 8), ambient_census=(1, 8, 32))
 
@@ -1102,12 +1152,11 @@ def test_tree_pair_keeps_few_bytes_per_edge(q, depth):
 
 
 def test_solver_recheck_fires(monkeypatch):
-    # a row (1, 0, 0, 0) ends at class 0, so the substitution never solves
-    # from it; only the recheck of every row refuses the profile
+    # a row {0: 1} ends at class 0, so the substitution never solves from
+    # it; only the recheck of every row refuses the profile
     t = tree.build_tree_pair(2, 3)
     rows = tree._pattern_rows
-    monkeypatch.setattr(tree, "_pattern_rows",
-                        lambda t: rows(t) + [(1, 0, 0, 0)])
+    monkeypatch.setattr(tree, "_pattern_rows", lambda t: rows(t) + [{0: 1}])
     with pytest.raises(ModelError, match="^invariant space has dimension 0, "
                                          "expected 1$"):
         tree.invariant_solver(t)
@@ -1118,7 +1167,7 @@ def test_invariant_solver_raises_on_degenerate_model(monkeypatch):
     t = tree.build_tree_pair(2, 3)
     rows = tree._pattern_rows
     monkeypatch.setattr(tree, "_pattern_rows",
-                        lambda t: [row for row in rows(t) if not row[t.depth]])
+                        lambda t: [row for row in rows(t) if t.depth not in row])
     with pytest.raises(ModelError, match="^no row ends at column 3$"):
         tree.invariant_solver(t)
 
@@ -1231,8 +1280,8 @@ def test_prime_powers_past_the_old_list_match_the_vertex_loop(q, depth):
     t = tree.build_tree_pair(q, depth)
     deltas = reference_build(q, depth)["deltas"]
     census = reference_census(q, depth, deltas)
-    assert tree._census(t) == census
-    assert set(tree._pattern_rows(t)) == reference_rows(q, depth, deltas)
+    assert dense_census(t) == census
+    assert set(dense_rows(t)) == reference_rows(q, depth, deltas)
     assert reference_audit(t, deltas) == ()
     assert tree.check_tree_invariants(t) == tree.TreeAuditReport(
         problems=(), marked_census=tuple(level[0] for level in census),
@@ -1277,6 +1326,29 @@ def test_every_prime_power_answers_off_the_quotient(shape):
         tree.TreePair(q, deepest_tree(q) + 1)
 
 
+@settings(max_examples=10, deadline=None)
+@given(shape=st.sampled_from(PRIME_POWERS).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(1, deepest_tree(q)))))
+@example(shape=(3**5, deepest_tree(3**5)))
+@example(shape=(2**61 - 1, deepest_tree(2**61 - 1)))
+def test_census_is_the_closed_form_per_class(shape):
+    # level k >= 1 holds 2 q_F^k edges at delta 0, 2 (q_E - q_F) q_F^(k-d)
+    # q_E^(d-1) at each delta d in 1..k and none past k, and level 0 the
+    # root edge alone: a closed form that does not reuse the rows, checked
+    # past the 34 shapes the vertex loop can build
+    q, depth = shape
+    q_E = q * q
+    f_powers = [q**i for i in range(depth + 1)]
+    e_powers = [q_E**i for i in range(depth)]
+    census = tree._census(tree.build_tree_pair(q, depth))
+    assert next(census) == {0: 1}
+    for k, level in enumerate(census, 1):
+        assert level == {0: 2 * f_powers[k], **{
+            d: 2 * (q_E - q) * f_powers[k - d] * e_powers[d - 1]
+            for d in range(1, k + 1)}}, (k, q)
+    assert k == depth
+
+
 @pytest.mark.parametrize("q", OLD_QF)
 def test_solver_rows_are_the_symbolic_patterns(q, monkeypatch):
     # a marked vertex meets q_F + 1 edges at delta 0 and q_E - q_F at delta
@@ -1301,11 +1373,12 @@ def test_solver_rows_are_the_symbolic_patterns(q, monkeypatch):
 
         expected = {row((0, q + 1), (1, q_E - q))} | {
             row((d, 1), (d + 1, q_E)) for d in range(1, depth)}
-        assert set(collected.pop()) == expected
+        assert {tuple(dense(r, depth)) for r in collected.pop()} == expected
         assert reference_rows(q, depth,
                               reference_build(q, depth)["deltas"]) == expected
     # depth 1, below what the solver takes, has the two marked root ends
-    assert tree._pattern_rows(tree.build_tree_pair(q, 1)) == [(q + 1, q_E - q)]
+    assert tree._pattern_rows(tree.build_tree_pair(q, 1)) == [
+        {0: q + 1, 1: q_E - q}]
 
 
 @settings(max_examples=100, deadline=None)

@@ -46,7 +46,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetError, InvalidTypeError, ModelError
+from .errors import BudgetError, InvalidTypeError, ModelError, require_int
 
 INFINITE_ORDER = 0
 
@@ -323,8 +323,7 @@ def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
     k that takes it past `budget`, and a BudgetError is raised that carries
     a_0..a_(k-1).
     """
-    if isinstance(truncation, bool) or truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    require_int(truncation, "truncation", lo=0)
     walk = _sphere_sizes(system.cartan_matrix, range(system.rank + 1),
                          _basis_point(system, 0))
     coeffs = _within_budget(
@@ -340,8 +339,7 @@ def growth_from_exponents(system, truncation):
 
     Over the exponents it is prod_i (1 - t^(m_i+1)) / ((1 - t)(1 - t^(m_i))).
     """
-    if isinstance(truncation, bool) or truncation < 0:
-        raise ValueError(f"truncation must be >= 0, got {truncation}")
+    require_int(truncation, "truncation", lo=0)
     coeffs = [1] + [0] * truncation
     for m in system.exponents:
         for k in range(truncation, m, -1):  # times 1 - t^(m+1)

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and `require_int`, the one
+check of an integer argument that the entry points call."""
 
 
 class ToolkitError(Exception):
@@ -6,7 +7,8 @@ class ToolkitError(Exception):
 
 
 class InvalidTypeError(ToolkitError, ValueError):
-    """Invalid (family, rank) combination; the message names the violated constraint."""
+    """Invalid (family, rank) combination or q_F; the message names the
+    violated constraint."""
 
 
 class BudgetError(ToolkitError, RuntimeError):
@@ -23,3 +25,15 @@ class BudgetError(ToolkitError, RuntimeError):
 
 class ModelError(ToolkitError, RuntimeError):
     """An internal consistency check failed; this signals a bug, not bad input."""
+
+
+def require_int(value, name, lo=None, hi=None):
+    """`value` if it is an int, not a bool, >= lo and in lo..hi where given;
+    else a ValueError whose message starts with `name`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+    return value

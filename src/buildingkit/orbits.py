@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ModelError
+from .errors import ModelError, require_int
 from .period import _MR_LIMIT, _is_prime
 
 MAX_Q = 16
@@ -95,16 +95,14 @@ class FiniteFieldPair:
     """k_F of size q = p^n inside k_E of size q^2, with exact lookup tables."""
 
     def __init__(self, p, n):
-        if p >= _MR_LIMIT:
+        if require_int(p, "p") >= _MR_LIMIT:
             raise ValueError(
                 f"p must be a prime below {_MR_LIMIT}, the limit of the "
                 f"deterministic primality test, got {p}")
         # the Miller-Rabin test needs p >= 2
         if p < 2 or not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        if isinstance(n, bool) or not 1 <= n <= 4:
-            raise ValueError(f"n must be in 1..4, got {n}")
-        q = p ** n
+        q = p ** require_int(n, "n", 1, 4)
         if q > MAX_Q:
             raise ValueError(f"q = p^n must be <= {MAX_Q}, got {q}")
         self.p = p
@@ -466,13 +464,13 @@ def exists_nonsquare_value(fields, c):
     """First (a, b) with a^2 - b^2/(a^2 c) a nonzero nonsquare of the base field.
 
     Searched in ascending (a, b) order over a nonzero, b arbitrary.  The value
-    must exist whenever 1/c is a nonsquare, so a c that is 0 or has 1/c a
-    square is bad input (ValueError), while exhausting the search without a
-    witness is reported as a hard model error.
+    must exist whenever 1/c is a nonsquare, so a c outside 0..q - 1, 0 or
+    with 1/c a square is bad input (ValueError), while exhausting the search
+    without a witness is reported as a hard model error.
     """
     if fields.p == 2:
         raise ValueError("nonsquare search needs odd characteristic")
-    if c == 0 or fields.is_square_base(fields.base_inv(c)):
+    if require_int(c, "c", 0, fields.q - 1) == 0 or fields.is_square_base(fields.base_inv(c)):
         raise ValueError("c must be nonzero with 1/c a nonsquare of the base field")
     for a in fields.base_units():
         a2 = fields.base_mul(a, a)

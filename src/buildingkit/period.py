@@ -16,7 +16,7 @@ from itertools import count
 from math import log2
 
 from . import coxeter
-from .errors import InvalidTypeError
+from .errors import InvalidTypeError, require_int
 
 # Miller-Rabin with the prime bases up to 41 is deterministic below this bound
 # (Sorenson and Webster, 2015)
@@ -136,8 +136,7 @@ def check_counting_bound(series, d):
 
 def period_series(series, q_F):
     """Partial sums S_0..S_K of sum_k a_k q_F^k (-1/q_E)^k, exactly."""
-    if q_F < 2:
-        raise ValueError(f"q_F must be >= 2, got {q_F}")
+    require_int(q_F, "q_F", lo=2)
     x = Fraction(-1, q_F)
     sums = []
     acc = Fraction(0)
@@ -219,7 +218,7 @@ def evaluate_period(family, rank, q_F, truncation=12):
     """
     if not isinstance(q_F, int):
         raise InvalidTypeError(f"q_F must be an integer >= 2, got {q_F!r}")
-    bits = truncation * (q_F - 1).bit_length()
+    bits = require_int(truncation, "truncation") * (q_F - 1).bit_length()
     if bits > MAX_PERIOD_BITS:
         raise ValueError(f"K * bit_length(q_F - 1) = {bits} exceeds the cap of "
                          f"{MAX_PERIOD_BITS} bits")

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import coxeter, orbits, period, tree
+from . import coxeter, errors, orbits, period, tree
 from .period import _rat
 
 GRID_TYPES = (("A", 1), ("A", 2), ("A", 3), ("C", 2), ("G", 2))
@@ -83,10 +83,8 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     `depth` controls the deep trees for q_F in {2, 3} and must be at least 6
     so the harmonicity check covers the advertised range.
     """
-    if depth < 6:
-        raise ValueError(f"suite depth must be >= 6, got {depth}")
-    if isinstance(seed, bool):
-        raise ValueError(f"suite seed must be an integer, got {seed}")
+    errors.require_int(depth, "suite depth", lo=6)
+    errors.require_int(seed, "suite seed")
     checks = []
 
     # shared artifacts

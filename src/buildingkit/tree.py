@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import mul, ne
 
-from .errors import BudgetError, ModelError
+from .errors import BudgetError, ModelError, require_int
 from .linalg import nullspace
 from .period import MAX_LISTED_BITS, MAX_PERIOD_BITS, _require_prime_power
 
@@ -67,10 +67,7 @@ class TreePair:
 
     def __init__(self, q_F, depth):
         _require_prime_power(q_F)
-        if isinstance(depth, bool) or not isinstance(depth, int):
-            raise ValueError(f"depth must be an integer, got {depth!r}")
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
+        require_int(depth, "depth", lo=0)
         bits = (q_F * q_F - 1).bit_length()
         if depth * bits > MAX_PERIOD_BITS:
             raise ValueError(f"depth * bit_length(q_E - 1) = {depth * bits} "
@@ -129,9 +126,7 @@ class TreePair:
 def build_tree_pair(q_F, depth):
     """Build the truncated tree pair for a prime power q_F and a depth >= 1;
     it stores nothing per edge, so no edge budget applies."""
-    if isinstance(depth, bool) or depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    return TreePair(q_F, depth)
+    return TreePair(q_F, require_int(depth, "depth", lo=1))
 
 
 def _require_listable_ids(tree):
@@ -199,10 +194,8 @@ class EdgeCocycle:
     __slots__ = ("nums", "den")
 
     def __init__(self, nums, den=1):
-        if den < 1:
-            raise ValueError(f"denominator must be positive, got {den}")
+        self.den = require_int(den, "den", lo=1)
         self.nums = list(nums)
-        self.den = den
 
 
 def iwahori_cocycle(tree):
@@ -310,8 +303,7 @@ def reconstruct_layer(tree, delta, value):
     outer count.  Returns that value as a Fraction, or None at the rim,
     where no class lies further out.
     """
-    if not 0 <= delta <= tree.depth:
-        raise ValueError(f"delta must be in 0..{tree.depth}, got {delta}")
+    require_int(delta, "delta", 0, tree.depth)
     if delta == tree.depth:
         return None
     row = _pattern_row(tree, delta)
@@ -495,7 +487,7 @@ def translation_automorphism(tree, steps):
     positive end, and hanging subtrees follow by creation order as far as
     their images are materialized.  Odd shifts swap the two vertex labels.
     """
-    if abs(steps) > tree.depth:
+    if abs(require_int(steps, "steps")) > tree.depth:
         raise ValueError(f"shift {steps} exceeds the materialized axis")
     ends = []
     for k in (steps, steps + 1):

@@ -383,7 +383,7 @@ def test_closed_form_growth_rejects_negative_truncation():
 def test_bool_truncation_is_refused_by_the_coset_walks():
     # True == 1, so an unchecked bool would count a_0, a_1 with "K": true
     for truncation in (True, False):
-        message = f"truncation must be >= 0, got {truncation}"
+        message = f"truncation must be an integer, got {truncation}"
         with pytest.raises(ValueError, match=message):
             growth_coefficients(build_affine_system("A", 2), truncation)
         with pytest.raises(ValueError, match=message):
@@ -393,7 +393,7 @@ def test_bool_truncation_is_refused_by_the_coset_walks():
 def test_bool_truncation_is_refused_by_the_closed_form():
     # True == 1, so an unchecked bool would sum the period's first two terms
     for truncation in (True, False):
-        message = f"truncation must be >= 0, got {truncation}"
+        message = f"truncation must be an integer, got {truncation}"
         with pytest.raises(ValueError, match=message):
             growth_from_exponents(build_affine_system("A", 2), truncation)
         with pytest.raises(ValueError, match=message):

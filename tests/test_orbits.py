@@ -335,9 +335,9 @@ def test_build_fields_rejects_bad_parameters():
 
 def test_bool_degree_is_refused():
     # True == 1, so an unchecked bool would build F_3 with "n": true
-    with pytest.raises(ValueError, match="n must be in 1..4, got True"):
+    with pytest.raises(ValueError, match="n must be an integer, got True"):
         orbits.build_fields(3, True)
-    with pytest.raises(ValueError, match="n must be in 1..4, got False"):
+    with pytest.raises(ValueError, match="n must be an integer, got False"):
         orbits.build_fields(3, False)
 
 

@@ -183,3 +183,26 @@ def test_every_public_name_has_a_program_caller():
         and node.name not in traced | kept
         and everywhere[node.name] == names(node)[node.name])
     assert uncalled == []
+
+
+def test_bools_are_refused_in_one_place():
+    # "an int, not a bool, in range" is written once, in errors.require_int,
+    # and every entry point that takes an integer calls it: a bool check
+    # written anywhere else is a second copy of the rule
+    owners = {}
+    for path in SOURCES:
+        module = ast.parse(path.read_text(), str(path))
+        # functions come after the scopes that hold them, so each check is
+        # owned by its innermost function, or by the module
+        for scope in (module, *ast.walk(module)):
+            if scope is not module and not isinstance(scope, ast.FunctionDef):
+                continue
+            owner = ".".join(filter(None, (path.stem, getattr(scope, "name", ""))))
+            owners.update(
+                ((path.name, node.lineno, node.col_offset), owner)
+                for node in ast.walk(scope)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and any(getattr(name, "id", None) == "bool"
+                        for name in ast.walk(node.args[1])))
+    assert list(owners.values()) == ["errors.require_int"]

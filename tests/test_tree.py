@@ -10,12 +10,13 @@ from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buildingkit import period, suite, tree
+from buildingkit import cli, period, suite, tree
 from buildingkit.coxeter import (build_affine_system, growth_coefficients,
                                  growth_from_exponents)
 from buildingkit.errors import BudgetError, ModelError
@@ -165,6 +166,20 @@ def test_bad_build_arguments():
         tree.TreePair(2, -1)
 
 
+def test_the_suite_depth_cap_is_the_one_its_help_and_the_readme_name(capsys):
+    # the q_F = 3 tree's listing cap sets suite's largest depth, which the
+    # `suite --depth` help and the README write as a literal
+    tree.TreePair(3, 706)
+    with pytest.raises(ValueError, match="over the cap of 1000000 bits$"):
+        tree.TreePair(3, 707)
+    with pytest.raises(SystemExit):
+        cli.main(["suite", "--help"])
+    assert "from 6 to 706, the q_F = 3 tree's cap" in " ".join(
+        capsys.readouterr().out.split())
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "`suite` runs to `--depth 706`" in " ".join(readme.split())
+
+
 @pytest.mark.parametrize("q,message", [
     (1, "q_F must be an integer >= 2, got 1"),
     (6, "q_F must be a prime power, got 6")])
@@ -187,9 +202,9 @@ def test_a_q_F_that_is_no_prime_power_is_refused_before_any_count(
 def test_bool_depth_is_refused():
     # True == 1, so an unchecked bool would build a depth-1 tree whose
     # depth reads True
-    with pytest.raises(ValueError, match="depth must be >= 1, got True"):
+    with pytest.raises(ValueError, match="depth must be an integer, got True"):
         tree.build_tree_pair(2, True)
-    with pytest.raises(ValueError, match="depth must be >= 1, got False"):
+    with pytest.raises(ValueError, match="depth must be an integer, got False"):
         tree.build_tree_pair(2, False)
 
 
@@ -374,7 +389,7 @@ def test_non_harmonic_cocycles_flagged():
 @pytest.mark.parametrize("den", [0, -1])
 def test_cocycle_refuses_a_denominator_below_1(den):
     with pytest.raises(ValueError,
-                       match=rf"^denominator must be positive, got {den}$"):
+                       match=rf"^den must be >= 1, got {den}$"):
         tree.EdgeCocycle([1, -1], den=den)
 
 

@@ -324,6 +324,7 @@ def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
     a_0..a_(k-1).
     """
     require_int(truncation, "truncation", lo=0)
+    require_int(budget, "budget", lo=1)
     walk = _sphere_sizes(system.cartan_matrix, range(system.rank + 1),
                          _basis_point(system, 0))
     coeffs = _within_budget(
@@ -363,6 +364,7 @@ def poincare_finite(family, rank, budget=DEFAULT_ELEMENT_BUDGET):
     degrees below the one that went over.  This is the oracle for the
     exponents and the period closed form; no other function calls it.
     """
+    require_int(budget, "budget", lo=1)
     poly = _finite_series(build_affine_system(family, rank))
     return tuple(_within_budget(
         poly, budget, f"finite group of {family}{rank} exceeds budget {budget}"))

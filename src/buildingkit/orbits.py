@@ -19,8 +19,9 @@ x_0^2 inside it; it is x -> 1/(c x) after an affine move, so its closure
 merges the two classes once 1/(c x) is seen to cross between them, as the
 norm proves it must for every c (see `inversion_closure_orbits`).
 
-Both fields multiply by index (Zech-log) arithmetic on exp and log tables
-of one generator (G; the least primitive element of k_F).
+k_F multiplies by index (Zech-log) arithmetic on the exp and log tables of
+its least primitive element, and k_E on the pairs (u, v) over k_F with
+y^2 = -b y - c for m_ext = y^2 + b y + c.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from .errors import ModelError, require_int
 from .period import _MR_LIMIT, _is_prime
 
-MAX_Q = 16
+MAX_Q = 256
 
 
 def _poly_mul(f, g, p):
@@ -75,24 +76,8 @@ def _is_irreducible(m, p):
     return True
 
 
-def _exp_log(candidates, times, order, group):
-    """The least candidate g of order `order` under times(g): z -> z g, with
-    exp[k] = g^k for k < 2 order and log its inverse on the units."""
-    for g in candidates:
-        step, exp, z = times(g), [1], g
-        while z != 1 and len(exp) < order:
-            exp.append(z)
-            z = step(z)
-        if z == 1 and len(exp) == order:
-            log = [None] * (order + 1)
-            for k, z in enumerate(exp):
-                log[z] = k
-            return g, exp + exp, log
-    raise ModelError(f"no element of order {order} in {group}")
-
-
 class FiniteFieldPair:
-    """k_F of size q = p^n inside k_E of size q^2, with exact lookup tables."""
+    """k_F of size q = p^n inside k_E of size q^2, on k_F's lookup tables."""
 
     def __init__(self, p, n):
         if require_int(p, "p") >= _MR_LIMIT:
@@ -102,7 +87,7 @@ class FiniteFieldPair:
         # the Miller-Rabin test needs p >= 2
         if p < 2 or not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        q = p ** require_int(n, "n", 1, 4)
+        q = p ** require_int(n, "n", 1, 8)
         if q > MAX_Q:
             raise ValueError(f"q = p^n must be <= {MAX_Q}, got {q}")
         self.p = p
@@ -114,8 +99,9 @@ class FiniteFieldPair:
         if self.modulus_base is None:
             raise ModelError(f"no irreducible polynomial of degree {n} over F_{p}")
         self._init_base_tables()
-        self.modulus_ext = self._find_ext_modulus()
-        self._init_ext_tables()
+        c, b, _ = self.modulus_ext = self._find_ext_modulus()
+        self._log_c, self._log_neg_c, self._log_neg_b = (
+            self._blog[e] for e in (c, self._bneg[c], self._bneg[b]))
         self._check_frobenius()
 
     # -- base field -----------------------------------------------------------
@@ -138,6 +124,8 @@ class FiniteFieldPair:
         return add
 
     def _init_base_tables(self):
+        """add, neg, and exp/log of the least g of order q - 1: exp[k] = g^k
+        for k < 2(q - 1), then 2q - 1 zeros, where log[0] = 2(q - 1) lands."""
         p, q, m = self.p, self.q, self.modulus_base
         add = self._badd = self._base_add_table()
         try:
@@ -146,19 +134,23 @@ class FiniteFieldPair:
             e = next(e for e in range(q) if 0 not in add[e])
             raise ModelError(f"{e} has no negative in the addition table "
                              f"of F_{q}") from None
-
-        def times(g):
-            dg = self._digits(g)
-            return lambda e: self._undigits(
-                _poly_rem(_poly_mul(self._digits(e), dg, p), m, p))
-        _, self._bexp, self._blog = _exp_log(range(1, q), times, q - 1,
-                                             "the units of the base field")
+        for g in range(1, q):
+            exp, z, dg = [1], g, self._digits(g)
+            while z != 1 and len(exp) < q - 1:
+                exp.append(z)
+                z = self._undigits(_poly_rem(_poly_mul(self._digits(z), dg, p), m, p))
+            if z == 1 and len(exp) == q - 1:
+                break
+        else:
+            raise ModelError(f"no element of order {q - 1} in the units of the base field")
+        self._blog = [2 * q - 2] * q
+        for k, z in enumerate(exp):
+            self._blog[z] = k
+        self._bexp = exp + exp + [0] * (2 * q - 1)
         self._squares = {self.base_mul(e, e) for e in range(1, q)}
 
     def base_mul(self, a, b):
-        if a and b:
-            return self._bexp[self._blog[a] + self._blog[b]]
-        return 0
+        return self._bexp[self._blog[a] + self._blog[b]]
 
     def base_inv(self, a):
         if a == 0:
@@ -186,23 +178,6 @@ class FiniteFieldPair:
                     return (c, b, 1)
         raise ModelError("no irreducible quadratic over the base field")
 
-    def _init_ext_tables(self):
-        c, b, _ = self.modulus_ext
-        self._ext_neg_c = self._bneg[c]
-        self._ext_neg_b = self._bneg[b]
-        # no element of the base field generates k_E^*
-        self._ext_generator, self._exp, self._log = _exp_log(
-            range(self.q, self.q_ext), self._times, self.q_ext - 1,
-            "the units of the extension field")
-
-    def _times(self, g):
-        """z -> z g, k_F-linear: u + v y goes to u g + v (y g), y^2 = -b y - c."""
-        q, bm, ba = self.q, self.base_mul, self._badd
-        gu, gv = g % q, g // q
-        yu, yv = bm(gv, self._ext_neg_c), ba[gu][bm(gv, self._ext_neg_b)]
-        u_g, u_yg, v_g, v_yg = ([bm(t, k) for t in range(q)] for k in (gu, yu, gv, yv))
-        return lambda z: ba[u_g[z % q]][u_yg[z // q]] + q * ba[v_g[z % q]][v_yg[z // q]]
-
     def add(self, z1, z2):
         q = self.q
         return (self._badd[z1 % q][z2 % q]
@@ -216,33 +191,47 @@ class FiniteFieldPair:
         return self.add(z1, self.neg(z2))
 
     def mul(self, z1, z2):
-        if z1 and z2:
-            return self._exp[self._log[z1] + self._log[z2]]
-        return 0
+        """(u1 + v1 y)(u2 + v2 y) with y^2 = -b y - c, on k_F's logs."""
+        q, add, exp, log = self.q, self._badd, self._bexp, self._blog
+        lu1, lv1, lu2, lv2 = log[z1 % q], log[z1 // q], log[z2 % q], log[z2 // q]
+        lvv = log[exp[lv1 + lv2]]
+        return (add[exp[lu1 + lu2]][exp[lvv + self._log_neg_c]]
+                + q * add[add[exp[lu1 + lv2]][exp[lv1 + lu2]]][exp[lvv + self._log_neg_b]])
 
     def inv(self, z):
+        """The conjugate (u - b v) - v y over the norm u (u - b v) + c v^2."""
         if z == 0:
             raise ModelError("0 has no inverse in the extension field")
-        return self._exp[self.q_ext - 1 - self._log[z]]
+        q, add, exp, log = self.q, self._badd, self._bexp, self._blog
+        u, lv = z % q, log[z // q]
+        lw = log[add[u][exp[lv + self._log_neg_b]]]  # w = u - b v
+        norm = add[exp[log[u] + lw]][exp[log[exp[lv + lv]] + self._log_c]]
+        ln = log[self.base_inv(norm)]
+        return exp[lw + ln] + q * self._bneg[exp[lv + ln]]
 
     def nonbase_elements(self):
         return range(self.q, self.q_ext)
 
     def _check_frobenius(self):
-        """The base field must be exactly the fixed points of z -> z^q.
+        """y^q must be the other root -b - y of m_ext = y^2 + b y + c.
 
-        0 is fixed, and a unit G^k is fixed exactly when (q - 1) k is a
-        multiple of q^2 - 1, that is when q + 1 divides k: the q - 1 exp
-        entries at those k, which must be 1..q - 1.  This needs exp to list
-        each unit once, as `_exp_log` ensures: its walk z -> z G first
-        returns to 1 after exactly q^2 - 1 steps, and an earlier repeat
-        would have trapped it in a cycle without 1.
+        That holds exactly when m_ext has no root in k_F.  With none, k_E is
+        a field and z -> z^q a field map fixing k_F, whose fixed points, the
+        roots of z^q - z, are the q elements of k_F; so it sends the root y,
+        outside k_F, to a root other than y.  Two roots r != s make
+        k_F[y]/(m_ext) the ring k_F x k_F with y = (r, s), where z^q = z, so
+        y^q = y, not -b - y = (s, r).  A double root r makes y = r + e with
+        e^2 = 0, so y^q = r^q + q r^(q-1) e = r, not -b - y = r - e.
         """
-        fixed = set(self._exp[:self.q_ext - 1:self.q + 1])
-        wrong = fixed.symmetric_difference(self.base_units())
-        if wrong:
-            raise ModelError(
-                f"Frobenius fixed points differ from the base field at {min(wrong)}")
+        power, z, k = 1, self.q, self.q
+        while k:  # square-and-multiply
+            if k & 1:
+                power = self.mul(power, z)
+            z, k = self.mul(z, z), k >> 1
+        conjugate = self.neg(self.q + self.modulus_ext[1])
+        if power != conjugate:
+            raise ModelError(f"Frobenius sends y to {power}, not to its "
+                             f"conjugate -b - y = {conjugate}")
 
     def poly_str(self, coeffs, var):
         terms = []
@@ -270,7 +259,7 @@ class FiniteFieldPair:
 
 
 def build_fields(p, n):
-    """Deterministic field pair for q = p^n; exact tables, q capped at 16."""
+    """Deterministic field pair for q = p^n, for every q up to MAX_Q = 256."""
     return FiniteFieldPair(p, n)
 
 
@@ -332,20 +321,20 @@ def affine_square_orbits(fields):
 def canonical_inversion_data(fields):
     """The least valid x_0 and the constant c = x_0^(-2) for inversion moves.
 
-    k_F^* is log z = 0 mod q + 1, so x_0 outside k_F has x_0^2 in k_F^*
-    exactly when log x_0 = (q + 1)/2 mod q + 1.  In odd characteristic q + 1
-    is even and these are the q - 1 exp entries at (q + 1)/2 + j (q + 1),
-    so a least x_0 always exists, and x_0^2 is a unit.  It is a nonsquare
-    of the base field, since s^2 = x_0^2 for an s in k_F would put
-    x_0 = +-s in k_F; so a square 1/c = x_0^2 signals broken field
-    arithmetic, not bad input.
+    x = u + v y has x^2 = u^2 - c' v^2 + v (2u - b) y for m_ext =
+    y^2 + b y + c', so x outside k_F (v nonzero) has x^2 in k_F exactly when
+    2u = b.  In odd characteristic the least such x is q + b/2, below 2q,
+    and x_0 is the first x >= q with x^2 < q.  x_0^2 is a unit, and a
+    nonsquare of the base field, since s^2 = x_0^2 for an s in k_F would put
+    x_0 = +-s in k_F; so an x_0^2 that is a square, or outside k_F because
+    no x_0 was found, signals broken field arithmetic, not bad input.
     """
     if fields.p == 2:
         raise ValueError("inversion data needs odd characteristic")
-    step = fields.q + 1
-    x0 = min(fields._exp[step // 2:fields.q_ext - 1:step])
+    q = fields.q
+    x0 = next((x for x in fields.nonbase_elements() if fields.mul(x, x) < q), q)
     inv_c = fields.mul(x0, x0)
-    if fields.is_square_base(inv_c):
+    if inv_c >= q or fields.is_square_base(inv_c):
         raise ModelError("x_0^2 must be a nonsquare of the base field")
     return x0, fields.base_inv(inv_c)
 
@@ -424,16 +413,20 @@ def verify_fraction_identity(fields):
         1/(a^2 x c + b) = (a^2 x c - b)/(a^4 c - b^2)
                         = (x - b/(a^2 c))/(a^2 - b^2/(a^2 c))
 
-    No denominator vanishes, so no pair is skipped and `n_skipped` is 0:
-    with c a nonsquare, a^4 c - b^2 is nonzero, the third denominator is it
-    over a^2 c, and the first, a^2 x c + b, lies outside k_F.  A vanishing
-    one would mean broken field arithmetic, and `inv` refuses it: a failed
-    check, not a skipped pair.
+    by taking the inverse on the left once and multiplying it by each
+    base-field denominator on the right, which with nonzero denominators is
+    the same identity.  None vanishes, so `n_skipped` is 0: with c a
+    nonsquare, a^4 c - b^2 is nonzero, the third denominator is it over
+    a^2 c, and the first, a^2 x c + b, lies outside k_F.  A vanishing one
+    means broken arithmetic and fails the check (exit 1), never skips a
+    pair: `inv` refuses a zero first denominator, and a zero base-field one
+    turns its side to 0 against a numerator that is nonzero unless x lies
+    in k_F, where the first vanishes at b = -a^2 x c.
     """
     if fields.p == 2:
         raise ValueError("identity check needs odd characteristic")
     x0, c = canonical_inversion_data(fields)
-    q, add, neg = fields.q, fields._badd, fields._bneg
+    q, add, neg, exp, log = fields.q, fields._badd, fields._bneg, fields._bexp, fields._blog
     checked = 0
     holds = True
     for x in (x0, fields.neg(x0)):
@@ -443,18 +436,20 @@ def verify_fraction_identity(fields):
         for a in fields.base_units():
             a2 = fields.base_mul(a, a)
             a2c = fields.base_mul(a2, c)
-            inv_a2c = fields.base_inv(a2c)
-            a4c = fields.base_mul(fields.base_mul(a2, a2), c)
+            l_inv = log[fields.base_inv(a2c)]
+            a4c = fields.base_mul(a2, a2c)
             # adding a base element to u + q*v moves u along a row of add
             s_v, s_u = divmod(fields.mul(a2c, x), q)
             for b in fields.base_elements():
-                b2 = fields.base_mul(b, b)
-                lhs = fields.inv(add[s_u][b] + q * s_v)
-                mid = fields.mul(add[s_u][neg[b]] + q * s_v,
-                                 fields.inv(add[a4c][neg[b2]]))
-                rhs = fields.mul(add[x_u][neg[fields.base_mul(b, inv_a2c)]] + q * x_v,
-                                 fields.inv(add[a2][neg[fields.base_mul(b2, inv_a2c)]]))
-                if not lhs == mid == rhs:
+                lb = log[b]
+                b2 = exp[lb + lb]
+                w_v, w_u = divmod(fields.inv(add[s_u][b] + q * s_v), q)
+                lw_u, lw_v = log[w_u], log[w_v]
+                l_mid = log[add[a4c][neg[b2]]]
+                l_rhs = log[add[a2][neg[exp[log[b2] + l_inv]]]]
+                if not (exp[lw_u + l_mid] == add[s_u][neg[b]] and exp[lw_v + l_mid] == s_v
+                        and exp[lw_u + l_rhs] == add[x_u][neg[exp[lb + l_inv]]]
+                        and exp[lw_v + l_rhs] == x_v):
                     holds = False
                 checked += 1
     return FractionIdentityReport(fields.q, x0, c, checked, 0, holds)

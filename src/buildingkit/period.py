@@ -125,6 +125,7 @@ class CountingBoundRow:
 
 def check_counting_bound(series, d):
     """Per-k report of a_k <= (d+1) d^(k-1); slack 0 rows are equalities."""
+    require_int(d, "d", lo=1)
     rows = []
     for k in range(1, series.truncation + 1):
         bound = (d + 1) * d ** (k - 1)

@@ -110,7 +110,8 @@ class TreePair:
 
     def level(self, k):
         """Ids of the edges at gallery distance k from the root edge: edge 0
-        for k = 0, the next 2 q_E^k ids for each k >= 1."""
+        for k = 0, the next 2 q_E^k ids for each k >= 1, up to the depth."""
+        require_int(k, "k", 0, self.depth)
         return range(_projected_edges(self.q_E, k - 1) if k else 0,
                      _projected_edges(self.q_E, k))
 

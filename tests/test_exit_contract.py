@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from buildingkit import cli, coxeter, orbits, period, tree
 from buildingkit.errors import ModelError
-from test_orbits import swap_exp
 
 
 def run(argv):
@@ -252,9 +251,8 @@ def _no_negative_of_one(self, table=orbits.FiniteFieldPair._base_add_table):
 
 def field_construction_errors():
     """The run of `orbit --p 3 --n 2` with no irreducible base modulus, then
-    with the reducible extension modulus y^2, whose ring has no unit of
-    order q^2 - 1, then that of `orbit --p 2` with an addition row of F_2
-    that holds no 0."""
+    with the reducible extension modulus y^2, whose y^q is 0, not -y, then
+    that of `orbit --p 2` with an addition row of F_2 that holds no 0."""
     p3n2 = ["orbit", "--p", "3", "--n", "2"]
     return patched_runs([
         (orbits, "_is_irreducible", lambda m, p: False, p3n2),
@@ -265,21 +263,14 @@ def field_construction_errors():
 
 FIELD_CONSTRUCTION_ERRORS = [
     [1, "", "check failed: no irreducible polynomial of degree 2 over F_3\n"],
-    [1, "", "check failed: no element of order 80 in the units of the "
-            "extension field\n"],
+    [1, "", "check failed: Frobenius sends y to 0, not to its conjugate "
+            "-b - y = 18\n"],
     [1, "", "check failed: 1 has no negative in the addition table of F_2\n"]]
 
 
-def _frobenius_moved(self, init=orbits.FiniteFieldPair._init_ext_tables):
-    # G and its norm G^(q + 1) exchanged in exp
-    init(self)
-    swapped = swap_exp(self, 1, self.q + 1)
-    self._exp, self._log = swapped._exp, swapped._log
-
-
-def _products_of_one_read_zero(p, n, build=orbits.build_fields):
+def _squares_read_zero(p, n, build=orbits.build_fields):
     fields = build(p, n)
-    fields._bexp[fields.q - 1] = 0  # so a * (1/a) reads 0, and 1/1 = 0
+    fields.mul = lambda z1, z2: 0  # so x_0 = q, and c = 1/x_0^2 = 1/0
     return fields
 
 
@@ -309,7 +300,8 @@ def orbit_check_errors():
     patches = [
         # every t is a root of every quadratic when every sum reads 0
         (pair, "_base_add_table", lambda self: [[0] * self.q] * self.q, p3),
-        (pair, "_init_ext_tables", _frobenius_moved, p3),
+        # y^2 + y = y (y + 1) has the two roots 0 and -1, so y^3 = y
+        (pair, "_find_ext_modulus", lambda self: (0, 1, 1), p3),
         (orbits, "_square_classes", _extra_orbit, p3),
         (orbits, "_report_from_groups", _representative_lost, p3),
         # every 1/(c x) reads q, so J_c is not injective
@@ -319,7 +311,7 @@ def orbit_check_errors():
          lambda fields: (canonical(fields)[0], 1), p3),
         # x_0 = 1 lies in the base field, so a^2 x c + b vanishes at b = -a^2
         (orbits, "canonical_inversion_data", lambda fields: (1, 1), p3),
-        (orbits, "build_fields", _products_of_one_read_zero, p3),
+        (orbits, "build_fields", _squares_read_zero, p3),
         (pair, "sub", lambda self, z1, z2: 0, p3),
         (coxeter, "_omega_generators", dihedral, ["suite"]),
     ]
@@ -340,7 +332,7 @@ def _failed(message):
 ORBIT_CHECK_ERRORS = {
     "runs": [_failed(message) for message in (
         "no irreducible quadratic over the base field",
-        "Frobenius fixed points differ from the base field at 2",
+        "Frobenius sends y to 3, not to its conjugate -b - y = 8",
         "orbit sizes do not add up to q^2 - q",
         "orbit count, sizes and representatives disagree",
         "a generating move does not permute k_E minus k_F",
@@ -503,7 +495,7 @@ def test_orbit_refuses_a_large_prime_at_once():
         [sys.executable, "-m", "buildingkit", "orbit", "--p", str(2**61 - 1)],
         env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert f"q = p^n must be <= 16, got {2**61 - 1}" in proc.stderr
+    assert f"q = p^n must be <= 256, got {2**61 - 1}" in proc.stderr
 
 
 def test_orbit_refuses_a_prime_past_the_primality_limit_at_once():

@@ -35,6 +35,15 @@ ROWS = {
                             lambda v: coxeter.growth_coefficients(A2, v), (0, 3)),
     "cached_growth": ("truncation", 0, None,
                       lambda v: cache.cached_growth("A", 2, v), (0, 3)),
+    # one layer past a_0 exceeds a budget of 1, so the passing budgets
+    # answer at truncation 0, and A2's six elements fit in a budget of 6
+    "growth_coefficients budget": (
+        "budget", 1, None, lambda v: coxeter.growth_coefficients(A2, 0, budget=v),
+        (1, 2_000_000)),
+    "poincare_finite": ("budget", 1, None,
+                        lambda v: coxeter.poincare_finite("A", 2, budget=v), (6, 2_000_000)),
+    "check_counting_bound": ("d", 1, None,
+                             lambda v: period.check_counting_bound(SERIES, v), (1, 2)),
     "growth_from_exponents": ("truncation", 0, None,
                               lambda v: coxeter.growth_from_exponents(A2, v), (0, 3)),
     "evaluate_period": ("truncation", 0, None,
@@ -42,6 +51,7 @@ ROWS = {
     "period_series": ("q_F", 2, None,
                       lambda v: period.period_series(SERIES, v), (2, 9)),
     "TreePair": ("depth", 0, None, lambda v: tree.TreePair(2, v), (0, 3)),
+    "TreePair.level": ("k", 0, TREE.depth, TREE.level, (0, TREE.depth)),
     "build_tree_pair": ("depth", 1, None,
                         lambda v: tree.build_tree_pair(2, v), (1, 3)),
     "EdgeCocycle": ("den", 1, None, lambda v: tree.EdgeCocycle([1, -1], v), (1, 4)),
@@ -51,7 +61,7 @@ ROWS = {
         "steps", None, None, lambda v: tree.translation_automorphism(TREE, v),
         (-TREE.depth, TREE.depth)),
     "build_fields p": ("p", None, None, lambda v: orbits.build_fields(v, 1), (2, 13)),
-    "build_fields n": ("n", 1, 4, lambda v: orbits.build_fields(2, v), (1, 4)),
+    "build_fields n": ("n", 1, 8, lambda v: orbits.build_fields(2, v), (1, 8)),
     # c = 0 passes the rule and is then refused as no unit
     "exists_nonsquare_value": ("c", 0, F3.q - 1,
                                lambda v: orbits.exists_nonsquare_value(F3, v),

@@ -1,11 +1,10 @@
 """Field-pair tables and the orbit closures on the complement of the base field."""
 
-import copy
 import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from buildingkit import orbits, period
@@ -70,61 +69,23 @@ def test_inverse_table_equals_the_linear_search(p, n):
         next(w for w in units if f.mul(z, w) == 1) for z in units]
 
 
-def swap_exp(fields, i, j):
-    """A copy of the field pair with the extension's exp entries i and j
-    exchanged, in both halves of the table, and log rebuilt as its inverse."""
-    swapped = copy.copy(fields)
-    exp = fields._exp[:fields.q_ext - 1]
-    exp[i], exp[j] = exp[j], exp[i]
-    swapped._exp, swapped._log = exp + exp, [None] * fields.q_ext
-    for k, z in enumerate(exp):
-        swapped._log[z] = k
-    return swapped
-
-
-def frobenius_refusals(fields):
-    """The message of the Frobenius check and of the per-element loop it
-    replaced, which compares z^q = z, read off the (possibly swapped) exp and
-    log tables, with z < q for every z; None where a check passes."""
-    try:
-        fields._check_frobenius()
-        message = None
-    except ModelError as exc:
-        message = str(exc)
-    q, exp, log = fields.q, fields._exp, fields._log
-
-    def frobenius(z):
-        return exp[log[z] * q % (fields.q_ext - 1)] if z else 0
-    z = next((z for z in range(fields.q_ext)
-              if (frobenius(z) == z) != (z < q)), None)
-    expected = None if z is None else (
-        f"Frobenius fixed points differ from the base field at {z}")
-    return message, expected
-
-
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3)])
-def test_frobenius_check_is_the_per_element_loop_on_swapped_tables(p, n):
-    f = _fields(p, n)
-    assert frobenius_refusals(f) == (None, None)
-    verdicts = []
-    for i, j in itertools.combinations(range(f.q_ext - 1), 2):
-        message, expected = frobenius_refusals(swap_exp(f, i, j))
-        assert message == expected
-        # a swap moves the fixed set exactly when one of i, j is a multiple
-        # of q + 1
-        assert (message is None) == ((i % (f.q + 1) == 0) == (j % (f.q + 1) == 0))
-        verdicts.append(message is None)
-    assert any(verdicts) and not all(verdicts)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(ALL_FIELDS), st.integers(min_value=0),
-       st.integers(min_value=0))
-def test_frobenius_check_agrees_with_the_loop_on_every_field(pn, i, j):
-    f = _fields(*pn)
-    i, j = i % (f.q_ext - 1), j % (f.q_ext - 1)
-    message, expected = frobenius_refusals(swap_exp(f, i, j))
-    assert message == expected
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_frobenius_check_refuses_exactly_the_quadratics_with_a_root(p, n, monkeypatch):
+    # y^q = -b - y holds exactly when y^2 + b y + c has no root in k_F, found
+    # here by trying every t
+    add, mul, _ = _reference(p, n)
+    q = p ** n
+    for c, b in itertools.product(range(q), repeat=2):
+        has_root = any(add[add[mul[t][t]][mul[b][t]]][c] == 0 for t in range(q))
+        monkeypatch.setattr(orbits.FiniteFieldPair, "_find_ext_modulus",
+                            lambda self: (c, b, 1))
+        try:
+            orbits.build_fields(p, n)
+            message = None
+        except ModelError as exc:
+            message = str(exc)
+        assert (message is not None) == has_root, (c, b)
+        assert message is None or message.startswith("Frobenius sends y to ")
 
 
 def test_frobenius_fixes_exactly_the_base_field():
@@ -253,7 +214,7 @@ def _inversion_constants(f):
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
 def test_square_root_candidates_equal_the_brute_force_listing(p, n):
-    # the exp slice `canonical_inversion_data` takes its least x_0 from; in
+    # the slice of k_E's exp table at the logs (q + 1)/2 mod q + 1; in
     # characteristic 2 squaring is a bijection of k_E mapping k_F onto
     # itself, so no candidate exists
     f = _fields(p, n)
@@ -262,8 +223,18 @@ def test_square_root_candidates_equal_the_brute_force_listing(p, n):
         assert cands == []
         return
     step = f.q + 1
-    assert cands == sorted(f._exp[step // 2:f.q_ext - 1:step])
-    assert orbits.canonical_inversion_data(f)[0] == cands[0]
+    assert cands == sorted(_ext_tables(p, n)[1][step // 2:f.q_ext - 1:step])
+    # the least is q + b/2, at v = 1
+    half_b = f.base_mul(f.modulus_ext[1], f.base_inv(2))
+    assert orbits.canonical_inversion_data(f)[0] == cands[0] == f.q + half_b
+
+
+def test_no_square_root_candidate_is_a_model_error(monkeypatch):
+    # arithmetic whose squares all lie outside k_F leaves no x_0
+    f = _fields(3, 1)
+    monkeypatch.setattr(orbits.FiniteFieldPair, "mul", lambda self, z1, z2: self.q)
+    with pytest.raises(ModelError, match="^x_0\\^2 must be a nonsquare of the base field$"):
+        orbits.canonical_inversion_data(f)
 
 
 def test_square_root_candidates_listing():
@@ -316,17 +287,17 @@ def test_char2_rejects_inversion_helpers():
 def test_build_fields_rejects_bad_parameters():
     with pytest.raises(ValueError):
         orbits.build_fields(4, 1)  # not prime
-    with pytest.raises(ValueError):
-        orbits.build_fields(3, 3)  # q = 27 > 16
-    with pytest.raises(ValueError):
-        orbits.build_fields(2, 5)
-    with pytest.raises(ValueError):
-        orbits.build_fields(2, 0)
+    for p, n in ((3, 6), (257, 1)):  # q = 729 and 257 > 256
+        with pytest.raises(ValueError, match=f"^q = p\\^n must be <= 256, got {p ** n}$"):
+            orbits.build_fields(p, n)
+    for n in (0, 9):
+        with pytest.raises(ValueError, match=f"^n must be in 1..8, got {n}$"):
+            orbits.build_fields(2, n)
     for p in (1, 0, -7, 18, 2**61 - 3):
         with pytest.raises(ValueError, match="p must be prime"):
             orbits.build_fields(p, 1)
     # a large prime is certified at once and refused by the size cap
-    with pytest.raises(ValueError, match="q = p\\^n must be <= 16"):
+    with pytest.raises(ValueError, match="q = p\\^n must be <= 256"):
         orbits.build_fields(2**61 - 1, 1)
     # past the deterministic primality test, p is refused before any test
     with pytest.raises(ValueError, match="p must be a prime below 3317"):
@@ -345,7 +316,7 @@ def test_bool_degree_is_refused():
 def test_norm_of_the_extension_generator_generates_the_base_units(p, n):
     f = _fields(p, n)
     product = _reference(p, n)[2]
-    g = _reference_power(product, f._ext_generator, f.q + 1)
+    g = _reference_power(product, _ext_tables(p, n)[0], f.q + 1)
     assert {_reference_power(product, g, k)
             for k in range(f.q - 1)} == set(f.base_units())
 
@@ -595,7 +566,7 @@ def test_transitivity_verdict(p, n):
         assert not orbits.transitivity_holds(f, closure, closure)
 
 
-# -- the table arithmetic the exp/log tables replaced, as their oracle ---------
+# -- the table arithmetic and k_E's exp/log tables, as the oracle -------------
 
 @functools.cache
 def _reference(p, n):
@@ -653,12 +624,36 @@ def test_products_equal_the_table_product(p, n):
     assert all(f.mul(z1, z2) == product(z1, z2) for z1 in els for z2 in els)
 
 
+@functools.cache
+def _ext_tables(p, n):
+    """k_E's exp and log tables from the reference product: the least z of
+    order q^2 - 1 (none lies in k_F), exp[k] = z^k for k < 2(q^2 - 1) and
+    log its inverse on the units."""
+    f, product, order = _fields(p, n), _reference(p, n)[2], p ** (2 * n) - 1
+    for g in f.nonbase_elements():
+        exp, z = [1], g
+        while z != 1 and len(exp) < order:
+            exp.append(z)
+            z = product(z, g)
+        if z == 1 and len(exp) == order:
+            log = [None] * (order + 1)
+            for k, z in enumerate(exp):
+                log[z] = k
+            return g, exp + exp, log
+
+
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
 def test_exp_and_log_are_inverse_bijections(p, n):
     f = _fields(p, n)
-    for exp, log, size in ((f._bexp, f._blog, f.q), (f._exp, f._log, f.q_ext)):
+    # k_F's exp ends in zeros that its log of 0 lands every product with 0 in
+    order = f.q - 1
+    assert f._bexp[2 * order:] == [0] * (2 * order + 1) and f._blog[0] == 2 * order
+    _, ext_exp, ext_log = _ext_tables(p, n)
+    assert ext_log[0] is None
+    for exp, log, size in ((f._bexp[:2 * order], f._blog, f.q),
+                           (ext_exp, ext_log, f.q_ext)):
         units, order = range(1, size), size - 1
-        assert exp == exp[:order] * 2 and len(log) == size and log[0] is None
+        assert exp == exp[:order] * 2 and len(log) == size
         assert sorted(exp[:order]) == list(units)
         assert [log[exp[k]] for k in range(order)] == list(range(order))
         assert [exp[log[z]] for z in units] == list(units)
@@ -668,6 +663,7 @@ def test_exp_and_log_are_inverse_bijections(p, n):
 def test_generators_are_the_least_of_full_order(p, n):
     f = _fields(p, n)
     _, mul, product = _reference(p, n)
+    g, ext_exp, _ = _ext_tables(p, n)
 
     def order(z, times):
         w, k = z, 1
@@ -676,5 +672,89 @@ def test_generators_are_the_least_of_full_order(p, n):
         return k
     assert f._bexp[1] == min(a for a in f.base_units()
                              if order(a, lambda s, t: mul[s][t]) == f.q - 1)
-    assert f._exp[1] == f._ext_generator == min(
+    assert ext_exp[1] == g == min(
         z for z in range(1, f.q_ext) if order(z, product) == f.q_ext - 1)
+
+
+# -- the fields past the old cap of 16, against polynomial arithmetic ----------
+
+# every field pair with 16 < q <= 256, which MAX_Q = 256 admits
+BIG_FIELDS = [(p, n) for n in range(1, 9) for p in range(2, 257)
+              if period._is_prime(p) and 16 < p ** n <= 256]
+
+
+def _poly_product(f, a, b):
+    """a b in k_F by one polynomial product, with no table."""
+    p = f.p
+    return f._undigits(orbits._poly_rem(
+        orbits._poly_mul(f._digits(a), f._digits(b), p), f.modulus_base, p))
+
+
+def _digit_sum(f, a, b, sign=1):
+    return f._undigits([(s + sign * t) % f.p for s, t in zip(f._digits(a), f._digits(b))])
+
+
+def _pair_product(f, z1, z2):
+    """(u1 + v1 y)(u2 + v2 y) with y^2 = -b y - c, by polynomial products."""
+    q, (c, b, _) = f.q, f.modulus_ext
+    (v1, u1), (v2, u2) = divmod(z1, q), divmod(z2, q)
+    vv = _poly_product(f, v1, v2)
+    u = _digit_sum(f, _poly_product(f, u1, u2), _poly_product(f, c, vv), -1)
+    v = _digit_sum(f, _digit_sum(f, _poly_product(f, u1, v2), _poly_product(f, u2, v1)),
+                   _poly_product(f, b, vv), -1)
+    return u + q * v
+
+
+def test_the_big_fields_are_every_prime_power_past_sixteen():
+    assert len(BIG_FIELDS) == 60
+    assert {p ** n for p, n in BIG_FIELDS} >= {17, 25, 27, 32, 243, 251, 256}
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(BIG_FIELDS))
+@example((3, 5))
+@example((251, 1))
+@example((2, 8))
+def test_orbit_answers_past_sixteen_are_the_proved_ones(pn):
+    f = _fields(*pn)
+    q, half = f.q, (f.q * f.q - f.q) // 2
+    squares = {_poly_product(f, t, t) for t in f.base_units()}
+    affine = orbits.affine_square_orbits(f)
+    if f.p == 2:
+        assert squares == set(f.base_units())
+        assert (affine.orbit_sizes, affine.representatives) == ((2 * half,), (q,))
+        return
+    least_nonsquare = min(set(f.base_units()) - squares)
+    assert (affine.orbit_sizes, affine.representatives) == (
+        (half, half), (q, q * least_nonsquare))
+    closure = orbits.inversion_closure_orbits(f)
+    assert (closure.orbit_sizes, closure.representatives) == ((2 * half,), (q,))
+    identity = orbits.verify_fraction_identity(f)
+    assert identity.holds and identity.n_skipped == 0
+    assert identity.n_checked == 2 * q * (q - 1)
+    a, b = orbits.exists_nonsquare_value(f, identity.c)
+    a2c = _poly_product(f, _poly_product(f, a, a), identity.c)
+    inv_a2c = next(t for t in f.base_units() if _poly_product(f, a2c, t) == 1)
+    value = _digit_sum(f, _poly_product(f, a, a),
+                       _poly_product(f, _poly_product(f, b, b), inv_a2c), -1)
+    assert value != 0 and value not in squares
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BIG_FIELDS), st.integers(min_value=0), st.integers(min_value=0),
+       st.integers(min_value=0))
+def test_field_axioms_hold_past_sixteen(pn, x, y, w):
+    f = _fields(*pn)
+    x, y, w = x % f.q_ext, y % f.q_ext, w % f.q_ext
+    assert f.mul(x, y) == _pair_product(f, x, y) == f.mul(y, x)
+    assert f.add(x, y) == f.add(y, x)
+    assert f.add(f.add(x, y), w) == f.add(x, f.add(y, w))
+    assert f.mul(f.mul(x, y), w) == f.mul(x, f.mul(y, w))
+    assert f.mul(x, f.add(y, w)) == f.add(f.mul(x, y), f.mul(x, w))
+    assert f.add(x, 0) == x and f.mul(x, 1) == x and f.mul(x, 0) == 0
+    assert f.add(x, f.neg(x)) == 0 and f.sub(f.add(x, y), y) == x
+    if x:
+        assert f.mul(x, f.inv(x)) == 1
+    a, b = x % f.q, y % f.q
+    assert f.add(a, b) == _digit_sum(f, a, b) < f.q
+    assert f.base_mul(a, b) == _poly_product(f, a, b)

@@ -28,7 +28,8 @@ y = e_0, whose stabilizer is the finite group: E8 walks 356 points for its
 finite group and 3,382 for the affine series at K = 60.  From x0 =
 rho^vee / h inside the fundamental alcove, at y = (1, ..., 1), the walk lists
 the group itself, one element per point; the tests keep it as the oracle.
-The element budgets still count group elements, not points walked.
+Only `growth_coefficients` takes an element budget, which still counts
+group elements, not points walked.
 
 Numbering: node 0 is always the affine node, nodes 1..d carry the Bourbaki
 numbering of the finite diagram.  Coxeter matrices store the order of
@@ -60,10 +61,11 @@ MAX_RANK = 9
 
 
 def _check_type(family, rank):
+    """Refuse an unknown family or a rank outside its range (InvalidTypeError),
+    and a rank that breaks `require_int` (its ValueError)."""
     if family not in FAMILIES:
         raise InvalidTypeError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if type(rank) is not int:  # a bool is an int, but not a rank
-        raise InvalidTypeError(f"rank must be an int, got {rank!r}")
+    require_int(rank, "rank")
     fixed = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
     minimum = {"A": 1, "B": 3, "C": 2, "D": 4}
     if family in fixed:
@@ -157,15 +159,20 @@ class GrowthSeries:
     source: str = "enumerated"
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # so True misses rank 1's entry
 def build_affine_system(family, rank):
     """Construct the affine system of the given family and rank.
 
     Raises ModelError unless the highest root is unique, its coroot is
     integral, the finite diagram is connected and the root heights give
     rank exponents; the Coxeter matrix comes from the affine Cartan products.
+    The arguments are checked before the cache sees them.
     """
     _check_type(family, rank)
+    return _build_affine_system(family, rank)
+
+
+@functools.cache
+def _build_affine_system(family, rank):
     d = rank
     cartan, norms = _dynkin(family, d)
     roots = _positive_roots(cartan)
@@ -267,30 +274,12 @@ def _times(poly, sizes):
         yield sum(map(operator.mul, poly, reversed(seen)))
 
 
-def _within_budget(coefficients, budget, overflow):
-    """The list of `coefficients`, read one at a time.
-
-    Once the running sum of a_0..a_k, k >= 1, exceeds `budget`, raises
-    BudgetError with `overflow` formatted with k - 1, the number of complete
-    layers, carrying a_0..a_(k-1); nothing past a_k is read.
-    """
-    coeffs = []
-    total = 0
-    for k, a in enumerate(coefficients):
-        total += a
-        if k and total > budget:
-            raise BudgetError(overflow.format(k - 1),
-                              partial_coefficients=coeffs, budget=budget)
-        coeffs.append(a)
-    return coeffs
-
-
 def _basis_point(system, node):
     return tuple(int(i == node) for i in range(system.rank + 1))
 
 
 def _finite_series(system):
-    """Length polynomial of the finite group W = <s_1..s_d>, unbudgeted.
+    """Length polynomial of the finite group W = <s_1..s_d>.
 
     It is the product over m = 1..d of the coset walks of
     W_{1..m-1} < W_{1..m}: step m walks the nodes 1..m from the point e_m
@@ -320,16 +309,22 @@ def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
     the special vertex e_0 over all d + 1 nodes and truncated at K (see the
     module docstring).  The budget counts group elements, the running sum
     of the a_k, not points walked: the affine walk stops at the first layer
-    k that takes it past `budget`, and a BudgetError is raised that carries
-    a_0..a_(k-1).
+    k >= 1 that takes it past `budget`, and a BudgetError is raised that
+    names k - 1, the number of complete layers, and carries a_0..a_(k-1).
     """
     require_int(truncation, "truncation", lo=0)
     require_int(budget, "budget", lo=1)
     walk = _sphere_sizes(system.cartan_matrix, range(system.rank + 1),
                          _basis_point(system, 0))
-    coeffs = _within_budget(
-        _times(_finite_series(system), itertools.islice(walk, truncation + 1)),
-        budget, f"enumeration budget {budget} exceeded after {{}} complete layers")
+    coeffs, total = [], 0
+    for k, a in enumerate(_times(_finite_series(system),
+                                 itertools.islice(walk, truncation + 1))):
+        total += a
+        if k and total > budget:
+            raise BudgetError(
+                f"enumeration budget {budget} exceeded after {k - 1} complete layers",
+                partial_coefficients=coeffs, budget=budget)
+        coeffs.append(a)
     return GrowthSeries(
         family=system.family, rank=system.rank, truncation=truncation,
         coefficients=tuple(coeffs), source="enumerated")
@@ -354,20 +349,15 @@ def growth_from_exponents(system, truncation):
         coefficients=tuple(coeffs), source="closed-form")
 
 
-def poincare_finite(family, rank, budget=DEFAULT_ELEMENT_BUDGET):
+def poincare_finite(family, rank):
     """Length generating polynomial of the finite group <s_1..s_d>.
 
     Returns the tuple of coefficients by degree, the product of the coset
-    walks of `_finite_series` (E8 walks 356 points for its 696,729,600
-    elements).  The budget still counts group elements: if the running sum
-    of the coefficients exceeds it, a BudgetError is raised that carries the
-    degrees below the one that went over.  This is the oracle for the
-    exponents and the period closed form; no other function calls it.
+    walks of `_finite_series`.  It takes no budget: E8 walks 356 points for
+    its 696,729,600 elements.  This is the oracle for the exponents and the
+    period closed form; no other function calls it.
     """
-    require_int(budget, "budget", lo=1)
-    poly = _finite_series(build_affine_system(family, rank))
-    return tuple(_within_budget(
-        poly, budget, f"finite group of {family}{rank} exceeds budget {budget}"))
+    return tuple(_finite_series(build_affine_system(family, rank)))
 
 
 def exponents(family, rank):

@@ -1,5 +1,8 @@
-"""Exception types shared across the toolkit, and `require_int`, the one
-check of an integer argument that the entry points call."""
+"""Exception types shared across the toolkit, and the argument contract:
+`require_int` alone decides what an integer argument is, and every entry
+point calls it, or `require_rational`, which adds a `Fraction`."""
+
+from fractions import Fraction
 
 
 class ToolkitError(Exception):
@@ -7,8 +10,9 @@ class ToolkitError(Exception):
 
 
 class InvalidTypeError(ToolkitError, ValueError):
-    """Invalid (family, rank) combination or q_F; the message names the
-    violated constraint."""
+    """An unknown family, a rank outside its family's range, or a q_F that
+    is no power of a prime below the primality test's limit; the message
+    names the violated constraint."""
 
 
 class BudgetError(ToolkitError, RuntimeError):
@@ -37,3 +41,15 @@ def require_int(value, name, lo=None, hi=None):
     if lo is not None and value < lo:
         raise ValueError(f"{name} must be >= {lo}, got {value}")
     return value
+
+
+def require_rational(value, name):
+    """`value` if it is a Fraction or an int that passes `require_int`;
+    else a ValueError whose message starts with `name`."""
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return require_int(value, name)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer or a Fraction, "
+                         f"got {value!r}") from None

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import ModelError, require_int
-from .period import _MR_LIMIT, _is_prime
+from .period import _is_prime
 
 MAX_Q = 256
 
@@ -80,12 +80,10 @@ class FiniteFieldPair:
     """k_F of size q = p^n inside k_E of size q^2, on k_F's lookup tables."""
 
     def __init__(self, p, n):
-        if require_int(p, "p") >= _MR_LIMIT:
-            raise ValueError(
-                f"p must be a prime below {_MR_LIMIT}, the limit of the "
-                f"deterministic primality test, got {p}")
-        # the Miller-Rabin test needs p >= 2
-        if p < 2 or not _is_prime(p):
+        """Refuse (ValueError) a p outside 2..MAX_Q or composite, an n outside
+        1..8 and a q = p^n over MAX_Q; p's range comes first, so Miller-Rabin
+        is deterministic there (p < _MR_LIMIT) and p^n stays small."""
+        if not _is_prime(require_int(p, "p", 2, MAX_Q)):
             raise ValueError(f"p must be prime, got {p}")
         q = p ** require_int(n, "n", 1, 8)
         if q > MAX_Q:

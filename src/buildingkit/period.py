@@ -75,8 +75,7 @@ def _integer_root(n, k):
 
 
 def _require_prime_power(q):
-    if not isinstance(q, int) or q < 2:
-        raise InvalidTypeError(f"q_F must be an integer >= 2, got {q!r}")
+    require_int(q, "q_F", lo=2)
     # the root of the highest exact power is prime exactly when q is a prime
     # power; an exact k-th power is an exact p-th power for each prime p
     # dividing k, so p-th roots are stripped for primes p in ascending order,
@@ -174,6 +173,7 @@ def tail_bound(series, q_F):
     heuristic, not a majorant: for G2 with q_F = 7 and K = 14 the true
     absolute tail exceeds it by a factor of about 1.016.
     """
+    require_int(q_F, "q_F", lo=2)
     coeffs = series.coefficients
     K = series.truncation
     if K < 1:
@@ -214,12 +214,11 @@ class PeriodResult:
 def evaluate_period(family, rank, q_F, truncation=12):
     """Assemble a PeriodResult: expand, sum, close, and bound the tail.
 
-    The K cap is checked first, and the closed form certifies q_F before
-    any series work.
+    The arguments and the K cap are checked first, and the closed form
+    certifies q_F as a prime power before any series work.
     """
-    if not isinstance(q_F, int):
-        raise InvalidTypeError(f"q_F must be an integer >= 2, got {q_F!r}")
-    bits = require_int(truncation, "truncation") * (q_F - 1).bit_length()
+    bits = ((require_int(q_F, "q_F", lo=2) - 1).bit_length()
+            * require_int(truncation, "truncation"))
     if bits > MAX_PERIOD_BITS:
         raise ValueError(f"K * bit_length(q_F - 1) = {bits} exceeds the cap of "
                          f"{MAX_PERIOD_BITS} bits")

@@ -23,7 +23,7 @@ rule is written once, as the pattern rows (`_pattern_row`): they are the
 finite quotient whose universal cover is the tree, and they answer every
 question about deltas.  The solver solves them, each reconstruction step
 reads one, and the census of each level's edges by delta is pushed out of
-them one level at a time for the marked sphere sizes and the audit.
+them one level at a time for the tree period and the audit.
 
 So a pair is refused (ValueError) only for a depth that is no integer >= 0
 and for what its counts could not print: a q_F that is no prime power
@@ -49,7 +49,7 @@ from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import mul, ne
 
-from .errors import BudgetError, ModelError, require_int
+from .errors import BudgetError, ModelError, require_int, require_rational
 from .linalg import nullspace
 from .period import MAX_LISTED_BITS, MAX_PERIOD_BITS, _require_prime_power
 
@@ -115,14 +115,6 @@ class TreePair:
         return range(_projected_edges(self.q_E, k - 1) if k else 0,
                      _projected_edges(self.q_E, k))
 
-    # -- census ---------------------------------------------------------------
-
-    def sphere_sizes(self, marked_only=False):
-        """Edge counts per gallery distance from the root edge, read off
-        the census: each level's edges, or only those at delta 0."""
-        return [level.get(0, 0) if marked_only else sum(level.values())
-                for level in _census(self)]
-
 
 def build_tree_pair(q_F, depth):
     """Build the truncated tree pair for a prime power q_F and a depth >= 1;
@@ -187,16 +179,16 @@ class EdgeCocycle:
 
     Stores one integer numerator per level, `nums`, and one positive
     denominator `den`, and nothing per edge: each edge e in `tree.level(k)`
-    has the value nums[k] / den on the tree it is read against.  The
-    cocycle passes raise ValueError unless the tree has one level per
-    numerator.
+    has the value nums[k] / den on the tree it is read against.  Each
+    numerator and the denominator pass `require_int`, and the cocycle
+    passes raise ValueError unless the tree has one level per numerator.
     """
 
     __slots__ = ("nums", "den")
 
     def __init__(self, nums, den=1):
         self.den = require_int(den, "den", lo=1)
-        self.nums = list(nums)
+        self.nums = [require_int(x, f"nums[{k}]") for k, x in enumerate(nums)]
 
 
 def iwahori_cocycle(tree):
@@ -251,8 +243,8 @@ def verify_harmonic(tree, cocycle):
 def tree_period(tree, cocycle):
     """Partial sums of the cocycle over marked edges, sphere by sphere: a
     sphere's sum is its marked census times its level's numerator."""
-    layer_sums = map(mul, tree.sphere_sizes(marked_only=True),
-                     _level_nums(tree, cocycle))
+    layer_sums = map(mul, _level_nums(tree, cocycle),
+                     (level.get(0, 0) for level in _census(tree)))
     return [Fraction(acc, cocycle.den) for acc in accumulate(layer_sums)]
 
 
@@ -296,7 +288,8 @@ def reconstruct_layer(tree, delta, value):
     """Push a constant class value one delta-step outward.
 
     Every edge of the class `delta` carries `value`; a delta outside
-    0..depth is refused with a ValueError.  The edges one class further out
+    0..depth, and a value that is no int or Fraction, is refused with a
+    ValueError.  The edges one class further out
     hang at the far ends of those edges (at the marked vertices, for
     delta 0), vertices whose pattern row is `_pattern_row(tree, delta)`.
     There the inner edges carry `value` and the outer edges all carry the
@@ -305,6 +298,7 @@ def reconstruct_layer(tree, delta, value):
     where no class lies further out.
     """
     require_int(delta, "delta", 0, tree.depth)
+    require_rational(value, "value")
     if delta == tree.depth:
         return None
     row = _pattern_row(tree, delta)

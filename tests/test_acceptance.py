@@ -92,7 +92,7 @@ def test_criterion_4_counting_bound_and_census(grid_data, deep_trees):
     census_trees[5] = tree.build_tree_pair(5, 3)
     for q, t in census_trees.items():
         want = [1] + [2 * q**k for k in range(1, t.depth + 1)]
-        ok = ok and t.sphere_sizes(marked_only=True) == want
+        ok = ok and list(tree.check_tree_invariants(t).marked_census) == want
     report(4, "sphere sizes obey a_k <= (d+1) d^(k-1) for k <= 8 with "
               "rank-1 equality, and marked tree spheres have size 2 q_F^k", ok)
 

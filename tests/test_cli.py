@@ -393,15 +393,15 @@ def test_deep_tree_commands_stay_small(capsys, command, fmt):
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_growth_budget_below_one_is_a_usage_error(capsys, monkeypatch, budget):
+    # growth_coefficients refuses the budget before any walk starts
     def never(*args, **kwargs):
-        raise AssertionError("computed a series")
+        raise AssertionError("walked a layer")
 
-    monkeypatch.setattr(cli, "cached_growth", never)
+    monkeypatch.setattr(coxeter, "_sphere_sizes", never)
     argv = ["growth", "--family", "A", "--rank", "2", "--budget", budget]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
-    assert err == ("invalid arguments: enumeration budget must be at least 1, "
-                   f"got {budget}\n")
+    assert err == f"invalid arguments: budget must be >= 1, got {budget}\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -49,9 +49,8 @@ CLASSICAL_EXPONENTS = {
        for n in range(6, 10)},
 }
 
-# the coset walks reach every finite group: E8 (696,729,600 elements) walks
-# 356 points, though A9, B8, B9, C8, C9, D8, D9, E7 and E8 exceed the
-# default element budget, which still counts elements
+# the coset walks reach every finite group, with no budget: E8 (696,729,600
+# elements) walks 356 points
 ENUMERABLE = sorted(ALL_TYPES)
 assert ENUMERABLE == sorted(CLASSICAL_EXPONENTS)
 
@@ -257,20 +256,6 @@ def test_growth_budget_matches_the_element_walk(key, truncation, data):
     assert got == expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(key=st.sampled_from(ALL_TYPES), data=st.data())
-def test_poincare_budget_matches_the_element_walk(key, data):
-    family, rank = key
-    sums = itertools.accumulate(geometric_blocks(CLASSICAL_EXPONENTS[key]))
-    budget = data.draw(budgets(sums))
-    overflow = f"finite group of {family}{rank} exceeds budget {budget}"
-    cartan = build_affine_system(*key).cartan_matrix
-    # the walk ends with its first empty layer; the polynomial drops it
-    expected = outcome(lambda: element_walk(
-        cartan, range(1, rank + 1), budget, budget, overflow)[:-1])
-    assert outcome(lambda: poincare_finite(family, rank, budget)) == expected
-
-
 @functools.cache
 def _free_orbit(key, truncation):
     """a_0..a_K by the walk from (1, ..., 1): one point per group element."""
@@ -330,18 +315,6 @@ def test_growth_budget_error_carries_complete_layers():
     prefix = tuple(err.partial_coefficients)
     assert 0 < len(prefix) < 13
     assert prefix == GROWTH_K12[("A", 2)][:len(prefix)]
-
-
-def test_poincare_budget_error_carries_complete_layers():
-    with pytest.raises(BudgetError, match="finite group of D4 exceeds budget 100") as exc:
-        poincare_finite("D", 4, budget=100)
-    err = exc.value
-    assert err.budget == 100
-    prefix = list(err.partial_coefficients)
-    assert 0 < len(prefix) and sum(prefix) <= 100
-    assert prefix == geometric_blocks(CLASSICAL_EXPONENTS[("D", 4)])[:len(prefix)]
-    # the next layer would have taken the count past the budget
-    assert sum(geometric_blocks(CLASSICAL_EXPONENTS[("D", 4)])[:len(prefix) + 1]) > 100
 
 
 def test_growth_zero_truncation():
@@ -421,7 +394,7 @@ def geometric_blocks(exps):
 def test_poincare_is_product_of_geometric_blocks(family, rank):
     # the enumerated polynomial must equal prod_i (1 + t + ... + t^{m_i}),
     # so the exponents of E7 and E8 are checked against their Cartan matrix
-    poly = poincare_finite(family, rank, budget=10**9)
+    poly = poincare_finite(family, rank)
     assert list(poly) == geometric_blocks(CLASSICAL_EXPONENTS[(family, rank)])
     # and so do the exponents read off the root heights
     assert list(poly) == geometric_blocks(exponents(family, rank))
@@ -430,13 +403,6 @@ def test_poincare_is_product_of_geometric_blocks(family, rank):
     for m in CLASSICAL_EXPONENTS[(family, rank)]:
         order *= m + 1
     assert sum(poly) == order
-
-
-def test_large_exceptional_poincare_hits_budget():
-    with pytest.raises(BudgetError):
-        poincare_finite("E", 7, budget=1000)
-    with pytest.raises(BudgetError):
-        poincare_finite("E", 8, budget=1000)
 
 
 @pytest.mark.parametrize("key", sorted(OMEGA_ORDERS))
@@ -538,19 +504,19 @@ def test_invalid_types_rejected(family, rank):
 def test_invalid_family_and_rank_kind():
     with pytest.raises(InvalidTypeError):
         build_affine_system("H", 2)
-    with pytest.raises(InvalidTypeError):
+    with pytest.raises(ValueError, match="^rank must be an integer, got '2'$"):
         build_affine_system("A", "2")
 
 
 def test_bool_rank_is_refused_and_leaves_the_cache_clean():
-    # True == 1 and both hash alike, so an untyped cache would serve the
-    # system of one rank for the other
-    build_affine_system.cache_clear()
+    # True == 1 and both hash alike, so a cache asked before the check
+    # would serve the system of one rank for the other
+    coxeter._build_affine_system.cache_clear()
     for rank in (True, False):
-        with pytest.raises(InvalidTypeError, match=f"rank must be an int, got {rank}"):
+        with pytest.raises(ValueError, match=f"^rank must be an integer, got {rank}$"):
             build_affine_system("A", rank)
     assert type(build_affine_system("A", 1).rank) is int
-    with pytest.raises(InvalidTypeError):
+    with pytest.raises(ValueError, match="^rank must be an integer, got True$"):
         build_affine_system("A", True)
 
 

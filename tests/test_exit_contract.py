@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from buildingkit import cli, coxeter, orbits, period, tree
+from buildingkit import cli, coxeter, orbits, tree
 from buildingkit.errors import ModelError
 
 
@@ -218,14 +218,14 @@ def construction_errors():
     for patch in patches:
         for name, value in patch.items():
             setattr(coxeter, name, value)
-        coxeter.build_affine_system.cache_clear()
+        coxeter._build_affine_system.cache_clear()
         try:
             coxeter.build_affine_system("A", 2)
         except ModelError as exc:
             messages.append(str(exc))
         finally:
             coxeter._dynkin, coxeter._positive_roots = dynkin, positive_roots
-            coxeter.build_affine_system.cache_clear()
+            coxeter._build_affine_system.cache_clear()
     return messages
 
 
@@ -252,20 +252,26 @@ def _no_negative_of_one(self, table=orbits.FiniteFieldPair._base_add_table):
 def field_construction_errors():
     """The run of `orbit --p 3 --n 2` with no irreducible base modulus, then
     with the reducible extension modulus y^2, whose y^q is 0, not -y, then
-    that of `orbit --p 2` with an addition row of F_2 that holds no 0."""
+    that of `orbit --p 2` with an addition row of F_2 that holds no 0, then
+    that of `orbit --p 2 --n 2` with every polynomial taken as irreducible,
+    so that F_4's modulus is x^2, whose quotient has no unit of order 3."""
     p3n2 = ["orbit", "--p", "3", "--n", "2"]
     return patched_runs([
         (orbits, "_is_irreducible", lambda m, p: False, p3n2),
         (orbits.FiniteFieldPair, "_find_ext_modulus", lambda self: (0, 0, 1), p3n2),
         (orbits.FiniteFieldPair, "_base_add_table", _no_negative_of_one,
-         ["orbit", "--p", "2"])])
+         ["orbit", "--p", "2"]),
+        (orbits, "_is_irreducible", lambda m, p: True,
+         ["orbit", "--p", "2", "--n", "2"])])
 
 
 FIELD_CONSTRUCTION_ERRORS = [
     [1, "", "check failed: no irreducible polynomial of degree 2 over F_3\n"],
     [1, "", "check failed: Frobenius sends y to 0, not to its conjugate "
             "-b - y = 18\n"],
-    [1, "", "check failed: 1 has no negative in the addition table of F_2\n"]]
+    [1, "", "check failed: 1 has no negative in the addition table of F_2\n"],
+    [1, "", "check failed: no element of order 3 in the units of the base "
+            "field\n"]]
 
 
 def _squares_read_zero(p, n, build=orbits.build_fields):
@@ -495,11 +501,12 @@ def test_orbit_refuses_a_large_prime_at_once():
         [sys.executable, "-m", "buildingkit", "orbit", "--p", str(2**61 - 1)],
         env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert f"q = p^n must be <= 256, got {2**61 - 1}" in proc.stderr
+    assert proc.stderr == f"invalid arguments: p must be in 2..256, got {2**61 - 1}\n"
 
 
 def test_orbit_refuses_a_prime_past_the_primality_limit_at_once():
-    # Miller-Rabin spent close to a minute on this p before the size cap
+    # Miller-Rabin spent close to a minute on this p before the size cap;
+    # p's range is checked before its primality
     p = 2**11213 - 1
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -507,6 +514,4 @@ def test_orbit_refuses_a_prime_past_the_primality_limit_at_once():
         [sys.executable, "-m", "buildingkit", "orbit", "--p", str(p)],
         env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == (
-        f"invalid arguments: p must be a prime below {period._MR_LIMIT}, the "
-        f"limit of the deterministic primality test, got {p}\n")
+    assert proc.stderr == f"invalid arguments: p must be in 2..256, got {p}\n"

@@ -285,23 +285,20 @@ def test_char2_rejects_inversion_helpers():
 
 
 def test_build_fields_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        orbits.build_fields(4, 1)  # not prime
-    for p, n in ((3, 6), (257, 1)):  # q = 729 and 257 > 256
+    for p in (4, 18, 256):
+        with pytest.raises(ValueError, match=f"^p must be prime, got {p}$"):
+            orbits.build_fields(p, 1)
+    for p, n in ((3, 6), (17, 2)):  # q = 729 and 289 > 256
         with pytest.raises(ValueError, match=f"^q = p\\^n must be <= 256, got {p ** n}$"):
             orbits.build_fields(p, n)
     for n in (0, 9):
         with pytest.raises(ValueError, match=f"^n must be in 1..8, got {n}$"):
             orbits.build_fields(2, n)
-    for p in (1, 0, -7, 18, 2**61 - 3):
-        with pytest.raises(ValueError, match="p must be prime"):
+    # p's range is checked first, so a large prime, or one past the
+    # deterministic primality test, is refused before any test
+    for p in (1, 0, -7, 257, 2**61 - 3, 2**61 - 1, period._MR_LIMIT):
+        with pytest.raises(ValueError, match=f"^p must be in 2..256, got {p}$"):
             orbits.build_fields(p, 1)
-    # a large prime is certified at once and refused by the size cap
-    with pytest.raises(ValueError, match="q = p\\^n must be <= 256"):
-        orbits.build_fields(2**61 - 1, 1)
-    # past the deterministic primality test, p is refused before any test
-    with pytest.raises(ValueError, match="p must be a prime below 3317"):
-        orbits.build_fields(period._MR_LIMIT, 1)
 
 
 def test_bool_degree_is_refused():

@@ -185,10 +185,24 @@ def test_every_public_name_has_a_program_caller():
     assert uncalled == []
 
 
+def _is_int_test(node):
+    """Whether node is `isinstance(..., int)` or `isinstance(..., bool)`,
+    or `type(...) is int` (or `is not`, `==`, `!=`), tuples of types
+    included."""
+    def names(types):
+        return {getattr(name, "id", None) for name in ast.walk(types)}
+
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        return bool(names(node.args[1]) & {"int", "bool"})
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+            and getattr(node.left.func, "id", None) == "type"
+            and any(names(c) & {"int", "bool"} for c in node.comparators))
+
+
 def test_bools_are_refused_in_one_place():
     # "an int, not a bool, in range" is written once, in errors.require_int,
-    # and every entry point that takes an integer calls it: a bool check
-    # written anywhere else is a second copy of the rule
+    # and every entry point that takes an integer calls it: an int or bool
+    # test written anywhere else is a second copy of the rule
     owners = {}
     for path in SOURCES:
         module = ast.parse(path.read_text(), str(path))
@@ -200,9 +214,6 @@ def test_bools_are_refused_in_one_place():
             owner = ".".join(filter(None, (path.stem, getattr(scope, "name", ""))))
             owners.update(
                 ((path.name, node.lineno, node.col_offset), owner)
-                for node in ast.walk(scope)
-                if isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == "isinstance"
-                and any(getattr(name, "id", None) == "bool"
-                        for name in ast.walk(node.args[1])))
-    assert list(owners.values()) == ["errors.require_int"]
+                for node in ast.walk(scope) if _is_int_test(node))
+    # its two tests: isinstance(value, bool) and isinstance(value, int)
+    assert list(owners.values()) == ["errors.require_int"] * 2

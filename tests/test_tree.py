@@ -75,19 +75,19 @@ def edge_values(t, cocycle):
 
 def test_smallest_trees_census():
     t = tree.build_tree_pair(2, 1)
-    assert (t.n_edges, sum(t.sphere_sizes(marked_only=True))) == (9, 5)
+    assert (t.n_edges, sum(tree.check_tree_invariants(t).marked_census)) == (9, 5)
     assert t.n_vertices == 10
     t = tree.build_tree_pair(3, 1)
-    assert (t.n_edges, sum(t.sphere_sizes(marked_only=True))) == (19, 7)
+    assert (t.n_edges, sum(tree.check_tree_invariants(t).marked_census)) == (19, 7)
 
 
 @pytest.mark.parametrize("q,depth", [(2, 4), (3, 3), (4, 2), (5, 2)])
 def test_sphere_sizes(q, depth):
     t = tree.build_tree_pair(q, depth)
-    assert t.sphere_sizes(marked_only=True) == [1] + [2 * q**k
-                                                      for k in range(1, depth + 1)]
-    assert t.sphere_sizes() == [1] + [2 * (q * q)**k for k in range(1, depth + 1)]
-    assert t.n_edges == sum(t.sphere_sizes())
+    audit = tree.check_tree_invariants(t)
+    assert audit.marked_census == (1, *(2 * q**k for k in range(1, depth + 1)))
+    assert audit.ambient_census == (1, *(2 * (q * q)**k for k in range(1, depth + 1)))
+    assert t.n_edges == sum(audit.ambient_census)
     assert t.n_vertices == t.n_edges + 1
 
 
@@ -98,16 +98,18 @@ def test_marked_census_counts_the_marked_levels():
         t = tree.build_tree_pair(q, depth)
         deltas = reference_build(q, depth)["deltas"]
         marked = [level for level, d in zip(edge_bfs(t, [0]), deltas) if not d]
-        assert t.sphere_sizes(marked_only=True) == [
-            marked.count(k) for k in range(t.depth + 1)]
+        assert tree.check_tree_invariants(t).marked_census == tuple(
+            marked.count(k) for k in range(t.depth + 1))
 
 
 @pytest.mark.parametrize("q,depth", [(2, 4), (3, 3), (7, 2)])
 def test_audit_returns_the_censuses(q, depth):
     t = tree.build_tree_pair(q, depth)
     audit = tree.check_tree_invariants(t)
-    assert audit.marked_census == tuple(t.sphere_sizes(marked_only=True))
-    assert audit.ambient_census == tuple(t.sphere_sizes())
+    # tree_period reads the same marked census, and the levels are id ranges
+    sums = tree.tree_period(t, tree.EdgeCocycle([1] * (depth + 1)))
+    assert audit.marked_census == tuple(b - a for a, b in zip([0, *sums], sums))
+    assert audit.ambient_census == tuple(len(t.level(k)) for k in range(depth + 1))
     assert tree.check_tree_invariants(tree.TreePair(q, depth)) == audit
 
 
@@ -181,7 +183,7 @@ def test_the_suite_depth_cap_is_the_one_its_help_and_the_readme_name(capsys):
 
 
 @pytest.mark.parametrize("q,message", [
-    (1, "q_F must be an integer >= 2, got 1"),
+    (1, "q_F must be >= 2, got 1"),
     (6, "q_F must be a prime power, got 6")])
 def test_a_q_F_that_is_no_prime_power_is_refused_before_any_count(
         monkeypatch, q, message):

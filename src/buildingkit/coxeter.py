@@ -47,7 +47,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetError, InvalidTypeError, ModelError, require_int
+from .errors import BudgetError, InvalidTypeError, ModelError, require_int, shown
 
 INFINITE_ORDER = 0
 
@@ -70,12 +70,12 @@ def _check_type(family, rank):
     minimum = {"A": 1, "B": 3, "C": 2, "D": 4}
     if family in fixed:
         if rank not in fixed[family]:
-            raise InvalidTypeError(f"family {family} requires rank in {fixed[family]}, got {rank}")
+            raise InvalidTypeError(f"family {family} requires rank in {fixed[family]}, got {shown(rank)}")
     elif rank < minimum[family]:
         hint = " (rank 2 is family C)" if family == "B" else ""
-        raise InvalidTypeError(f"family {family} requires rank >= {minimum[family]}{hint}, got {rank}")
+        raise InvalidTypeError(f"family {family} requires rank >= {minimum[family]}{hint}, got {shown(rank)}")
     elif rank > MAX_RANK:
-        raise InvalidTypeError(f"rank is capped at {MAX_RANK}, got {rank}")
+        raise InvalidTypeError(f"rank is capped at {MAX_RANK}, got {shown(rank)}")
 
 
 # ---------------------------------------------------------------------------

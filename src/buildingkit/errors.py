@@ -31,15 +31,29 @@ class ModelError(ToolkitError, RuntimeError):
     """An internal consistency check failed; this signals a bug, not bad input."""
 
 
+def shown(value):
+    """repr(value) for a refusal's message, so that the message still comes
+    when the value is too long to print: an int past Python's limit on
+    int-to-str digits is shown by its sign and bit length, anything else
+    whose repr raises by its type.  Only raise paths call it."""
+    try:
+        return repr(value)
+    except ValueError:
+        kind = type(value).__name__
+        if (bits := getattr(value, "bit_length", None)) is None:
+            return f"<unprintable {kind}>"
+        return f"<{'negative ' if value < 0 else ''}{kind} of {bits()} bits>"
+
+
 def require_int(value, name, lo=None, hi=None):
     """`value` if it is an int, not a bool, >= lo and in lo..hi where given;
     else a ValueError whose message starts with `name`."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
     if hi is not None and not lo <= value <= hi:
-        raise ValueError(f"{name} must be in {lo}..{hi}, got {value}")
+        raise ValueError(f"{name} must be in {lo}..{hi}, got {shown(value)}")
     if lo is not None and value < lo:
-        raise ValueError(f"{name} must be >= {lo}, got {value}")
+        raise ValueError(f"{name} must be >= {lo}, got {shown(value)}")
     return value
 
 
@@ -52,4 +66,4 @@ def require_rational(value, name):
         return require_int(value, name)
     except ValueError:
         raise ValueError(f"{name} must be an integer or a Fraction, "
-                         f"got {value!r}") from None
+                         f"got {shown(value)}") from None

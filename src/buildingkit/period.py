@@ -16,7 +16,7 @@ from itertools import count
 from math import log2
 
 from . import coxeter
-from .errors import InvalidTypeError, require_int
+from .errors import InvalidTypeError, require_int, shown
 
 # Miller-Rabin with the prime bases up to 41 is deterministic below this bound
 # (Sorenson and Webster, 2015)
@@ -91,9 +91,9 @@ def _require_prime_power(q):
     if root >= _MR_LIMIT:
         raise InvalidTypeError(
             f"q_F must be a power of a prime below {_MR_LIMIT}, the limit of "
-            f"the deterministic primality test, got {q}")
+            f"the deterministic primality test, got {shown(q)}")
     if not _is_prime(root):
-        raise InvalidTypeError(f"q_F must be a prime power, got {q}")
+        raise InvalidTypeError(f"q_F must be a prime power, got {shown(q)}")
     return q
 
 
@@ -109,7 +109,7 @@ def require_listable(q_F, truncation):
     if bits > MAX_LISTED_BITS:
         raise ValueError(
             f"listing S_0..S_K takes bit_length(q_F - 1) * K (K + 1) / 2 = "
-            f"{bits} bits, over the cap of {MAX_LISTED_BITS} bits for the "
+            f"{shown(bits)} bits, over the cap of {MAX_LISTED_BITS} bits for the "
             f"json and csv formats")
 
 
@@ -220,7 +220,7 @@ def evaluate_period(family, rank, q_F, truncation=12):
     bits = ((require_int(q_F, "q_F", lo=2) - 1).bit_length()
             * require_int(truncation, "truncation"))
     if bits > MAX_PERIOD_BITS:
-        raise ValueError(f"K * bit_length(q_F - 1) = {bits} exceeds the cap of "
+        raise ValueError(f"K * bit_length(q_F - 1) = {shown(bits)} exceeds the cap of "
                          f"{MAX_PERIOD_BITS} bits")
     closed_form = period_closed_form(family, rank, q_F)
     series = coxeter.growth_from_exponents(

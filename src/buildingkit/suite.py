@@ -77,6 +77,16 @@ def _check(name, claim, rows):
     return CheckResult(name=name, claim=claim, status=status, witness=rows)
 
 
+def _sampled_pair_is_multiplicative(t, rng):
+    """Whether the label sign of g h is the product of the signs of g and h,
+    for the next two automorphisms that `rng` draws on `t`; the pair lives
+    only in this frame, so it is freed before the next one is drawn."""
+    g = tree.random_automorphism(t, rng)
+    h = tree.random_automorphism(t, rng)
+    return (tree.epsilon_tree(tree.compose(g, h))
+            == tree.epsilon_tree(g) * tree.epsilon_tree(h))
+
+
 def run_suite(seed=DEFAULT_SEED, depth=6):
     """Run all named checks; returns a SuiteReport (never raises on failure).
 
@@ -271,10 +281,7 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
         rng = random.Random(seed + q)
         ok = tree.epsilon_tree(tree.endpoint_swap(t)) == swap_sign
         for _ in range(SAMPLED_PAIRS):
-            g = tree.random_automorphism(t, rng)
-            h = tree.random_automorphism(t, rng)
-            ok = ok and (tree.epsilon_tree(tree.compose(g, h))
-                         == tree.epsilon_tree(g) * tree.epsilon_tree(h))
+            ok = _sampled_pair_is_multiplicative(t, rng) and ok
         rows.append({"q_F": q, "pairs": SAMPLED_PAIRS, "ok": ok})
     checks.append(_check(
         "tree-sign-homomorphism",

@@ -43,13 +43,14 @@ value per class.  Automorphisms are id-indexed lists.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import mul, ne
 
-from .errors import BudgetError, ModelError, require_int, require_rational
+from .errors import BudgetError, ModelError, require_int, require_rational, shown
 from .linalg import nullspace
 from .period import MAX_LISTED_BITS, MAX_PERIOD_BITS, _require_prime_power
 
@@ -70,7 +71,7 @@ class TreePair:
         require_int(depth, "depth", lo=0)
         bits = (q_F * q_F - 1).bit_length()
         if depth * bits > MAX_PERIOD_BITS:
-            raise ValueError(f"depth * bit_length(q_E - 1) = {depth * bits} "
+            raise ValueError(f"depth * bit_length(q_E - 1) = {shown(depth * bits)} "
                              f"exceeds the cap of {MAX_PERIOD_BITS} bits")
         if (listed := bits * depth * (depth + 1) // 2) > MAX_LISTED_BITS:
             raise ValueError(f"listing the levels takes bit_length(q_E - 1) * depth (depth + 1)"
@@ -179,15 +180,18 @@ class EdgeCocycle:
 
     Stores one integer numerator per level, `nums`, and one positive
     denominator `den`, and nothing per edge: each edge e in `tree.level(k)`
-    has the value nums[k] / den on the tree it is read against.  Each
-    numerator and the denominator pass `require_int`, and the cocycle
-    passes raise ValueError unless the tree has one level per numerator.
+    has the value nums[k] / den on the tree it is read against.  `nums` is
+    a sequence, each numerator and the denominator pass `require_int`, and
+    the cocycle passes raise ValueError unless the tree has one level per
+    numerator.
     """
 
     __slots__ = ("nums", "den")
 
     def __init__(self, nums, den=1):
         self.den = require_int(den, "den", lo=1)
+        if not isinstance(nums, Sequence):
+            raise ValueError(f"nums must be a sequence of integers, got {shown(nums)}")
         self.nums = [require_int(x, f"nums[{k}]") for k, x in enumerate(nums)]
 
 
@@ -483,7 +487,8 @@ def translation_automorphism(tree, steps):
     their images are materialized.  Odd shifts swap the two vertex labels.
     """
     if abs(require_int(steps, "steps")) > tree.depth:
-        raise ValueError(f"shift {steps} exceeds the materialized axis")
+        raise ValueError(f"steps must be in {-tree.depth}..{tree.depth}, got "
+                         f"{shown(steps)}: the shift exceeds the materialized axis")
     ends = []
     for k in (steps, steps + 1):
         v = int(k > 0)

@@ -7,10 +7,12 @@ Each row of ROWS is one entry point and one of its integer parameters.  A
 value that breaks the rule (a bool, a float such as 2.0, a string, a list,
 None or an int just outside the range) raises ValueError whose message
 starts with the parameter's name, never another exception and never an
-answer.  The ints at both ends of the range pass the rule.  OTHER_ROWS does
-the same for the family strings and the rational values, with each
-refusal's exact message.  Both tables also run under `python -O`, which
-strips asserts.  Every parameter of every callable that `buildingkit`
+answer; so does an int past Python's 4,300-digit limit for `str` beyond
+each bound.  The ints at both ends of the range pass the rule.  OTHER_ROWS
+does the same for the family strings and the rational values, with each
+refusal's exact message, and PAST_THE_RULE for the refusals that come after
+the rule.  All three tables also run under `python -O`, which strips
+asserts.  Every parameter of every callable that `buildingkit`
 exports is in a table or in PACKAGE_OBJECTS, which keep duck typing.
 """
 
@@ -31,12 +33,14 @@ from hypothesis import strategies as st
 
 import buildingkit
 from buildingkit import cache, coxeter, orbits, period, suite, tree
-from buildingkit.errors import InvalidTypeError
+from buildingkit.errors import InvalidTypeError, shown
 
 A2 = coxeter.build_affine_system("A", 2)
 SERIES = coxeter.growth_from_exponents(A2, 3)
 TREE = tree.build_tree_pair(2, 3)
 F3 = orbits.build_fields(3, 1)
+# 16,610 bits: past Python's 4,300-digit limit for int-to-str conversion
+HUGE = 10**5000
 
 # row: (parameter, lo, hi, call, ints that pass the rule); a bound of None
 # is open.  A key is "callable parameter", or the callable alone when the
@@ -98,9 +102,10 @@ ROWS = {
                          lambda v: tree.EdgeCocycle([v, -1], 4), (-4, 4)),
     "reconstruct_layer": ("delta", 0, TREE.depth,
                           lambda v: tree.reconstruct_layer(TREE, v, 1), (0, TREE.depth)),
+    # the shift's range comes from the tree, after the rule
     "translation_automorphism": (
-        "steps", None, None, lambda v: tree.translation_automorphism(TREE, v),
-        (-TREE.depth, TREE.depth)),
+        "steps", -TREE.depth, TREE.depth,
+        lambda v: tree.translation_automorphism(TREE, v), (-TREE.depth, TREE.depth)),
     # p = 256 passes the rule and is then refused as composite
     "build_fields p": ("p", 2, 256, lambda v: orbits.build_fields(v, 1), (2, 256)),
     "build_fields n": ("n", 1, 8, lambda v: orbits.build_fields(2, v), (1, 8)),
@@ -114,7 +119,8 @@ ROWS = {
     "run_suite seed": ("suite seed", None, None, lambda v: suite.run_suite(seed=v), ()),
 }
 
-NO_INTS = (True, False, 2.0, 1.5, float("nan"), "2", [2], None)
+# [HUGE] is a non-int whose repr raises
+NO_INTS = (True, False, 2.0, 1.5, float("nan"), "2", [2], [HUGE], None)
 
 # rule: (exception, message with the value's repr for {}, values that
 # break the rule, values that pass it)
@@ -212,17 +218,18 @@ def by_the_rule(row, message):
 
 
 def outside(row):
-    """The ints just outside the row's range."""
+    """The ints just outside the row's range, and past them ints too long
+    for `str`."""
     _, lo, hi, _, _ = ROWS[row]
-    return [bound for bound in (None if lo is None else lo - 1,
-                                None if hi is None else hi + 1)
-            if bound is not None]
+    return [*(() if lo is None else (lo - 1, -HUGE)),
+            *(() if hi is None else (hi + 1, HUGE))]
 
 
 def broken_values(row):
     _, lo, hi, _, _ = ROWS[row]
     ints = [st.integers(max_value=lo - 1)] if lo is not None else []
     ints += [st.integers(min_value=hi + 1)] if hi is not None else []
+    ints += [st.sampled_from(outside(row))] if outside(row) else []
     return st.one_of(st.booleans(), st.floats(), st.just(2.0), st.text(),
                      st.lists(st.integers(), max_size=2), st.none(), *ints)
 
@@ -244,7 +251,7 @@ def test_the_ints_at_both_ends_pass_the_rule(row):
 def table_answers():
     """[sys.flags.optimize, {row: [[value, refusal], ...]}] over NO_INTS,
     the ints just outside each range and the ints that pass."""
-    answers = {row: [[repr(value), refusal(row, value)]
+    answers = {row: [[shown(value), refusal(row, value)]
                      for value in (*NO_INTS, *outside(row), *ROWS[row][4])]
                for row in ROWS}
     return [sys.flags.optimize, answers]
@@ -274,15 +281,18 @@ def test_the_table_holds_under_python_O():
                 (row, value, message)
 
 
-def other_refusal(row, value):
-    """[exception name, message] of the ValueError that the row's call
-    raises at value, or None when it answers; any other exception
-    propagates."""
+def raised(call, *args):
+    """[exception name, message] of the ValueError that call(*args) raises,
+    or None when it answers; any other exception propagates."""
     try:
-        OTHER_ROWS[row][1](value)
+        call(*args)
     except ValueError as exc:
         return [type(exc).__name__, str(exc)]
     return None
+
+
+def other_refusal(row, value):
+    return raised(OTHER_ROWS[row][1], value)
 
 
 def expected_refusal(row, value):
@@ -324,3 +334,62 @@ def test_a_broken_family_or_rational_is_refused_by_name(data):
 
 def test_the_other_table_holds_under_python_O():
     assert optimized("other_answers") == [1, expected_other_answers()]
+
+
+# refusals that come after the rule, of values that break a later check:
+# (call, exception, exact message), each message naming the parameter; an
+# int too long for `str` is shown by its bit length, K is `truncation`
+PAST_THE_RULE = {
+    "build_tree_pair q_F": (lambda: tree.build_tree_pair(HUGE, 2), InvalidTypeError,
+                            "q_F must be a prime power, got <int of 16610 bits>"),
+    "period_closed_form q_F": (
+        lambda: period.period_closed_form("A", 1, HUGE), InvalidTypeError,
+        "q_F must be a prime power, got <int of 16610 bits>"),
+    "period_closed_form q_F past the primality test": (
+        lambda: period.period_closed_form("A", 1, (2**89 - 1) ** 200), InvalidTypeError,
+        "q_F must be a power of a prime below 3317044064679887385961981, the "
+        "limit of the deterministic primality test, got <int of 17800 bits>"),
+    "build_affine_system rank": (lambda: coxeter.build_affine_system("A", HUGE),
+                                 InvalidTypeError,
+                                 "rank is capped at 9, got <int of 16610 bits>"),
+    "build_affine_system rank below": (
+        lambda: coxeter.build_affine_system("A", -HUGE), InvalidTypeError,
+        "family A requires rank >= 1, got <negative int of 16610 bits>"),
+    "TreePair depth": (lambda: tree.TreePair(2, HUGE), ValueError,
+                       "depth * bit_length(q_E - 1) = <int of 16611 bits> exceeds "
+                       "the cap of 13000 bits"),
+    "evaluate_period truncation": (
+        lambda: period.evaluate_period("A", 1, 4, HUGE), ValueError,
+        "K * bit_length(q_F - 1) = <int of 16611 bits> exceeds the cap of 13000 bits"),
+    "require_listable truncation": (
+        lambda: period.require_listable(4, HUGE), ValueError,
+        "listing S_0..S_K takes bit_length(q_F - 1) * K (K + 1) / 2 = <int of "
+        "33220 bits> bits, over the cap of 1000000 bits for the json and csv formats"),
+    "EdgeCocycle nums": (lambda: tree.EdgeCocycle(5, 1), ValueError,
+                         "nums must be a sequence of integers, got 5"),
+    "EdgeCocycle nums set": (lambda: tree.EdgeCocycle({1, 2}), ValueError,
+                             "nums must be a sequence of integers, got {1, 2}"),
+    "EdgeCocycle nums huge": (lambda: tree.EdgeCocycle(-HUGE), ValueError,
+                              "nums must be a sequence of integers, "
+                              "got <negative int of 16610 bits>"),
+}
+
+
+def past_the_rule_answers():
+    """[sys.flags.optimize, {key: what the key's call raised}]."""
+    return [sys.flags.optimize,
+            {key: raised(call) for key, (call, _, _) in PAST_THE_RULE.items()}]
+
+
+def expected_past_the_rule_answers():
+    return {key: [error.__name__, message]
+            for key, (_, error, message) in PAST_THE_RULE.items()}
+
+
+def test_refusals_past_the_rule_name_the_parameter():
+    assert past_the_rule_answers() == [sys.flags.optimize,
+                                       expected_past_the_rule_answers()]
+
+
+def test_refusals_past_the_rule_hold_under_python_O():
+    assert optimized("past_the_rule_answers") == [1, expected_past_the_rule_answers()]

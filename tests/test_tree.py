@@ -760,6 +760,25 @@ def test_suite_check_12_reads_the_swap_sign_off_omega(monkeypatch):
     assert [row["ok"] for row in check.witness] == [False] * 4
 
 
+def test_suite_check_12_holds_one_sampled_pair_at_a_time(monkeypatch):
+    # a pair of q_F = 5 vertex maps is about 2.6 MB, so a finished pair kept
+    # alive while the next is drawn shows as a peak that grows with the count
+    def traced_peak(pairs):
+        monkeypatch.setattr(suite, "SAMPLED_PAIRS", pairs)
+        tracemalloc.start()
+        try:
+            suite.run_suite()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the warm-up fills the caches that the first run of a process builds
+    monkeypatch.setattr(suite, "SAMPLED_PAIRS", 0)
+    suite.run_suite()
+    one, three = traced_peak(1), traced_peak(3)
+    assert three - one <= 256 * 1024, (one, three)
+
+
 # -- the automorphism passes against the loops they replaced ------------------
 
 def shuffled_lift(t, a, b, rng):

@@ -99,7 +99,7 @@ def _cmd_tree_verify(args):
         "ambient_census": list(audit.ambient_census),
         "audit_ok": audit.ok,
         "audit_problems": list(audit.problems),
-        "harmonic_violations": len(harm.violations),
+        "harmonic_violations": harm.violations,
         "interior_checked": harm.interior_checked,
         "boundary_skipped": harm.boundary_skipped,
         "decay": _rat(decay),
@@ -108,7 +108,7 @@ def _cmd_tree_verify(args):
     text = [f"tree-verify q_F={pair.q_F} depth={pair.depth}: "
             f"{pair.n_edges} edges, {pair.n_vertices} vertices",
             f"  structural audit      {'ok' if audit.ok else audit.problems}",
-            f"  harmonicity           {len(harm.violations)} violations "
+            f"  harmonicity           {harm.violations} violations "
             f"({harm.interior_checked} interior, "
             f"{harm.boundary_skipped} boundary skipped)",
             f"  decay constant        {decay}",
@@ -117,7 +117,7 @@ def _cmd_tree_verify(args):
            ("n_edges", pair.n_edges),
            ("n_vertices", pair.n_vertices),
            ("audit_ok", audit.ok),
-           ("harmonic_violations", len(harm.violations)),
+           ("harmonic_violations", harm.violations),
            ("decay", decay),
            ("ok", ok)]
     return ok, payload, text, csv

@@ -64,7 +64,7 @@ def _check_type(family, rank):
     """Refuse an unknown family or a rank outside its range (InvalidTypeError),
     and a rank that breaks `require_int` (its ValueError)."""
     if family not in FAMILIES:
-        raise InvalidTypeError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        raise InvalidTypeError(f"unknown family {shown(family)}; expected one of {FAMILIES}")
     require_int(rank, "rank")
     fixed = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
     minimum = {"A": 1, "B": 3, "C": 2, "D": 4}

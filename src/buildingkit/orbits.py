@@ -45,11 +45,10 @@ def _poly_mul(f, g, p):
 
 
 def _poly_rem(f, m, p):
-    """Remainder of f modulo the monic polynomial m, over F_p."""
+    """Remainder of f modulo the monic polynomial m, over F_p, as deg m
+    digits; f has at least that many."""
     f = list(f)
     dm = len(m) - 1
-    while len(f) < dm:
-        f.append(0)
     for i in range(len(f) - 1, dm - 1, -1):
         c = f[i]
         if c:

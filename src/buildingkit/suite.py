@@ -189,7 +189,7 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
         rep = tree.verify_harmonic(t, f)
         decay = tree.decay_check(t, f)
         rows.append({"q_F": q, "depth": t.depth,
-                     "violations": len(rep.violations),
+                     "violations": rep.violations,
                      "interior_checked": rep.interior_checked,
                      "decay": _rat(decay),
                      "ok": rep.ok and decay == 1})

@@ -30,8 +30,8 @@ and for what its counts could not print: a q_F that is no prime power
 (`period`'s test), a largest count of depth * bit_length(q_E - 1) bits over
 MAX_PERIOD_BITS, or all levels' counts, bit_length(q_E - 1) depth
 (depth + 1) / 2 bits, over MAX_LISTED_BITS.  Only the id listings count
-edges, against DEFAULT_EDGE_BUDGET: the parents, the labels, the
-automorphisms' lifts and a failing harmonicity pass's violations.
+edges, against DEFAULT_EDGE_BUDGET: the parents, the labels and the
+automorphisms' lifts.
 
 A cocycle is constant on the levels: one integer numerator per level over
 one common denominator.  So the harmonicity, decay and period passes do
@@ -84,9 +84,6 @@ class TreePair:
         self.n_vertices = self.n_edges + 1
 
     # -- structure accessors -------------------------------------------------
-
-    def endpoints(self, e):
-        return (e - 1) // self.q_E if e else 0, e + 1
 
     @cached_property
     def parents(self):
@@ -205,7 +202,7 @@ def iwahori_cocycle(tree):
 
 @dataclass(frozen=True)
 class HarmonicityReport:
-    violations: tuple
+    violations: int  # how many interior vertices the sum fails at
     interior_checked: int
     boundary_skipped: int
 
@@ -231,15 +228,11 @@ def verify_harmonic(tree, cocycle):
     k < depth, vertices 0 and 1 for k = 0 and the far ends of level k's
     edges after that, touches one edge of level k and q_E of level k + 1.
     So the sum nums[k] + q_E * nums[k + 1] is taken once per level, and a
-    level where it is nonzero lists its vertices as one id range.
+    level where it is nonzero counts its 2 q_E^k vertices as violations.
     """
     nums, n, q_E = _level_nums(tree, cocycle), tree.n_expanded, tree.q_E
-    failing = [k for k in range(tree.depth) if nums[k] + q_E * nums[k + 1]]
-    if failing:
-        _require_listable_ids(tree)
-    violations = tuple(chain.from_iterable(
-        range(r.start + 1 if k else 0, r.stop + 1)
-        for k, r in zip(failing, map(tree.level, failing))))
+    violations = sum(2 * q_E**k for k in range(tree.depth)
+                     if nums[k] + q_E * nums[k + 1])
     return HarmonicityReport(violations=violations, interior_checked=n,
                              boundary_skipped=tree.n_vertices - n)
 
@@ -328,10 +321,6 @@ class TreeAutomorphism:
     rule is checked with whole-list passes.  A partial map, or a full one
     that breaks the rule, is checked edge by edge, so a refusal names the
     lowest edge whose mapped endpoints are not an edge again.
-
-    `edge_map`, a list indexed by edge id with None where an endpoint is
-    unmapped, is induced from the vertex map.  A partial map builds it while
-    it is checked; a full map builds it on first access.
     """
 
     def __init__(self, tree, vertex_map):
@@ -345,7 +334,7 @@ class TreeAutomorphism:
         images = vm if self.full else [x for x in vm if x is not None]
         if images and not (0 <= min(images) and max(images) < n):
             bad = next(x for x in images if not 0 <= x < n)
-            raise ValueError(f"vertex id out of range: {bad}")
+            raise ValueError(f"vertex id out of range: {shown(bad)}")
         # a partial map's None counts once among the distinct entries
         if len(distinct) - (not self.full) != len(images):
             raise ValueError("vertex map is not injective")
@@ -360,30 +349,13 @@ class TreeAutomorphism:
             if all(above[j::q_E] == head for j in range(q_E)):
                 return
 
-        # the images of the near endpoints: vm[0] for the root edge, then
-        # each expanded vertex's image once per child edge
-        near_images = chain((vm[0],), chain.from_iterable(
-            map(repeat, vm[:n_expanded], repeat(q_E))))
-        # images a, b are joined by the edge that created b when a is b's
-        # parent, by the one that created a when b is a's, and by none
-        # otherwise; -1 marks a mapped pair that is not an edge
-        edge_map = [None if a is None or b is None
-                    else b - 1 if parent[b] == a
-                    else a - 1 if parent[a] == b else -1
-                    for a, b in zip(near_images, islice(vm, 1, None))]
-        if -1 in edge_map:
-            e = edge_map.index(-1)
-            raise ValueError(
-                f"vertex map breaks adjacency: edge {e} maps to non-edge "
-                f"({vm[tree.endpoints(e)[0]]},{vm[e + 1]})")
-        self.edge_map = edge_map
-
-    @cached_property
-    def edge_map(self):
-        # reached only for a full map that kept the root edge and sent every
-        # other vertex v to a child of its parent's image, which the edge
-        # v - 1 created
-        return [0, *map((-1).__add__, islice(self.vertex_map, 2, None))]
+        # edge v - 1 joins vertex v to its parent, and the images a, b of
+        # those two are an edge again when one is the other's parent
+        near_images = map(vm.__getitem__, islice(parent, 1, None))
+        for e, (a, b) in enumerate(zip(near_images, islice(vm, 1, None))):
+            if not (a is None or b is None or parent[b] == a or parent[a] == b):
+                raise ValueError(f"vertex map breaks adjacency: edge {e} "
+                                 f"maps to non-edge ({a},{b})")
 
 
 def epsilon_tree(g):
@@ -395,12 +367,12 @@ def epsilon_tree(g):
     """
     tree = g.tree
     label, vm = tree.v_label, g.vertex_map
-    # the sign of a mapped edge is read at its near endpoint u; on a full map
-    # every expanded vertex is one, otherwise the near endpoints of the
-    # mapped edges, which are mapped vertices
+    # the sign of a mapped edge is read at its near endpoint u, the parent
+    # of its far one; on a full map every expanded vertex is one, otherwise
+    # the mapped parents of the mapped vertices
     us = range(tree.n_expanded) if g.full else {
-        tree.endpoints(e)[0] for e, image in enumerate(g.edge_map)
-        if image is not None}
+        u for u, image in zip(islice(tree.parents, 1, None), islice(vm, 1, None))
+        if image is not None and vm[u] is not None}
     swaps = set(map(ne, map(label.__getitem__, map(vm.__getitem__, us)),
                     map(label.__getitem__, us)))
     if len(swaps) > 1:

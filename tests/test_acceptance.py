@@ -102,7 +102,7 @@ def test_criterion_5_iwahori_harmonicity(deep_trees):
     for q, t in deep_trees.items():
         f = tree.iwahori_cocycle(t)
         rep = tree.verify_harmonic(t, f)
-        ok = (ok and t.depth == 6 and rep.violations == ()
+        ok = (ok and t.depth == 6 and rep.violations == 0
               and tree.decay_check(t, f) == 1)
     report(5, "the alternating geometric cocycle has zero harmonicity "
               "violations and decay constant exactly 1 at depth 6 for "

@@ -122,12 +122,13 @@ ROWS = {
 # [HUGE] is a non-int whose repr raises
 NO_INTS = (True, False, 2.0, 1.5, float("nan"), "2", [2], [HUGE], None)
 
-# rule: (exception, message with the value's repr for {}, values that
-# break the rule, values that pass it)
+# rule: (exception, message with the value's `shown` form for {}, values
+# that break the rule, values that pass it)
 FAMILY_RULE = (InvalidTypeError,
-               f"unknown family {{!r}}; expected one of {coxeter.FAMILIES}",
-               ("H", "a", "", "A2", ["A"], ("A",), None, 1, True), ("A", "C", "G"))
-RATIONAL_RULE = (ValueError, "value must be an integer or a Fraction, got {!r}",
+               f"unknown family {{}}; expected one of {coxeter.FAMILIES}",
+               ("H", "a", "", "A2", ["A"], ("A",), None, 1, True, HUGE),
+               ("A", "C", "G"))
+RATIONAL_RULE = (ValueError, "value must be an integer or a Fraction, got {}",
                  (True, False, 1.5, 2.0, float("nan"), "1", [1], None),
                  (Fraction(-1, 2), 0, 3))
 
@@ -297,7 +298,7 @@ def other_refusal(row, value):
 
 def expected_refusal(row, value):
     error, message, _, _ = OTHER_ROWS[row][0]
-    return [error.__name__, message.format(value)]
+    return [error.__name__, message.format(shown(value))]
 
 
 def other_answers():

@@ -12,25 +12,10 @@ import json
 from .coxeter import (DEFAULT_ELEMENT_BUDGET, build_affine_system,
                       growth_coefficients)
 
-SCHEMA_VERSION = 1
-
 
 def canonical_json_bytes(obj):
     """The one JSON byte encoding used everywhere: sorted keys, 2-space indent."""
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
-
-
-def series_to_json_dict(series):
-    system = build_affine_system(series.family, series.rank)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "family": series.family,
-        "rank": series.rank,
-        "coxeter_matrix": [list(row) for row in system.coxeter_matrix],
-        "K": series.truncation,
-        "coefficients": list(series.coefficients),
-        "source": series.source,
-    }
 
 
 def cached_growth(family, rank, truncation, budget=DEFAULT_ELEMENT_BUDGET):

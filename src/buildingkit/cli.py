@@ -3,11 +3,13 @@
 Seven subcommands: growth, period, tree-verify, tree-period, invariant,
 orbit, suite.  Every command supports --format json|csv|text; JSON output is
 canonical (sorted keys, fixed indentation) so identical configurations print
-identical bytes.  Only growth counts the group, by walking cosets, and takes
---budget, a number of group elements.  The program reads no files and writes
-only to stdout and stderr.  Exit codes: 0 all checks passed, 1 a mathematical
-check failed, 2 invalid usage or arguments, 3 growth's element budget
-exceeded.
+identical bytes.  The library returns plain records, and this module writes
+every JSON document, text line and CSV row from their fields, all under the
+one SCHEMA_VERSION.  Only growth counts the group, by walking cosets, and
+takes --budget, a number of group elements.  The program reads no files and
+writes only to stdout and stderr.  Exit codes: 0 all checks passed, 1 a
+mathematical check failed, 2 invalid usage or arguments, 3 growth's element
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import functools
 import sys
 
 from . import orbits, period, tree
-from .cache import cached_growth, canonical_json_bytes, series_to_json_dict
-from .coxeter import DEFAULT_ELEMENT_BUDGET, FAMILIES
+from .cache import cached_growth, canonical_json_bytes
+from .coxeter import DEFAULT_ELEMENT_BUDGET, FAMILIES, build_affine_system
 from .errors import BudgetError, ToolkitError
 from .period import _rat
 from .suite import DEFAULT_SEED, run_suite
@@ -28,15 +30,41 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+SCHEMA_VERSION = 1
+
+
+def _document(**fields):
+    """A JSON object of the given fields under the one schema version."""
+    return {"schema_version": SCHEMA_VERSION, **fields}
+
 
 def _csv(rows):
     return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
 
 
+def poly_str(coeffs, var):
+    """A coefficient list, constant term first, as a polynomial in `var`."""
+    terms = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        a = coeffs[i]
+        if not a:
+            continue
+        if i == 0:
+            terms.append(str(a))
+        else:
+            head = "" if a == 1 else f"{a}*"
+            terms.append(f"{head}{var}" if i == 1 else f"{head}{var}^{i}")
+    return " + ".join(terms) if terms else "0"
+
+
 def _cmd_growth(args):
     series = cached_growth(args.family, args.rank, args.K, budget=args.budget)
-    payload = series_to_json_dict(series)
-    payload["command"] = "growth"
+    payload = _document(
+        command="growth", family=series.family, rank=series.rank,
+        coxeter_matrix=build_affine_system(series.family,
+                                           series.rank).coxeter_matrix,
+        K=series.truncation, coefficients=series.coefficients,
+        source=series.source)
     text = [f"growth {args.family}{args.rank} K={series.truncation} "
             f"({series.source}):",
             "  " + str(list(series.coefficients))]
@@ -53,14 +81,13 @@ def _cmd_period(args):
     diff = abs(result.closed_form - result.partial_sums[-1])
     within_tail = diff <= result.tail
     ok = within_tail and bounds.holds
-    payload = result.to_json_dict()
-    payload["command"] = "period"
-    payload["within_tail"] = within_tail
-    payload["bounds"] = {
-        "applicable": bounds.applicable,
-        "holds": bounds.holds,
-        "lower": _rat(bounds.lower) if bounds.applicable else None,
-    }
+    payload = _document(
+        command="period", family=result.family, rank=result.rank,
+        q_F=result.q_F, q_E=result.q_E, closed_form=_rat(result.closed_form),
+        partial_sums=[_rat(s) for s in result.partial_sums],
+        tail_bound=_rat(result.tail), within_tail=within_tail,
+        bounds={"applicable": bounds.applicable, "holds": bounds.holds,
+                "lower": _rat(bounds.lower) if bounds.applicable else None})
     last = result.partial_sums[-1]
     text = [f"period {args.family}{args.rank} q_F={args.qF} "
             f"(q_E={result.q_E}):",
@@ -78,10 +105,10 @@ def _cmd_period(args):
     return ok, payload, text, csv
 
 
-def _tree_header(command, pair):
-    """The JSON keys that every tree command's payload starts with."""
-    return {"schema_version": 1, "command": command, "q_F": pair.q_F,
-            "q_E": pair.q_E, "depth": pair.depth}
+def _tree_document(command, pair, **fields):
+    """A tree command's document: the pair's keys, then the given fields."""
+    return _document(command=command, q_F=pair.q_F, q_E=pair.q_E,
+                     depth=pair.depth, **fields)
 
 
 def _cmd_tree_verify(args):
@@ -91,20 +118,13 @@ def _cmd_tree_verify(args):
     harm = tree.verify_harmonic(pair, cocycle)
     decay = tree.decay_check(pair, cocycle)
     ok = audit.ok and harm.ok and decay == 1
-    payload = {
-        **_tree_header("tree-verify", pair),
-        "n_edges": pair.n_edges,
-        "n_vertices": pair.n_vertices,
-        "marked_census": list(audit.marked_census),
-        "ambient_census": list(audit.ambient_census),
-        "audit_ok": audit.ok,
-        "audit_problems": list(audit.problems),
-        "harmonic_violations": harm.violations,
-        "interior_checked": harm.interior_checked,
-        "boundary_skipped": harm.boundary_skipped,
-        "decay": _rat(decay),
-        "ok": ok,
-    }
+    payload = _tree_document(
+        "tree-verify", pair, n_edges=pair.n_edges, n_vertices=pair.n_vertices,
+        marked_census=audit.marked_census,
+        ambient_census=audit.ambient_census, audit_ok=audit.ok,
+        audit_problems=audit.problems, harmonic_violations=harm.violations,
+        interior_checked=harm.interior_checked,
+        boundary_skipped=harm.boundary_skipped, decay=_rat(decay), ok=ok)
     text = [f"tree-verify q_F={pair.q_F} depth={pair.depth}: "
             f"{pair.n_edges} edges, {pair.n_vertices} vertices",
             f"  structural audit      {'ok' if audit.ok else audit.problems}",
@@ -131,15 +151,10 @@ def _cmd_tree_period(args):
     matches = tuple(sums) == result.partial_sums
     within_tail = abs(closed - sums[-1]) <= result.tail
     ok = matches and within_tail
-    payload = {
-        **_tree_header("tree-period", pair),
-        "partial_sums": [_rat(s) for s in sums],
-        "closed_form": _rat(closed),
-        "matches_series_engine": matches,
-        "tail_bound": _rat(result.tail),
-        "within_tail": within_tail,
-        "ok": ok,
-    }
+    payload = _tree_document(
+        "tree-period", pair, partial_sums=[_rat(s) for s in sums],
+        closed_form=_rat(closed), matches_series_engine=matches,
+        tail_bound=_rat(result.tail), within_tail=within_tail, ok=ok)
     text = [f"tree-period q_F={pair.q_F} depth={pair.depth}:",
             f"  marked-edge sums      {[str(s) for s in sums]}",
             f"  closed form           {closed}",
@@ -154,12 +169,9 @@ def _cmd_tree_period(args):
 def _cmd_invariant(args):
     pair = tree.build_tree_pair(args.qF, args.depth)
     solution = tree.invariant_solver(pair)
-    payload = {
-        **_tree_header("invariant", pair),
-        "dimension": solution.dimension,
-        "profile": [_rat(c) for c in solution.profile],
-        "ok": True,
-    }
+    payload = _tree_document(
+        "invariant", pair, dimension=solution.dimension,
+        profile=[_rat(c) for c in solution.profile], ok=True)
     text = [f"invariant q_F={pair.q_F} depth={pair.depth}:",
             f"  dimension  {solution.dimension}",
             f"  profile    {[str(c) for c in solution.profile]}"]
@@ -174,18 +186,18 @@ def _cmd_orbit(args):
     # in characteristic 2 the inversion closure is the affine report itself
     closure = affine if fields.p == 2 else orbits.inversion_closure_orbits(fields)
     ok = orbits.transitivity_holds(fields, affine, closure)
-    payload = {
-        "schema_version": 1,
-        "command": "orbit",
-        "fields": fields.to_json_dict(),
-        "affine": affine.to_json_dict(),
-        "closure": closure.to_json_dict(),
-        "ok": ok,
-    }
+    # the orbit and identity reports are exactly their fields
+    payload = _document(
+        command="orbit",
+        fields=_document(p=fields.p, n=fields.n, q=fields.q,
+                         q_ext=fields.q_ext, modulus_base=fields.modulus_base,
+                         modulus_ext=fields.modulus_ext),
+        affine=_document(**vars(affine)), closure=_document(**vars(closure)),
+        ok=ok)
     text = [f"orbit p={fields.p} n={fields.n} (q={fields.q}, "
             f"q_E={fields.q_ext}):",
-            f"  base modulus   {fields.poly_str(fields.modulus_base, 'x')}",
-            f"  ext modulus    {fields.poly_str(fields.modulus_ext, 'y')}",
+            f"  base modulus   {poly_str(fields.modulus_base, 'x')}",
+            f"  ext modulus    {poly_str(fields.modulus_ext, 'y')}",
             f"  affine-square  {affine.orbit_count} orbit(s) of sizes "
             f"{list(affine.orbit_sizes)}"]
     if fields.p == 2:
@@ -194,7 +206,7 @@ def _cmd_orbit(args):
         identity = orbits.verify_fraction_identity(fields)
         ok = ok and identity.holds
         witness = orbits.exists_nonsquare_value(fields, identity.c)
-        payload["identity"] = identity.to_json_dict()
+        payload["identity"] = _document(**vars(identity))
         payload["nonsquare_witness"] = {"a": witness[0], "b": witness[1]}
         text.append(f"  inversion      x0={identity.x0} c={identity.c} -> "
                     f"{closure.orbit_count} orbit(s) of sizes "
@@ -213,10 +225,16 @@ def _cmd_orbit(args):
 
 def _cmd_suite(args):
     report = run_suite(seed=args.seed, depth=args.depth)
-    payload = report.to_json_dict()
-    payload["command"] = "suite"
+    # a check's document is exactly its fields
+    payload = _document(command="suite", seed=report.seed, depth=report.depth,
+                        all_pass=report.passed,
+                        checks=[vars(c) for c in report.checks])
+    text = [f"[{'PASS' if c.status == 'pass' else 'FAIL'}] {c.name}: {c.claim}"
+            for c in report.checks]
+    verdict = "all checks passed" if report.passed else "SOME CHECKS FAILED"
+    text.append(f"suite: {verdict} ({len(report.checks)} checks)")
     csv = [("check", "status")] + [(c.name, c.status) for c in report.checks]
-    return report.passed, payload, report.text_lines(), csv
+    return report.passed, payload, text, csv
 
 
 _COMMANDS = {

@@ -230,30 +230,6 @@ class FiniteFieldPair:
             raise ModelError(f"Frobenius sends y to {power}, not to its "
                              f"conjugate -b - y = {conjugate}")
 
-    def poly_str(self, coeffs, var):
-        terms = []
-        for i in range(len(coeffs) - 1, -1, -1):
-            a = coeffs[i]
-            if not a:
-                continue
-            if i == 0:
-                terms.append(str(a))
-            else:
-                head = "" if a == 1 else f"{a}*"
-                terms.append(f"{head}{var}" if i == 1 else f"{head}{var}^{i}")
-        return " + ".join(terms) if terms else "0"
-
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "p": self.p,
-            "n": self.n,
-            "q": self.q,
-            "q_ext": self.q_ext,
-            "modulus_base": list(self.modulus_base),
-            "modulus_ext": list(self.modulus_ext),
-        }
-
 
 def build_fields(p, n):
     """Deterministic field pair for q = p^n, for every q up to MAX_Q = 256."""
@@ -276,16 +252,6 @@ class OrbitReport:
             raise ModelError("orbit sizes do not add up to q^2 - q")
         if not len(self.orbit_sizes) == self.orbit_count == len(self.representatives):
             raise ModelError("orbit count, sizes and representatives disagree")
-
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "q": self.q,
-            "moves": self.moves,
-            "orbit_count": self.orbit_count,
-            "orbit_sizes": list(self.orbit_sizes),
-            "representatives": list(self.representatives),
-        }
 
 
 def _square_classes(fields):
@@ -388,17 +354,6 @@ class FractionIdentityReport:
     n_checked: int
     n_skipped: int
     holds: bool
-
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "q": self.q,
-            "x0": self.x0,
-            "c": self.c,
-            "n_checked": self.n_checked,
-            "n_skipped": self.n_skipped,
-            "holds": self.holds,
-        }
 
 
 def verify_fraction_identity(fields):

@@ -198,18 +198,6 @@ class PeriodResult:
     partial_sums: tuple
     tail: Fraction
 
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "family": self.family,
-            "rank": self.rank,
-            "q_F": self.q_F,
-            "q_E": self.q_E,
-            "closed_form": _rat(self.closed_form),
-            "partial_sums": [_rat(s) for s in self.partial_sums],
-            "tail_bound": _rat(self.tail),
-        }
-
 
 def evaluate_period(family, rank, q_F, truncation=12):
     """Assemble a PeriodResult: expand, sum, close, and bound the tail.

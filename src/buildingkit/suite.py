@@ -37,10 +37,6 @@ class CheckResult:
     status: str  # pass | fail
     witness: object
 
-    def to_json_dict(self):
-        return {"name": self.name, "claim": self.claim,
-                "status": self.status, "witness": self.witness}
-
 
 @dataclass(frozen=True)
 class SuiteReport:
@@ -51,24 +47,6 @@ class SuiteReport:
     @property
     def passed(self):
         return all(c.status == "pass" for c in self.checks)
-
-    def to_json_dict(self):
-        return {
-            "schema_version": 1,
-            "seed": self.seed,
-            "depth": self.depth,
-            "all_pass": self.passed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
-    def text_lines(self):
-        lines = []
-        for c in self.checks:
-            lines.append(f"[{'PASS' if c.status == 'pass' else 'FAIL'}] "
-                         f"{c.name}: {c.claim}")
-        verdict = "all checks passed" if self.passed else "SOME CHECKS FAILED"
-        lines.append(f"suite: {verdict} ({len(self.checks)} checks)")
-        return lines
 
 
 def _check(name, claim, rows):

@@ -368,9 +368,10 @@ def epsilon_tree(g):
     tree = g.tree
     label, vm = tree.v_label, g.vertex_map
     # the sign of a mapped edge is read at its near endpoint u, the parent
-    # of its far one; on a full map every expanded vertex is one, otherwise
-    # the mapped parents of the mapped vertices
-    us = range(tree.n_expanded) if g.full else {
+    # of its far one; on a full map every expanded vertex is one, and vertex
+    # 0, the root edge's, is one even at depth 0, where none is expanded;
+    # otherwise the mapped parents of the mapped vertices
+    us = range(max(tree.n_expanded, 1)) if g.full else {
         u for u, image in zip(islice(tree.parents, 1, None), islice(vm, 1, None))
         if image is not None and vm[u] is not None}
     swaps = set(map(ne, map(label.__getitem__, map(vm.__getitem__, us)),
@@ -441,7 +442,13 @@ def random_automorphism(tree, rng):
 
 
 def compose(g, h):
-    """The automorphism x -> g(h(x)), on the domain where both are defined."""
+    """The automorphism x -> g(h(x)), on the domain where both are defined;
+    g and h must act on the same tree, a ValueError otherwise."""
+    if (g.tree.q_F, g.tree.depth) != (h.tree.q_F, h.tree.depth):
+        raise ValueError(
+            f"cannot compose automorphisms of two trees: (q_F, depth) = "
+            f"({shown(g.tree.q_F)}, {g.tree.depth}) and "
+            f"({shown(h.tree.q_F)}, {h.tree.depth})")
     gv, hv = g.vertex_map, h.vertex_map
     return TreeAutomorphism(g.tree, map(gv.__getitem__, hv) if h.full
                             else [None if x is None else gv[x] for x in hv])

@@ -2,12 +2,13 @@
 
 import functools
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buildingkit import orbits, period
+from buildingkit import cli, orbits, period
 from buildingkit.errors import ModelError
 
 CHAR2 = [(2, 1), (2, 2), (2, 3), (2, 4)]
@@ -326,22 +327,26 @@ def test_orbit_report_consistency_guard():
 
 def test_poly_str_rendering():
     f = orbits.build_fields(2, 2)
-    assert f.poly_str(f.modulus_ext, "y") == "y^2 + 2*y + 1"
-    assert f.poly_str((0, 1), "x") == "x"
-    assert f.poly_str((0,), "x") == "0"
+    assert cli.poly_str(f.modulus_ext, "y") == "y^2 + 2*y + 1"
+    assert cli.poly_str((0, 1), "x") == "x"
+    assert cli.poly_str((0,), "x") == "0"
 
 
-def test_field_json_dict():
-    f = orbits.build_fields(2, 1)
-    assert f.to_json_dict() == {
+def orbit_json(capsys, p):
+    """The document that `orbit --p <p> --format json` prints."""
+    assert cli.main(["orbit", "--p", str(p), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_field_json_dict(capsys):
+    assert orbit_json(capsys, 2)["fields"] == {
         "schema_version": 1, "p": 2, "n": 1, "q": 2, "q_ext": 4,
         "modulus_base": [0, 1], "modulus_ext": [1, 1, 1],
     }
 
 
-def test_orbit_report_json_dict():
-    f = orbits.build_fields(3, 1)
-    data = orbits.affine_square_orbits(f).to_json_dict()
+def test_orbit_report_json_dict(capsys):
+    data = orbit_json(capsys, 3)["affine"]
     assert data == {
         "schema_version": 1, "q": 3, "moves": "affine-square",
         "orbit_count": 2, "orbit_sizes": [3, 3], "representatives": [3, 6],

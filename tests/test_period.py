@@ -1,12 +1,13 @@
 """Alternating period series: closed forms, tails, bounds, counting."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buildingkit import period
+from buildingkit import cli, period
 from buildingkit.coxeter import (GrowthSeries, build_affine_system,
                                  exponents, growth_coefficients,
                                  poincare_finite)
@@ -327,8 +328,10 @@ def test_default_series_is_the_closed_form_expansion():
     assert res.tail == period.tail_bound(enumerated, 3)
 
 
-def test_result_json_uses_num_den():
-    data = period.evaluate_period("A", 1, 3, truncation=2).to_json_dict()
+def test_result_json_uses_num_den(capsys):
+    assert cli.main(["period", "--family", "A", "--rank", "1", "--qF", "3",
+                     "--K", "2", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
     assert data["closed_form"] == {"num": 1, "den": 2}
     assert data["partial_sums"][0] == {"num": 1, "den": 1}
     assert data["schema_version"] == 1

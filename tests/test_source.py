@@ -116,6 +116,23 @@ def test_package_touches_no_files():
     assert found == []
 
 
+def test_only_the_command_line_writes_documents():
+    # the records are plain values: cli.py builds every JSON document, text
+    # line and CSV row from their fields, under its one SCHEMA_VERSION, so
+    # no other module names the schema version or defines a to_json_dict
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name == "to_json_dict"):
+                found.append(f"{path.name}:{node.lineno} def to_json_dict")
+            elif (path.name != "cli.py" and isinstance(node, ast.Constant)
+                    and node.value == "schema_version"):
+                found.append(f"{path.name}:{node.lineno} 'schema_version'")
+    assert found == []
+    assert "schema_version" in (SOURCES[0].parent / "cli.py").read_text()
+
+
 def _tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)

@@ -830,17 +830,18 @@ def reference_edge_map(t, vm):
 
 def reference_epsilon(g):
     """The sign read vertex by vertex, at each expanded u with a mapped edge
-    hanging there."""
+    hanging there, and at vertex 0, where the root edge hangs even at
+    depth 0."""
     t = g.tree
     label, vm = t.v_label, g.vertex_map
     em = reference_edge_map(t, vm)
     swaps = set()
-    for u in range(t.n_expanded):
+    for u in range(max(t.n_expanded, 1)):
         if vm[u] is None:
             continue
         kids = children(t, u)
-        first = 0 if u == 0 else kids.start
-        if em[first:kids.stop].count(None) < kids.stop - first:
+        first, stop = (0, max(kids.stop, 1)) if u == 0 else (kids.start, kids.stop)
+        if em[first:stop].count(None) < stop - first:
             swaps.add(label[vm[u]] != label[u])
     if len(swaps) > 1:
         raise ValueError("automorphism is not label-coherent")
@@ -923,6 +924,38 @@ def test_epsilon_matches_the_vertex_loop_on_full_maps(t, seed):
     for aut in (g, h, tree.compose(g, h), tree.endpoint_swap(t)):
         assert aut.full and None not in reference_edge_map(t, aut.vertex_map)
         assert tree.epsilon_tree(aut) == reference_epsilon(aut)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_epsilon_of_a_depth_0_pair(q):
+    # the root edge is the whole tree: its near end, vertex 0, is expanded
+    # by no level, and the sign is still read there
+    t = tree.TreePair(q, 0)
+    ident = tree.TreeAutomorphism(t, [0, 1])
+    swap = tree.endpoint_swap(t)
+    assert ident.full and swap.full and swap.vertex_map == [1, 0]
+    assert tree.epsilon_tree(ident) == reference_epsilon(ident) == 1
+    assert tree.epsilon_tree(swap) == reference_epsilon(swap) == -1
+    assert tree.epsilon_tree(tree.compose(swap, swap)) == 1
+    g = tree.random_automorphism(t, random.Random(q))
+    assert tree.epsilon_tree(g) == reference_epsilon(g)
+    # one mapped endpoint spans no edge
+    half = tree.TreeAutomorphism(t, [0, None])
+    assert outcome(tree.epsilon_tree, half) == outcome(reference_epsilon, half)
+
+
+def test_compose_refuses_automorphisms_of_two_trees():
+    g, h = (tree.endpoint_swap(tree.build_tree_pair(2, depth))
+            for depth in (1, 2))
+    with pytest.raises(ValueError, match=re.escape(
+            "of two trees: (q_F, depth) = (2, 1) and (2, 2)")):
+        tree.compose(g, h)
+    with pytest.raises(ValueError, match=re.escape(
+            "of two trees: (q_F, depth) = (2, 2) and (2, 1)")):
+        tree.compose(h, g)
+    # two pairs built alike are one tree
+    twin = tree.endpoint_swap(tree.build_tree_pair(2, 1))
+    assert tree.compose(g, twin).vertex_map == list(range(g.tree.n_vertices))
 
 
 @pytest.mark.parametrize("t", AUT_TREES)

@@ -3,9 +3,10 @@
 For a thickness-q_F chamber complex whose Weyl growth series is a_k, the
 k-sphere holds a_k * q_F^k chambers and the cocycle contributes (-1/q_E)^k
 per chamber with q_E = q_F^2, so each term collapses to a_k * (-1/q_F)^k.
-All results are Fraction-exact.  The one float is the start of Newton's
-iteration in `_integer_root`, which the integer iteration corrects to the
-exact root.
+The partial sums and the closed form are computed in integers, Horner's
+numerators and one quotient N / D, with one Fraction built per value.
+All results are exact.  The one float is the start of Newton's iteration in
+`_integer_root`, which the integer iteration corrects to the exact root.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import log2
+from math import comb, gcd, log2, prod
 
 from . import coxeter
 from .errors import InvalidTypeError, require_int, shown
@@ -31,6 +32,11 @@ MAX_PERIOD_BITS = 13_000
 # partial-sum denominators together, which the JSON and CSV formats list;
 # past this cap the listing stops being desk scale (about 0.6 MB of digits)
 MAX_LISTED_BITS = 1_000_000
+
+# Python prints an int of at most 4,300 digits, which holds every int below
+# 2^14284; past this cap on the bits of the closed form, the partial sums,
+# the tail and q_E, printing a PeriodResult stops with Python's own error
+MAX_PRINTED_BITS = 14_284
 
 
 def _is_prime(n):
@@ -105,12 +111,49 @@ def _rat(x):
 def require_listable(q_F, truncation):
     """Refuse a truncation whose listed partial sums would exceed
     MAX_LISTED_BITS, before any series work."""
-    bits = (q_F - 1).bit_length() * truncation * (truncation + 1) // 2
+    bits = ((require_int(q_F, "q_F", lo=2) - 1).bit_length()
+            * require_int(truncation, "truncation", lo=1) * (truncation + 1) // 2)
     if bits > MAX_LISTED_BITS:
         raise ValueError(
             f"listing S_0..S_K takes bit_length(q_F - 1) * K (K + 1) / 2 = "
             f"{shown(bits)} bits, over the cap of {MAX_LISTED_BITS} bits for the "
             f"json and csv formats")
+
+
+def _fits(*powers):
+    """Whether the product of x^n over the (x, n) pairs, each x >= 1, has at
+    most MAX_PRINTED_BITS bits; it is formed only when that is in doubt."""
+    if sum(n * (x.bit_length() - 1) for x, n in powers) >= MAX_PRINTED_BITS:
+        return False
+    return prod(x**n for x, n in powers).bit_length() <= MAX_PRINTED_BITS
+
+
+def _require_printable(family, rank, q_F, truncation):
+    """Refuse a PeriodResult holding an int past MAX_PRINTED_BITS, from the
+    exponents m_i alone, before any closed-form or series work.
+
+    q_F^n - (-1)^n is the product of |Phi_j(-q_F)| <= (q_F + 1)^phi(j)
+    over j | n, so the reduced closed form's terms are at most
+    (q_F + 1)^degree, with degree the phi(j)-weighted excess of D's count of
+    Phi_j over N's (E8: 114, where D has degree 128).  As m_1 = 1,
+    a_k <= A = |W| C(K + d - 1, d - 1) for k <= K, which bounds q_E, the
+    partial sums and the tail's denominator by A q_F^(K + 1); the tail's
+    numerator, at most A^2, stays under 2^250 within the K cap.
+    """
+    exps = coxeter.exponents(family, rank)
+    degree = 0
+    for j in range(1, exps[-1] + 1):
+        excess = (rank * (j == 1) + sum(m % j == 0 for m in exps)
+                  - sum((m + 1) % j == 0 for m in exps))
+        if excess > 0:
+            degree += excess * sum(gcd(i, j) == 1 for i in range(j))
+    if not _fits((q_F + 1, degree)):
+        raise ValueError(f"the closed form can reach (q_F + 1)^{degree}, over the "
+                         f"cap of {MAX_PRINTED_BITS} bits for a printed int")
+    bound = prod(m + 1 for m in exps) * comb(truncation + rank - 1, rank - 1)
+    if not _fits((q_F, truncation + 1), (bound, 1)):
+        raise ValueError(f"the tail can reach q_F^(K + 1) |W| C(K + d - 1, d - 1), "
+                         f"over the cap of {MAX_PRINTED_BITS} bits for a printed int")
 
 
 @dataclass(frozen=True)
@@ -135,16 +178,14 @@ def check_counting_bound(series, d):
 
 
 def period_series(series, q_F):
-    """Partial sums S_0..S_K of sum_k a_k q_F^k (-1/q_E)^k, exactly."""
+    """Partial sums S_k = N_k / q_F^k of sum_k a_k q_F^k (-1/q_E)^k, with
+    Horner's integers N_0 = a_0 and N_k = q_F N_(k-1) + (-1)^k a_k."""
     require_int(q_F, "q_F", lo=2)
-    x = Fraction(-1, q_F)
-    sums = []
-    acc = Fraction(0)
-    power = Fraction(1)
-    for a_k in series.coefficients:
-        acc += a_k * power
-        sums.append(acc)
-        power *= x
+    sums, num, den = [], 0, 1
+    for k, a_k in enumerate(series.coefficients):
+        num = q_F * num + (-a_k if k % 2 else a_k)
+        sums.append(Fraction(num, den))
+        den *= q_F
     return sums
 
 
@@ -154,14 +195,13 @@ def period_closed_form(family, rank, q_F):
     The series is Bott's W(t) / prod_i (1 - t^(m_i)) with Chevalley's finite
     length polynomial W(t) = prod_i (1 + t + ... + t^(m_i)), so over the
     exponents m_i of the root heights it is the product
-        prod_i (1 - t^(m_i + 1)) / ((1 - t) (1 - t^(m_i))),  t = -1/q_F.
+        prod_i (1 - t^(m_i + 1)) / ((1 - t) (1 - t^(m_i))),  t = -1/q_F,
+    and each factor times q_F^(m_i + 1) over itself makes it N / D in integers.
     """
     _require_prime_power(q_F)
-    t = Fraction(-1, q_F)
-    value = Fraction(1)
-    for m in coxeter.exponents(family, rank):
-        value *= (1 - t ** (m + 1)) / ((1 - t) * (1 - t ** m))
-    return value
+    exps = coxeter.exponents(family, rank)
+    return Fraction(prod(q_F ** (m + 1) - (-1) ** (m + 1) for m in exps),
+                    prod((q_F + 1) * (q_F**m - (-1) ** m) for m in exps))
 
 
 def tail_bound(series, q_F):
@@ -202,14 +242,16 @@ class PeriodResult:
 def evaluate_period(family, rank, q_F, truncation=12):
     """Assemble a PeriodResult: expand, sum, close, and bound the tail.
 
-    The arguments and the K cap are checked first, and the closed form
-    certifies q_F as a prime power before any series work.
+    The arguments, the K cap and the cap on printed ints are checked first,
+    and the closed form certifies q_F as a prime power before any series
+    work.
     """
     bits = ((require_int(q_F, "q_F", lo=2) - 1).bit_length()
-            * require_int(truncation, "truncation"))
+            * require_int(truncation, "truncation", lo=1))
     if bits > MAX_PERIOD_BITS:
         raise ValueError(f"K * bit_length(q_F - 1) = {shown(bits)} exceeds the cap of "
                          f"{MAX_PERIOD_BITS} bits")
+    _require_printable(family, rank, q_F, truncation)
     closed_form = period_closed_form(family, rank, q_F)
     series = coxeter.growth_from_exponents(
         coxeter.build_affine_system(family, rank), truncation)

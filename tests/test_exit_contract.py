@@ -65,8 +65,8 @@ COMMANDS = st.one_of(
             option("--K", values(-1, 0, 1, 4, "x"), required=True),
             option("--budget", values(-5, 0, 1, 100, 2000000))),
     command("period", option("--family", FAMILIES), option("--rank", RANKS),
-            option("--qF", values(0, 1, 2, 3, 4, 6, 9, "x")),
-            option("--K", values(-1, 0, 1, 4, 12, 20000))),
+            option("--qF", values(0, 1, 2, 3, 4, 6, 9, 2**1300, 2**2000, "x")),
+            option("--K", values(-1, 0, 1, 4, 6, 10, 12, 13, 20000))),
     *(command(name, option("--qF", values(2, 3, 5, 6, 9, "x")),
               option("--depth", values(-1, 0, 1, 2, 5), required=True))
       for name in ("tree-verify", "tree-period", "invariant")),
@@ -92,9 +92,27 @@ def test_exit_code_contract(parts):
     code, out, err = first
     assert code in (0, 1, 2, 3), first
     assert "Traceback" not in err
+    # a printed int past Python's digit limit is refused by a cap first
+    assert "set_int_max_str_digits" not in err
     if code in (2, 3):
         assert out == "" and err
     assert run(argv) == first
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("family, rank, q_F, K, code", [
+    ("A", 1, 2**1300, 10, 2), ("E", 8, 2**2000, 6, 2), ("A", 1, 2**2000, 6, 0),
+    ("E", 8, 2**120, 2, 0)])
+def test_a_period_near_the_caps_prints_or_is_refused_by_a_cap(fmt, family, rank,
+                                                              q_F, K, code):
+    # without the cap on printed ints, the two refused here reached the
+    # writer and exited 2 with Python's set_int_max_str_digits message
+    argv = ["period", "--family", family, "--rank", str(rank), "--qF", str(q_F),
+            "--K", str(K), "--format", fmt]
+    answer = run(argv)
+    assert answer[0] == code, answer
+    if code == 2:
+        assert answer[1] == "" and "over the cap of 14284 bits" in answer[2]
 
 
 # -- the same answers under python -O ------------------------------------------

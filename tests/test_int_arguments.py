@@ -74,8 +74,8 @@ ROWS = {
                              lambda v: period.check_counting_bound(SERIES, v), (1, 2)),
     "growth_from_exponents": ("truncation", 0, None,
                               lambda v: coxeter.growth_from_exponents(A2, v), (0, 3)),
-    "evaluate_period": ("truncation", 0, None,
-                        lambda v: period.evaluate_period("A", 1, 4, v), (0, 3)),
+    "evaluate_period": ("truncation", 1, None,
+                        lambda v: period.evaluate_period("A", 1, 4, v), (1, 3)),
     "evaluate_period rank": ("rank", None, None,
                              lambda v: period.evaluate_period("A", v, 4, 3), (1, 9)),
     # q_F = 6 passes the rule and is then refused as no prime power
@@ -87,6 +87,11 @@ ROWS = {
                                lambda v: period.period_closed_form("A", 1, v), (2, 6)),
     "period_series": ("q_F", 2, None,
                       lambda v: period.period_series(SERIES, v), (2, 9)),
+    # the json and csv formats check the listing before any series work
+    "period.require_listable": ("truncation", 1, None,
+                                lambda v: period.require_listable(4, v), (1, 3)),
+    "period.require_listable q_F": ("q_F", 2, None,
+                                    lambda v: period.require_listable(v, 3), (2, 9)),
     # q_F = 2 passes the rule and is then refused by the tail ratio 3/2
     "tail_bound q_F": ("q_F", 2, None, lambda v: period.tail_bound(SERIES, v), (2, 9)),
     "TreePair": ("depth", 0, None, lambda v: tree.TreePair(2, v), (0, 3)),

@@ -1,6 +1,7 @@
 """Alternating period series: closed forms, tails, bounds, counting."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from buildingkit import cli, period
 from buildingkit.coxeter import (GrowthSeries, build_affine_system,
                                  exponents, growth_coefficients,
-                                 poincare_finite)
+                                 growth_from_exponents, poincare_finite)
 from buildingkit.errors import InvalidTypeError
 from coxeter_oracle import ALL_TYPES
+import period_oracle
 
 # closed forms frozen from the classical finite length polynomials evaluated
 # at t = -1/q_F with the geometric exponent factors, independently of the
@@ -66,6 +68,45 @@ def test_closed_form_matches_enumerated_route(key):
         for m in exponents(*key):
             expected /= 1 - t**m
         assert period.period_closed_form(*key, q) == expected
+
+
+def by_trial_division(n):
+    """Whether n >= 2 is a prime power, by its least factor."""
+    p = next(f for f in range(2, n + 1) if n % f == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+# the 198 prime powers up to 1024
+PRIME_POWERS = [q for q in range(2, 1025) if by_trial_division(q)]
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+@settings(max_examples=20, deadline=None)
+@given(q=st.sampled_from(PRIME_POWERS), truncation=st.integers(0, 40))
+def test_integer_forms_match_the_fraction_oracles(key, q, truncation):
+    series = growth_from_exponents(build_affine_system(*key), truncation)
+    assert period.period_series(series, q) == period_oracle.partial_sums(
+        series.coefficients, q)
+    assert period.period_closed_form(*key, q) == period_oracle.closed_form(
+        exponents(*key), q)
+
+
+def test_integer_forms_build_one_fraction_per_value(monkeypatch):
+    built = []
+
+    def fraction(num, den):
+        assert type(num) is int and type(den) is int
+        built.append((num, den))
+        return Fraction(num, den)
+
+    monkeypatch.setattr(period, "Fraction", fraction)
+    sums = period.period_series(growth_from_exponents(build_affine_system("G", 2), 16), 7)
+    assert len(sums) == len(built) == 17
+    built.clear()
+    period.period_closed_form("E", 8, 2)
+    assert len(built) == 1
 
 
 def test_exceptional_closed_forms_satisfy_bounds():
@@ -200,12 +241,6 @@ def test_bases_beyond_the_primality_limit_rejected(q):
 
 
 def test_prime_power_check_agrees_with_trial_division():
-    def by_trial_division(n):
-        p = next(f for f in range(2, n + 1) if n % f == 0)
-        while n % p == 0:
-            n //= p
-        return n == 1
-
     for q in range(2, 3000):
         try:
             period._require_prime_power(q)
@@ -290,6 +325,78 @@ def test_truncation_cap_is_checked_before_the_prime_power_test(monkeypatch):
     monkeypatch.setattr(period, "_require_prime_power", no_certificate)
     with pytest.raises(ValueError, match=str(period.MAX_PERIOD_BITS)):
         period.evaluate_period("A", 1, 2**13000 + 1, truncation=1)
+
+
+@pytest.mark.parametrize("truncation", [0, -1])
+def test_truncation_below_1_is_refused_before_the_caps(monkeypatch, truncation):
+    # 0 * bits passed the K cap, and E8 spent 4 s on the closed form at this q
+    def no_certificate(q):
+        raise AssertionError("q_F certified before K was checked")
+
+    monkeypatch.setattr(period, "_require_prime_power", no_certificate)
+    with pytest.raises(ValueError, match=f"^truncation must be >= 1, got {truncation}$"):
+        period.evaluate_period("E", 8, 2**14000, truncation)
+
+
+def test_printed_bits_cap_is_pythons_limit_on_printed_ints():
+    # every int below 2^14284 prints in at most 4,300 digits; 2^14285 - 1 does not
+    assert len(str(2**period.MAX_PRINTED_BITS - 1)) == 4300
+    with pytest.raises(ValueError, match="4300 digits"):
+        str(2 ** (period.MAX_PRINTED_BITS + 1) - 1)
+
+
+@pytest.mark.parametrize("key, q, truncation, refusal", [
+    (("A", 1), 2**1300, 10, "the tail can reach q_F^(K + 1) |W| C(K + d - 1, d - 1)"),
+    (("E", 8), 2**2000, 6, "the closed form can reach (q_F + 1)^114"),
+    (("E", 8), 2**13000, 1, "the closed form can reach (q_F + 1)^114")])
+def test_printed_bits_cap_is_checked_before_the_closed_form(monkeypatch, key, q,
+                                                            truncation, refusal):
+    # each passed the K cap, then stopped with Python's limit on printed
+    # digits, E8 at 2^13000 after 3 s on the closed form
+    def no_work(*args):
+        raise AssertionError("closed form or series computed past the cap")
+
+    monkeypatch.setattr(period, "period_closed_form", no_work)
+    monkeypatch.setattr(period.coxeter, "growth_from_exponents", no_work)
+    message = f"{refusal}, over the cap of 14284 bits for a printed int"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        period.evaluate_period(*key, q, truncation)
+
+
+def test_closed_form_cap_is_tight_at_powers_of_two():
+    # E8's reduced value at 2^b has at most the 114 b + 1 bits of
+    # (2^b + 1)^114, here 13681, 14251 and 14365: 2^125 prints, 2^126 would
+    # not, and 2^120 still answers though D has degree 128
+    assert [period.period_closed_form("E", 8, 2**b).denominator.bit_length()
+            for b in (120, 125, 126)] == [13681, 14243, 14360]
+    for b in (120, 125):
+        period.evaluate_period("E", 8, 2**b, truncation=2)
+    with pytest.raises(ValueError, match="closed form can reach"):
+        period.evaluate_period("E", 8, 2**126, truncation=2)
+
+
+def largest_answered_power(key, p, truncation):
+    """The largest p^j that evaluate_period answers, by bisection on j: its
+    caps refuse more the larger q_F is."""
+    lo, hi = 0, period.MAX_PRINTED_BITS
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            period.evaluate_period(*key, p**mid, truncation)
+            lo = mid
+        except ValueError:
+            hi = mid - 1
+    return period.evaluate_period(*key, p**lo, truncation)
+
+
+@pytest.mark.parametrize("key", ALL_TYPES)
+def test_every_int_of_an_answer_at_the_caps_prints(key):
+    for p, truncation in ((2, 1), (2, 2), (2, 10), (3, 5)):
+        res = largest_answered_power(key, p, truncation)
+        values = (res.closed_form, res.tail, *res.partial_sums)
+        ints = [res.q_E, *(v.numerator for v in values),
+                *(v.denominator for v in values)]
+        assert max(abs(i).bit_length() for i in ints) <= period.MAX_PRINTED_BITS
 
 
 def test_q_F_is_certified_once_before_any_series_work(monkeypatch):

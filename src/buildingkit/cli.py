@@ -311,6 +311,10 @@ def _build_parser():
 
 
 def main(argv=None):
+    # the caps on printed ints assume Python's default limit on printed digits
+    default = getattr(sys.int_info, "default_max_str_digits", 0)
+    if default and 0 < sys.get_int_max_str_digits() < default:
+        sys.set_int_max_str_digits(default)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

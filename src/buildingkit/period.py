@@ -24,18 +24,14 @@ from .errors import InvalidTypeError, require_int, shown
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
-# K * bit_length(q_F - 1) bounds the bits of q_F^K, the largest denominator
-# among the partial sums; past this cap the exact sums stop being desk scale
-MAX_PERIOD_BITS = 13_000
-
 # b K (K + 1) / 2 with b = bit_length(q_F - 1) bounds the bits of all K + 1
 # partial-sum denominators together, which the JSON and CSV formats list;
 # past this cap the listing stops being desk scale (about 0.6 MB of digits)
 MAX_LISTED_BITS = 1_000_000
 
 # Python prints an int of at most 4,300 digits, which holds every int below
-# 2^14284; past this cap on the bits of the closed form, the partial sums,
-# the tail and q_E, printing a PeriodResult stops with Python's own error
+# 2^14284; past this cap on the bits of one value of a PeriodResult, or of a
+# tree pair's vertex count, printing stops with Python's own error
 MAX_PRINTED_BITS = 14_284
 
 
@@ -138,7 +134,7 @@ def _require_printable(family, rank, q_F, truncation):
     Phi_j over N's (E8: 114, where D has degree 128).  As m_1 = 1,
     a_k <= A = |W| C(K + d - 1, d - 1) for k <= K, which bounds q_E, the
     partial sums and the tail's denominator by A q_F^(K + 1); the tail's
-    numerator, at most A^2, stays under 2^250 within the K cap.
+    numerator, at most A^2, stays under 2^250, as K < MAX_PRINTED_BITS.
     """
     exps = coxeter.exponents(family, rank)
     degree = 0
@@ -242,15 +238,12 @@ class PeriodResult:
 def evaluate_period(family, rank, q_F, truncation=12):
     """Assemble a PeriodResult: expand, sum, close, and bound the tail.
 
-    The arguments, the K cap and the cap on printed ints are checked first,
-    and the closed form certifies q_F as a prime power before any series
-    work.
+    The arguments and the cap on printed ints, which also bounds K, are
+    checked first, and the closed form certifies q_F as a prime power
+    before any series work.
     """
-    bits = ((require_int(q_F, "q_F", lo=2) - 1).bit_length()
-            * require_int(truncation, "truncation", lo=1))
-    if bits > MAX_PERIOD_BITS:
-        raise ValueError(f"K * bit_length(q_F - 1) = {shown(bits)} exceeds the cap of "
-                         f"{MAX_PERIOD_BITS} bits")
+    require_int(q_F, "q_F", lo=2)
+    require_int(truncation, "truncation", lo=1)
     _require_printable(family, rank, q_F, truncation)
     closed_form = period_closed_form(family, rank, q_F)
     series = coxeter.growth_from_exponents(

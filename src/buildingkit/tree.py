@@ -27,11 +27,11 @@ them one level at a time for the tree period and the audit.
 
 So a pair is refused (ValueError) only for a depth that is no integer >= 0
 and for what its counts could not print: a q_F that is no prime power
-(`period`'s test), a largest count of depth * bit_length(q_E - 1) bits over
-MAX_PERIOD_BITS, or all levels' counts, bit_length(q_E - 1) depth
-(depth + 1) / 2 bits, over MAX_LISTED_BITS.  Only the id listings count
-edges, against DEFAULT_EDGE_BUDGET: the parents, the labels and the
-automorphisms' lifts.
+(`period`'s test), a vertex count, the largest count it prints, whose
+bound 3 q_E^depth is over MAX_PRINTED_BITS, or all levels' counts,
+bit_length(q_E - 1) depth (depth + 1) / 2 bits, over MAX_LISTED_BITS.
+Only the id listings count edges, against DEFAULT_EDGE_BUDGET: the
+parents, the labels and the automorphisms' lifts.
 
 A cocycle is constant on the levels: one integer numerator per level over
 one common denominator.  So the harmonicity, decay and period passes do
@@ -52,7 +52,7 @@ from operator import mul, ne
 
 from .errors import BudgetError, ModelError, require_int, require_rational, shown
 from .linalg import nullspace
-from .period import MAX_LISTED_BITS, MAX_PERIOD_BITS, _require_prime_power
+from .period import MAX_LISTED_BITS, MAX_PRINTED_BITS, _fits, _require_prime_power
 
 DEFAULT_EDGE_BUDGET = 4_000_000
 
@@ -69,10 +69,10 @@ class TreePair:
     def __init__(self, q_F, depth):
         _require_prime_power(q_F)
         require_int(depth, "depth", lo=0)
+        if not _fits((q_F * q_F, depth), (3, 1)):
+            raise ValueError(f"the vertex count can reach 3 q_E^depth, over the cap of "
+                             f"{MAX_PRINTED_BITS} bits for a printed int")
         bits = (q_F * q_F - 1).bit_length()
-        if depth * bits > MAX_PERIOD_BITS:
-            raise ValueError(f"depth * bit_length(q_E - 1) = {shown(depth * bits)} "
-                             f"exceeds the cap of {MAX_PERIOD_BITS} bits")
         if (listed := bits * depth * (depth + 1) // 2) > MAX_LISTED_BITS:
             raise ValueError(f"listing the levels takes bit_length(q_E - 1) * depth (depth + 1)"
                              f" / 2 = {listed} bits, over the cap of {MAX_LISTED_BITS} bits")

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from buildingkit import cache, cli, coxeter, orbits, period
+from buildingkit import cache, cli, coxeter, orbits, period, tree
 from buildingkit.suite import run_suite
 
 
@@ -109,7 +109,9 @@ def test_period_over_the_truncation_cap_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, ["period", "--family", "A", "--rank", "1",
                                       "--qF", "9", "--K", "5000"])
     assert code == 2 and out == ""
-    assert "exceeds the cap of 13000 bits" in err
+    assert err == ("invalid arguments: the tail can reach q_F^(K + 1) |W| "
+                   "C(K + d - 1, d - 1), over the cap of 14284 bits for a "
+                   "printed int\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -342,14 +344,18 @@ def test_exit_budget_of_the_tree_commands(capsys, argv):
     ("tree-verify --qF 2 --depth 7150", 2),
     ("tree-verify --qF 2 --depth 100000", 2),
     ("invariant --qF 3 --depth 4600", 3),
+    # the first depth past the cap on a printed int, which binds before the
+    # listing cap at this q_F
+    (f"invariant --qF {2**61 - 1} --depth 118", 2**61 - 1),
     # suite's q_F = 2 tree is within both caps at depth 7200 or 707 too
     ("suite --depth 7200", 2),
     ("suite --depth 707", 3)])
 def test_exit_budget_names_the_smallest_failing_depth(capsys, argv, q_F):
     # these once exceeded the tree edge budget; now a bit cap refuses them
-    # at once, with the bits of the largest count, depth * bit_length(q_E -
-    # 1), or of all levels' counts, that times (depth + 1) / 2, and nothing
-    # is allocated per edge
+    # at once, the cap on a printed int by the bound 3 q_E^depth of the
+    # vertex count, or the listing cap by the bits of all levels' counts,
+    # bit_length(q_E - 1) depth (depth + 1) / 2, and nothing is allocated
+    # per edge
     depth, bits = int(argv.split()[-1]), (q_F**2 - 1).bit_length()
     tracemalloc.start()
     try:
@@ -361,14 +367,33 @@ def test_exit_budget_names_the_smallest_failing_depth(capsys, argv, q_F):
         tracemalloc.stop()
     assert seconds < 0.5 and peak < 1_000_000, (seconds, peak)
     assert (code, out) == (2, "")
-    if depth * bits > period.MAX_PERIOD_BITS:
-        assert err == (f"invalid arguments: depth * bit_length(q_E - 1) = "
-                       f"{depth * bits} exceeds the cap of 13000 bits\n")
+    if (3 * q_F ** (2 * depth)).bit_length() > period.MAX_PRINTED_BITS:
+        assert err == ("invalid arguments: the vertex count can reach "
+                       "3 q_E^depth, over the cap of 14284 bits for a printed int\n")
     else:
         assert err == ("invalid arguments: listing the levels takes "
                        "bit_length(q_E - 1) * depth (depth + 1) / 2 = "
                        f"{bits * depth * (depth + 1) // 2} bits, over the cap "
                        "of 1000000 bits\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", ["tree-verify", "tree-period", "invariant"])
+@pytest.mark.parametrize("q_F, depth", [(2**60, 119), (2**61 - 1, 117)])
+def test_every_int_of_the_deepest_tree_prints(capsys, q_F, depth, command, fmt):
+    # here the cap on a printed int binds before the listing cap: the vertex
+    # count, the largest int printed, is below 3 q_E^depth, which fits at
+    # this depth and not one level deeper
+    argv = [command, "--qF", str(q_F), "--format", fmt, "--depth"]
+    code, out, err = run_cli(capsys, [*argv, str(depth)])
+    assert (code, err) == (0, "")
+    if command == "tree-verify":
+        n_vertices = tree.TreePair(q_F, depth).n_vertices
+        assert period.MAX_PRINTED_BITS - n_vertices.bit_length() < 10
+        assert str(n_vertices) in out
+    assert run_cli(capsys, [*argv, str(depth + 1)]) == (
+        2, "", "invalid arguments: the vertex count can reach 3 q_E^depth, "
+               "over the cap of 14284 bits for a printed int\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

@@ -59,7 +59,9 @@ FAMILIES = values("A", "B", "C", "D", "E", "F", "G", "H")
 RANKS = values(0, 1, 2, 3, 4, 8, 99, "x")
 
 # every tree command answers off the quotient, from (2, 1) to the 7e9 edges of
-# (9, 5), in milliseconds
+# (9, 5), in milliseconds; the cap on a printed int refuses depths past 119
+# and 117 at q_F = 2^60 and 2^61 - 1, and K past about 14,200 and 9,000 at
+# q_F = 2 and 3 (E8: 14,169 and 8,942)
 COMMANDS = st.one_of(
     command("growth", option("--family", FAMILIES), option("--rank", RANKS),
             option("--K", values(-1, 0, 1, 4, "x"), required=True),
@@ -67,8 +69,12 @@ COMMANDS = st.one_of(
     command("period", option("--family", FAMILIES), option("--rank", RANKS),
             option("--qF", values(0, 1, 2, 3, 4, 6, 9, 2**1300, 2**2000, "x")),
             option("--K", values(-1, 0, 1, 4, 6, 10, 12, 13, 20000))),
-    *(command(name, option("--qF", values(2, 3, 5, 6, 9, "x")),
-              option("--depth", values(-1, 0, 1, 2, 5), required=True))
+    command("period", option("--family", FAMILIES), option("--rank", RANKS),
+            option("--qF", values(2, 3), required=True),
+            option("--K", st.integers(13_000, 14_300).map(str), required=True)),
+    *(command(name, option("--qF", values(2, 3, 5, 6, 9, 2**60, 2**61 - 1, "x")),
+              option("--depth", values(-1, 0, 1, 2, 5, 116, 117, 118, 119, 120),
+                     required=True))
       for name in ("tree-verify", "tree-period", "invariant")),
     command("orbit", option("--p", values(-7, -3, 0, 1, 2, 3, 4, 5, 7, 17, 18,
                                           10**17 + 3, 2**61 - 1, "x")),
@@ -129,10 +135,12 @@ FIXED_ARGVS = [
     ["orbit", "--p", "3", "--n", "2"],
     ["suite", "--depth", "707"],
     ["tree-verify", "--qF", "2", "--budget", "5"],
-    # the deepest tree the largest count's cap allows at q_F = 2^61 - 1, and
-    # the first one past it
-    ["invariant", "--qF", str(2**61 - 1), "--depth", "106"],
-    ["invariant", "--qF", str(2**61 - 1), "--depth", "107"],
+    # the deepest tree the cap on a printed int allows at q_F = 2^61 - 1,
+    # the first one past it, and the same for A1's K at q_F = 2
+    ["invariant", "--qF", str(2**61 - 1), "--depth", "117"],
+    ["invariant", "--qF", str(2**61 - 1), "--depth", "118"],
+    ["period", "--family", "A", "--rank", "1", "--qF", "2", "--K", "14281"],
+    ["period", "--family", "A", "--rank", "1", "--qF", "2", "--K", "14282"],
 ]
 
 
@@ -455,15 +463,20 @@ def test_optimized_run_answers_the_same():
                      "not connected", "marked sphere census mismatch",
                      "ambient sphere census mismatch"):
         assert fragment in found, fragment
-    # the bit caps refuse a deep tree with their own message, never with
-    # Python's limit on the digits of a printed int
+    # the bit caps refuse a deep tree or a long series with their own
+    # message, never with Python's limit on the digits of a printed int
     runs = dict(zip(map(" ".join, FIXED_ARGVS), expected["runs"]))
-    deepest = runs[f"invariant --qF {2**61 - 1} --depth 106"]
+    deepest = runs[f"invariant --qF {2**61 - 1} --depth 117"]
     assert deepest[0] == 0 and deepest[1].startswith(
-        f"invariant q_F={2**61 - 1} depth=106:\n  dimension  1\n")
-    assert runs[f"invariant --qF {2**61 - 1} --depth 107"] == [
-        2, "", "invalid arguments: depth * bit_length(q_E - 1) = 13054 "
-               "exceeds the cap of 13000 bits\n"]
+        f"invariant q_F={2**61 - 1} depth=117:\n  dimension  1\n")
+    assert runs[f"invariant --qF {2**61 - 1} --depth 118"] == [
+        2, "", "invalid arguments: the vertex count can reach 3 q_E^depth, "
+               "over the cap of 14284 bits for a printed int\n"]
+    longest = runs["period --family A --rank 1 --qF 2 --K 14281"]
+    assert longest[0] == 0 and "\n  S_14281 " in longest[1]
+    assert runs["period --family A --rank 1 --qF 2 --K 14282"] == [
+        2, "", "invalid arguments: the tail can reach q_F^(K + 1) |W| "
+               "C(K + d - 1, d - 1), over the cap of 14284 bits for a printed int\n"]
     assert runs["suite --depth 707"] == [
         2, "", "invalid arguments: listing the levels takes bit_length(q_E - 1)"
                " * depth (depth + 1) / 2 = 1001112 bits, over the cap of "
@@ -509,6 +522,28 @@ def test_field_construction_failures_are_failed_checks():
 def test_orbit_checks_fire_under_optimize():
     assert orbit_check_errors() == ORBIT_CHECK_ERRORS
     assert run_optimized("orbit_check_errors") == [1, ORBIT_CHECK_ERRORS]
+
+
+LOW_DIGIT_LIMIT_ARGVS = [
+    ["period", "--family", "A", "--rank", "1", "--qF", str(2**1000), "--K", "3"],
+    ["period", "--family", "A", "--rank", "1", "--qF", str(2**1300), "--K", "10"],
+    ["tree-verify", "--qF", str(2**61 - 1), "--depth", "117"],
+    ["tree-verify", "--qF", str(2**61 - 1), "--depth", "118"],
+]
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_lower_digit_limit_answers_the_same(flags):
+    # the caps on printed ints assume Python's default limit of 4,300
+    # digits: under this one the first argv exited 2 with Python's own
+    # set_int_max_str_digits message, and the third prints 4,300 digits
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
+    for argv in LOW_DIGIT_LIMIT_ARGVS:
+        proc = subprocess.run([sys.executable, *flags, "-m", "buildingkit", *argv],
+                              env=env, capture_output=True, text=True, timeout=30)
+        assert [proc.returncode, proc.stdout, proc.stderr] == list(run(argv))
+        assert "set_int_max_str_digits" not in proc.stderr
 
 
 def test_orbit_refuses_a_large_prime_at_once():

@@ -362,11 +362,12 @@ PAST_THE_RULE = {
         lambda: coxeter.build_affine_system("A", -HUGE), InvalidTypeError,
         "family A requires rank >= 1, got <negative int of 16610 bits>"),
     "TreePair depth": (lambda: tree.TreePair(2, HUGE), ValueError,
-                       "depth * bit_length(q_E - 1) = <int of 16611 bits> exceeds "
-                       "the cap of 13000 bits"),
+                       "the vertex count can reach 3 q_E^depth, over the cap of "
+                       "14284 bits for a printed int"),
     "evaluate_period truncation": (
         lambda: period.evaluate_period("A", 1, 4, HUGE), ValueError,
-        "K * bit_length(q_F - 1) = <int of 16611 bits> exceeds the cap of 13000 bits"),
+        "the tail can reach q_F^(K + 1) |W| C(K + d - 1, d - 1), over the cap of "
+        "14284 bits for a printed int"),
     "require_listable truncation": (
         lambda: period.require_listable(4, HUGE), ValueError,
         "listing S_0..S_K takes bit_length(q_F - 1) * K (K + 1) / 2 = <int of "

@@ -306,24 +306,29 @@ def test_prime_root_stripping_agrees_with_the_descending_search(q):
         == prime_power_verdict(descending_prime_power_check, q)
 
 
+TAIL_REFUSAL = ("the tail can reach q_F^(K + 1) |W| C(K + d - 1, d - 1), "
+                "over the cap of 14284 bits for a printed int")
+
+
 def test_truncation_cap_is_checked_before_any_series_work(monkeypatch):
+    # K is capped by the tail's bound, whose q_F^(K + 1) alone passes the
+    # cap on a printed int at each K here
     def no_series(*args):
         raise AssertionError("series expanded past the cap")
 
     monkeypatch.setattr(period.coxeter, "growth_from_exponents", no_series)
-    cap = period.MAX_PERIOD_BITS
-    for q, bits in ((2, 1), (9, 4), (M61, 61)):
-        with pytest.raises(ValueError, match=str(cap)):
-            period.evaluate_period("A", 1, q, truncation=cap // bits + 1)
+    for q, K in ((2, 14284), (9, 4506), (M61, 234), (2, 10**5000)):
+        with pytest.raises(ValueError, match=f"^{re.escape(TAIL_REFUSAL)}$"):
+            period.evaluate_period("A", 1, q, truncation=K)
 
 
 def test_truncation_cap_is_checked_before_the_prime_power_test(monkeypatch):
-    # certifying a 13,000-bit q_F takes seconds; the cap needs no certificate
+    # certifying a 13,000-bit q_F takes big-int roots; the cap needs none
     def no_certificate(q):
         raise AssertionError("q_F certified before the cap")
 
     monkeypatch.setattr(period, "_require_prime_power", no_certificate)
-    with pytest.raises(ValueError, match=str(period.MAX_PERIOD_BITS)):
+    with pytest.raises(ValueError, match=f"^{re.escape(TAIL_REFUSAL)}$"):
         period.evaluate_period("A", 1, 2**13000 + 1, truncation=1)
 
 
@@ -399,6 +404,39 @@ def test_every_int_of_an_answer_at_the_caps_prints(key):
         assert max(abs(i).bit_length() for i in ints) <= period.MAX_PRINTED_BITS
 
 
+def largest_answered_truncation(key, q):
+    """The largest K that the cap on printed ints admits at q_F = q, by
+    bisection on K: the tail's bound grows with K, and q_F^(K + 1) alone
+    passes the cap past K = MAX_PRINTED_BITS."""
+    lo, hi = 1, period.MAX_PRINTED_BITS
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            period._require_printable(*key, q, mid)
+            lo = mid
+        except ValueError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("key", [("A", 1), ("G", 2), ("E", 8)])
+def test_every_int_of_an_answer_at_the_truncation_cap_prints(capsys, key, q):
+    # the tail's bound is the one cap on K: at the largest K it admits the
+    # text format answers, and one more K is refused by that cap
+    K = largest_answered_truncation(key, q)
+    res = period.evaluate_period(*key, q, K)
+    values = (res.closed_form, res.tail, *res.partial_sums)
+    ints = [res.q_E, *(v.numerator for v in values),
+            *(v.denominator for v in values)]
+    assert max(abs(i).bit_length() for i in ints) <= period.MAX_PRINTED_BITS
+    argv = ["period", "--family", key[0], "--rank", str(key[1]), "--qF", str(q)]
+    assert cli.main([*argv, "--K", str(K)]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli.main([*argv, "--K", str(K + 1)]) == 2
+    assert capsys.readouterr() == ("", f"invalid arguments: {TAIL_REFUSAL}\n")
+
+
 def test_q_F_is_certified_once_before_any_series_work(monkeypatch):
     calls = []
     certify = period._require_prime_power
@@ -422,7 +460,7 @@ def test_non_integer_q_F_is_an_invalid_type(q):
 
 
 def test_truncation_at_the_cap_is_exact():
-    K = period.MAX_PERIOD_BITS // 4
+    K = largest_answered_truncation(("A", 2), 9)
     res = period.evaluate_period("A", 2, 9, truncation=K)
     assert len(res.partial_sums) == K + 1
     assert abs(res.closed_form - res.partial_sums[-1]) <= res.tail

@@ -133,6 +133,19 @@ def test_only_the_command_line_writes_documents():
     assert "schema_version" in (SOURCES[0].parent / "cli.py").read_text()
 
 
+def test_size_caps_are_written_once():
+    # one cap on the bits of a printed value and one on a listing, both in
+    # period.py, serve every layer: a third MAX_*_BITS would be a second
+    # rule for one of the two decisions
+    found = sorted(
+        f"{path.name} {node.id}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        and node.id.startswith("MAX_") and node.id.endswith("_BITS"))
+    assert found == ["period.py MAX_LISTED_BITS", "period.py MAX_PRINTED_BITS"]
+
+
 def _tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)

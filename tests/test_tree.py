@@ -1365,11 +1365,13 @@ def test_prime_powers_past_the_old_list_match_the_vertex_loop(q, depth):
 
 def deepest_tree(q):
     """The largest depth both bit caps allow at q_F = q, found by walking
-    down from the first cap."""
+    up from depth 0: 3 q_E^depth, which bounds the vertex count, within
+    MAX_PRINTED_BITS, and all levels' bits within MAX_LISTED_BITS."""
     bits = (q * q - 1).bit_length()
-    depth = period.MAX_PERIOD_BITS // bits
-    while bits * depth * (depth + 1) // 2 > period.MAX_LISTED_BITS:
-        depth -= 1
+    depth = 0
+    while ((3 * q ** (2 * depth + 2)).bit_length() <= period.MAX_PRINTED_BITS
+           and bits * (depth + 1) * (depth + 2) // 2 <= period.MAX_LISTED_BITS):
+        depth += 1
     return depth
 
 

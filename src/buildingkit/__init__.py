@@ -30,9 +30,9 @@ from .orbits import (FiniteFieldPair, OrbitReport, affine_square_orbits,
                      build_fields, canonical_inversion_data,
                      exists_nonsquare_value, inversion_closure_orbits,
                      transitivity_holds, verify_fraction_identity)
-from .period import (BoundsReport, PeriodResult, check_counting_bound,
-                     check_theorem_bounds, evaluate_period, period_closed_form,
-                     period_series, tail_bound)
+from .period import (BoundsReport, PeriodResult, check_theorem_bounds,
+                     evaluate_period, period_closed_form, period_series,
+                     tail_bound)
 from .suite import CheckResult, SuiteReport, run_suite
 from .tree import (EdgeCocycle, HarmonicityReport, InvariantSolution,
                    TreeAutomorphism, TreePair, build_tree_pair,

@@ -21,7 +21,7 @@ import sys
 from . import orbits, period, tree
 from .cache import cached_growth, canonical_json_bytes
 from .coxeter import DEFAULT_ELEMENT_BUDGET, FAMILIES, build_affine_system
-from .errors import BudgetError, ToolkitError
+from .errors import BudgetError, ToolkitError, require_listable
 from .period import _rat
 from .suite import DEFAULT_SEED, run_suite
 
@@ -74,7 +74,7 @@ def _cmd_growth(args):
 
 def _cmd_period(args):
     if args.format != "text":
-        period.require_listable(args.qF, args.K)
+        require_listable(args.qF, args.K, "S_0..S_K in json or csv", "q_F", "K")
     result = period.evaluate_period(args.family, args.rank, args.qF,
                                     truncation=args.K)
     bounds = period.check_theorem_bounds(result)

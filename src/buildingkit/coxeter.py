@@ -47,7 +47,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BudgetError, InvalidTypeError, ModelError, require_int, shown
+from .errors import (MAX_LISTED_BITS, BudgetError, InvalidTypeError, ModelError,
+                     require_int, shown)
 
 INFINITE_ORDER = 0
 
@@ -317,8 +318,10 @@ def growth_coefficients(system, truncation, budget=DEFAULT_ELEMENT_BUDGET):
     walk = _sphere_sizes(system.cartan_matrix, range(system.rank + 1),
                          _basis_point(system, 0))
     coeffs, total = [], 0
-    for k, a in enumerate(_times(_finite_series(system),
-                                 itertools.islice(walk, truncation + 1))):
+    # zip with a range, as islice takes no stop past sys.maxsize: the budget
+    # stops a walk that long
+    layers = (a for _, a in zip(range(truncation + 1), walk))
+    for k, a in enumerate(_times(_finite_series(system), layers)):
         total += a
         if k and total > budget:
             raise BudgetError(
@@ -334,8 +337,10 @@ def growth_from_exponents(system, truncation):
     """Sphere sizes a_0..a_K from Bott's formula, expanded in integers.
 
     Over the exponents it is prod_i (1 - t^(m_i+1)) / ((1 - t)(1 - t^(m_i))).
+    K is capped below MAX_LISTED_BITS, as the K + 1 coefficients take at
+    least K + 1 bits.
     """
-    require_int(truncation, "truncation", lo=0)
+    require_int(truncation, "truncation", 0, MAX_LISTED_BITS - 1)
     coeffs = [1] + [0] * truncation
     for m in system.exponents:
         for k in range(truncation, m, -1):  # times 1 - t^(m+1)

@@ -29,8 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ModelError, require_int
-from .period import _is_prime
+from .errors import ModelError, is_prime, require_int
 
 MAX_Q = 256
 
@@ -82,7 +81,7 @@ class FiniteFieldPair:
         """Refuse (ValueError) a p outside 2..MAX_Q or composite, an n outside
         1..8 and a q = p^n over MAX_Q; p's range comes first, so Miller-Rabin
         is deterministic there (p < _MR_LIMIT) and p^n stays small."""
-        if not _is_prime(require_int(p, "p", 2, MAX_Q)):
+        if not is_prime(require_int(p, "p", 2, MAX_Q)):
             raise ValueError(f"p must be prime, got {p}")
         q = p ** require_int(n, "n", 1, 8)
         if q > MAX_Q:

@@ -5,123 +5,23 @@ k-sphere holds a_k * q_F^k chambers and the cocycle contributes (-1/q_E)^k
 per chamber with q_E = q_F^2, so each term collapses to a_k * (-1/q_F)^k.
 The partial sums and the closed form are computed in integers, Horner's
 numerators and one quotient N / D, with one Fraction built per value.
-All results are exact.  The one float is the start of Newton's iteration in
-`_integer_root`, which the integer iteration corrects to the exact root.
+All results are exact.  The argument checks, the prime-power certificate
+of q_F and the cap on a printed int are the input contract in `errors`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
-from math import comb, gcd, log2, prod
+from math import comb, gcd, prod
 
 from . import coxeter
-from .errors import InvalidTypeError, require_int, shown
-
-# Miller-Rabin with the prime bases up to 41 is deterministic below this bound
-# (Sorenson and Webster, 2015)
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
-
-# b K (K + 1) / 2 with b = bit_length(q_F - 1) bounds the bits of all K + 1
-# partial-sum denominators together, which the JSON and CSV formats list;
-# past this cap the listing stops being desk scale (about 0.6 MB of digits)
-MAX_LISTED_BITS = 1_000_000
-
-# Python prints an int of at most 4,300 digits, which holds every int below
-# 2^14284; past this cap on the bits of one value of a PeriodResult, or of a
-# tree pair's vertex count, printing stops with Python's own error
-MAX_PRINTED_BITS = 14_284
-
-
-def _is_prime(n):
-    """Deterministic Miller-Rabin for 2 <= n < _MR_LIMIT."""
-    if n in _MR_BASES:
-        return True
-    if not all(map(n.__mod__, _MR_BASES)):
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _integer_root(n, k):
-    """The largest r with r^k <= n, for n >= 1, by Newton's iteration.
-
-    The start is 2^(log2(n)/k), with log2(n) read off the top 64 bits and a
-    margin past the float error, so it is never below the root: from there
-    the iteration falls onto the root, while from below it stops at once.
-    """
-    shift = max(n.bit_length() - 64, 0)
-    x = (log2(n >> shift) + shift) / k
-    x += x * 2**-40 + 2**-30
-    e = int(x)
-    r = ((int(2 ** (x - e) * 2**53) + 1) << e >> 53) + 1
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def _require_prime_power(q):
-    require_int(q, "q_F", lo=2)
-    # the root of the highest exact power is prime exactly when q is a prime
-    # power; an exact k-th power is an exact p-th power for each prime p
-    # dividing k, so p-th roots are stripped for primes p in ascending order,
-    # trying p again after each hit, until p exceeds the root's bit length
-    root, p = q, 2
-    while p <= root.bit_length():
-        r = _integer_root(root, p)
-        # r^p == root needs r | root, which is cheaper to refute than r^p
-        if root % r == 0 and r**p == root:
-            root = r
-        else:
-            p = next(filter(_is_prime, count(p + 1)))
-    if root >= _MR_LIMIT:
-        raise InvalidTypeError(
-            f"q_F must be a power of a prime below {_MR_LIMIT}, the limit of "
-            f"the deterministic primality test, got {shown(q)}")
-    if not _is_prime(root):
-        raise InvalidTypeError(f"q_F must be a prime power, got {shown(q)}")
-    return q
+from .errors import MAX_PRINTED_BITS, fits, require_int, require_prime_power
 
 
 def _rat(x):
     """JSON form {"num": ..., "den": ...} of an exact rational."""
     return {"num": x.numerator, "den": x.denominator}
-
-
-def require_listable(q_F, truncation):
-    """Refuse a truncation whose listed partial sums would exceed
-    MAX_LISTED_BITS, before any series work."""
-    bits = ((require_int(q_F, "q_F", lo=2) - 1).bit_length()
-            * require_int(truncation, "truncation", lo=1) * (truncation + 1) // 2)
-    if bits > MAX_LISTED_BITS:
-        raise ValueError(
-            f"listing S_0..S_K takes bit_length(q_F - 1) * K (K + 1) / 2 = "
-            f"{shown(bits)} bits, over the cap of {MAX_LISTED_BITS} bits for the "
-            f"json and csv formats")
-
-
-def _fits(*powers):
-    """Whether the product of x^n over the (x, n) pairs, each x >= 1, has at
-    most MAX_PRINTED_BITS bits; it is formed only when that is in doubt."""
-    if sum(n * (x.bit_length() - 1) for x, n in powers) >= MAX_PRINTED_BITS:
-        return False
-    return prod(x**n for x, n in powers).bit_length() <= MAX_PRINTED_BITS
 
 
 def _require_printable(family, rank, q_F, truncation):
@@ -143,34 +43,13 @@ def _require_printable(family, rank, q_F, truncation):
                   - sum((m + 1) % j == 0 for m in exps))
         if excess > 0:
             degree += excess * sum(gcd(i, j) == 1 for i in range(j))
-    if not _fits((q_F + 1, degree)):
+    if not fits((q_F + 1, degree)):
         raise ValueError(f"the closed form can reach (q_F + 1)^{degree}, over the "
                          f"cap of {MAX_PRINTED_BITS} bits for a printed int")
     bound = prod(m + 1 for m in exps) * comb(truncation + rank - 1, rank - 1)
-    if not _fits((q_F, truncation + 1), (bound, 1)):
+    if not fits((q_F, truncation + 1), (bound, 1)):
         raise ValueError(f"the tail can reach q_F^(K + 1) |W| C(K + d - 1, d - 1), "
                          f"over the cap of {MAX_PRINTED_BITS} bits for a printed int")
-
-
-@dataclass(frozen=True)
-class CountingBoundRow:
-    k: int
-    coefficient: int
-    bound: int
-    ok: bool
-    slack: int
-
-
-def check_counting_bound(series, d):
-    """Per-k report of a_k <= (d+1) d^(k-1); slack 0 rows are equalities."""
-    require_int(d, "d", lo=1)
-    rows = []
-    for k in range(1, series.truncation + 1):
-        bound = (d + 1) * d ** (k - 1)
-        a_k = series.coefficients[k]
-        rows.append(CountingBoundRow(k=k, coefficient=a_k, bound=bound,
-                                     ok=a_k <= bound, slack=bound - a_k))
-    return rows
 
 
 def period_series(series, q_F):
@@ -194,7 +73,7 @@ def period_closed_form(family, rank, q_F):
         prod_i (1 - t^(m_i + 1)) / ((1 - t) (1 - t^(m_i))),  t = -1/q_F,
     and each factor times q_F^(m_i + 1) over itself makes it N / D in integers.
     """
-    _require_prime_power(q_F)
+    require_prime_power(q_F)
     exps = coxeter.exponents(family, rank)
     return Fraction(prod(q_F ** (m + 1) - (-1) ** (m + 1) for m in exps),
                     prod((q_F + 1) * (q_F**m - (-1) ** m) for m in exps))

@@ -26,10 +26,9 @@ reads one, and the census of each level's edges by delta is pushed out of
 them one level at a time for the tree period and the audit.
 
 So a pair is refused (ValueError) only for a depth that is no integer >= 0
-and for what its counts could not print: a q_F that is no prime power
-(`period`'s test), a vertex count, the largest count it prints, whose
-bound 3 q_E^depth is over MAX_PRINTED_BITS, or all levels' counts,
-bit_length(q_E - 1) depth (depth + 1) / 2 bits, over MAX_LISTED_BITS.
+and by the input contract in `errors`: a q_F that is no prime power, a
+vertex count, the largest count it prints, whose bound 3 q_E^depth passes
+MAX_PRINTED_BITS, or all levels' counts, a listing past MAX_LISTED_BITS.
 Only the id listings count edges, against DEFAULT_EDGE_BUDGET: the
 parents, the labels and the automorphisms' lifts.
 
@@ -50,9 +49,9 @@ from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import mul, ne
 
-from .errors import BudgetError, ModelError, require_int, require_rational, shown
+from .errors import (MAX_PRINTED_BITS, BudgetError, ModelError, fits, require_int,
+                     require_listable, require_prime_power, require_rational, shown)
 from .linalg import nullspace
-from .period import MAX_LISTED_BITS, MAX_PRINTED_BITS, _fits, _require_prime_power
 
 DEFAULT_EDGE_BUDGET = 4_000_000
 
@@ -67,15 +66,12 @@ class TreePair:
     q_F, the depth and the counts they decide, and nothing per edge."""
 
     def __init__(self, q_F, depth):
-        _require_prime_power(q_F)
+        require_prime_power(q_F)
         require_int(depth, "depth", lo=0)
-        if not _fits((q_F * q_F, depth), (3, 1)):
+        if not fits((q_F * q_F, depth), (3, 1)):
             raise ValueError(f"the vertex count can reach 3 q_E^depth, over the cap of "
                              f"{MAX_PRINTED_BITS} bits for a printed int")
-        bits = (q_F * q_F - 1).bit_length()
-        if (listed := bits * depth * (depth + 1) // 2) > MAX_LISTED_BITS:
-            raise ValueError(f"listing the levels takes bit_length(q_E - 1) * depth (depth + 1)"
-                             f" / 2 = {listed} bits, over the cap of {MAX_LISTED_BITS} bits")
+        require_listable(q_F * q_F, depth, "the levels", "q_E", "depth")
         self.q_F = q_F
         self.q_E = q_F * q_F
         self.depth = depth

@@ -1,6 +1,6 @@
 """The period series and its closed form in `Fraction` arithmetic: the
 tests' oracle for the integer forms of `period_series` and
-`period_closed_form`.
+`period_closed_form`; and the counting bound that suite check 4 reduces.
 
 Each partial sum adds a_k (-1/q_F)^k to the last, and the closed form
 multiplies Bott's factors (1 - t^(m + 1)) / ((1 - t)(1 - t^m)) at
@@ -29,3 +29,11 @@ def closed_form(exponents, q_F):
     for m in exponents:
         value *= (1 - t ** (m + 1)) / ((1 - t) * (1 - t**m))
     return value
+
+
+def counting_bound(coefficients, d):
+    """[(k, a_k, (d + 1) d^(k - 1)) for k = 1..K]: each sphere size beside
+    the number of words of length k in d + 1 letters with no letter twice
+    in a row, which bounds it."""
+    return [(k, a_k, (d + 1) * d ** (k - 1))
+            for k, a_k in enumerate(coefficients) if k]

@@ -13,6 +13,7 @@ import pytest
 from buildingkit import coxeter, orbits, period, tree
 from buildingkit.suite import (GRID_QF, GRID_TYPES, OMEGA_GRID, ORBIT_CHAR2,
                                ORBIT_ODD, RANK1_QF)
+import period_oracle
 
 
 def report(num, claim, ok):
@@ -82,11 +83,11 @@ def test_criterion_4_counting_bound_and_census(grid_data, deep_trees):
     series, _, _ = grid_data
     ok = True
     for f, r in GRID_TYPES:
-        rows = period.check_counting_bound(coxeter.growth_coefficients(
-            coxeter.build_affine_system(f, r), 8), r)
-        ok = ok and all(row.ok for row in rows)
+        rows = period_oracle.counting_bound(coxeter.growth_coefficients(
+            coxeter.build_affine_system(f, r), 8).coefficients, r)
+        ok = ok and all(a_k <= bound for _, a_k, bound in rows)
         if (f, r) == ("A", 1):
-            ok = ok and all(row.slack == 0 for row in rows)
+            ok = ok and all(a_k == bound for _, a_k, bound in rows)
     census_trees = dict(deep_trees)
     census_trees[4] = tree.build_tree_pair(4, 3)
     census_trees[5] = tree.build_tree_pair(5, 3)

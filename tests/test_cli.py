@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from buildingkit import cache, cli, coxeter, orbits, period, tree
+from buildingkit import cache, cli, coxeter, errors, orbits, tree
 from buildingkit.suite import run_suite
 
 
@@ -125,17 +125,21 @@ def test_period_listing_past_its_bit_cap_is_a_usage_error(capsys, monkeypatch, f
                                       "--qF", "2", "--K", "13000",
                                       "--format", fmt])
     assert code == 2 and out == ""
-    assert ("bit_length(q_F - 1) * K (K + 1) / 2 = 84506500 bits, over the "
-            "cap of 1000000 bits for the json and csv formats") in err
+    assert err == ("invalid arguments: listing S_0..S_K in json or csv takes "
+                   "bit_length(q_F - 1) * K (K + 1) / 2 = 84506500 bits, over the "
+                   "cap of 1000000 bits\n")
 
 
 def test_period_listing_cap_sits_at_a_million_bits():
-    period.require_listable(2, 1413)  # 998,991 bits
+    def listable(q_F, K):
+        errors.require_listable(q_F, K, "S_0..S_K in json or csv", "q_F", "K")
+
+    listable(2, 1413)  # 998,991 bits
     with pytest.raises(ValueError, match="1000405 bits"):
-        period.require_listable(2, 1414)
-    period.require_listable(9, 706)  # 998,284 bits
+        listable(2, 1414)
+    listable(9, 706)  # 998,284 bits
     with pytest.raises(ValueError, match="over the cap"):
-        period.require_listable(9, 707)
+        listable(9, 707)
 
 
 def test_period_commands_never_enumerate(capsys, monkeypatch):
@@ -367,7 +371,7 @@ def test_exit_budget_names_the_smallest_failing_depth(capsys, argv, q_F):
         tracemalloc.stop()
     assert seconds < 0.5 and peak < 1_000_000, (seconds, peak)
     assert (code, out) == (2, "")
-    if (3 * q_F ** (2 * depth)).bit_length() > period.MAX_PRINTED_BITS:
+    if (3 * q_F ** (2 * depth)).bit_length() > errors.MAX_PRINTED_BITS:
         assert err == ("invalid arguments: the vertex count can reach "
                        "3 q_E^depth, over the cap of 14284 bits for a printed int\n")
     else:
@@ -389,7 +393,7 @@ def test_every_int_of_the_deepest_tree_prints(capsys, q_F, depth, command, fmt):
     assert (code, err) == (0, "")
     if command == "tree-verify":
         n_vertices = tree.TreePair(q_F, depth).n_vertices
-        assert period.MAX_PRINTED_BITS - n_vertices.bit_length() < 10
+        assert errors.MAX_PRINTED_BITS - n_vertices.bit_length() < 10
         assert str(n_vertices) in out
     assert run_cli(capsys, [*argv, str(depth + 1)]) == (
         2, "", "invalid arguments: the vertex count can reach 3 q_E^depth, "

@@ -297,6 +297,26 @@ def test_e8_growth_stops_at_the_budget_whatever_k():
             growth_from_exponents(system, 17).coefficients)
 
 
+@pytest.mark.parametrize("truncation", [2**63 - 1, 2**64, 10**20])
+def test_growth_past_an_index_sized_truncation_stops_at_the_budget(truncation):
+    # islice took no stop past sys.maxsize and raised its own ValueError;
+    # the walk now goes on until the element budget stops it
+    for walk in (lambda: growth_coefficients(build_affine_system("A", 2), truncation),
+                 lambda: cache.cached_growth("A", 2, truncation)):
+        with pytest.raises(BudgetError, match="^enumeration budget 2000000 "
+                           "exceeded after 1154 complete layers$"):
+            walk()
+
+
+@pytest.mark.parametrize("truncation", [10**6, 2**63 - 1, 10**20])
+def test_closed_form_growth_is_capped_before_any_allocation(truncation):
+    # K + 1 coefficients take at least K + 1 bits, past the listing cap;
+    # [0] * K raised MemoryError at 2^63 - 1 and OverflowError at 10^20
+    with pytest.raises(ValueError, match=f"^truncation must be in 0..999999, "
+                                         f"got {truncation}$"):
+        growth_from_exponents(build_affine_system("A", 2), truncation)
+
+
 @pytest.mark.parametrize("key", sorted(GROWTH_K12))
 def test_growth_frozen_vectors(key):
     series = growth_coefficients(build_affine_system(*key), 12)
@@ -346,7 +366,7 @@ def test_closed_form_growth_is_the_enumerated_prefix(key, truncation):
 
 
 def test_closed_form_growth_rejects_negative_truncation():
-    with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="truncation must be in 0..999999, got -1"):
         growth_from_exponents(build_affine_system("A", 2), -1)
     with pytest.raises(ValueError, match="truncation must be >= 0, got -1"):
         growth_coefficients(build_affine_system("A", 2), -1)

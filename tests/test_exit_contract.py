@@ -64,7 +64,8 @@ RANKS = values(0, 1, 2, 3, 4, 8, 99, "x")
 # q_F = 2 and 3 (E8: 14,169 and 8,942)
 COMMANDS = st.one_of(
     command("growth", option("--family", FAMILIES), option("--rank", RANKS),
-            option("--K", values(-1, 0, 1, 4, "x"), required=True),
+            option("--K", values(-1, 0, 1, 4, 2**63 - 1, 2**64, 10**20, "x"),
+                   required=True),
             option("--budget", values(-5, 0, 1, 100, 2000000))),
     command("period", option("--family", FAMILIES), option("--rank", RANKS),
             option("--qF", values(0, 1, 2, 3, 4, 6, 9, 2**1300, 2**2000, "x")),
@@ -100,6 +101,8 @@ def test_exit_code_contract(parts):
     assert "Traceback" not in err
     # a printed int past Python's digit limit is refused by a cap first
     assert "set_int_max_str_digits" not in err
+    # a truncation past an index-sized int is walked until the budget stops it
+    assert "islice" not in err and "sys.maxsize" not in err
     if code in (2, 3):
         assert out == "" and err
     assert run(argv) == first
@@ -141,6 +144,9 @@ FIXED_ARGVS = [
     ["invariant", "--qF", str(2**61 - 1), "--depth", "118"],
     ["period", "--family", "A", "--rank", "1", "--qF", "2", "--K", "14281"],
     ["period", "--family", "A", "--rank", "1", "--qF", "2", "--K", "14282"],
+    # truncations past sys.maxsize, which the element budget stops
+    ["growth", "--family", "A", "--rank", "2", "--K", str(2**63 - 1)],
+    ["growth", "--family", "A", "--rank", "2", "--K", str(10**20)],
 ]
 
 
@@ -477,6 +483,10 @@ def test_optimized_run_answers_the_same():
     assert runs["period --family A --rank 1 --qF 2 --K 14282"] == [
         2, "", "invalid arguments: the tail can reach q_F^(K + 1) |W| "
                "C(K + d - 1, d - 1), over the cap of 14284 bits for a printed int\n"]
+    for K in (2**63 - 1, 10**20):
+        assert runs[f"growth --family A --rank 2 --K {K}"] == [
+            3, "", "budget exceeded: enumeration budget 2000000 exceeded after "
+                   "1154 complete layers\n"]
     assert runs["suite --depth 707"] == [
         2, "", "invalid arguments: listing the levels takes bit_length(q_E - 1)"
                " * depth (depth + 1) / 2 = 1001112 bits, over the cap of "

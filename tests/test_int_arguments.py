@@ -32,7 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import buildingkit
-from buildingkit import cache, coxeter, orbits, period, suite, tree
+from buildingkit import cache, coxeter, errors, orbits, period, suite, tree
 from buildingkit.errors import InvalidTypeError, shown
 
 A2 = coxeter.build_affine_system("A", 2)
@@ -70,9 +70,9 @@ ROWS = {
                          lambda v: coxeter.omega_group("A", v), (1, 9)),
     "poincare_finite": ("rank", None, None,
                         lambda v: coxeter.poincare_finite("A", v), (1, 9)),
-    "check_counting_bound": ("d", 1, None,
-                             lambda v: period.check_counting_bound(SERIES, v), (1, 2)),
-    "growth_from_exponents": ("truncation", 0, None,
+    # K + 1 coefficients take at least K + 1 bits, so K stops below the
+    # listing cap
+    "growth_from_exponents": ("truncation", 0, 999_999,
                               lambda v: coxeter.growth_from_exponents(A2, v), (0, 3)),
     "evaluate_period": ("truncation", 1, None,
                         lambda v: period.evaluate_period("A", 1, 4, v), (1, 3)),
@@ -87,11 +87,12 @@ ROWS = {
                                lambda v: period.period_closed_form("A", 1, v), (2, 6)),
     "period_series": ("q_F", 2, None,
                       lambda v: period.period_series(SERIES, v), (2, 9)),
-    # the json and csv formats check the listing before any series work
-    "period.require_listable": ("truncation", 1, None,
-                                lambda v: period.require_listable(4, v), (1, 3)),
-    "period.require_listable q_F": ("q_F", 2, None,
-                                    lambda v: period.require_listable(v, 3), (2, 9)),
+    # the period's json and csv formats check the listing before any series
+    # work, and a tree pair checks its levels; the caller names q and n
+    "errors.require_listable n": ("K", None, None, lambda v: errors.require_listable(
+        4, v, "S_0..S_K", "q_F", "K"), (-1, 3)),
+    "errors.require_listable q": ("q_F", 2, None, lambda v: errors.require_listable(
+        v, 3, "S_0..S_K", "q_F", "K"), (2, 9)),
     # q_F = 2 passes the rule and is then refused by the tail ratio 3/2
     "tail_bound q_F": ("q_F", 2, None, lambda v: period.tail_bound(SERIES, v), (2, 9)),
     "TreePair": ("depth", 0, None, lambda v: tree.TreePair(2, v), (0, 3)),
@@ -368,10 +369,10 @@ PAST_THE_RULE = {
         lambda: period.evaluate_period("A", 1, 4, HUGE), ValueError,
         "the tail can reach q_F^(K + 1) |W| C(K + d - 1, d - 1), over the cap of "
         "14284 bits for a printed int"),
-    "require_listable truncation": (
-        lambda: period.require_listable(4, HUGE), ValueError,
+    "require_listable n": (
+        lambda: errors.require_listable(4, HUGE, "S_0..S_K", "q_F", "K"), ValueError,
         "listing S_0..S_K takes bit_length(q_F - 1) * K (K + 1) / 2 = <int of "
-        "33220 bits> bits, over the cap of 1000000 bits for the json and csv formats"),
+        "33220 bits> bits, over the cap of 1000000 bits"),
     "EdgeCocycle nums": (lambda: tree.EdgeCocycle(5, 1), ValueError,
                          "nums must be a sequence of integers, got 5"),
     "EdgeCocycle nums set": (lambda: tree.EdgeCocycle({1, 2}), ValueError,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buildingkit import cli, orbits, period
+from buildingkit import cli, errors, orbits
 from buildingkit.errors import ModelError
 
 CHAR2 = [(2, 1), (2, 2), (2, 3), (2, 4)]
@@ -297,7 +297,7 @@ def test_build_fields_rejects_bad_parameters():
             orbits.build_fields(2, n)
     # p's range is checked first, so a large prime, or one past the
     # deterministic primality test, is refused before any test
-    for p in (1, 0, -7, 257, 2**61 - 3, 2**61 - 1, period._MR_LIMIT):
+    for p in (1, 0, -7, 257, 2**61 - 3, 2**61 - 1, errors._MR_LIMIT):
         with pytest.raises(ValueError, match=f"^p must be in 2..256, got {p}$"):
             orbits.build_fields(p, 1)
 
@@ -682,7 +682,7 @@ def test_generators_are_the_least_of_full_order(p, n):
 
 # every field pair with 16 < q <= 256, which MAX_Q = 256 admits
 BIG_FIELDS = [(p, n) for n in range(1, 9) for p in range(2, 257)
-              if period._is_prime(p) and 16 < p ** n <= 256]
+              if errors.is_prime(p) and 16 < p ** n <= 256]
 
 
 def _poly_product(f, a, b):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buildingkit import cli, period
+from buildingkit import cli, errors, period, suite
 from buildingkit.coxeter import (GrowthSeries, build_affine_system,
                                  exponents, growth_coefficients,
                                  growth_from_exponents, poincare_finite)
@@ -182,18 +182,35 @@ def test_theorem_bounds_applicability():
 
 
 def test_counting_bound_rows():
-    rows = period.check_counting_bound(_series("A", 2, 8), 2)
-    assert [r.k for r in rows] == list(range(1, 9))
-    assert all(r.ok and r.slack == r.bound - r.coefficient for r in rows)
-    assert rows[0].bound == 3 and rows[0].coefficient == 3
+    rows = period_oracle.counting_bound(_series("A", 2, 8).coefficients, 2)
+    assert [k for k, _, _ in rows] == list(range(1, 9))
+    assert all(a_k <= bound for _, a_k, bound in rows)
+    assert rows[0] == (1, 3, 3)
     # rank 1 is the equality case at every k
-    rows = period.check_counting_bound(_series("A", 1, 8), 1)
-    assert all(r.slack == 0 for r in rows)
+    rows = period_oracle.counting_bound(_series("A", 1, 8).coefficients, 1)
+    assert all(a_k == bound for _, a_k, bound in rows)
+
+
+def test_suite_counting_check_agrees_with_the_oracle(monkeypatch):
+    # check 4 reduces each type's slacks to ok, min_slack and, in rank 1,
+    # equality; the oracle's rows come from the coset walks
+    monkeypatch.setattr(suite, "SAMPLED_PAIRS", 0)
+    check = suite.run_suite().checks[3]
+    assert check.name == "counting-bound" and check.status == "pass"
+    want = []
+    for f, r in suite.GRID_TYPES:
+        rows = period_oracle.counting_bound(_series(f, r, suite.COUNTING_K).coefficients, r)
+        slacks = [bound - a_k for _, a_k, bound in rows]
+        entry = {"type": f"{f}{r}", "ok": min(slacks) >= 0, "min_slack": min(slacks)}
+        if r == 1:
+            entry["equality"] = entry["ok"] = not any(slacks)
+        want.append(entry)
+    assert check.witness == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
 def test_prime_powers_accepted(q):
-    period._require_prime_power(q)
+    errors.require_prime_power(q)
 
 
 @pytest.mark.parametrize("q", [-3, 0, 1, 6, 10, 12, 15])
@@ -202,7 +219,7 @@ def test_non_prime_powers_rejected(q):
     error, message = ((ValueError, f"q_F must be >= 2, got {q}") if q < 2
                       else (InvalidTypeError, f"q_F must be a prime power, got {q}"))
     with pytest.raises(error, match=f"^{message}$"):
-        period._require_prime_power(q)
+        errors.require_prime_power(q)
 
 
 def test_large_prime_accepted_by_trial_division_to_isqrt():
@@ -212,7 +229,7 @@ def test_large_prime_accepted_by_trial_division_to_isqrt():
     assert period.period_closed_form("A", 1, q) == Fraction(q - 1, q + 1)
     for composite in (2 * q, 12):
         with pytest.raises(InvalidTypeError):
-            period._require_prime_power(composite)
+            errors.require_prime_power(composite)
 
 
 M61 = 2**61 - 1  # a Mersenne prime
@@ -221,7 +238,7 @@ M61 = 2**61 - 1  # a Mersenne prime
 @pytest.mark.parametrize("q", [M61, M61**2, 2**100, 3**40])
 def test_large_prime_powers_accepted_at_once(q):
     # trial division up to isqrt(2^61 - 1) did not finish in 10 s
-    assert period._require_prime_power(q) == q
+    assert errors.require_prime_power(q) == q
 
 
 @pytest.mark.parametrize("q", [561, 41041, 25326001, 3215031751, 15 * M61])
@@ -229,21 +246,21 @@ def test_carmichael_and_pseudoprime_composites_rejected(q):
     # 561 and 41041 are Carmichael numbers; 25326001 and 3215031751 are the
     # least strong pseudoprimes to the bases 2, 3, 5 and to 2, 3, 5, 7
     with pytest.raises(InvalidTypeError, match="prime power"):
-        period._require_prime_power(q)
+        errors.require_prime_power(q)
 
 
 @pytest.mark.parametrize("q", [M61 * (2**31 - 1), 2**89 - 1, 2**127 - 1])
 def test_bases_beyond_the_primality_limit_rejected(q):
     # above 3.3e24 Miller-Rabin with the bases up to 41 proves nothing, so
     # even the Mersenne primes 2^89 - 1 and 2^127 - 1 are refused by name
-    with pytest.raises(InvalidTypeError, match=str(period._MR_LIMIT)):
-        period._require_prime_power(q)
+    with pytest.raises(InvalidTypeError, match=str(errors._MR_LIMIT)):
+        errors.require_prime_power(q)
 
 
 def test_prime_power_check_agrees_with_trial_division():
     for q in range(2, 3000):
         try:
-            period._require_prime_power(q)
+            errors.require_prime_power(q)
             accepted = True
         except InvalidTypeError:
             accepted = False
@@ -262,7 +279,7 @@ def test_prime_power_check_agrees_with_trial_division():
 @example(3**8000, 8000)
 @example(1, 1)
 def test_integer_root_brackets_n(n, k):
-    r = period._integer_root(n, k)
+    r = errors._integer_root(n, k)
     assert r**k <= n < (r + 1)**k
 
 
@@ -272,14 +289,14 @@ def descending_prime_power_check(q):
     if q < 2:
         raise ValueError(f"q_F must be >= 2, got {q}")
     for k in range(q.bit_length(), 0, -1):
-        root = period._integer_root(q, k)
-        if root**k == q or root >= period._MR_LIMIT:
+        root = errors._integer_root(q, k)
+        if root**k == q or root >= errors._MR_LIMIT:
             break
-    if root >= period._MR_LIMIT:
+    if root >= errors._MR_LIMIT:
         raise InvalidTypeError(
-            f"q_F must be a power of a prime below {period._MR_LIMIT}, the "
+            f"q_F must be a power of a prime below {errors._MR_LIMIT}, the "
             f"limit of the deterministic primality test, got {q}")
-    if not period._is_prime(root):
+    if not errors.is_prime(root):
         raise InvalidTypeError(f"q_F must be a prime power, got {q}")
     return q
 
@@ -302,7 +319,7 @@ def prime_power_verdict(check, q):
 @example(3**8000)
 @example(2**12999 + 1)
 def test_prime_root_stripping_agrees_with_the_descending_search(q):
-    assert prime_power_verdict(period._require_prime_power, q) \
+    assert prime_power_verdict(errors.require_prime_power, q) \
         == prime_power_verdict(descending_prime_power_check, q)
 
 
@@ -327,7 +344,7 @@ def test_truncation_cap_is_checked_before_the_prime_power_test(monkeypatch):
     def no_certificate(q):
         raise AssertionError("q_F certified before the cap")
 
-    monkeypatch.setattr(period, "_require_prime_power", no_certificate)
+    monkeypatch.setattr(period, "require_prime_power", no_certificate)
     with pytest.raises(ValueError, match=f"^{re.escape(TAIL_REFUSAL)}$"):
         period.evaluate_period("A", 1, 2**13000 + 1, truncation=1)
 
@@ -338,16 +355,16 @@ def test_truncation_below_1_is_refused_before_the_caps(monkeypatch, truncation):
     def no_certificate(q):
         raise AssertionError("q_F certified before K was checked")
 
-    monkeypatch.setattr(period, "_require_prime_power", no_certificate)
+    monkeypatch.setattr(period, "require_prime_power", no_certificate)
     with pytest.raises(ValueError, match=f"^truncation must be >= 1, got {truncation}$"):
         period.evaluate_period("E", 8, 2**14000, truncation)
 
 
 def test_printed_bits_cap_is_pythons_limit_on_printed_ints():
     # every int below 2^14284 prints in at most 4,300 digits; 2^14285 - 1 does not
-    assert len(str(2**period.MAX_PRINTED_BITS - 1)) == 4300
+    assert len(str(2**errors.MAX_PRINTED_BITS - 1)) == 4300
     with pytest.raises(ValueError, match="4300 digits"):
-        str(2 ** (period.MAX_PRINTED_BITS + 1) - 1)
+        str(2 ** (errors.MAX_PRINTED_BITS + 1) - 1)
 
 
 @pytest.mark.parametrize("key, q, truncation, refusal", [
@@ -383,7 +400,7 @@ def test_closed_form_cap_is_tight_at_powers_of_two():
 def largest_answered_power(key, p, truncation):
     """The largest p^j that evaluate_period answers, by bisection on j: its
     caps refuse more the larger q_F is."""
-    lo, hi = 0, period.MAX_PRINTED_BITS
+    lo, hi = 0, errors.MAX_PRINTED_BITS
     while lo < hi:
         mid = (lo + hi + 1) // 2
         try:
@@ -401,14 +418,14 @@ def test_every_int_of_an_answer_at_the_caps_prints(key):
         values = (res.closed_form, res.tail, *res.partial_sums)
         ints = [res.q_E, *(v.numerator for v in values),
                 *(v.denominator for v in values)]
-        assert max(abs(i).bit_length() for i in ints) <= period.MAX_PRINTED_BITS
+        assert max(abs(i).bit_length() for i in ints) <= errors.MAX_PRINTED_BITS
 
 
 def largest_answered_truncation(key, q):
     """The largest K that the cap on printed ints admits at q_F = q, by
     bisection on K: the tail's bound grows with K, and q_F^(K + 1) alone
     passes the cap past K = MAX_PRINTED_BITS."""
-    lo, hi = 1, period.MAX_PRINTED_BITS
+    lo, hi = 1, errors.MAX_PRINTED_BITS
     while lo < hi:
         mid = (lo + hi + 1) // 2
         try:
@@ -429,7 +446,7 @@ def test_every_int_of_an_answer_at_the_truncation_cap_prints(capsys, key, q):
     values = (res.closed_form, res.tail, *res.partial_sums)
     ints = [res.q_E, *(v.numerator for v in values),
             *(v.denominator for v in values)]
-    assert max(abs(i).bit_length() for i in ints) <= period.MAX_PRINTED_BITS
+    assert max(abs(i).bit_length() for i in ints) <= errors.MAX_PRINTED_BITS
     argv = ["period", "--family", key[0], "--rank", str(key[1]), "--qF", str(q)]
     assert cli.main([*argv, "--K", str(K)]) == 0
     assert capsys.readouterr().err == ""
@@ -439,8 +456,8 @@ def test_every_int_of_an_answer_at_the_truncation_cap_prints(capsys, key, q):
 
 def test_q_F_is_certified_once_before_any_series_work(monkeypatch):
     calls = []
-    certify = period._require_prime_power
-    monkeypatch.setattr(period, "_require_prime_power",
+    certify = errors.require_prime_power
+    monkeypatch.setattr(period, "require_prime_power",
                         lambda q: calls.append(q) or certify(q))
     period.evaluate_period("A", 2, 3)
     assert calls == [3]

@@ -54,11 +54,11 @@ def test_no_group_element_class_but_omega():
 
 def test_floats_stay_in_two_functions():
     # every result is exact: a float literal or log2 appears only in Newton's
-    # start in period._integer_root, which the integer iteration corrects to
+    # start in errors._integer_root, which the integer iteration corrects to
     # the exact root, and in the endpoint-swap coin of
     # tree.random_automorphism, rng.random() < 0.5, which picks a sample and
     # computes no value (an integer draw would change the sampled maps)
-    allowed = {"period._integer_root", "tree.random_automorphism"}
+    allowed = {"errors._integer_root", "tree.random_automorphism"}
     assert SOURCES
     found = []
     for path in SOURCES:
@@ -135,7 +135,7 @@ def test_only_the_command_line_writes_documents():
 
 def test_size_caps_are_written_once():
     # one cap on the bits of a printed value and one on a listing, both in
-    # period.py, serve every layer: a third MAX_*_BITS would be a second
+    # errors.py, serve every layer: a third MAX_*_BITS would be a second
     # rule for one of the two decisions
     found = sorted(
         f"{path.name} {node.id}"
@@ -143,7 +143,28 @@ def test_size_caps_are_written_once():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
         and node.id.startswith("MAX_") and node.id.endswith("_BITS"))
-    assert found == ["period.py MAX_LISTED_BITS", "period.py MAX_PRINTED_BITS"]
+    assert found == ["errors.py MAX_LISTED_BITS", "errors.py MAX_PRINTED_BITS"]
+
+
+def test_lower_layers_import_nothing_from_the_period():
+    # the input contract (the prime-power certificate and the caps) lives in
+    # errors.py, so the Coxeter, tree and orbit layers need nothing of the
+    # period layer, which builds on the Coxeter layer
+    found = []
+    for path in SOURCES:
+        if path.name not in ("coxeter.py", "tree.py", "orbits.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                names = [base, *(f"{base}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("period" in name.split(".") for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def _tracing():

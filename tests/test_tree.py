@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from buildingkit import cli, period, suite, tree
+from buildingkit import cli, errors, period, suite, tree
 from buildingkit.coxeter import (build_affine_system, growth_coefficients,
                                  growth_from_exponents)
 from buildingkit.errors import BudgetError, ModelError
@@ -1369,8 +1369,8 @@ def deepest_tree(q):
     MAX_PRINTED_BITS, and all levels' bits within MAX_LISTED_BITS."""
     bits = (q * q - 1).bit_length()
     depth = 0
-    while ((3 * q ** (2 * depth + 2)).bit_length() <= period.MAX_PRINTED_BITS
-           and bits * (depth + 1) * (depth + 2) // 2 <= period.MAX_LISTED_BITS):
+    while ((3 * q ** (2 * depth + 2)).bit_length() <= errors.MAX_PRINTED_BITS
+           and bits * (depth + 1) * (depth + 2) // 2 <= errors.MAX_LISTED_BITS):
         depth += 1
     return depth
 

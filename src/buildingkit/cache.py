@@ -5,8 +5,6 @@ their names only because the benchmark (perfbench/tracing.py) times them by
 name; they move when that tracer is next edited.
 """
 
-from __future__ import annotations
-
 import json
 
 from .coxeter import (DEFAULT_ELEMENT_BUDGET, build_affine_system,

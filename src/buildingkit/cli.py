@@ -12,8 +12,6 @@ mathematical check failed, 2 invalid usage or arguments, 3 growth's element
 budget exceeded.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import sys
@@ -99,7 +97,7 @@ def _cmd_period(args):
         verdict = "pass" if bounds.holds else "FAIL"
         text.append(f"  bounds        1 > value > {bounds.lower}: {verdict}")
     else:
-        text.append(f"  bounds        not applicable (q_F <= rank)")
+        text.append("  bounds        not applicable (q_F <= rank)")
     csv = [("k", "num", "den")] + [(k, s.numerator, s.denominator)
                                    for k, s in enumerate(result.partial_sums)]
     return ok, payload, text, csv

@@ -39,8 +39,6 @@ Instances are immutable; all operations are deterministic and safe to share
 across threads.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import operator
@@ -157,7 +155,7 @@ class GrowthSeries:
     rank: int
     truncation: int
     coefficients: tuple
-    source: str = "enumerated"
+    source: str
 
 
 def build_affine_system(family, rank):

@@ -8,8 +8,6 @@ benchmark (perfbench/tracing.py) times them by name; they move into
 `tree.py` when that tracer is next edited.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import ModelError

@@ -24,8 +24,6 @@ its least primitive element, and k_E on the pairs (u, v) over k_F with
 y^2 = -b y - c for m_ext = y^2 + b y + c.
 """
 
-from __future__ import annotations
-
 import itertools
 from dataclasses import dataclass
 

@@ -9,8 +9,6 @@ All results are exact.  The argument checks, the prime-power certificate
 of q_F and the cap on a printed int are the input contract in `errors`.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
@@ -139,7 +137,6 @@ def evaluate_period(family, rank, q_F, truncation=12):
 class BoundsReport:
     applicable: bool
     holds: bool
-    value: Fraction
     lower: Fraction | None
 
 
@@ -147,9 +144,7 @@ def check_theorem_bounds(result):
     """Check 1 > value > 1 - (d+1)/q_F, which applies only when q_F > d."""
     d, q = result.rank, result.q_F
     if q <= d:
-        return BoundsReport(applicable=False, holds=True,
-                            value=result.closed_form, lower=None)
+        return BoundsReport(applicable=False, holds=True, lower=None)
     lower = 1 - Fraction(d + 1, q)
     holds = 1 > result.closed_form > lower
-    return BoundsReport(applicable=True, holds=holds,
-                        value=result.closed_form, lower=lower)
+    return BoundsReport(applicable=True, holds=holds, lower=lower)

@@ -6,8 +6,6 @@ a fixed seed: no timings, no environment data, stable ordering; two runs with
 the same arguments serialize to identical bytes.
 """
 
-from __future__ import annotations
-
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,10 +116,11 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     rows = []
     for f, r in GRID_TYPES:
         for q in GRID_QF:
-            rep = period.check_theorem_bounds(periods[(f, r, q)])
+            res = periods[(f, r, q)]
+            rep = period.check_theorem_bounds(res)
             rows.append({"type": f"{f}{r}", "q_F": q,
                          "applicable": rep.applicable, "ok": rep.holds,
-                         "value": _rat(rep.value),
+                         "value": _rat(res.closed_form),
                          "lower": _rat(rep.lower) if rep.applicable else None})
     checks.append(_check(
         "period-bounds",

@@ -40,8 +40,6 @@ solved by forward substitution on its triangular rows, and rebuilt one
 value per class.  Automorphisms are id-indexed lists.
 """
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction

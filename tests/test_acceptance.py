@@ -74,7 +74,7 @@ def test_criterion_3_exact_bounds(grid_data):
         ok = ok and rep.applicable == (q > r) and rep.holds
         if rep.applicable:
             applicable += 1
-            ok = ok and 1 > rep.value > rep.lower == 1 - Fraction(r + 1, q)
+            ok = ok and 1 > res.closed_form > rep.lower == 1 - Fraction(r + 1, q)
     report(3, f"1 > value > 1 - (d+1)/q_F holds exactly on all {applicable} "
               f"grid combinations with q_F > d", ok)
 

@@ -8,18 +8,16 @@ pattern rows, the checks of the affine system's and the residue fields'
 construction, the degree check of the finite length polynomial, and the
 orbit layer's and Omega's model checks, each made to fire by one broken
 table, row set or helper, also run under `python -O`, which strips asserts,
-in one process whose answers each test reads for itself.
+in the one process of `optimized.py`, whose answers each test reads for
+itself.
 """
 
 import contextlib
 import dataclasses
-import functools
 import io
-import json
 import os
 import subprocess
 import sys
-import traceback
 from pathlib import Path
 
 import pytest
@@ -28,6 +26,7 @@ from hypothesis import strategies as st
 
 from buildingkit import cli, coxeter, orbits, tree
 from buildingkit.errors import ModelError
+from optimized import run_optimized
 
 
 def run(argv):
@@ -419,44 +418,8 @@ OPTIMIZED = ("observed", "automorphism_errors", "solver_errors",
              "field_construction_errors", "orbit_check_errors")
 
 
-def optimized_answers():
-    """{name: {"answer": name()} or {"error": its traceback}} for each name
-    in OPTIMIZED, in order, so one name's failure leaves the others'."""
-    answers = {}
-    for name in OPTIMIZED:
-        try:
-            answers[name] = {"answer": globals()[name]()}
-        except Exception:
-            answers[name] = {"error": traceback.format_exc()}
-    return answers
-
-
-@functools.cache
-def optimized_process():
-    """[sys.flags.optimize, optimized_answers()] from one `python -O`
-    process, started once per pytest run."""
-    here = Path(__file__).resolve().parent
-    src = here.parent / "src"
-    script = ("import json, sys; import test_exit_contract as t; "
-              "print(json.dumps([sys.flags.optimize, t.optimized_answers()]))")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([str(src), str(here)]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def run_optimized(name):
-    """[sys.flags.optimize, the JSON of this module's name()] under
-    `python -O`; a name() that raised there fails the calling test alone."""
-    optimize, answers = optimized_process()
-    if "error" in answers[name]:
-        pytest.fail(f"{name}() raised under python -O:\n{answers[name]['error']}")
-    return [optimize, answers[name]["answer"]]
-
-
 def test_optimized_run_answers_the_same():
-    optimize, answers = run_optimized("observed")
+    optimize, answers = run_optimized(observed)
     assert optimize == 1
     expected = observed()
     # every damaged row set and census is refused and the sound census is
@@ -495,7 +458,7 @@ def test_optimized_run_answers_the_same():
 
 
 def test_automorphism_errors_raise_under_optimize():
-    optimize, messages = run_optimized("automorphism_errors")
+    optimize, messages = run_optimized(automorphism_errors)
     assert optimize == 1
     assert len(messages) == len(AUTOMORPHISM_ERRORS)
     assert all(fragment in message
@@ -509,29 +472,29 @@ SOLVER_ERRORS = ["invariant space has dimension 0, expected 1",
 
 def test_solver_recheck_fires_under_optimize():
     assert solver_errors() == SOLVER_ERRORS
-    assert run_optimized("solver_errors") == [1, SOLVER_ERRORS]
+    assert run_optimized(solver_errors) == [1, SOLVER_ERRORS]
 
 
 def test_construction_checks_fire_under_optimize():
     assert construction_errors() == CONSTRUCTION_ERRORS
-    assert run_optimized("construction_errors") == [1, CONSTRUCTION_ERRORS]
+    assert run_optimized(construction_errors) == [1, CONSTRUCTION_ERRORS]
 
 
 def test_top_degree_check_fires_under_optimize():
     message = "top degree 3 != positive root count 4 for A2"
     assert top_degree_errors() == [message, message]
-    assert run_optimized("top_degree_errors") == [1, [message, message]]
+    assert run_optimized(top_degree_errors) == [1, [message, message]]
 
 
 def test_field_construction_failures_are_failed_checks():
     assert field_construction_errors() == FIELD_CONSTRUCTION_ERRORS
-    assert run_optimized("field_construction_errors") == [
+    assert run_optimized(field_construction_errors) == [
         1, FIELD_CONSTRUCTION_ERRORS]
 
 
 def test_orbit_checks_fire_under_optimize():
     assert orbit_check_errors() == ORBIT_CHECK_ERRORS
-    assert run_optimized("orbit_check_errors") == [1, ORBIT_CHECK_ERRORS]
+    assert run_optimized(orbit_check_errors) == [1, ORBIT_CHECK_ERRORS]
 
 
 LOW_DIGIT_LIMIT_ARGVS = [

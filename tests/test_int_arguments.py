@@ -12,20 +12,16 @@ each bound.  The ints at both ends of the range pass the rule.  OTHER_ROWS
 does the same for the family strings and the rational values, with each
 refusal's exact message, and PAST_THE_RULE for the refusals that come after
 the rule.  All three tables also run under `python -O`, which strips
-asserts.  Every parameter of every callable that `buildingkit`
-exports is in a table or in PACKAGE_OBJECTS, which keep duck typing.
+asserts, in the one process of `optimized.py`.  Every parameter of every
+callable that `buildingkit` exports is in a table or in PACKAGE_OBJECTS,
+which keep duck typing.
 """
 
 import dataclasses
 import functools
 import inspect
-import json
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +30,7 @@ from hypothesis import strategies as st
 import buildingkit
 from buildingkit import cache, coxeter, errors, orbits, period, suite, tree
 from buildingkit.errors import InvalidTypeError, shown
+from optimized import run_optimized
 
 A2 = coxeter.build_affine_system("A", 2)
 SERIES = coxeter.growth_from_exponents(A2, 3)
@@ -255,31 +252,20 @@ def test_the_ints_at_both_ends_pass_the_rule(row):
         assert not by_the_rule(row, refusal(row, value))
 
 
+# the answer tables that the `python -O` process of optimized.py computes
+OPTIMIZED = ("table_answers", "other_answers", "past_the_rule_answers")
+
+
 def table_answers():
-    """[sys.flags.optimize, {row: [[value, refusal], ...]}] over NO_INTS,
-    the ints just outside each range and the ints that pass."""
-    answers = {row: [[shown(value), refusal(row, value)]
-                     for value in (*NO_INTS, *outside(row), *ROWS[row][4])]
-               for row in ROWS}
-    return [sys.flags.optimize, answers]
-
-
-def optimized(function):
-    """The JSON that the named function of this module prints under
-    `python -O`."""
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"),
-                                                        str(here)]))
-    script = ("import json, test_int_arguments as t; "
-              f"print(json.dumps(t.{function}()))")
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    """{row: [[value, refusal], ...]} over NO_INTS, the ints just outside
+    each range and the ints that pass."""
+    return {row: [[shown(value), refusal(row, value)]
+                  for value in (*NO_INTS, *outside(row), *ROWS[row][4])]
+            for row in ROWS}
 
 
 def test_the_table_holds_under_python_O():
-    optimize, answers = optimized("table_answers")
+    optimize, answers = run_optimized(table_answers)
     assert optimize == 1
     for row, pairs in answers.items():
         passing = {repr(value) for value in ROWS[row][4]}
@@ -308,11 +294,10 @@ def expected_refusal(row, value):
 
 
 def other_answers():
-    """[sys.flags.optimize, {row: [refusal, ...]}] over each row's broken
-    values, then the values that pass."""
-    answers = {row: [other_refusal(row, value) for value in (*rule[2], *rule[3])]
-               for row, (rule, _) in OTHER_ROWS.items()}
-    return [sys.flags.optimize, answers]
+    """{row: [refusal, ...]} over each row's broken values, then the values
+    that pass."""
+    return {row: [other_refusal(row, value) for value in (*rule[2], *rule[3])]
+            for row, (rule, _) in OTHER_ROWS.items()}
 
 
 def expected_other_answers():
@@ -322,7 +307,7 @@ def expected_other_answers():
 
 
 def test_families_and_rationals_are_refused_by_name():
-    assert other_answers() == [sys.flags.optimize, expected_other_answers()]
+    assert other_answers() == expected_other_answers()
 
 
 @settings(max_examples=200, deadline=None)
@@ -340,7 +325,7 @@ def test_a_broken_family_or_rational_is_refused_by_name(data):
 
 
 def test_the_other_table_holds_under_python_O():
-    assert optimized("other_answers") == [1, expected_other_answers()]
+    assert run_optimized(other_answers) == [1, expected_other_answers()]
 
 
 # refusals that come after the rule, of values that break a later check:
@@ -384,9 +369,8 @@ PAST_THE_RULE = {
 
 
 def past_the_rule_answers():
-    """[sys.flags.optimize, {key: what the key's call raised}]."""
-    return [sys.flags.optimize,
-            {key: raised(call) for key, (call, _, _) in PAST_THE_RULE.items()}]
+    """{key: what the key's call raised}."""
+    return {key: raised(call) for key, (call, _, _) in PAST_THE_RULE.items()}
 
 
 def expected_past_the_rule_answers():
@@ -395,9 +379,9 @@ def expected_past_the_rule_answers():
 
 
 def test_refusals_past_the_rule_name_the_parameter():
-    assert past_the_rule_answers() == [sys.flags.optimize,
-                                       expected_past_the_rule_answers()]
+    assert past_the_rule_answers() == expected_past_the_rule_answers()
 
 
 def test_refusals_past_the_rule_hold_under_python_O():
-    assert optimized("past_the_rule_answers") == [1, expected_past_the_rule_answers()]
+    assert run_optimized(past_the_rule_answers) == [
+        1, expected_past_the_rule_answers()]

@@ -1,5 +1,6 @@
 """Alternating period series: closed forms, tails, bounds, counting."""
 
+import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -166,7 +167,9 @@ def test_theorem_bounds_applicability():
     rep = period.check_theorem_bounds(res)
     assert rep.applicable and rep.holds
     assert rep.lower == Fraction(1, 3)
-    assert 1 > rep.value > rep.lower
+    assert 1 > res.closed_form > rep.lower
+    assert [field.name for field in dataclasses.fields(rep)] == [
+        "applicable", "holds", "lower"]
 
     # q_F <= d: out of the theorem's range, vacuously fine
     res = period.evaluate_period("A", 3, 3)

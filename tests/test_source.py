@@ -22,6 +22,36 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_future_imports():
+    # pyproject.toml requires Python 3.10, which evaluates every annotation
+    # the package writes (int, str, tuple, object, Fraction | None) when its
+    # class is made, so no module needs `from __future__ import annotations`
+    assert SOURCES
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ImportFrom) and node.module == "__future__"]
+    assert found == []
+
+
+def test_every_f_string_has_a_placeholder():
+    # an f prefix on a string with nothing to substitute is a leftover; the
+    # format spec of a placeholder, such as the ">5" of {x:>5}, is parsed as
+    # an f-string of its own and is not one
+    assert SOURCES
+    found = []
+    for path in SOURCES:
+        module = ast.parse(path.read_text(), str(path))
+        specs = {id(node.format_spec) for node in ast.walk(module)
+                 if isinstance(node, ast.FormattedValue) and node.format_spec}
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(module)
+                  if isinstance(node, ast.JoinedStr) and id(node) not in specs
+                  and not any(isinstance(value, ast.FormattedValue)
+                              for value in node.values)]
+    assert found == []
+
+
 def test_coxeter_layer_is_integer_only():
     # the affine systems are built from the integer Cartan matrix; no
     # rational arithmetic or linear solve belongs in the Coxeter layer

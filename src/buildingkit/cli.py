@@ -190,8 +190,8 @@ def _cmd_orbit(args):
         fields=_document(p=fields.p, n=fields.n, q=fields.q,
                          q_ext=fields.q_ext, modulus_base=fields.modulus_base,
                          modulus_ext=fields.modulus_ext),
-        affine=_document(**vars(affine)), closure=_document(**vars(closure)),
-        ok=ok)
+        affine=_document(**affine._asdict()),
+        closure=_document(**closure._asdict()), ok=ok)
     text = [f"orbit p={fields.p} n={fields.n} (q={fields.q}, "
             f"q_E={fields.q_ext}):",
             f"  base modulus   {poly_str(fields.modulus_base, 'x')}",
@@ -204,7 +204,7 @@ def _cmd_orbit(args):
         identity = orbits.verify_fraction_identity(fields)
         ok = ok and identity.holds
         witness = orbits.exists_nonsquare_value(fields, identity.c)
-        payload["identity"] = _document(**vars(identity))
+        payload["identity"] = _document(**identity._asdict())
         payload["nonsquare_witness"] = {"a": witness[0], "b": witness[1]}
         text.append(f"  inversion      x0={identity.x0} c={identity.c} -> "
                     f"{closure.orbit_count} orbit(s) of sizes "
@@ -226,7 +226,7 @@ def _cmd_suite(args):
     # a check's document is exactly its fields
     payload = _document(command="suite", seed=report.seed, depth=report.depth,
                         all_pass=report.passed,
-                        checks=[vars(c) for c in report.checks])
+                        checks=[c._asdict() for c in report.checks])
     text = [f"[{'PASS' if c.status == 'pass' else 'FAIL'}] {c.name}: {c.claim}"
             for c in report.checks]
     verdict = "all checks passed" if report.passed else "SOME CHECKS FAILED"

@@ -42,8 +42,7 @@ across threads.
 import functools
 import itertools
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import (MAX_LISTED_BITS, BudgetError, InvalidTypeError, ModelError,
                      require_int, shown)
@@ -129,8 +128,8 @@ def _positive_roots(cartan):
 # ---------------------------------------------------------------------------
 # system construction
 
-@dataclass(frozen=True)
-class CoxeterSystem:
+class CoxeterSystem(namedtuple("CoxeterSystem", "family rank coxeter_matrix "
+                               "cartan_matrix n_positive_roots exponents")):
     """An affine Coxeter system, as its integer Cartan data.
 
     coxeter_matrix is the (rank+1) square matrix of pair orders, index 0 the
@@ -139,23 +138,14 @@ class CoxeterSystem:
     exponents lists the exponents m_1 <= ... <= m_rank of the finite part.
     """
 
-    family: str
-    rank: int
-    coxeter_matrix: tuple
-    cartan_matrix: tuple
-    n_positive_roots: int
-    exponents: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GrowthSeries:
+class GrowthSeries(namedtuple("GrowthSeries",
+                              "family rank truncation coefficients source")):
     """Sphere sizes a_k of the Cayley graph, a_k = #{w : length(w) = k}."""
 
-    family: str
-    rank: int
-    truncation: int
-    coefficients: tuple
-    source: str
+    __slots__ = ()
 
 
 def build_affine_system(family, rank):
@@ -374,11 +364,10 @@ def exponents(family, rank):
 # ---------------------------------------------------------------------------
 # the finite abelian group Omega of affine-diagram rotations
 
-@dataclass(frozen=True)
-class OmegaElement:
+class OmegaElement(namedtuple("OmegaElement", "perm")):
     """A diagram automorphism, stored as a permutation of the nodes 0..d."""
 
-    perm: tuple
+    __slots__ = ()
 
     def __mul__(self, other):
         return OmegaElement(tuple(self.perm[p] for p in other.perm))

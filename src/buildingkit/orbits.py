@@ -25,7 +25,7 @@ y^2 = -b y - c for m_ext = y^2 + b y + c.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ModelError, is_prime, require_int
 
@@ -236,19 +236,17 @@ def build_fields(p, n):
 # ---------------------------------------------------------------------------
 # orbit closures
 
-@dataclass(frozen=True)
-class OrbitReport:
-    q: int
-    moves: str
-    orbit_count: int
-    orbit_sizes: tuple
-    representatives: tuple
+class OrbitReport(namedtuple("OrbitReport",
+                             "q moves orbit_count orbit_sizes representatives")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if sum(self.orbit_sizes) != self.q * self.q - self.q:
             raise ModelError("orbit sizes do not add up to q^2 - q")
         if not len(self.orbit_sizes) == self.orbit_count == len(self.representatives):
             raise ModelError("orbit count, sizes and representatives disagree")
+        return self
 
 
 def _square_classes(fields):
@@ -343,14 +341,9 @@ def transitivity_holds(fields, affine, closure):
 # ---------------------------------------------------------------------------
 # the two supporting exhaustive checks
 
-@dataclass(frozen=True)
-class FractionIdentityReport:
-    q: int
-    x0: int
-    c: int
-    n_checked: int
-    n_skipped: int
-    holds: bool
+class FractionIdentityReport(namedtuple("FractionIdentityReport",
+                                        "q x0 c n_checked n_skipped holds")):
+    __slots__ = ()
 
 
 def verify_fraction_identity(fields):

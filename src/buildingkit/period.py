@@ -9,7 +9,7 @@ All results are exact.  The argument checks, the prime-power certificate
 of q_F and the cap on a printed int are the input contract in `errors`.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd, prod
 
@@ -99,17 +99,11 @@ def tail_bound(series, q_F):
     return last_term * r / (1 - r)
 
 
-@dataclass(frozen=True)
-class PeriodResult:
+class PeriodResult(namedtuple("PeriodResult", "family rank q_F q_E closed_form "
+                             "partial_sums tail")):
     """Closed form and truncated sums of the alternating series for one type."""
 
-    family: str
-    rank: int
-    q_F: int
-    q_E: int
-    closed_form: Fraction
-    partial_sums: tuple
-    tail: Fraction
+    __slots__ = ()
 
 
 def evaluate_period(family, rank, q_F, truncation=12):
@@ -133,11 +127,11 @@ def evaluate_period(family, rank, q_F, truncation=12):
         tail=tail_bound(series, q_F))
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    applicable: bool
-    holds: bool
-    lower: Fraction | None
+class BoundsReport(namedtuple("BoundsReport", "applicable holds lower")):
+    """Whether the value bounds apply and hold, and the lower bound, None
+    where they do not apply."""
+
+    __slots__ = ()
 
 
 def check_theorem_bounds(result):

@@ -7,7 +7,7 @@ the same arguments serialize to identical bytes.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import coxeter, errors, orbits, period, tree
@@ -28,19 +28,15 @@ SAMPLED_PAIRS = 50
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    claim: str
-    status: str  # pass | fail
-    witness: object
+class CheckResult(namedtuple("CheckResult", "name claim status witness")):
+    """One named check: its claim, its status, "pass" or "fail", and its
+    witness rows."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    seed: int
-    depth: int
-    checks: tuple
+class SuiteReport(namedtuple("SuiteReport", "seed depth checks")):
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -22,8 +22,8 @@ delta 0, and an edge's children depend on its delta alone.  That child
 rule is written once, as the pattern rows (`_pattern_row`): they are the
 finite quotient whose universal cover is the tree, and they answer every
 question about deltas.  The solver solves them, each reconstruction step
-reads one, and the census of each level's edges by delta is pushed out of
-them one level at a time for the tree period and the audit.
+reads one, the audit pushes the census of each level's edges by delta out
+of them one level at a time, and the tree period the marked class alone.
 
 So a pair is refused (ValueError) only for a depth that is no integer >= 0
 and by the input contract in `errors`: a q_F that is no prime power, a
@@ -40,8 +40,8 @@ solved by forward substitution on its triangular rows, and rebuilt one
 value per class.  Automorphisms are id-indexed lists.
 """
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
@@ -194,11 +194,11 @@ def iwahori_cocycle(tree):
                        q_E ** depth)
 
 
-@dataclass(frozen=True)
-class HarmonicityReport:
-    violations: int  # how many interior vertices the sum fails at
-    interior_checked: int
-    boundary_skipped: int
+class HarmonicityReport(namedtuple("HarmonicityReport",
+                                   "violations interior_checked boundary_skipped")):
+    """violations counts the interior vertices the sum fails at."""
+
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -233,9 +233,12 @@ def verify_harmonic(tree, cocycle):
 
 def tree_period(tree, cocycle):
     """Partial sums of the cocycle over marked edges, sphere by sphere: a
-    sphere's sum is its marked census times its level's numerator."""
-    layer_sums = map(mul, _level_nums(tree, cocycle),
-                     (level.get(0, 0) for level in _census(tree)))
+    sphere's sum is its marked count times its level's numerator.  Only row
+    0 has children at delta 0, so the marked class is pushed alone: the root
+    edge, then at each marked end row 0's marked edges less its parent."""
+    kids = _pattern_row(tree, 0)[0] - 1
+    marked = chain([1], accumulate(repeat(kids), mul, initial=2 * kids))
+    layer_sums = map(mul, _level_nums(tree, cocycle), marked)
     return [Fraction(acc, cocycle.den) for acc in accumulate(layer_sums)]
 
 
@@ -249,10 +252,10 @@ def decay_check(tree, cocycle):
 # ---------------------------------------------------------------------------
 # the invariant cocycle: solve on delta-classes, then rebuild layer by layer
 
-@dataclass(frozen=True)
-class InvariantSolution:
-    dimension: int
-    profile: tuple  # value on delta-class d is profile[d], normalized profile[0] = 1
+class InvariantSolution(namedtuple("InvariantSolution", "dimension profile")):
+    """The value on delta-class d is profile[d], normalized to profile[0] = 1."""
+
+    __slots__ = ()
 
 
 def invariant_solver(tree):
@@ -474,12 +477,12 @@ def translation_automorphism(tree, steps):
 # ---------------------------------------------------------------------------
 # structural invariant audit
 
-@dataclass(frozen=True)
-class TreeAuditReport:
-    problems: tuple
-    # per-level edge counts, marked and all, read off the census
-    marked_census: tuple
-    ambient_census: tuple
+class TreeAuditReport(namedtuple("TreeAuditReport",
+                                 "problems marked_census ambient_census")):
+    """The two censuses are the per-level edge counts, marked and all, read
+    off the census."""
+
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -1,6 +1,5 @@
 """Command-line interface: outputs, formats and exit codes."""
 
-import dataclasses
 import json
 import time
 import tracemalloc
@@ -202,7 +201,7 @@ def test_orbit_text_summary(capsys):
 def test_orbit_verdict_fails_when_the_identity_fails(capsys, monkeypatch):
     verify = orbits.verify_fraction_identity
     monkeypatch.setattr(orbits, "verify_fraction_identity",
-                        lambda fields: dataclasses.replace(verify(fields), holds=False))
+                        lambda fields: verify(fields)._replace(holds=False))
     code, out, _ = run_cli(capsys, ["orbit", "--p", "3"])
     assert code == 1
     lines = out.splitlines()

@@ -13,7 +13,6 @@ itself.
 """
 
 import contextlib
-import dataclasses
 import io
 import os
 import subprocess
@@ -316,8 +315,11 @@ def _extra_orbit(fields, split=orbits._square_classes):
 
 
 def _representative_lost(fields, groups, moves, report=orbits._report_from_groups):
+    # built through the constructor, which checks the fields; `_replace`
+    # would skip it
     full = report(fields, groups, moves)
-    return dataclasses.replace(full, representatives=full.representatives[1:])
+    return orbits.OrbitReport(**{**full._asdict(),
+                                 "representatives": full.representatives[1:]})
 
 
 def orbit_check_errors():
@@ -387,7 +389,7 @@ def top_degree_errors():
     when the system of A2 claims four positive roots, one more than the
     degree of its finite length polynomial."""
     build = coxeter.build_affine_system
-    wrong = dataclasses.replace(build("A", 2), n_positive_roots=4)
+    wrong = build("A", 2)._replace(n_positive_roots=4)
     messages = []
     coxeter.build_affine_system = lambda family, rank: wrong
     try:

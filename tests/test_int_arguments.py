@@ -17,7 +17,6 @@ callable that `buildingkit` exports is in a table or in PACKAGE_OBJECTS,
 which keep duck typing.
 """
 
-import dataclasses
 import functools
 import inspect
 import re
@@ -181,12 +180,12 @@ def covered(key):
 
 def exported_callables():
     """{name: callable} for the functions and classes `buildingkit` exports,
-    less its exceptions and its dataclass records, which only its entry
-    points build."""
+    less its exceptions and its records, the `tuple` subclasses, which only
+    its entry points build."""
     return {name: obj for name, obj in vars(buildingkit).items()
             if not name.startswith("_") and callable(obj)
-            and not (isinstance(obj, type) and issubclass(obj, BaseException))
-            and not dataclasses.is_dataclass(obj)}
+            and not (isinstance(obj, type)
+                     and issubclass(obj, (BaseException, tuple)))}
 
 
 def test_every_exported_parameter_is_in_a_table():

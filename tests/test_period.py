@@ -1,6 +1,5 @@
 """Alternating period series: closed forms, tails, bounds, counting."""
 
-import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -168,8 +167,7 @@ def test_theorem_bounds_applicability():
     assert rep.applicable and rep.holds
     assert rep.lower == Fraction(1, 3)
     assert 1 > res.closed_form > rep.lower
-    assert [field.name for field in dataclasses.fields(rep)] == [
-        "applicable", "holds", "lower"]
+    assert rep._fields == ("applicable", "holds", "lower")
 
     # q_F <= d: out of the theorem's range, vacuously fine
     res = period.evaluate_period("A", 3, 3)

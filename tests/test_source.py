@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -32,6 +34,19 @@ def test_no_future_imports():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.ImportFrom) and node.module == "__future__"]
     assert found == []
+
+
+def test_the_command_line_imports_neither_dataclasses_nor_inspect():
+    # the records are named tuples, so a command's start-up loads neither
+    # `dataclasses` nor `inspect` (with its `ast`, `dis` and `tokenize`);
+    # -S keeps site's own imports out of the answer
+    src = str(Path(buildingkit.__file__).parent.parent)
+    script = ("import sys, buildingkit.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_f_string_has_a_placeholder():

@@ -1,13 +1,12 @@
 """Tree pair structure, cocycles, the invariant solver, automorphisms."""
 
-import dataclasses
 import hashlib
 import random
 import re
 import tracemalloc
 from collections import deque
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import lcm
 from operator import mul
 from pathlib import Path
@@ -427,6 +426,24 @@ def test_tree_period_equals_series_engine(q):
     assert sums[1] == 1 - Fraction(2, q)
 
 
+@pytest.mark.parametrize("q,depth", [(2, 0), (2, 1), (3, 4), (9, 2), (2, 8), (2, 999)])
+def test_tree_period_pushes_only_the_marked_class(monkeypatch, q, depth):
+    # the marked class never leaves delta 0, so the period needs no census
+    # of the other classes; its layers are the census's marked counts,
+    # read before the census is taken away, times the level numerators
+    t = tree.TreePair(q, depth)
+    cocycle = tree.iwahori_cocycle(t)
+    marked = [level.get(0, 0) for level in tree._census(t)]
+
+    def no_census(pair):
+        raise AssertionError("tree_period read the census")
+
+    monkeypatch.setattr(tree, "_census", no_census)
+    assert tree.tree_period(t, cocycle) == [
+        Fraction(acc, cocycle.den)
+        for acc in accumulate(map(mul, cocycle.nums, marked))]
+
+
 # the solved profiles, frozen; c_0 = 1, c_1 = -(q+1)/(q^2-q), c_{d+1} = -c_d/q^2
 FROZEN_PROFILES = {
     2: (Fraction(1), Fraction(-3, 2), Fraction(3, 8), Fraction(-3, 32),
@@ -517,8 +534,8 @@ def test_suite_check_7_reads_c_1_off_the_merged_orbit(monkeypatch):
             if rep.orbit_count != 1:
                 return rep
             size = rep.orbit_sizes[0]
-            return dataclasses.replace(
-                rep, orbit_count=2, orbit_sizes=(size // 2, size - size // 2),
+            return rep._replace(
+                orbit_count=2, orbit_sizes=(size // 2, size - size // 2),
                 representatives=rep.representatives * 2)
         return halves
 
@@ -754,7 +771,7 @@ def test_suite_check_5_reads_the_marked_census_off_the_a1_growth(monkeypatch):
         series = grow(system, truncation)
         a = list(series.coefficients)
         a[1] += 1
-        return dataclasses.replace(series, coefficients=tuple(a))
+        return series._replace(coefficients=tuple(a))
 
     monkeypatch.setattr(suite, "SAMPLED_PAIRS", 0)
     check = suite.run_suite().checks[4]

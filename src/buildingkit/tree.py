@@ -22,8 +22,8 @@ delta 0, and an edge's children depend on its delta alone.  That child
 rule is written once, as the pattern rows (`_pattern_row`): they are the
 finite quotient whose universal cover is the tree, and they answer every
 question about deltas.  The solver solves them, each reconstruction step
-reads one, the audit pushes the census of each level's edges by delta out
-of them one level at a time, and the tree period the marked class alone.
+reads one, the audit checks each against identities of the tree, and the
+audit and the tree period push the marked class alone out of row 0.
 
 So a pair is refused (ValueError) only for a depth that is no integer >= 0
 and by the input contract in `errors`: a q_F that is no prime power, a
@@ -140,26 +140,14 @@ def _pattern_rows(tree):
     return [_pattern_row(tree, d) for d in range(tree.depth)]
 
 
-def _census(tree):
-    """Yield, per level k = 0..depth, {delta: number of level k's edges at
-    that delta}, nonzero entries only: the tree's finite quotient, pushed
-    out one level at a time by the pattern rows.
-
-    Level 0 is the marked root edge, whose two ends both carry children;
-    every later edge has one far end.  A vertex hung at an edge of delta d
-    has the edges of its row as children, less its parent edge.
-    """
-    kids = [[(c, a - (c == d)) for c, a in row.items() if a - (c == d)]
-            for d, row in enumerate(_pattern_rows(tree))]
-    yield {0: 1}
-    ends = {0: 2}  # the two ends of the root edge
-    for _ in range(tree.depth):
-        level = {}
-        for d, n in ends.items():
-            for c, a in kids[d]:
-                level[c] = level[c] + n * a if c in level else n * a
-        yield level
-        ends = level
+def _marked_census(tree, row):
+    """Per level k = 0..depth, its edges at delta 0, pushed out of row 0,
+    given as `row`: the root edge, then at each of its two ends and at every
+    later marked far end the row's marked edges less the parent edge.  Only
+    row 0 has children at delta 0, so the marked class is pushed alone."""
+    kids = row.get(0, 0) - 1
+    return tuple(islice(chain([1], accumulate(repeat(kids), mul, initial=2 * kids)),
+                        tree.depth + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +221,9 @@ def verify_harmonic(tree, cocycle):
 
 def tree_period(tree, cocycle):
     """Partial sums of the cocycle over marked edges, sphere by sphere: a
-    sphere's sum is its marked count times its level's numerator.  Only row
-    0 has children at delta 0, so the marked class is pushed alone: the root
-    edge, then at each marked end row 0's marked edges less its parent."""
-    kids = _pattern_row(tree, 0)[0] - 1
-    marked = chain([1], accumulate(repeat(kids), mul, initial=2 * kids))
+    sphere's sum is its marked count, `_marked_census` of row 0, times its
+    level's numerator."""
+    marked = _marked_census(tree, _pattern_row(tree, 0))
     layer_sums = map(mul, _level_nums(tree, cocycle), marked)
     return [Fraction(acc, cocycle.den) for acc in accumulate(layer_sums)]
 
@@ -479,8 +465,9 @@ def translation_automorphism(tree, steps):
 
 class TreeAuditReport(namedtuple("TreeAuditReport",
                                  "problems marked_census ambient_census")):
-    """The two censuses are the per-level edge counts, marked and all, read
-    off the census."""
+    """The two censuses are the per-level edge counts, marked and all: the
+    marked class pushed out of the audited row 0, and the layout's level
+    sizes."""
 
     __slots__ = ()
 
@@ -490,16 +477,20 @@ class TreeAuditReport(namedtuple("TreeAuditReport",
 
 
 def check_tree_invariants(tree):
-    """Audit the pattern rows and the census pushed out of them, taken in
-    one pass, against identities that do not reuse the child rule.
+    """Audit the pattern rows, one at a time, against identities that do not
+    reuse the child rule (Serre, *Trees*, ch. II §1).
 
     - a vertex meets q_E + 1 edges, whichever row it has, and a marked one,
       hung at an edge at delta 0, meets q_F + 1 marked edges (the degree
       problems);
-    - the root edge is at delta 0, so the marked edges, each of which hangs
-      below a marked edge, reach it (the connectivity problem);
-    - level k >= 1 has 2 q_F^k edges at delta 0 and 2 q_E^k in all, and
-      level 0 the root edge alone (the census problems).
+    - no row d >= 1 has an edge at delta 0: a marked edge never hangs below
+      an unmarked vertex (the connectivity problem);
+    - row d's edges lie at deltas d and d + 1, and for d >= 1 the parent
+      edge is its only one at d: the distance to a subtree changes by one
+      across each panel and grows away from it (the class shape problems);
+    - level k >= 1 has 2 q_F^k edges at delta 0, pushed out of row 0, and
+      each row has q_E children, its edges less its parent edge, so that
+      level k has 2 q_E^k edges (the census problems).
 
     Problems are listed in that order.  Incidence and the levels are the id
     layout itself, and the labels its distance parity (`v_label`), so they
@@ -507,8 +498,7 @@ def check_tree_invariants(tree):
     """
     q_F, q_E, depth = tree.q_F, tree.q_E, tree.depth
     rows = _pattern_rows(tree)
-    marked, ambient = zip(*((level.get(0, 0), sum(level.values()))
-                            for level in _census(tree)))
+    marked = _marked_census(tree, rows[0] if rows else {})
     problems = []
     if rows and (n := rows[0].get(0, 0)) != q_F + 1:
         problems.append(f"a marked interior vertex has {n} marked "
@@ -517,11 +507,16 @@ def check_tree_invariants(tree):
                  f"edges, expected {q_E + 1}"
                  for d, n in enumerate(sum(row.values()) for row in rows)
                  if n != q_E + 1]
-    if not marked[0]:
+    if any(0 in row for row in rows[1:]):
         problems.append("marked subtree is not connected to the root edge")
+    problems += [f"an interior vertex hung at delta {d} has edges by delta "
+                 f"{dict(sorted(row.items()))}, expected them at {d} and {d + 1}"
+                 + (f", its parent edge alone at {d}" if d else "")
+                 for d, row in enumerate(rows)
+                 if set(row) - {d, d + 1} or d and row.get(d) != 1]
     if marked[1:] != tuple(2 * q_F**k for k in range(1, depth + 1)):
         problems.append("marked sphere census mismatch")
-    if ambient != (1, *(2 * q_E**k for k in range(1, depth + 1))):
+    if any(sum(row.values()) - (d in row) != q_E for d, row in enumerate(rows)):
         problems.append("ambient sphere census mismatch")
     return TreeAuditReport(problems=tuple(problems), marked_census=marked,
-                           ambient_census=ambient)
+                           ambient_census=(1, *(2 * q_E**k for k in range(1, depth + 1))))

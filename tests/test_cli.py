@@ -402,9 +402,9 @@ def test_every_int_of_the_deepest_tree_prints(capsys, q_F, depth, command, fmt):
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 @pytest.mark.parametrize("command", ["tree-verify", "tree-period", "invariant"])
 def test_deep_tree_commands_stay_small(capsys, command, fmt):
-    # at (2, 999) the census is pushed out one level at a time and the
-    # solver reads the rows' nonzero entries: a stored (depth + 1)^2 table
-    # built three times peaked at 99 MB, and dense rows took the solve 7.7 s
+    # at (2, 999) the audit reads the rows one at a time and the solver
+    # reads their nonzero entries: a stored (depth + 1)^2 table built three
+    # times peaked at 99 MB, and dense rows took the solve 7.7 s
     argv = [command, "--qF", "2", "--depth", "999", "--format", fmt]
     tracemalloc.start()
     try:

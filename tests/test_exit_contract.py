@@ -3,13 +3,12 @@
 Every run exits 0 (pass), 1 (a check failed), 2 (usage) or 3 (a budget),
 never with a traceback; exits 2 and 3 print nothing on stdout and say why on
 stderr; the same argv prints the same bytes twice.  A fixed subset, the
-damaged-row and damaged-census audits, the invariant solver's checks of its
-pattern rows, the checks of the affine system's and the residue fields'
-construction, the degree check of the finite length polynomial, and the
-orbit layer's and Omega's model checks, each made to fire by one broken
-table, row set or helper, also run under `python -O`, which strips asserts,
-in the one process of `optimized.py`, whose answers each test reads for
-itself.
+damaged-row audits, the invariant solver's checks of its pattern rows, the
+checks of the affine system's and the residue fields' construction, the
+degree check of the finite length polynomial, and the orbit layer's and
+Omega's model checks, each made to fire by one broken table, row set or
+helper, also run under `python -O`, which strips asserts, in the one
+process of `optimized.py`, whose answers each test reads for itself.
 """
 
 import contextlib
@@ -150,28 +149,21 @@ FIXED_ARGVS = [
 
 def damaged_audits():
     """Audit problems of the (2, 2) tree, whose rows are {0: 3, 1: 2} and
-    {1: 1, 2: 4} and whose census is [{0: 1}, {0: 4, 1: 4}, {0: 8, 1: 8,
-    2: 16}], with the given entries of one of them set: a marked row with
-    one marked edge too few and an unmarked one with one edge too few, each
-    pushing out its census, then a census with the root edge unmarked, one
-    with levels 1 and 2 short of marked edges and of edges, and none."""
+    {1: 1, 2: 4}, with some rows replaced: a marked row with one marked
+    edge too few, an unmarked one with one edge too few, one with an edge
+    moved from delta 2 to delta 0, one with no parent edge, and none."""
     t = tree.build_tree_pair(2, 2)
-    sound = {"_pattern_rows": tree._pattern_rows(t),
-             "_census": list(tree._census(t))}
+    sound = tree._pattern_rows(t)
     audits = []
-    for name, edits in (("_pattern_rows", {0: {0: 2, 1: 3}}),
-                        ("_pattern_rows", {1: {2: 3}}),
-                        ("_census", {0: {0: 0, 1: 1}}),
-                        ("_census", {1: {0: 3}, 2: {1: 7}}),
-                        ("_census", {})):
-        damaged = [{**entry, **edits.get(i, {})}
-                   for i, entry in enumerate(sound[name])]
-        saved = getattr(tree, name)
-        setattr(tree, name, lambda pair: damaged)
+    for edits in ({0: {0: 2, 1: 3}}, {1: {1: 1, 2: 3}}, {1: {0: 1, 1: 1, 2: 3}},
+                  {1: {2: 5}}, {}):
+        damaged = [edits.get(d, row) for d, row in enumerate(sound)]
+        saved = tree._pattern_rows
+        tree._pattern_rows = lambda pair: damaged
         try:
             audits.append(list(tree.check_tree_invariants(t).problems))
         finally:
-            setattr(tree, name, saved)
+            tree._pattern_rows = saved
     return audits
 
 
@@ -424,14 +416,15 @@ def test_optimized_run_answers_the_same():
     optimize, answers = run_optimized(observed)
     assert optimize == 1
     expected = observed()
-    # every damaged row set and census is refused and the sound census is
-    # not, and each group of audit messages fires
+    # every damaged row set is refused and the sound rows are not, and each
+    # group of audit messages fires
     audits = expected["audits"]
     assert [bool(problems) for problems in audits] == [
         True, True, True, True, False]
     found = " | ".join(p for problems in audits for p in problems)
-    for fragment in ("marked interior vertex", "interior vertex hung at",
-                     "not connected", "marked sphere census mismatch",
+    for fragment in ("marked interior vertex", "has 4 edges, expected 5",
+                     "not connected", "edges by delta",
+                     "marked sphere census mismatch",
                      "ambient sphere census mismatch"):
         assert fragment in found, fragment
     # the bit caps refuse a deep tree or a long series with their own

@@ -384,3 +384,17 @@ def test_refusals_past_the_rule_name_the_parameter():
 def test_refusals_past_the_rule_hold_under_python_O():
     assert run_optimized(past_the_rule_answers) == [
         1, expected_past_the_rule_answers()]
+
+
+class Unprintable:
+    """No int and no bit_length, with a repr that raises ValueError, as an
+    int's does past Python's limit on int-to-str digits."""
+
+    def __repr__(self):
+        raise ValueError("no repr")
+
+
+def test_a_value_whose_repr_raises_is_shown_by_its_type():
+    with pytest.raises(ValueError) as info:
+        errors.require_int(Unprintable(), "depth")
+    assert str(info.value) == "depth must be an integer, got <unprintable Unprintable>"

@@ -257,6 +257,18 @@ def test_fraction_identity_exhaustive(p, n):
     assert (report.x0, report.c) == FROZEN_INVERSION[f.q]
 
 
+def test_fraction_identity_fails_on_a_wrong_inverse(monkeypatch):
+    # the check reaches every nonbase element through inv; one wrong
+    # inverse, of y itself, breaks the identity at some pair, and every
+    # pair is still checked
+    f = orbits.build_fields(7, 1)
+    inv = f.inv
+    monkeypatch.setattr(f, "inv", lambda z: f.add(inv(z), 1) if z == f.q else inv(z))
+    report = orbits.verify_fraction_identity(f)
+    assert report.holds is False
+    assert report.n_checked == 2 * f.q * (f.q - 1)
+
+
 @pytest.mark.parametrize("p,n", ODD)
 def test_nonsquare_witness(p, n):
     f = orbits.build_fields(p, n)

@@ -161,6 +161,13 @@ def test_tail_bound_rejects_nondecaying_series():
         period.tail_bound(bad, 2)
 
 
+def test_tail_bound_needs_a_layer_beyond_0():
+    series = growth_from_exponents(build_affine_system("A", 1), 0)
+    with pytest.raises(ValueError) as info:
+        period.tail_bound(series, 2)
+    assert str(info.value) == "need at least one enumerated layer beyond 0"
+
+
 def test_theorem_bounds_applicability():
     res = period.evaluate_period("A", 1, 3)
     rep = period.check_theorem_bounds(res)

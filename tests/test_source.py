@@ -251,19 +251,13 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
-def test_every_public_name_has_a_program_caller():
-    # a public function or method that nothing in the package reaches is a
-    # path only the tests run: each one is named, as an identifier or an
-    # attribute, somewhere in the package outside its own definition, or is
-    # timed by the benchmark.  Names are matched by identifier, not by
-    # binding, so a local variable or another class's method of the same
-    # name counts: this is a floor, not a proof that the code is reached.
-    # translation_automorphism waits for the generating family of sampled
-    # tree automorphisms, or for a lattice model to replace it (ROADMAP).
-    tracing = _tracing()
-    traced = {name.split(".")[1]
-              for name in (*tracing.SELF_TIMES, *tracing.COUNTERS)}
-    kept = {"translation_automorphism"}
+def _uncalled(wanted):
+    """`module.name` of each function or method of the package whose name
+    `wanted` picks and that is named, as an identifier or an attribute,
+    nowhere in the package outside its own definition.  Names are matched
+    by identifier, not by binding, so a local variable or another class's
+    method of the same name counts: this is a floor, not a proof that the
+    code is reached."""
     modules = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
 
     def names(tree):
@@ -271,14 +265,33 @@ def test_every_public_name_has_a_program_caller():
                        for node in ast.walk(tree)
                        if isinstance(node, (ast.Name, ast.Attribute)))
     everywhere = sum(map(names, modules), Counter())
-    uncalled = sorted(
+    return sorted(
         f"{path.stem}.{node.name}"
         for path, module in zip(SOURCES, modules)
         for node in ast.walk(module)
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        and node.name not in traced | kept
+        if isinstance(node, ast.FunctionDef) and wanted(node.name)
         and everywhere[node.name] == names(node)[node.name])
-    assert uncalled == []
+
+
+def test_every_public_name_has_a_program_caller():
+    # a public function or method that nothing in the package reaches is a
+    # path only the tests run, unless the benchmark times it.
+    # translation_automorphism waits for the generating family of sampled
+    # tree automorphisms, or for a lattice model to replace it (ROADMAP).
+    tracing = _tracing()
+    traced = {name.split(".")[1]
+              for name in (*tracing.SELF_TIMES, *tracing.COUNTERS)}
+    kept = {"translation_automorphism"}
+    assert _uncalled(lambda name: not name.startswith("_")
+                     and name not in traced | kept) == []
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # a private function that only the tests name belongs in a tests
+    # oracle, as the census that once fed the tree audit does; dunders are
+    # called by Python itself
+    assert _uncalled(lambda name: name.startswith("_")
+                     and not name.endswith("__")) == []
 
 
 def _is_int_test(node):

@@ -4,7 +4,7 @@ import hashlib
 import random
 import re
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import lcm
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import census_oracle
 from buildingkit import cli, errors, period, suite, tree
 from buildingkit.coxeter import (build_affine_system, growth_coefficients,
                                  growth_from_exponents)
@@ -188,11 +189,11 @@ def test_a_q_F_that_is_no_prime_power_is_refused_before_any_count(
         monkeypatch, q, message):
     # at q_F = 1 the census's diagonal is 0, and the audit, the solver and
     # the reconstruction divided by it; the pair itself is refused now, so
-    # none of them, nor the census they read, is ever reached
+    # none of them, nor the rows and the marked class they read, is reached
     def unreachable(*args):
         raise AssertionError("a count was read off a refused pair")
 
-    for name in ("_census", "_pattern_rows"):
+    for name in ("_marked_census", "_pattern_row", "_pattern_rows"):
         monkeypatch.setattr(tree, name, unreachable)
     with pytest.raises(ValueError, match=f"^{message}$"):
         tree.TreePair(q, 2)
@@ -317,8 +318,9 @@ def dense(counts, depth):
 
 
 def dense_census(t):
-    """The census as the list of its levels, each dense over 0..depth."""
-    return [dense(level, t.depth) for level in tree._census(t)]
+    """The oracle's census as the list of its levels, each dense over
+    0..depth."""
+    return [dense(level, t.depth) for level in census_oracle.census(t)]
 
 
 def dense_rows(t):
@@ -340,7 +342,7 @@ def test_build_matches_the_vertex_loop(q):
         assert dense_census(t) == reference_census(q, depth, deltas), depth
         assert set(dense_rows(t)) == reference_rows(q, depth, deltas)
         assert all(all(counts.values()) for counts in
-                   [*tree._census(t), *tree._pattern_rows(t)])
+                   [*census_oracle.census(t), *tree._pattern_rows(t)])
         depth += 1
     assert depth > 2
 
@@ -429,16 +431,16 @@ def test_tree_period_equals_series_engine(q):
 @pytest.mark.parametrize("q,depth", [(2, 0), (2, 1), (3, 4), (9, 2), (2, 8), (2, 999)])
 def test_tree_period_pushes_only_the_marked_class(monkeypatch, q, depth):
     # the marked class never leaves delta 0, so the period needs no census
-    # of the other classes; its layers are the census's marked counts,
-    # read before the census is taken away, times the level numerators
+    # of the other classes, nor any row but row 0; its layers are the
+    # oracle census's marked counts times the level numerators
     t = tree.TreePair(q, depth)
     cocycle = tree.iwahori_cocycle(t)
-    marked = [level.get(0, 0) for level in tree._census(t)]
+    marked = [level.get(0, 0) for level in census_oracle.census(t)]
 
-    def no_census(pair):
-        raise AssertionError("tree_period read the census")
+    def no_rows(pair):
+        raise AssertionError("tree_period read the rows")
 
-    monkeypatch.setattr(tree, "_census", no_census)
+    monkeypatch.setattr(tree, "_pattern_rows", no_rows)
     assert tree.tree_period(t, cocycle) == [
         Fraction(acc, cocycle.den)
         for acc in accumulate(map(mul, cocycle.nums, marked))]
@@ -1153,60 +1155,97 @@ def test_harmonic_cocycles_match_fraction_references(q, depth):
     assert reference_verify_harmonic(t, [profile[d] for d in deltas]) == ()
 
 
-# -- the audit reads the census ------------------------------------------------
+# -- the audit reads the pattern rows -------------------------------------------
 
 NOT_CONNECTED = "marked subtree is not connected to the root edge"
 
 
-def test_audit_reports_damaged_trees(monkeypatch):
-    # the (2, 2) rows are {0: 3, 1: 2} and {1: 1, 2: 4}, and the census they
-    # push out is [[1, 0, 0], [4, 4, 0], [8, 8, 16]].  Rows with the given
-    # {row: {delta: count}} entries set feed the census and the audit
-    # alike; a census with the given {(level, delta): count} entries set
-    # feeds the audit alone
-    t = tree.build_tree_pair(2, 2)
-    rows, census = tree._pattern_rows(t), dense_census(t)
+def shape_problem(d, row):
+    """The class shape problem of row d, damaged to `row`."""
+    parent = f", its parent edge alone at {d}" if d else ""
+    return (f"an interior vertex hung at delta {d} has edges by delta {row}, "
+            f"expected them at {d} and {d + 1}{parent}")
 
-    def audit(name, damaged):
+
+def test_audit_reports_damaged_trees(monkeypatch):
+    # the (2, 2) rows are {0: 3, 1: 2} and {1: 1, 2: 4}; the rows given as
+    # {d: row} replace them, in the audit and in the marked class it pushes
+    # out of row 0
+    t = tree.build_tree_pair(2, 2)
+    rows = tree._pattern_rows(t)
+
+    def damaged_audit(edits):
+        damaged = [edits.get(d, row) for d, row in enumerate(rows)]
         with monkeypatch.context() as patch:
-            patch.setattr(tree, name, lambda pair: damaged)
-            return tree.check_tree_invariants(t).problems
+            patch.setattr(tree, "_pattern_rows", lambda pair: damaged)
+            return tree.check_tree_invariants(t)
 
     def row_problems(edits):
-        return audit("_pattern_rows", [{**row, **edits.get(d, {})}
-                                       for d, row in enumerate(rows)])
-
-    def census_problems(edits):
-        damaged = [dict(enumerate(level)) for level in census]
-        for (k, d), count in edits.items():
-            damaged[k][d] = count
-        return audit("_census", damaged)
+        return damaged_audit(edits).problems
 
     # one marked child at each marked vertex: its row has one marked edge
     # too few, and level k >= 1 has 2 marked edges
-    assert row_problems({0: {0: 2, 1: 3}}) == (
-        "a marked interior vertex has 2 marked edges, expected 3",
-        "marked sphere census mismatch")
+    assert damaged_audit({0: {0: 2, 1: 3}}) == tree.TreeAuditReport(
+        problems=("a marked interior vertex has 2 marked edges, expected 3",
+                  "marked sphere census mismatch"),
+        marked_census=(1, 2, 2), ambient_census=(1, 8, 32))
     assert row_problems({0: {0: 2, 1: 2}}) == (
         "a marked interior vertex has 2 marked edges, expected 3",
         "an interior vertex hung at delta 0 has 4 edges, expected 5",
         "marked sphere census mismatch", "ambient sphere census mismatch")
     # the edges at delta 1 carry three children at delta 2 each
-    assert row_problems({1: {2: 3}}) == (
+    assert row_problems({1: {1: 1, 2: 3}}) == (
         "an interior vertex hung at delta 1 has 4 edges, expected 5",
         "ambient sphere census mismatch")
-    assert census_problems({(0, 0): 0, (0, 1): 1}) == (NOT_CONNECTED,)
-    assert census_problems({(1, 0): 2, (1, 1): 6}) == (
-        "marked sphere census mismatch",)
-    assert census_problems({(2, 1): 7}) == ("ambient sphere census mismatch",)
-    # every single-entry change is reported
-    for d, row in enumerate(rows):
-        for c, count in row.items():
-            assert row_problems({d: {c: count + 1}}), (d, c)
-    for k, level in enumerate(census):
-        for d, count in enumerate(level):
-            for changed in (count + 1, 2 * count + 1):
-                assert census_problems({(k, d): changed}), (k, d, changed)
+    # an edge of row 1 moved from delta 2 to delta 0 hangs a marked edge
+    # below an unmarked vertex
+    assert row_problems({1: {0: 1, 1: 1, 2: 3}}) == (
+        NOT_CONNECTED, shape_problem(1, {0: 1, 1: 1, 2: 3}))
+    # moved to delta 1, it is a second edge at the parent's delta; and an
+    # edge of row 0 moved to delta 2 lies two panels from the subtree
+    assert row_problems({1: {1: 2, 2: 3}}) == (shape_problem(1, {1: 2, 2: 3}),)
+    assert row_problems({0: {2: 1, 0: 3, 1: 1}}) == (
+        shape_problem(0, {0: 3, 1: 1, 2: 1}),)
+    # with no parent edge at delta 1, five edges at delta 2 are five children
+    assert row_problems({1: {2: 5}}) == (
+        shape_problem(1, {2: 5}), "ambient sphere census mismatch")
+
+
+DETECTION_TREES = [(2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 5)]
+
+
+def test_audit_refuses_every_changed_row(monkeypatch):
+    # census_oracle.changed_rows makes 368 row sets on these trees, and the
+    # audit lists a problem on every one.  The census audit it replaced,
+    # kept as the oracle, lists one on 222, runs past the last row on 120
+    # and passes 26, among them an edge of row 1 moved to the parent's delta
+    # at (2, 2).  Where the oracle answers, its degree problems are the
+    # audit's, and an ambient census it finds short the audit finds too: the
+    # census multiplied each reached row's child count
+    def degree(problems):
+        return [p for p in problems if "edges, expected" in p]
+
+    outcomes = Counter()
+    for q, depth in DETECTION_TREES:
+        t = tree.build_tree_pair(q, depth)
+        rows = tree._pattern_rows(t)
+        assert census_oracle.audit(t) == tree.check_tree_invariants(t)
+        assert tree.check_tree_invariants(t).ok
+        for damaged in census_oracle.changed_rows(rows, depth):
+            with monkeypatch.context() as patch:
+                patch.setattr(tree, "_pattern_rows", lambda pair: damaged)
+                problems = tree.check_tree_invariants(t).problems
+            assert problems, (q, depth, damaged)
+            try:
+                old = census_oracle.audit(t, damaged).problems
+            except IndexError:
+                outcomes["raised"] += 1
+                continue
+            outcomes["listed" if old else "passed"] += 1
+            assert degree(old) == degree(problems), damaged
+            assert (old[-1:] != ("ambient sphere census mismatch",)
+                    or problems[-1] == "ambient sphere census mismatch"), damaged
+    assert outcomes == {"listed": 222, "raised": 120, "passed": 26}
 
 
 def test_swapped_deltas_mark_another_sound_subtree():
@@ -1434,7 +1473,7 @@ def test_census_is_the_closed_form_per_class(shape):
     q_E = q * q
     f_powers = [q**i for i in range(depth + 1)]
     e_powers = [q_E**i for i in range(depth)]
-    census = tree._census(tree.build_tree_pair(q, depth))
+    census = census_oracle.census(tree.build_tree_pair(q, depth))
     assert next(census) == {0: 1}
     for k, level in enumerate(census, 1):
         assert level == {0: 2 * f_powers[k], **{

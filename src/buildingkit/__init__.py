@@ -26,10 +26,11 @@ from .coxeter import (DEFAULT_ELEMENT_BUDGET, INFINITE_ORDER, CoxeterSystem,
                       growth_from_exponents, omega_group, poincare_finite)
 from .errors import (BudgetError, InvalidTypeError, ModelError,
                      ToolkitError)
-from .orbits import (FiniteFieldPair, OrbitReport, affine_square_orbits,
-                     build_fields, canonical_inversion_data,
-                     exists_nonsquare_value, inversion_closure_orbits,
-                     transitivity_holds, verify_fraction_identity)
+from .orbits import (FiniteFieldPair, OrbitClaim, OrbitReport,
+                     affine_square_orbits, build_fields,
+                     canonical_inversion_data, exists_nonsquare_value,
+                     inversion_closure_orbits, orbit_claim,
+                     verify_fraction_identity)
 from .period import (BoundsReport, PeriodResult, check_theorem_bounds,
                      evaluate_period, period_closed_form, period_series,
                      tail_bound)

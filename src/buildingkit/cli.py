@@ -14,6 +14,7 @@ budget exceeded.
 
 import argparse
 import functools
+import itertools
 import sys
 
 from . import orbits, period, tree
@@ -38,6 +39,11 @@ def _document(**fields):
 
 def _csv(rows):
     return "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
+
+
+def _fraction_csv(index, values):
+    return itertools.chain([(index, "num", "den")], (
+        (i, v.numerator, v.denominator) for i, v in enumerate(values)))
 
 
 def poly_str(coeffs, var):
@@ -66,7 +72,7 @@ def _cmd_growth(args):
     text = [f"growth {args.family}{args.rank} K={series.truncation} "
             f"({series.source}):",
             "  " + str(list(series.coefficients))]
-    csv = [("k", "a_k")] + [(k, a) for k, a in enumerate(series.coefficients)]
+    csv = itertools.chain([("k", "a_k")], enumerate(series.coefficients))
     return True, payload, text, csv
 
 
@@ -98,9 +104,7 @@ def _cmd_period(args):
         text.append(f"  bounds        1 > value > {bounds.lower}: {verdict}")
     else:
         text.append("  bounds        not applicable (q_F <= rank)")
-    csv = [("k", "num", "den")] + [(k, s.numerator, s.denominator)
-                                   for k, s in enumerate(result.partial_sums)]
-    return ok, payload, text, csv
+    return ok, payload, text, _fraction_csv("k", result.partial_sums)
 
 
 def _tree_document(command, pair, **fields):
@@ -159,9 +163,7 @@ def _cmd_tree_period(args):
             f"  matches rank-1 series {matches}",
             f"  within tail bound     {within_tail}",
             f"  verdict               {'pass' if ok else 'FAIL'}"]
-    csv = [("k", "num", "den")] + [(k, s.numerator, s.denominator)
-                                   for k, s in enumerate(sums)]
-    return ok, payload, text, csv
+    return ok, payload, text, _fraction_csv("k", sums)
 
 
 def _cmd_invariant(args):
@@ -173,17 +175,12 @@ def _cmd_invariant(args):
     text = [f"invariant q_F={pair.q_F} depth={pair.depth}:",
             f"  dimension  {solution.dimension}",
             f"  profile    {[str(c) for c in solution.profile]}"]
-    csv = [("delta", "num", "den")] + [(d, c.numerator, c.denominator)
-                                       for d, c in enumerate(solution.profile)]
-    return True, payload, text, csv
+    return True, payload, text, _fraction_csv("delta", solution.profile)
 
 
 def _cmd_orbit(args):
-    fields = orbits.build_fields(args.p, args.n)
-    affine = orbits.affine_square_orbits(fields)
-    # in characteristic 2 the inversion closure is the affine report itself
-    closure = affine if fields.p == 2 else orbits.inversion_closure_orbits(fields)
-    ok = orbits.transitivity_holds(fields, affine, closure)
+    claim = orbits.orbit_claim(orbits.build_fields(args.p, args.n))
+    fields, affine, closure, identity, witness, _ = claim
     # the orbit and identity reports are exactly their fields
     payload = _document(
         command="orbit",
@@ -191,19 +188,16 @@ def _cmd_orbit(args):
                          q_ext=fields.q_ext, modulus_base=fields.modulus_base,
                          modulus_ext=fields.modulus_ext),
         affine=_document(**affine._asdict()),
-        closure=_document(**closure._asdict()), ok=ok)
+        closure=_document(**closure._asdict()), ok=claim.ok)
     text = [f"orbit p={fields.p} n={fields.n} (q={fields.q}, "
             f"q_E={fields.q_ext}):",
             f"  base modulus   {poly_str(fields.modulus_base, 'x')}",
             f"  ext modulus    {poly_str(fields.modulus_ext, 'y')}",
             f"  affine-square  {affine.orbit_count} orbit(s) of sizes "
             f"{list(affine.orbit_sizes)}"]
-    if fields.p == 2:
+    if identity is None:
         text.append("  inversion      not needed in characteristic 2")
     else:
-        identity = orbits.verify_fraction_identity(fields)
-        ok = ok and identity.holds
-        witness = orbits.exists_nonsquare_value(fields, identity.c)
         payload["identity"] = _document(**identity._asdict())
         payload["nonsquare_witness"] = {"a": witness[0], "b": witness[1]}
         text.append(f"  inversion      x0={identity.x0} c={identity.c} -> "
@@ -212,13 +206,13 @@ def _cmd_orbit(args):
         text.append(f"  identity       holds={identity.holds} "
                     f"({identity.n_checked} pairs)")
         text.append(f"  witness        a={witness[0]} b={witness[1]}")
-    text.append(f"  verdict        {'pass' if ok else 'FAIL'}")
+    text.append(f"  verdict        {'pass' if claim.ok else 'FAIL'}")
     csv = [("stage", "orbit", "size", "representative")]
     for stage, rep in (("affine", affine), ("closure", closure)):
         for i, (size, least) in enumerate(zip(rep.orbit_sizes,
                                               rep.representatives)):
             csv.append((stage, i, size, least))
-    return ok, payload, text, csv
+    return claim.ok, payload, text, csv
 
 
 def _cmd_suite(args):

@@ -308,7 +308,7 @@ def inversion_closure_orbits(fields):
     value, and for every nonzero c some x crosses: one orbit is left, and
     the canonical c stands for all.  The crossing is still computed, so
     arithmetic that keeps each class leaves two orbits, which
-    `transitivity_holds` refuses.
+    `orbit_claim` refuses.
     """
     if fields.p == 2:
         raise ValueError("inversion closure needs odd characteristic")
@@ -324,22 +324,8 @@ def inversion_closure_orbits(fields):
     return _report_from_groups(fields, groups, "affine-square + inversion")
 
 
-def transitivity_holds(fields, affine, closure):
-    """The orbit claim for the affine and the inversion-closure reports.
-
-    In characteristic 2 the affine moves are transitive.  In odd
-    characteristic they leave two orbits of size (q^2 - q)/2 each, and the
-    inversion moves merge them into one.
-    """
-    if fields.p == 2:
-        return affine.orbit_count == 1
-    half = (fields.q * fields.q - fields.q) // 2
-    return (affine.orbit_count == 2 and affine.orbit_sizes == (half, half)
-            and closure.orbit_count == 1)
-
-
 # ---------------------------------------------------------------------------
-# the two supporting exhaustive checks
+# the two supporting exhaustive checks, and the orbit claim
 
 class FractionIdentityReport(namedtuple("FractionIdentityReport",
                                         "q x0 c n_checked n_skipped holds")):
@@ -419,3 +405,32 @@ def exists_nonsquare_value(fields, c):
                 return a, b
     raise ModelError(
         f"no (a, b) with a^2 - b^2/(a^2 c) a nonsquare exists for q={fields.q}")
+
+
+class OrbitClaim(namedtuple("OrbitClaim",
+                            "fields affine closure identity witness transitive")):
+    """The orbit claim on one field pair.  In characteristic 2 the affine
+    moves must be transitive, `closure` is `affine`, and `identity` and
+    `witness` are None.  In odd characteristic they must leave two orbits of
+    size (q^2 - q)/2, which the inversion moves merge."""
+
+    __slots__ = ()
+
+    @property
+    def ok(self):
+        """The verdict: transitive, and the identity holds where checked."""
+        return self.transitive and (self.identity is None or self.identity.holds)
+
+
+def orbit_claim(fields):
+    """The OrbitClaim of a field pair, in either characteristic."""
+    affine = affine_square_orbits(fields)
+    if fields.p == 2:
+        return OrbitClaim(fields, affine, affine, None, None, affine.orbit_count == 1)
+    closure = inversion_closure_orbits(fields)
+    identity = verify_fraction_identity(fields)
+    # a report has as many sizes as orbits, so two halves are two orbits
+    half = (fields.q_ext - fields.q) // 2
+    return OrbitClaim(fields, affine, closure, identity,
+                      exists_nonsquare_value(fields, identity.c),
+                      affine.orbit_sizes == (half, half) and closure.orbit_count == 1)

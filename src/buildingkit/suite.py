@@ -73,14 +73,10 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     periods = {(f, r, q): period.evaluate_period(f, r, q,
                                                  truncation=SUITE_TRUNCATION)
                for f, r in GRID_TYPES for q in GRID_QF}
-    field_pairs = {pn: orbits.build_fields(*pn)
-                   for pn in ORBIT_CHAR2 + ORBIT_ODD}
-    # by q: each field pair, its affine orbits and the merged ones (affine in char 2)
-    orbit_reports = {}
-    for fields in field_pairs.values():
-        aff = orbits.affine_square_orbits(fields)
-        full = aff if fields.p == 2 else orbits.inversion_closure_orbits(fields)
-        orbit_reports[fields.q] = fields, aff, full
+    # by q: the orbit claim of each field pair, and those with inversion moves
+    claims = {c.fields.q: c for c in (orbits.orbit_claim(orbits.build_fields(*pn))
+                                      for pn in ORBIT_CHAR2 + ORBIT_ODD)}
+    inverted = [c for c in claims.values() if c.identity is not None]
     small_trees = {q: tree.build_tree_pair(q, 4 if q <= 3 else 3)
                    for q in GRID_QF}
     deep_trees = {q: tree.build_tree_pair(q, depth) for q in (2, 3)}
@@ -176,10 +172,9 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
     for q in GRID_QF:
         t = small_trees[q]
         sol = tree.invariant_solver(t)
-        fields, _, merged = orbit_reports[q]
-        expected = [Fraction(1), Fraction(-(fields.q + 1), merged.orbit_sizes[0])]
+        expected = [Fraction(1), Fraction(-(q + 1), claims[q].closure.orbit_sizes[0])]
         while len(expected) < len(sol.profile):
-            expected.append(expected[-1] / -fields.q_ext)
+            expected.append(expected[-1] / -claims[q].fields.q_ext)
         profile_ok = list(sol.profile) == expected
         # each step starts from the value the step before returned, and
         # the steps end at the rim
@@ -198,34 +193,28 @@ def run_suite(seed=DEFAULT_SEED, depth=6):
 
     # 8. orbit transitivity in both characteristics
     rows = []
-    for fields, aff, full in orbit_reports.values():
-        row = {"q": fields.q, "characteristic": fields.p,
-               "affine_orbits": aff.orbit_count,
-               "sizes": list(aff.orbit_sizes)}
-        if fields.p != 2:
-            row["closure_orbits"] = full.orbit_count
-        row["ok"] = orbits.transitivity_holds(fields, aff, full)
+    for claim in claims.values():
+        row = {"q": claim.fields.q, "characteristic": claim.fields.p,
+               "affine_orbits": claim.affine.orbit_count,
+               "sizes": list(claim.affine.orbit_sizes), "ok": claim.transitive}
+        if claim.identity is not None:
+            row["closure_orbits"] = claim.closure.orbit_count
         rows.append(row)
     checks.append(_check(
         "orbit-transitivity",
         "affine-square moves are transitive in characteristic 2; odd characteristic gives two half-size orbits merged by the inversion moves", rows))
 
     # 9. inversion rewriting identity, exhaustively
-    rows = []
-    identities = {pn: orbits.verify_fraction_identity(field_pairs[pn])
-                  for pn in ORBIT_ODD}
-    for rep in identities.values():
-        rows.append({"q": rep.q, "checked": rep.n_checked,
-                     "skipped": rep.n_skipped, "ok": rep.holds})
+    rows = [{"q": c.identity.q, "checked": c.identity.n_checked,
+             "skipped": c.identity.n_skipped, "ok": c.identity.holds}
+            for c in inverted]
     checks.append(_check(
         "fraction-identity",
         "1/(a^2 x c + b) rewrites to (a^2 x c - b)/(a^4 c - b^2) for every coefficient pair", rows))
 
     # 10. nonsquare witness value exists, at the c check 9 derived
-    rows = []
-    for pn, rep in identities.items():
-        a, b = orbits.exists_nonsquare_value(field_pairs[pn], rep.c)
-        rows.append({"q": rep.q, "a": a, "b": b, "ok": True})
+    rows = [{"q": c.fields.q, "a": c.witness[0], "b": c.witness[1], "ok": True}
+            for c in inverted]
     checks.append(_check(
         "nonsquare-witness",
         "some a, b make a^2 - b^2/(a^2 c) a nonzero nonsquare of the base field", rows))

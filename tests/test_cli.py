@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from buildingkit import cache, cli, coxeter, errors, orbits, tree
+from buildingkit import cache, cli, coxeter, errors, orbits, suite, tree
 from buildingkit.suite import run_suite
 
 
@@ -487,6 +487,83 @@ def test_enumeration_options_belong_to_growth_only(argv, capsys, tmp_path,
     assert captured.err.startswith("usage: buildingkit")
     assert "unrecognized arguments: " in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def _fail_the_identity(m):
+    verify = orbits.verify_fraction_identity
+    m.setattr(orbits, "verify_fraction_identity",
+              lambda fields: verify(fields)._replace(holds=False))
+
+
+def _shift_the_last_tree_sum(m):
+    sums = tree.tree_period
+
+    def shifted(pair, cocycle):
+        *head, last = sums(pair, cocycle)
+        return [*head, last + 1]
+    m.setattr(tree, "tree_period", shifted)
+
+
+# command line, and the check it forces to fail (None: every check holds)
+VERDICT_CASES = {
+    "orbit": (["orbit", "--p", "3"], None),
+    "orbit-char2": (["orbit", "--p", "2", "--n", "2"], None),
+    "orbit-identity": (["orbit", "--p", "3"], _fail_the_identity),
+    "orbit-split-closure": (["orbit", "--p", "5"], lambda m: m.setattr(
+        orbits, "inversion_closure_orbits", orbits.affine_square_orbits)),
+    "tree-verify": (["tree-verify", "--qF", "2", "--depth", "2"], None),
+    "tree-verify-decay": (["tree-verify", "--qF", "2", "--depth", "2"],
+                          lambda m: m.setattr(tree, "decay_check",
+                                              lambda pair, cocycle: Fraction(2))),
+    "tree-period": (["tree-period", "--qF", "3", "--depth", "3"], None),
+    "tree-period-sums": (["tree-period", "--qF", "3", "--depth", "3"],
+                         _shift_the_last_tree_sum),
+    "suite": (["suite"], None),
+    "suite-identity": (["suite"], _fail_the_identity),
+}
+
+
+@pytest.mark.parametrize("case", VERDICT_CASES)
+def test_every_verdict_is_the_exit_code(capsys, monkeypatch, case):
+    # the JSON verdict field, the text verdict line and the exit code are
+    # one answer; check 12's sampler is left out to keep the suite quick
+    argv, fail = VERDICT_CASES[case]
+    monkeypatch.setattr(suite, "SAMPLED_PAIRS", 0)
+    if fail:
+        fail(monkeypatch)
+    code, out, err = run_cli(capsys, [*argv, "--format", "json"])
+    assert (code, err) == (1 if fail else 0, "")
+    field = "all_pass" if argv[0] == "suite" else "ok"
+    assert json.loads(out)[field] is (code == 0)
+    text_code, out, _ = run_cli(capsys, argv)
+    verdict = out.splitlines()[-1]
+    if argv[0] == "suite":
+        passed = verdict.startswith("suite: all checks passed")
+        assert passed or verdict.startswith("suite: SOME CHECKS FAILED")
+    else:
+        passed = verdict.split() == ["verdict", "pass"]
+        assert passed or verdict.split() == ["verdict", "FAIL"]
+    assert (text_code, passed) == (code, code == 0)
+
+
+@pytest.mark.parametrize("fmt, bound", [("json", 6_000_000), ("text", 2_000_000),
+                                        ("csv", 6_000_000)])
+def test_growth_makes_its_csv_rows_only_for_csv(capsys, fmt, bound):
+    # the rows are made one at a time as the CSV is written, and only in
+    # that format: at K = 50,000 a list of them added about 4.5 MB to the
+    # peak of every format (8.9 MB for json, 5.5 for text, 8.7 for csv)
+    argv = ["growth", "--family", "A", "--rank", "1", "--K", "50000",
+            "--format", fmt]
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "") and peak < bound, (code, err, peak)
+    if fmt == "csv":
+        assert out.splitlines()[:3] == ["k,a_k", "0,1", "1,2"]
+        assert out.endswith("\n50000,2\n")
 
 
 def test_exit_check_failed(capsys, monkeypatch):

@@ -158,8 +158,6 @@ PACKAGE_OBJECTS = {
     "result": "a PeriodResult from evaluate_period",
     "omega": "an OmegaElement from omega_group",
     "fields": "a FiniteFieldPair from build_fields",
-    "affine": "an OrbitReport from affine_square_orbits",
-    "closure": "an OrbitReport from inversion_closure_orbits",
     "tree": "a TreePair from build_tree_pair",
     "cocycle": "an EdgeCocycle, whose entries are checked when it is built",
     "g": "a TreeAutomorphism",

@@ -563,21 +563,33 @@ def test_ratios_of_inversion_constants_are_squares(p, n):
 
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
-def test_transitivity_verdict(p, n):
+def test_transitivity_verdict(p, n, monkeypatch):
     f = _fields(p, n)
-    affine = orbits.affine_square_orbits(f)
-    # as the orbit command does: characteristic 2 has no inversion moves
-    closure = affine if p == 2 else orbits.inversion_closure_orbits(f)
-    assert orbits.transitivity_holds(f, affine, closure)
+    claim = orbits.orbit_claim(f)
+    assert claim.transitive and claim.ok
     if p == 2:
-        split = orbits.OrbitReport(q=f.q, moves="split", orbit_count=2,
-                                   orbit_sizes=(1, f.q * f.q - f.q - 1),
-                                   representatives=(f.q, f.q + 1))
-        assert not orbits.transitivity_holds(f, split, split)
+        # characteristic 2 has no inversion moves: the closure is the affine report
+        assert claim.closure is claim.affine
+        assert claim.identity is None and claim.witness is None
     else:
-        # the affine orbits alone are not merged
-        assert not orbits.transitivity_holds(f, affine, affine)
-        assert not orbits.transitivity_holds(f, closure, closure)
+        assert claim.identity == orbits.verify_fraction_identity(f)
+        assert claim.witness == orbits.exists_nonsquare_value(f, claim.identity.c)
+    split = orbits.OrbitReport(q=f.q, moves="split", orbit_count=2,
+                               orbit_sizes=(1, f.q * f.q - f.q - 1),
+                               representatives=(f.q, f.q + 1))
+    # refused: an affine split in characteristic 2; an unmerged closure, and
+    # affine orbits that are not two halves, in odd characteristic
+    refused = ([("affine_square_orbits", split)] if p == 2 else
+               [("inversion_closure_orbits", claim.affine),
+                ("affine_square_orbits", split),
+                ("affine_square_orbits", claim.closure)])
+    for name, report in refused:
+        with monkeypatch.context() as m:
+            m.setattr(orbits, name, lambda fields: report)
+            wrong = orbits.orbit_claim(f)
+        assert not wrong.transitive and not wrong.ok, name
+        # the identity and the witness are the claim's own all the same
+        assert wrong[3:5] == claim[3:5]
 
 
 # -- the table arithmetic and k_E's exp/log tables, as the oracle -------------

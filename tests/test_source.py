@@ -212,6 +212,28 @@ def test_lower_layers_import_nothing_from_the_period():
     assert found == []
 
 
+def _is_characteristic_test(node):
+    """Whether node compares an attribute `p` with 2, by == or !=."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return (any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+            and any(isinstance(x, ast.Attribute) and x.attr == "p" for x in operands)
+            and any(isinstance(x, ast.Constant) and x.value == 2 for x in operands))
+
+
+def test_only_the_orbit_layer_tells_the_characteristics_apart():
+    # orbits.orbit_claim decides characteristic 2 and the orbit verdict
+    # once, and the orbit helpers refuse it there; a `<expr>.p == 2` or
+    # `!= 2` in another module is a second copy of that decision
+    found = [(path.name, node.lineno)
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _is_characteristic_test(node)]
+    assert any(name == "orbits.py" for name, _ in found)
+    assert [f"{name}:{line}" for name, line in found if name != "orbits.py"] == []
+
+
 def _tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)

@@ -16,12 +16,12 @@ import argparse
 import functools
 import itertools
 import sys
+from fractions import Fraction
 
 from . import orbits, period, tree
 from .cache import cached_growth, canonical_json_bytes
 from .coxeter import DEFAULT_ELEMENT_BUDGET, FAMILIES, build_affine_system
 from .errors import BudgetError, ToolkitError, require_listable
-from .period import _rat
 from .suite import DEFAULT_SEED, run_suite
 
 EXIT_PASS = 0
@@ -35,6 +35,18 @@ SCHEMA_VERSION = 1
 def _document(**fields):
     """A JSON object of the given fields under the one schema version."""
     return {"schema_version": SCHEMA_VERSION, **fields}
+
+
+def _rat(x):
+    """An exact value as JSON: a Fraction as {"num": ..., "den": ...}, a list,
+    tuple or witness row entry by entry, and anything else as it is."""
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, dict):
+        return {k: _rat(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_rat(v) for v in x]
+    return x
 
 
 def _csv(rows):
@@ -88,10 +100,8 @@ def _cmd_period(args):
     payload = _document(
         command="period", family=result.family, rank=result.rank,
         q_F=result.q_F, q_E=result.q_E, closed_form=_rat(result.closed_form),
-        partial_sums=[_rat(s) for s in result.partial_sums],
-        tail_bound=_rat(result.tail), within_tail=within_tail,
-        bounds={"applicable": bounds.applicable, "holds": bounds.holds,
-                "lower": _rat(bounds.lower) if bounds.applicable else None})
+        partial_sums=_rat(result.partial_sums), tail_bound=_rat(result.tail),
+        within_tail=within_tail, bounds=_rat(bounds._asdict()))
     last = result.partial_sums[-1]
     text = [f"period {args.family}{args.rank} q_F={args.qF} "
             f"(q_E={result.q_E}):",
@@ -154,7 +164,7 @@ def _cmd_tree_period(args):
     within_tail = abs(closed - sums[-1]) <= result.tail
     ok = matches and within_tail
     payload = _tree_document(
-        "tree-period", pair, partial_sums=[_rat(s) for s in sums],
+        "tree-period", pair, partial_sums=_rat(sums),
         closed_form=_rat(closed), matches_series_engine=matches,
         tail_bound=_rat(result.tail), within_tail=within_tail, ok=ok)
     text = [f"tree-period q_F={pair.q_F} depth={pair.depth}:",
@@ -171,7 +181,7 @@ def _cmd_invariant(args):
     solution = tree.invariant_solver(pair)
     payload = _tree_document(
         "invariant", pair, dimension=solution.dimension,
-        profile=[_rat(c) for c in solution.profile], ok=True)
+        profile=_rat(solution.profile), ok=True)
     text = [f"invariant q_F={pair.q_F} depth={pair.depth}:",
             f"  dimension  {solution.dimension}",
             f"  profile    {[str(c) for c in solution.profile]}"]
@@ -220,7 +230,7 @@ def _cmd_suite(args):
     # a check's document is exactly its fields
     payload = _document(command="suite", seed=report.seed, depth=report.depth,
                         all_pass=report.passed,
-                        checks=[c._asdict() for c in report.checks])
+                        checks=[_rat(c._asdict()) for c in report.checks])
     text = [f"[{'PASS' if c.status == 'pass' else 'FAIL'}] {c.name}: {c.claim}"
             for c in report.checks]
     verdict = "all checks passed" if report.passed else "SOME CHECKS FAILED"

@@ -63,8 +63,6 @@ def _monic_polys(degree, p):
 
 def _is_irreducible(m, p):
     degree = len(m) - 1
-    if degree == 1:
-        return True
     for d in range(1, degree // 2 + 1):
         for g in _monic_polys(d, p):
             if not any(_poly_rem(m, g, p)):
@@ -281,16 +279,16 @@ def canonical_inversion_data(fields):
 
     x = u + v y has x^2 = u^2 - c' v^2 + v (2u - b) y for m_ext =
     y^2 + b y + c', so x outside k_F (v nonzero) has x^2 in k_F exactly when
-    2u = b.  In odd characteristic the least such x is q + b/2, below 2q,
-    and x_0 is the first x >= q with x^2 < q.  x_0^2 is a unit, and a
-    nonsquare of the base field, since s^2 = x_0^2 for an s in k_F would put
-    x_0 = +-s in k_F; so an x_0^2 that is a square, or outside k_F because
-    no x_0 was found, signals broken field arithmetic, not bad input.
+    2u = b.  In odd characteristic the least such x is x_0 = q + b/2, at
+    v = 1.  x_0^2 is a unit, and a nonsquare of the base field, since
+    s^2 = x_0^2 for an s in k_F would put x_0 = +-s in k_F; so an x_0^2 that
+    is a square, or outside k_F, signals broken field arithmetic, not bad
+    input.
     """
     if fields.p == 2:
         raise ValueError("inversion data needs odd characteristic")
     q = fields.q
-    x0 = next((x for x in fields.nonbase_elements() if fields.mul(x, x) < q), q)
+    x0 = q + fields.base_mul(fields.modulus_ext[1], fields.base_inv(2))
     inv_c = fields.mul(x0, x0)
     if inv_c >= q or fields.is_square_base(inv_c):
         raise ModelError("x_0^2 must be a nonsquare of the base field")

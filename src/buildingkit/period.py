@@ -17,11 +17,6 @@ from . import coxeter
 from .errors import MAX_PRINTED_BITS, fits, require_int, require_prime_power
 
 
-def _rat(x):
-    """JSON form {"num": ..., "den": ...} of an exact rational."""
-    return {"num": x.numerator, "den": x.denominator}
-
-
 def _require_printable(family, rank, q_F, truncation):
     """Refuse a PeriodResult holding an int past MAX_PRINTED_BITS, from the
     exponents m_i alone, before any closed-form or series work.

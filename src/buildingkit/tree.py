@@ -26,9 +26,9 @@ reads one, the audit checks each against identities of the tree, and the
 audit and the tree period push the marked class alone out of row 0.
 
 So a pair is refused (ValueError) only for a depth that is no integer >= 0
-and by the input contract in `errors`: a q_F that is no prime power, a
-vertex count, the largest count it prints, whose bound 3 q_E^depth passes
-MAX_PRINTED_BITS, or all levels' counts, a listing past MAX_LISTED_BITS.
+and by the input contract in `errors`: a vertex count, the largest count it
+prints, whose bound 3 q_E^depth passes MAX_PRINTED_BITS, all levels' counts, a
+listing past MAX_LISTED_BITS, and, checked last, a q_F that is no prime power.
 Only the id listings count edges, against DEFAULT_EDGE_BUDGET: the
 parents, the labels and the automorphisms' lifts.
 
@@ -64,12 +64,13 @@ class TreePair:
     q_F, the depth and the counts they decide, and nothing per edge."""
 
     def __init__(self, q_F, depth):
-        require_prime_power(q_F)
+        require_int(q_F, "q_F", lo=2)
         require_int(depth, "depth", lo=0)
         if not fits((q_F * q_F, depth), (3, 1)):
             raise ValueError(f"the vertex count can reach 3 q_E^depth, over the cap of "
                              f"{MAX_PRINTED_BITS} bits for a printed int")
         require_listable(q_F * q_F, depth, "the levels", "q_E", "depth")
+        require_prime_power(q_F)
         self.q_F = q_F
         self.q_E = q_F * q_F
         self.depth = depth

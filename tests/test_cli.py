@@ -598,6 +598,19 @@ def test_suite_command_formats(capsys, monkeypatch):
     assert "[FAIL] beta: second claim" in out
 
 
+def test_the_suite_rows_hold_exact_values(monkeypatch):
+    # the library's witness rows hold Fractions and the solver's profile
+    # tuple; only the command line writes a rational as {num, den}
+    monkeypatch.setattr(suite, "SAMPLED_PAIRS", 0)
+    checks = run_suite().checks
+    assert checks[0].witness[0] == {"q_F": 2, "value": Fraction(1, 3), "ok": True}
+    assert type(checks[0].witness[0]["value"]) is Fraction
+    assert (checks[6].witness[0]["profile"]
+            == tree.invariant_solver(tree.build_tree_pair(2, 4)).profile)
+    assert not [value for check in checks for row in check.witness
+                for value in row.values() if isinstance(value, dict)]
+
+
 def test_bool_suite_seed_is_refused():
     # True == 1, so an unchecked bool would run seed 1 and report "seed": true
     for seed in (True, False):

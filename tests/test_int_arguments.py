@@ -329,8 +329,9 @@ def test_the_other_table_holds_under_python_O():
 # (call, exception, exact message), each message naming the parameter; an
 # int too long for `str` is shown by its bit length, K is `truncation`
 PAST_THE_RULE = {
-    "build_tree_pair q_F": (lambda: tree.build_tree_pair(HUGE, 2), InvalidTypeError,
-                            "q_F must be a prime power, got <int of 16610 bits>"),
+    "build_tree_pair q_F": (lambda: tree.build_tree_pair(HUGE, 2), ValueError,
+                            "the vertex count can reach 3 q_E^depth, over the cap of "
+                            "14284 bits for a printed int"),
     "period_closed_form q_F": (
         lambda: period.period_closed_form("A", 1, HUGE), InvalidTypeError,
         "q_F must be a prime power, got <int of 16610 bits>"),

@@ -230,8 +230,22 @@ def test_square_root_candidates_equal_the_brute_force_listing(p, n):
     assert orbits.canonical_inversion_data(f)[0] == cands[0] == f.q + half_b
 
 
+def test_x0_is_the_first_square_root_candidate_the_scan_finds():
+    # the oracle scans k_E minus k_F for the first x with x^2 in k_F, one
+    # product per step; the closed form q + b/2 must find it on every odd
+    # field pair that MAX_Q admits
+    pairs = [(p, n) for p in range(3, orbits.MAX_Q + 1) if errors.is_prime(p)
+             for n in range(1, 9) if p**n <= orbits.MAX_Q]
+    assert len(pairs) == 62
+    for p, n in pairs:
+        f = orbits.build_fields(p, n)
+        scan = next(x for x in f.nonbase_elements() if f.mul(x, x) < f.q)
+        assert orbits.canonical_inversion_data(f)[0] == scan, (p, n)
+
+
 def test_no_square_root_candidate_is_a_model_error(monkeypatch):
-    # arithmetic whose squares all lie outside k_F leaves no x_0
+    # arithmetic whose squares all lie outside k_F has no x_0, and the closed
+    # form q + b/2 gives one whose square lies outside k_F
     f = _fields(3, 1)
     monkeypatch.setattr(orbits.FiniteFieldPair, "mul", lambda self, z1, z2: self.q)
     with pytest.raises(ModelError, match="^x_0\\^2 must be a nonsquare of the base field$"):

@@ -234,6 +234,19 @@ def test_only_the_orbit_layer_tells_the_characteristics_apart():
     assert [f"{name}:{line}" for name, line in found if name != "orbits.py"] == []
 
 
+def test_only_the_command_line_writes_a_rational_as_num_and_den():
+    # the library's records hold Fractions, and cli._rat alone gives one its
+    # JSON form; a {"num": ..., "den": ...} literal elsewhere is a second copy
+    assert SOURCES
+    found = [(path.name, node.lineno)
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Dict)
+             and {"num", "den"} <= {getattr(key, "value", None) for key in node.keys}]
+    assert [f"{name}:{line}" for name, line in found if name != "cli.py"] == []
+    assert any(name == "cli.py" for name, _ in found)
+
+
 def _tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)

@@ -4,14 +4,16 @@
 recorded before the integer alcove walk replaced the matrix BFS behind
 `growth`, so they also show that the walk prints the same bytes.  The orbit
 entries cover every odd prime field the command admits, recorded while the
-inversion closure was still rerun for each constant c.
+inversion closure was still rerun for each constant c.  The suite entries
+were recorded while the suite's witness rows still held {num, den} dicts;
+neither format prints a row or the number of sampled pairs.
 """
 
 import hashlib
 
 import pytest
 
-from buildingkit import cli
+from buildingkit import cli, suite
 
 TEXT_AND_CSV_REFS = {
     "growth --family A --rank 2 --K 8 --format text":
@@ -90,18 +92,24 @@ TEXT_AND_CSV_REFS = {
         (0, "2bd0dec29b2ea04af56ab5415511b8472c2ba3dd44dfa9c5932f2dfae2e51aa0"),
     "orbit --p 13 --n 1 --format csv":
         (0, "ca07b79c961edae838c30180fc886ad1ea03a0e330e147ba6c330c4e6f4a2ffa"),
+    "suite --format text":
+        (0, "6c8d71348babdeceac022fb5575601c1db307e44cf0a81cc292e094d0db2b877"),
+    "suite --format csv":
+        (0, "3fb43f0b7612a611d64ae295d82027d1c644fbeb48413365813d3dd72b98a6d7"),
 }
 
 
 @pytest.mark.parametrize("key", sorted(TEXT_AND_CSV_REFS))
-def test_text_and_csv_match_the_refs(key, capsys):
+def test_text_and_csv_match_the_refs(key, capsys, monkeypatch):
+    # no pair count is printed, so the suite samples none
+    monkeypatch.setattr(suite, "SAMPLED_PAIRS", 0)
     code = cli.main(key.split(" "))
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert (code, digest) == TEXT_AND_CSV_REFS[key]
 
 
-def test_every_command_but_suite_is_pinned_in_both_formats():
+def test_every_command_is_pinned_in_both_formats():
     pinned = {(key.split(" ")[0], key.split(" ")[-1]) for key in TEXT_AND_CSV_REFS}
     commands = ("growth", "period", "tree-verify", "tree-period", "invariant",
-                "orbit")
+                "orbit", "suite")
     assert pinned == {(c, f) for c in commands for f in ("text", "csv")}

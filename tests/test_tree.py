@@ -168,6 +168,20 @@ def test_bad_build_arguments():
         tree.TreePair(2, -1)
 
 
+def test_the_caps_refuse_a_huge_q_F_before_its_certificate(monkeypatch):
+    # stripping roots off a q_F of 30,001 bits takes over a second, and the
+    # vertex count's cap refuses it at once, as evaluate_period's caps do
+    def certify(q):
+        raise AssertionError("q_F was certified before the caps")
+
+    monkeypatch.setattr(tree, "require_prime_power", certify)
+    with pytest.raises(ValueError, match="^the vertex count can reach 3 q_E\\^depth, "):
+        tree.TreePair(2**30000 + 1, 1)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="^q_F must be a prime power, got 6$"):
+        tree.TreePair(6, 2)
+
+
 def test_the_suite_depth_cap_is_the_one_its_help_and_the_readme_name(capsys):
     # the q_F = 3 tree's listing cap sets suite's largest depth, which the
     # `suite --depth` help and the README write as a literal
@@ -517,7 +531,7 @@ def test_suite_check_7_chains_the_returned_layers(monkeypatch, damage):
     assert check.status == "fail"
     for row in check.witness:
         assert (row["profile_ok"], row["reconstruction_ok"]) == (True, False)
-        profile = [Fraction(x["num"], x["den"]) for x in row["profile"]]
+        profile = list(row["profile"])
         given = [value for q, _, value in calls if q == row["q_F"]]
         if damage == "common value":
             profile[2:] = [2 * c for c in profile[2:]]

@@ -40,6 +40,6 @@ from .tree import (EdgeCocycle, HarmonicityReport, InvariantSolution,
                    check_tree_invariants, compose, decay_check,
                    endpoint_swap, epsilon_tree, invariant_solver,
                    iwahori_cocycle, random_automorphism, reconstruct_layer,
-                   translation_automorphism, tree_period, verify_harmonic)
+                   tree_period, verify_harmonic)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ question about deltas.  The solver solves them, each reconstruction step
 reads one, the audit checks each against identities of the tree, and the
 audit and the tree period push the marked class alone out of row 0.
 
-So a pair is refused (ValueError) only for a depth that is no integer >= 0
+So a pair is refused (ValueError) only for a depth that is no integer >= 1
 and by the input contract in `errors`: a vertex count, the largest count it
 prints, whose bound 3 q_E^depth passes MAX_PRINTED_BITS, all levels' counts, a
 listing past MAX_LISTED_BITS, and, checked last, a q_F that is no prime power.
@@ -64,8 +64,8 @@ class TreePair:
     q_F, the depth and the counts they decide, and nothing per edge."""
 
     def __init__(self, q_F, depth):
+        require_int(depth, "depth", lo=1)
         require_int(q_F, "q_F", lo=2)
-        require_int(depth, "depth", lo=0)
         if not fits((q_F * q_F, depth), (3, 1)):
             raise ValueError(f"the vertex count can reach 3 q_E^depth, over the cap of "
                              f"{MAX_PRINTED_BITS} bits for a printed int")
@@ -112,7 +112,7 @@ class TreePair:
 def build_tree_pair(q_F, depth):
     """Build the truncated tree pair for a prime power q_F and a depth >= 1;
     it stores nothing per edge, so no edge budget applies."""
-    return TreePair(q_F, require_int(depth, "depth", lo=1))
+    return TreePair(q_F, depth)
 
 
 def _require_listable_ids(tree):
@@ -352,10 +352,9 @@ def epsilon_tree(g):
     tree = g.tree
     label, vm = tree.v_label, g.vertex_map
     # the sign of a mapped edge is read at its near endpoint u, the parent
-    # of its far one; on a full map every expanded vertex is one, and vertex
-    # 0, the root edge's, is one even at depth 0, where none is expanded;
-    # otherwise the mapped parents of the mapped vertices
-    us = range(max(tree.n_expanded, 1)) if g.full else {
+    # of its far one; on a full map every expanded vertex is one, otherwise
+    # the mapped parents of the mapped vertices
+    us = range(tree.n_expanded) if g.full else {
         u for u, image in zip(islice(tree.parents, 1, None), islice(vm, 1, None))
         if image is not None and vm[u] is not None}
     swaps = set(map(ne, map(label.__getitem__, map(vm.__getitem__, us)),
@@ -367,14 +366,15 @@ def epsilon_tree(g):
     return -1 if swaps.pop() else 1
 
 
-def _lift(tree, a, b, rng=None):
-    """Vertex map that sends the root edge (0, 1) to the edge (a, b).
+def _lift(tree, swap, rng=None):
+    """Full vertex map that sends the root edge (0, 1) onto itself, swapping
+    its two ends when `swap` is true.
 
-    Then, for each expanded vertex v in creation order whose image w is
-    expanded too, v's children go to w's neighbors other than the image of
-    v's parent side, in id order or permuted by `rng`.  When that image is
-    a child of w, it leaves w's child block and w's parent side goes first.
-    The map is partial where images run past the boundary.
+    Such a map keeps every level, so for each expanded vertex v in creation
+    order its image w is expanded too, v's parent side goes to w's, and v's
+    children go to w's children, in id order or permuted by `rng`.  The
+    children of v are ids 2 + v q_E onward, so the map grows one block at a
+    time.
 
     The permutation is `rng.shuffle`'s Fisher-Yates pass written out: for
     i from q_E - 1 down to 1, j is drawn from `rng.getrandbits` with the
@@ -383,36 +383,27 @@ def _lift(tree, a, b, rng=None):
     afterwards are the same, without a call per draw.
     """
     _require_listable_ids(tree)
-    q_E, n_expanded = tree.q_E, tree.n_expanded
+    q_E = tree.q_E
     draws = [(i, (i + 1).bit_length()) for i in range(q_E - 1, 0, -1)]
     getrandbits = None if rng is None else rng.getrandbits
-    vmap = [None] * tree.n_vertices
-    vmap[0], vmap[1] = a, b
-    for v in range(n_expanded):
-        w = vmap[v]
-        if w is None or w >= n_expanded:
-            continue
-        first = 2 + w * q_E
+    vmap = [1, 0] if swap else [0, 1]
+    for v in range(tree.n_expanded):
+        first = 2 + vmap[v] * q_E
         block = list(range(first, first + q_E))
-        # the image of v's parent side: w's parent side or a child of w
-        back = vmap[1 - v if v <= 1 else (v - 2) // q_E]
-        if back >= first:
-            block.remove(back)
-            block.insert(0, 1 - w if w <= 1 else (w - 2) // q_E)
         if getrandbits is not None:
             for i, bits in draws:
                 j = getrandbits(bits)
                 while j > i:
                     j = getrandbits(bits)
                 block[i], block[j] = block[j], block[i]
-        vmap[2 + v * q_E:2 + (v + 1) * q_E] = block
+        vmap += block
     return vmap
 
 
 def endpoint_swap(tree):
     """The involution exchanging the two root-edge endpoints, matched by
     creation order below them."""
-    return TreeAutomorphism(tree, _lift(tree, 1, 0))
+    return TreeAutomorphism(tree, _lift(tree, True))
 
 
 def random_automorphism(tree, rng):
@@ -421,8 +412,7 @@ def random_automorphism(tree, rng):
 
     `rng` is a `random.Random`; the coin is `rng.random() < 0.5` and each
     permutation draws what `rng.shuffle` would (see `_lift`)."""
-    a, b = (1, 0) if rng.random() < 0.5 else (0, 1)
-    return TreeAutomorphism(tree, _lift(tree, a, b, rng))
+    return TreeAutomorphism(tree, _lift(tree, rng.random() < 0.5, rng))
 
 
 def compose(g, h):
@@ -436,29 +426,6 @@ def compose(g, h):
     gv, hv = g.vertex_map, h.vertex_map
     return TreeAutomorphism(g.tree, map(gv.__getitem__, hv) if h.full
                             else [None if x is None else gv[x] for x in hv])
-
-
-def translation_automorphism(tree, steps):
-    """Partial automorphism shifting the canonical axis through the root edge.
-
-    The axis follows first children on both sides of the root edge: place 0
-    is vertex 0, place 1 is vertex 1, place k > 1 lies k - 1 first children
-    below vertex 1 and place -k lies k first children below vertex 0.  A
-    shift by `steps` lifts the root edge to the places `steps` and
-    `steps + 1`, so every axis vertex moves that many places toward the
-    positive end, and hanging subtrees follow by creation order as far as
-    their images are materialized.  Odd shifts swap the two vertex labels.
-    """
-    if abs(require_int(steps, "steps")) > tree.depth:
-        raise ValueError(f"steps must be in {-tree.depth}..{tree.depth}, got "
-                         f"{shown(steps)}: the shift exceeds the materialized axis")
-    ends = []
-    for k in (steps, steps + 1):
-        v = int(k > 0)
-        for _ in range(abs(k) - v):
-            v = 2 + v * tree.q_E
-        ends.append(v)
-    return TreeAutomorphism(tree, _lift(tree, *ends))
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +466,9 @@ def check_tree_invariants(tree):
     """
     q_F, q_E, depth = tree.q_F, tree.q_E, tree.depth
     rows = _pattern_rows(tree)
-    marked = _marked_census(tree, rows[0] if rows else {})
+    marked = _marked_census(tree, rows[0])
     problems = []
-    if rows and (n := rows[0].get(0, 0)) != q_F + 1:
+    if (n := rows[0].get(0, 0)) != q_F + 1:
         problems.append(f"a marked interior vertex has {n} marked "
                         f"edges, expected {q_F + 1}")
     problems += [f"an interior vertex hung at delta {d} has {n} "

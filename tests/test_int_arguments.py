@@ -91,7 +91,7 @@ ROWS = {
         v, 3, "S_0..S_K", "q_F", "K"), (2, 9)),
     # q_F = 2 passes the rule and is then refused by the tail ratio 3/2
     "tail_bound q_F": ("q_F", 2, None, lambda v: period.tail_bound(SERIES, v), (2, 9)),
-    "TreePair": ("depth", 0, None, lambda v: tree.TreePair(2, v), (0, 3)),
+    "TreePair": ("depth", 1, None, lambda v: tree.TreePair(2, v), (1, 3)),
     "TreePair q_F": ("q_F", 2, None, lambda v: tree.TreePair(v, 2), (2, 6)),
     "TreePair.level": ("k", 0, TREE.depth, TREE.level, (0, TREE.depth)),
     "build_tree_pair": ("depth", 1, None,
@@ -104,10 +104,6 @@ ROWS = {
                          lambda v: tree.EdgeCocycle([v, -1], 4), (-4, 4)),
     "reconstruct_layer": ("delta", 0, TREE.depth,
                           lambda v: tree.reconstruct_layer(TREE, v, 1), (0, TREE.depth)),
-    # the shift's range comes from the tree, after the rule
-    "translation_automorphism": (
-        "steps", -TREE.depth, TREE.depth,
-        lambda v: tree.translation_automorphism(TREE, v), (-TREE.depth, TREE.depth)),
     # p = 256 passes the rule and is then refused as composite
     "build_fields p": ("p", 2, 256, lambda v: orbits.build_fields(v, 1), (2, 256)),
     "build_fields n": ("n", 1, 8, lambda v: orbits.build_fields(2, v), (1, 8)),

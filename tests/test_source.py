@@ -310,15 +310,12 @@ def _uncalled(wanted):
 
 def test_every_public_name_has_a_program_caller():
     # a public function or method that nothing in the package reaches is a
-    # path only the tests run, unless the benchmark times it.
-    # translation_automorphism waits for the generating family of sampled
-    # tree automorphisms, or for a lattice model to replace it (ROADMAP).
+    # path only the tests run, unless the benchmark times it
     tracing = _tracing()
     traced = {name.split(".")[1]
               for name in (*tracing.SELF_TIMES, *tracing.COUNTERS)}
-    kept = {"translation_automorphism"}
     assert _uncalled(lambda name: not name.startswith("_")
-                     and name not in traced | kept) == []
+                     and name not in traced) == []
 
 
 def test_every_private_function_has_a_caller_in_the_package():

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import census_oracle
+from translation_oracle import translation_automorphism
 from buildingkit import cli, errors, period, suite, tree
 from buildingkit.coxeter import (build_affine_system, growth_coefficients,
                                  growth_from_exponents)
@@ -163,8 +164,8 @@ def test_bad_build_arguments():
         tree.build_tree_pair(6, 2)
     with pytest.raises(ValueError):
         tree.build_tree_pair(2, 0)
-    # the pair alone takes depth 0, the root edge, but no negative depth
-    with pytest.raises(ValueError, match="^depth must be >= 0, got -1$"):
+    # the pair and its builder take one depth rule, a depth >= 1
+    with pytest.raises(ValueError, match="^depth must be >= 1, got -1$"):
         tree.TreePair(2, -1)
 
 
@@ -180,6 +181,20 @@ def test_the_caps_refuse_a_huge_q_F_before_its_certificate(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValueError, match="^q_F must be a prime power, got 6$"):
         tree.TreePair(6, 2)
+
+
+def test_a_depth_0_pair_is_refused_before_its_q_F_is_read(monkeypatch):
+    # at depth 0 the caps bound 3 q_E^0 = 3 and one level, so no cap sized
+    # q_F there, and a q_F of 30,001 bits reached its certificate; the depth
+    # is checked first, so `--qF 1 --depth 0` is refused for its depth, as
+    # the tree commands always refused it
+    def certify(q):
+        raise AssertionError("q_F was certified at depth 0")
+
+    monkeypatch.setattr(tree, "require_prime_power", certify)
+    for q in (2**30000 + 1, 2, 1):
+        with pytest.raises(ValueError, match="^depth must be >= 1, got 0$"):
+            tree.TreePair(q, 0)
 
 
 def test_the_suite_depth_cap_is_the_one_its_help_and_the_readme_name(capsys):
@@ -243,9 +258,8 @@ def test_id_listings_stop_at_the_edge_budget():
     t = tree.build_tree_pair(3, 7)
     assert t.n_edges == 10_761_679 > EDGE_BOUND == tree.DEFAULT_EDGE_BUDGET
     listings = [lambda: t.parents, lambda: t.v_label,
-                lambda: tree._lift(t, 0, 1), lambda: tree.endpoint_swap(t),
-                lambda: tree.random_automorphism(t, random.Random(1)),
-                lambda: tree.translation_automorphism(t, 1)]
+                lambda: tree._lift(t, False), lambda: tree.endpoint_swap(t),
+                lambda: tree.random_automorphism(t, random.Random(1))]
     for listing in listings:
         tracemalloc.start()
         try:
@@ -363,10 +377,10 @@ def test_build_matches_the_vertex_loop(q):
 
 @pytest.mark.parametrize("q", OLD_QF)
 def test_labels_are_the_vertex_loop_fill(q):
-    # every depth up to about 250k edges, and the depth-0 pair of the root
-    # edge alone: the labels, derived on first read, are bytes, equal the
-    # vertex loop's fill and differ at the two endpoints of every edge
-    depth = 0
+    # every depth up to about 250k edges: the labels, derived on first
+    # read, are bytes, equal the vertex loop's fill and differ at the two
+    # endpoints of every edge
+    depth = 1
     while tree._projected_edges(q * q, depth) <= 250_000:
         reference = reference_build(q, depth)
         t = tree.TreePair(q, depth)
@@ -442,7 +456,7 @@ def test_tree_period_equals_series_engine(q):
     assert sums[1] == 1 - Fraction(2, q)
 
 
-@pytest.mark.parametrize("q,depth", [(2, 0), (2, 1), (3, 4), (9, 2), (2, 8), (2, 999)])
+@pytest.mark.parametrize("q,depth", [(2, 1), (3, 4), (9, 2), (2, 8), (2, 999)])
 def test_tree_period_pushes_only_the_marked_class(monkeypatch, q, depth):
     # the marked class never leaves delta 0, so the period needs no census
     # of the other classes, nor any row but row 0; its layers are the
@@ -586,14 +600,14 @@ def test_endpoint_swap_and_identity_signs():
 def test_random_automorphism_signs_and_determinism():
     t = tree.build_tree_pair(3, 3)
     rng = random.Random(11)
-    g = tree.TreeAutomorphism(t, tree._lift(t, 0, 1, rng))
+    g = tree.TreeAutomorphism(t, tree._lift(t, False, rng))
     assert tree.epsilon_tree(g) == 1
     assert len(g.vertex_map) == t.n_vertices
     assert sorted(reference_edge_map(t, g.vertex_map)) == list(range(t.n_edges))
-    h = tree.TreeAutomorphism(t, tree._lift(t, 1, 0, rng))
+    h = tree.TreeAutomorphism(t, tree._lift(t, True, rng))
     assert tree.epsilon_tree(h) == -1
     # same seed, same maps
-    g2 = tree.TreeAutomorphism(t, tree._lift(t, 0, 1, random.Random(11)))
+    g2 = tree.TreeAutomorphism(t, tree._lift(t, False, random.Random(11)))
     assert g2.vertex_map == g.vertex_map
 
 
@@ -609,12 +623,12 @@ def test_sign_is_multiplicative_on_samples():
 
 def test_translation_along_axis():
     t = tree.build_tree_pair(2, 4)
-    one = tree.translation_automorphism(t, 1)
-    two = tree.translation_automorphism(t, 2)
+    one = translation_automorphism(t, 1)
+    two = translation_automorphism(t, 2)
     assert tree.epsilon_tree(one) == -1
     assert tree.epsilon_tree(two) == 1
     assert one.vertex_map[0] == 1  # shifts the root edge along the axis
-    assert tree.translation_automorphism(t, 0).vertex_map \
+    assert translation_automorphism(t, 0).vertex_map \
         == list(range(t.n_vertices))
     # composing two unit shifts agrees with the double shift where both act
     comp = tree.compose(one, one)
@@ -622,14 +636,14 @@ def test_translation_along_axis():
         if image is not None and two.vertex_map[v] is not None:
             assert two.vertex_map[v] == image
     with pytest.raises(ValueError):
-        tree.translation_automorphism(t, 99)
+        translation_automorphism(t, 99)
     # the root edge's image needs places steps and steps + 1 on the axis
     for steps in (t.depth + 1, -t.depth - 1):
         with pytest.raises(ValueError, match="exceeds the materialized axis"):
-            tree.translation_automorphism(t, steps)
+            translation_automorphism(t, steps)
     for steps in range(-t.depth, t.depth + 1):
-        back_and_forth = tree.compose(tree.translation_automorphism(t, steps),
-                                      tree.translation_automorphism(t, -steps))
+        back_and_forth = tree.compose(translation_automorphism(t, steps),
+                                      translation_automorphism(t, -steps))
         assert back_and_forth.vertex_map[:2] == [0, 1]
         assert all(image in (None, v)
                    for v, image in enumerate(back_and_forth.vertex_map))
@@ -646,7 +660,7 @@ TRANSLATION_MAPS_SHA256 = {
 @pytest.mark.parametrize("q,depth", sorted(TRANSLATION_MAPS_SHA256))
 def test_translation_maps_are_frozen(q, depth):
     t = tree.build_tree_pair(q, depth)
-    maps = [tree.translation_automorphism(t, steps).vertex_map
+    maps = [translation_automorphism(t, steps).vertex_map
             for steps in range(-depth, depth + 1)]
     digest = hashlib.sha256(repr(maps).encode()).hexdigest()
     assert digest == TRANSLATION_MAPS_SHA256[(q, depth)]
@@ -708,7 +722,7 @@ def test_epsilon_is_the_label_parity_of_the_first_mapped_vertex(pair, seed):
     label = reference["v_label"]
     rng = random.Random(seed)
     g, h = tree.random_automorphism(t, rng), tree.random_automorphism(t, rng)
-    shifts = [tree.translation_automorphism(t, steps)
+    shifts = [translation_automorphism(t, steps)
               for steps in range(-t.depth, t.depth + 1)]
     for aut in (g, h, tree.compose(g, h), tree.endpoint_swap(t), *shifts):
         vm = aut.vertex_map
@@ -863,17 +877,16 @@ def reference_edge_map(t, vm):
 
 def reference_epsilon(g):
     """The sign read vertex by vertex, at each expanded u with a mapped edge
-    hanging there, and at vertex 0, where the root edge hangs even at
-    depth 0."""
+    hanging there; the root edge hangs at vertex 0."""
     t = g.tree
     label, vm = t.v_label, g.vertex_map
     em = reference_edge_map(t, vm)
     swaps = set()
-    for u in range(max(t.n_expanded, 1)):
+    for u in range(t.n_expanded):
         if vm[u] is None:
             continue
         kids = children(t, u)
-        first, stop = (0, max(kids.stop, 1)) if u == 0 else (kids.start, kids.stop)
+        first, stop = (0, kids.stop) if u == 0 else (kids.start, kids.stop)
         if em[first:stop].count(None) < stop - first:
             swaps.add(label[vm[u]] != label[u])
     if len(swaps) > 1:
@@ -913,7 +926,7 @@ AUT_TREES = [tree.build_tree_pair(q, depth)
 def test_lift_draws_are_random_shuffles(t, seed, swap):
     a, b = (1, 0) if swap else (0, 1)
     rng, oracle = random.Random(seed), random.Random(seed)
-    assert tree._lift(t, a, b, rng) == shuffled_lift(t, a, b, oracle)
+    assert tree._lift(t, swap, rng) == shuffled_lift(t, a, b, oracle)
     assert rng.getstate() == oracle.getstate()
     rng, oracle = random.Random(seed), random.Random(seed)
     g = tree.random_automorphism(t, rng)
@@ -959,24 +972,6 @@ def test_epsilon_matches_the_vertex_loop_on_full_maps(t, seed):
         assert tree.epsilon_tree(aut) == reference_epsilon(aut)
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_epsilon_of_a_depth_0_pair(q):
-    # the root edge is the whole tree: its near end, vertex 0, is expanded
-    # by no level, and the sign is still read there
-    t = tree.TreePair(q, 0)
-    ident = tree.TreeAutomorphism(t, [0, 1])
-    swap = tree.endpoint_swap(t)
-    assert ident.full and swap.full and swap.vertex_map == [1, 0]
-    assert tree.epsilon_tree(ident) == reference_epsilon(ident) == 1
-    assert tree.epsilon_tree(swap) == reference_epsilon(swap) == -1
-    assert tree.epsilon_tree(tree.compose(swap, swap)) == 1
-    g = tree.random_automorphism(t, random.Random(q))
-    assert tree.epsilon_tree(g) == reference_epsilon(g)
-    # one mapped endpoint spans no edge
-    half = tree.TreeAutomorphism(t, [0, None])
-    assert outcome(tree.epsilon_tree, half) == outcome(reference_epsilon, half)
-
-
 def test_compose_refuses_automorphisms_of_two_trees():
     g, h = (tree.endpoint_swap(tree.build_tree_pair(2, depth))
             for depth in (1, 2))
@@ -994,7 +989,7 @@ def test_compose_refuses_automorphisms_of_two_trees():
 @pytest.mark.parametrize("t", AUT_TREES)
 def test_epsilon_matches_the_vertex_loop_on_translations(t):
     for steps in range(-t.depth, t.depth + 1):
-        aut = tree.translation_automorphism(t, steps)
+        aut = translation_automorphism(t, steps)
         assert outcome(tree.epsilon_tree, aut) == outcome(reference_epsilon, aut)
 
 
@@ -1280,7 +1275,7 @@ def test_swapped_deltas_mark_another_sound_subtree():
 
 
 AUDIT_TREES = [tree.build_tree_pair(q, depth)
-               for q in (2, 3, 4) for depth in (1, 2)] + [tree.TreePair(2, 0)]
+               for q in (2, 3, 4) for depth in (1, 2)]
 
 
 @pytest.mark.parametrize("q,depth", [(2, 1), (3, 5), (2, 8), (7, 3), (3, 6)])
@@ -1401,10 +1396,9 @@ def reference_audit(t, deltas):
 
 
 def test_audit_is_the_three_column_reference():
-    # on every audited tree, the depth-0 pair of the root edge alone
-    # included, the report is that of the per-vertex audit of the vertex
-    # loop's deltas and the derived labels: no problems, and the marked and
-    # ambient censuses by BFS level
+    # on every audited tree the report is that of the per-vertex audit of
+    # the vertex loop's deltas and the derived labels: no problems, and the
+    # marked and ambient censuses by BFS level
     for t in AUDIT_TREES:
         deltas = reference_build(t.q_F, t.depth)["deltas"]
         marked, ambient = [0] * (t.depth + 1), [0] * (t.depth + 1)
@@ -1537,7 +1531,7 @@ def test_full_says_whether_every_vertex_is_mapped(t, seed, keep):
     h = tree.random_automorphism(t, rng)
     part = tree.TreeAutomorphism(
         t, [x if rng.randrange(8) < keep else None for x in g.vertex_map])
-    shifts = [tree.translation_automorphism(t, steps)
+    shifts = [translation_automorphism(t, steps)
               for steps in range(-t.depth, t.depth + 1)]
     for aut in (g, h, tree.compose(g, h), tree.endpoint_swap(t), part,
                 tree.compose(part, h), tree.compose(h, part), *shifts,

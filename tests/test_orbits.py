@@ -1,6 +1,7 @@
 """Field-pair tables and the orbit closures on the complement of the base field."""
 
 import functools
+import hashlib
 import itertools
 import json
 
@@ -798,3 +799,104 @@ def test_field_axioms_hold_past_sixteen(pn, x, y, w):
     a, b = x % f.q, y % f.q
     assert f.add(a, b) == _digit_sum(f, a, b) < f.q
     assert f.base_mul(a, b) == _poly_product(f, a, b)
+
+
+# -- the canonical choices of every admitted field, pinned ----------------------
+
+# every field pair that MAX_Q = 256 admits, 2 <= q <= 256
+EVERY_FIELD = [(p, n) for p in range(2, orbits.MAX_Q + 1) if errors.is_prime(p)
+               for n in range(1, 9) if p ** n <= orbits.MAX_Q]
+
+# sha256 of repr((modulus_base, modulus_ext, x_0, c, affine representatives,
+# nonsquare witness)), with None for the three odd-characteristic choices at
+# p = 2.  A rebuilt k_F must make the same least choices on every field, not
+# only on the q <= 16 that the refs pin
+CANONICAL_CHOICES_SHA256 = {
+    (2, 1): "4fe0d2e6f1a54324a8c5ceef8c48a2179898e20069ea88df0d8aba3731488cdd",
+    (2, 2): "4211070d8970758041acc9f806da43563e73d5b8b5676501d1bd40dce083c750",
+    (2, 3): "2a2ceb1567b7754b7fd6230ada9b528cf392a4a21a666ac511a9545dee9adde9",
+    (2, 4): "058fcf648030f07879d8d09b0af8804cd800cbcef40979f11f30d932182d1c43",
+    (2, 5): "8f1f8cd0512ddb27822fe448af218db3253cb08a388959ccc4ac74cc8725aacd",
+    (2, 6): "4b1494753fd2d7c6fc768ac98bcf2c0ff8b186142223643ee21cec3e28889cca",
+    (2, 7): "a938339be6f5ff04940e3236701cd8523893bdc52b22b014160a0dce6ca8dfbc",
+    (2, 8): "162bad54af09f87902da9e3e54e699817ee82389a173c7196a2f81726516122e",
+    (3, 1): "7bd47eed8d3f1cbee0aad02d4affb9b0b2c48f17c4345e9005f38f687aea688f",
+    (3, 2): "d587d23f17f9fe6d14466f05e5a3e461474b8c21ecb0e77c19d465e220c05da2",
+    (3, 3): "e9ae006770b0f8d56f330415510d1ba28c4850b9931559f1ec074ed4e5601166",
+    (3, 4): "02e2d25ae5e78c2146762bcc101023d309c4b34005f9d22f6516b86b5afe145f",
+    (3, 5): "d5193bd879315745a747be5cabbf25d10d477864b5a26873a1b14748f4450a42",
+    (5, 1): "5ef2706dc0514f0f9925263c1329fabfdfd4e10a67bf5f7107027a3d1a7692ec",
+    (5, 2): "97e7522c7441ba22179e3dd95eb2df953a2a2d0ff8aa31c6b3136076b6ba53d7",
+    (5, 3): "ebf68a0acb5b196d49a3ac302d1f9884ee1bb2242b4bc67578fc7ed04674a5cb",
+    (7, 1): "e556de18ac71330025ab02fc25e6cf1af528fd601cae8cf350629f7793c48550",
+    (7, 2): "a912ba2935cbbb2e59b5be7770c00387b0bfd08ba92c6f7d91b7eeb8be113afc",
+    (11, 1): "00845355771a49d37b17a841f44af6b42ced90d1d7f08c2b89b3b414acd6afd0",
+    (11, 2): "df01d4fa38f61fceb127beb5787b85f6a8ada82062a1b2d0f9580a8d3c7775a4",
+    (13, 1): "e6469e9bfaa3918a68937a8f976d31ed80cfaabcc77d4d92b472ff63149bbf6f",
+    (13, 2): "9e200f2f576871d994e32645d3431ad728c58ed0c28c44a3e783197a2626f99d",
+    (17, 1): "6bfd4706ddc345609280e610150682b3bc350bd1705d05cdd86d881d1fadff00",
+    (19, 1): "b6a3624a0dbcb6e223170f9baf926f81191506da47b2ae786f3eeabf7e0cc2a0",
+    (23, 1): "6d427661dcd2e3c7169ce714359e08d44c202f29d580f7cf054b5f6ad3c8253d",
+    (29, 1): "7321140386ed3a89a8c630b4697995947aaa19aecdc63566db90fe0dd46efa70",
+    (31, 1): "cedf51c91735ff9c9448a97a9e061bc8efb04a49f0be43850f33852550ed70ca",
+    (37, 1): "16eaa355f944651d6c0ce7b64d767fb212185977b8b418d6304d48996eae7424",
+    (41, 1): "1c03c6eb8e99a50668a5e28e26219091e82f018cd9d49997612d8416d00b3512",
+    (43, 1): "5093f645ac0a939b02844b8b954328c0bb5b16234af04cf7fe131480d27a6752",
+    (47, 1): "47742eec508744b3c5f87bb63016fd5e3836dd781441428165c2bc8dec547365",
+    (53, 1): "82b6003c37f1ee0d3ec968c80852207cbf4bd9439cc05f2be82c9d6bf845ef72",
+    (59, 1): "c38f2838f0009a22d188085a236a4cbf51b16ca0fa4901166c6c8a41f350fd7e",
+    (61, 1): "931ed1518a0f3a515e12d20a9a9755ccbc59663e26d8866cda63764260b230d8",
+    (67, 1): "84680ef0fac1c20dcccae598101b37eee25986473d92de284074678a6c8d532c",
+    (71, 1): "8cbd1589fdc794c243997d047a93a06ebe6d26c6381a07c5cea1861a44ad6bf0",
+    (73, 1): "b6575f909b86be7418adf15d4e2bc3bc23cb150f7b2c758358c0a911a08e80ea",
+    (79, 1): "f85ea45d34e72f82ed1130828e0a1ecdbd9a8b2415631e7278610948d1bff310",
+    (83, 1): "313854676b549f1cb7f67d9c1beb0792227d2dbe618933504a9344e9a27968fd",
+    (89, 1): "661e3f5f6c0a987d31e0bd49f24226639f3066fc8456c6fe4997286b53116790",
+    (97, 1): "b85e2724c8aea0db9f856c49e77549c53bbf7e60479273697a8f4967f232ca95",
+    (101, 1): "4b948c957129a5665799217d18eeb7c88d3972e428a4e02a6192d4d791e2706e",
+    (103, 1): "3ed3f6825e15268c5d1e16d0d0258eb4904ba2f7f15d9819aa8aec928dd92368",
+    (107, 1): "3d84e76e12e3ebd8091452d3c8dcb83f4e9f411d01881694c30dd6cf073e0fb6",
+    (109, 1): "3cbe1095ca95d2ad10e92fd287bdac5eb04f7d5a0771dea0e12759f56cdc69f8",
+    (113, 1): "f4c079e2f1c9fcf1a78b90cee56d48b93b76adab1e82cbf9f39b3a500d2eb318",
+    (127, 1): "ecc5924aaa463142828f8c69b36e68d6b821d6d6bf545074123f963b663da29e",
+    (131, 1): "3f948766aff5c0bf74cb4136b85f2355a7b155c30c966c68a093bf1a7b1a9362",
+    (137, 1): "3eb22feb5c0861db2ef637d9e191b68e3f593df1486977330c234916c55e9e6a",
+    (139, 1): "25486606d4f95cbc974cb5a463cbd7f4ec4f2392be6cf244183df434907124bd",
+    (149, 1): "001762bce9912036218c1019ab04fd5ad6ad1f4331b57c9917e61983306a4da6",
+    (151, 1): "9f62f79e3d7f906271f37085e7d3a8f892e13511bf1adc810c4f1094f10891f2",
+    (157, 1): "efbc73e5a3d5352debea80a54d1294b349503c59140046184aeddadbc1a37a91",
+    (163, 1): "8b464fcbd89ccd2b7cc2ab0b11f6136516c5e07dbfa2895175cca3bea98babf8",
+    (167, 1): "0ad545bcb6b7e41873c3ba6ea65a25494c305a520b55b84b696112d57cd3f093",
+    (173, 1): "137a1d36d2da9e8682edca37cdb60c5c095156d0c3c8f0d42bdc1d4218babb2f",
+    (179, 1): "8cf7534dd9034f5e080f2e9a8fe976968b13234f0be62c969b2c5dc1e3003ff6",
+    (181, 1): "8843e48af21b5095bf6f013840b83cfdef0af8a75bd2d2ea3b80efbdfb24e455",
+    (191, 1): "6cb3a58d4828d76d65638a4b8e6ec012cf97f22224a40fce4235620cdc81b666",
+    (193, 1): "6735e841a6c2d39b23b83ae837454aa2770005a956c725fcc88ae734e5fbea75",
+    (197, 1): "6852aeda660d4bd05264df10bedd2e35b6ff0821506e2743f3a152c11e7f3d36",
+    (199, 1): "0c4fe8977b28c07574b344710b595c1de4a1516b85078500b1b1584cdd5ca558",
+    (211, 1): "b01bcc330786dec1e08f703bcea69443b2d684bfd61d0b05c3ce72f9102ac081",
+    (223, 1): "454cab957a64217a6c70bff0bb6fe376866ab5e5d16397dfd8910cb6cf706bbc",
+    (227, 1): "852a3ea85d497ed9f1f38813aca2f9fa5e2398453a75438a95fd43126854edf3",
+    (229, 1): "df182778871919426c0484bedb0fe154654caf8578e50d21b1fcc8c5bdf34a1f",
+    (233, 1): "28b49320b61477812e33c18b7c7b92c54407fbfb014cca6d406f8fc56c1a2872",
+    (239, 1): "4e420815435f27b97bc3fbcf482dd3d7eaf3a0d082a7fffa74889fe7a7d341d9",
+    (241, 1): "1321aaf49a4515dc309c0afd51d3e3a727bee586c7c2175a43d29e5924130a9f",
+    (251, 1): "341179239a6edbde195f4ab0101452df59b849fc4808cdba5d9d3282e3d956b2",
+}
+
+
+def _canonical_choices(f):
+    x0 = c = witness = None
+    if f.p != 2:
+        x0, c = orbits.canonical_inversion_data(f)
+        witness = orbits.exists_nonsquare_value(f, c)
+    return (f.modulus_base, f.modulus_ext, x0, c,
+            orbits.affine_square_orbits(f).representatives, witness)
+
+
+def test_canonical_choices_of_every_field_are_pinned():
+    assert len(EVERY_FIELD) == len(CANONICAL_CHOICES_SHA256) == 70
+    for p, n in EVERY_FIELD:
+        choices = _canonical_choices(orbits.build_fields(p, n))
+        digest = hashlib.sha256(repr(choices).encode()).hexdigest()
+        assert digest == CANONICAL_CHOICES_SHA256[(p, n)], (p, n)

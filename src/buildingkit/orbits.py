@@ -19,9 +19,9 @@ x_0^2 inside it; it is x -> 1/(c x) after an affine move, so its closure
 merges the two classes once 1/(c x) is seen to cross between them, as the
 norm proves it must for every c (see `inversion_closure_orbits`).
 
-k_F multiplies by index (Zech-log) arithmetic on the exp and log tables of
-its least primitive element, and k_E on the pairs (u, v) over k_F with
-y^2 = -b y - c for m_ext = y^2 + b y + c.
+k_F is its addition and multiplication tables, with the negatives and
+inverses read off their rows, and k_E is the pairs (u, v) over k_F,
+multiplied with y^2 = -b y - c for m_ext = y^2 + b y + c.
 """
 
 import itertools
@@ -30,15 +30,6 @@ from collections import namedtuple
 from .errors import ModelError, is_prime, require_int
 
 MAX_Q = 256
-
-
-def _poly_mul(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                out[i + j] = (out[i + j] + fi * gj) % p
-    return out
 
 
 def _poly_rem(f, m, p):
@@ -90,10 +81,13 @@ class FiniteFieldPair:
                                   if _is_irreducible(m, p)), None)
         if self.modulus_base is None:
             raise ModelError(f"no irreducible polynomial of degree {n} over F_{p}")
-        self._init_base_tables()
+        add, mul = self._badd, self._bmul = self._base_tables()
+        self._bneg = self._solve(add, 0, "negative in the addition")
+        self._binv = [None] + self._solve(mul, 1, "inverse in the multiplication")
+        self._squares = {mul[e][e] for e in range(1, q)}
         c, b, _ = self.modulus_ext = self._find_ext_modulus()
-        self._log_c, self._log_neg_c, self._log_neg_b = (
-            self._blog[e] for e in (c, self._bneg[c], self._bneg[b]))
+        self._times_c, self._times_neg_b, self._times_neg_c = (
+            mul[e] for e in (c, self._bneg[b], self._bneg[c]))
         self._check_frobenius()
 
     # -- base field -----------------------------------------------------------
@@ -104,50 +98,50 @@ class FiniteFieldPair:
     def _undigits(self, digits):
         return sum(d * self.p ** i for i, d in enumerate(digits))
 
-    def _base_add_table(self):
-        """add[e][x] = e + x in the base field, digit by digit mod p."""
-        p, q = self.p, self.q
-        # row e is row e - t plus t, for t the largest p^i <= e: one digit, mod p
+    def _base_tables(self):
+        """add[e][x] = e + x and mul[e][x] = e x in the base field.
+
+        Both are additive in e: row e is row e - t plus row t, for t = p^i
+        the top digit place of e.  Adding t steps digit i, mod p.  Row t of
+        mul multiplies by x^i, so it is row p^(i-1) times x: a digit shift
+        reduced mod m_base, taken once per element.
+        """
+        p, q, m = self.p, self.q, self.modulus_base
+        # tops[e] is the top place of e: p^i (p - 1) numbers have top place p^i
+        tops = [0] + [p ** i for i in range(self.n) for _ in range(p ** i * (p - 1))]
         add = [list(range(q))]
         for e in range(1, q):
-            top = p ** max(i for i in range(self.n) if p ** i <= e)
-            add.append([x - (p - 1) * top if x // top % p == p - 1 else x + top
-                        for x in add[e - top]])
-        return add
+            t = tops[e]
+            add.append([x - (p - 1) * t if x // t % p == p - 1 else x + t
+                        for x in add[e - t]])
+        times_x = [self._undigits(_poly_rem((0,) + self._digits(e), m, p))
+                   for e in range(q)]
+        mul = [[0] * q, list(range(q))]
+        for e in range(2, q):
+            t = tops[e]
+            if e == t:
+                mul.append([times_x[y] for y in mul[t // p]])
+            else:
+                mul.append([add[y][z] for y, z in zip(mul[e - t], mul[t])])
+        return add, mul
 
-    def _init_base_tables(self):
-        """add, neg, and exp/log of the least g of order q - 1: exp[k] = g^k
-        for k < 2(q - 1), then 2q - 1 zeros, where log[0] = 2(q - 1) lands."""
-        p, q, m = self.p, self.q, self.modulus_base
-        add = self._badd = self._base_add_table()
+    def _solve(self, table, unit, what):
+        """For each row e from `unit` on, the x with table[e][x] = unit: the
+        negatives (unit 0) or the inverses (unit 1, so 0 has none).  A row
+        without it, from a broken table or modulus, stops the build."""
         try:
-            self._bneg = [add[e].index(0) for e in range(q)]
+            return [row.index(unit) for row in table[unit:]]
         except ValueError:
-            e = next(e for e in range(q) if 0 not in add[e])
-            raise ModelError(f"{e} has no negative in the addition table "
-                             f"of F_{q}") from None
-        for g in range(1, q):
-            exp, z, dg = [1], g, self._digits(g)
-            while z != 1 and len(exp) < q - 1:
-                exp.append(z)
-                z = self._undigits(_poly_rem(_poly_mul(self._digits(z), dg, p), m, p))
-            if z == 1 and len(exp) == q - 1:
-                break
-        else:
-            raise ModelError(f"no element of order {q - 1} in the units of the base field")
-        self._blog = [2 * q - 2] * q
-        for k, z in enumerate(exp):
-            self._blog[z] = k
-        self._bexp = exp + exp + [0] * (2 * q - 1)
-        self._squares = {self.base_mul(e, e) for e in range(1, q)}
+            e = next(e for e in range(unit, self.q) if unit not in table[e])
+            raise ModelError(f"{e} has no {what} table of F_{self.q}") from None
 
     def base_mul(self, a, b):
-        return self._bexp[self._blog[a] + self._blog[b]]
+        return self._bmul[a][b]
 
     def base_inv(self, a):
         if a == 0:
             raise ModelError("0 has no inverse in the base field")
-        return self._bexp[self.q - 1 - self._blog[a]]
+        return self._binv[a]
 
     def is_square_base(self, a):
         """True when a is a nonzero square in the base field."""
@@ -163,10 +157,10 @@ class FiniteFieldPair:
 
     def _find_ext_modulus(self):
         # y^2 + b*y + c irreducible over k_F iff it has no base-field root
+        add, mul = self._badd, self._bmul
         for c in range(self.q):
             for b in range(self.q):
-                if all(self._badd[self._badd[self.base_mul(t, t)][self.base_mul(b, t)]][c]
-                       for t in range(self.q)):
+                if all(add[add[mul[t][t]][mul[b][t]]][c] for t in range(self.q)):
                     return (c, b, 1)
         raise ModelError("no irreducible quadratic over the base field")
 
@@ -183,23 +177,22 @@ class FiniteFieldPair:
         return self.add(z1, self.neg(z2))
 
     def mul(self, z1, z2):
-        """(u1 + v1 y)(u2 + v2 y) with y^2 = -b y - c, on k_F's logs."""
-        q, add, exp, log = self.q, self._badd, self._bexp, self._blog
-        lu1, lv1, lu2, lv2 = log[z1 % q], log[z1 // q], log[z2 % q], log[z2 // q]
-        lvv = log[exp[lv1 + lv2]]
-        return (add[exp[lu1 + lu2]][exp[lvv + self._log_neg_c]]
-                + q * add[add[exp[lu1 + lv2]][exp[lv1 + lu2]]][exp[lvv + self._log_neg_b]])
+        """(u1 + v1 y)(u2 + v2 y) with y^2 = -b y - c, on k_F's tables."""
+        q, add, mul = self.q, self._badd, self._bmul
+        u1, v1, u2, v2 = z1 % q, z1 // q, z2 % q, z2 // q
+        vv = mul[v1][v2]
+        return (add[mul[u1][u2]][self._times_neg_c[vv]]
+                + q * add[add[mul[u1][v2]][mul[v1][u2]]][self._times_neg_b[vv]])
 
     def inv(self, z):
         """The conjugate (u - b v) - v y over the norm u (u - b v) + c v^2."""
         if z == 0:
             raise ModelError("0 has no inverse in the extension field")
-        q, add, exp, log = self.q, self._badd, self._bexp, self._blog
-        u, lv = z % q, log[z // q]
-        lw = log[add[u][exp[lv + self._log_neg_b]]]  # w = u - b v
-        norm = add[exp[log[u] + lw]][exp[log[exp[lv + lv]] + self._log_c]]
-        ln = log[self.base_inv(norm)]
-        return exp[lw + ln] + q * self._bneg[exp[lv + ln]]
+        q, add, mul = self.q, self._badd, self._bmul
+        u, v = z % q, z // q
+        w = add[u][self._times_neg_b[v]]  # u - b v
+        over_norm = mul[self.base_inv(add[mul[u][w]][self._times_c[mul[v][v]]])]
+        return over_norm[w] + q * self._bneg[over_norm[v]]
 
     def nonbase_elements(self):
         return range(self.q, self.q_ext)
@@ -308,8 +301,6 @@ def inversion_closure_orbits(fields):
     arithmetic that keeps each class leaves two orbits, which
     `orbit_claim` refuses.
     """
-    if fields.p == 2:
-        raise ValueError("inversion closure needs odd characteristic")
     _, c = canonical_inversion_data(fields)
     domain, q = fields.nonbase_elements(), fields.q
     images = [fields.inv(fields.mul(c, x)) for x in domain]
@@ -349,10 +340,8 @@ def verify_fraction_identity(fields):
     turns its side to 0 against a numerator that is nonzero unless x lies
     in k_F, where the first vanishes at b = -a^2 x c.
     """
-    if fields.p == 2:
-        raise ValueError("identity check needs odd characteristic")
     x0, c = canonical_inversion_data(fields)
-    q, add, neg, exp, log = fields.q, fields._badd, fields._bneg, fields._bexp, fields._blog
+    q, add, neg, mul = fields.q, fields._badd, fields._bneg, fields._bmul
     checked = 0
     holds = True
     for x in (x0, fields.neg(x0)):
@@ -360,22 +349,20 @@ def verify_fraction_identity(fields):
             raise ModelError("x_0^2 is not 1/c")
         x_v, x_u = divmod(x, q)
         for a in fields.base_units():
-            a2 = fields.base_mul(a, a)
-            a2c = fields.base_mul(a2, c)
-            l_inv = log[fields.base_inv(a2c)]
-            a4c = fields.base_mul(a2, a2c)
+            a2 = mul[a][a]
+            a2c = mul[a2][c]
+            over_a2c = mul[fields.base_inv(a2c)]
+            a4c = mul[a2][a2c]
             # adding a base element to u + q*v moves u along a row of add
             s_v, s_u = divmod(fields.mul(a2c, x), q)
             for b in fields.base_elements():
-                lb = log[b]
-                b2 = exp[lb + lb]
+                b2 = mul[b][b]
                 w_v, w_u = divmod(fields.inv(add[s_u][b] + q * s_v), q)
-                lw_u, lw_v = log[w_u], log[w_v]
-                l_mid = log[add[a4c][neg[b2]]]
-                l_rhs = log[add[a2][neg[exp[log[b2] + l_inv]]]]
-                if not (exp[lw_u + l_mid] == add[s_u][neg[b]] and exp[lw_v + l_mid] == s_v
-                        and exp[lw_u + l_rhs] == add[x_u][neg[exp[lb + l_inv]]]
-                        and exp[lw_v + l_rhs] == x_v):
+                mid = add[a4c][neg[b2]]
+                rhs = add[a2][neg[over_a2c[b2]]]
+                if not (mul[w_u][mid] == add[s_u][neg[b]] and mul[w_v][mid] == s_v
+                        and mul[w_u][rhs] == add[x_u][neg[over_a2c[b]]]
+                        and mul[w_v][rhs] == x_v):
                     holds = False
                 checked += 1
     return FractionIdentityReport(fields.q, x0, c, checked, 0, holds)

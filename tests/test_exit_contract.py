@@ -265,10 +265,10 @@ def patched_runs(patches):
     return runs
 
 
-def _no_negative_of_one(self, table=orbits.FiniteFieldPair._base_add_table):
-    add = table(self)
+def _no_negative_of_one(self, tables=orbits.FiniteFieldPair._base_tables):
+    add, mul = tables(self)
     add[1][1] = add[1][0]  # in F_2 this removes the 0 of row 1
-    return add
+    return add, mul
 
 
 def field_construction_errors():
@@ -276,12 +276,12 @@ def field_construction_errors():
     with the reducible extension modulus y^2, whose y^q is 0, not -y, then
     that of `orbit --p 2` with an addition row of F_2 that holds no 0, then
     that of `orbit --p 2 --n 2` with every polynomial taken as irreducible,
-    so that F_4's modulus is x^2, whose quotient has no unit of order 3."""
+    so that F_4's modulus is x^2, and x times any element is no 1."""
     p3n2 = ["orbit", "--p", "3", "--n", "2"]
     return patched_runs([
         (orbits, "_is_irreducible", lambda m, p: False, p3n2),
         (orbits.FiniteFieldPair, "_find_ext_modulus", lambda self: (0, 0, 1), p3n2),
-        (orbits.FiniteFieldPair, "_base_add_table", _no_negative_of_one,
+        (orbits.FiniteFieldPair, "_base_tables", _no_negative_of_one,
          ["orbit", "--p", "2"]),
         (orbits, "_is_irreducible", lambda m, p: True,
          ["orbit", "--p", "2", "--n", "2"])])
@@ -292,8 +292,8 @@ FIELD_CONSTRUCTION_ERRORS = [
     [1, "", "check failed: Frobenius sends y to 0, not to its conjugate "
             "-b - y = 18\n"],
     [1, "", "check failed: 1 has no negative in the addition table of F_2\n"],
-    [1, "", "check failed: no element of order 3 in the units of the base "
-            "field\n"]]
+    [1, "", "check failed: 2 has no inverse in the multiplication table of "
+            "F_4\n"]]
 
 
 def _squares_read_zero(p, n, build=orbits.build_fields):
@@ -322,6 +322,7 @@ def orbit_check_errors():
     call reaches, since the command line takes c from the inversion data."""
     build, canonical = orbits.build_fields, orbits.canonical_inversion_data
     pair = orbits.FiniteFieldPair
+    tables = pair._base_tables
     p3 = ["orbit", "--p", "3"]
     generators = coxeter._omega_generators
 
@@ -329,8 +330,11 @@ def orbit_check_errors():
         reflection = tuple(-i % (d + 1) for i in range(d + 1))
         return generators(f, d) + ([reflection] if f == "A" else [])
     patches = [
-        # every t is a root of every quadratic when every sum reads 0
-        (pair, "_base_add_table", lambda self: [[0] * self.q] * self.q, p3),
+        # every t is a root of every quadratic when every sum reads 0; the
+        # sums break after the product table is built, since one built from
+        # them would hold no 1 and stop the build first
+        (pair, "_base_tables",
+         lambda self: ([[0] * self.q] * self.q, tables(self)[1]), p3),
         # y^2 + y = y (y + 1) has the two roots 0 and -1, so y^3 = y
         (pair, "_find_ext_modulus", lambda self: (0, 1, 1), p3),
         (orbits, "_square_classes", _extra_orbit, p3),

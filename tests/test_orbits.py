@@ -303,9 +303,9 @@ def test_char2_rejects_inversion_helpers():
                 (orbits.canonical_inversion_data, (f,),
                  "inversion data needs odd characteristic"),
                 (orbits.inversion_closure_orbits, (f,),
-                 "inversion closure needs odd characteristic"),
+                 "inversion data needs odd characteristic"),
                 (orbits.verify_fraction_identity, (f,),
-                 "identity check needs odd characteristic"),
+                 "inversion data needs odd characteristic"),
                 (orbits.exists_nonsquare_value, (f, 1),
                  "nonsquare search needs odd characteristic")):
             with pytest.raises(ValueError, match=f"^{message}$"):
@@ -467,14 +467,18 @@ def test_orbit_work_stays_polynomial_in_q(p, n, monkeypatch):
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
 def test_field_build_makes_linearly_many_polynomial_products(p, n, monkeypatch):
-    # one product per step of the walks to the least primitive element of
-    # k_F, where a table of every pair makes q^2
-    calls = []
-    poly_mul = orbits._poly_mul
-    monkeypatch.setattr(orbits, "_poly_mul",
-                        lambda f, g, p: calls.append(1) or poly_mul(f, g, p))
-    f = orbits.build_fields(p, n)
-    assert len(calls) <= 2 * f.q
+    # the only products are by x: row p^i of mul is row p^(i-1) times x, a
+    # digit shift reduced mod m_base once per element, and every other row a
+    # sum of rows; a table of every pair's product would reduce q^2 products
+    # of 2n - 1 digits
+    f = _fields(p, n)
+    reduced = []
+    rem = orbits._poly_rem
+    monkeypatch.setattr(orbits, "_poly_rem",
+                        lambda g, m, p: reduced.append(g) or rem(g, m, p))
+    assert f._base_tables() == (f._badd, f._bmul)
+    assert len(reduced) == f.q
+    assert all(len(g) == n + 1 and g[0] == 0 for g in reduced)
 
 
 _element = st.integers(min_value=0, max_value=255)
@@ -609,6 +613,15 @@ def test_transitivity_verdict(p, n, monkeypatch):
 
 # -- the table arithmetic and k_E's exp/log tables, as the oracle -------------
 
+def _poly_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        if fi:
+            for j, gj in enumerate(g):
+                out[i + j] = (out[i + j] + fi * gj) % p
+    return out
+
+
 @functools.cache
 def _reference(p, n):
     """k_F's add and mul tables from one polynomial product per pair, and the
@@ -618,7 +631,7 @@ def _reference(p, n):
     digits = [f._digits(e) for e in range(q)]
     add = [[f._undigits([(s + t) % p for s, t in zip(d1, d2)]) for d2 in digits]
            for d1 in digits]
-    mul = [[f._undigits(orbits._poly_rem(orbits._poly_mul(d1, d2, p), m, p))
+    mul = [[f._undigits(orbits._poly_rem(_poly_mul(d1, d2, p), m, p))
             for d2 in digits] for d1 in digits]
     neg = [row.index(0) for row in add]
     c, b, _ = f.modulus_ext
@@ -685,36 +698,30 @@ def _ext_tables(p, n):
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
 def test_exp_and_log_are_inverse_bijections(p, n):
+    # k_E's units are cyclic under the pair product: one unit of order
+    # q^2 - 1 lists them all
     f = _fields(p, n)
-    # k_F's exp ends in zeros that its log of 0 lands every product with 0 in
-    order = f.q - 1
-    assert f._bexp[2 * order:] == [0] * (2 * order + 1) and f._blog[0] == 2 * order
-    _, ext_exp, ext_log = _ext_tables(p, n)
-    assert ext_log[0] is None
-    for exp, log, size in ((f._bexp[:2 * order], f._blog, f.q),
-                           (ext_exp, ext_log, f.q_ext)):
-        units, order = range(1, size), size - 1
-        assert exp == exp[:order] * 2 and len(log) == size
-        assert sorted(exp[:order]) == list(units)
-        assert [log[exp[k]] for k in range(order)] == list(range(order))
-        assert [exp[log[z]] for z in units] == list(units)
+    _, exp, log = _ext_tables(p, n)
+    units, order = range(1, f.q_ext), f.q_ext - 1
+    assert log[0] is None
+    assert exp == exp[:order] * 2 and len(log) == f.q_ext
+    assert sorted(exp[:order]) == list(units)
+    assert [log[exp[k]] for k in range(order)] == list(range(order))
+    assert [exp[log[z]] for z in units] == list(units)
 
 
 @pytest.mark.parametrize("p,n", ALL_FIELDS)
 def test_generators_are_the_least_of_full_order(p, n):
     f = _fields(p, n)
-    _, mul, product = _reference(p, n)
-    g, ext_exp, _ = _ext_tables(p, n)
+    product = _reference(p, n)[2]
+    g, exp, _ = _ext_tables(p, n)
 
-    def order(z, times):
+    def order(z):
         w, k = z, 1
         while w != 1:
-            w, k = times(w, z), k + 1
+            w, k = product(w, z), k + 1
         return k
-    assert f._bexp[1] == min(a for a in f.base_units()
-                             if order(a, lambda s, t: mul[s][t]) == f.q - 1)
-    assert ext_exp[1] == g == min(
-        z for z in range(1, f.q_ext) if order(z, product) == f.q_ext - 1)
+    assert exp[1] == g == min(z for z in range(1, f.q_ext) if order(z) == f.q_ext - 1)
 
 
 # -- the fields past the old cap of 16, against polynomial arithmetic ----------
@@ -728,7 +735,7 @@ def _poly_product(f, a, b):
     """a b in k_F by one polynomial product, with no table."""
     p = f.p
     return f._undigits(orbits._poly_rem(
-        orbits._poly_mul(f._digits(a), f._digits(b), p), f.modulus_base, p))
+        _poly_mul(f._digits(a), f._digits(b), p), f.modulus_base, p))
 
 
 def _digit_sum(f, a, b, sign=1):
